@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify gridsim chaos bench bench-check fuzz-smoke satind-smoke replay-smoke
+.PHONY: build test vet race verify gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
 
 build:
 	$(GO) build ./...
@@ -30,20 +30,11 @@ gridsim:
 # Deque/steal/runtime microbenchmarks (one iteration each: a smoke run
 # that proves every benchmark still compiles and executes; for timing
 # numbers use -benchtime/-count as in EXPERIMENTS.md), followed by the
-# JSON baseline harness CI archives per PR (cmd/bench). Refreshes the
-# committed BENCH_8.json.
+# repo's benchmark (BENCHMARK.json): the five workloads at --seed 1
+# plus one traced run per workload, reports under results/bench/.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -count=1 ./internal/deque ./internal/steal ./satin ./internal/transport/wire ./internal/coord
-	$(GO) run ./cmd/bench -out BENCH_8.json
-
-# Regression gate: run the harness fresh and compare against the
-# committed baseline, failing on >35% ns/op (or alloc) regression on
-# any shared benchmark (e2e arms get 3x slack). Single runs of the
-# sub-microsecond kernels swing ~20% run-to-run on a shared 1-CPU
-# runner, so the gate is sized to catch real regressions (2x), not
-# scheduler noise.
-bench-check:
-	$(GO) run ./cmd/bench -out BENCH_8.ci.json -against BENCH_8.json -tolerance 0.35
+	./benchmark/run.sh
 
 # Short fuzz smoke over the adversarial-input decoders (`go test -fuzz`
 # accepts one target per invocation, hence one line each): the wirefmt

@@ -31,7 +31,6 @@ func init() {
 	// "report" is shared with the satin package's sender side; Register
 	// is idempotent for identical (kind, type) pairs.
 	wire.Register[metrics.Report]("report")
-	wire.Register[reportBatch]("report-batch")
 }
 
 // Re-exported core types so downstream users need only this package.
@@ -133,8 +132,8 @@ type Annotation = coord.Annotation
 // Coordinator is the running adaptation process.
 type Coordinator struct {
 	cfg   Config
-	kern  *coord.Kernel     // flat mode (nil when sharded)
-	rootk *coord.RootKernel // sharded mode (nil when flat)
+	kern  *coord.Kernel     // subs and root in this process (nil when sharded)
+	rootk *coord.RootKernel // root of a tree of SubCoordinators (nil otherwise)
 	prov  Provisioner
 	wc    *wire.Conn
 	reg   *registry.Client
@@ -214,7 +213,6 @@ func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, erro
 		c.kern = kern
 		c.kern.Protect(cfg.Protected...)
 		wire.Handle(c.wc, c.onReport)
-		wire.Handle(c.wc, c.onReportBatch)
 	}
 	c.wg.Add(1)
 	go c.loop()
@@ -266,7 +264,7 @@ func (c *Coordinator) Requirements() *Requirements {
 
 // ObserveStream merges a streaming-workload observation into the
 // coordinator's current monitoring period (the job driver calls it once
-// per completed window). Flat mode only: the sharded root receives its
+// per completed window). No-op when sharded: that root receives its
 // stream partials inside ClusterSummary frames instead.
 func (c *Coordinator) ObserveStream(o core.StreamObs) {
 	if c.kern != nil {
@@ -281,20 +279,9 @@ func (c *Coordinator) onReport(rep metrics.Report, _ wire.Meta) {
 	c.mu.Unlock()
 }
 
-// onReportBatch takes batched reports from a per-cluster
-// sub-coordinator (the hierarchical deployment of the paper's §7). The
-// kernel keeps only each node's freshest report.
-func (c *Coordinator) onReportBatch(batch reportBatch, _ wire.Meta) {
-	for _, rep := range batch.Reports {
-		c.kern.Report(rep)
-	}
-	c.mu.Lock()
-	c.messages++
-	c.mu.Unlock()
-}
-
-// MessagesReceived counts report messages (single or batched) the main
-// coordinator handled — the load the §7 hierarchy is designed to cut.
+// MessagesReceived counts the messages (node reports, or cluster
+// summaries when sharded) the main coordinator handled — the load the
+// §7 hierarchy is designed to cut.
 func (c *Coordinator) MessagesReceived() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

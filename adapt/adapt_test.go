@@ -239,9 +239,9 @@ func TestDefaultThresholdsMatchPaper(t *testing.T) {
 }
 
 // The §7 hierarchy: nodes report to per-cluster sub-coordinators,
-// which batch to the main coordinator. The main coordinator still sees
-// every node's statistics but handles O(clusters) messages per period
-// instead of O(nodes).
+// which summarize to the main coordinator. The main coordinator still
+// decides on every node's statistics but handles O(clusters) messages
+// per period instead of O(nodes).
 func TestHierarchicalCoordinator(t *testing.T) {
 	period := 300 * time.Millisecond
 	g, err := satin.NewGrid(satin.GridConfig{
@@ -263,6 +263,7 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	defer g.Close()
 
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
+		Sharded:     true,
 		Period:      period,
 		MonitorOnly: true,
 	})
@@ -272,7 +273,7 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	defer coord.Stop()
 	var subs []*adapt.SubCoordinator
 	for _, c := range []adapt.ClusterID{"c0", "c1"} {
-		sub, err := adapt.StartSub(g.Fabric(), c, period)
+		sub, err := adapt.StartSubKernel(g.Fabric(), c, adapt.SubConfig{Period: period, Registry: fastReg()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +292,7 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	}
 
 	// Run for several periods; the main coordinator must assemble a
-	// full 8-node view out of batched messages.
+	// full 8-node view out of cluster summaries.
 	deadline := time.Now().Add(6 * time.Second)
 	for {
 		hist := coord.History()
@@ -308,10 +309,10 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	}
 	periods := len(coord.History())
 	msgs := coord.MessagesReceived()
-	// Flat reporting would deliver ~8 messages per period; batching
-	// caps it at ~2 (one per sub-coordinator).
+	// Flat reporting would deliver ~8 messages per period; summaries
+	// cap it at ~2 (one per sub-coordinator).
 	if msgs > periods*4 {
-		t.Errorf("main coordinator handled %d messages over %d periods — batching not effective", msgs, periods)
+		t.Errorf("main coordinator handled %d messages over %d periods — summarizing not effective", msgs, periods)
 	}
 	t.Logf("periods=%d messages=%d (flat would be ~%d)", periods, msgs, periods*8)
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
@@ -17,21 +15,18 @@ import (
 // which collects the information from the sub-coordinators."
 //
 // A SubCoordinator owns one cluster's endpoint; its nodes send their
-// per-period reports there, and once per period the batch travels to
-// the main coordinator as a single message, cutting the main
-// coordinator's message load from O(nodes) to O(clusters) per period.
+// per-period reports there, it ingests them into a coord.SubKernel, and
+// once per period one ClusterSummary travels to the main coordinator,
+// cutting the main coordinator's message load from O(nodes) to
+// O(clusters) per period. See shard.go for the period and the root
+// failover.
 type SubCoordinator struct {
 	cluster ClusterID
 	wc      *wire.Conn
 	main    string
 	period  time.Duration
 
-	mu      sync.Mutex
-	pending []metrics.Report
-
-	// Sub-kernel mode (ISSUE 8): instead of relaying raw reports the
-	// sub runs a coord.SubKernel and emits one ClusterSummary per
-	// period; these fields are nil/zero in relay mode. See shard.go.
+	mu    sync.Mutex
 	shard *subShard
 
 	stop     chan struct{}
@@ -45,60 +40,20 @@ func SubEndpointName(cluster ClusterID) string {
 	return EndpointName + "/" + string(cluster)
 }
 
-// reportBatch is the wire format from sub to main.
-type reportBatch struct {
-	Cluster ClusterID
-	Reports []metrics.Report
-}
-
-// StartSub launches a sub-coordinator for one cluster, forwarding to
-// the main coordinator's endpoint every period.
-func StartSub(f transport.Fabric, cluster ClusterID, period time.Duration) (*SubCoordinator, error) {
-	if period == 0 {
-		period = 2 * time.Second
-	}
-	ep, err := f.Endpoint(SubEndpointName(cluster))
-	if err != nil {
-		return nil, err
-	}
-	sc := &SubCoordinator{
-		cluster: cluster,
-		wc:      wire.New(ep),
-		main:    EndpointName,
-		period:  period,
-		stop:    make(chan struct{}),
-	}
-	wire.Handle(sc.wc, sc.onReport)
-	sc.wg.Add(1)
-	go sc.loop()
-	return sc, nil
-}
-
-// Stop shuts the sub-coordinator down, flushing pending reports.
-// Safe to call multiple times and from concurrent goroutines. A root
-// coordinator this sub promoted during failover keeps running; stop it
-// separately via Promoted().
+// Stop shuts the sub-coordinator down. Safe to call multiple times and
+// from concurrent goroutines. A root coordinator this sub promoted
+// during failover keeps running; stop it separately via Promoted().
 func (sc *SubCoordinator) Stop() {
 	sc.stopOnce.Do(func() {
 		close(sc.stop)
 		sc.wg.Wait()
-		if sc.shard != nil {
-			sc.shard.reg.Close()
-		} else {
-			sc.flush()
-		}
+		sc.shard.reg.Close()
 		sc.wc.Close()
 	})
 }
 
 func (sc *SubCoordinator) onReport(rep metrics.Report, _ wire.Meta) {
-	if sc.shard != nil {
-		sc.shard.kern.Report(rep)
-		return
-	}
-	sc.mu.Lock()
-	sc.pending = append(sc.pending, rep)
-	sc.mu.Unlock()
+	sc.shard.kern.Report(rep)
 }
 
 func (sc *SubCoordinator) loop() {
@@ -110,32 +65,7 @@ func (sc *SubCoordinator) loop() {
 		case <-sc.stop:
 			return
 		case <-ticker.C:
-			if sc.shard != nil {
-				sc.shardTick()
-			} else {
-				sc.flush()
-			}
+			sc.shardTick()
 		}
-	}
-}
-
-func (sc *SubCoordinator) flush() {
-	sc.mu.Lock()
-	batch := sc.pending
-	sc.pending = nil
-	sc.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	if err := wire.Send(sc.wc, sc.main, reportBatch{Cluster: sc.cluster, Reports: batch}); err != nil {
-		// The main coordinator is unreachable (restarting, partitioned):
-		// losing the batch silently would starve the kernel of exactly
-		// the period that preceded the outage. Keep the reports and try
-		// again next period — the kernel dedups per node by freshness,
-		// so re-delivering alongside newer reports is harmless.
-		obs.Default.Counter("adapt/forward_failures").Inc()
-		sc.mu.Lock()
-		sc.pending = append(batch, sc.pending...)
-		sc.mu.Unlock()
 	}
 }

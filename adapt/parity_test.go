@@ -8,37 +8,10 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 	"repro/internal/wirefmt/frametest"
 )
-
-// TestReportBatchWireParity is the ISSUE 7 golden suite for the
-// hierarchy's sub→main batch frame.
-func TestReportBatchWireParity(t *testing.T) {
-	frametest.Parity[reportBatch, *reportBatch](t, []reportBatch{
-		{},
-		{Cluster: "grappe-é", Reports: []metrics.Report{}},
-		{Cluster: "c0", Reports: []metrics.Report{
-			{Node: "n0", Cluster: "c0", Start: 0, End: 2, BusySec: 1.5, Speed: 100},
-			{Node: "узел-1", Cluster: "c0", Start: 2, End: 4, IdleSec: 2,
-				Links: map[core.ClusterID]core.LinkSample{"c1": {Seconds: 0.5, Bytes: 4096}}},
-		}},
-	})
-}
-
-func TestReportBatchWireCorrupt(t *testing.T) {
-	rb := reportBatch{Cluster: "c0", Reports: []metrics.Report{
-		{Node: "n0", Cluster: "c0", End: 2, Speed: 1,
-			Links: map[core.ClusterID]core.LinkSample{"c1": {Seconds: 1, Bytes: 2}}},
-	}}
-	enc, err := rb.AppendWire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frametest.Corrupt[reportBatch, *reportBatch](t, enc)
-}
 
 // The sharded tree's control frames (ISSUE 8): the root's summary
 // receipt and its eager post-action reset push.

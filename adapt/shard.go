@@ -15,16 +15,15 @@ import (
 )
 
 // Sharded coordination for the real runtime (ISSUE 8): the
-// SubCoordinator stops being a batching relay and becomes a real
-// sub-kernel driver — it ingests its cluster's reports into a
-// coord.SubKernel, emits one fixed-shape ClusterSummary per period,
-// and watches the root's acks. When FailoverAfter consecutive periods
-// pass without an ack the subs deterministically elect the lowest
-// sub-endpoint name as successor; the winner claims the root endpoint
-// (the claim doubles as the election lock — the fabric rejects a
-// second claimant) and re-bootstraps requirements state from its own
-// cached ReqState plus the caches riding on the next round of
-// summaries.
+// SubCoordinator is a sub-kernel driver — it ingests its cluster's
+// reports into a coord.SubKernel, emits one fixed-shape ClusterSummary
+// per period, and watches the root's acks. When FailoverAfter
+// consecutive periods pass without an ack the subs deterministically
+// elect the lowest sub-endpoint name as successor; the winner claims
+// the root endpoint (the claim doubles as the election lock — the
+// fabric rejects a second claimant) and re-bootstraps requirements
+// state from its own cached ReqState plus the caches riding on the next
+// round of summaries.
 
 func init() {
 	wire.Register[coord.ClusterSummary]("cluster-summary")
@@ -51,7 +50,7 @@ type shardReset struct {
 	Req   coord.ReqState
 }
 
-// SubConfig tunes a sub-kernel-mode sub-coordinator.
+// SubConfig tunes a sub-coordinator.
 type SubConfig struct {
 	// Period is the summary period (matches the root's tick period).
 	Period time.Duration
@@ -59,7 +58,7 @@ type SubConfig struct {
 	// proposals with; they must match the root's configuration.
 	Thresholds Thresholds
 	// ProposalCap bounds the eviction candidates per summary (0 = all
-	// reporting nodes — exact parity with the flat kernel).
+	// reporting nodes, so the root ranks exactly as coord.Kernel does).
 	ProposalCap int
 	// FailoverAfter is how many consecutive unacknowledged periods the
 	// sub tolerates before triggering an election (default 2).
@@ -74,7 +73,7 @@ type SubConfig struct {
 	Registry registry.Options
 }
 
-// subShard is the sub-kernel mode state hanging off a SubCoordinator.
+// subShard is the sub-kernel and failover state of a SubCoordinator.
 type subShard struct {
 	kern  *coord.SubKernel
 	reg   *registry.Client
@@ -90,11 +89,10 @@ type subShard struct {
 	promoted   *Coordinator // root this sub elected itself into, if any
 }
 
-// StartSubKernel launches a sub-coordinator in sub-kernel mode: the
-// cluster's nodes report to its endpoint exactly as in relay mode, but
-// the wire to the main coordinator carries one ClusterSummary per
-// period instead of the raw batch, and the sub takes part in root
-// failover.
+// StartSubKernel launches the sub-coordinator of one cluster: the
+// cluster's nodes report to its endpoint, the wire to the main
+// coordinator (which must run with Config.Sharded) carries one
+// ClusterSummary per period, and the sub takes part in root failover.
 func StartSubKernel(f transport.Fabric, cluster ClusterID, cfg SubConfig) (*SubCoordinator, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 2 * time.Second
@@ -145,12 +143,9 @@ func StartSubKernel(f transport.Fabric, cluster ClusterID, cfg SubConfig) (*SubC
 // observation into the sub-kernel's current period; the next summary
 // ships it to the root as ClusterSummary stream aggregates, where the
 // partials of all clusters sum into the global observation the root's
-// StreamSLO objective judges. No-op in relay mode, which forwards raw
-// reports and has no per-period state.
+// StreamSLO objective judges.
 func (sc *SubCoordinator) ObserveStream(o core.StreamObs) {
-	if sc.shard != nil {
-		sc.shard.kern.ObserveStream(o)
-	}
+	sc.shard.kern.ObserveStream(o)
 }
 
 // Promoted returns the root coordinator this sub elected itself into,
@@ -159,9 +154,6 @@ func (sc *SubCoordinator) ObserveStream(o core.StreamObs) {
 func (sc *SubCoordinator) Promoted() *Coordinator {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.shard == nil {
-		return nil
-	}
 	return sc.shard.promoted
 }
 
@@ -211,11 +203,10 @@ func (sc *SubCoordinator) shardTick() {
 
 // onAck processes the root's receipt: reset the silence counter, cache
 // the requirements snapshot, and adopt a newer reset epoch (dropping
-// the pre-action reports, as the flat kernel's post-action reset
-// does).
+// the pre-action reports).
 func (sc *SubCoordinator) onAck(ack summaryAck, _ wire.Meta) {
 	sh := sc.shard
-	if sh == nil || ack.Cluster != sc.cluster {
+	if ack.Cluster != sc.cluster {
 		return
 	}
 	sc.mu.Lock()
@@ -235,9 +226,6 @@ func (sc *SubCoordinator) onAck(ack summaryAck, _ wire.Meta) {
 // onShardReset is the root's eager post-action push.
 func (sc *SubCoordinator) onShardReset(rst shardReset, _ wire.Meta) {
 	sh := sc.shard
-	if sh == nil {
-		return
-	}
 	sc.mu.Lock()
 	sh.reqCache = rst.Req
 	bump := rst.Epoch > sh.epoch

@@ -339,19 +339,25 @@ func TestShardedStreamSLOGrowsOnViolation(t *testing.T) {
 	}
 }
 
-// TestSubFlushRetriesUntilRootReturns pins the relay-mode outage fix:
-// a batch the sub cannot deliver (coordinator down) is counted on the
-// forward_failures counter and retained, then redelivered once the
-// coordinator endpoint exists again — never silently dropped.
+// TestSubFlushRetriesUntilRootReturns pins the sub's behaviour through
+// a root outage: a summary the sub cannot deliver (no coordinator
+// endpoint) is counted on summary_send_failures, the reports behind it
+// stay in the sub-kernel, and the first summary after the root exists
+// again carries them — never silently dropped.
 func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	fab := transport.NewInProc(nil)
 	defer fab.Close()
 	if _, err := registry.NewServer(fab, fastReg()); err != nil {
 		t.Fatal(err)
 	}
+	startScriptWorker(t, fab, "c0/00", "c0")
 
 	const period = 100 * time.Millisecond
-	sub, err := adapt.StartSub(fab, "c0", period)
+	sub, err := adapt.StartSubKernel(fab, "c0", adapt.SubConfig{
+		Period:        period,
+		FailoverAfter: 1 << 30, // this test is about the retry, not the election
+		Registry:      fastReg(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +371,9 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	defer wc.Close()
 
 	// The only report this test ever sends arrives while no coordinator
-	// exists: any batch the coordinator later receives must be the
-	// retained one.
-	failures := obs.Default.Counter("adapt/forward_failures")
+	// exists: any statistics the coordinator later sees must be the
+	// retained ones.
+	failures := obs.Default.Counter("adapt/summary_send_failures")
 	before := failures.Value()
 	rep := metrics.Report{Node: "c0/00", Cluster: "c0", End: 0.1,
 		BusySec: 0.05, IdleSec: 0.05, Speed: 1}
@@ -378,13 +384,13 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for failures.Value() == before {
 		if time.Now().After(deadline) {
-			t.Fatal("flush to the missing coordinator never failed visibly")
+			t.Fatal("summary to the missing coordinator never failed visibly")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	coord, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
-		Period: period, MonitorOnly: true, Registry: fastReg(),
+		Sharded: true, Period: period, MonitorOnly: true, Registry: fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,9 +398,13 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 	defer coord.Stop()
 
 	deadline = time.Now().Add(5 * time.Second)
-	for coord.MessagesReceived() == 0 {
+	for {
+		hist := coord.History()
+		if n := len(hist); n > 0 && hist[n-1].Stats == 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("retained batch was never redelivered after the outage")
+			t.Fatalf("retained report never reached the root after the outage: %+v", hist)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -2,50 +2,8 @@ package adapt
 
 import (
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/wirefmt"
 )
-
-// Binary codec for the sub→main report batch (ISSUE 7); the per-report
-// encoding lives with metrics.Report itself.
-
-// AppendWire implements wirefmt.Frame.
-func (m *reportBatch) AppendWire(b []byte) ([]byte, error) {
-	b = wirefmt.AppendString(b, string(m.Cluster))
-	b = wirefmt.AppendUvarint(b, uint64(len(m.Reports)))
-	var err error
-	for i := range m.Reports {
-		if b, err = m.Reports[i].AppendWire(b); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// DecodeWire implements wirefmt.Frame.
-func (m *reportBatch) DecodeWire(r *wirefmt.Reader) error {
-	m.Cluster = core.ClusterID(r.String())
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n == 0 {
-		return nil // empty decodes as nil, matching gob
-	}
-	if n > uint64(r.Remaining()) {
-		r.Fail("report count exceeds frame")
-		return r.Err()
-	}
-	m.Reports = make([]metrics.Report, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var rep metrics.Report
-		if err := rep.DecodeWire(r); err != nil {
-			return err
-		}
-		m.Reports = append(m.Reports, rep)
-	}
-	return r.Err()
-}
 
 // Binary codecs for the sharded-coordination control frames (ISSUE 8).
 // The ClusterSummary codec lives with coord.ClusterSummary itself; the

@@ -16,7 +16,7 @@
 //
 // -compare exits 1 when run B regresses beyond -tolerance against run
 // A (longer runtime, or worse mean/final objective health), so it can
-// gate CI the way bench-check does for microbenchmarks.
+// gate CI.
 package main
 
 import (

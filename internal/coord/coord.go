@@ -1,10 +1,15 @@
 // Package coord implements the paper's Figure-2 adaptation loop ONCE,
-// independently of the runtime that executes the application. The
-// Kernel owns everything between "statistics arrive" and "effects are
-// requested": report ingestion, two-period smoothing, the decision
-// engine call, requirements learning (minimum bandwidth, blacklists),
-// the cluster-eviction fallback, bootstrap when the computation died,
-// optional opportunistic migration, and the post-action report reset.
+// independently of the runtime that executes the application and of how
+// many processes the coordinator is spread over. The loop is split at
+// the seam the paper's §7 names: a SubKernel per cluster owns report
+// ingestion, the freshest-per-node rule and two-period smoothing and
+// reduces each period to one ClusterSummary; the RootKernel owns
+// everything between "summaries arrive" and "effects are requested":
+// the objective call, requirements learning (minimum bandwidth,
+// blacklists), cluster eviction with its fallback, bootstrap when the
+// computation died, fair-share yield, optional opportunistic migration,
+// and the post-action reset. Kernel composes the two in one process;
+// the sharded drivers put a network between them.
 //
 // Runtimes plug in through the small Actuator interface: the
 // discrete-event simulator (internal/des) and the real
@@ -17,14 +22,10 @@
 package coord
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // Veto is the scheduler-side filter derived from the learned
@@ -50,7 +51,7 @@ type Veto = func(core.NodeID, core.ClusterID) bool
 //     view of the cluster's access-link capacity (0 = no such service
 //     or link never exercised). It is the preferred source for the
 //     learned bandwidth bound; per-report achieved shares are only the
-//     fallback (see learnClusterBandwidth).
+//     fallback (see RootKernel.learnClusterBandwidth).
 //   - Annotate marks an adaptation event on the runtime's timeline
 //     (figures, logs). Purely informational.
 type Actuator interface {
@@ -93,7 +94,7 @@ type Annotation struct {
 	Label string
 }
 
-// Config tunes a Kernel.
+// Config tunes a Kernel or a RootKernel.
 type Config struct {
 	// Engine configures the batch decision engine; when Objective is
 	// nil and Engine is set, the kernel runs the classic WAE band
@@ -127,130 +128,63 @@ type Config struct {
 	Pressure func() int
 }
 
-// Kernel is the runtime-independent adaptation coordinator. It is safe
-// for concurrent use: the real runtime feeds Report from transport
-// handlers while its ticker calls Tick.
+// Kernel is the runtime-independent adaptation coordinator in one
+// process: a private RootKernel over one in-process SubKernel per
+// cluster its reports name, with no proposal cap, so the root ranks
+// every reporting node. It is safe for concurrent use: the real runtime
+// feeds Report from transport handlers while its ticker calls Tick.
 type Kernel struct {
-	cfg     Config
-	eng     *core.Engine   // batch engine (nil for non-batch objectives)
-	obj     core.Objective // nil = monitor-only
-	weights core.BadnessWeights
-	reqs    *core.Requirements
-	act     Actuator
+	root *RootKernel
 
-	mu      sync.Mutex
-	stream  *core.StreamObs // pending streaming observation for the next tick
-	reports map[core.NodeID]metrics.Report
-	// prevStats keeps the previous period's per-node statistics: the
-	// kernel decides on the average of two periods, smoothing out the
-	// heavy-tailed per-period noise of a few large job transfers.
-	prevStats map[core.NodeID]core.NodeStats
-	protected map[core.NodeID]bool
-
-	ins kernelInstruments
-}
-
-// kernelInstruments caches the obs instruments Tick touches, resolved
-// once at kernel construction so the tick path never takes the
-// registry lock.
-type kernelInstruments struct {
-	ticks        *obs.Counter
-	smoothed     *obs.Counter
-	resets       *obs.Counter
-	health       *obs.Gauge
-	liveNodes    *obs.Gauge
-	reported     *obs.Gauge
-	periodHealth *obs.Histogram
-}
-
-func newKernelInstruments() kernelInstruments {
-	// The health series carry the objective's scalar (WAE for batch,
-	// target/latency for streams). The pre-objective names stay
-	// registered as aliases so existing scrapes keep working.
-	obs.Default.Alias("coord/health", "coord/wae")
-	obs.Default.Alias("coord/period_health", "coord/period_wae")
-	return kernelInstruments{
-		ticks:        obs.Default.Counter("coord/ticks"),
-		smoothed:     obs.Default.Counter("coord/smoothed_reports"),
-		resets:       obs.Default.Counter("coord/post_action_resets"),
-		health:       obs.Default.Gauge("coord/health"),
-		liveNodes:    obs.Default.Gauge("coord/live_nodes"),
-		reported:     obs.Default.Gauge("coord/reported_nodes"),
-		periodHealth: obs.Default.Histogram("coord/period_health", obs.HealthBuckets),
-	}
+	mu   sync.Mutex
+	subs map[core.ClusterID]*SubKernel
 }
 
 // New builds a Kernel. cfg.Engine is validated when present.
 func New(cfg Config, act Actuator) (*Kernel, error) {
-	if act == nil {
-		return nil, fmt.Errorf("coord: nil actuator")
+	root, err := NewRoot(cfg, act)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.OpportunisticFactor == 0 {
-		cfg.OpportunisticFactor = 1.5
-	}
-	k := &Kernel{
-		cfg:       cfg,
-		reqs:      core.NewRequirements(),
-		act:       act,
-		reports:   make(map[core.NodeID]metrics.Report),
-		prevStats: make(map[core.NodeID]core.NodeStats),
-		protected: make(map[core.NodeID]bool),
-		ins:       newKernelInstruments(),
-	}
-	k.weights = core.DefaultBadnessWeights()
-	switch {
-	case cfg.Objective != nil:
-		k.obj = cfg.Objective
-		// The batch objective keeps its engine reachable: the kernel's
-		// cluster-eviction fallback still needs ShrinkCount.
-		if b, ok := cfg.Objective.(*core.BatchWAE); ok {
-			k.eng = b.Engine()
-			k.weights = k.eng.Config().Weights
-		} else if s, ok := cfg.Objective.(*core.StreamSLO); ok {
-			k.weights = s.Config().Weights
-		}
-	case cfg.Engine != nil:
-		obj, err := core.NewBatchWAE(*cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		k.obj = obj
-		k.eng = obj.Engine()
-		k.weights = k.eng.Config().Weights
-	}
-	return k, nil
+	// Whole-cluster eviction removes the cluster's REPORTING nodes — the
+	// sub's uncapped proposals — not the runtime's roster: a node that
+	// joined the cluster and has not completed a period is not evidence
+	// against its uplink.
+	root.roster = nil
+	return &Kernel{root: root, subs: make(map[core.ClusterID]*SubKernel)}, nil
 }
 
 // Objective returns the kernel's adaptation objective (nil when the
 // kernel only monitors).
-func (k *Kernel) Objective() core.Objective { return k.obj }
-
-// ObserveStream ingests one period's streaming observation; the next
-// Tick consumes it. Partial observations within a period merge by
-// summation.
-func (k *Kernel) ObserveStream(o core.StreamObs) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.stream == nil {
-		cp := o
-		k.stream = &cp
-		return
-	}
-	k.stream.Merge(o)
-}
+func (k *Kernel) Objective() core.Objective { return k.root.Objective() }
 
 // Requirements exposes what the run has taught the kernel.
-func (k *Kernel) Requirements() *core.Requirements { return k.reqs }
+func (k *Kernel) Requirements() *core.Requirements { return k.root.Requirements() }
 
-// Report ingests one node's per-period statistics. Only the freshest
-// report per node is kept (batched deliveries may reorder).
+// ObserveStream ingests one period's streaming observation, global to
+// the kernel; the next Tick consumes it, even when no node has reported
+// yet. Partial observations within a period merge by summation.
+func (k *Kernel) ObserveStream(o core.StreamObs) { k.root.observeStream(o) }
+
+// Protect marks nodes as unremovable (the node hosting the root of the
+// computation, and in the real system the process the user started).
+func (k *Kernel) Protect(ids ...core.NodeID) { k.root.Protect(ids...) }
+
+// SetProtected replaces the protected set — used by runtimes where the
+// protected role moves (a new master is elected after a crash).
+func (k *Kernel) SetProtected(ids ...core.NodeID) { k.root.SetProtected(ids...) }
+
+// Report ingests one node's per-period statistics at its cluster's
+// sub-kernel.
 func (k *Kernel) Report(rep metrics.Report) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if cur, ok := k.reports[rep.Node]; ok && rep.End < cur.End {
-		return
+	sub, ok := k.subs[rep.Cluster]
+	if !ok {
+		sub = NewSubKernel(rep.Cluster, 0, k.root.weights)
+		k.subs[rep.Cluster] = sub
 	}
-	k.reports[rep.Node] = rep
+	sub.Report(rep)
 }
 
 // Forget drops a departed node's state immediately (Tick also prunes
@@ -258,20 +192,20 @@ func (k *Kernel) Report(rep metrics.Report) {
 func (k *Kernel) Forget(id core.NodeID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	delete(k.reports, id)
-	delete(k.prevStats, id)
+	for _, sub := range k.subs {
+		sub.Forget(id)
+	}
 }
 
 // Reports returns a copy of the kernel's current report view. Hot
 // paths that only need to look should use EachReport instead — this
 // copy allocates a fresh map per call.
 func (k *Kernel) Reports() map[core.NodeID]metrics.Report {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[core.NodeID]metrics.Report, len(k.reports))
-	for id, rep := range k.reports {
-		out[id] = rep
-	}
+	out := make(map[core.NodeID]metrics.Report)
+	k.EachReport(func(rep metrics.Report) bool {
+		out[rep.Node] = rep
+		return true
+	})
 	return out
 }
 
@@ -281,45 +215,19 @@ func (k *Kernel) Reports() map[core.NodeID]metrics.Report {
 func (k *Kernel) EachReport(fn func(metrics.Report) bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, rep := range k.reports {
-		if !fn(rep) {
+	for _, sub := range k.subs {
+		if !sub.eachReport(fn) {
 			return
 		}
 	}
 }
 
-// Protect marks nodes as unremovable (the node hosting the root of the
-// computation, and in the real system the process the user started).
-func (k *Kernel) Protect(ids ...core.NodeID) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for _, id := range ids {
-		k.protected[id] = true
-	}
-}
-
-// SetProtected replaces the protected set — used by runtimes where the
-// protected role moves (a new master is elected after a crash).
-func (k *Kernel) SetProtected(ids ...core.NodeID) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.protected = make(map[core.NodeID]bool, len(ids))
-	for _, id := range ids {
-		k.protected[id] = true
-	}
-}
-
-// veto is the scheduler filter derived from the learned requirements.
-func (k *Kernel) veto(node core.NodeID, cluster core.ClusterID) bool {
-	return k.reqs.NodeBlacklisted(node, cluster)
-}
-
 // Tick runs one pass of the paper's Figure-2 loop at time now over the
-// runtime's current live set, and returns the period's record. Reports
-// of nodes no longer live are pruned; live nodes whose first period has
-// not completed are simply missing, as in the paper ("the coordinator
-// may miss data ... this causes small inaccuracies but does not
-// influence the adaptation").
+// runtime's current live set, and returns the period's record: every
+// sub summarizes its live reporters, the root ingests the summaries at
+// its current reset epoch and decides, and when it acted (the epoch
+// moved) the subs are dropped — the stored reports and the smoothing
+// window describe the pre-action configuration.
 func (k *Kernel) Tick(now float64, live []core.NodeID) PeriodRecord {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -328,337 +236,21 @@ func (k *Kernel) Tick(now float64, live []core.NodeID) PeriodRecord {
 	for _, id := range live {
 		liveSet[id] = true
 	}
-	for id := range k.reports {
-		if !liveSet[id] {
-			delete(k.reports, id)
-		}
-	}
-
-	ids := append([]core.NodeID(nil), live...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var stats []core.NodeStats
-	next := make(map[core.NodeID]core.NodeStats, len(ids))
-	for _, id := range ids {
-		rep, ok := k.reports[id]
-		if !ok {
+	epoch := k.root.ResetEpoch()
+	clusters := make([]core.ClusterID, 0, len(k.subs))
+	for c, sub := range k.subs {
+		sum := sub.summarize(now, liveSet)
+		if sum.Stats == 0 {
+			delete(k.subs, c) // every reporter of the cluster has left
 			continue
 		}
-		cur := rep.Stats()
-		next[id] = cur
-		if prev, ok := k.prevStats[id]; ok {
-			cur = smooth(cur, prev)
-			k.ins.smoothed.Inc()
-		}
-		stats = append(stats, cur)
+		sum.Epoch = epoch
+		k.root.Ingest(sum)
+		clusters = append(clusters, c)
 	}
-	k.prevStats = next
-
-	// The period's streaming observation (if any) is consumed by this
-	// tick whether or not the kernel decides on it.
-	po := core.PeriodObs{Stats: stats, Stream: k.stream}
-	k.stream = nil
-
-	health := core.WeightedAverageEfficiency(stats)
-	if k.obj != nil {
-		health = k.obj.Health(po)
-	}
-	rec := PeriodRecord{
-		Time:  now,
-		WAE:   health,
-		Nodes: len(live),
-		Stats: len(stats),
-	}
-	k.ins.ticks.Inc()
-	k.ins.liveNodes.Set(float64(len(live)))
-	k.ins.reported.Set(float64(len(stats)))
-	if len(stats) > 0 {
-		k.ins.health.Set(rec.WAE)
-		k.ins.periodHealth.Observe(rec.WAE)
-	}
-	defer func() {
-		// "none" periods are already counted by coord/ticks; only real
-		// decisions get a per-action counter.
-		if rec.Action != "" && rec.Action != "none" {
-			obs.Default.Counter("coord/decision/" + rec.Action).Inc()
-		}
-		if rec.Added > 0 {
-			obs.Default.Counter("coord/nodes_added").Add(uint64(rec.Added))
-		}
-		if rec.Removed > 0 {
-			obs.Default.Counter("coord/nodes_removed").Add(uint64(rec.Removed))
-		}
-	}()
-	if k.obj == nil || k.cfg.MonitorOnly {
-		if len(stats) > 0 {
-			rec.Detail = fmt.Sprintf("monitor only: WAE %.3f on %d nodes", rec.WAE, len(stats))
-		}
-		return rec
-	}
-	if len(stats) == 0 {
-		// Either no node has completed a period yet (let them report)
-		// or the whole computation died — in the latter case bootstrap
-		// by requesting a replacement node.
-		if len(live) == 0 {
-			rec.Action = "add"
-			rec.Added = k.act.Provision(1, k.reqs.MinBandwidth(), k.veto)
-			rec.Detail = "no live nodes; bootstrap by requesting one"
-			if rec.Added > 0 {
-				k.act.Annotate("bootstrap: requested a replacement node")
-			}
-		}
-		return rec
-	}
-
-	// Fair-share yield outranks the WAE band: when the pool demands
-	// capacity back for starved jobs, holding on to surplus nodes would
-	// starve them for as long as this job runs. Yield the worst nodes
-	// (least efficient by the badness heuristic) and decide afresh on
-	// the shrunken configuration next period.
-	if k.cfg.Pressure != nil {
-		if p := k.cfg.Pressure(); p > 0 {
-			ranked := core.RankNodes(stats, k.weights)
-			var victims []core.NodeID
-			for _, nb := range ranked {
-				if len(victims) >= p {
-					break
-				}
-				if !k.protected[nb.Node] {
-					victims = append(victims, nb.Node)
-				}
-			}
-			if removed := k.evict(victims, "fair-share yield", false); removed > 0 {
-				rec.Action = "yield"
-				rec.Removed = removed
-				rec.Detail = fmt.Sprintf("pool reclaimed %d of %d surplus nodes", removed, p)
-				obs.Default.Counter("coord/yielded").Add(uint64(removed))
-				k.act.Annotate(fmt.Sprintf("yielded %d nodes to the shared pool", removed))
-				k.reports = make(map[core.NodeID]metrics.Report)
-				k.prevStats = make(map[core.NodeID]core.NodeStats)
-				k.ins.resets.Inc()
-				return rec
-			}
-		}
-	}
-
-	d := k.obj.Assess(po)
-	rec.WAE = d.WAE
-	rec.Action = d.Action.String()
-	rec.Detail = d.Reason
-	blacklist := k.obj.Traits().BlacklistVictims || d.Blacklist
-
-	acted := false
-	switch d.Action {
-	case core.ActionNone:
-		if k.cfg.Opportunistic {
-			if added, removed := k.tryOpportunistic(stats); added > 0 {
-				rec.Action = "opportunistic-migrate"
-				rec.Added = added
-				rec.Removed = removed
-				acted = true
-				k.act.Annotate(fmt.Sprintf("opportunistic migration: +%d faster nodes, -%d slow",
-					added, removed))
-			}
-		}
-	case core.ActionAdd:
-		rec.Added = k.act.Provision(d.AddCount, k.reqs.MinBandwidth(), k.veto)
-		if rec.Added > 0 {
-			acted = true
-			k.act.Annotate(fmt.Sprintf("adding %d nodes (WAE %.2f)", rec.Added, d.WAE))
-		}
-	case core.ActionRemoveNodes:
-		rec.Removed = k.evict(d.RemoveNodes, "badness", blacklist)
-		if rec.Removed > 0 {
-			acted = true
-			k.act.Annotate(fmt.Sprintf("removed %d worst nodes (WAE %.2f)", rec.Removed, d.WAE))
-		}
-	case core.ActionRemoveCluster:
-		// Learn the bandwidth requirement before the reports disappear.
-		k.learnClusterBandwidth(d)
-		removed := k.evict(d.RemoveNodes, "cluster uplink saturated", true)
-		if removed > 0 {
-			if !k.cfg.DisableBlacklist {
-				k.reqs.BlacklistCluster(d.RemoveCluster,
-					fmt.Sprintf("inter-cluster overhead %.0f%%", d.ClusterInterComm*100))
-			}
-			k.act.Annotate(fmt.Sprintf("removed badly connected cluster %s (%d nodes)",
-				d.RemoveCluster, removed))
-		} else if k.eng != nil {
-			// The offending cluster holds only protected nodes, which
-			// cannot leave; fall back to evicting the worst ordinary
-			// nodes so the coordinator does not spin on the same
-			// decision. Only the batch objective emits cluster
-			// evictions, so the engine is present here.
-			count := k.eng.ShrinkCount(len(stats), d.WAE)
-			ranked := core.RankNodes(stats, k.weights)
-			var victims []core.NodeID
-			for _, nb := range ranked {
-				if len(victims) >= count {
-					break
-				}
-				if nb.Cluster != d.RemoveCluster {
-					victims = append(victims, nb.Node)
-				}
-			}
-			removed = k.evict(victims, "badness (cluster fallback)", true)
-			if removed > 0 {
-				k.act.Annotate(fmt.Sprintf("removed %d worst nodes (WAE %.2f)", removed, d.WAE))
-			}
-		}
-		rec.Removed = removed
-		acted = removed > 0
-	}
-	if acted {
-		// The stored reports describe the pre-action configuration;
-		// deciding on them again would chain actions off stale data
-		// (e.g. evicting a second cluster for overhead the first one
-		// caused). Start the next period fresh — including the
-		// smoothing window, whose previous period is just as stale.
-		k.reports = make(map[core.NodeID]metrics.Report)
-		k.prevStats = make(map[core.NodeID]core.NodeStats)
-		k.ins.resets.Inc()
+	rec := k.root.Tick(now, clusters, len(live))
+	if k.root.ResetEpoch() != epoch {
+		k.subs = make(map[core.ClusterID]*SubKernel)
 	}
 	return rec
-}
-
-// smooth averages the overhead fractions of two consecutive periods
-// and merges their link samples: per-period overheads are heavy-tailed
-// (one big cross-cluster job transfer can dominate a node's period),
-// and decisions as drastic as evacuating a cluster should not ride on
-// one period's tail events. Speeds are always the latest benchmark
-// measurement.
-func smooth(cur, prev core.NodeStats) core.NodeStats {
-	cur.Idle = (cur.Idle + prev.Idle) / 2
-	cur.IntraComm = (cur.IntraComm + prev.IntraComm) / 2
-	cur.InterComm = (cur.InterComm + prev.InterComm) / 2
-	merged := make(map[core.ClusterID]core.LinkSample, len(cur.Links)+len(prev.Links))
-	for _, links := range []map[core.ClusterID]core.LinkSample{cur.Links, prev.Links} {
-		for peer, l := range links {
-			m := merged[peer]
-			m.Seconds += l.Seconds
-			m.Bytes += l.Bytes
-			merged[peer] = m
-		}
-	}
-	if len(merged) > 0 {
-		cur.Links = merged
-	}
-	return cur
-}
-
-// learnClusterBandwidth tightens the minimum-bandwidth requirement
-// when a cluster is evacuated for insufficient uplink bandwidth. The
-// bound must be a LINK CAPACITY (that is what the scheduler can
-// compare against), so the sources are tried capacity-first:
-//
-//  1. the actuator's NWS-style observed link capacity,
-//  2. the mean per-pair achieved share from the nodes' reports (which
-//     divides the capacity among concurrent flows),
-//  3. the decision's best measured pair bandwidth.
-func (k *Kernel) learnClusterBandwidth(d core.Decision) {
-	bw := k.act.ObservedBandwidth(d.RemoveCluster)
-	if bw <= 0 {
-		bw = k.reportedBandwidth(d.RemoveCluster)
-	}
-	if bw <= 0 {
-		bw = d.MeasuredBandwidth
-	}
-	if bw > 0 {
-		k.reqs.LearnMinBandwidth(bw)
-	}
-}
-
-// reportedBandwidth is the fallback bandwidth estimate for a cluster:
-// the mean achieved inter-cluster throughput its nodes reported.
-func (k *Kernel) reportedBandwidth(c core.ClusterID) float64 {
-	sum, n := 0.0, 0
-	for _, rep := range k.reports {
-		if rep.Cluster == c && rep.InterBandwidth > 0 {
-			sum += rep.InterBandwidth
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// evict filters out protected nodes, asks the actuator to remove the
-// rest, and — when blacklist is set — blacklists exactly the nodes
-// that actually left so the scheduler does not hand them straight
-// back. A fair-share yield evicts without blacklisting: the yielded
-// nodes are healthy and may return once the pool decompresses.
-func (k *Kernel) evict(victims []core.NodeID, reason string, blacklist bool) int {
-	want := make([]core.NodeID, 0, len(victims))
-	for _, id := range victims {
-		if !k.protected[id] {
-			want = append(want, id)
-		}
-	}
-	if len(want) == 0 {
-		return 0
-	}
-	evicted := k.act.Evict(want, reason)
-	for _, id := range evicted {
-		if blacklist && !k.cfg.DisableBlacklist {
-			k.reqs.BlacklistNode(id, reason)
-		}
-		delete(k.reports, id)
-		delete(k.prevStats, id)
-	}
-	return len(evicted)
-}
-
-// tryOpportunistic implements opportunistic migration: when clearly
-// faster processors are idle in the grid, migrate to them even though
-// WAE is inside the band — add replacements from the fastest site and
-// evict the slow nodes they displace. The paper's scenario 5 is the
-// motivating case: after the badly connected cluster left, ~3x slower
-// nodes kept the WAE legal and nothing improved further without this.
-func (k *Kernel) tryOpportunistic(stats []core.NodeStats) (added, removed int) {
-	mig, ok := k.act.(Migrator)
-	if !ok {
-		return 0, 0 // the runtime's scheduler cannot rank idle resources
-	}
-	slowest := math.Inf(1)
-	for _, st := range stats {
-		if st.Speed > 0 && st.Speed < slowest {
-			slowest = st.Speed
-		}
-	}
-	if math.IsInf(slowest, 1) {
-		return 0, 0 // no measured speeds yet
-	}
-	cluster, speed, free := mig.BestAvailable(k.veto)
-	if cluster == "" || speed < slowest*k.cfg.OpportunisticFactor {
-		return 0, 0
-	}
-	// The migration set: live nodes clearly slower than the candidate
-	// site, slowest first; protected nodes stay where they are.
-	var slow []core.NodeStats
-	for _, st := range stats {
-		if st.Speed > 0 && st.Speed*k.cfg.OpportunisticFactor <= speed && !k.protected[st.Node] {
-			slow = append(slow, st)
-		}
-	}
-	sort.Slice(slow, func(i, j int) bool {
-		if slow[i].Speed != slow[j].Speed {
-			return slow[i].Speed < slow[j].Speed
-		}
-		return slow[i].Node < slow[j].Node
-	})
-	want := len(slow)
-	if want > free {
-		want = free
-	}
-	if want == 0 {
-		return 0, 0
-	}
-	added = mig.ProvisionFrom(cluster, want, k.reqs.MinBandwidth(), k.veto)
-	victims := make([]core.NodeID, 0, added)
-	for i := 0; i < added && i < len(slow); i++ {
-		victims = append(victims, slow[i].Node)
-	}
-	removed = k.evict(victims, "opportunistic migration", true)
-	return added, removed
 }

@@ -1,27 +1,28 @@
 package coord
 
-// The sharded coordinator tree (ISSUE 8): the paper's §7 answer to the
-// coordinator becoming a bottleneck is "a hierarchy of coordinators,
-// one sub-coordinator per cluster which collects and processes
-// statistics from its cluster, and one main coordinator which collects
-// the information from the sub-coordinators."
+// The coordinator tree: the paper's §7 answer to the coordinator
+// becoming a bottleneck is "a hierarchy of coordinators, one
+// sub-coordinator per cluster which collects and processes statistics
+// from its cluster, and one main coordinator which collects the
+// information from the sub-coordinators." This file holds the whole
+// Figure-2 policy, split at that seam.
 //
 // SubKernel is the per-cluster half: it owns report ingestion, the
 // freshest-per-node rule and the two-period smoothing for its cluster,
 // and condenses each period into one fixed-shape ClusterSummary frame.
 // RootKernel is the main coordinator's half: its Tick consumes the
-// latest summary per cluster — O(clusters) state and messages — while
-// keeping global authority over the blacklists, cluster eviction,
-// provisioning and migration. The aggregate fields of ClusterSummary
-// are chosen so the root reconstructs the global WAE, the cluster
-// badness ranking and the pair-bandwidth culprit rule EXACTLY (up to
-// floating-point association) from cluster partials; node eviction
-// ranks the subs' proposed candidates with the same badness formula the
-// flat Kernel applies, so on small worlds (proposal cap covering every
-// node) the sharded tree reproduces the flat decision sequence — the
-// parity the tests pin.
+// latest summary per cluster — O(clusters) state and messages — and
+// holds global authority over the blacklists, cluster eviction,
+// provisioning, migration, yield and the post-action reset. The
+// aggregate fields of ClusterSummary are chosen so the root
+// reconstructs the global WAE, the cluster badness ranking and the
+// pair-bandwidth culprit rule EXACTLY (up to floating-point
+// association) from cluster partials; node eviction ranks the subs'
+// proposed candidates with core's badness formula, so with an uncapped
+// proposal budget the ranking covers every reporting node.
 //
-// The flat Kernel in coord.go remains the shim for small grids.
+// Kernel (coord.go) composes the two halves in one process; the
+// sharded drivers (internal/des, adapt) put a network between them.
 
 import (
 	"fmt"
@@ -68,8 +69,8 @@ type ClusterSummary struct {
 	Seq uint64
 	// Epoch is the root reset epoch the sub had adopted when it built
 	// the summary. The root discards summaries from older epochs: they
-	// aggregate reports that predate the root's last action, exactly
-	// the stale state the flat kernel's post-action reset throws away.
+	// aggregate reports that predate the root's last action, the stale
+	// state the post-action reset throws away.
 	Epoch uint64
 	// Time is the sub's clock at summarize time (freshest-wins across
 	// sub restarts, whose Seq starts over).
@@ -137,7 +138,7 @@ type SubKernel struct {
 
 // NewSubKernel builds the sub-kernel for one cluster. proposalCap
 // bounds the eviction candidates per summary (0 = propose every node —
-// exact flat parity, right for small clusters). weights must match the
+// exact ranking, right for small clusters). weights must match the
 // root's badness weights so the local pre-ranking selects the same
 // candidates the global ranking would.
 func NewSubKernel(cluster core.ClusterID, proposalCap int, weights core.BadnessWeights) *SubKernel {
@@ -150,8 +151,8 @@ func NewSubKernel(cluster core.ClusterID, proposalCap int, weights core.BadnessW
 	}
 }
 
-// Report ingests one node's per-period statistics (freshest-per-node,
-// as in the flat kernel).
+// Report ingests one node's per-period statistics. Only the freshest
+// report per node is kept (batched deliveries may reorder).
 func (sk *SubKernel) Report(rep metrics.Report) {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
@@ -163,8 +164,7 @@ func (sk *SubKernel) Report(rep metrics.Report) {
 
 // ObserveStream ingests the cluster's share of one period's streaming
 // observation; the next Summarize ships it to the root as summary
-// partials. Partials within a period merge by summation, mirroring
-// Kernel.ObserveStream.
+// partials. Partials within a period merge by summation.
 func (sk *SubKernel) ObserveStream(o core.StreamObs) {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
@@ -185,8 +185,8 @@ func (sk *SubKernel) Forget(id core.NodeID) {
 }
 
 // Reset discards all stored reports and the smoothing window — the
-// sub's share of the flat kernel's post-action reset, pushed down by
-// the root after it acted.
+// sub's share of the post-action reset, pushed down by the root after
+// it acted.
 func (sk *SubKernel) Reset() {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
@@ -195,16 +195,20 @@ func (sk *SubKernel) Reset() {
 }
 
 // EachReport calls fn for every stored report under the sub's lock,
-// stopping early when fn returns false. Allocation-free, like
-// Kernel.EachReport.
-func (sk *SubKernel) EachReport(fn func(metrics.Report) bool) {
+// stopping early when fn returns false. It allocates nothing; fn must
+// not call back into the sub.
+func (sk *SubKernel) EachReport(fn func(metrics.Report) bool) { sk.eachReport(fn) }
+
+// eachReport is EachReport that also tells whether fn ran to the end.
+func (sk *SubKernel) eachReport(fn func(metrics.Report) bool) bool {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
 	for _, rep := range sk.reports {
 		if !fn(rep) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // Pending returns how many node reports the sub currently holds.
@@ -214,34 +218,43 @@ func (sk *SubKernel) Pending() int {
 	return len(sk.reports)
 }
 
-// Summarize runs the sub's period: prune departed nodes, smooth over
-// two periods exactly as the flat kernel does, and reduce the cluster
-// to one ClusterSummary. The caller stamps Epoch and Req before
-// sending.
+// Summarize runs the sub's period over the cluster's live nodes: prune
+// departed nodes, smooth over two periods, and reduce the cluster to
+// one ClusterSummary. The caller stamps Epoch and Req before sending.
 func (sk *SubKernel) Summarize(now float64, live []core.NodeID) ClusterSummary {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-
 	liveSet := make(map[core.NodeID]bool, len(live))
 	for _, id := range live {
 		liveSet[id] = true
 	}
+	sum := sk.summarize(now, liveSet)
+	sum.Nodes = len(live)
+	return sum
+}
+
+// summarize is Summarize against any live set that covers the cluster
+// (the composed Kernel passes the whole grid's); Nodes is left to the
+// caller. Live nodes whose first period has not completed are simply
+// missing, as in the paper ("the coordinator may miss data ... this
+// causes small inaccuracies but does not influence the adaptation").
+func (sk *SubKernel) summarize(now float64, liveSet map[core.NodeID]bool) ClusterSummary {
+	sk.mu.Lock()
+	defer sk.mu.Unlock()
+
+	ids := make([]core.NodeID, 0, len(sk.reports))
 	for id := range sk.reports {
-		if !liveSet[id] {
+		if liveSet[id] {
+			ids = append(ids, id)
+		} else {
 			delete(sk.reports, id)
 		}
 	}
-
-	ids := append([]core.NodeID(nil), live...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var stats []core.NodeStats
+	// The sub decides on the average of two periods, smoothing out the
+	// heavy-tailed per-period noise of a few large job transfers.
+	stats := make([]core.NodeStats, 0, len(ids))
 	next := make(map[core.NodeID]core.NodeStats, len(ids))
 	for _, id := range ids {
-		rep, ok := sk.reports[id]
-		if !ok {
-			continue
-		}
-		cur := rep.Stats()
+		cur := sk.reports[id].Stats()
 		next[id] = cur
 		if prev, ok := sk.prevStats[id]; ok {
 			cur = smooth(cur, prev)
@@ -255,7 +268,6 @@ func (sk *SubKernel) Summarize(now float64, live []core.NodeID) ClusterSummary {
 		Cluster: sk.cluster,
 		Seq:     sk.seq,
 		Time:    now,
-		Nodes:   len(live),
 		Stats:   len(stats),
 	}
 	for _, st := range stats {
@@ -287,8 +299,8 @@ func (sk *SubKernel) Summarize(now float64, live []core.NodeID) ClusterSummary {
 	// Achieved-throughput fallback for the learned bandwidth bound,
 	// summed in sorted node order for determinism.
 	for _, id := range ids {
-		if rep, ok := sk.reports[id]; ok && rep.InterBandwidth > 0 {
-			sum.InterBWSum += rep.InterBandwidth
+		if bw := sk.reports[id].InterBandwidth; bw > 0 {
+			sum.InterBWSum += bw
 			sum.InterBWCnt++
 		}
 	}
@@ -302,6 +314,31 @@ func (sk *SubKernel) Summarize(now float64, live []core.NodeID) ClusterSummary {
 	}
 	sum.Proposals = sk.propose(stats)
 	return sum
+}
+
+// smooth averages the overhead fractions of two consecutive periods
+// and merges their link samples: per-period overheads are heavy-tailed
+// (one big cross-cluster job transfer can dominate a node's period),
+// and decisions as drastic as evacuating a cluster should not ride on
+// one period's tail events. Speeds are always the latest benchmark
+// measurement.
+func smooth(cur, prev core.NodeStats) core.NodeStats {
+	cur.Idle = (cur.Idle + prev.Idle) / 2
+	cur.IntraComm = (cur.IntraComm + prev.IntraComm) / 2
+	cur.InterComm = (cur.InterComm + prev.InterComm) / 2
+	merged := make(map[core.ClusterID]core.LinkSample, len(cur.Links)+len(prev.Links))
+	for _, links := range []map[core.ClusterID]core.LinkSample{cur.Links, prev.Links} {
+		for peer, l := range links {
+			m := merged[peer]
+			m.Seconds += l.Seconds
+			m.Bytes += l.Bytes
+			merged[peer] = m
+		}
+	}
+	if len(merged) > 0 {
+		cur.Links = merged
+	}
+	return cur
 }
 
 // propose selects the eviction candidates: every reporting node when
@@ -344,36 +381,49 @@ func (sk *SubKernel) propose(stats []core.NodeStats) []NodeSample {
 
 // RootActuator is the optional Actuator extension the root kernel uses
 // for whole-cluster eviction: the runtime enumerates the cluster's live
-// nodes (the root deliberately does not hold per-node state). Without
-// it, the root falls back to evicting the cluster's proposed nodes.
+// nodes (a root fed over the network holds no per-node state and its
+// capped proposals do not cover the cluster). Without it, the root
+// evicts the cluster's proposed nodes.
 type RootActuator interface {
 	ClusterNodes(c core.ClusterID) []core.NodeID
 }
 
-// rootInstruments extends the kernel instruments with the summary
-// ingestion counters.
+// rootInstruments caches the obs instruments Tick and Ingest touch,
+// resolved once at construction so neither path takes the registry
+// lock. The health series carry the objective's scalar (WAE for batch,
+// target/latency for streams).
 type rootInstruments struct {
-	kernelInstruments
-	ingested   *obs.Counter
-	staleEpoch *obs.Counter
-	clusters   *obs.Gauge
+	ticks        *obs.Counter
+	resets       *obs.Counter
+	ingested     *obs.Counter
+	staleEpoch   *obs.Counter
+	health       *obs.Gauge
+	liveNodes    *obs.Gauge
+	reported     *obs.Gauge
+	clusters     *obs.Gauge
+	periodHealth *obs.Histogram
 }
 
 func newRootInstruments() rootInstruments {
 	return rootInstruments{
-		kernelInstruments: newKernelInstruments(),
-		ingested:          obs.Default.Counter("coord/summaries_ingested"),
-		staleEpoch:        obs.Default.Counter("coord/summaries_stale_epoch"),
-		clusters:          obs.Default.Gauge("coord/summary_clusters"),
+		ticks:        obs.Default.Counter("coord/ticks"),
+		resets:       obs.Default.Counter("coord/post_action_resets"),
+		ingested:     obs.Default.Counter("coord/summaries_ingested"),
+		staleEpoch:   obs.Default.Counter("coord/summaries_stale_epoch"),
+		health:       obs.Default.Gauge("coord/health"),
+		liveNodes:    obs.Default.Gauge("coord/live_nodes"),
+		reported:     obs.Default.Gauge("coord/reported_nodes"),
+		clusters:     obs.Default.Gauge("coord/summary_clusters"),
+		periodHealth: obs.Default.Histogram("coord/period_health", obs.HealthBuckets),
 	}
 }
 
-// RootKernel is the main coordinator of the sharded tree: it consumes
-// ClusterSummary frames and runs the Figure-2 loop at cluster
-// granularity — O(clusters) work per Tick regardless of node count —
-// while retaining the flat kernel's global authority: requirements
-// learning, blacklists, cluster eviction, provisioning, opportunistic
-// migration and fair-share yield. Safe for concurrent use.
+// RootKernel is the main coordinator: it consumes ClusterSummary frames
+// and runs the Figure-2 loop at cluster granularity — O(clusters) work
+// per Tick regardless of node count — with global authority over
+// requirements learning, blacklists, cluster eviction, provisioning,
+// opportunistic migration and fair-share yield. Safe for concurrent
+// use.
 type RootKernel struct {
 	cfg     Config
 	eng     *core.Engine   // batch engine (nil for non-batch objectives)
@@ -381,17 +431,20 @@ type RootKernel struct {
 	weights core.BadnessWeights
 	reqs    *core.Requirements
 	act     Actuator
+	// roster enumerates a cluster's live nodes for whole-cluster
+	// eviction; nil = evict the cluster's proposed nodes.
+	roster func(core.ClusterID) []core.NodeID
 
 	mu         sync.Mutex
 	sums       map[core.ClusterID]ClusterSummary
+	stream     *core.StreamObs // pending observation no cluster summary carries
 	protected  map[core.NodeID]bool
 	resetEpoch uint64
 
 	ins rootInstruments
 }
 
-// NewRoot builds a RootKernel. cfg is the same configuration the flat
-// Kernel takes; cfg.Engine is validated when present.
+// NewRoot builds a RootKernel. cfg.Engine is validated when present.
 func NewRoot(cfg Config, act Actuator) (*RootKernel, error) {
 	if act == nil {
 		return nil, fmt.Errorf("coord: nil actuator")
@@ -401,33 +454,33 @@ func NewRoot(cfg Config, act Actuator) (*RootKernel, error) {
 	}
 	rk := &RootKernel{
 		cfg:       cfg,
+		weights:   core.DefaultBadnessWeights(),
 		reqs:      core.NewRequirements(),
 		act:       act,
 		sums:      make(map[core.ClusterID]ClusterSummary),
 		protected: make(map[core.NodeID]bool),
 		ins:       newRootInstruments(),
 	}
-	rk.weights = core.DefaultBadnessWeights()
-	switch {
-	case cfg.Objective != nil:
-		rk.obj = cfg.Objective
-		// The batch objective keeps its engine reachable: the root's
-		// cluster-eviction rules still need the culprit thresholds and
-		// ShrinkCount.
-		if b, ok := cfg.Objective.(*core.BatchWAE); ok {
-			rk.eng = b.Engine()
-			rk.weights = rk.eng.Config().Weights
-		} else if s, ok := cfg.Objective.(*core.StreamSLO); ok {
-			rk.weights = s.Config().Weights
-		}
-	case cfg.Engine != nil:
+	if ra, ok := act.(RootActuator); ok {
+		rk.roster = ra.ClusterNodes
+	}
+	if cfg.Objective == nil && cfg.Engine != nil {
 		obj, err := core.NewBatchWAE(*cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
-		rk.obj = obj
+		cfg.Objective = obj
+	}
+	rk.obj = cfg.Objective
+	switch obj := cfg.Objective.(type) {
+	case *core.BatchWAE:
+		// The batch objective keeps its engine reachable: the
+		// cluster-eviction rules need the culprit thresholds and
+		// ShrinkCount.
 		rk.eng = obj.Engine()
 		rk.weights = rk.eng.Config().Weights
+	case *core.StreamSLO:
+		rk.weights = obj.Config().Weights
 	}
 	return rk, nil
 }
@@ -441,8 +494,7 @@ func (rk *RootKernel) Requirements() *core.Requirements { return rk.reqs }
 
 // ResetEpoch returns the current post-action reset epoch. Drivers
 // compare it around Tick: a bump means the root acted and every sub
-// must reset (the tree-wide analogue of the flat kernel's post-action
-// report reset).
+// must reset.
 func (rk *RootKernel) ResetEpoch() uint64 {
 	rk.mu.Lock()
 	defer rk.mu.Unlock()
@@ -514,11 +566,24 @@ func (rk *RootKernel) veto(node core.NodeID, cluster core.ClusterID) bool {
 	return rk.reqs.NodeBlacklisted(node, cluster)
 }
 
+// observeStream merges a streaming observation that belongs to no
+// cluster's summary (the composed Kernel's global ObserveStream). The
+// next Tick consumes it together with the summaries' partials, whether
+// or not any node reported.
+func (rk *RootKernel) observeStream(o core.StreamObs) {
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	if rk.stream == nil {
+		rk.stream = &core.StreamObs{}
+	}
+	rk.stream.Merge(o)
+}
+
 // Ingest stores a cluster's summary (latest per cluster by Time) and
 // union-merges the requirements cache riding on it. Summaries from
 // before the root's last action (older Epoch) are discarded: they
-// aggregate exactly the stale pre-action reports the flat kernel's
-// post-action reset deletes. A summary from a NEWER epoch raises the
+// aggregate exactly the stale pre-action reports the post-action reset
+// deletes. A summary from a NEWER epoch raises the
 // root's own epoch — that is how an elected successor converges with
 // subs that saw a reset push the successor missed. Returns whether the
 // summary was accepted.
@@ -588,8 +653,8 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 			minKnown = s.SpeedMin
 		}
 	}
-	// WAE = [Σ WorkSum/max + (minKnown/max)·Σ ZeroWork] / n — the flat
-	// metric reassociated over cluster partials.
+	// WAE = [Σ WorkSum/max + (minKnown/max)·Σ ZeroWork] / n —
+	// core.WeightedAverageEfficiency reassociated over cluster partials.
 	var wae, eff float64
 	if n > 0 {
 		var sumW, sumE float64
@@ -607,9 +672,10 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 	}
 
 	// Sum the clusters' streaming partials into the period's global
-	// observation, consuming them (a summary's stream fields feed
-	// exactly one tick, like the flat kernel's pending observation).
-	var streamObs *core.StreamObs
+	// observation, consuming them: an observation feeds exactly one
+	// tick, whether or not the root decides on it.
+	streamObs := rk.stream
+	rk.stream = nil
 	for _, c := range order {
 		s := rk.sums[c]
 		if !s.HasStream {
@@ -634,10 +700,9 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 	if rk.eng != nil && rk.eng.Config().UnweightedEfficiency {
 		dWAE = eff
 	}
-	po := core.PeriodObs{Health: dWAE, HasHealth: n > 0, Stream: streamObs}
 	health := dWAE
 	if rk.obj != nil {
-		health = rk.obj.Health(po)
+		health = rk.obj.Health(core.PeriodObs{Efficiency: dWAE, Stream: streamObs})
 	}
 
 	rec := PeriodRecord{Time: now, WAE: health, Nodes: totalNodes, Stats: n}
@@ -678,8 +743,11 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 		return rec
 	}
 
-	// Fair-share yield outranks the objective band, as in the flat
-	// kernel.
+	// Fair-share yield outranks the objective band: when the pool
+	// demands capacity back for starved jobs, holding on to surplus
+	// nodes would starve them for as long as this job runs. Yield the
+	// worst nodes by badness and decide afresh on the shrunken
+	// configuration next period.
 	if rk.cfg.Pressure != nil {
 		if p := rk.cfg.Pressure(); p > 0 {
 			ranked := rk.rankProposals(order, maxSp, minKnown)
@@ -737,10 +805,13 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 	return rec
 }
 
-// resetLocked is the root's post-action reset: the stored summaries
-// describe the pre-action configuration. The epoch bump travels to the
-// subs (via the driver) so they discard their pre-action reports too,
-// and summaries already in flight from the old epoch are rejected.
+// resetLocked is the post-action reset: the stored summaries describe
+// the pre-action configuration, and deciding on them again would chain
+// actions off stale data (e.g. evicting a second cluster for overhead
+// the first one caused). The epoch bump travels to the subs (via the
+// driver) so they discard their pre-action reports too — including the
+// smoothing window, whose previous period is just as stale — and
+// summaries already in flight from the old epoch are rejected.
 func (rk *RootKernel) resetLocked() {
 	rk.sums = make(map[core.ClusterID]ClusterSummary)
 	rk.resetEpoch++
@@ -753,8 +824,7 @@ func (rk *RootKernel) resetLocked() {
 // removal — the exact rule order of core.Engine.Decide, recomputed
 // from cluster partials. cnt is the objective's node-removal magnitude
 // (0 = floor reached). A VerdictShed blacklists its victims regardless
-// of the objective's traits, mirroring Decision.Blacklist on the flat
-// path.
+// of the objective's traits.
 func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.ClusterID, health float64, n, cnt int, maxSp, minKnown float64) bool {
 	tr := rk.obj.Traits()
 	if tr.ClusterEviction && rk.eng != nil {
@@ -832,14 +902,15 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 // before the summaries disappear, evict the cluster's live nodes (via
 // the RootActuator enumeration when available, else the proposals),
 // blacklist the cluster, and fall back to worst-node eviction when the
-// cluster holds only protected nodes — mirroring the flat kernel.
+// cluster holds only protected nodes, which cannot leave, so the
+// coordinator does not spin on the same decision.
 func (rk *RootKernel) evictCluster(rec *PeriodRecord, c core.ClusterID, interComm, measuredBW, wae float64, n int) int {
 	rk.learnClusterBandwidth(c, measuredBW)
 	var victims []core.NodeID
-	if ra, ok := rk.act.(RootActuator); ok {
-		victims = ra.ClusterNodes(c)
-	} else if s, ok := rk.sums[c]; ok {
-		for _, p := range s.Proposals {
+	if rk.roster != nil {
+		victims = rk.roster(c)
+	} else {
+		for _, p := range rk.sums[c].Proposals {
 			victims = append(victims, p.Node)
 		}
 	}
@@ -887,9 +958,14 @@ func (rk *RootKernel) evictCluster(rec *PeriodRecord, c core.ClusterID, interCom
 	return removed
 }
 
-// learnClusterBandwidth mirrors the flat kernel's capacity-first order:
-// observed link capacity, then the cluster's reported mean achieved
-// throughput, then the measured pair bandwidth from the culprit rule.
+// learnClusterBandwidth tightens the minimum-bandwidth requirement
+// when a cluster is evacuated for insufficient uplink bandwidth. The
+// bound must be a LINK CAPACITY (that is what the scheduler can compare
+// against), so the sources are tried capacity-first: the actuator's
+// NWS-style observed link capacity, then the mean per-pair achieved
+// share the cluster's nodes reported (which divides the capacity among
+// concurrent flows), then the culprit rule's best measured pair
+// bandwidth.
 func (rk *RootKernel) learnClusterBandwidth(c core.ClusterID, measured float64) {
 	bw := rk.act.ObservedBandwidth(c)
 	if bw <= 0 {
@@ -907,7 +983,7 @@ func (rk *RootKernel) learnClusterBandwidth(c core.ClusterID, measured float64) 
 
 // rankClusters recomputes core.RankClusters from the cluster partials:
 // SpeedSum and the InterComm mean are exact sums/means over the same
-// nodes in the same order, so the ranking matches the flat one exactly.
+// nodes in the same order, so the ranking matches core's exactly.
 func (rk *RootKernel) rankClusters(order []core.ClusterID) []core.ClusterBadness {
 	maxSpeed := 0.0
 	for _, c := range order {
@@ -983,7 +1059,7 @@ func (rk *RootKernel) rankProposals(order []core.ClusterID, maxSp, minKnown floa
 
 // bandwidthCulprit rebuilds core.BandwidthCulprit from the clusters'
 // summed link samples. Each pair's total is the same set of per-node
-// samples the flat kernel sums, pre-reduced per cluster.
+// samples core.PairBandwidths sums, pre-reduced per cluster.
 func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID, minBytes float64) (culprit core.ClusterID, bw, ref float64, ok bool) {
 	synth := make([]core.NodeStats, 0, len(order))
 	for _, c := range order {
@@ -1000,8 +1076,11 @@ func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID, minBytes float64)
 	return core.BandwidthCulprit(synth, minBytes)
 }
 
-// evict mirrors the flat kernel: filter protected, ask the actuator,
-// blacklist exactly what left.
+// evict filters out protected nodes, asks the actuator to remove the
+// rest, and — when blacklist is set — blacklists exactly the nodes that
+// actually left so the scheduler does not hand them straight back. A
+// fair-share yield evicts without blacklisting: the yielded nodes are
+// healthy and may return once the pool decompresses.
 func (rk *RootKernel) evict(victims []core.NodeID, reason string, blacklist bool) int {
 	want := make([]core.NodeID, 0, len(victims))
 	for _, id := range victims {
@@ -1021,10 +1100,15 @@ func (rk *RootKernel) evict(victims []core.NodeID, reason string, blacklist bool
 	return len(evicted)
 }
 
-// tryOpportunistic is the root's opportunistic migration: the slowest
-// measured speed is known globally (SpeedMin partials); the migration
-// victim set comes from the proposals, which is exact when the
-// proposal cap covers the cluster and a documented approximation
+// tryOpportunistic implements opportunistic migration: when clearly
+// faster processors are idle in the grid, migrate to them even though
+// health is inside the band — add replacements from the fastest site
+// and evict the slow nodes they displace. The paper's scenario 5 is the
+// motivating case: after the badly connected cluster left, ~3x slower
+// nodes kept the WAE legal and nothing improved further without this.
+// The slowest measured speed is known globally (SpeedMin partials); the
+// migration victim set comes from the proposals, which is exact when
+// the proposal cap covers the cluster and a documented approximation
 // otherwise.
 func (rk *RootKernel) tryOpportunistic(order []core.ClusterID, maxSp, minKnown float64) (added, removed int) {
 	mig, ok := rk.act.(Migrator)

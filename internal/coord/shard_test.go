@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -76,25 +77,34 @@ func TestClusterSummaryWireCorrupt(t *testing.T) {
 	frametest.Corrupt[ClusterSummary, *ClusterSummary](t, enc)
 }
 
-// --- flat vs sharded decision parity ----------------------------------
+// --- scripted decisions through the composed kernel -------------------
 
-// parityActuator is the shared fake runtime for the parity harness: it
-// grants every provision, evicts every victim from its own live world,
-// and records all calls so the two pipelines' effect sequences can be
-// compared verbatim.
-type parityActuator struct {
+// worldActuator is the fake runtime of the decision scripts: it grants
+// every provision, evicts every victim from its own live world, and
+// records all calls. It also answers RootActuator's roster question,
+// as both real drivers' actuators do — the composed Kernel must not
+// ask it.
+type worldActuator struct {
 	live       map[core.NodeID]core.ClusterID
 	provisions []int
 	evictions  [][]core.NodeID
 	labels     []string
 }
 
-func (a *parityActuator) Provision(n int, minBandwidth float64, veto Veto) int {
+func newWorld(world map[core.NodeID]core.ClusterID) *worldActuator {
+	a := &worldActuator{live: make(map[core.NodeID]core.ClusterID, len(world))}
+	for id, c := range world {
+		a.live[id] = c
+	}
+	return a
+}
+
+func (a *worldActuator) Provision(n int, minBandwidth float64, veto Veto) int {
 	a.provisions = append(a.provisions, n)
 	return n
 }
 
-func (a *parityActuator) Evict(victims []core.NodeID, reason string) []core.NodeID {
+func (a *worldActuator) Evict(victims []core.NodeID, reason string) []core.NodeID {
 	for _, id := range victims {
 		delete(a.live, id)
 	}
@@ -102,14 +112,11 @@ func (a *parityActuator) Evict(victims []core.NodeID, reason string) []core.Node
 	return victims
 }
 
-func (a *parityActuator) ObservedBandwidth(core.ClusterID) float64 { return 0 }
+func (a *worldActuator) ObservedBandwidth(core.ClusterID) float64 { return 0 }
 
-func (a *parityActuator) Annotate(label string) { a.labels = append(a.labels, label) }
+func (a *worldActuator) Annotate(label string) { a.labels = append(a.labels, label) }
 
-// ClusterNodes makes the actuator a RootActuator: sorted live roster of
-// one cluster, which is exactly the flat kernel's eviction order for a
-// cluster whose nodes all report.
-func (a *parityActuator) ClusterNodes(c core.ClusterID) []core.NodeID {
+func (a *worldActuator) ClusterNodes(c core.ClusterID) []core.NodeID {
 	var out []core.NodeID
 	for id, cl := range a.live {
 		if cl == c {
@@ -120,251 +127,35 @@ func (a *parityActuator) ClusterNodes(c core.ClusterID) []core.NodeID {
 	return out
 }
 
-var _ RootActuator = (*parityActuator)(nil)
+var _ RootActuator = (*worldActuator)(nil)
 
-// parityHarness drives the flat kernel and the sharded tree through the
-// same report script and lets the test compare the period records.
-type parityHarness struct {
-	t    *testing.T
-	fk   *Kernel
-	fact *parityActuator
-	rk   *RootKernel
-	ract *parityActuator
-	subs map[core.ClusterID]*SubKernel
-
-	epoch uint64 // the subs' adopted root reset epoch
+func (a *worldActuator) sortedLive() []core.NodeID {
+	out := make([]core.NodeID, 0, len(a.live))
+	for id := range a.live {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
-func newParityHarness(t *testing.T, world map[core.NodeID]core.ClusterID) *parityHarness {
-	t.Helper()
-	cp := func() map[core.NodeID]core.ClusterID {
-		m := make(map[core.NodeID]core.ClusterID, len(world))
-		for id, c := range world {
-			m[id] = c
-		}
-		return m
-	}
-	h := &parityHarness{
-		t:    t,
-		fact: &parityActuator{live: cp()},
-		ract: &parityActuator{live: cp()},
-		subs: make(map[core.ClusterID]*SubKernel),
-	}
-	h.fk = newKernel(t, Config{}, h.fact)
-	ecfg := core.DefaultConfig()
-	rk, err := NewRoot(Config{Engine: &ecfg}, h.ract)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.rk = rk
-	for _, c := range world {
-		if _, ok := h.subs[c]; !ok {
-			// Proposal cap 0: every reporting node is proposed, the
-			// configuration under which the sharded ranking is exact.
-			h.subs[c] = NewSubKernel(c, 0, ecfg.Weights)
-		}
-	}
-	return h
-}
-
-// newStreamParityHarness is the harness under the streaming objective:
-// the flat kernel and the sharded root each own a *separate* StreamSLO
-// instance built from the same configuration, so the hysteresis state
-// machines run independently over identical inputs — shared state would
-// mask a divergence instead of exposing it.
-func newStreamParityHarness(t *testing.T, world map[core.NodeID]core.ClusterID, scfg core.StreamSLOConfig) *parityHarness {
-	t.Helper()
-	cp := func() map[core.NodeID]core.ClusterID {
-		m := make(map[core.NodeID]core.ClusterID, len(world))
-		for id, c := range world {
-			m[id] = c
-		}
-		return m
-	}
-	h := &parityHarness{
-		t:    t,
-		fact: &parityActuator{live: cp()},
-		ract: &parityActuator{live: cp()},
-		subs: make(map[core.ClusterID]*SubKernel),
-	}
-	fobj, err := core.NewStreamSLO(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.fk, err = New(Config{Objective: fobj}, h.fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	robj, err := core.NewStreamSLO(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.rk, err = NewRoot(Config{Objective: robj}, h.ract)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range world {
-		if _, ok := h.subs[c]; !ok {
-			h.subs[c] = NewSubKernel(c, 0, scfg.Weights)
-		}
-	}
-	return h
-}
-
-// observeStream feeds one period's streaming partials to both
-// pipelines: each cluster's share lands at its sub-kernel, and the flat
-// kernel receives the same partials merged in sorted cluster order —
-// the exact order the root sums summary partials in, so the float
-// arithmetic cannot drift.
-func (h *parityHarness) observeStream(partials map[core.ClusterID]core.StreamObs) {
-	clusters := make([]core.ClusterID, 0, len(partials))
-	for c := range partials {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	for _, c := range clusters {
-		h.fk.ObserveStream(partials[c])
-		h.subs[c].ObserveStream(partials[c])
-	}
-}
-
-// period feeds one period's reports to both pipelines and runs both
-// ticks. Reports of nodes a pipeline already evicted are dropped for
-// that pipeline only, so a divergence would become visible instead of
-// being masked.
-func (h *parityHarness) period(pi int, reports []metrics.Report) (flat, sharded PeriodRecord) {
-	now := float64(pi+1) * dur
-
-	// Flat pipeline.
+// period feeds one period's reports (those of nodes still live) to the
+// kernel and ticks it over the actuator's live world.
+func period(k *Kernel, act *worldActuator, pi int, reports []metrics.Report) PeriodRecord {
 	for _, r := range reports {
-		if _, ok := h.fact.live[r.Node]; ok {
-			h.fk.Report(r)
+		if _, ok := act.live[r.Node]; ok {
+			k.Report(r)
 		}
 	}
-	flatLive := make([]core.NodeID, 0, len(h.fact.live))
-	for id := range h.fact.live {
-		flatLive = append(flatLive, id)
-	}
-	flat = h.fk.Tick(now, flatLive)
-
-	// Sharded pipeline: reports land at the cluster's sub-kernel, each
-	// sub summarizes, the root ingests and ticks, and an epoch bump
-	// resets every sub (the driver contract of des and adapt).
-	byCluster := make(map[core.ClusterID][]core.NodeID)
-	for id, c := range h.ract.live {
-		byCluster[c] = append(byCluster[c], id)
-	}
-	for _, r := range reports {
-		if _, ok := h.ract.live[r.Node]; ok {
-			h.subs[r.Cluster].Report(r)
-		}
-	}
-	clusters := make([]core.ClusterID, 0, len(byCluster))
-	for c := range byCluster {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	for _, c := range clusters {
-		sum := h.subs[c].Summarize(now, byCluster[c])
-		sum.Epoch = h.epoch
-		if !h.rk.Ingest(sum) {
-			h.t.Fatalf("period %d: summary of %s rejected", pi, c)
-		}
-	}
-	sharded = h.rk.Tick(now, clusters, len(h.ract.live))
-	if after := h.rk.ResetEpoch(); after != h.epoch {
-		h.epoch = after
-		for _, sub := range h.subs {
-			sub.Reset()
-		}
-	}
-	return flat, sharded
+	return k.Tick(float64(pi+1)*dur, act.sortedLive())
 }
 
-func (h *parityHarness) compare(pi int, flat, sharded PeriodRecord) {
-	h.t.Helper()
-	if flat.Action != sharded.Action || flat.Detail != sharded.Detail {
-		h.t.Fatalf("period %d: decisions diverge\n  flat:    %q %q\n  sharded: %q %q",
-			pi, flat.Action, flat.Detail, sharded.Action, sharded.Detail)
+// wantRecord compares the decision fields of a period record verbatim.
+func wantRecord(t *testing.T, pi int, got PeriodRecord, action, detail string, added, removed int) {
+	t.Helper()
+	if got.Action != action || got.Detail != detail || got.Added != added || got.Removed != removed {
+		t.Fatalf("period %d: got %q %q +%d -%d\n           want %q %q +%d -%d",
+			pi, got.Action, got.Detail, got.Added, got.Removed, action, detail, added, removed)
 	}
-	if flat.Added != sharded.Added || flat.Removed != sharded.Removed {
-		h.t.Fatalf("period %d: effects diverge: flat +%d/-%d, sharded +%d/-%d",
-			pi, flat.Added, flat.Removed, sharded.Added, sharded.Removed)
-	}
-	if flat.Nodes != sharded.Nodes || flat.Stats != sharded.Stats {
-		h.t.Fatalf("period %d: census diverges: flat %d/%d, sharded %d/%d",
-			pi, flat.Nodes, flat.Stats, sharded.Nodes, sharded.Stats)
-	}
-	if !approx(flat.WAE, sharded.WAE) {
-		h.t.Fatalf("period %d: WAE diverges: flat %v, sharded %v", pi, flat.WAE, sharded.WAE)
-	}
-}
-
-// finish asserts the two runs left identical state behind: the same
-// effect sequences, the same learned requirements, the same survivors.
-func (h *parityHarness) finish() {
-	h.t.Helper()
-	if !equalIntSlices(h.fact.provisions, h.ract.provisions) {
-		h.t.Errorf("provision sequences diverge: flat %v, sharded %v",
-			h.fact.provisions, h.ract.provisions)
-	}
-	if len(h.fact.evictions) != len(h.ract.evictions) {
-		h.t.Fatalf("eviction counts diverge: flat %v, sharded %v",
-			h.fact.evictions, h.ract.evictions)
-	}
-	for i := range h.fact.evictions {
-		if !equalNodeSlices(h.fact.evictions[i], h.ract.evictions[i]) {
-			h.t.Errorf("eviction %d diverges: flat %v, sharded %v",
-				i, h.fact.evictions[i], h.ract.evictions[i])
-		}
-	}
-	if fmt.Sprint(h.fact.labels) != fmt.Sprint(h.ract.labels) {
-		h.t.Errorf("annotations diverge:\n  flat:    %v\n  sharded: %v",
-			h.fact.labels, h.ract.labels)
-	}
-	fr, sr := h.fk.Requirements(), h.rk.Requirements()
-	if !equalNodeSlices(sortedNodes(fr.BlacklistedNodes()), sortedNodes(sr.BlacklistedNodes())) {
-		h.t.Errorf("node blacklists diverge: flat %v, sharded %v",
-			fr.BlacklistedNodes(), sr.BlacklistedNodes())
-	}
-	fc, sc := fr.BlacklistedClusters(), sr.BlacklistedClusters()
-	sort.Slice(fc, func(i, j int) bool { return fc[i] < fc[j] })
-	sort.Slice(sc, func(i, j int) bool { return sc[i] < sc[j] })
-	if fmt.Sprint(fc) != fmt.Sprint(sc) {
-		h.t.Errorf("cluster blacklists diverge: flat %v, sharded %v", fc, sc)
-	}
-	if fr.MinBandwidth() != sr.MinBandwidth() {
-		h.t.Errorf("learned bandwidth diverges: flat %v, sharded %v",
-			fr.MinBandwidth(), sr.MinBandwidth())
-	}
-	if fmt.Sprint(sortedLive(h.fact.live)) != fmt.Sprint(sortedLive(h.ract.live)) {
-		h.t.Errorf("surviving nodes diverge: flat %v, sharded %v",
-			sortedLive(h.fact.live), sortedLive(h.ract.live))
-	}
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalNodeSlices(a, b []core.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sortedNodes(ids []core.NodeID) []core.NodeID {
@@ -373,299 +164,305 @@ func sortedNodes(ids []core.NodeID) []core.NodeID {
 	return out
 }
 
-func sortedLive(m map[core.NodeID]core.ClusterID) []core.NodeID {
-	out := make([]core.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TestFlatShardedDecisionParity is ISSUE 8's parity pin: on a small
-// world with an uncapped proposal budget, the sharded tree must produce
-// the flat kernel's decision sequence verbatim — same actions, same
-// reason strings, same victims, same blacklists — across a script that
-// exercises grow, the within-band case, worst-node shrink, and the
-// inter-comm whole-cluster eviction. All report values are chosen
-// binary-exact so the reassociated WAE arithmetic cannot drift.
-func TestFlatShardedDecisionParity(t *testing.T) {
-	h := newParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelDecisionScript walks the batch policy on a 3x2 world: grow,
+// the within-band case, worst-node shrink on the two-period average,
+// and the inter-comm whole-cluster eviction with its learned bandwidth.
+// All report values are binary-exact, so the WAE summed over cluster
+// partials is the WAE summed over nodes.
+func TestKernelDecisionScript(t *testing.T) {
+	act := newWorld(map[core.NodeID]core.ClusterID{
 		"a1": "A", "a2": "A", "b1": "B", "b2": "B", "c1": "C", "c2": "C",
 	})
-	all := func(period int, mk func(n core.NodeID, c core.ClusterID) metrics.Report) []metrics.Report {
+	k := newKernel(t, Config{}, act)
+	all := func(mk func(n core.NodeID, c core.ClusterID) metrics.Report) []metrics.Report {
 		var out []metrics.Report
-		for _, nc := range []struct {
-			n core.NodeID
-			c core.ClusterID
-		}{{"a1", "A"}, {"a2", "A"}, {"b1", "B"}, {"b2", "B"}, {"c1", "C"}, {"c2", "C"}} {
-			out = append(out, mk(nc.n, nc.c))
+		for _, n := range []core.NodeID{"a1", "a2", "b1", "b2", "c1", "c2"} {
+			out = append(out, mk(n, core.ClusterID(strings.ToUpper(string(n[:1])))))
 		}
 		return out
 	}
 
 	// Period 0: everyone 75% efficient -> WAE 0.750 > EMax, grow by
 	// round(6·0.75/0.4)-6 = 5.
-	f, s := h.period(0, all(0, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	r := period(k, act, 0, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 0, 25, 0, 0, 100, 0)
 	}))
-	h.compare(0, f, s)
-	if f.Action != "add" || f.Added != 5 {
-		t.Fatalf("period 0: want add 5, got %q +%d (%s)", f.Action, f.Added, f.Detail)
-	}
+	wantRecord(t, 0, r, "add", "WAE 0.750 > EMax 0.50 on 6 nodes: request 5 more", 5, 0)
 
 	// Period 1: 43.75% efficient -> within band, no action.
-	f, s = h.period(1, all(1, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	r = period(k, act, 1, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 1, 56.25, 0, 0, 100, 0)
 	}))
-	h.compare(1, f, s)
-	if f.Action != "none" {
-		t.Fatalf("period 1: want none, got %q (%s)", f.Action, f.Detail)
-	}
+	wantRecord(t, 1, r, "none", "WAE 0.438 within [0.30,0.50]", 0, 0)
 
 	// Period 2: idle jumps to 87.5%; the two-period smoothing puts the
-	// WAE at (0.4375+0.125)/2 = 0.28125 < EMin on both sides, and the
-	// worst-cluster bonus (tie broken towards cluster A) selects a1, a2.
-	f, s = h.period(2, all(2, func(n core.NodeID, c core.ClusterID) metrics.Report {
+	// WAE at (0.4375+0.125)/2 = 0.28125 < EMin, and the worst-cluster
+	// bonus (tie broken towards cluster A) selects a1, a2.
+	r = period(k, act, 2, all(func(n core.NodeID, c core.ClusterID) metrics.Report {
 		return rep(n, c, 2, 87.5, 0, 0, 100, 0)
 	}))
-	h.compare(2, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 2 {
-		t.Fatalf("period 2: want remove-nodes 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
+	wantRecord(t, 2, r, "remove-nodes", "WAE 0.281 < EMin 0.30 on 6 nodes: remove 2 worst", 0, 2)
+	if !reflect.DeepEqual(act.evictions, [][]core.NodeID{{"a1", "a2"}}) {
+		t.Fatalf("period 2: evicted %v, want [[a1 a2]]", act.evictions)
 	}
 
 	// Period 3: cluster B's inter-cluster overhead dominates (50% vs
 	// 12.5%) with WAE 0.1875 < EMin -> whole-cluster eviction, learned
 	// bandwidth from B's reported achieved throughput.
-	f, s = h.period(3, []metrics.Report{
+	r = period(k, act, 3, []metrics.Report{
 		rep("b1", "B", 3, 37.5, 0, 50, 100, 2e6),
 		rep("b2", "B", 3, 37.5, 0, 50, 100, 2e6),
 		rep("c1", "C", 3, 62.5, 0, 12.5, 100, 0),
 		rep("c2", "C", 3, 62.5, 0, 12.5, 100, 0),
 	})
-	h.compare(3, f, s)
-	if f.Action != "remove-cluster" || f.Removed != 2 {
-		t.Fatalf("period 3: want remove-cluster 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
+	wantRecord(t, 3, r, "remove-cluster",
+		"cluster B inter-cluster overhead 50% > 25%: uplink bandwidth insufficient, evacuating cluster", 0, 2)
+	if !approx(r.WAE, 0.1875) {
+		t.Fatalf("period 3: WAE %v, want 0.1875", r.WAE)
 	}
 
 	// Period 4: the surviving cluster settles inside the band.
-	f, s = h.period(4, []metrics.Report{
+	r = period(k, act, 4, []metrics.Report{
 		rep("c1", "C", 4, 56.25, 0, 0, 100, 0),
 		rep("c2", "C", 4, 56.25, 0, 0, 100, 0),
 	})
-	h.compare(4, f, s)
-	if f.Action != "none" {
-		t.Fatalf("period 4: want none, got %q (%s)", f.Action, f.Detail)
-	}
+	wantRecord(t, 4, r, "none", "WAE 0.438 within [0.30,0.50]", 0, 0)
 
-	h.finish()
-	req := h.rk.Requirements()
+	if !reflect.DeepEqual(act.provisions, []int{5}) {
+		t.Errorf("provisions = %v, want [5]", act.provisions)
+	}
+	if want := [][]core.NodeID{{"a1", "a2"}, {"b1", "b2"}}; !reflect.DeepEqual(act.evictions, want) {
+		t.Errorf("evictions = %v, want %v", act.evictions, want)
+	}
+	wantLabels := []string{
+		"adding 5 nodes (WAE 0.75)",
+		"removed 2 worst nodes (WAE 0.28)",
+		"removed badly connected cluster B (2 nodes)",
+	}
+	if !reflect.DeepEqual(act.labels, wantLabels) {
+		t.Errorf("annotations = %q, want %q", act.labels, wantLabels)
+	}
+	req := k.Requirements()
+	if got := sortedNodes(req.BlacklistedNodes()); !reflect.DeepEqual(got, []core.NodeID{"a1", "a2", "b1", "b2"}) {
+		t.Errorf("blacklisted nodes = %v, want [a1 a2 b1 b2]", got)
+	}
+	if got := req.BlacklistedClusters(); !reflect.DeepEqual(got, []core.ClusterID{"B"}) {
+		t.Errorf("blacklisted clusters = %v, want [B]", got)
+	}
 	if req.MinBandwidth() != 2e6 {
 		t.Errorf("learned bandwidth = %v, want 2e6 from cluster B's reports", req.MinBandwidth())
 	}
+	if got := act.sortedLive(); !reflect.DeepEqual(got, []core.NodeID{"c1", "c2"}) {
+		t.Errorf("survivors = %v, want [c1 c2]", got)
+	}
 }
 
-// TestFlatShardedBandwidthCulpritParity pins the measurement-based
-// cluster-drop rule across the shard split: the per-cluster link-sample
-// partials must reproduce the flat pair-bandwidth estimation exactly.
-func TestFlatShardedBandwidthCulpritParity(t *testing.T) {
-	h := newParityHarness(t, map[core.NodeID]core.ClusterID{
+// TestKernelBandwidthCulprit pins the measurement-based cluster-drop
+// rule: the per-cluster link-sample partials must reproduce the pair-
+// bandwidth estimation over all nodes.
+func TestKernelBandwidthCulprit(t *testing.T) {
+	act := newWorld(map[core.NodeID]core.ClusterID{
 		"d1": "D", "d2": "D", "e1": "E", "e2": "E", "f1": "F", "f2": "F",
 	})
-	link := func(peer core.ClusterID, sec, bytes float64) map[core.ClusterID]core.LinkSample {
-		return map[core.ClusterID]core.LinkSample{peer: {Seconds: sec, Bytes: bytes}}
-	}
-	mk := func(n core.NodeID, c core.ClusterID, links map[core.ClusterID]core.LinkSample) metrics.Report {
+	k := newKernel(t, Config{}, act)
+	mk := func(n core.NodeID, c, peer core.ClusterID, sec, bytes float64) metrics.Report {
 		r := rep(n, c, 0, 87.5, 0, 0, 100, 0)
-		r.Links = links
+		if peer != "" {
+			r.Links = map[core.ClusterID]core.LinkSample{peer: {Seconds: sec, Bytes: bytes}}
+		}
 		return r
 	}
 	// Pair D-F moves 10 MB at 10 MB/s; pair D-E moves 2 MB at 0.5 MB/s.
 	// Cluster E's best pair (0.5 MB/s) is under 10% of the healthiest
 	// pair -> E is the culprit, evacuated with the measured bandwidth
 	// becoming the learned bound.
-	f, s := h.period(0, []metrics.Report{
-		mk("d1", "D", link("F", 0.5, 5e6)),
-		mk("d2", "D", link("F", 0.5, 5e6)),
-		mk("e1", "E", link("D", 2, 1e6)),
-		mk("e2", "E", link("D", 2, 1e6)),
-		mk("f1", "F", nil),
-		mk("f2", "F", nil),
+	r := period(k, act, 0, []metrics.Report{
+		mk("d1", "D", "F", 0.5, 5e6),
+		mk("d2", "D", "F", 0.5, 5e6),
+		mk("e1", "E", "D", 2, 1e6),
+		mk("e2", "E", "D", 2, 1e6),
+		mk("f1", "F", "", 0, 0),
+		mk("f2", "F", "", 0, 0),
 	})
-	h.compare(0, f, s)
-	if f.Action != "remove-cluster" || f.Removed != 2 {
-		t.Fatalf("want remove-cluster 2, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
+	wantRecord(t, 0, r, "remove-cluster",
+		"cluster E best-pair bandwidth 500000 B/s vs 10000000 B/s elsewhere: uplink insufficient, evacuating cluster", 0, 2)
+	if want := [][]core.NodeID{{"e1", "e2"}}; !reflect.DeepEqual(act.evictions, want) {
+		t.Errorf("evictions = %v, want %v", act.evictions, want)
 	}
-	h.finish()
-	if bw := h.rk.Requirements().MinBandwidth(); bw != 5e5 {
+	if bw := k.Requirements().MinBandwidth(); bw != 5e5 {
 		t.Errorf("learned bandwidth = %v, want the measured 5e5", bw)
 	}
 }
 
-// TestFlatShardedStreamSLOParity is ISSUE 9's parity pin for the second
-// objective: under the streaming latency SLO, the sharded tree (stream
-// partials travelling as ClusterSummary aggregates, decisions from the
-// root's merged observation) must reproduce the flat kernel's decision
-// sequence verbatim across the whole hysteresis state machine — the
-// proportional grow on a violation, the dead band, the calm streak, the
-// single sluggish shrink with badness-ranked victims, and the streak
-// restart after acting. All latency sums are chosen binary-exact so the
-// sorted-order partial summation cannot drift.
-func TestFlatShardedStreamSLOParity(t *testing.T) {
-	h := newStreamParityHarness(t, map[core.NodeID]core.ClusterID{
-		"a1": "A", "a2": "A", "b1": "B", "b2": "B",
-	}, core.DefaultStreamSLO(2)) // target 2s; HighRatio 1, LowRatio 0.5, ShrinkAfter 4
+// TestClusterEvictionSparesUnreportedNodes: whole-cluster eviction is a
+// verdict on the nodes whose reports showed the saturated uplink. A
+// node that joined the cluster and has not completed a period stays,
+// although the actuator could name it (ClusterNodes) and a RootKernel
+// fed over the network would ask.
+func TestClusterEvictionSparesUnreportedNodes(t *testing.T) {
+	act := newWorld(map[core.NodeID]core.ClusterID{
+		"b1": "B", "b2": "B", "b3": "B", "c1": "C", "c2": "C",
+	})
+	k := newKernel(t, Config{}, act)
+	r := period(k, act, 0, []metrics.Report{
+		rep("b1", "B", 0, 37.5, 0, 50, 100, 2e6),
+		rep("b2", "B", 0, 37.5, 0, 50, 100, 2e6),
+		rep("c1", "C", 0, 62.5, 0, 12.5, 100, 0),
+		rep("c2", "C", 0, 62.5, 0, 12.5, 100, 0),
+	})
+	if r.Action != "remove-cluster" || r.Removed != 2 || r.Nodes != 5 || r.Stats != 4 {
+		t.Fatalf("got %+v, want remove-cluster of the 2 reporting nodes out of 5 live", r)
+	}
+	if want := [][]core.NodeID{{"b1", "b2"}}; !reflect.DeepEqual(act.evictions, want) {
+		t.Fatalf("evicted %v, want %v: b3 has not reported", act.evictions, want)
+	}
+	if _, alive := act.live["b3"]; !alive {
+		t.Fatal("the unreported b3 was evicted")
+	}
+}
 
-	// Distinct badness per node so victim ranking has a unique order:
-	// b2 is slow and mostly idle — the unambiguous first victim.
-	reports := func(period int) []metrics.Report {
+// streamWorld is the 2x2 world of the streaming scripts. Distinct
+// badness per node gives victim ranking a unique order: b2 is slow and
+// mostly idle — the unambiguous first victim, then b1.
+func streamWorld(t *testing.T) (*Kernel, *worldActuator, func(int) []metrics.Report) {
+	t.Helper()
+	act := newWorld(map[core.NodeID]core.ClusterID{"a1": "A", "a2": "A", "b1": "B", "b2": "B"})
+	// Target 2s; HighRatio 1, LowRatio 0.5, ShrinkAfter 4, StuckAfter 3.
+	obj, err := core.NewStreamSLO(core.DefaultStreamSLO(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(Config{Objective: obj}, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := func(pi int) []metrics.Report {
 		return []metrics.Report{
-			rep("a1", "A", period, 10, 0, 0, 100, 0),
-			rep("a2", "A", period, 20, 0, 0, 100, 0),
-			rep("b1", "B", period, 30, 0, 0, 100, 0),
-			rep("b2", "B", period, 80, 0, 0, 50, 0),
+			rep("a1", "A", pi, 10, 0, 0, 100, 0),
+			rep("a2", "A", pi, 20, 0, 0, 100, 0),
+			rep("b1", "B", pi, 30, 0, 0, 100, 0),
+			rep("b2", "B", pi, 80, 0, 0, 50, 0),
 		}
 	}
-	// Each cluster completes 10 items; per-item latency lat seconds.
-	partials := func(lat float64) map[core.ClusterID]core.StreamObs {
-		return map[core.ClusterID]core.StreamObs{
-			"A": {Arrived: 10, Completed: 10, LatencySum: 10 * lat},
-			"B": {Arrived: 10, Completed: 10, LatencySum: 10 * lat},
-		}
+	return k, act, reports
+}
+
+// observe feeds one period's stream observation in two partials of ten
+// completed items each, lat seconds per item.
+func observe(k *Kernel, lat float64) {
+	for i := 0; i < 2; i++ {
+		k.ObserveStream(core.StreamObs{Arrived: 10, Completed: 10, LatencySum: 10 * lat})
 	}
+}
+
+// TestKernelStreamSLOScript walks the streaming objective's hysteresis
+// state machine through the kernel: the proportional grow on a
+// violation, the dead band, the calm streak, the single sluggish shrink
+// with a badness-ranked victim, and the streak restart after acting.
+func TestKernelStreamSLOScript(t *testing.T) {
+	k, act, reports := streamWorld(t)
 
 	// Period 0: mean latency 4s, health 0.5 -> SLO violated, grow
 	// proportionally: round(4·(1/0.5 - 1)) = 4, within the 1x cap.
-	h.observeStream(partials(4))
-	f, s := h.period(0, reports(0))
-	h.compare(0, f, s)
-	if f.Action != "add" || f.Added != 4 {
-		t.Fatalf("period 0: want add 4, got %q +%d (%s)", f.Action, f.Added, f.Detail)
-	}
-	if !approx(f.WAE, 0.5) {
-		t.Fatalf("period 0: health %v, want 0.5", f.WAE)
+	observe(k, 4)
+	r := period(k, act, 0, reports(0))
+	wantRecord(t, 0, r, "add", "stream health 0.500 below SLO (target 2s) on 4 nodes: request 4 more", 4, 0)
+	if !approx(r.WAE, 0.5) {
+		t.Fatalf("period 0: health %v, want 0.5", r.WAE)
 	}
 
 	// Period 1: mean latency exactly on target, health 1.0 — inside the
 	// hysteresis dead band: no violation, not calm either.
-	h.observeStream(partials(2))
-	f, s = h.period(1, reports(1))
-	h.compare(1, f, s)
-	if f.Action != "none" {
-		t.Fatalf("period 1: want none, got %q (%s)", f.Action, f.Detail)
-	}
+	observe(k, 2)
+	r = period(k, act, 1, reports(1))
+	wantRecord(t, 1, r, "none", "stream health 1.000 within band", 0, 0)
 
 	// Periods 2-5: mean latency 0.5s, health 4 — calm. Three holds while
 	// the streak builds, then the fourth consecutive calm period releases
 	// exactly one node: the badness-worst b2, not blacklisted.
 	for pi := 2; pi <= 4; pi++ {
-		h.observeStream(partials(0.5))
-		f, s = h.period(pi, reports(pi))
-		h.compare(pi, f, s)
-		if f.Action != "none" {
-			t.Fatalf("period %d: want none while calm streak builds, got %q (%s)",
-				pi, f.Action, f.Detail)
-		}
+		observe(k, 0.5)
+		r = period(k, act, pi, reports(pi))
+		wantRecord(t, pi, r, "none", "stream health 4.000 within band", 0, 0)
 	}
-	h.observeStream(partials(0.5))
-	f, s = h.period(5, reports(5))
-	h.compare(5, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 1 {
-		t.Fatalf("period 5: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
-	}
-	if _, alive := h.fact.live["b2"]; alive {
-		t.Fatal("period 5: flat victim was not b2")
+	observe(k, 0.5)
+	r = period(k, act, 5, reports(5))
+	wantRecord(t, 5, r, "remove-nodes", "stream health 4.000 calm for 4 periods on 4 nodes: release 1", 0, 1)
+	if want := [][]core.NodeID{{"b2"}}; !reflect.DeepEqual(act.evictions, want) {
+		t.Fatalf("period 5: evicted %v, want %v", act.evictions, want)
 	}
 
 	// Period 6: still calm, but the shrink restarted the streak — one
-	// calm period is not four, so both pipelines hold.
-	h.observeStream(map[core.ClusterID]core.StreamObs{
-		"A": {Arrived: 10, Completed: 10, LatencySum: 5},
-		"B": {Arrived: 5, Completed: 5, LatencySum: 2.5},
-	})
-	f, s = h.period(6, reports(6))
-	h.compare(6, f, s)
-	if f.Action != "none" {
-		t.Fatalf("period 6: want none after streak restart, got %q (%s)", f.Action, f.Detail)
-	}
+	// calm period is not four, so the kernel holds.
+	k.ObserveStream(core.StreamObs{Arrived: 10, Completed: 10, LatencySum: 5})
+	k.ObserveStream(core.StreamObs{Arrived: 5, Completed: 5, LatencySum: 2.5})
+	r = period(k, act, 6, reports(6))
+	wantRecord(t, 6, r, "none", "stream health 4.000 within band", 0, 0)
 
-	h.finish()
-	if bl := h.rk.Requirements().BlacklistedNodes(); len(bl) != 0 {
+	if !reflect.DeepEqual(act.provisions, []int{4}) {
+		t.Errorf("provisions = %v, want [4]", act.provisions)
+	}
+	if bl := k.Requirements().BlacklistedNodes(); len(bl) != 0 {
 		t.Errorf("capacity shrink blacklisted nodes: %v", bl)
 	}
 }
 
-// TestFlatShardedStreamSLOShedParity pins the straggler-shed path across
-// the shard split. The parity actuator "grants" every provision but the
-// granted nodes never report, so the census never moves — exactly the
-// stuck-violation shape the shed guard watches for. Both pipelines must
-// flip from growing to shedding the same badness-worst nodes, with the
-// same shed wording, and blacklist them identically: a shed is a
-// judgement on the node, so the provisioner must not hand it back.
-func TestFlatShardedStreamSLOShedParity(t *testing.T) {
-	h := newStreamParityHarness(t, map[core.NodeID]core.ClusterID{
-		"a1": "A", "a2": "A", "b1": "B", "b2": "B",
-	}, core.DefaultStreamSLO(2)) // StuckAfter 3: the fourth stuck violation sheds
+// TestKernelStreamSLOShedScript pins the straggler-shed path. The
+// actuator "grants" every provision but the granted nodes never report,
+// so the census never moves — exactly the stuck-violation shape the
+// shed guard watches for. The kernel must flip from growing to shedding
+// the badness-worst nodes and blacklist them: a shed is a judgement on
+// the node, so the provisioner must not hand it back.
+func TestKernelStreamSLOShedScript(t *testing.T) {
+	k, act, reports := streamWorld(t)
 
-	reports := func(period int) []metrics.Report {
-		return []metrics.Report{
-			rep("a1", "A", period, 10, 0, 0, 100, 0),
-			rep("a2", "A", period, 20, 0, 0, 100, 0),
-			rep("b1", "B", period, 30, 0, 0, 100, 0),
-			rep("b2", "B", period, 80, 0, 0, 50, 0),
-		}
-	}
-	// Mean latency 4s against a 2s target: health 0.5, every period.
-	partials := func() map[core.ClusterID]core.StreamObs {
-		return map[core.ClusterID]core.StreamObs{
-			"A": {Arrived: 10, Completed: 10, LatencySum: 40},
-			"B": {Arrived: 10, Completed: 10, LatencySum: 40},
-		}
-	}
-
-	// Periods 0-2: three judged violations with no census growth — the
-	// guard is still patient, so both pipelines keep asking for nodes.
+	// Periods 0-2: three judged violations (mean latency 4s against a 2s
+	// target, health 0.5) with no census growth — the guard is still
+	// patient, so the kernel keeps asking for nodes.
 	for pi := 0; pi <= 2; pi++ {
-		h.observeStream(partials())
-		f, s := h.period(pi, reports(pi))
-		h.compare(pi, f, s)
-		if f.Action != "add" || f.Added != 4 {
-			t.Fatalf("period %d: want add 4 while the stuck streak builds, got %q +%d (%s)",
-				pi, f.Action, f.Added, f.Detail)
-		}
+		observe(k, 4)
+		r := period(k, act, pi, reports(pi))
+		wantRecord(t, pi, r, "add", "stream health 0.500 below SLO (target 2s) on 4 nodes: request 4 more", 4, 0)
 	}
 
 	// Period 3: the fourth stuck violation gives up on growing and sheds
 	// the badness-worst node instead.
-	h.observeStream(partials())
-	f, s := h.period(3, reports(3))
-	h.compare(3, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 1 {
-		t.Fatalf("period 3: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
-	}
-	if !strings.Contains(f.Detail, "straggler") {
-		t.Fatalf("period 3: detail %q does not name the straggler shed", f.Detail)
-	}
-	if _, alive := h.fact.live["b2"]; alive {
-		t.Fatal("period 3: flat shed victim was not b2")
-	}
+	observe(k, 4)
+	r := period(k, act, 3, reports(3))
+	wantRecord(t, 3, r, "remove-nodes",
+		"stream health 0.500 stuck below SLO on 4 nodes with no capacity coming: shed 1 straggler", 0, 1)
 
 	// Period 4: still stuck at the smaller census — shed the next-worst.
-	h.observeStream(partials())
-	f, s = h.period(4, reports(4))
-	h.compare(4, f, s)
-	if f.Action != "remove-nodes" || f.Removed != 1 {
-		t.Fatalf("period 4: want remove-nodes 1, got %q -%d (%s)", f.Action, f.Removed, f.Detail)
-	}
-	if _, alive := h.fact.live["b1"]; alive {
-		t.Fatal("period 4: flat shed victim was not b1")
-	}
+	observe(k, 4)
+	r = period(k, act, 4, reports(4))
+	wantRecord(t, 4, r, "remove-nodes",
+		"stream health 0.500 stuck below SLO on 3 nodes with no capacity coming: shed 1 straggler", 0, 1)
 
-	h.finish()
-	bl := sortedNodes(h.rk.Requirements().BlacklistedNodes())
-	if fmt.Sprint(bl) != fmt.Sprint([]core.NodeID{"b1", "b2"}) {
+	if want := [][]core.NodeID{{"b2"}, {"b1"}}; !reflect.DeepEqual(act.evictions, want) {
+		t.Errorf("evictions = %v, want %v", act.evictions, want)
+	}
+	if bl := sortedNodes(k.Requirements().BlacklistedNodes()); !reflect.DeepEqual(bl, []core.NodeID{"b1", "b2"}) {
 		t.Errorf("shed victims not blacklisted: got %v, want [b1 b2]", bl)
 	}
+}
+
+// TestStreamObservationBeforeAnyReport: the stream observation is
+// global to the kernel, not a cluster's. A period in which no node has
+// reported — no sub-kernel exists yet — still consumes it and records
+// its health, and the next period does not see it again.
+func TestStreamObservationBeforeAnyReport(t *testing.T) {
+	k, act, reports := streamWorld(t)
+
+	observe(k, 4)
+	r := k.Tick(dur, act.sortedLive())
+	if !approx(r.WAE, 0.5) || r.Stats != 0 || r.Action != "" {
+		t.Fatalf("period 0: got %+v, want health 0.5 recorded on zero reports and no decision", r)
+	}
+
+	// Reports but no observation: nothing to react to (health 1), not a
+	// replay of the consumed 0.5.
+	r = period(k, act, 1, reports(1))
+	wantRecord(t, 1, r, "none", "stream health 1.000 within band", 0, 0)
 }
 
 // --- allocation guards -------------------------------------------------
@@ -706,8 +503,8 @@ func benchSummary(i, nodes, proposals int) ClusterSummary {
 		Cluster: c, Seq: 1, Time: 100,
 		Nodes: nodes, Stats: nodes,
 		SpeedMax: 100, SpeedMin: 100,
-		WorkSum: 40 * float64(nodes), // eff 0.4 at speed 100
-		EffSum:  0.4 * float64(nodes),
+		WorkSum:  40 * float64(nodes), // eff 0.4 at speed 100
+		EffSum:   0.4 * float64(nodes),
 		SpeedSum: 100 * float64(nodes),
 		InterSum: 0.05 * float64(nodes),
 	}
@@ -720,7 +517,7 @@ func benchSummary(i, nodes, proposals int) ClusterSummary {
 	return sum
 }
 
-// BenchmarkRootKernelTick measures the sharded root's per-period cost:
+// BenchmarkRootKernelTick measures the root's per-period cost:
 // O(clusters · proposal cap), independent of the node count. The
 // 10k/100k arms back the EXPERIMENTS.md table and the bench gate.
 func BenchmarkRootKernelTick(b *testing.B) {
@@ -735,7 +532,7 @@ func BenchmarkRootKernelTick(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ecfg := core.DefaultConfig()
-			rk, err := NewRoot(Config{Engine: &ecfg}, &parityActuator{live: map[core.NodeID]core.ClusterID{}})
+			rk, err := NewRoot(Config{Engine: &ecfg}, newWorld(nil))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -758,14 +555,14 @@ func BenchmarkRootKernelTick(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatKernelTick is the contrast arm: the flat kernel's tick
-// is O(nodes log nodes) with per-node smoothing, the cost the shard
-// split removes from the root.
+// BenchmarkFlatKernelTick is the contrast arm: the one-process Kernel
+// summarizes every cluster inside its tick, O(nodes log nodes) with
+// per-node smoothing — the cost the sharded drivers move off the root.
 func BenchmarkFlatKernelTick(b *testing.B) {
 	for _, nodes := range []int{200, 2000, 10000} {
 		b.Run(fmt.Sprintf("%dnodes", nodes), func(b *testing.B) {
 			ecfg := core.DefaultConfig()
-			k, err := New(Config{Engine: &ecfg}, &parityActuator{live: map[core.NodeID]core.ClusterID{}})
+			k, err := New(Config{Engine: &ecfg}, newWorld(nil))
 			if err != nil {
 				b.Fatal(err)
 			}

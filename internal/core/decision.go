@@ -141,11 +141,6 @@ type Decision struct {
 	// RemoveNodes lists the nodes to evict, worst first
 	// (ActionRemoveNodes).
 	RemoveNodes []NodeID
-	// Blacklist marks RemoveNodes as harmful rather than surplus: the
-	// coordinator blacklists them even when the objective's traits
-	// leave ordinary shrink victims pardonable (a shed straggler must
-	// not be handed straight back by the provisioner).
-	Blacklist bool
 	// RemoveCluster is the cluster to evacuate (ActionRemoveCluster).
 	RemoveCluster ClusterID
 	// ClusterInterComm is the offending cluster's inter-cluster overhead
@@ -232,6 +227,12 @@ func (e *Engine) ShrinkCount(n int, wae float64) int {
 //	otherwise: no action.
 //
 // The stats slice must contain one entry per live node for the period.
+//
+// Decide is the strategy in its textbook form, over one flat slice of
+// node statistics, and no runtime calls it: internal/coord evaluates
+// the same rules in the same order over cluster partials. It stays as
+// the reference the decision goldens pin and the coordinator kernel is
+// differentially tested against.
 func (e *Engine) Decide(stats []NodeStats) Decision {
 	var wae float64
 	if e.cfg.UnweightedEfficiency {

@@ -6,10 +6,10 @@
 // turns health into a grow/hold/shrink verdict, and declares whether
 // shrink victims are blacklisted (a badness judgement: the resource is
 // unfit) or merely released (a capacity judgement: the resource may
-// come back). The coordinator kernels keep the mechanism — smoothing,
-// report plumbing, eviction, requirements learning, post-action reset —
-// and consult the objective instead of comparing WAE to EMin/EMax
-// directly.
+// come back). The coordinator kernel (internal/coord) keeps the
+// mechanism — smoothing, report plumbing, eviction, requirements
+// learning, post-action reset — and consults the objective instead of
+// comparing WAE to EMin/EMax directly.
 package core
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // StreamObs is one monitoring period's view of a streaming pipeline:
 // open-loop arrivals in, completed items out, the latency they paid,
-// and what is still queued. The sharded tree ships per-cluster partials
+// and what is still queued. Sub-coordinators ship per-cluster partials
 // of exactly these fields inside ClusterSummary; summing partials
 // yields the global observation, so Merge must stay a plain
 // field-by-field sum.
@@ -35,8 +35,7 @@ type StreamObs struct {
 	Backlog int
 }
 
-// Merge adds another partial observation (the root kernel's summation
-// over cluster partials).
+// Merge adds another partial observation.
 func (o *StreamObs) Merge(p StreamObs) {
 	o.Arrived += p.Arrived
 	o.Completed += p.Completed
@@ -53,19 +52,14 @@ func (o StreamObs) MeanLatency() float64 {
 	return o.LatencySum / float64(o.Completed)
 }
 
-// PeriodObs is everything an objective may observe about one period.
-// The flat kernel and the sub-kernels fill Stats (smoothed per-node
-// statistics); the sharded root has no per-node stats and instead
-// provides the reconstructed aggregate via Health/HasHealth. Stream is
-// set when the workload reports streaming observations.
+// PeriodObs is everything an objective may observe about one period:
+// what the coordinator's root reduced the period's reports to.
 type PeriodObs struct {
-	// Stats are the smoothed per-node statistics (nil at the sharded
-	// root, which only sees cluster summaries).
-	Stats []NodeStats
-	// Health is the precomputed aggregate efficiency when Stats is nil
-	// (the root's reassociated WAE reconstruction).
-	Health    float64
-	HasHealth bool
+	// Efficiency is the period's aggregate efficiency over the
+	// reporting nodes — the WAE reconstructed from cluster partials, or
+	// the unweighted mean under the UnweightedEfficiency ablation; 0
+	// when no node reported.
+	Efficiency float64
 	// Stream carries the period's streaming observation, when any.
 	Stream *StreamObs
 }
@@ -89,7 +83,7 @@ const (
 	VerdictShed
 )
 
-// Traits are the static policy properties the kernels consult when
+// Traits are the static policy properties the kernel consults when
 // turning a verdict into effects.
 type Traits struct {
 	// BlacklistVictims: shrink victims are blacklisted so the scheduler
@@ -105,10 +99,10 @@ type Traits struct {
 }
 
 // Objective is the pluggable policy of the adaptation loop. Judge may
-// be stateful (hysteresis) and is called exactly once per monitoring
-// period by whichever kernel drives the objective; Health and Explain
-// must stay pure so the flat and sharded pipelines render identical
-// period logs from identical inputs.
+// be stateful (hysteresis) and is called at most once per monitoring
+// period by the root kernel that drives the objective; Health and
+// Explain must stay pure, so identical inputs render identical period
+// logs however the coordinator is deployed.
 type Objective interface {
 	// Name identifies the objective in traces and annotations.
 	Name() string
@@ -120,15 +114,8 @@ type Objective interface {
 	// Judge maps health and the current node count to a verdict plus a
 	// magnitude (nodes to add or remove).
 	Judge(health float64, n int) (Verdict, int)
-	// Explain renders the verdict's reason string; the flat kernel and
-	// the sharded root both use it, so their period logs match
-	// verbatim.
+	// Explain renders the verdict's reason string for the period log.
 	Explain(v Verdict, health float64, n, count int) string
-	// Assess is the full per-node decision for kernels that hold
-	// per-node statistics (the flat kernel): verdict, magnitude, and
-	// concrete victims. Implementations derive it from Judge so the
-	// flat and sharded pipelines share one state machine.
-	Assess(po PeriodObs) Decision
 }
 
 // ---- BatchWAE: the paper's efficiency band, extracted ----------------
@@ -136,8 +123,9 @@ type Objective interface {
 // BatchWAE is the original objective: keep the weighted average
 // efficiency inside [EMin, EMax], rank victims by badness, escalate to
 // whole-cluster eviction on bandwidth emergencies, and blacklist what
-// was removed. It wraps the decision Engine unchanged, so extracting
-// the objective does not move a single decision.
+// was removed. It takes its thresholds and step sizes from the decision
+// Engine, whose Decide remains the Figure-2 reference the kernel is
+// tested against.
 type BatchWAE struct {
 	eng *Engine
 }
@@ -151,9 +139,8 @@ func NewBatchWAE(cfg Config) (*BatchWAE, error) {
 	return &BatchWAE{eng: eng}, nil
 }
 
-// Engine exposes the wrapped decision engine (the kernels' cluster
-// eviction mechanics still need GrowCount/ShrinkCount and the culprit
-// thresholds).
+// Engine exposes the wrapped decision engine (the kernel's cluster
+// eviction mechanics need ShrinkCount and the culprit thresholds).
 func (b *BatchWAE) Engine() *Engine { return b.eng }
 
 // Name implements Objective.
@@ -164,17 +151,8 @@ func (b *BatchWAE) Traits() Traits {
 	return Traits{BlacklistVictims: true, ClusterEviction: true}
 }
 
-// Health implements Objective: the (weighted) average efficiency, or
-// the root's precomputed reconstruction when per-node stats are absent.
-func (b *BatchWAE) Health(po PeriodObs) float64 {
-	if po.Stats == nil && po.HasHealth {
-		return po.Health
-	}
-	if b.eng.cfg.UnweightedEfficiency {
-		return Efficiency(po.Stats)
-	}
-	return WeightedAverageEfficiency(po.Stats)
-}
+// Health implements Objective: the period's aggregate efficiency.
+func (b *BatchWAE) Health(po PeriodObs) float64 { return po.Efficiency }
 
 // Judge implements Objective: the paper's band comparison with the
 // Eager-derived grow step and the symmetric shrink step.
@@ -188,8 +166,8 @@ func (b *BatchWAE) Judge(health float64, n int) (Verdict, int) {
 	return VerdictHold, 0
 }
 
-// Explain implements Objective, reproducing the engine's reason
-// strings byte for byte (the flat/sharded parity suite compares them).
+// Explain implements Objective, reproducing Engine.Decide's reason
+// strings byte for byte.
 func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 	cfg := b.eng.cfg
 	switch v {
@@ -206,12 +184,6 @@ func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 	default:
 		return fmt.Sprintf("WAE %.3f within [%.2f,%.2f]", health, cfg.EMin, cfg.EMax)
 	}
-}
-
-// Assess implements Objective by delegating to the engine's Decide —
-// including the cluster-eviction rules that need per-node link samples.
-func (b *BatchWAE) Assess(po PeriodObs) Decision {
-	return b.eng.Decide(po.Stats)
 }
 
 // ---- StreamSLO: throughput/latency targets for pipelines -------------
@@ -374,10 +346,7 @@ func (s *StreamSLO) Traits() Traits { return Traits{} }
 // Health implements Objective.
 func (s *StreamSLO) Health(po PeriodObs) float64 {
 	if po.Stream == nil {
-		if po.HasHealth {
-			return po.Health
-		}
-		return 1 // no streaming observation yet: nothing to react to
+		return 1 // no streaming observation this period: nothing to react to
 	}
 	return StreamHealth(*po.Stream, s.cfg.TargetLatency)
 }
@@ -480,46 +449,6 @@ func (s *StreamSLO) Explain(v Verdict, health float64, n, count int) string {
 	default:
 		return fmt.Sprintf("stream health %.3f within band", health)
 	}
-}
-
-// Assess implements Objective for the flat kernel: judge the health
-// scalar, then pick concrete shrink victims by badness from the
-// per-node statistics — the same ranking the sharded root reproduces
-// from proposal samples.
-func (s *StreamSLO) Assess(po PeriodObs) Decision {
-	n := len(po.Stats)
-	h := s.Health(po)
-	if n == 0 {
-		return Decision{Action: ActionAdd, AddCount: 1,
-			Reason: "no live nodes; bootstrap by requesting one"}
-	}
-	v, cnt := s.Judge(h, n)
-	d := Decision{WAE: h}
-	switch v {
-	case VerdictGrow:
-		d.Action = ActionAdd
-		d.AddCount = cnt
-	case VerdictShrink, VerdictShed:
-		if cnt == 0 {
-			d.Action = ActionNone
-			break
-		}
-		ranked := RankNodes(po.Stats, s.cfg.Weights)
-		if cnt > len(ranked) {
-			cnt = len(ranked)
-		}
-		victims := make([]NodeID, 0, cnt)
-		for _, nb := range ranked[:cnt] {
-			victims = append(victims, nb.Node)
-		}
-		d.Action = ActionRemoveNodes
-		d.RemoveNodes = victims
-		d.Blacklist = v == VerdictShed
-	default:
-		d.Action = ActionNone
-	}
-	d.Reason = s.Explain(v, h, n, cnt)
-	return d
 }
 
 var (

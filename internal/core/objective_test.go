@@ -1,65 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
-	"reflect"
-	"strings"
-	"testing"
-)
-
-// randomStats builds a reproducible mixed fleet: several clusters,
-// varied speeds and overheads, occasional link samples.
-func randomStats(rng *rand.Rand, n int) []NodeStats {
-	stats := make([]NodeStats, n)
-	for i := range stats {
-		c := ClusterID(fmt.Sprintf("c%d", rng.Intn(4)))
-		s := NodeStats{
-			Node:      NodeID(fmt.Sprintf("n%03d", i)),
-			Cluster:   c,
-			Speed:     0.5 + rng.Float64()*2,
-			Idle:      rng.Float64() * 0.5,
-			IntraComm: rng.Float64() * 0.2,
-			InterComm: rng.Float64() * 0.4,
-		}
-		if rng.Intn(3) == 0 {
-			s.Links = map[ClusterID]LinkSample{
-				"c0": {Seconds: rng.Float64(), Bytes: rng.Float64() * 1e6},
-			}
-		}
-		stats[i] = s
-	}
-	return stats
-}
-
-// TestBatchWAEMatchesEngineDecide is the extraction guarantee: wrapping
-// the decision engine in the BatchWAE objective moves not a single
-// decision — Assess must reproduce Decide byte for byte, victims,
-// reasons and all.
-func TestBatchWAEMatchesEngineDecide(t *testing.T) {
-	cfg := DefaultConfig()
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, err := NewBatchWAE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		stats := randomStats(rng, 1+rng.Intn(40))
-		want := eng.Decide(stats)
-		got := obj.Assess(PeriodObs{Stats: stats})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: Decide %+v != Assess %+v", trial, want, got)
-		}
-	}
-	// The empty fleet bootstraps identically too.
-	if want, got := eng.Decide(nil), obj.Assess(PeriodObs{}); !reflect.DeepEqual(want, got) {
-		t.Fatalf("empty: Decide %+v != Assess %+v", want, got)
-	}
-}
+import "testing"
 
 // TestBatchWAEJudgeMatchesBand: the verdict mapping agrees with the
 // band comparison and the engine's step sizes.
@@ -334,32 +275,6 @@ func TestStreamSLOStragglerShed(t *testing.T) {
 		t.Fatal("fresh capacity must reset the stuck streak")
 	}
 
-	// The shed maps to a blacklisting removal on the flat path.
-	s3, _ := NewStreamSLO(cfg)
-	stats := []NodeStats{
-		{Node: "good", Cluster: "c0", Speed: 2, Idle: 0.05},
-		{Node: "bad", Cluster: "c1", Speed: 0.5, Idle: 0.3, InterComm: 0.5},
-	}
-	hot := &StreamObs{Completed: 10, LatencySum: 100} // mean 10s vs target 5s
-	for i := 0; i <= cfg.StuckAfter; i++ {
-		d := s3.Assess(PeriodObs{Stats: stats, Stream: hot})
-		if i < cfg.StuckAfter {
-			if d.Action != ActionAdd || d.Blacklist {
-				t.Fatalf("violation %d: %+v, want plain add", i, d)
-			}
-			continue
-		}
-		if d.Action != ActionRemoveNodes || !d.Blacklist {
-			t.Fatalf("stuck decision %+v, want blacklisting removal", d)
-		}
-		if len(d.RemoveNodes) != 1 || d.RemoveNodes[0] != "bad" {
-			t.Fatalf("shed victims %v, want the worst node", d.RemoveNodes)
-		}
-		if !strings.Contains(d.Reason, "straggler") {
-			t.Fatalf("reason %q", d.Reason)
-		}
-	}
-
 	// A calm period also resets the streak.
 	s4, _ := NewStreamSLO(cfg)
 	for i := 0; i < cfg.StuckAfter; i++ {
@@ -371,56 +286,26 @@ func TestStreamSLOStragglerShed(t *testing.T) {
 	}
 }
 
-// TestStreamSLOAssessVictims: the flat-kernel path ranks shrink victims
-// by badness — the slow, communication-bound node goes first.
-func TestStreamSLOAssessVictims(t *testing.T) {
-	cfg := DefaultStreamSLO(5)
-	cfg.ShrinkAfter = 1
-	s, _ := NewStreamSLO(cfg)
-	stats := []NodeStats{
-		{Node: "good", Cluster: "c0", Speed: 2, Idle: 0.05},
-		{Node: "bad", Cluster: "c1", Speed: 0.5, Idle: 0.3, InterComm: 0.5},
-		{Node: "ok", Cluster: "c0", Speed: 1.5, Idle: 0.1},
+// TestObjectiveHealth: the batch objective's health is the period's
+// aggregate efficiency; the stream objective's is target/latency, or
+// neutral in a period that brought no stream observation — the
+// efficiency of the nodes says nothing about the pipeline's latency.
+func TestObjectiveHealth(t *testing.T) {
+	b, _ := NewBatchWAE(DefaultConfig())
+	if h := b.Health(PeriodObs{Efficiency: 0.25}); h != 0.25 {
+		t.Fatalf("batch health %v, want the efficiency 0.25", h)
 	}
-	calm := &StreamObs{Completed: 10, LatencySum: 10} // mean 1s vs target 5s
-	d := s.Assess(PeriodObs{Stats: stats, Stream: calm})
-	if d.Action != ActionRemoveNodes || len(d.RemoveNodes) != 1 {
-		t.Fatalf("decision %+v, want one removal", d)
-	}
-	if d.RemoveNodes[0] != "bad" {
-		t.Fatalf("victim %s, want the worst node", d.RemoveNodes[0])
-	}
-	if !strings.Contains(d.Reason, "release") {
-		t.Fatalf("reason %q", d.Reason)
-	}
-	// An empty fleet bootstraps.
-	s2, _ := NewStreamSLO(cfg)
-	if d := s2.Assess(PeriodObs{}); d.Action != ActionAdd || d.AddCount != 1 {
-		t.Fatalf("bootstrap decision %+v", d)
-	}
-	// A violated SLO grows through Assess as well.
-	s3, _ := NewStreamSLO(cfg)
-	hot := &StreamObs{Completed: 10, LatencySum: 100} // mean 10s vs target 5s
-	if d := s3.Assess(PeriodObs{Stats: stats, Stream: hot}); d.Action != ActionAdd {
-		t.Fatalf("violation decision %+v, want add", d)
-	}
-}
-
-// TestStreamSLOHealthFallbacks: without a stream observation the
-// objective trusts the precomputed aggregate (sharded root) or reports
-// neutral health.
-func TestStreamSLOHealthFallbacks(t *testing.T) {
 	s, _ := NewStreamSLO(DefaultStreamSLO(5))
-	if h := s.Health(PeriodObs{}); h != 1 {
+	if h := s.Health(PeriodObs{Efficiency: 0.25}); h != 1 {
 		t.Fatalf("no observation: health %v, want neutral 1", h)
 	}
-	if h := s.Health(PeriodObs{Health: 0.25, HasHealth: true}); h != 0.25 {
-		t.Fatalf("precomputed: health %v, want 0.25", h)
+	on := &StreamObs{Completed: 10, LatencySum: 100} // mean 10s vs target 5s
+	if h := s.Health(PeriodObs{Efficiency: 0.25, Stream: on}); h != 0.5 {
+		t.Fatalf("stream health %v, want 0.5", h)
 	}
 }
 
-// TestObjectiveExplainStability pins the log wording both pipelines
-// must render identically.
+// TestObjectiveExplainStability pins the period log's wording.
 func TestObjectiveExplainStability(t *testing.T) {
 	b, _ := NewBatchWAE(DefaultConfig())
 	if got := b.Explain(VerdictGrow, 0.61, 8, 3); got != "WAE 0.610 > EMax 0.50 on 8 nodes: request 3 more" {

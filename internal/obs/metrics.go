@@ -35,7 +35,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g = &Gauge{}
 	r.g[name] = g
-	r.mirrorAliases(name, func(n string) { r.g[n] = g })
 	return g
 }
 
@@ -114,7 +113,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
 	r.h[name] = h
-	r.mirrorAliases(name, func(n string) { r.h[n] = h })
 	return h
 }
 
@@ -148,10 +146,6 @@ var LatencyBuckets = ExpBuckets(0.0005, 2, 15)
 // at; streaming health above 1 (comfortably under the latency target)
 // lands in the implicit +Inf bucket.
 var HealthBuckets = LinearBuckets(0.1, 0.1, 10)
-
-// WAEBuckets is the historical name of HealthBuckets, kept so existing
-// callers and dashboards keep working.
-var WAEBuckets = HealthBuckets
 
 // DepthBuckets are power-of-two queue-depth buckets.
 var DepthBuckets = ExpBuckets(1, 2, 12)

@@ -9,15 +9,15 @@ import (
 
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("coord/wae")
+	g := r.Gauge("coord/health")
 	if v := g.Value(); v != 0 {
 		t.Fatalf("fresh gauge = %g, want 0", v)
 	}
 	g.Set(0.42)
-	if g2 := r.Gauge("coord/wae"); g2 != g {
+	if g2 := r.Gauge("coord/health"); g2 != g {
 		t.Fatal("second resolution returned a different gauge")
 	}
-	if v := r.Gauges()["coord/wae"]; v != 0.42 {
+	if v := r.Gauges()["coord/health"]; v != 0.42 {
 		t.Fatalf("Gauges() = %g, want 0.42", v)
 	}
 	g.Set(-3)
@@ -81,9 +81,9 @@ func TestBucketHelpers(t *testing.T) {
 	if len(lin) != 3 || math.Abs(lin[2]-0.3) > 1e-12 {
 		t.Fatalf("LinearBuckets = %v", lin)
 	}
-	for i := 1; i < len(WAEBuckets); i++ {
-		if WAEBuckets[i] <= WAEBuckets[i-1] {
-			t.Fatalf("WAEBuckets not ascending: %v", WAEBuckets)
+	for i := 1; i < len(HealthBuckets); i++ {
+		if HealthBuckets[i] <= HealthBuckets[i-1] {
+			t.Fatalf("HealthBuckets not ascending: %v", HealthBuckets)
 		}
 	}
 }
@@ -103,7 +103,7 @@ func equalF(a, b []float64) bool {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("wire/frames_in/steal").Add(17)
-	r.Gauge("coord/wae").Set(0.42)
+	r.Gauge("coord/health").Set(0.42)
 	h := r.Histogram("satin/steal_rtt/local", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.0005)
@@ -116,7 +116,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE repro_counter counter",
 		`repro_counter{name="wire/frames_in/steal"} 17`,
 		"# TYPE repro_gauge gauge",
-		`repro_gauge{name="coord/wae"} 0.42`,
+		`repro_gauge{name="coord/health"} 0.42`,
 		"# TYPE repro_hist histogram",
 		`repro_hist_bucket{name="satin/steal_rtt/local",le="0.001"} 2`,
 		`repro_hist_bucket{name="satin/steal_rtt/local",le="0.01"} 2`, // cumulative

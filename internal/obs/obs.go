@@ -43,60 +43,18 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // resolution takes a lock and may allocate; keep the returned pointer
 // and touch its atomics lock-free.
 type Registry struct {
-	mu    sync.RWMutex
-	m     map[string]*Counter
-	g     map[string]*Gauge
-	h     map[string]*Histogram
-	alias map[string]string // alias name -> canonical name
+	mu sync.RWMutex
+	m  map[string]*Counter
+	g  map[string]*Gauge
+	h  map[string]*Histogram
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		m:     make(map[string]*Counter),
-		g:     make(map[string]*Gauge),
-		h:     make(map[string]*Histogram),
-		alias: make(map[string]string),
-	}
-}
-
-// Alias links a second name to a gauge or histogram so renamed series
-// stay visible under their historical name: both names resolve to the
-// same instrument, and snapshots/exposition list both. Registration
-// order does not matter — whichever side exists (or is created later)
-// is mirrored to the other. Counters are deliberately not aliased:
-// Total() sums by prefix and a mirrored counter would double-count.
-// Idempotent; safe for concurrent use.
-func (r *Registry) Alias(canonical, alias string) {
-	if canonical == alias {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.alias[alias] = canonical
-	if g, ok := r.g[canonical]; ok {
-		r.g[alias] = g
-	} else if g, ok := r.g[alias]; ok {
-		r.g[canonical] = g
-	}
-	if h, ok := r.h[canonical]; ok {
-		r.h[alias] = h
-	} else if h, ok := r.h[alias]; ok {
-		r.h[canonical] = h
-	}
-}
-
-// mirrorAliases is called (write lock held) after an instrument is
-// created under name: every name linked to it by Alias gets the same
-// pointer, so lookups and exposition agree regardless of which side
-// was resolved first. set stores under one linked name.
-func (r *Registry) mirrorAliases(name string, set func(string)) {
-	for alias, canon := range r.alias {
-		if alias == name {
-			set(canon)
-		} else if canon == name {
-			set(alias)
-		}
+		m: make(map[string]*Counter),
+		g: make(map[string]*Gauge),
+		h: make(map[string]*Histogram),
 	}
 }
 

@@ -68,58 +68,3 @@ func TestConcurrentCounting(t *testing.T) {
 		t.Fatalf("got %d, want 8000", got)
 	}
 }
-
-func TestAliasMirrorsGaugesAndHistograms(t *testing.T) {
-	// Alias before creation: the later instrument lands under both names.
-	r := NewRegistry()
-	r.Alias("coord/health", "coord/wae")
-	g := r.Gauge("coord/health")
-	if r.Gauge("coord/wae") != g {
-		t.Fatal("alias registered first: gauge not mirrored")
-	}
-	g.Set(0.75)
-	gs := r.Gauges()
-	if gs["coord/health"] != 0.75 || gs["coord/wae"] != 0.75 {
-		t.Fatalf("gauge snapshot missing a name: %v", gs)
-	}
-	h := r.Histogram("coord/period_health", HealthBuckets)
-	r.Alias("coord/period_health", "coord/period_wae")
-	if r.Histogram("coord/period_wae", HealthBuckets) != h {
-		t.Fatal("alias registered second: histogram not mirrored")
-	}
-	h.Observe(0.45)
-	hs := r.Histograms()
-	if hs["coord/period_health"].Count != 1 || hs["coord/period_wae"].Count != 1 {
-		t.Fatalf("histogram snapshot missing a name: %v", hs)
-	}
-
-	// Resolving through the alias first must still converge on one
-	// instrument once the canonical side is resolved.
-	r2 := NewRegistry()
-	r2.Alias("coord/health", "coord/wae")
-	old := r2.Gauge("coord/wae")
-	if r2.Gauge("coord/health") != old {
-		t.Fatal("alias resolved first: canonical name got a second gauge")
-	}
-
-	// Idempotence and self-aliasing are harmless.
-	r2.Alias("coord/health", "coord/wae")
-	r2.Alias("coord/health", "coord/health")
-	if r2.Gauge("coord/wae") != old {
-		t.Fatal("re-aliasing replaced the instrument")
-	}
-}
-
-func TestAliasDoesNotMirrorCounters(t *testing.T) {
-	// Counters stay un-aliased: Total() sums by prefix, and a mirrored
-	// counter under a second name would double-count.
-	r := NewRegistry()
-	r.Alias("wire/frames_in/steal", "wire/frames_in/steal_v2")
-	r.Counter("wire/frames_in/steal").Add(5)
-	if got := r.Total("wire/frames_in/"); got != 5 {
-		t.Fatalf("Total = %d, want 5 (counter was mirrored)", got)
-	}
-	if _, ok := r.Snapshot()["wire/frames_in/steal_v2"]; ok {
-		t.Fatal("counter mirrored under alias name")
-	}
-}

@@ -19,7 +19,7 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // "<layer>/<metric>/<label>" names need no sanitisation:
 //
 //	repro_counter{name="wire/frames_in/steal"} 17
-//	repro_gauge{name="coord/wae"} 0.42
+//	repro_gauge{name="coord/health"} 0.42
 //	repro_hist_bucket{name="satin/steal_rtt/local",le="0.001"} 5
 func (r *Registry) WritePrometheus(w io.Writer) {
 	counters := r.Snapshot()
