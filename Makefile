@@ -36,14 +36,15 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -count=1 ./internal/deque ./internal/steal ./satin ./internal/transport/wire ./internal/coord
 	./benchmark/run.sh
 
-# Short fuzz smoke over the adversarial-input decoders (`go test -fuzz`
+# Short fuzz smoke over the adversarial-input paths (`go test -fuzz`
 # accepts one target per invocation, hence one line each): the wirefmt
-# reader, the binary control-frame decoder, and the batch envelope
-# parser.
+# reader, the binary control-frame decoder, the batch envelope parser,
+# and the receive session's (epoch, seq) state machine.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzBatchEnvelope -fuzztime=10s ./internal/transport/wire
+	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/transport/wire
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

@@ -150,6 +150,12 @@ func TestChaosShardedRootFailover(t *testing.T) {
 	time.Sleep(3 * period)
 	root.Stop()
 	rootStopped = true
+	// The successor claims the dead root's endpoint name. Its peers must
+	// take it for a new incarnation, not discard its first frames as
+	// replays of the old root's.
+	dupAcks := obs.Default.Counter("wire/dup/summary-ack")
+	dupJoins := obs.Default.Counter("wire/dup/join")
+	dupAcksBefore, dupJoinsBefore := dupAcks.Value(), dupJoins.Value()
 
 	// The subs detect the silence and one elects itself. Cluster ca owns
 	// the lowest endpoint name, so it should win; we accept either sub
@@ -237,6 +243,9 @@ func TestChaosShardedRootFailover(t *testing.T) {
 
 	if master.gone() {
 		t.Error("protected master was evicted during failover")
+	}
+	if acks, joins := dupAcks.Value()-dupAcksBefore, dupJoins.Value()-dupJoinsBefore; acks+joins != 0 {
+		t.Errorf("promoted root's frames discarded as duplicates: %d summary-ack, %d join", acks, joins)
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// chaosBin is a binary-codec frame, so the batched path under chaos
-// exercises the hand-rolled codec and not just session gob.
+// chaosBin is the batched path's frame under chaos.
 type chaosBin struct{ Seq uint64 }
 
 func (m *chaosBin) AppendWire(b []byte) ([]byte, error) {
@@ -62,7 +61,7 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 		seen[m.Seq]++
 		mu.Unlock()
 	})
-	wire.Handle(cb, func(chaosPing, wire.Meta) {}) // gob frames share the envelopes
+	wire.Handle(cb, func(chaosPing, wire.Meta) {}) // a second kind shares the envelopes
 
 	baseErr := protoErrTotal()
 	baseOut := obs.Default.Total("wire/batches_out/")
@@ -75,7 +74,7 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 			wire.Send(ca, "satin:cb/0", chaosPing{Seq: i})
 		}
 		if i%50 == 49 {
-			// Let window flushes and the reset handshake land mid-barrage.
+			// Let window flushes and gap timers land mid-barrage.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -115,7 +114,7 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 	}
 
 	// Dedup invariant: however envelopes were duplicated or replayed
-	// around resets, no frame reached the handler twice.
+	// around skipped gaps, no frame reached the handler twice.
 	mu.Lock()
 	defer mu.Unlock()
 	for seq, n := range seen {
@@ -125,10 +124,9 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 	}
 }
 
-// A partition under batched traffic swallows whole envelopes — and the
-// reset handshake with them. After healing, the receiver's poisoned
-// session must force an epoch reset and deliveries must resume; the
-// dedup invariant holds across the reset.
+// A partition under batched traffic swallows whole envelopes. After
+// healing, the receiver must notice the gap, skip it (counted) and
+// resume deliveries; the dedup invariant holds across the skip.
 func TestChaosBatchedPartitionResync(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
@@ -164,7 +162,7 @@ func TestChaosBatchedPartitionResync(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	baseReset := obs.Default.Total("wire/reset/")
+	baseDesync := obs.Default.Total("wire/desync/")
 	ft.Partition("cb")
 	for i := 100; i < 150; i++ {
 		wire.Send(ca, "satin:cb/0", chaosBin{Seq: uint64(i)})
@@ -175,8 +173,8 @@ func TestChaosBatchedPartitionResync(t *testing.T) {
 	}
 	ft.Heal("cb")
 
-	// Post-heal probes: the first arrivals expose the sequence gap, the
-	// gap timer poisons the session, the reset handshake restarts it.
+	// Post-heal probes: the first arrivals expose the sequence gap and
+	// wait in the reorder buffer until the gap timer skips it.
 	probe := uint64(1 << 32)
 	deadline = time.Now().Add(5 * time.Second)
 	for {
@@ -193,14 +191,14 @@ func TestChaosBatchedPartitionResync(t *testing.T) {
 		probe++
 		time.Sleep(10 * time.Millisecond)
 	}
-	if d := obs.Default.Total("wire/reset/") - baseReset; d == 0 {
-		t.Error("recovery happened without an epoch reset — the partition gap went unnoticed")
+	if d := obs.Default.Total("wire/desync/") - baseDesync; d == 0 {
+		t.Error("recovery happened without a counted gap skip — the partition gap went unnoticed")
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	for seq, n := range seen {
 		if n > 1 {
-			t.Fatalf("frame %d delivered %d times across the partition reset", seq, n)
+			t.Fatalf("frame %d delivered %d times across the partition gap", seq, n)
 		}
 	}
 }

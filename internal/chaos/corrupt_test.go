@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,15 +10,25 @@ import (
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
+	"repro/internal/wirefmt"
 )
 
 type chaosPing struct{ Seq int }
 
+func (m *chaosPing) AppendWire(b []byte) ([]byte, error) {
+	return wirefmt.AppendVarint(b, int64(m.Seq)), nil
+}
+
+func (m *chaosPing) DecodeWire(r *wirefmt.Reader) error {
+	m.Seq = int(r.Varint())
+	return r.Err()
+}
+
 func init() { wire.Register[chaosPing]("chaos-ping") }
 
 // protoErrTotal sums every obs counter a corrupted frame can land in:
-// a flipped byte in the gob body is a decode error, a flipped header
-// byte shows up as a stale/desynced frame on the session.
+// a flipped byte in the body is a decode error, a flipped header byte
+// shows up as a stale frame or a skipped gap on the session.
 func protoErrTotal() uint64 {
 	return obs.Default.Total("wire/decode_err/") +
 		obs.Default.Total("wire/desync/") +
@@ -56,7 +68,7 @@ func TestChaosCorruptionAccounted(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		wire.Send(ca, "satin:cb/0", chaosPing{Seq: i})
 		if i%50 == 49 {
-			// Give the reset handshake a chance to land mid-barrage.
+			// Give gap timers a chance to fire mid-barrage.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -86,5 +98,70 @@ func TestChaosCorruptionAccounted(t *testing.T) {
 		}
 		wire.Send(ca, "satin:cb/0", chaosPing{Seq: -1})
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A flipped byte costs the frame it hit and nothing else, on every
+// seed. The receiver moves its cursor on a single frame's (epoch, seq)
+// with nobody to ask, so a damaged header must read as a lost frame:
+// one that threw the cursor ahead of the sender would silence the pair
+// for good. The check above cannot see that (frames still in flight
+// satisfy it), so this one waits for the link to fall quiet first.
+func TestChaosCorruptionCostsOnlyItsFrame(t *testing.T) {
+	const frames = 100
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			t.Parallel()
+			inner := transport.NewInProc(nil)
+			defer inner.Close()
+			ft := NewFaultTransport(inner, seed, nil)
+			defer ft.Close()
+			epA, _ := ft.Endpoint("satin:ca/0")
+			epB, _ := ft.Endpoint("satin:cb/0")
+			ca, cb := wire.New(epA), wire.New(epB)
+			defer ca.Close()
+			defer cb.Close()
+
+			var mu sync.Mutex
+			seen := make(map[int]int)
+			wire.Handle(cb, func(m chaosPing, _ wire.Meta) {
+				mu.Lock()
+				seen[m.Seq]++
+				mu.Unlock()
+			})
+			delivered := func() int { mu.Lock(); defer mu.Unlock(); return len(seen) }
+
+			ft.SetFaults("ca", "cb", Faults{Corrupt: 0.05, Duplicate: 0.2})
+			for i := 0; i < frames; i++ {
+				wire.Send(ca, "satin:cb/0", chaosPing{Seq: i})
+			}
+			ft.ClearFaults()
+			// Quiet means no delivery for three gap waits: every hole a
+			// corrupted frame left has been skipped by then.
+			for n, since := delivered(), time.Now(); time.Since(since) < 300*time.Millisecond; {
+				time.Sleep(10 * time.Millisecond)
+				if d := delivered(); d != n {
+					n, since = d, time.Now()
+				}
+			}
+			if lost, hit := frames-delivered(), int(ft.Stats().Corrupted); lost > hit {
+				t.Errorf("%d corrupted copies cost %d frames", hit, lost)
+			}
+			wire.Send(ca, "satin:cb/0", chaosPing{Seq: frames})
+			probed := func() bool { mu.Lock(); defer mu.Unlock(); return seen[frames] > 0 }
+			for deadline := time.Now().Add(2 * time.Second); !probed(); {
+				if time.Now().After(deadline) {
+					t.Fatal("first frame on the healed, quiet link was not delivered: cursor stuck ahead of the sender")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for seq, n := range seen {
+				if n > 1 {
+					t.Fatalf("frame %d delivered %d times", seq, n)
+				}
+			}
+		})
 	}
 }

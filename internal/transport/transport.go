@@ -1,7 +1,7 @@
 // Package transport is the messaging substrate of the real runtime —
 // the role the Ibis communication library plays in the paper. It
-// offers named endpoints exchanging typed, gob-encoded frames over two
-// interchangeable fabrics:
+// offers named endpoints exchanging opaque frames (typed one layer
+// up, in internal/transport/wire) over two interchangeable fabrics:
 //
 //   - InProc: an in-process fabric whose directed links carry
 //     configurable latency and bandwidth (token-bucket serialisation),

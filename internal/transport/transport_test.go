@@ -138,32 +138,6 @@ func TestInProcOrderPreservedPerLink(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	type payload struct {
-		A int
-		B string
-		C []float64
-	}
-	in := payload{A: 7, B: "x", C: []float64{1, 2.5}}
-	b, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := Decode(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.A != in.A || out.B != in.B || len(out.C) != 2 || out.C[1] != 2.5 {
-		t.Fatalf("round trip = %+v", out)
-	}
-	if err := Decode([]byte("garbage"), &out); err == nil {
-		t.Fatal("decoding garbage succeeded")
-	}
-	if got := MustEncode(in); len(got) == 0 {
-		t.Fatal("MustEncode returned empty payload")
-	}
-}
-
 func TestTCPHubRouting(t *testing.T) {
 	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {

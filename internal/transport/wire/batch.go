@@ -9,10 +9,10 @@
 // frame its kind string and its length-prefixed payload. Each payload
 // is a complete headered frame (epoch + seq + body), so the receiver
 // simply replays the envelope through the normal per-frame path: the
-// epoch/seq dedup, reorder and poison/reset machinery see exactly the
+// epoch/seq dedup, reorder buffer and gap skipping see exactly the
 // frames they would have seen unbatched. A corrupted envelope is a
-// counted decode error; the sub-frames it carried become sequence gaps
-// the existing gap-timer/reset recovery heals.
+// counted decode error; the sub-frames it carried become a sequence
+// gap the receiver skips after gapTimeout.
 package wire
 
 import (
@@ -127,8 +127,8 @@ func (c *Conn) handleBatch(msg transport.Message) {
 		}
 		payload := r.View(ln)
 		if kind == "" || strings.HasPrefix(kind, "\x00") {
-			// Control kinds must not nest: a batch smuggling a reset (or
-			// another batch) is malformed, not a protocol action.
+			// Control kinds must not nest: a batch smuggling another batch
+			// is malformed, not a protocol action.
 			r.Fail("control kind inside batch envelope")
 			break
 		}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/transport"
@@ -9,21 +8,18 @@ import (
 )
 
 // benchJob mirrors the shape of satin's steal-reply payload — the
-// steal hot path the session codec exists for.
+// steal hot path.
 type benchJob struct {
 	ID    uint64
 	Owner string
 	Args  [4]int
 }
 
-type benchReply struct {
+type benchReplyBin struct {
 	Seq    uint64
 	HasJob bool
 	Job    benchJob
 }
-
-// benchReplyBin is the same shape under the binary codec.
-type benchReplyBin benchReply
 
 func (m *benchReplyBin) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendUvarint(b, m.Seq)
@@ -47,55 +43,22 @@ func (m *benchReplyBin) DecodeWire(r *wirefmt.Reader) error {
 	return r.Err()
 }
 
-func init() {
-	Register[benchReply]("bench-reply")
-	Register[benchReplyBin]("bench-reply-bin")
-}
+func init() { Register[benchReplyBin]("bench-reply-bin") }
 
-var benchValue = benchReply{
+var benchValue = benchReplyBin{
 	Seq:    42,
 	HasJob: true,
 	Job:    benchJob{ID: 7, Owner: "fs0/03", Args: [4]int{1, 2, 3, 4}},
 }
 
-// BenchmarkWireEncode compares three codec generations: the original
-// per-message gob codec (fresh encoder, descriptors resent every
-// message — kept strictly as the historical baseline; no production
-// path constructs per-message encoders anymore), the session gob codec
-// (persistent stream, descriptors once), and the binary codec
-// (wirefmt, no descriptors at all). Numbers in EXPERIMENTS.md.
+// BenchmarkWireEncode times one frame's encode into a headered buffer.
+// The "binary" arm name is kept so runs stay comparable with the
+// per-message-gob and session-gob generations recorded in
+// EXPERIMENTS.md, whose code is gone.
 func BenchmarkWireEncode(b *testing.B) {
-	b.Run("per-message-gob-historical-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		var total int
-		for i := 0; i < b.N; i++ {
-			p, err := transport.Encode(benchValue)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(p)
-		}
-		reportFrameBytes(b, total)
-	})
-	b.Run("session", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf byteBuffer
-		enc := gob.NewEncoder(&buf)
-		var total int
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(benchValue); err != nil {
-				b.Fatal(err)
-			}
-			p := make([]byte, headerLen+len(buf.Bytes()))
-			copy(p[headerLen:], buf.Bytes())
-			total += len(p)
-		}
-		reportFrameBytes(b, total)
-	})
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
-		v := benchReplyBin(benchValue)
+		v := benchValue
 		var total int
 		for i := 0; i < b.N; i++ {
 			p, err := v.AppendWire(make([]byte, headerLen, headerLen+64))
@@ -115,52 +78,8 @@ func reportFrameBytes(b *testing.B, total int) {
 }
 
 // BenchmarkWireRoundTrip measures whole frames through an ideal
-// in-process fabric: encode, send, deliver, decode, dispatch. The
-// per-message-gob arm is the historical baseline only.
+// in-process fabric: encode, send, deliver, decode, dispatch.
 func BenchmarkWireRoundTrip(b *testing.B) {
-	b.Run("per-message-gob-historical-baseline", func(b *testing.B) {
-		f := transport.NewInProc(nil)
-		defer f.Close()
-		epA, _ := f.Endpoint("a")
-		epB, _ := f.Endpoint("b")
-		done := make(chan struct{}, 1)
-		epB.SetHandler(func(m transport.Message) {
-			var v benchReply
-			if err := transport.Decode(m.Payload, &v); err != nil {
-				b.Error(err)
-			}
-			done <- struct{}{}
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p, err := transport.Encode(benchValue)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := epA.Send("b", "bench-reply", p); err != nil {
-				b.Fatal(err)
-			}
-			<-done
-		}
-	})
-	b.Run("session", func(b *testing.B) {
-		f := transport.NewInProc(nil)
-		defer f.Close()
-		epA, _ := f.Endpoint("a")
-		epB, _ := f.Endpoint("b")
-		ca, cb := New(epA), New(epB)
-		done := make(chan struct{}, 1)
-		Handle(cb, func(v benchReply, _ Meta) { done <- struct{}{} })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Send(ca, "b", benchValue); err != nil {
-				b.Fatal(err)
-			}
-			<-done
-		}
-	})
 	b.Run("binary", func(b *testing.B) {
 		f := transport.NewInProc(nil)
 		defer f.Close()
@@ -169,11 +88,10 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		ca, cb := New(epA), New(epB)
 		done := make(chan struct{}, 1)
 		Handle(cb, func(v benchReplyBin, _ Meta) { done <- struct{}{} })
-		v := benchReplyBin(benchValue)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := Send(ca, "b", v); err != nil {
+			if err := Send(ca, "b", benchValue); err != nil {
 				b.Fatal(err)
 			}
 			<-done

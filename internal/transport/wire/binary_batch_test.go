@@ -10,9 +10,7 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// binEchoMsg is the package's binary-codec guinea pig: registered with
-// a wirefmt.Frame implementation, so it bypasses the session gob
-// stream.
+// binEchoMsg is the package's multi-field codec guinea pig.
 type binEchoMsg struct {
 	ID   string
 	N    int64
@@ -34,15 +32,6 @@ func (m *binEchoMsg) DecodeWire(r *wirefmt.Reader) error {
 }
 
 func init() { Register[binEchoMsg]("test-bin") }
-
-func TestBinaryKindDetected(t *testing.T) {
-	if !isBinaryKind("test-bin") {
-		t.Fatal("binEchoMsg registration did not mark the kind binary")
-	}
-	if isBinaryKind("test-ping") {
-		t.Fatal("gob-only kind marked binary")
-	}
-}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	f := transport.NewInProc(nil)
@@ -82,9 +71,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// A malformed binary frame is stateless: it must be counted and
-// skipped without poisoning the session — no desync, no epoch reset,
-// and the very next frame flows.
+// A malformed frame is self-contained: it must be counted and skipped
+// without disturbing the session — no desync, and the very next frame
+// flows.
 func TestBinaryCorruptFrameSkippedNotPoisoned(t *testing.T) {
 	var mu sync.Mutex
 	truncateNext := false
@@ -121,7 +110,7 @@ func TestBinaryCorruptFrameSkippedNotPoisoned(t *testing.T) {
 	truncateNext = true
 	mu.Unlock()
 	Send(a, "b", binEchoMsg{N: 1, ID: "x"}) // mangled in flight
-	Send(a, "b", binEchoMsg{N: 2, ID: "x"}) // must arrive with no reset round trip
+	Send(a, "b", binEchoMsg{N: 2, ID: "x"}) // must arrive with no gap wait
 	waitFor(t, "frame after corruption", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -168,8 +157,8 @@ func TestBatchCoalescesAndDeliversInOrder(t *testing.T) {
 		recv = append(recv, int64(m.N))
 		mu.Unlock()
 	})
-	// Interleave binary and gob kinds: the batch must preserve FIFO
-	// across codecs (they share one seq space per pair).
+	// Interleave two kinds: the batch must preserve FIFO across kinds
+	// (they share one seq space per pair).
 	for i := 0; i < 8; i++ {
 		var err error
 		if i%2 == 0 {
@@ -250,8 +239,8 @@ func TestCloseFlushesBatch(t *testing.T) {
 }
 
 // A corrupted envelope is a counted protocol error, its frames become
-// sequence gaps, and the existing gap-timer/reset machinery restores
-// the flow — the batching layer adds no new failure mode.
+// a sequence gap, and the ordinary gap skip restores the flow — the
+// batching layer adds no new failure mode.
 func TestBatchEnvelopeCorruptionRecovers(t *testing.T) {
 	old := gapTimeout
 	gapTimeout = 10 * time.Millisecond
@@ -318,7 +307,7 @@ func FuzzBatchEnvelope(f *testing.F) {
 	// Seed: a well-formed two-frame envelope.
 	frame := func(seq uint64, id string) []byte {
 		p, _ := (&binEchoMsg{ID: id, N: 7}).AppendWire(make([]byte, headerLen))
-		p[11] = byte(seq)
+		putHeader(p, 0, seq)
 		return p
 	}
 	var env []byte
@@ -330,7 +319,7 @@ func FuzzBatchEnvelope(f *testing.F) {
 	f.Add(env)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Add(wirefmt.AppendString(wirefmt.AppendUvarint(nil, 1), "\x00wire-reset"))
+	f.Add(wirefmt.AppendString(wirefmt.AppendUvarint(nil, 1), ctrlBatch))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c.handleBatch(transport.Message{From: "peer", Kind: ctrlBatch, Payload: data})

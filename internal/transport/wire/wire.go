@@ -2,40 +2,46 @@
 // transport: the part of the Ibis stand-in that every protocol in the
 // repository (satin's steal/result traffic, the registry, the
 // adaptation report path) speaks instead of hand-rolling `switch
-// msg.Kind` dispatch and a fresh gob codec per message.
+// msg.Kind` dispatch and a codec per message.
 //
 // Three ideas:
 //
 //   - a frame registry: Register[T]("kind") once per message type, then
 //     Send(conn, to, v) and Handle(conn, func(T, Meta)) are type-safe —
-//     the kind string never appears at call sites again;
-//   - session codecs: each directed endpoint pair shares one streaming
-//     gob encoder/decoder, so type descriptors cross the link once per
-//     session instead of once per message, and the per-message cost is
-//     one small buffer reset instead of a fresh encoder + allocation.
-//     Sessions carry an (epoch, seq) header; duplicated frames are
-//     discarded by sequence number, reordered frames are buffered back
-//     into order, and an unfillable gap (loss, partition, a rejoined
-//     endpoint) triggers an epoch reset handshake that restarts the
-//     stream instead of silently corrupting it;
-//   - observability: every frame, byte, duplicate, stale frame and
-//     decode error is counted in internal/obs, per message kind and per
-//     directed cluster pair. A malformed frame is a counted, once-logged
-//     protocol error — never a silent drop.
+//     the kind string never appears at call sites again. A frame type
+//     brings its own binary codec (wirefmt.Frame) or does not compile;
+//   - (epoch, seq) sessions: every frame is self-contained and carries
+//     its directed pair's (epoch, seq), which buys at-most-once,
+//     in-order delivery with nothing flowing back to the sender.
+//     Receive rules: a stale epoch is counted and dropped, a newer one
+//     adopted; seq below the cursor is a counted duplicate; seq above
+//     it is buffered behind a bounded gap wait, after which the hole is
+//     skipped (counted) and the buffered frames delivered in order; an
+//     unknown kind or a decode error is counted and consumes its slot.
+//     Incarnation rules: send sessions draw epochs from one process-wide
+//     monotone, clock-seeded source, so a new Conn under a reused
+//     endpoint name outranks its predecessor on its first frame; and a
+//     receive session adopts the first epoch it sees, so a rejoined
+//     endpoint picks up a mid-stream sender after one gap wait (a gap
+//     at seq 0: counted as wire/pickup, not as loss);
+//   - observability: every frame, byte, duplicate, stale frame, skipped
+//     gap and decode error is counted in internal/obs, per message kind
+//     and per directed cluster pair. A malformed frame is a counted,
+//     once-logged protocol error — never a silent drop.
 //
 // Layering: obs depends on nothing; wire feeds obs; chaos and the
-// binaries read obs. wire depends only on transport and obs.
+// binaries read obs. wire depends only on transport, wirefmt and obs.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"log"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -49,19 +55,21 @@ var (
 	regMu      sync.RWMutex
 	kindByType = make(map[reflect.Type]string)
 	typeByKind = make(map[string]reflect.Type)
-	binByKind  = make(map[string]bool)
 )
 
-// frameType is the binary-codec marker interface: a registered type
-// whose pointer implements wirefmt.Frame bypasses the session gob
-// stream and encodes with the hand-rolled binary codec.
-var frameType = reflect.TypeOf((*wirefmt.Frame)(nil)).Elem()
+// framePtr constrains a message type T to those whose pointer carries
+// the binary codec, so registering, sending or handling a type without
+// one is a compile error rather than a second codec path.
+type framePtr[T any] interface {
+	*T
+	wirefmt.Frame
+}
 
 // Register associates a message type with its frame kind. Call once
 // per type, at package init. Re-registering the identical pair is a
 // no-op (several packages may share a kind, e.g. "report"); conflicts
 // panic immediately — they are wiring bugs.
-func Register[T any](kind string) {
+func Register[T any, PT framePtr[T]](kind string) {
 	t := reflect.TypeOf((*T)(nil)).Elem()
 	if kind == "" || strings.HasPrefix(kind, "\x00") {
 		panic(fmt.Sprintf("wire: invalid kind %q for %v", kind, t))
@@ -79,42 +87,50 @@ func Register[T any](kind string) {
 	}
 	typeByKind[kind] = t
 	kindByType[t] = kind
-	binByKind[kind] = reflect.PointerTo(t).Implements(frameType)
 }
 
-func kindOf(t reflect.Type) (kind string, bin, ok bool) {
+func kindOf(t reflect.Type) (kind string, ok bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	k, ok := kindByType[t]
-	return k, binByKind[k], ok
-}
-
-func isBinaryKind(kind string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return binByKind[kind]
+	kind, ok = kindByType[t]
+	return kind, ok
 }
 
 // ---- frame format ----
 
-// Each frame payload is a 12-byte header (epoch uint32, seq uint64,
-// big endian) followed by the session stream's delta bytes for exactly
-// one encoded value. ctrlReset frames carry the 4-byte epoch the
-// receiver wants abandoned.
+// Each frame payload is a 12-byte header (epoch uint32, seq uint48,
+// check uint16, big endian) followed by exactly one value in its type's
+// binary codec. 48 bits of seq last a pair nine years at a million
+// frames a second. The check is what lets a receiver move its cursor on
+// a single frame's say-so with no way to ask the sender: a header
+// damaged in flight is a lost frame (a gap, skipped), never a cursor
+// thrown ahead of the sender for good.
 const headerLen = 12
 
-// ctrlReset is the reserved control kind of the epoch-reset handshake;
-// ctrlBatch carries a coalesced envelope of logical frames (batch.go).
-const (
-	ctrlReset = "\x00wire-reset"
-	ctrlBatch = "\x00wire-batch"
-)
+func headerCheck(p []byte) uint16 { return uint16(crc32.ChecksumIEEE(p[:10])) }
+
+func putHeader(p []byte, epoch uint32, seq uint64) {
+	binary.BigEndian.PutUint32(p[0:4], epoch)
+	binary.BigEndian.PutUint64(p[4:12], seq<<16)
+	binary.BigEndian.PutUint16(p[10:12], headerCheck(p))
+}
+
+func parseHeader(p []byte) (epoch uint32, seq uint64, ok bool) {
+	if len(p) < headerLen || binary.BigEndian.Uint16(p[10:12]) != headerCheck(p) {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint32(p[0:4]), binary.BigEndian.Uint64(p[4:12]) >> 16, true
+}
+
+// ctrlBatch is the reserved control kind carrying a coalesced envelope
+// of logical frames (batch.go).
+const ctrlBatch = "\x00wire-batch"
 
 // gapTimeout bounds how long a receive session waits for a reordered
-// frame to fill a sequence gap before declaring the stream broken and
-// requesting a fresh epoch. It must stay well below registry failure
-// timeouts, or a lost frame could stall heartbeats long enough to look
-// like a death. Variable for tests.
+// frame to fill a sequence gap before declaring the missing frames lost
+// and skipping them. It must stay well below registry failure timeouts,
+// or a lost frame could stall heartbeats long enough to look like a
+// death. Variable for tests.
 var gapTimeout = 100 * time.Millisecond
 
 // maxPending bounds the receive-side reorder buffer per session.
@@ -151,34 +167,53 @@ type kindCounters struct {
 	frames, bytes *obs.Counter
 }
 
-func newKindCounters(dir, kind string) *kindCounters {
-	return &kindCounters{
-		frames: obs.Default.Counter("wire/frames_" + dir + "/" + kind),
-		bytes:  obs.Default.Counter("wire/bytes_" + dir + "/" + kind),
+func countKind(cache map[string]*kindCounters, dir, kind string, size int) {
+	kc := cache[kind]
+	if kc == nil {
+		kc = &kindCounters{
+			frames: obs.Default.Counter("wire/frames_" + dir + "/" + kind),
+			bytes:  obs.Default.Counter("wire/bytes_" + dir + "/" + kind),
+		}
+		cache[kind] = kc
 	}
+	kc.frames.Inc()
+	kc.bytes.Add(uint64(size))
 }
 
-// logOnce ensures each (problem, kind) pair is logged a single time per
-// process; after that the obs counters carry the signal.
+// logOnce ensures each (problem, subject) pair is logged a single time
+// per process; after that the obs counters carry the signal. Subjects
+// are frame kinds or cluster pairs — both bounded by the program and
+// its topology — never endpoint names, which a long-lived service sees
+// an unbounded number of.
 var logOnce sync.Map
 
-func logKindOnce(problem, kind string, err error) {
-	key := problem + "/" + kind
+func logKindOnce(problem, subject string, err error) {
+	key := problem + "/" + subject
 	if _, loaded := logOnce.LoadOrStore(key, struct{}{}); !loaded {
 		if err != nil {
-			log.Printf("wire: %s on kind %q: %v (counted in obs, logged once)", problem, kind, err)
+			log.Printf("wire: %s on %q: %v (counted in obs, logged once)", problem, subject, err)
 		} else {
-			log.Printf("wire: %s on kind %q (counted in obs, logged once)", problem, kind)
+			log.Printf("wire: %s on %q (counted in obs, logged once)", problem, subject)
 		}
 	}
 }
 
+// lastEpoch is the process-wide source of session epochs. Monotone, so
+// a new Conn under a reused endpoint name (and every restarted send
+// session) outranks what its peers remember of the old one; seeded from
+// the clock, so a restarted process outranks its previous run too,
+// unless that run spent more epochs than it lived seconds (one per send
+// session opened, one per restart of a stream that had frames in flight).
+var lastEpoch atomic.Uint32
+
+func init() { lastEpoch.Store(uint32(time.Now().Unix())) }
+
 // ---- connection ----
 
-// Conn wraps one transport endpoint with typed dispatch and session
-// codecs. Create with New, register handlers with Handle, send with
-// Send. Handlers run on the fabric's delivery goroutines, in per-pair
-// order, and may call Send.
+// Conn wraps one transport endpoint with typed dispatch and (epoch,
+// seq) sessions. Create with New, register handlers with Handle, send
+// with Send. Handlers run one at a time and in order per sending peer,
+// on fabric delivery goroutines or a gap timer's, and may call Send.
 type Conn struct {
 	ep    transport.Endpoint
 	batch BatchConfig // zero = coalescing off
@@ -190,10 +225,8 @@ type Conn struct {
 	closed   bool
 }
 
-// handlerFunc dispatches one in-order frame. Binary-codec kinds decode
-// from data; session-gob kinds decode from dec (fed with data by the
-// caller).
-type handlerFunc func(data []byte, dec *gob.Decoder, m Meta) error
+// handlerFunc decodes one in-order frame body and dispatches it.
+type handlerFunc func(data []byte, m Meta) error
 
 // Option configures a Conn at New time.
 type Option func(*Conn)
@@ -213,9 +246,6 @@ func New(ep transport.Endpoint, opts ...Option) *Conn {
 	ep.SetHandler(c.handle)
 	return c
 }
-
-// Name returns the underlying endpoint's name.
-func (c *Conn) Name() string { return c.ep.Name() }
 
 // Close flushes pending frame batches, detaches the endpoint and stops
 // the sessions' timers.
@@ -238,10 +268,7 @@ func (c *Conn) Close() error {
 	}
 	for _, rs := range recvs {
 		rs.mu.Lock()
-		if rs.gapTimer != nil {
-			rs.gapTimer.Stop()
-			rs.gapTimer = nil
-		}
+		rs.stopGapTimerLocked()
 		rs.mu.Unlock()
 	}
 	return c.ep.Close()
@@ -249,9 +276,9 @@ func (c *Conn) Close() error {
 
 // Handle registers the typed handler for T's kind. One handler per
 // kind per Conn; T must have been Registered.
-func Handle[T any](c *Conn, h func(T, Meta)) {
+func Handle[T any, PT framePtr[T]](c *Conn, h func(T, Meta)) {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	kind, isBin, ok := kindOf(t)
+	kind, ok := kindOf(t)
 	if !ok {
 		panic(fmt.Sprintf("wire: Handle of unregistered type %v", t))
 	}
@@ -260,24 +287,13 @@ func Handle[T any](c *Conn, h func(T, Meta)) {
 	if _, dup := c.handlers[kind]; dup {
 		panic(fmt.Sprintf("wire: duplicate handler for kind %q on %s", kind, c.ep.Name()))
 	}
-	if isBin {
-		c.handlers[kind] = func(data []byte, _ *gob.Decoder, m Meta) error {
-			var v T
-			r := wirefmt.NewReader(data)
-			if err := any(&v).(wirefmt.Frame).DecodeWire(&r); err != nil {
-				return err
-			}
-			if err := r.Finish(); err != nil {
-				return err
-			}
-			h(v, m)
-			return nil
-		}
-		return
-	}
-	c.handlers[kind] = func(_ []byte, dec *gob.Decoder, m Meta) error {
+	c.handlers[kind] = func(data []byte, m Meta) error {
 		var v T
-		if err := dec.Decode(&v); err != nil {
+		r := wirefmt.NewReader(data)
+		if err := PT(&v).DecodeWire(&r); err != nil {
+			return err
+		}
+		if err := r.Finish(); err != nil {
 			return err
 		}
 		h(v, m)
@@ -285,70 +301,37 @@ func Handle[T any](c *Conn, h func(T, Meta)) {
 	}
 }
 
-// Send encodes v on the session to the destination endpoint and sends
-// it as one frame. An encoding failure (an unregistered concrete type
-// inside an interface field) restarts the session stream and returns
-// the error; the caller can then send a fallback message safely.
-func Send[T any](c *Conn, to string, v T) error {
+// Send encodes v and sends it as one frame on the session to the
+// destination endpoint. An encoding failure is counted and returned;
+// frames are self-contained, so the session is untouched and the caller
+// can send a fallback message safely.
+func Send[T any, PT framePtr[T]](c *Conn, to string, v T) error {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	kind, isBin, ok := kindOf(t)
+	kind, ok := kindOf(t)
 	if !ok {
 		return fmt.Errorf("wire: send of unregistered type %v", t)
+	}
+	p, err := PT(&v).AppendWire(make([]byte, headerLen, headerLen+64))
+	if err != nil {
+		obs.Default.Counter("wire/encode_err/" + kind).Inc()
+		logKindOnce("encode error", kind, err)
+		return fmt.Errorf("wire: encode %q: %w", kind, err)
 	}
 	ss := c.sendSession(to)
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	var p []byte
-	if isBin {
-		var err error
-		p, err = any(&v).(wirefmt.Frame).AppendWire(make([]byte, headerLen, headerLen+64))
-		if err != nil {
-			// Binary frames are stateless: nothing half-written crossed
-			// the stream, so the session does not restart.
-			obs.Default.Counter("wire/encode_err/" + kind).Inc()
-			logKindOnce("encode error", kind, err)
-			return fmt.Errorf("wire: encode %q: %w", kind, err)
-		}
-	} else {
-		ss.buf.Reset()
-		if err := ss.enc.Encode(v); err != nil {
-			// The encoder may have half-written descriptors it now believes
-			// the receiver has: the stream is unusable. Flush frames already
-			// coalesced (they encode against the epoch being abandoned, and
-			// must leave before the receiver adopts the new one), then
-			// restart under a fresh epoch.
-			_ = ss.flushLocked(c)
-			ss.restartLocked()
-			obs.Default.Counter("wire/encode_err/" + kind).Inc()
-			logKindOnce("encode error", kind, err)
-			return fmt.Errorf("wire: encode %q: %w", kind, err)
-		}
-		delta := ss.buf.Bytes()
-		p = make([]byte, headerLen+len(delta))
-		copy(p[headerLen:], delta)
-	}
-	binary.BigEndian.PutUint32(p[0:4], ss.epoch)
-	binary.BigEndian.PutUint64(p[4:12], ss.seq)
+	putHeader(p, ss.epoch, ss.seq)
 	ss.seq++
-	kc := ss.kindC[kind]
-	if kc == nil {
-		kc = newKindCounters("out", kind)
-		ss.kindC[kind] = kc
-	}
-	kc.frames.Inc()
-	kc.bytes.Add(uint64(len(p)))
+	countKind(ss.kindC, "out", kind, len(p))
 	ss.pairFrames.Inc()
 	ss.pairBytes.Add(uint64(len(p)))
 	// Dispatch under the session lock: the fabric's per-pair FIFO must
 	// see frames in sequence order.
 	if err := ss.dispatchLocked(c, kind, p); err != nil {
 		// The frame never left (endpoint gone, fabric refused) but its
-		// sequence number — and, for gob kinds, encoder state the
-		// receiver will never see — is already spent. Without a restart
-		// the next successful send would open a permanent gap and be
-		// discarded as stale after Send reported success. A fresh epoch
-		// makes the next send self-contained; the receiver adopts it on
-		// arrival.
+		// sequence number is spent: the next successful send would open
+		// a gap the receiver has to wait out. A restart makes the next
+		// send the start of a stream; the receiver adopts it on arrival.
 		ss.restartLocked()
 		obs.Default.Counter("wire/send_err/" + kind).Inc()
 		return err
@@ -363,8 +346,6 @@ type sendSession struct {
 	to    string
 	epoch uint32
 	seq   uint64
-	buf   byteBuffer
-	enc   *gob.Encoder
 
 	// coalescing state (batch.go); idle when the Conn has no BatchConfig
 	batchBuf   []byte
@@ -391,25 +372,27 @@ func (c *Conn) sendSession(to string) *sendSession {
 	pair := pairLabel(c.ep.Name(), to)
 	ss = &sendSession{
 		to:         to,
+		epoch:      lastEpoch.Add(1),
 		kindC:      make(map[string]*kindCounters),
 		batchesOut: obs.Default.Counter("wire/batches_out/" + pair),
 		pairFrames: obs.Default.Counter("wire/pair_frames_out/" + pair),
 		pairBytes:  obs.Default.Counter("wire/pair_bytes_out/" + pair),
 	}
-	ss.enc = gob.NewEncoder(&ss.buf)
 	c.sends[to] = ss
 	return ss
 }
 
-// restartLocked begins a fresh stream under the next epoch. Frames
-// still coalesced in the batch buffer encode against the abandoned
-// epoch and would arrive stale; they are discarded, exactly as
-// in-flight frames of the old epoch are.
+// restartLocked begins a fresh stream under a new epoch. Frames still
+// coalesced in the batch buffer carry the abandoned epoch and would
+// arrive stale; they are discarded, exactly as in-flight frames of the
+// old epoch are. A stream whose only frame was the refused one has
+// nothing in flight and keeps its epoch, so retrying against a dead
+// peer does not run the epoch source ahead of the clock.
 func (ss *sendSession) restartLocked() {
-	ss.epoch++
+	if ss.seq > 1 {
+		ss.epoch = lastEpoch.Add(1)
+	}
 	ss.seq = 0
-	ss.buf.Reset()
-	ss.enc = gob.NewEncoder(&ss.buf)
 	ss.discardBatchLocked()
 }
 
@@ -417,19 +400,16 @@ func (ss *sendSession) restartLocked() {
 
 type pframe struct {
 	kind string
-	data []byte
-	size int
+	data []byte // the body; the header has been parsed off
 }
 
+// recvSession is one peer's delivery cursor: frames below (epoch, next)
+// are refused, the frame at it is delivered, frames above it wait in
+// pending for the gap to fill or gapTimer to give up on it.
 type recvSession struct {
 	mu       sync.Mutex
 	epoch    uint32
 	next     uint64
-	started  bool // decoded at least one frame of this epoch
-	poisoned bool // stream broken; waiting for a fresh epoch
-	lastReq  time.Time
-	dec      *gob.Decoder
-	feed     byteFeed
 	pending  map[uint64]pframe
 	gapTimer *time.Timer
 
@@ -437,6 +417,12 @@ type recvSession struct {
 	pairFrames, pairBytes *obs.Counter
 }
 
+// recvSession returns the session for frames from the named peer. A new
+// one sits below every epoch, so it adopts the first it sees from seq 0.
+// A first frame with a higher seq waits out one gap: the sender may be
+// mid-stream (this endpoint rejoined), or its first frames may be
+// arriving out of order, and taking the second case for the first would
+// lose them.
 func (c *Conn) recvSession(from string) *recvSession {
 	c.mu.RLock()
 	rs, ok := c.recvs[from]
@@ -456,16 +442,8 @@ func (c *Conn) recvSession(from string) *recvSession {
 		pairFrames: obs.Default.Counter("wire/pair_frames_in/" + pair),
 		pairBytes:  obs.Default.Counter("wire/pair_bytes_in/" + pair),
 	}
-	rs.dec = gob.NewDecoder(&rs.feed)
 	c.recvs[from] = rs
 	return rs
-}
-
-func (c *Conn) handler(kind string) (handlerFunc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h, ok := c.handlers[kind]
-	return h, ok
 }
 
 func (c *Conn) isClosed() bool {
@@ -480,53 +458,39 @@ func (c *Conn) handle(msg transport.Message) {
 	if c.isClosed() {
 		return
 	}
-	if msg.Kind == ctrlReset {
-		c.handleReset(msg)
-		return
-	}
 	if msg.Kind == ctrlBatch {
 		c.handleBatch(msg)
 		return
 	}
-	if len(msg.Payload) < headerLen {
+	epoch, seq, ok := parseHeader(msg.Payload)
+	if !ok {
 		obs.Default.Counter("wire/decode_err/" + msg.Kind).Inc()
-		logKindOnce("truncated frame", msg.Kind, nil)
+		logKindOnce("truncated or corrupt frame header", msg.Kind, nil)
 		return
 	}
-	epoch := binary.BigEndian.Uint32(msg.Payload[0:4])
-	seq := binary.BigEndian.Uint64(msg.Payload[4:12])
-	data := msg.Payload[headerLen:]
-
+	pf := pframe{kind: msg.Kind, data: msg.Payload[headerLen:]}
 	rs := c.recvSession(msg.From)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.pairFrames.Inc()
 	rs.pairBytes.Add(uint64(len(msg.Payload)))
-	kc := rs.kindC[msg.Kind]
-	if kc == nil {
-		kc = newKindCounters("in", msg.Kind)
-		rs.kindC[msg.Kind] = kc
-	}
-	kc.frames.Inc()
-	kc.bytes.Add(uint64(len(msg.Payload)))
+	countKind(rs.kindC, "in", msg.Kind, len(msg.Payload))
 
 	switch {
 	case epoch < rs.epoch:
-		// A frame of an abandoned stream arriving late (reorder across
-		// a reset): its bytes are undecodable without the old stream.
+		// A frame of an abandoned stream arriving late (reordered across
+		// a restart, or sent by an incarnation that has been replaced).
 		obs.Default.Counter("wire/stale/" + msg.Kind).Inc()
 		return
 	case epoch > rs.epoch:
-		// The sender restarted the stream: adopt the new epoch, drop
-		// whatever the old one still had buffered.
-		c.adoptEpochLocked(rs, epoch)
-	}
-	if rs.poisoned {
-		obs.Default.Counter("wire/stale/" + msg.Kind).Inc()
-		// The reset request may itself have been lost (partition):
-		// re-ask while broken frames keep arriving.
-		c.maybeRequestResetLocked(rs, msg.From)
-		return
+		// The sender restarted the stream, or a new incarnation took the
+		// name: adopt its epoch from seq 0, drop whatever the old one
+		// still had buffered.
+		for seq, pf := range rs.pending {
+			obs.Default.Counter("wire/stale/" + pf.kind).Inc()
+			delete(rs.pending, seq)
+		}
+		rs.epoch, rs.next = epoch, 0
 	}
 	switch {
 	case seq < rs.next:
@@ -538,207 +502,106 @@ func (c *Conn) handle(msg transport.Message) {
 			obs.Default.Counter("wire/dup/" + msg.Kind).Inc()
 			return
 		}
-		if len(rs.pending) >= maxPending {
-			c.poisonLocked(rs, msg.From, "reorder buffer overflow")
-			return
+		rs.pending[seq] = pf
+		if len(rs.pending) > maxPending {
+			c.skipGapLocked(rs, msg.From)
 		}
-		rs.pending[seq] = pframe{kind: msg.Kind, data: data, size: len(msg.Payload)}
-		c.armGapTimerLocked(rs, msg.From)
+	default:
+		c.deliverLocked(rs, msg.From, pf)
+		c.drainLocked(rs, msg.From)
+	}
+	c.syncGapTimerLocked(rs, msg.From)
+}
+
+// deliverLocked dispatches the frame at the cursor and advances it.
+// Frames are self-contained: one without a handler or with a malformed
+// body is counted and consumes its slot, and the stream continues.
+func (c *Conn) deliverLocked(rs *recvSession, from string, pf pframe) {
+	rs.next++
+	c.mu.RLock()
+	h, ok := c.handlers[pf.kind]
+	c.mu.RUnlock()
+	if !ok {
+		obs.Default.Counter("wire/unknown_kind/" + pf.kind).Inc()
+		logKindOnce("no handler", pf.kind, nil)
 		return
 	}
-	// In sequence: decode, then drain whatever the gap was holding back.
-	c.deliverLocked(rs, msg.From, msg.Kind, data, len(msg.Payload))
-	for !rs.poisoned {
+	if err := h(pf.data, Meta{From: from, Bytes: headerLen + len(pf.data)}); err != nil {
+		obs.Default.Counter("wire/decode_err/" + pf.kind).Inc()
+		logKindOnce("decode error", pf.kind, err)
+	}
+}
+
+// drainLocked delivers the buffered frames that have become in-sequence.
+func (c *Conn) drainLocked(rs *recvSession, from string) {
+	for {
 		pf, ok := rs.pending[rs.next]
 		if !ok {
-			break
-		}
-		delete(rs.pending, rs.next)
-		c.deliverLocked(rs, msg.From, pf.kind, pf.data, pf.size)
-	}
-	if len(rs.pending) == 0 && rs.gapTimer != nil {
-		rs.gapTimer.Stop()
-		rs.gapTimer = nil
-	}
-}
-
-// deliverLocked dispatches one in-sequence frame. Binary-codec kinds
-// decode statelessly: a malformed frame is counted and skipped, and the
-// stream continues. Gob kinds feed the session stream decoder, where
-// any failure poisons the session: a gob stream cannot be
-// resynchronised mid-flight, only restarted.
-func (c *Conn) deliverLocked(rs *recvSession, from, kind string, data []byte, size int) {
-	h, ok := c.handler(kind)
-	if !ok {
-		obs.Default.Counter("wire/unknown_kind/" + kind).Inc()
-		logKindOnce("no handler", kind, nil)
-		c.poisonLocked(rs, from, "unknown kind")
-		return
-	}
-	if isBinaryKind(kind) {
-		if err := h(data, nil, Meta{From: from, Bytes: size}); err != nil {
-			obs.Default.Counter("wire/decode_err/" + kind).Inc()
-			logKindOnce("decode error", kind, err)
-			rs.next++ // the frame consumed its slot; later frames are intact
 			return
 		}
-		rs.next++
-		rs.started = true
-		return
+		delete(rs.pending, rs.next)
+		c.deliverLocked(rs, from, pf)
 	}
-	rs.feed.set(data)
-	err := h(nil, rs.dec, Meta{From: from, Bytes: size})
-	if err == nil && rs.feed.len() > 0 {
-		err = fmt.Errorf("%d trailing bytes after value", rs.feed.len())
-	}
-	if err != nil {
-		obs.Default.Counter("wire/decode_err/" + kind).Inc()
-		logKindOnce("decode error", kind, err)
-		c.poisonLocked(rs, from, "decode error")
-		return
-	}
-	rs.next++
-	rs.started = true
 }
 
-// poisonLocked marks the stream broken, discards the reorder buffer
-// (those frames depend on bytes that will never decode) and asks the
-// sender for a fresh epoch.
-func (c *Conn) poisonLocked(rs *recvSession, from, why string) {
-	if !rs.poisoned {
-		obs.Default.Counter("wire/desync/" + pairLabel(from, c.ep.Name())).Inc()
-		logKindOnce("session desync ("+why+") from "+from, "session", nil)
+// skipGapLocked gives up on the frames missing at the cursor (lost to a
+// drop, a partition or a refused dispatch the sender did not see): the
+// cursor jumps to the lowest buffered seq and delivery resumes from
+// there, in order. One lost frame costs that frame, not its successors.
+// A gap at seq 0 is counted apart and not logged: nothing of this epoch
+// has been delivered, so what is skipped is, as far as this receiver can
+// know, a conversation with its predecessor under the name (a rejoined
+// endpoint picking up a mid-stream sender), not a hole in its own.
+func (c *Conn) skipGapLocked(rs *recvSession, from string) {
+	if len(rs.pending) == 0 {
+		return
 	}
-	rs.poisoned = true
-	for seq, pf := range rs.pending {
-		obs.Default.Counter("wire/stale/" + pf.kind).Inc()
-		delete(rs.pending, seq)
+	pair := pairLabel(from, c.ep.Name())
+	if rs.next == 0 {
+		obs.Default.Counter("wire/pickup/" + pair).Inc()
+	} else {
+		obs.Default.Counter("wire/desync/" + pair).Inc()
+		logKindOnce("frames lost, sequence gap skipped", pair, nil)
 	}
+	rs.next = ^uint64(0)
+	for seq := range rs.pending {
+		rs.next = min(rs.next, seq)
+	}
+	c.drainLocked(rs, from)
+}
+
+func (rs *recvSession) stopGapTimerLocked() {
 	if rs.gapTimer != nil {
 		rs.gapTimer.Stop()
 		rs.gapTimer = nil
 	}
-	rs.lastReq = time.Time{} // force an immediate request
-	c.maybeRequestResetLocked(rs, from)
 }
 
-// adoptEpochLocked switches the session to a fresh stream.
-func (c *Conn) adoptEpochLocked(rs *recvSession, epoch uint32) {
-	for seq, pf := range rs.pending {
-		obs.Default.Counter("wire/stale/" + pf.kind).Inc()
-		delete(rs.pending, seq)
-	}
-	if rs.gapTimer != nil {
-		rs.gapTimer.Stop()
-		rs.gapTimer = nil
-	}
-	rs.epoch = epoch
-	rs.next = 0
-	rs.started = false
-	rs.poisoned = false
-	rs.dec = gob.NewDecoder(&rs.feed)
-	rs.feed.set(nil)
-}
-
-// maybeRequestResetLocked sends the epoch-reset control frame, rate
-// limited so a flood of stale frames does not become a flood of
-// control traffic.
-func (c *Conn) maybeRequestResetLocked(rs *recvSession, from string) {
-	now := time.Now()
-	if !rs.lastReq.IsZero() && now.Sub(rs.lastReq) < gapTimeout {
+// syncGapTimerLocked keeps the gap timer armed exactly while frames
+// wait in the reorder buffer. The timer skips the gap only if the
+// cursor has not moved since it was armed; if it has, the frames still
+// buffered wait behind a younger gap and get a full wait of their own.
+func (c *Conn) syncGapTimerLocked(rs *recvSession, from string) {
+	if len(rs.pending) == 0 {
+		rs.stopGapTimerLocked()
 		return
 	}
-	rs.lastReq = now
-	p := make([]byte, 4)
-	binary.BigEndian.PutUint32(p, rs.epoch)
-	obs.Default.Counter("wire/reset_req/" + pairLabel(from, c.ep.Name())).Inc()
-	_ = c.ep.Send(from, ctrlReset, p) // sender may be gone; that is fine
-}
-
-// armGapTimerLocked starts the bounded wait for a reordered frame to
-// fill the sequence gap; if the gap is still open when it fires, the
-// frame was lost and the stream must restart.
-func (c *Conn) armGapTimerLocked(rs *recvSession, from string) {
-	if rs.gapTimer != nil {
+	if rs.gapTimer != nil || c.isClosed() {
 		return
 	}
 	epoch, next := rs.epoch, rs.next
-	rs.gapTimer = time.AfterFunc(gapTimeout, func() {
-		if c.isClosed() {
-			return
-		}
+	var t *time.Timer
+	t = time.AfterFunc(gapTimeout, func() {
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
-		rs.gapTimer = nil
-		if rs.epoch == epoch && rs.next == next && len(rs.pending) > 0 && !rs.poisoned {
-			c.poisonLocked(rs, from, "sequence gap")
+		if rs.gapTimer != t {
+			return // stopped or replaced while this callback waited for the lock
 		}
+		rs.gapTimer = nil
+		if rs.epoch == epoch && rs.next == next {
+			c.skipGapLocked(rs, from)
+		}
+		c.syncGapTimerLocked(rs, from)
 	})
-}
-
-// handleReset restarts the send session the peer declared broken.
-func (c *Conn) handleReset(msg transport.Message) {
-	if len(msg.Payload) != 4 {
-		return
-	}
-	abandoned := binary.BigEndian.Uint32(msg.Payload)
-	c.mu.RLock()
-	ss, ok := c.sends[msg.From]
-	c.mu.RUnlock()
-	if !ok {
-		return // never sent to them; nothing to reset
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.epoch > abandoned {
-		return // already restarted past the abandoned epoch
-	}
-	ss.epoch = abandoned
-	ss.restartLocked()
-	obs.Default.Counter("wire/reset/" + pairLabel(c.ep.Name(), msg.From)).Inc()
-}
-
-// ---- small io plumbing ----
-
-// byteBuffer is a minimal append-only buffer for the send stream (a
-// bytes.Buffer would work; this keeps Reset/Bytes allocation-free and
-// under our eyes).
-type byteBuffer struct {
-	b []byte
-}
-
-func (w *byteBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-func (w *byteBuffer) Reset()        { w.b = w.b[:0] }
-func (w *byteBuffer) Bytes() []byte { return w.b }
-
-// byteFeed hands the stream decoder exactly one frame's bytes. It
-// implements io.ByteReader so gob does not wrap it in a bufio.Reader
-// (which would read ahead across frame boundaries).
-type byteFeed struct {
-	b []byte
-}
-
-func (f *byteFeed) set(b []byte) { f.b = b }
-func (f *byteFeed) len() int     { return len(f.b) }
-
-func (f *byteFeed) Read(p []byte) (int, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b)
-	f.b = f.b[n:]
-	return n, nil
-}
-
-func (f *byteFeed) ReadByte() (byte, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	c := f.b[0]
-	f.b = f.b[1:]
-	return c, nil
+	rs.gapTimer = t
 }

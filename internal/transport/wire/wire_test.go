@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/wirefmt"
 )
 
 // test message types, registered once for the whole package test run.
@@ -15,8 +17,26 @@ type pingMsg struct {
 	Note string
 }
 
+func (m *pingMsg) AppendWire(b []byte) ([]byte, error) {
+	return wirefmt.AppendString(wirefmt.AppendVarint(b, int64(m.N)), m.Note), nil
+}
+
+func (m *pingMsg) DecodeWire(r *wirefmt.Reader) error {
+	m.N, m.Note = int(r.Varint()), r.String()
+	return r.Err()
+}
+
 type pongMsg struct {
 	N int
+}
+
+func (m *pongMsg) AppendWire(b []byte) ([]byte, error) {
+	return wirefmt.AppendVarint(b, int64(m.N)), nil
+}
+
+func (m *pongMsg) DecodeWire(r *wirefmt.Reader) error {
+	m.N = int(r.Varint())
+	return r.Err()
 }
 
 func init() {
@@ -100,112 +120,6 @@ func TestTypedRoundTrip(t *testing.T) {
 	}
 	if from != "a" {
 		t.Fatalf("meta.From = %q, want a", from)
-	}
-}
-
-// The session codec's whole point: after the first frame carried the
-// type descriptors, later frames are only the value bytes.
-func TestSessionFramesShrinkAfterFirst(t *testing.T) {
-	var sizes []int
-	var mu sync.Mutex
-	inner := transport.NewInProc(nil)
-	defer inner.Close()
-	f := &interceptFabric{inner: inner}
-	f.intercept = func(send func(string, string, []byte) error, to, kind string, p []byte) error {
-		if kind == "test-ping" {
-			mu.Lock()
-			sizes = append(sizes, len(p))
-			mu.Unlock()
-		}
-		return send(to, kind, p)
-	}
-	epA, _ := f.Endpoint("a")
-	epB, _ := f.Endpoint("b")
-	a, b := New(epA), New(epB)
-	done := make(chan struct{}, 16)
-	Handle(b, func(m pingMsg, _ Meta) { done <- struct{}{} })
-	for i := 0; i < 3; i++ {
-		if err := Send(a, "b", pingMsg{N: i, Note: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 3 {
-		t.Fatalf("saw %d frames, want 3", len(sizes))
-	}
-	if sizes[1] >= sizes[0] || sizes[2] >= sizes[0] {
-		t.Fatalf("later frames not smaller than the descriptor-carrying first: %v", sizes)
-	}
-}
-
-// A corrupted frame must be a counted, visible protocol error — and
-// the stream must recover via the epoch reset handshake.
-func TestCorruptFrameCountedAndRecovered(t *testing.T) {
-	old := gapTimeout
-	gapTimeout = 10 * time.Millisecond
-	defer func() { gapTimeout = old }()
-
-	var mu sync.Mutex
-	corruptNext := false
-	inner := transport.NewInProc(nil)
-	defer inner.Close()
-	f := &interceptFabric{inner: inner}
-	f.intercept = func(send func(string, string, []byte) error, to, kind string, p []byte) error {
-		mu.Lock()
-		doIt := corruptNext && kind == "test-ping"
-		corruptNext = corruptNext && !doIt
-		mu.Unlock()
-		if doIt {
-			q := append([]byte(nil), p...)
-			q[len(q)-1] ^= 0xFF // flip a byte in the gob body
-			return send(to, kind, q)
-		}
-		return send(to, kind, p)
-	}
-	epA, _ := f.Endpoint("a")
-	epB, _ := f.Endpoint("b")
-	a, b := New(epA), New(epB)
-	var recv []int
-	Handle(b, func(m pingMsg, _ Meta) {
-		mu.Lock()
-		recv = append(recv, m.N)
-		mu.Unlock()
-	})
-
-	errBefore := obs.Default.Total("wire/decode_err/")
-	if err := Send(a, "b", pingMsg{N: 0}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first message", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(recv) == 1
-	})
-	mu.Lock()
-	corruptNext = true
-	mu.Unlock()
-	if err := Send(a, "b", pingMsg{N: 1}); err != nil {
-		t.Fatal(err) // corrupted in flight, not at encode time
-	}
-	waitFor(t, "decode error counted", func() bool {
-		return obs.Default.Total("wire/decode_err/") > errBefore
-	})
-	// The session is now poisoned; further sends trigger the reset
-	// handshake and must get through on the fresh epoch.
-	waitFor(t, "recovery after corruption", func() bool {
-		Send(a, "b", pingMsg{N: 2})
-		mu.Lock()
-		defer mu.Unlock()
-		return len(recv) >= 2 && recv[len(recv)-1] == 2
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for _, n := range recv {
-		if n == 1 {
-			t.Fatal("corrupted frame was delivered")
-		}
 	}
 }
 
@@ -323,10 +237,55 @@ func TestReorderedFramesDeliveredInOrder(t *testing.T) {
 	}
 }
 
-// A frame genuinely lost mid-stream (not just reordered) must not
-// stall the link forever: the gap timer declares desync and the epoch
-// reset restores the flow.
-func TestLostFrameRecoversViaReset(t *testing.T) {
+// The same at the very start of a stream: a receiver whose first frame
+// from a peer is seq 1 must wait for seq 0, not start its cursor at
+// what it happened to see first and discard the overtaken frame.
+func TestReorderedFirstFramesAreNotLost(t *testing.T) {
+	var mu sync.Mutex
+	var held func()
+	inner := transport.NewInProc(nil)
+	defer inner.Close()
+	f := &interceptFabric{inner: inner}
+	f.intercept = func(send func(string, string, []byte) error, to, kind string, p []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if held == nil {
+			held = func() { send(to, kind, p) }
+			return nil
+		}
+		return send(to, kind, p)
+	}
+	epA, _ := f.Endpoint("a")
+	epB, _ := f.Endpoint("b")
+	a, b := New(epA), New(epB)
+	var recv []int
+	Handle(b, func(m pingMsg, _ Meta) {
+		mu.Lock()
+		recv = append(recv, m.N)
+		mu.Unlock()
+	})
+	Send(a, "b", pingMsg{N: 0}) // held back
+	Send(a, "b", pingMsg{N: 1}) // the receiver's first sight of this peer
+	time.Sleep(10 * time.Millisecond)
+	mu.Lock()
+	early, release := len(recv), held
+	mu.Unlock()
+	if early != 0 {
+		t.Fatal("seq 1 delivered before seq 0 had its chance to arrive")
+	}
+	release()
+	waitFor(t, "both first frames", func() bool { mu.Lock(); defer mu.Unlock(); return len(recv) == 2 })
+	mu.Lock()
+	defer mu.Unlock()
+	if recv[0] != 0 || recv[1] != 1 {
+		t.Fatalf("delivered %v, want [0 1]", recv)
+	}
+}
+
+// A frame genuinely lost mid-stream (not just reordered) costs exactly
+// that frame: after gapTimeout the receiver skips the hole and delivers
+// what it had buffered behind it, in order, without any further send.
+func TestLostFrameSkippedAfterGapTimeout(t *testing.T) {
 	old := gapTimeout
 	gapTimeout = 10 * time.Millisecond
 	defer func() { gapTimeout = old }()
@@ -357,23 +316,38 @@ func TestLostFrameRecoversViaReset(t *testing.T) {
 		recv = append(recv, m.N)
 		mu.Unlock()
 	})
+	received := func(n int) func() bool {
+		return func() bool { mu.Lock(); defer mu.Unlock(); return len(recv) == n }
+	}
 	Send(a, "b", pingMsg{N: 0})
-	waitFor(t, "first", func() bool { mu.Lock(); defer mu.Unlock(); return len(recv) == 1 })
+	waitFor(t, "first", received(1))
+	desync := obs.Default.Counter("wire/desync/" + pairLabel("a", "b"))
+	desyncBefore, staleBefore := desync.Value(), obs.Default.Total("wire/stale/")
 	mu.Lock()
 	dropNext = true
 	mu.Unlock()
 	Send(a, "b", pingMsg{N: 1}) // eaten
 	Send(a, "b", pingMsg{N: 2}) // opens a gap that never fills
-	waitFor(t, "recovery after loss", func() bool {
-		Send(a, "b", pingMsg{N: 3})
-		mu.Lock()
-		defer mu.Unlock()
-		return len(recv) >= 2 && recv[len(recv)-1] == 3
-	})
+	waitFor(t, "frame behind the hole", received(2))
+	Send(a, "b", pingMsg{N: 3}) // and the stream simply continues
+	waitFor(t, "frame after the skip", received(3))
+	mu.Lock()
+	defer mu.Unlock()
+	if recv[0] != 0 || recv[1] != 2 || recv[2] != 3 {
+		t.Fatalf("delivered %v, want [0 2 3]", recv)
+	}
+	if d := desync.Value() - desyncBefore; d != 1 {
+		t.Fatalf("one skipped gap counted %d times in wire/desync", d)
+	}
+	if obs.Default.Total("wire/stale/") != staleBefore {
+		t.Fatal("the frame buffered behind the hole was thrown away as stale")
+	}
 }
 
-// A receiver that restarts mid-stream (a rejoined endpoint) resyncs
-// through the same reset handshake instead of dropping traffic forever.
+// A receiver that restarts mid-stream (a rejoined endpoint) cannot tell
+// a sender that is at seq 2 from one whose first frames were reordered,
+// so it waits out one gap — and then the sender's very next Send is
+// delivered, with no further send and nothing for the sender to do.
 func TestFreshReceiverResyncs(t *testing.T) {
 	old := gapTimeout
 	gapTimeout = 10 * time.Millisecond
@@ -386,7 +360,7 @@ func TestFreshReceiverResyncs(t *testing.T) {
 
 	epB1, _ := inner.Endpoint("b")
 	b1 := New(epB1)
-	got1 := make(chan pingMsg, 16)
+	got1 := make(chan pingMsg, 2)
 	Handle(b1, func(m pingMsg, _ Meta) { got1 <- m })
 	Send(a, "b", pingMsg{N: 0})
 	Send(a, "b", pingMsg{N: 1})
@@ -400,30 +374,93 @@ func TestFreshReceiverResyncs(t *testing.T) {
 	b1.Close() // endpoint restarts under the same name
 	epB2, _ := inner.Endpoint("b")
 	b2 := New(epB2)
+	got2 := make(chan pingMsg, 1)
+	Handle(b2, func(m pingMsg, _ Meta) { got2 <- m })
+	desync := obs.Default.Counter("wire/desync/" + pairLabel("a", "b"))
+	pickup := obs.Default.Counter("wire/pickup/" + pairLabel("a", "b"))
+	desyncBefore, pickupBefore := desync.Value(), pickup.Value()
+	if err := Send(a, "b", pingMsg{N: 9}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got2:
+		if m.N != 9 {
+			t.Fatalf("restarted receiver got %+v, want N=9", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first frame after the receiver restarted was never delivered")
+	}
+	if d := pickup.Value() - pickupBefore; d != 1 {
+		t.Fatalf("picking up a mid-stream sender counted %d times in wire/pickup, want 1", d)
+	}
+	if desync.Value() != desyncBefore {
+		t.Fatal("a fault-free rejoin was reported as lost frames in wire/desync")
+	}
+}
+
+// A sender that restarts under its old name (a node released and
+// provisioned again) is a new incarnation, not a replay: its session
+// starts at seq 0 again, and the peer that still holds the old
+// incarnation's cursor must not discard its first frames as duplicates.
+func TestRestartedSenderIsNotADuplicate(t *testing.T) {
+	inner := transport.NewInProc(nil)
+	defer inner.Close()
+	epB, _ := inner.Endpoint("b")
+	b := New(epB)
 	var mu sync.Mutex
 	var recv []int
-	Handle(b2, func(m pingMsg, _ Meta) {
+	Handle(b, func(m pingMsg, _ Meta) {
 		mu.Lock()
 		recv = append(recv, m.N)
 		mu.Unlock()
 	})
-	// The sender's session is deep into its stream; the fresh receiver
-	// cannot decode mid-stream and must force a new epoch.
-	waitFor(t, "resync with restarted receiver", func() bool {
-		Send(a, "b", pingMsg{N: 9})
-		mu.Lock()
-		defer mu.Unlock()
-		return len(recv) > 0 && recv[len(recv)-1] == 9
-	})
+	received := func(n int) func() bool {
+		return func() bool { mu.Lock(); defer mu.Unlock(); return len(recv) == n }
+	}
+
+	epA1, _ := inner.Endpoint("a")
+	a1 := New(epA1)
+	for i := 0; i < 5; i++ {
+		if err := Send(a1, "b", pingMsg{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "first incarnation's frames", received(5))
+	a1.Close()
+
+	dupBefore := obs.Default.Total("wire/dup/")
+	epA2, err := inner.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2 := New(epA2)
+	for i := 100; i < 110; i++ {
+		if err := Send(a2, "b", pingMsg{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "second incarnation's frames", received(15))
+	mu.Lock()
+	defer mu.Unlock()
+	for i, n := range recv[5:] {
+		if n != 100+i {
+			t.Fatalf("second incarnation delivered %v, want 100..109 in order", recv[5:])
+		}
+	}
+	if d := obs.Default.Total("wire/dup/") - dupBefore; d != 0 {
+		t.Fatalf("%d frames of the new incarnation discarded as duplicates", d)
+	}
 }
+
+// unregisteredMsg has a codec but no Register call.
+type unregisteredMsg struct{ pongMsg }
 
 func TestSendUnregisteredTypeFails(t *testing.T) {
 	f := transport.NewInProc(nil)
 	defer f.Close()
 	ep, _ := f.Endpoint("solo")
 	c := New(ep)
-	type neverRegistered struct{ X int }
-	if err := Send(c, "solo", neverRegistered{1}); err == nil {
+	if err := Send(c, "solo", unregisteredMsg{}); err == nil {
 		t.Fatal("sending an unregistered type must fail")
 	}
 }
@@ -437,62 +474,89 @@ func TestRegisterConflictPanics(t *testing.T) {
 	Register[pongMsg]("test-ping") // "test-ping" belongs to pingMsg
 }
 
-// Encode failures mid-session (unregistered concrete type in an
-// interface field) must not corrupt the stream: the session restarts
-// and later messages flow.
-type carrierMsg struct {
-	V any
+// fussyMsg refuses to encode on demand.
+type fussyMsg struct {
+	N    int
+	Fail bool
 }
 
-func init() { Register[carrierMsg]("test-carrier") }
+func (m *fussyMsg) AppendWire(b []byte) ([]byte, error) {
+	if m.Fail {
+		return nil, errors.New("refusing to encode")
+	}
+	return wirefmt.AppendVarint(b, int64(m.N)), nil
+}
 
-type unregisteredPayload struct{ X int }
+func (m *fussyMsg) DecodeWire(r *wirefmt.Reader) error {
+	m.N = int(r.Varint())
+	return r.Err()
+}
 
-func TestEncodeErrorRestartsSession(t *testing.T) {
+func init() { Register[fussyMsg]("test-fussy") }
+
+// An encode failure is the caller's problem alone: it is returned and
+// counted, and because frames are self-contained nothing half-written
+// reached the session — same epoch, next frame delivered.
+func TestEncodeErrorLeavesSessionIntact(t *testing.T) {
 	f := transport.NewInProc(nil)
 	defer f.Close()
 	epA, _ := f.Endpoint("a")
 	epB, _ := f.Endpoint("b")
 	a, b := New(epA), New(epB)
-	got := make(chan carrierMsg, 16)
-	Handle(b, func(m carrierMsg, _ Meta) { got <- m })
+	got := make(chan fussyMsg, 2)
+	Handle(b, func(m fussyMsg, _ Meta) { got <- m })
 
-	if err := Send(a, "b", carrierMsg{V: 7}); err != nil {
+	if err := Send(a, "b", fussyMsg{N: 7}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
-	if err := Send(a, "b", carrierMsg{V: unregisteredPayload{1}}); err == nil {
-		t.Fatal("encoding an unregistered concrete type must fail")
+	epoch := a.sendSession("b").epoch
+	errs := obs.Default.Counter("wire/encode_err/test-fussy")
+	errsBefore := errs.Value()
+	if err := Send(a, "b", fussyMsg{Fail: true}); err == nil {
+		t.Fatal("a failing AppendWire must fail the Send")
 	}
-	if err := Send(a, "b", carrierMsg{V: 8}); err != nil {
+	if d := errs.Value() - errsBefore; d != 1 {
+		t.Fatalf("encode error counted %d times", d)
+	}
+	if err := Send(a, "b", fussyMsg{N: 8}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-got:
-		if m.V.(int) != 8 {
-			t.Fatalf("got %+v after encode error, want V=8", m)
+		if m.N != 8 {
+			t.Fatalf("got %+v after encode error, want N=8", m)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("message after encode error never arrived: stream corrupted")
+		t.Fatal("message after encode error never arrived")
+	}
+	if got := a.sendSession("b").epoch; got != epoch {
+		t.Fatalf("encode error restarted the session: epoch %d -> %d", epoch, got)
 	}
 }
 
 // A send that fails at dispatch (destination endpoint not yet up)
-// burns a sequence number and, for gob kinds, encoder state the
-// receiver will never see. The session must restart so the next
-// successful Send is self-contained — not silently discarded as a
-// stale frame behind a permanent gap.
+// burns a sequence number the receiver will never see. The session
+// must restart so the next successful Send starts a stream — not sit
+// out a gap wait behind seqs that never left.
 func TestFailedSendRestartsSession(t *testing.T) {
-	f := transport.NewInProc(nil)
-	defer f.Close()
+	inner := transport.NewInProc(nil)
+	defer inner.Close()
+	f := &interceptFabric{inner: inner}
 	epA, _ := f.Endpoint("a")
 	a := New(epA)
 
-	// "b" does not exist yet: both sends must fail visibly.
-	for i := 0; i < 2; i++ {
+	// "b" does not exist yet: every send must fail visibly. The stream
+	// has nothing in flight, so it restarts in its own epoch: retrying
+	// against a dead peer must not run the epoch source ahead of the
+	// clock, or this process, restarted, is stale to its peers.
+	for i := 0; i < 100; i++ {
 		if err := Send(a, "b", pingMsg{N: i}); err == nil {
 			t.Fatal("send to a missing endpoint reported success")
 		}
+	}
+	if e := a.sendSession("b").epoch; e != lastEpoch.Load() {
+		t.Fatalf("100 refused sends spent %d epochs", lastEpoch.Load()-e)
 	}
 
 	epB, _ := f.Endpoint("b")
@@ -506,7 +570,7 @@ func TestFailedSendRestartsSession(t *testing.T) {
 	})
 
 	// The first send after the outage must be delivered — immediately,
-	// with no gap-timer or reset round trip in between.
+	// with no gap wait in between.
 	if err := Send(a, "b", pingMsg{N: 42, Note: "post-outage"}); err != nil {
 		t.Fatal(err)
 	}
@@ -516,8 +580,31 @@ func TestFailedSendRestartsSession(t *testing.T) {
 		return len(got) == 1
 	})
 	mu.Lock()
-	defer mu.Unlock()
 	if got[0].N != 42 || got[0].Note != "post-outage" {
 		t.Fatalf("delivered %+v, want the post-outage frame", got[0])
+	}
+	mu.Unlock()
+
+	// The same for a peer that by now holds a cursor: a refused dispatch
+	// spends a seq, and the restart spares the next frame the gap wait
+	// for it.
+	desyncBefore := obs.Default.Total("wire/desync/")
+	f.intercept = func(func(string, string, []byte) error, string, string, []byte) error {
+		return errors.New("fabric refused")
+	}
+	if err := Send(a, "b", pingMsg{N: 43}); err == nil {
+		t.Fatal("refused dispatch reported success")
+	}
+	f.intercept = nil
+	if err := Send(a, "b", pingMsg{N: 44}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "frame after the refused dispatch", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 2 && got[1].N == 44
+	})
+	if obs.Default.Total("wire/desync/") != desyncBefore {
+		t.Fatal("frame after a refused dispatch sat out a gap wait: the session did not restart")
 	}
 }

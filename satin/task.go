@@ -8,7 +8,9 @@
 //
 // Tasks are plain Go values implementing Task; they and their result
 // types must be registered (Register/RegisterValue) because stolen
-// jobs and their results travel between nodes as gob frames.
+// jobs and their results travel between nodes as gob blobs embedded in
+// binary control frames (every other field of every frame has a
+// hand-written codec; gob is used only where the shape is open).
 //
 // A typical divide-and-conquer application:
 //
