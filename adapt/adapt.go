@@ -6,12 +6,16 @@
 // signalling the worst nodes to leave — all without any application
 // performance model.
 //
-// The adaptation policy itself lives in internal/coord, shared with the
-// discrete-event simulator (internal/des): this package is only the
-// real-runtime driver. It feeds the kernel the reports arriving over
-// the transport fabric, derives the live set from an Ibis-style
-// registry, and applies the kernel's effects (provisioning via the grid
-// scheduler, evicting via registry leave signals).
+// The adaptation policy and the coordinator tree's protocol live in
+// internal/coord, shared with the discrete-event simulator
+// (internal/des): this package is only the real-runtime driver. Start
+// always runs the paper's §7 tree — a root over one sub-coordinator per
+// cluster, a single cluster being the degenerate case — so the root's
+// state and message load are O(clusters) and a dead root is replaced by
+// election. The driver moves the protocol's frames over the transport
+// fabric, derives the live sets from an Ibis-style registry, and
+// applies the root's effects (provisioning via the grid scheduler,
+// evicting via registry leave signals).
 package adapt
 
 import (
@@ -23,6 +27,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/topo"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -31,6 +36,9 @@ func init() {
 	// "report" is shared with the satin package's sender side; Register
 	// is idempotent for identical (kind, type) pairs.
 	wire.Register[metrics.Report]("report")
+	wire.Register[coord.ClusterSummary]("cluster-summary")
+	wire.Register[coord.SummaryAck]("summary-ack")
+	wire.Register[coord.ShardReset]("shard-reset")
 }
 
 // Re-exported core types so downstream users need only this package.
@@ -77,26 +85,34 @@ type Provisioner interface {
 	Provision(n int, minBandwidth float64, veto func(NodeID, ClusterID) bool) int
 }
 
-// EndpointName is the coordinator's well-known transport endpoint.
+// EndpointName is the root coordinator's well-known transport endpoint
+// (what NodeConfig.Coordinator is set to).
 const EndpointName = "coordinator"
+
+// SubEndpointName is the per-cluster endpoint a cluster's nodes report
+// to.
+func SubEndpointName(cluster ClusterID) string {
+	return topo.SubCoordinatorEndpoint(EndpointName, cluster)
+}
 
 // Config tunes the coordinator.
 type Config struct {
 	// Thresholds configure the decision engine (DefaultThresholds()).
 	Thresholds Thresholds
 	// Period is the monitoring period. Nodes report on their own
-	// clocks; the coordinator decides once per period on whatever
-	// reports are in (the paper tolerates the skew explicitly).
+	// clocks; once per period the root decides on the summaries the
+	// sub-coordinators sent the period before, whatever reports those
+	// held (the paper tolerates the skew explicitly).
 	Period time.Duration
-	// Protected nodes are never removed — the node hosting the root of
-	// the computation (and, in the paper's deployment, the process the
-	// user started).
+	// Protected nodes are never removed. The first is the node hosting
+	// the root of the computation (in the paper's deployment, the
+	// process the user started); ObserveStream lands at its cluster.
 	Protected []NodeID
 	// MonitorOnly computes and records but never acts ("runtime 3").
 	MonitorOnly bool
 	// Observer, when set, receives every period record right after it is
 	// appended to History — the hook the observability recorder hangs on.
-	// Called from the coordinator's tick goroutine outside any lock;
+	// Called from the coordinator's clock goroutine outside any lock;
 	// keep it fast and never call back into the coordinator.
 	Observer func(PeriodRecord)
 	// Pressure, when set, is the shared node pool's reclaim signal
@@ -111,11 +127,6 @@ type Config struct {
 	// kernel grows or shrinks to keep mean latency at the target.
 	// Thresholds then only contribute their badness weights.
 	StreamSLO *core.StreamSLOConfig
-	// Sharded runs the hierarchical tree's root (ISSUE 8): the
-	// coordinator consumes ClusterSummary frames from sub-kernel-mode
-	// SubCoordinators (StartSubKernel) instead of raw reports, so its
-	// state and per-period message load are O(clusters).
-	Sharded bool
 	// Registry tunes the coordinator's registry client (zero = default
 	// heartbeat/failure-detection intervals).
 	Registry registry.Options
@@ -129,29 +140,34 @@ type PeriodRecord = coord.PeriodRecord
 // Annotation marks an adaptation event on the run's time axis.
 type Annotation = coord.Annotation
 
-// Coordinator is the running adaptation process.
+// Coordinator is the running adaptation process: it owns the tree's
+// sub-coordinators and whichever root incarnation is current, so the
+// history, annotations and learned requirements read as one across a
+// root failover and Stop stops everything.
 type Coordinator struct {
 	cfg   Config
-	kern  *coord.Kernel     // subs and root in this process (nil when sharded)
-	rootk *coord.RootKernel // root of a tree of SubCoordinators (nil otherwise)
 	prov  Provisioner
-	wc    *wire.Conn
-	reg   *registry.Client
+	f     transport.Fabric
+	reg   *registry.Client // the tree's one registry session: census, signals
 	start time.Time
 
 	mu          sync.Mutex
 	history     []PeriodRecord
 	annotations []Annotation
 	messages    int
+	root        *root // current incarnation; a dead one stays until its successor replaces it
+	subs        map[ClusterID]*sub
 
+	arrived  chan struct{} // wake-up: the root took in a summary
 	stop     chan struct{}
+	done     chan struct{} // closed when loop has returned
 	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// Start launches the coordinator on the fabric. It joins the registry
-// with an empty cluster, which marks it as a non-worker (nodes never
-// steal from it).
+// Start launches the coordinator tree on the fabric: the root, and one
+// sub-coordinator for every cluster that has (or later gets) a worker
+// in the registry. The tree joins the registry once, with an empty
+// cluster, which marks it as a non-worker (nodes never steal from it).
 func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 2 * time.Second
@@ -159,85 +175,56 @@ func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, erro
 	if cfg.Thresholds == (Thresholds{}) {
 		cfg.Thresholds = DefaultThresholds()
 	}
-	ep, err := f.Endpoint(EndpointName)
+	reg, err := registry.Join(f, registry.NodeInfo{ID: EndpointName}, cfg.Registry)
 	if err != nil {
-		return nil, err
-	}
-	reg, err := registry.Join(f, registry.NodeInfo{ID: EndpointName, Cluster: ""}, cfg.Registry)
-	if err != nil {
-		ep.Close()
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:   cfg,
-		prov:  prov,
-		wc:    wire.New(ep),
-		reg:   reg,
-		start: time.Now(),
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		prov:    prov,
+		f:       f,
+		reg:     reg,
+		start:   time.Now(),
+		subs:    make(map[ClusterID]*sub),
+		arrived: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	th := cfg.Thresholds
-	kcfg := coord.Config{
-		Engine:      &th,
-		MonitorOnly: cfg.MonitorOnly,
-		Pressure:    cfg.Pressure,
+	if err := c.startRoot(nil); err != nil {
+		reg.Close()
+		return nil, err
 	}
-	if cfg.StreamSLO != nil {
-		// A fresh objective per coordinator: StreamSLO carries hysteresis
-		// state that must never be shared between kernels.
-		obj, err := core.NewStreamSLO(*cfg.StreamSLO)
-		if err != nil {
-			reg.Close()
-			c.wc.Close()
-			return nil, err
+	for _, m := range reg.Members() {
+		if m.Cluster != "" {
+			c.ensureSub(m.Cluster)
 		}
-		kcfg.Objective = obj
 	}
-	if cfg.Sharded {
-		rootk, err := coord.NewRoot(kcfg, runtimeActuator{c})
-		if err != nil {
-			reg.Close()
-			c.wc.Close()
-			return nil, err
-		}
-		c.rootk = rootk
-		c.rootk.Protect(cfg.Protected...)
-		wire.Handle(c.wc, c.onSummary)
-	} else {
-		kern, err := coord.New(kcfg, runtimeActuator{c})
-		if err != nil {
-			reg.Close()
-			c.wc.Close()
-			return nil, err
-		}
-		c.kern = kern
-		c.kern.Protect(cfg.Protected...)
-		wire.Handle(c.wc, c.onReport)
-	}
-	c.wg.Add(1)
 	go c.loop()
 	return c, nil
 }
 
-// Stop shuts the coordinator down. Safe to call multiple times and
-// from concurrent goroutines.
+// Stop shuts the whole tree down. Safe to call multiple times and from
+// concurrent goroutines.
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stop)
-		c.wg.Wait()
+		<-c.done // the loop is the only writer of root and subs
+		c.root.kill()
+		for _, s := range c.subs {
+			s.wc.Close()
+		}
 		c.reg.Close()
-		c.wc.Close()
 	})
 }
 
 // Protect marks a node as unremovable (e.g. after electing a new root
 // host).
 func (c *Coordinator) Protect(id NodeID) {
-	if c.rootk != nil {
-		c.rootk.Protect(id)
-		return
-	}
-	c.kern.Protect(id)
+	c.mu.Lock()
+	c.cfg.Protected = append(c.cfg.Protected, id)
+	r := c.root
+	c.mu.Unlock()
+	r.kern.Protect(id)
 }
 
 // History returns the period records so far.
@@ -256,137 +243,60 @@ func (c *Coordinator) Annotations() []Annotation {
 
 // Requirements exposes what the run has taught the coordinator.
 func (c *Coordinator) Requirements() *Requirements {
-	if c.rootk != nil {
-		return c.rootk.Requirements()
-	}
-	return c.kern.Requirements()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.root.kern.Requirements()
 }
 
 // ObserveStream merges a streaming-workload observation into the
-// coordinator's current monitoring period (the job driver calls it once
-// per completed window). No-op when sharded: that root receives its
-// stream partials inside ClusterSummary frames instead.
+// current monitoring period (the job driver calls it once per completed
+// window). It lands at the sub-coordinator of the master's cluster —
+// where the driver runs — and reaches the root inside that cluster's
+// next summary.
 func (c *Coordinator) ObserveStream(o core.StreamObs) {
-	if c.kern != nil {
-		c.kern.ObserveStream(o)
-	}
-}
-
-func (c *Coordinator) onReport(rep metrics.Report, _ wire.Meta) {
-	c.kern.Report(rep)
 	c.mu.Lock()
-	c.messages++
+	var at *sub
+	if len(c.cfg.Protected) > 0 {
+		for _, m := range c.reg.Members() {
+			if m.ID == c.cfg.Protected[0] {
+				at = c.subs[m.Cluster]
+				break
+			}
+		}
+	}
 	c.mu.Unlock()
+	if at == nil {
+		obs.Default.Counter("adapt/stream_obs_dropped").Inc()
+		return
+	}
+	at.link.ObserveStream(o)
 }
 
-// MessagesReceived counts the messages (node reports, or cluster
-// summaries when sharded) the main coordinator handled — the load the
-// §7 hierarchy is designed to cut.
+// MessagesReceived counts the cluster summaries the root handled — per
+// period O(clusters), not O(nodes), which is the load the §7 hierarchy
+// is designed to cut.
 func (c *Coordinator) MessagesReceived() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.messages
 }
 
-func (c *Coordinator) loop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			c.tick()
+// kernelConfig builds the configuration every root incarnation runs.
+func (c *Coordinator) kernelConfig() (coord.Config, error) {
+	th := c.cfg.Thresholds
+	kcfg := coord.Config{
+		Engine:      &th,
+		MonitorOnly: c.cfg.MonitorOnly,
+		Pressure:    c.cfg.Pressure,
+	}
+	if c.cfg.StreamSLO != nil {
+		// A fresh objective per root: StreamSLO carries hysteresis state
+		// that must not outlive the kernel it advised.
+		obj, err := core.NewStreamSLO(*c.cfg.StreamSLO)
+		if err != nil {
+			return kcfg, err
 		}
+		kcfg.Objective = obj
 	}
+	return kcfg, nil
 }
-
-// tick is the driver's side of the adaptation loop: derive the live
-// worker set from the registry, hand it to the shared kernel (which
-// owns the whole Figure-2 policy), and log the period.
-func (c *Coordinator) tick() {
-	if c.rootk != nil {
-		c.shardedTick()
-		return
-	}
-	// Live workers according to the registry; the kernel drops reports
-	// of departed nodes and tolerates missing reports of new ones —
-	// both as in the paper.
-	var live []NodeID
-	for _, m := range c.reg.Members() {
-		if m.Cluster != "" {
-			live = append(live, m.ID)
-		}
-	}
-	rec := c.kern.Tick(time.Since(c.start).Seconds(), live)
-	c.mu.Lock()
-	c.history = append(c.history, rec)
-	c.mu.Unlock()
-	if c.cfg.Observer != nil {
-		c.cfg.Observer(rec)
-	}
-}
-
-// runtimeActuator applies the kernel's effects through the real
-// runtime: the grid scheduler provisions, the registry delivers leave
-// signals. It deliberately does not implement coord.Migrator — the real
-// scheduler cannot rank idle resources by application-specific speed.
-type runtimeActuator struct{ c *Coordinator }
-
-func (a runtimeActuator) Provision(n int, minBandwidth float64, veto coord.Veto) int {
-	got := a.c.prov.Provision(n, minBandwidth, veto)
-	if got > 0 {
-		obs.Default.Counter("adapt/provisioned").Add(uint64(got))
-	}
-	return got
-}
-
-// Evict signals each victim to leave; a node whose signal fails (e.g.
-// it already left) is not counted, so the kernel blacklists exactly the
-// nodes that were told to go.
-func (a runtimeActuator) Evict(victims []NodeID, reason string) []NodeID {
-	evicted := make([]NodeID, 0, len(victims))
-	for _, id := range victims {
-		if err := a.c.reg.Signal(id, "leave"); err != nil {
-			continue
-		}
-		evicted = append(evicted, id)
-	}
-	if len(evicted) > 0 {
-		obs.Default.Counter("adapt/evicted").Add(uint64(len(evicted)))
-	}
-	return evicted
-}
-
-// ObservedBandwidth returns 0: the real deployment has no NWS-style
-// link monitor, so the kernel falls back to the achieved per-report
-// throughput (the capacity-preferred order is the kernel's).
-func (a runtimeActuator) ObservedBandwidth(ClusterID) float64 { return 0 }
-
-func (a runtimeActuator) Annotate(label string) {
-	c := a.c
-	c.mu.Lock()
-	c.annotations = append(c.annotations, Annotation{
-		Time: time.Since(c.start).Seconds(), Label: label,
-	})
-	c.mu.Unlock()
-}
-
-// ClusterNodes enumerates a cluster's live workers from the registry —
-// the sharded root's whole-cluster eviction asks the runtime for the
-// roster because the root kernel holds no per-node state.
-func (a runtimeActuator) ClusterNodes(cl ClusterID) []NodeID {
-	var out []NodeID
-	for _, m := range a.c.reg.Members() {
-		if m.Cluster == cl {
-			out = append(out, m.ID)
-		}
-	}
-	return out
-}
-
-var (
-	_ coord.Actuator     = runtimeActuator{}
-	_ coord.RootActuator = runtimeActuator{}
-)

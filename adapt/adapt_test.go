@@ -68,6 +68,7 @@ func TestCoordinatorGrowsUnderHighEfficiency(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
+		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +117,7 @@ func TestCoordinatorShrinksWhenIdle(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
+		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +176,7 @@ func TestMonitorOnlyNeverActs(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:      period,
 		MonitorOnly: true,
+		Registry:    fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +248,11 @@ func TestDefaultThresholdsMatchPaper(t *testing.T) {
 func TestHierarchicalCoordinator(t *testing.T) {
 	period := 300 * time.Millisecond
 	g, err := satin.NewGrid(satin.GridConfig{
-		Clusters: []satin.ClusterSpec{
-			{Name: "c0", Nodes: 4, Coordinator: adapt.SubEndpointName("c0")},
-			{Name: "c1", Nodes: 4, Coordinator: adapt.SubEndpointName("c1")},
-		},
+		Clusters: []satin.ClusterSpec{{Name: "c0", Nodes: 4}, {Name: "c1", Nodes: 4}},
 		Registry: fastReg(),
 		Node: satin.NodeConfig{
 			Registry:      fastReg(),
+			Coordinator:   adapt.EndpointName,
 			MonitorPeriod: period,
 			Bench:         apps.Fib{N: 14, SeqCutoff: 14},
 			BenchWork:     float64(apps.FibLeaves(14)),
@@ -263,28 +264,17 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	defer g.Close()
 
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
-		Sharded:     true,
 		Period:      period,
 		MonitorOnly: true,
+		Registry:    fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Stop()
-	var subs []*adapt.SubCoordinator
-	for _, c := range []adapt.ClusterID{"c0", "c1"} {
-		sub, err := adapt.StartSubKernel(g.Fabric(), c, adapt.SubConfig{Period: period, Registry: fastReg()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, sub)
-	}
-	defer func() {
-		for _, s := range subs {
-			s.Stop()
-		}
-	}()
 
+	// The nodes come up after the coordinator: each cluster gets its
+	// sub-coordinator when its first node joins the registry.
 	for _, c := range []satin.ClusterID{"c0", "c1"} {
 		if _, err := g.StartNodes(c, 4); err != nil {
 			t.Fatal(err)

@@ -95,9 +95,11 @@ func (p *scriptProvisioner) snapshot() (int, map[core.NodeID]bool) {
 
 var feederSeq atomic.Int64
 
-// feeder periodically reports scripted statistics for every worker
-// still in the computation.
-func feedReports(t *testing.T, f transport.Fabric, stop chan struct{},
+// feedReports periodically reports scripted statistics for every worker
+// still in the computation, each to its cluster's sub-coordinator as a
+// real node does. The offset shifts the report timestamps so a later
+// feeding phase always looks fresher than an earlier one.
+func feedReports(t *testing.T, f transport.Fabric, stop chan struct{}, offset float64,
 	report func(w *scriptWorker, start, end float64) metrics.Report, workers []*scriptWorker) {
 	t.Helper()
 	ep, err := f.Endpoint(fmt.Sprintf("feeder-%d", feederSeq.Add(1)))
@@ -115,12 +117,12 @@ func feedReports(t *testing.T, f transport.Fabric, stop chan struct{},
 				return
 			case <-time.After(60 * time.Millisecond):
 			}
-			start := float64(period) * dur
+			start := offset + float64(period)*dur
 			for _, w := range workers {
 				if w.gone() {
 					continue
 				}
-				wire.Send(wc, adapt.EndpointName, report(w, start, start+dur))
+				wire.Send(wc, adapt.SubEndpointName(w.cluster), report(w, start, start+dur))
 			}
 			period++
 		}
@@ -150,6 +152,7 @@ func TestChaosClusterEvictionFallback(t *testing.T) {
 	coord, err := adapt.Start(fab, prov, adapt.Config{
 		Period:    150 * time.Millisecond,
 		Protected: []adapt.NodeID{master.id},
+		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +164,7 @@ func TestChaosClusterEvictionFallback(t *testing.T) {
 	// the others' 5%, so the engine decides remove-cluster("bad").
 	stop := make(chan struct{})
 	defer close(stop)
-	feedReports(t, fab, stop, func(w *scriptWorker, start, end float64) metrics.Report {
+	feedReports(t, fab, stop, 0, func(w *scriptWorker, start, end float64) metrics.Report {
 		dur := end - start
 		rep := metrics.Report{Node: w.id, Cluster: w.cluster, Start: start, End: end, Speed: 1}
 		if w.cluster == "bad" {
@@ -253,6 +256,7 @@ func TestChaosBlacklistPersistsAcrossShrinks(t *testing.T) {
 	coord, err := adapt.Start(fab, prov, adapt.Config{
 		Period:    150 * time.Millisecond,
 		Protected: []adapt.NodeID{master.id},
+		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +267,7 @@ func TestChaosBlacklistPersistsAcrossShrinks(t *testing.T) {
 	// coordinator sheds nodes round after round (fresh statistics in
 	// between, so consecutive shrinks are legitimate).
 	stop1 := make(chan struct{})
-	feedReports(t, fab, stop1, func(w *scriptWorker, start, end float64) metrics.Report {
+	feedReports(t, fab, stop1, 0, func(w *scriptWorker, start, end float64) metrics.Report {
 		dur := end - start
 		return metrics.Report{Node: w.id, Cluster: w.cluster, Start: start, End: end,
 			Speed: 1, BusySec: 0.1 * dur, IdleSec: 0.9 * dur}
@@ -312,7 +316,7 @@ func TestChaosBlacklistPersistsAcrossShrinks(t *testing.T) {
 	}
 	stop2 := make(chan struct{})
 	defer close(stop2)
-	feedReports(t, fab, stop2, func(w *scriptWorker, start, end float64) metrics.Report {
+	feedReports(t, fab, stop2, 0, func(w *scriptWorker, start, end float64) metrics.Report {
 		dur := end - start
 		return metrics.Report{Node: w.id, Cluster: w.cluster, Start: start + 100, End: end + 100,
 			Speed: 1, BusySec: 0.95 * dur, IdleSec: 0.05 * dur}
@@ -334,6 +338,10 @@ func TestChaosBlacklistPersistsAcrossShrinks(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			calls, vetoed := prov.snapshot()
+			for _, h := range coord.History() {
+				t.Logf("t=%.2f WAE=%.3f nodes=%d stats=%d action=%q (+%d -%d) %s",
+					h.Time, h.WAE, h.Nodes, h.Stats, h.Action, h.Added, h.Removed, h.Detail)
+			}
 			t.Fatalf("provisioner never saw all evicted nodes vetoed (calls=%d vetoed=%v blacklist=%v)",
 				calls, vetoed, coord.Requirements().BlacklistedNodes())
 		}

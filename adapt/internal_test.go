@@ -1,43 +1,16 @@
 package adapt
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
-	"repro/internal/wirefmt/frametest"
 )
-
-// The sharded tree's control frames (ISSUE 8): the root's summary
-// receipt and its eager post-action reset push.
-func TestSummaryAckWireParity(t *testing.T) {
-	frametest.Parity[summaryAck, *summaryAck](t, []summaryAck{
-		{},
-		{Cluster: "c0", Seq: 7, Epoch: 3},
-		{Cluster: "grappe-é", Seq: math.MaxUint64, Epoch: 1 << 40, Req: coord.ReqState{
-			Nodes:        []core.NodeID{"c0/00", "узел-1"},
-			Clusters:     []core.ClusterID{"bad"},
-			MinBandwidth: 2e6,
-		}},
-	})
-}
-
-func TestShardResetWireParity(t *testing.T) {
-	frametest.Parity[shardReset, *shardReset](t, []shardReset{
-		{},
-		{Epoch: 5},
-		{Epoch: math.MaxUint64, Req: coord.ReqState{
-			Nodes:        []core.NodeID{"a/00"},
-			Clusters:     []core.ClusterID{"x", "y"},
-			MinBandwidth: math.SmallestNonzeroFloat64,
-		}},
-	})
-}
 
 // TestClusterSummaryStreamAggregatesOverWire pins ISSUE 9's stream
 // plumbing at the adapt layer: the "cluster-summary" frame this package
@@ -81,13 +54,34 @@ func TestClusterSummaryStreamAggregatesOverWire(t *testing.T) {
 	}
 }
 
-func TestSummaryAckWireCorrupt(t *testing.T) {
-	ack := summaryAck{Cluster: "c0", Seq: 9, Epoch: 2, Req: coord.ReqState{
-		Nodes: []core.NodeID{"c0/01"}, Clusters: []core.ClusterID{"bad"}, MinBandwidth: 1e5,
-	}}
-	enc, err := ack.AppendWire(nil)
+type noProvisioner struct{}
+
+func (noProvisioner) Provision(int, float64, func(NodeID, ClusterID) bool) int { return 0 }
+
+// TestRootSendFailuresCounted: a receipt or a reset the root cannot
+// hand to the fabric makes a sub count a miss (or keep stale reports a
+// period longer); the root side must leave its own trace of it.
+func TestRootSendFailuresCounted(t *testing.T) {
+	fab := transport.NewInProc(nil)
+	defer fab.Close()
+	if _, err := registry.NewServer(fab, registry.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(fab, noProvisioner{}, Config{Period: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frametest.Corrupt[summaryAck, *summaryAck](t, enc)
+	defer c.Stop()
+	acks := obs.Default.Counter("adapt/ack_send_failures")
+	resets := obs.Default.Counter("adapt/reset_send_failures")
+	acksBefore, resetsBefore := acks.Value(), resets.Value()
+
+	c.root.onSummary(coord.ClusterSummary{Cluster: "gone"}, wire.Meta{From: SubEndpointName("gone")})
+	if got := acks.Value() - acksBefore; got != 1 {
+		t.Errorf("ack to a vanished sub: adapt/ack_send_failures moved by %d, want 1", got)
+	}
+	c.root.pushReset(coord.ShardReset{Epoch: 1}) // "gone" is on the root's list since its summary
+	if got := resets.Value() - resetsBefore; got != 1 {
+		t.Errorf("reset to a vanished sub: adapt/reset_send_failures moved by %d, want 1", got)
+	}
 }

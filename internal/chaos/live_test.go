@@ -94,6 +94,7 @@ func TestChaosLiveInvariants(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
+		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -236,7 +236,7 @@ func (k *Kernel) Tick(now float64, live []core.NodeID) PeriodRecord {
 	for _, id := range live {
 		liveSet[id] = true
 	}
-	epoch := k.root.ResetEpoch()
+	epoch := k.root.epoch()
 	clusters := make([]core.ClusterID, 0, len(k.subs))
 	for c, sub := range k.subs {
 		sum := sub.summarize(now, liveSet)
@@ -249,7 +249,7 @@ func (k *Kernel) Tick(now float64, live []core.NodeID) PeriodRecord {
 		clusters = append(clusters, c)
 	}
 	rec := k.root.Tick(now, clusters, len(live))
-	if k.root.ResetEpoch() != epoch {
+	if k.root.epoch() != epoch {
 		k.subs = make(map[core.ClusterID]*SubKernel)
 	}
 	return rec

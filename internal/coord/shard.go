@@ -21,8 +21,9 @@ package coord
 // proposed candidates with core's badness formula, so with an uncapped
 // proposal budget the ranking covers every reporting node.
 //
-// Kernel (coord.go) composes the two halves in one process; the
-// sharded drivers (internal/des, adapt) put a network between them.
+// Kernel (coord.go) composes the two halves in one process; the tree
+// drivers (internal/des, adapt) put a network between them and speak
+// the protocol in tree.go across it.
 
 import (
 	"fmt"
@@ -492,24 +493,12 @@ func (rk *RootKernel) Objective() core.Objective { return rk.obj }
 // Requirements exposes what the run has taught the root.
 func (rk *RootKernel) Requirements() *core.Requirements { return rk.reqs }
 
-// ResetEpoch returns the current post-action reset epoch. Drivers
-// compare it around Tick: a bump means the root acted and every sub
-// must reset.
-func (rk *RootKernel) ResetEpoch() uint64 {
+// epoch returns the current post-action reset epoch; a bump across a
+// Tick means the root acted and every sub must reset.
+func (rk *RootKernel) epoch() uint64 {
 	rk.mu.Lock()
 	defer rk.mu.Unlock()
 	return rk.resetEpoch
-}
-
-// StartEpoch seeds the reset epoch — an elected successor starts at the
-// epoch its subs already adopted, so their summaries are not rejected
-// as stale.
-func (rk *RootKernel) StartEpoch(e uint64) {
-	rk.mu.Lock()
-	defer rk.mu.Unlock()
-	if e > rk.resetEpoch {
-		rk.resetEpoch = e
-	}
 }
 
 // ReqState snapshots the learned requirements for acks and failover.
@@ -521,11 +510,11 @@ func (rk *RootKernel) ReqState() ReqState {
 	}
 }
 
-// AdoptReqState union-merges a requirements snapshot — how an elected
+// adoptReqState union-merges a requirements snapshot — how an elected
 // root re-bootstraps from its own cache and the caches riding on the
 // next round of summaries. Blacklists are monotone so the union never
 // regresses; under DisableBlacklist only the bandwidth bound merges.
-func (rk *RootKernel) AdoptReqState(st ReqState) {
+func (rk *RootKernel) adoptReqState(st ReqState) {
 	if !rk.cfg.DisableBlacklist {
 		for _, n := range st.Nodes {
 			if !rk.reqs.NodeBlacklisted(n, "") {
@@ -588,7 +577,7 @@ func (rk *RootKernel) observeStream(o core.StreamObs) {
 // subs that saw a reset push the successor missed. Returns whether the
 // summary was accepted.
 func (rk *RootKernel) Ingest(sum ClusterSummary) bool {
-	rk.AdoptReqState(sum.Req)
+	rk.adoptReqState(sum.Req)
 	rk.mu.Lock()
 	defer rk.mu.Unlock()
 	if sum.Epoch > rk.resetEpoch {

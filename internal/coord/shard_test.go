@@ -59,6 +59,43 @@ func TestReqStateWireParity(t *testing.T) {
 	})
 }
 
+// The tree protocol's control frames: the root's summary receipt and
+// its eager post-action reset push.
+func TestSummaryAckWireParity(t *testing.T) {
+	frametest.Parity[SummaryAck, *SummaryAck](t, []SummaryAck{
+		{},
+		{Cluster: "c0", Seq: 7, Epoch: 3},
+		{Cluster: "grappe-é", Seq: math.MaxUint64, Epoch: 1 << 40, Req: ReqState{
+			Nodes:        []core.NodeID{"c0/00", "узел-1"},
+			Clusters:     []core.ClusterID{"bad"},
+			MinBandwidth: 2e6,
+		}},
+	})
+}
+
+func TestShardResetWireParity(t *testing.T) {
+	frametest.Parity[ShardReset, *ShardReset](t, []ShardReset{
+		{},
+		{Epoch: 5},
+		{Epoch: math.MaxUint64, Req: ReqState{
+			Nodes:        []core.NodeID{"a/00"},
+			Clusters:     []core.ClusterID{"x", "y"},
+			MinBandwidth: math.SmallestNonzeroFloat64,
+		}},
+	})
+}
+
+func TestSummaryAckWireCorrupt(t *testing.T) {
+	ack := SummaryAck{Cluster: "c0", Seq: 9, Epoch: 2, Req: ReqState{
+		Nodes: []core.NodeID{"c0/01"}, Clusters: []core.ClusterID{"bad"}, MinBandwidth: 1e5,
+	}}
+	enc, err := ack.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frametest.Corrupt[SummaryAck, *SummaryAck](t, enc)
+}
+
 func TestClusterSummaryWireCorrupt(t *testing.T) {
 	sum := ClusterSummary{
 		Cluster: "A", Seq: 3, Epoch: 1, Time: 200, Nodes: 2, Stats: 2,

@@ -7,11 +7,11 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// Binary codec for the sharded-coordination frames. A ClusterSummary
+// Binary codecs for the tree protocol's frames. A ClusterSummary
 // crosses the wire once per cluster per period — the whole point of the
-// shard split is that this is the ONLY recurring control traffic the
-// root sees, so it rides the wirefmt fast path like every other
-// fixed-shape frame. Link samples and blacklists are written in sorted
+// shard split is that this and its SummaryAck are the ONLY recurring
+// control traffic the root sees, so they ride the wirefmt fast path
+// like every other fixed-shape frame. Link samples and blacklists are written in sorted
 // order so the encoding of a given summary is byte-for-byte stable.
 
 // AppendWire implements wirefmt.Frame.
@@ -182,4 +182,38 @@ func (sum *ClusterSummary) DecodeWire(r *wirefmt.Reader) error {
 		return r.Err()
 	}
 	return sum.Req.DecodeWire(r)
+}
+
+// AppendWire implements wirefmt.Frame.
+func (a *SummaryAck) AppendWire(b []byte) ([]byte, error) {
+	b = wirefmt.AppendString(b, string(a.Cluster))
+	b = wirefmt.AppendUvarint(b, a.Seq)
+	b = wirefmt.AppendUvarint(b, a.Epoch)
+	return a.Req.AppendWire(b)
+}
+
+// DecodeWire implements wirefmt.Frame.
+func (a *SummaryAck) DecodeWire(r *wirefmt.Reader) error {
+	a.Cluster = core.ClusterID(r.String())
+	a.Seq = r.Uvarint()
+	a.Epoch = r.Uvarint()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	return a.Req.DecodeWire(r)
+}
+
+// AppendWire implements wirefmt.Frame.
+func (rst *ShardReset) AppendWire(b []byte) ([]byte, error) {
+	b = wirefmt.AppendUvarint(b, rst.Epoch)
+	return rst.Req.AppendWire(b)
+}
+
+// DecodeWire implements wirefmt.Frame.
+func (rst *ShardReset) DecodeWire(r *wirefmt.Reader) error {
+	rst.Epoch = r.Uvarint()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	return rst.Req.DecodeWire(r)
 }

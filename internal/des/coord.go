@@ -18,7 +18,7 @@ func (s *Sim) coordinatorTick() {
 	}
 	defer func() {
 		if !s.done {
-			s.k.After(s.p.Mon.Period, s.coordinatorTick)
+			s.k.Post(s.p.Mon.Period, s.coordinatorTick)
 		}
 	}()
 	live := make([]core.NodeID, 0, len(s.order))
@@ -52,7 +52,7 @@ func (s *Sim) EachReport(fn func(metrics.Report) bool) {
 	}
 	for _, c := range s.subOrder() {
 		stop := false
-		s.subs[c].kern.EachReport(func(rep metrics.Report) bool {
+		s.subs[c].link.EachReport(func(rep metrics.Report) bool {
 			stop = !fn(rep)
 			return !stop
 		})
@@ -134,7 +134,7 @@ func (a *simActuator) Evict(victims []core.NodeID, reason string) []core.NodeID 
 		}
 		lat := s.net.Latency(s.coordClst, n.cluster)
 		node := n
-		s.k.After(lat, func() {
+		s.k.Post(lat, func() {
 			if !s.done {
 				s.leave(node)
 			}

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/steal"
 	"repro/internal/vtime"
@@ -46,21 +45,25 @@ func (s *Sim) nodeIdle(n *simNode) {
 // is why a big leaf on a heavily loaded node produces the long
 // end-of-iteration tails of the paper's scenario 3.
 func (s *Sim) execute(n *simNode, t simTask) {
-	dur := t.work / n.effSpeed()
+	n.curDur = t.work / n.effSpeed()
 	n.curWork = t.work
-	n.busyUntil = s.k.Now() + vtime.Time(dur)
-	n.curDone = s.k.After(dur, func() {
-		n.curDone = nil
-		n.curWork = 0
-		n.lastWorkAt = s.k.Now()
-		s.addTime(n, metrics.Busy, dur)
-		s.outstanding--
-		if s.outstanding == 0 && s.phase == phaseCompute {
-			s.endIteration()
-			return
-		}
-		s.nodeIdle(n)
-	})
+	n.busyUntil = s.k.Now() + vtime.Time(n.curDur)
+	n.leaf.Reset(n.curDur)
+	n.curDone = n.leaf
+}
+
+// leafDone is n.leaf firing: the leaf execute started has run.
+func (s *Sim) leafDone(n *simNode) {
+	n.curDone = nil
+	n.curWork = 0
+	n.lastWorkAt = s.k.Now()
+	s.addTime(n, metrics.Busy, n.curDur)
+	s.outstanding--
+	if s.outstanding == 0 && s.phase == phaseCompute {
+		s.endIteration()
+		return
+	}
+	s.nodeIdle(n)
 }
 
 // tryStealing drives the shared steal-policy kernel (internal/steal):
@@ -89,10 +92,7 @@ func (s *Sim) tryStealing(n *simNode) {
 // stealSnapshot returns the shared pre-indexed membership view the
 // steal engines pick victims from, rebuilt only when membership
 // changed (NextView excludes the caller itself, so one view serves
-// every thief). Rebuilding a slice per attempt was the simulator's
-// dominant cost at 10k nodes; after sharing the slice, the O(nodes)
-// partition inside Engine.Next took its place — the View's indexed
-// draws remove that too.
+// every thief).
 func (s *Sim) stealSnapshot() *steal.View {
 	if s.membersDirty {
 		s.stealMembers = s.stealMembers[:0]
@@ -110,13 +110,25 @@ func (s *Sim) stealSnapshot() *steal.View {
 // scheduleRetry arms an exponential-backoff re-attempt so an idle node
 // keeps probing for work without flooding the event queue.
 func (s *Sim) scheduleRetry(n *simNode) {
-	if n.retry != nil {
-		return
+	if !n.retry.Pending() {
+		n.retry.Reset(n.eng.BackoffSec())
 	}
-	n.retry = s.k.After(n.eng.BackoffSec(), func() {
-		n.retry = nil
-		s.nodeIdle(n)
-	})
+}
+
+// stealMsg is one steal attempt in flight, from the request leaving
+// the thief n to the reply landing there. Its steps are closures bound
+// once, and stealReply hands the finished attempt back to
+// Sim.stealPool: the simulator's most frequent chain of events
+// allocates nothing once the pool has filled.
+type stealMsg struct {
+	n, v           *simNode
+	inter, wanSlot bool
+	lat            float64
+	issuedAt       vtime.Time
+	stolen         simTask // the job on its way back, from handle on
+	wireSec, bytes float64 // its network time and size
+
+	arrive, handle, refuse, deliver func()
 }
 
 // sendSteal delivers a steal request from thief n to victim v. The
@@ -125,99 +137,123 @@ func (s *Sim) scheduleRetry(n *simNode) {
 // rarely, so its handling delay scales with the competing load); a
 // stolen job's payload then travels back through the real links.
 func (s *Sim) sendSteal(n, v *simNode, inter, wanSlot bool) {
-	lat := s.net.Latency(n.cluster, v.cluster)
-	issuedAt := s.k.Now()
-	s.k.After(lat, func() {
-		if s.done {
-			return
-		}
-		if v.gone() || !v.joined {
-			// Connection refused — fast failure back to the thief.
-			s.k.After(lat, func() { s.stealReply(n, nil, 2*lat, v.cluster, 0, 0, inter, wanSlot) })
-			return
-		}
-		// The victim handles the request at the next poll point: after
-		// its current leaf or benchmark (the runtime only polls between
-		// tasks) and after previously queued requests, with a handling
-		// delay that competing load stretches (a loaded machine's
-		// runtime thread is scheduled rarely).
-		handleAt := s.k.Now()
-		if v.stealFree > handleAt {
-			handleAt = v.stealFree
-		}
-		if v.busyUntil > handleAt {
-			handleAt = v.busyUntil
-		}
-		v.stealFree = handleAt + vtime.Time(s.p.PollInterval*(1+v.load))
-		s.k.At(v.stealFree, func() {
-			if s.done {
-				return
-			}
-			var stolen *simTask
-			if !v.gone() && s.phase == phaseCompute && len(v.deque) > 0 {
-				t := v.deque[0] // steal the oldest = biggest subtree
-				v.deque = v.deque[1:]
-				stolen = &t
-			}
-			if stolen == nil {
-				s.k.After(lat, func() { s.stealReply(n, nil, 2*lat, v.cluster, 0, 0, inter, wanSlot) })
-				return
-			}
-			handover := s.k.Now()
-			// The job carries its data: a big subtree entering a
-			// badly connected cluster drags its body share through
-			// the thin uplink.
-			jobBytes := s.p.Spec.JobBytes(stolen.work)
-			var deliverAt vtime.Time
-			if inter {
-				deliverAt = s.net.Inter(handover, v.cluster, n.cluster, jobBytes)
-			} else {
-				deliverAt = s.net.Intra(handover, v.cluster, jobBytes)
-			}
-			// Only genuine network time counts as communication: the
-			// request latency plus the reply's transfer time (including
-			// any queueing on a congested uplink). Time spent waiting
-			// for the victim's poll point is idle time at the thief.
-			wireSec := lat + float64(deliverAt-handover)
-			s.k.At(deliverAt, func() {
-				commSec := wireSec
-				if wanSlot && n.lastWorkAt > issuedAt {
-					// The asynchronous wide-area steal overlapped with
-					// local work — which is CRS's whole point — so the
-					// transfer cost the thief only the round trips, not
-					// the wire time. A starved thief (no work completed
-					// since issuing) truly waited on the WAN and is
-					// charged in full. The wire time still feeds the
-					// pair-bandwidth estimate either way.
-					commSec = 2 * lat
-				}
-				s.stealReply(n, stolen, commSec, v.cluster, wireSec, jobBytes, inter, wanSlot)
-			})
-		})
-	})
+	var m *stealMsg
+	if k := len(s.stealPool); k > 0 {
+		m, s.stealPool = s.stealPool[k-1], s.stealPool[:k-1]
+	} else {
+		m = &stealMsg{}
+		m.arrive = func() { s.stealArrive(m) }
+		m.handle = func() { s.stealHandle(m) }
+		m.refuse = func() { s.stealReply(m, false, 2*m.lat) }
+		m.deliver = func() { s.stealDeliver(m) }
+	}
+	*m = stealMsg{
+		n: n, v: v, inter: inter, wanSlot: wanSlot,
+		lat: s.net.Latency(n.cluster, v.cluster), issuedAt: s.k.Now(),
+		arrive: m.arrive, handle: m.handle, refuse: m.refuse, deliver: m.deliver,
+	}
+	s.k.Post(m.lat, m.arrive)
 }
 
-// stealReply lands at the thief: either a job or a failure. commSec is
-// the attempt's network time, booked as intra- or inter-cluster
-// communication — the signal the coordinator's badness formula keys on
-// (the rest of the attempt is implicit idle time).
-func (s *Sim) stealReply(n *simNode, t *simTask, commSec float64, peer core.ClusterID, wireSec, wireBytes float64, inter, wanSlot bool) {
-	if wanSlot {
-		n.eng.AsyncDone(t != nil)
+// stealArrive is the request reaching the victim's machine.
+func (s *Sim) stealArrive(m *stealMsg) {
+	v := m.v
+	if s.done {
+		return
+	}
+	if v.gone() || !v.joined {
+		// Connection refused — fast failure back to the thief.
+		s.k.Post(m.lat, m.refuse)
+		return
+	}
+	// The victim handles the request at the next poll point: after
+	// its current leaf or benchmark (the runtime only polls between
+	// tasks) and after previously queued requests, with a handling
+	// delay that competing load stretches (a loaded machine's
+	// runtime thread is scheduled rarely).
+	handleAt := s.k.Now()
+	if v.stealFree > handleAt {
+		handleAt = v.stealFree
+	}
+	if v.busyUntil > handleAt {
+		handleAt = v.busyUntil
+	}
+	v.stealFree = handleAt + vtime.Time(s.p.PollInterval*(1+v.load))
+	s.k.PostAt(v.stealFree, m.handle)
+}
+
+// stealHandle is the victim's runtime looking at the request.
+func (s *Sim) stealHandle(m *stealMsg) {
+	n, v := m.n, m.v
+	if s.done {
+		return
+	}
+	if v.gone() || s.phase != phaseCompute || len(v.deque) == 0 {
+		s.k.Post(m.lat, m.refuse)
+		return
+	}
+	m.stolen = v.deque[0] // steal the oldest = biggest subtree
+	v.deque = v.deque[1:]
+	handover := s.k.Now()
+	// The job carries its data: a big subtree entering a
+	// badly connected cluster drags its body share through
+	// the thin uplink.
+	m.bytes = s.p.Spec.JobBytes(m.stolen.work)
+	var deliverAt vtime.Time
+	if m.inter {
+		deliverAt = s.net.Inter(handover, v.cluster, n.cluster, m.bytes)
 	} else {
-		n.eng.SyncDone(t != nil)
+		deliverAt = s.net.Intra(handover, v.cluster, m.bytes)
+	}
+	// Only genuine network time counts as communication: the
+	// request latency plus the reply's transfer time (including
+	// any queueing on a congested uplink). Time spent waiting
+	// for the victim's poll point is idle time at the thief.
+	m.wireSec = m.lat + float64(deliverAt-handover)
+	s.k.PostAt(deliverAt, m.deliver)
+}
+
+// stealDeliver is the stolen job reaching the thief.
+func (s *Sim) stealDeliver(m *stealMsg) {
+	commSec := m.wireSec
+	if m.wanSlot && m.n.lastWorkAt > m.issuedAt {
+		// The asynchronous wide-area steal overlapped with
+		// local work — which is CRS's whole point — so the
+		// transfer cost the thief only the round trips, not
+		// the wire time. A starved thief (no work completed
+		// since issuing) truly waited on the WAN and is
+		// charged in full. The wire time still feeds the
+		// pair-bandwidth estimate either way.
+		commSec = 2 * m.lat
+	}
+	s.stealReply(m, true, commSec)
+}
+
+// stealReply lands at the thief: either a job (got) or a failure.
+// commSec is the attempt's network time, booked as intra- or
+// inter-cluster communication — the signal the coordinator's badness
+// formula keys on (the rest of the attempt is implicit idle time).
+func (s *Sim) stealReply(m *stealMsg, got bool, commSec float64) {
+	// The attempt ends here; what stealReply starts (nodeIdle may send
+	// the next steal) finds the pool without it.
+	defer func() { s.stealPool = append(s.stealPool, m) }()
+	n, inter := m.n, m.inter
+	if m.wanSlot {
+		n.eng.AsyncDone(got)
+	} else {
+		n.eng.SyncDone(got)
 	}
 	if s.done {
-		if t != nil {
-			s.requeue(*t)
+		if got {
+			s.requeue(m.stolen)
 		}
 		return
 	}
 	if n.gone() {
-		if t != nil {
+		if got {
 			// The thief left while the job was in flight: the job is
 			// orphaned and gets recomputed via the master.
-			s.requeue(*t)
+			s.requeue(m.stolen)
 		}
 		return
 	}
@@ -226,28 +262,28 @@ func (s *Sim) stealReply(n *simNode, t *simTask, commSec float64, peer core.Clus
 		bucket = metrics.Inter
 	}
 	s.addTime(n, bucket, commSec)
-	if t == nil {
+	if !got {
 		if !n.busy() && len(n.deque) == 0 && s.phase == phaseCompute {
 			s.scheduleRetry(n)
 		}
 		return
 	}
 	if inter {
-		n.acc.AddInterBytes(wireBytes)
-		if wireSec > 0 && wireBytes > 0 {
+		n.acc.AddInterBytes(m.bytes)
+		if m.wireSec > 0 && m.bytes > 0 {
 			// One observed data transfer with the victim's cluster —
 			// the pair-bandwidth estimation the coordinator's cluster
 			// eviction rule runs on.
-			n.acc.AddLinkSample(peer, wireSec, wireBytes)
+			n.acc.AddLinkSample(m.v.cluster, m.wireSec, m.bytes)
 		}
 	}
 	if s.phase != phaseCompute {
 		// Iteration ended while the job was in flight — cannot happen
 		// for live jobs (they count as outstanding), but guard anyway.
-		s.requeue(*t)
+		s.requeue(m.stolen)
 		return
 	}
-	n.deque = append(n.deque, *t)
+	n.deque = append(n.deque, m.stolen)
 	s.nodeIdle(n)
 }
 
@@ -261,7 +297,7 @@ func (s *Sim) startBench(n *simNode) {
 	n.benching = true
 	dur := s.p.Mon.BenchWork / n.effSpeed()
 	n.busyUntil = s.k.Now() + vtime.Time(dur)
-	s.k.After(dur, func() {
+	s.k.Post(dur, func() {
 		n.benching = false
 		if n.gone() || s.done {
 			return
@@ -318,7 +354,7 @@ func (s *Sim) scheduleMonitor(n *simNode) {
 			// co-located, one LAN latency away.
 			lat := s.net.Latency(n.cluster, n.cluster)
 			cluster := n.cluster
-			s.k.After(lat, func() {
+			s.k.Post(lat, func() {
 				if s.done {
 					return
 				}
@@ -328,7 +364,7 @@ func (s *Sim) scheduleMonitor(n *simNode) {
 			})
 		} else {
 			lat := s.net.Latency(n.cluster, s.coordClst)
-			s.k.After(lat, func() {
+			s.k.Post(lat, func() {
 				if s.done {
 					return
 				}

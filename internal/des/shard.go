@@ -1,7 +1,6 @@
 package des
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/coord"
@@ -9,25 +8,19 @@ import (
 	"repro/internal/metrics"
 )
 
-// The simulator's mirror of the sharded coordinator tree (ISSUE 8):
-// one coord.SubKernel per cluster ingests that cluster's reports and
-// condenses each period into a ClusterSummary; the root consumes only
-// summaries, so its per-tick cost is O(clusters) however many nodes the
-// world holds. The message flow mirrors the real runtime — summaries
-// and acks travel with network latency, the root pushes resets after
-// acting, subs detect root death through missed acks and elect the
-// lowest live cluster as successor.
+// The simulator's driver of the coordinator tree: one coord.SubLink per
+// cluster ingests that cluster's reports and condenses each period into
+// a ClusterSummary; the root consumes only summaries, so its per-tick
+// cost is O(clusters) however many nodes the world holds. The protocol
+// (acks, resets, missed-ack counting, election, successor seeding) is
+// coord's tree.go; this file moves its messages with network latency in
+// virtual time and decides which of them a crash swallows.
 
 // desSub is one cluster's sub-coordinator.
 type desSub struct {
 	cluster core.ClusterID
-	kern    *coord.SubKernel
+	link    *coord.SubLink
 	crashed bool
-
-	missed     int  // consecutive periods without an ack
-	pendingAck bool // summary sent, ack not yet seen
-	epoch      uint64
-	req        coord.ReqState // cached root requirements (failover seed)
 }
 
 // desRoot is the root coordinator instance; a failover replaces it
@@ -48,28 +41,24 @@ func (s *Sim) sharded() bool { return s.kern == nil }
 func (s *Sim) subFor(c core.ClusterID) *desSub {
 	sub, ok := s.subs[c]
 	if !ok {
-		w := s.subWeights()
-		sub = &desSub{
-			cluster: c,
-			kern:    coord.NewSubKernel(c, s.p.ProposalCap, w),
-		}
+		sub = &desSub{cluster: c, link: s.newSubLink(c)}
 		s.subs[c] = sub
 	}
 	return sub
 }
 
-// subWeights are the badness weights the sub-kernels rank their
-// eviction proposals with — from whichever objective the run adapts
-// under.
-func (s *Sim) subWeights() core.BadnessWeights {
+// newSubLink builds a sub-coordinator's (re)start state; the badness
+// weights its sub-kernel ranks eviction proposals with come from
+// whichever objective the run adapts under.
+func (s *Sim) newSubLink(c core.ClusterID) *coord.SubLink {
+	w := core.DefaultConfig().Weights
 	switch {
 	case s.p.Adapt != nil:
-		return s.p.Adapt.Weights
+		w = s.p.Adapt.Weights
 	case s.p.StreamSLO != nil:
-		return s.p.StreamSLO.Weights
-	default:
-		return core.DefaultConfig().Weights
+		w = s.p.StreamSLO.Weights
 	}
+	return coord.NewSubLink(c, s.p.ProposalCap, w, s.p.FailoverAfter)
 }
 
 // subOrder returns the sub-coordinators' clusters in deterministic
@@ -91,7 +80,7 @@ func (s *Sim) forgetNode(n *simNode) {
 		return
 	}
 	if sub, ok := s.subs[n.cluster]; ok {
-		sub.kern.Forget(n.id)
+		sub.link.Forget(n.id)
 	}
 }
 
@@ -121,23 +110,23 @@ func (s *Sim) syncProtected() {
 // messages to a crashed process are.
 func (s *Sim) deliverReport(c core.ClusterID, rep metrics.Report) {
 	if sub, ok := s.subs[c]; ok && !sub.crashed {
-		sub.kern.Report(rep)
+		sub.link.Report(rep)
 	}
 }
 
 // subsTick runs every sub-coordinator's period: summarize the cluster,
-// send the summary to the root, count missed acks, and — when the root
-// has been silent for FailoverAfter periods — elect a successor. One
-// recurring event iterates all subs (the real subs tick independently;
-// collapsing them keeps the event queue small at 10k nodes without
-// changing what the root observes).
+// hand the summary to the network, and — when a sub has gone
+// FailoverAfter periods without an ack and the root is indeed down —
+// hold the election. One recurring event iterates all subs (the real
+// subs tick independently; collapsing them keeps the event queue small
+// at 10k nodes without changing what the root observes).
 func (s *Sim) subsTick() {
 	if s.done {
 		return
 	}
 	defer func() {
 		if !s.done {
-			s.k.After(s.p.Mon.Period, s.subsTick)
+			s.k.Post(s.p.Mon.Period, s.subsTick)
 		}
 	}()
 	// One pass over the live set gives every cluster's census.
@@ -172,44 +161,29 @@ func (s *Sim) subsTick() {
 			continue
 		}
 		if part, ok := streamParts[c]; ok {
-			sub.kern.ObserveStream(part)
+			sub.link.ObserveStream(part)
 		}
-		if sub.pendingAck {
-			// Last period's summary was never acknowledged.
-			sub.missed++
-			sub.pendingAck = false
-		}
-		sum := sub.kern.Summarize(now, liveBy[c])
-		sum.Epoch = sub.epoch
-		sum.Req = sub.req
+		sum := sub.link.Period(now, liveBy[c])
 		rt := s.root
-		if rt == nil || rt.crashed {
-			// Connection refused — the real wire layer fails the send
-			// synchronously when the root endpoint is gone.
-			sub.missed++
-		} else {
-			sub.pendingAck = true
+		// A dead root refuses the connection — the real wire layer fails
+		// the send synchronously when the root endpoint is gone.
+		accepted := rt != nil && !rt.crashed
+		if accepted {
 			lat := s.net.Latency(c, rt.host)
-			s.k.After(lat, func() {
+			s.k.Post(lat, func() {
 				if s.done || rt != s.root || rt.crashed {
 					return // the root died (or was replaced) in flight
 				}
-				rt.kern.Ingest(sum)
-				// Ack even a stale-epoch summary: the ack's epoch is how
-				// a restarted sub catches back up.
-				epoch, req := rt.kern.ResetEpoch(), rt.kern.ReqState()
-				s.k.After(lat, func() {
+				ack := rt.kern.Receive(sum)
+				s.k.Post(lat, func() {
 					if s.done || sub.crashed || rt != s.root {
 						return
 					}
-					sub.pendingAck = false
-					sub.missed = 0
-					sub.req = req
-					s.syncSubEpoch(sub, epoch)
+					sub.link.Ack(ack)
 				})
 			})
 		}
-		if sub.missed >= s.p.FailoverAfter {
+		if sub.link.Sent(accepted) {
 			anyStarved = true
 		}
 	}
@@ -218,50 +192,33 @@ func (s *Sim) subsTick() {
 	}
 }
 
-// syncSubEpoch adopts a newer root epoch at a sub: the root acted, so
-// the sub's pending reports describe the pre-action world and are
-// dropped — the distributed half of the flat kernel's post-action
-// reset.
-func (s *Sim) syncSubEpoch(sub *desSub, epoch uint64) {
-	if epoch > sub.epoch {
-		sub.epoch = epoch
-		sub.kern.Reset()
-	}
-}
-
-// electRoot deterministically promotes the sub-coordinator of the
-// lowest live cluster to root. The successor seeds its kernel from the
-// electing sub's cached requirements; the other subs' caches merge in
-// with their next summaries (blacklists are monotone, so the union
-// can only be complete or short-lived-incomplete, never wrong).
+// electRoot holds the election among the running subs whose cluster
+// still hosts nodes. Every sub sees the same view at the same virtual
+// instant, so all of them apply the rule at once: the winner's sub
+// seeds the successor, every other stands down.
 func (s *Sim) electRoot(liveBy map[core.ClusterID][]core.NodeID) {
+	var candidates []core.ClusterID
+	for _, c := range s.subOrder() {
+		if !s.subs[c].crashed && len(liveBy[c]) > 0 {
+			candidates = append(candidates, c)
+		}
+	}
 	var winner *desSub
 	for _, c := range s.subOrder() {
-		sub := s.subs[c]
-		if sub.crashed || len(liveBy[c]) == 0 {
-			continue
+		if sub := s.subs[c]; sub.link.Stands(candidates) {
+			winner = sub
 		}
-		winner = sub
-		break
 	}
 	if winner == nil {
 		return // nobody left to elect; a later join re-triggers
 	}
-	rk, err := coord.NewRoot(s.rootConfig(), &simActuator{s})
+	rk, err := winner.link.Promote(s.rootConfig(), &simActuator{s})
 	if err != nil {
 		panic(err) // config was validated at startup
 	}
-	rk.AdoptReqState(winner.req)
-	rk.StartEpoch(winner.epoch)
 	s.root = &desRoot{host: winner.cluster, kern: rk}
 	s.coordClst = winner.cluster
 	s.syncProtected()
-	for _, c := range s.subOrder() {
-		sub := s.subs[c]
-		sub.missed = 0
-		sub.pendingAck = false
-	}
-	s.annotate(fmt.Sprintf("root coordinator failover: cluster %s elected", winner.cluster))
 }
 
 // rootConfig is the kernel configuration both the initial root and any
@@ -288,7 +245,7 @@ func (s *Sim) rootConfig() coord.Config {
 }
 
 // rootTick is the sharded run's coordinator tick: consume the latest
-// summaries, decide, and push the post-action reset down the tree.
+// summaries, decide, and deliver the post-action reset down the tree.
 // While the root is crashed the timer keeps firing but nothing
 // happens — adaptation is paused until the subs elect a successor.
 func (s *Sim) rootTick() {
@@ -297,7 +254,7 @@ func (s *Sim) rootTick() {
 	}
 	defer func() {
 		if !s.done {
-			s.k.After(s.p.Mon.Period, s.rootTick)
+			s.k.Post(s.p.Mon.Period, s.rootTick)
 		}
 	}()
 	rt := s.root
@@ -314,25 +271,20 @@ func (s *Sim) rootTick() {
 	}
 	sort.Slice(liveClusters, func(i, j int) bool { return liveClusters[i] < liveClusters[j] })
 
-	before := rt.kern.ResetEpoch()
-	rec := rt.kern.Tick(float64(s.k.Now()), liveClusters, len(s.order))
+	rec, rst := rt.kern.TickTree(float64(s.k.Now()), liveClusters, len(s.order))
 	s.res.Periods = append(s.res.Periods, rec)
 	if s.p.Observe != nil {
 		s.p.Observe(rec, rt.kern.Requirements(), liveBy)
 	}
-	if after := rt.kern.ResetEpoch(); after != before {
-		// The root acted: push the reset (and the fresh requirements
-		// snapshot) to every sub so pre-action reports die everywhere.
-		req := rt.kern.ReqState()
+	if rst != nil {
 		for _, c := range s.subOrder() {
 			sub := s.subs[c]
 			lat := s.net.Latency(rt.host, c)
-			s.k.After(lat, func() {
+			s.k.Post(lat, func() {
 				if s.done || sub.crashed || rt != s.root {
 					return
 				}
-				sub.req = req
-				s.syncSubEpoch(sub, after)
+				sub.link.Pushed(*rst)
 			})
 		}
 	}
@@ -356,15 +308,11 @@ func (s *Sim) crashSub(c core.ClusterID) {
 		return
 	}
 	sub.crashed = true
-	s.k.After(s.p.CrashDetect, func() {
+	s.k.Post(s.p.CrashDetect, func() {
 		if s.done {
 			return
 		}
-		sub.kern = coord.NewSubKernel(c, s.p.ProposalCap, s.subWeights())
+		sub.link = s.newSubLink(c)
 		sub.crashed = false
-		sub.missed = 0
-		sub.pendingAck = false
-		sub.epoch = 0
-		sub.req = coord.ReqState{}
 	})
 }

@@ -46,7 +46,9 @@ type simNode struct {
 
 	curWork float64      // work of the leaf being executed (0 = none)
 	curItem *streamItem  // stream item being serviced (stream runs)
+	curDur  float64      // its duration
 	curDone *vtime.Timer // completion event of the running leaf
+	leaf    *vtime.Timer // curDone of every batch leaf: fires leafDone
 
 	benching     bool
 	benchPending bool
@@ -57,7 +59,7 @@ type simNode struct {
 	// eng is the node's slice of the shared CRS policy kernel: victim
 	// selection, sync/async slot occupancy and back-off state.
 	eng   *steal.Engine
-	retry *vtime.Timer
+	retry *vtime.Timer // back-off re-attempt, pending while the node waits
 
 	stealFree  vtime.Time // victim-side steal-handler serialisation
 	lastWorkAt vtime.Time // completion time of the node's last leaf
@@ -96,14 +98,13 @@ type Sim struct {
 	used  map[core.ClusterID]bool
 
 	// stealMembers/stealView are the cached membership snapshot handed
-	// to the steal engines (rebuilt lazily on churn): at 10k nodes,
-	// building a fresh slice per steal attempt dominated the
-	// simulator's time, and even a shared flat slice still cost an
-	// O(nodes) partition inside every Engine.Next call — the
-	// pre-indexed View makes each victim draw O(log cluster-size).
+	// to the steal engines (rebuilt lazily on churn): at 10k nodes any
+	// O(nodes) work per steal attempt dominates the simulator's time;
+	// the pre-indexed View makes each victim draw O(log cluster-size).
 	stealMembers []steal.Member
 	stealView    *steal.View
 	membersDirty bool
+	stealPool    []*stealMsg // finished steal attempts, for sendSteal to reuse
 
 	master      *simNode
 	coordClst   core.ClusterID
@@ -183,20 +184,20 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 
 	for _, inj := range p.Events {
 		inj := inj
-		s.k.At(vtime.Time(inj.At), func() { s.inject(inj) })
+		s.k.PostAt(vtime.Time(inj.At), func() { s.inject(inj) })
 	}
 	if p.Mon.Enabled && (p.Adapt != nil || p.StreamSLO != nil || p.MonitorOnly) {
 		if s.sharded() {
 			// The subs summarize one second before the root consumes, so
 			// a summary (plus its ~ms of latency) reaches the root within
 			// the same period it was built in.
-			s.k.At(vtime.Time(p.Mon.Period+1), s.subsTick)
-			s.k.At(vtime.Time(p.Mon.Period+2), s.rootTick)
+			s.k.PostAt(vtime.Time(p.Mon.Period+1), s.subsTick)
+			s.k.PostAt(vtime.Time(p.Mon.Period+2), s.rootTick)
 		} else {
-			s.k.At(vtime.Time(p.Mon.Period+2), s.coordinatorTick)
+			s.k.PostAt(vtime.Time(p.Mon.Period+2), s.coordinatorTick)
 		}
 	}
-	s.k.At(vtime.Time(p.MaxTime), func() {
+	s.k.PostAt(vtime.Time(p.MaxTime), func() {
 		if !s.done {
 			s.aborted = true
 			s.done = true
@@ -273,6 +274,8 @@ func (s *Sim) addNode(ref sched.NodeRef, immediate bool) {
 		load:      s.clusterLoad[ref.Cluster],
 		eng:       steal.New(s.p.StealPolicy, ref.Node, ref.Cluster, steal.SeedFor(s.p.Seed, ref.Node)),
 	}
+	n.leaf = s.k.NewTimer(func() { s.leafDone(n) })
+	n.retry = s.k.NewTimer(func() { s.nodeIdle(n) })
 	start := func() {
 		if s.done || n.gone() {
 			return
@@ -330,7 +333,7 @@ func (s *Sim) addNode(ref sched.NodeRef, immediate bool) {
 		start()
 		return
 	}
-	s.k.After(s.p.JoinDelay, func() {
+	s.k.Post(s.p.JoinDelay, func() {
 		if s.done {
 			s.pool.Release(ref)
 			return
@@ -346,7 +349,7 @@ func (s *Sim) addNode(ref sched.NodeRef, immediate bool) {
 		} else {
 			doneAt = s.net.Inter(s.k.Now(), src, ref.Cluster, s.p.Spec.BytesPerNode)
 		}
-		s.k.At(doneAt, start)
+		s.k.PostAt(doneAt, start)
 	})
 }
 
@@ -372,7 +375,7 @@ func (s *Sim) cancelNodeTimers(n *simNode) {
 			t.Cancel()
 		}
 	}
-	n.curDone, n.benchTimer, n.monTimer, n.retry = nil, nil, nil, nil
+	n.curDone, n.benchTimer, n.monTimer = nil, nil, nil
 }
 
 // requeue puts a task back into the computation (recompute semantics:
@@ -482,7 +485,7 @@ func (s *Sim) crash(n *simNode) {
 	n.curItem = nil
 	n.deque = nil
 	if len(lost) > 0 || lostItem != nil {
-		s.k.After(s.p.CrashDetect, func() {
+		s.k.Post(s.p.CrashDetect, func() {
 			if s.done {
 				return
 			}
@@ -501,7 +504,7 @@ func (s *Sim) crash(n *simNode) {
 		s.exchangeDone()
 	}
 	if wasMaster && s.phase == phaseSeq && s.master != nil {
-		s.k.After(s.p.CrashDetect, func() {
+		s.k.Post(s.p.CrashDetect, func() {
 			if !s.done && s.phase == phaseSeq {
 				s.startSeq()
 			}
@@ -623,7 +626,7 @@ func (s *Sim) startExchange() {
 		}
 		n.exchanging = true
 		s.exchWaiting++
-		s.k.At(doneAt, func() {
+		s.k.PostAt(doneAt, func() {
 			if !n.exchanging {
 				return
 			}

@@ -90,7 +90,7 @@ func (s *Sim) emitItem() {
 	s.streamObsFor(it.loc).Arrived++
 	s.wakeStreamWorkers()
 	if st.emitted < st.spec.Items {
-		s.k.After(1/st.spec.RateHz, func() { s.emitItem() })
+		s.k.Post(1/st.spec.RateHz, func() { s.emitItem() })
 	}
 }
 

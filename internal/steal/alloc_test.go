@@ -7,10 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// The steal decision sits on every idle node's hot path: after the
-// engine's scratch buffers warm up, a full Next/SyncDone/AsyncDone
-// round must not allocate at all (ISSUE 7 ceiling; BENCH_5 measured 10
-// allocs/op before the value-Directive rework).
+// The steal decision sits on every idle node's hot path: against a
+// built view, a full NextView/SyncDone/AsyncDone round must not
+// allocate at all (ISSUE 7 ceiling; BENCH_5 measured 10 allocs/op
+// before the value-Directive rework).
 func TestStealRoundAllocFree(t *testing.T) {
 	members := make([]Member, 64)
 	for i := range members {
@@ -19,13 +19,12 @@ func TestStealRoundAllocFree(t *testing.T) {
 			Cluster: core.ClusterID(fmt.Sprintf("c%d", i%4)),
 		}
 	}
+	view := NewView()
+	view.Rebuild(members)
 	for _, policy := range []Policy{CRS, Random} {
 		e := New(policy, members[0].ID, members[0].Cluster, 1)
-		e.Next(0, members) // warm the scratch buffers
-		e.SyncDone(false)
-		e.AsyncDone(true)
 		allocs := testing.AllocsPerRun(100, func() {
-			d := e.Next(0, members)
+			d := e.NextView(0, view)
 			if d.HasSync {
 				e.SyncDone(false)
 			}

@@ -7,13 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// BenchmarkNextCRS measures one victim-selection round on a 36-node,
+// BenchmarkNextViewCRS measures one victim-selection round on a 36-node,
 // 3-cluster snapshot — the per-idle-loop cost the satin worker pays.
-func BenchmarkNextCRS(b *testing.B) {
+func BenchmarkNextViewCRS(b *testing.B) {
 	benchNext(b, CRS)
 }
 
-func BenchmarkNextRandom(b *testing.B) {
+func BenchmarkNextViewRandom(b *testing.B) {
 	benchNext(b, Random)
 }
 
@@ -27,10 +27,12 @@ func benchNext(b *testing.B, p Policy) {
 			})
 		}
 	}
+	view := NewView()
+	view.Rebuild(ms)
 	e := New(p, "fs0/00", "fs0", 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := e.Next(0, ms)
+		d := e.NextView(0, view)
 		if d.HasSync {
 			e.SyncDone(false)
 		}

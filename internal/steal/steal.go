@@ -29,7 +29,7 @@ import (
 
 // Process-global attempt counters, complementing each engine's
 // per-node Stats: the observability endpoint reads these without
-// enumerating engines. Resolved once; Next/done touch only atomics.
+// enumerating engines. Resolved once; NextView/done touch only atomics.
 var (
 	obsSyncLocal = obs.Default.Counter("steal/sync_local_attempts")
 	obsSyncWide  = obs.Default.Counter("steal/sync_wide_attempts")
@@ -115,10 +115,6 @@ type Engine struct {
 	failStreak int
 	stats      Stats
 
-	// scratch candidate buffers reused across Next calls (guarded by
-	// mu), so victim selection allocates nothing in steady state.
-	locals, remotes []Member
-
 	// cached position of self inside the last View seen, so NextView
 	// re-scans the home group only when membership actually changed.
 	viewGen   uint64
@@ -137,85 +133,13 @@ func New(policy Policy, self core.NodeID, cluster core.ClusterID, seed int64) *E
 	}
 }
 
-// Next runs one steal round against a membership snapshot: it fills
-// every free slot the policy allows and marks it in flight. now is
-// the caller's clock in seconds (virtual or wall — the engine only
-// ever compares differences). Candidates are considered in snapshot
-// order, so identical snapshots yield identical victims.
-func (e *Engine) Next(now float64, members []Member) Directive {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var d Directive
-	if e.policy == Random {
-		if e.syncOut {
-			return d
-		}
-		all := e.locals[:0]
-		for _, m := range members {
-			if m.ID != e.self {
-				all = append(all, m)
-			}
-		}
-		e.locals = all
-		if len(all) == 0 {
-			return d
-		}
-		v := all[e.rng.Intn(len(all))]
-		e.syncOut = true
-		d.Sync = v
-		d.HasSync = true
-		d.SyncWide = v.Cluster != e.cluster
-		if d.SyncWide {
-			e.stats.SyncWide++
-			obsSyncWide.Inc()
-		} else {
-			e.stats.SyncLocal++
-			obsSyncLocal.Inc()
-		}
-		return d
-	}
-	// CRS: async (wide-area) slot first, then the synchronous local
-	// slot — the draw order both runtimes historically used, kept so
-	// one RNG stream drives both identically.
-	locals, remotes := e.locals[:0], e.remotes[:0]
-	for _, m := range members {
-		if m.ID == e.self {
-			continue
-		}
-		if m.Cluster == e.cluster {
-			locals = append(locals, m)
-		} else {
-			remotes = append(remotes, m)
-		}
-	}
-	e.locals, e.remotes = locals, remotes
-	if !e.asyncOut && len(remotes) > 0 {
-		d.Async = remotes[e.rng.Intn(len(remotes))]
-		d.HasAsync = true
-		e.asyncOut = true
-		e.asyncSince = now
-		e.stats.Async++
-		obsAsync.Inc()
-	}
-	if !e.syncOut && len(locals) > 0 {
-		d.Sync = locals[e.rng.Intn(len(locals))]
-		d.HasSync = true
-		e.syncOut = true
-		e.stats.SyncLocal++
-		obsSyncLocal.Inc()
-	}
-	return d
-}
-
-// View is a membership snapshot pre-indexed by cluster, shared by
-// every engine in a simulation. Next re-partitions the whole snapshot
-// on each call, which is fine for a live worker with one engine but
-// O(nodes) per steal attempt — the dominant simulator cost at 10k
-// nodes. A View is built once per membership change; NextView then
-// draws victims in O(log cluster-size) without touching the other
-// 9,900 members. The two paths are draw-for-draw identical: same
-// rng.Intn ranges, same candidate ordering, so one seed produces one
-// victim sequence regardless of which entry point the runtime uses.
+// View is a membership snapshot pre-indexed by cluster: the simulator
+// shares one between all its engines, a live node keeps its own. It is
+// rebuilt once per membership change, not per steal attempt; NextView
+// then draws victims in O(log cluster-size) without touching the other
+// members (partitioning the snapshot per attempt was the dominant
+// simulator cost at 10k nodes). Candidates keep snapshot order, so
+// identical snapshots yield identical victims from one seed.
 type View struct {
 	gen     uint64
 	members []Member
@@ -272,11 +196,10 @@ func (v *View) group(c core.ClusterID) *viewGroup {
 }
 
 // remoteAt returns the j-th member of the snapshot with the cluster's
-// own block filtered out, in snapshot order — the element Next's
-// remotes[j] would hold. pos is sorted ascending, so the filtered
-// index maps back to a snapshot index by counting how many excluded
-// positions precede it; pos[k]-k is non-decreasing, which makes the
-// predicate binary-searchable.
+// own block filtered out, in snapshot order. pos is sorted ascending,
+// so the filtered index maps back to a snapshot index by counting how
+// many excluded positions precede it; pos[k]-k is non-decreasing, which
+// makes the predicate binary-searchable.
 func (v *View) remoteAt(g *viewGroup, j int) Member {
 	if g == nil {
 		return v.members[j]
@@ -300,11 +223,10 @@ func (e *Engine) refreshView(v *View) {
 	}
 }
 
-// NextView is Next against a pre-indexed shared snapshot: identical
-// policy, slots, stats and RNG consumption, but victim selection costs
-// O(log cluster-size) instead of a full-snapshot partition. Runtimes
-// with many engines over one membership (the simulator) use this;
-// runtimes with one engine per process can keep handing Next a slice.
+// NextView runs one steal round against a membership view: it fills
+// every free slot the policy allows and marks it in flight. now is the
+// caller's clock in seconds (virtual or wall — the engine only ever
+// compares differences).
 func (e *Engine) NextView(now float64, v *View) Directive {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -347,7 +269,9 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 		}
 		return d
 	}
-	// CRS: async slot first, then sync — the same draw order as Next.
+	// CRS: async (wide-area) slot first, then the synchronous local
+	// slot — the draw order both runtimes historically used, kept so
+	// one RNG stream drives both identically.
 	if nRemote := len(v.members) - nLocal; !e.asyncOut && nRemote > 0 {
 		d.Async = v.remoteAt(g, e.rng.Intn(nRemote))
 		d.HasAsync = true

@@ -4,25 +4,29 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-func members(ids ...string) []Member {
-	var out []Member
+// members indexes a snapshot. Convention: "c0/xx" lives in cluster c0,
+// "fs1/xx" in fs1.
+func members(ids ...string) *View {
+	var ms []Member
 	for _, id := range ids {
-		// Convention: "c0/xx" lives in cluster c0.
-		out = append(out, Member{ID: core.NodeID(id), Cluster: core.ClusterID(id[:2])})
+		ms = append(ms, Member{ID: core.NodeID(id), Cluster: core.ClusterID(id[:strings.IndexByte(id, '/')])})
 	}
-	return out
+	v := NewView()
+	v.Rebuild(ms)
+	return v
 }
 
 func TestCRSSlotDiscipline(t *testing.T) {
 	e := New(CRS, "c0/00", "c0", 1)
 	ms := members("c0/01", "c0/02", "c1/00", "c1/01")
 
-	d := e.Next(0, ms)
+	d := e.NextView(0, ms)
 	if !d.HasAsync || !d.HasSync {
 		t.Fatalf("first round should fill both slots: %+v", d)
 	}
@@ -33,14 +37,14 @@ func TestCRSSlotDiscipline(t *testing.T) {
 		t.Fatalf("CRS sync victim must be local: %+v", d)
 	}
 	// Both slots occupied: nothing new until a completion.
-	if d2 := e.Next(0, ms); d2.HasAsync || d2.HasSync {
+	if d2 := e.NextView(0, ms); d2.HasAsync || d2.HasSync {
 		t.Fatalf("slots full but Next issued %+v", d2)
 	}
 	if !e.Outstanding() {
 		t.Fatal("Outstanding = false with both slots in flight")
 	}
 	e.SyncDone(false)
-	if d3 := e.Next(0, ms); !d3.HasSync || d3.HasAsync {
+	if d3 := e.NextView(0, ms); !d3.HasSync || d3.HasAsync {
 		t.Fatalf("after SyncDone only the sync slot should refill: %+v", d3)
 	}
 	e.AsyncDone(false)
@@ -54,7 +58,7 @@ func TestCRSNeverStealsWideSynchronously(t *testing.T) {
 	e := New(CRS, "c0/00", "c0", 7)
 	ms := members("c0/01", "c1/00", "c1/01", "c2/00")
 	for i := 0; i < 200; i++ {
-		d := e.Next(float64(i), ms)
+		d := e.NextView(float64(i), ms)
 		if d.HasSync {
 			if d.SyncWide || d.Sync.Cluster != "c0" {
 				t.Fatalf("round %d: CRS issued a synchronous WAN steal: %+v", i, d)
@@ -72,7 +76,7 @@ func TestCRSNeverStealsWideSynchronously(t *testing.T) {
 
 func TestCRSOnlyLocalsNoAsync(t *testing.T) {
 	e := New(CRS, "c0/00", "c0", 3)
-	d := e.Next(0, members("c0/01", "c0/02"))
+	d := e.NextView(0, members("c0/01", "c0/02"))
 	if d.HasAsync {
 		t.Fatalf("no remote clusters but async victim %v", d.Async)
 	}
@@ -86,7 +90,7 @@ func TestRandomPaysWANSynchronously(t *testing.T) {
 	ms := members("c0/01", "c1/00", "c1/01", "c1/02")
 	sawWide := false
 	for i := 0; i < 100; i++ {
-		d := e.Next(0, ms)
+		d := e.NextView(0, ms)
 		if d.HasAsync {
 			t.Fatalf("Random policy issued an async steal: %+v", d)
 		}
@@ -112,7 +116,7 @@ func TestRandomPaysWANSynchronously(t *testing.T) {
 func TestNoCandidates(t *testing.T) {
 	for _, p := range []Policy{CRS, Random} {
 		e := New(p, "c0/00", "c0", 1)
-		d := e.Next(0, members("c0/00")) // only ourselves
+		d := e.NextView(0, members("c0/00")) // only ourselves
 		if d.HasSync || d.HasAsync {
 			t.Fatalf("policy %v stole from itself: %+v", p, d)
 		}
@@ -145,7 +149,7 @@ func TestBackoffGrowsAndResets(t *testing.T) {
 func TestAsyncStalledThreshold(t *testing.T) {
 	e := New(CRS, "c0/00", "c0", 1)
 	ms := members("c1/00")
-	d := e.Next(10.0, ms)
+	d := e.NextView(10.0, ms)
 	if !d.HasAsync {
 		t.Fatal("no async steal issued")
 	}
@@ -190,7 +194,7 @@ func TestCrossRuntimeVictimParity(t *testing.T) {
 
 	// Membership churn script: (snapshot, sync outcome, async outcome).
 	script := []struct {
-		members  []Member
+		members  *View
 		syncGot  bool
 		asyncGot bool
 	}{
@@ -205,7 +209,7 @@ func TestCrossRuntimeVictimParity(t *testing.T) {
 	run := func(e *Engine) []core.NodeID {
 		var seq []core.NodeID
 		for i, step := range script {
-			d := e.Next(float64(i), step.members)
+			d := e.NextView(float64(i), step.members)
 			if d.HasAsync {
 				seq = append(seq, d.Async.ID)
 			}
@@ -240,56 +244,70 @@ func TestCrossRuntimeVictimParity(t *testing.T) {
 	}
 }
 
-// TestViewMatchesSliceSelection pins NextView to Next draw-for-draw:
-// over randomized membership/completion scripts, two engines with one
-// seed — one fed the raw slice, one fed the pre-indexed View — must
-// emit the identical directive sequence. This is what lets the
-// simulator switch to the indexed path without perturbing a single
-// seeded victim stream (and with it every recorded decision sequence).
-func TestViewMatchesSliceSelection(t *testing.T) {
-	for _, policy := range []Policy{CRS, Random} {
-		for seed := int64(1); seed <= 20; seed++ {
-			script := rand.New(rand.NewSource(seed * 977))
-			self, home := core.NodeID("c1/01"), core.ClusterID("c1")
-			a := New(policy, self, home, SeedFor(seed, self))
-			b := New(policy, self, home, SeedFor(seed, self))
-			view := NewView()
-			for step := 0; step < 120; step++ {
-				// Random membership: 0–3 clusters, 0–5 nodes each, with
-				// self present in roughly half the snapshots; shuffled so
-				// clusters interleave like join-order churn does.
-				var ms []Member
-				for c := 0; c < script.Intn(4); c++ {
-					cl := core.ClusterID(fmt.Sprintf("c%d", c))
-					for n := 0; n < script.Intn(6); n++ {
-						id := core.NodeID(fmt.Sprintf("%s/%02d", cl, n))
-						if id == self && script.Intn(2) == 0 {
-							continue
-						}
-						ms = append(ms, Member{ID: id, Cluster: cl})
+// TestViewSelectsOnlyLegalVictims drives NextView over randomized,
+// interleaved memberships (self present in about half) and checks what
+// the index arithmetic must guarantee whatever the snapshot looks like:
+// never self, CRS sync victims local and async victims remote, and —
+// the remote remap — every remote member reachable, in snapshot order.
+func TestViewSelectsOnlyLegalVictims(t *testing.T) {
+	self, home := core.NodeID("c1/01"), core.ClusterID("c1")
+	for seed := int64(1); seed <= 20; seed++ {
+		script := rand.New(rand.NewSource(seed * 977))
+		crs := New(CRS, self, home, SeedFor(seed, self))
+		rnd := New(Random, self, home, SeedFor(seed, self))
+		view := NewView()
+		for step := 0; step < 120; step++ {
+			var ms []Member
+			for c := 0; c < script.Intn(4); c++ {
+				cl := core.ClusterID(fmt.Sprintf("c%d", c))
+				for n := 0; n < script.Intn(6); n++ {
+					id := core.NodeID(fmt.Sprintf("%s/%02d", cl, n))
+					if id == self && script.Intn(2) == 0 {
+						continue
 					}
+					ms = append(ms, Member{ID: id, Cluster: cl})
 				}
-				script.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
-				view.Rebuild(ms)
-				da := a.Next(float64(step), ms)
-				db := b.NextView(float64(step), view)
-				if da != db {
-					t.Fatalf("policy %v seed %d step %d: slice %+v vs view %+v (members %v)",
-						policy, seed, step, da, db, ms)
+			}
+			script.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+			view.Rebuild(ms)
+
+			var remotes []Member
+			for _, m := range ms {
+				if m.Cluster != home {
+					remotes = append(remotes, m)
 				}
-				if da.HasSync && script.Intn(3) > 0 {
-					got := script.Intn(2) == 0
-					a.SyncDone(got)
-					b.SyncDone(got)
+			}
+			for j, want := range remotes {
+				if got := view.remoteAt(view.group(home), j); got != want {
+					t.Fatalf("seed %d step %d: remote %d = %v, want %v (members %v)", seed, step, j, got, want, ms)
 				}
-				if da.HasAsync && script.Intn(3) > 0 {
-					got := script.Intn(2) == 0
-					a.AsyncDone(got)
-					b.AsyncDone(got)
+			}
+
+			d := crs.NextView(float64(step), view)
+			if d.HasSync && (d.Sync.ID == self || d.Sync.Cluster != home || d.SyncWide) {
+				t.Fatalf("seed %d step %d: CRS sync victim %+v (members %v)", seed, step, d, ms)
+			}
+			if d.HasAsync && d.Async.Cluster == home {
+				t.Fatalf("seed %d step %d: CRS async victim %v is local", seed, step, d.Async)
+			}
+			if d.HasSync {
+				crs.SyncDone(false)
+			}
+			if d.HasAsync {
+				crs.AsyncDone(false)
+			}
+			others := len(ms)
+			for _, m := range ms {
+				if m.ID == self {
+					others--
 				}
-				if a.Stats() != b.Stats() {
-					t.Fatalf("policy %v seed %d step %d: stats diverged", policy, seed, step)
-				}
+			}
+			r := rnd.NextView(float64(step), view)
+			if r.HasSync != (others > 0) || r.HasAsync || (r.HasSync && (r.Sync.ID == self || r.SyncWide != (r.Sync.Cluster != home))) {
+				t.Fatalf("seed %d step %d: Random directive %+v with %d other members", seed, step, r, others)
+			}
+			if r.HasSync {
+				rnd.SyncDone(false)
 			}
 		}
 	}

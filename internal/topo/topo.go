@@ -110,6 +110,16 @@ func NodeName(c ClusterID, i int) NodeID {
 	return NodeID(fmt.Sprintf("%s/%02d", c, i))
 }
 
+// SubCoordinatorEndpoint is the endpoint a cluster's nodes report to,
+// derived from the main coordinator's endpoint name and the cluster:
+// "<coordinator>:<cluster>/sub" — a name inside the cluster, like its
+// nodes', so every endpoint-to-cluster parse of the runtime
+// ("prefix:<cluster>/...") places the sub-coordinator on the cluster's
+// LAN, behind the cluster's uplink.
+func SubCoordinatorEndpoint(coordinator string, c ClusterID) string {
+	return coordinator + ":" + string(c) + "/sub"
+}
+
 // Uniform network constants used by the presets, chosen to match the
 // paper's testbed description: Fast Ethernet LANs, Dutch university
 // backbone WAN.

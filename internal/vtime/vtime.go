@@ -6,21 +6,22 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
 type Time float64
 
-// Timer is a handle to a scheduled event; it can be cancelled.
+// Timer is a handle to a scheduled event; it can be cancelled, and
+// scheduled again with Reset.
 type Timer struct {
 	at        Time
-	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int  // heap index, -1 once popped
+	index     int  // heap index, -1 while not in the queue
 	owner     *Sim // for indexed removal on Cancel
 }
 
@@ -31,9 +32,23 @@ type Timer struct {
 func (t *Timer) Cancel() {
 	t.cancelled = true
 	if t.owner != nil && t.index >= 0 {
-		heap.Remove(&t.owner.events, t.index)
+		t.owner.events.remove(t.index)
 	}
 }
+
+// Reset schedules the timer's callback d virtual seconds from now, in
+// place of its pending schedule if it has one. A timer that fired or
+// was cancelled can be Reset, so an event that recurs (a node's next
+// leaf, its next retry) needs one Timer for the whole run.
+func (t *Timer) Reset(d float64) {
+	t.Cancel()
+	t.cancelled = false
+	t.at = t.owner.now + Time(d)
+	t.owner.post(t.at, t.fn, t)
+}
+
+// Pending reports whether the timer is scheduled and has yet to fire.
+func (t *Timer) Pending() bool { return t.index >= 0 }
 
 // Cancelled reports whether Cancel was called.
 func (t *Timer) Cancelled() bool { return t.cancelled }
@@ -41,33 +56,99 @@ func (t *Timer) Cancelled() bool { return t.cancelled }
 // When returns the virtual time the event is scheduled for.
 func (t *Timer) When() Time { return t.at }
 
-type eventHeap []*Timer
+// eventHeap is a binary min-heap on (at, seq). The key sits in the
+// slot next to the callback, so sifting compares without following a
+// pointer, and the sifts are written out instead of going through
+// container/heap's interface: the queue is the hot loop of every
+// simulation. (at, seq) is a total order, so the firing order does not
+// depend on the heap's shape.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+type event struct {
+	at  uint64 // math.Float64bits of the time: never negative, so the bits order like the numbers
+	seq uint64 // FIFO among simultaneous events
+	fn  func()
+	t   *Timer // nil for an event posted without a handle
+}
+
+// lt is 1 when e fires before o and 0 otherwise: a 128-bit compare
+// through the borrow, without a branch. Which of two children is the
+// earlier is a coin toss, and the predictor loses it every other time.
+func (e event) lt(o event) int {
+	_, borrow := bits.Sub64(e.seq, o.seq, 0)
+	_, borrow = bits.Sub64(e.at, o.at, borrow)
+	return int(borrow)
+}
+
+func (e event) before(o event) bool { return e.lt(o) == 1 }
+
+func (e event) time() Time { return Time(math.Float64frombits(e.at)) }
+
+// set stores e in slot i.
+func (h eventHeap) set(i int, e event) {
+	h[i] = e
+	if e.t != nil {
+		e.t.index = i
 	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up moves e from slot i towards the root until its parent fires first.
+func (h eventHeap) up(i int, e event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, e)
 }
-func (h *eventHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
+
+// down moves e from slot i towards the leaves until both children fire
+// later.
+func (h eventHeap) down(i int, e event) {
+	n := len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n {
+			child += h[r].lt(h[child])
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h.set(i, h[child])
+		i = child
+	}
+	h.set(i, e)
 }
-func (h *eventHeap) Pop() any {
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, event{})
+	h.up(len(*h)-1, e)
+}
+
+// remove takes the event in slot i out of the queue.
+func (h *eventHeap) remove(i int) event {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+	e := old[i]
+	last := old[len(old)-1]
+	old[len(old)-1] = event{}
+	*h = old[:len(old)-1]
+	if e.t != nil {
+		e.t.index = -1
+	}
+	if i < len(*h) {
+		if last.before(old[i]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
+	return e
 }
 
 // Sim is the simulation kernel. It is not safe for concurrent use: the
@@ -95,13 +176,35 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run at virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (s *Sim) At(t Time, fn func()) *Timer {
+	ev := s.NewTimer(fn)
+	ev.at = t
+	s.post(t, fn, ev)
+	return ev
+}
+
+// NewTimer returns a timer for fn that is not scheduled; Reset
+// schedules it.
+func (s *Sim) NewTimer(fn func()) *Timer {
+	return &Timer{fn: fn, index: -1, owner: s}
+}
+
+// PostAt schedules fn at virtual time t like At, without a handle: the
+// event cannot be cancelled and costs no allocation of its own. It
+// takes its turn in the same FIFO order as At's events.
+func (s *Sim) PostAt(t Time, fn func()) { s.post(t, fn, nil) }
+
+// Post is PostAt d virtual seconds from now.
+func (s *Sim) Post(d float64, fn func()) { s.post(s.now+Time(d), fn, nil) }
+
+func (s *Sim) post(t Time, fn func(), h *Timer) {
 	if t < s.now {
 		panic(fmt.Sprintf("vtime: scheduling event at %v before now %v", t, s.now))
 	}
+	if t == 0 {
+		t = 0 // -0 would sort after every positive time by its bits
+	}
 	s.seq++
-	ev := &Timer{at: t, seq: s.seq, fn: fn, owner: s}
-	heap.Push(&s.events, ev)
-	return ev
+	s.events.push(event{math.Float64bits(float64(t)), s.seq, fn, h})
 }
 
 // After schedules fn to run d virtual seconds from now (d < 0 panics).
@@ -114,18 +217,15 @@ func (s *Sim) After(d float64, fn func()) *Timer {
 func (s *Sim) Pending() int { return len(s.events) }
 
 // Step executes the next event, advancing the clock. It returns false
-// when the queue holds no runnable event.
+// when the queue is empty (a cancelled event left it at Cancel time).
 func (s *Sim) Step() bool {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*Timer)
-		if ev.cancelled {
-			continue
-		}
-		s.now = ev.at
-		ev.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	ev := s.events.remove(0)
+	s.now = ev.time()
+	ev.fn()
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -140,16 +240,7 @@ func (s *Sim) Run() {
 func (s *Sim) RunUntil(t Time) {
 	s.stopped = false
 	for !s.stopped {
-		if len(s.events) == 0 {
-			break
-		}
-		// Peek cheapest.
-		next := s.events[0]
-		if next.cancelled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at > t {
+		if len(s.events) == 0 || s.events[0].time() > t {
 			break
 		}
 		s.Step()

@@ -1,6 +1,9 @@
 package vtime
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +204,109 @@ func TestOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The queue against a model: a random mix of At, PostAt, Cancel and
+// Reset fires exactly the live events, sorted by (time, scheduling
+// order) — whatever shape the heap took on the way.
+func TestQueueMatchesSortedModel(t *testing.T) {
+	type planned struct {
+		at  Time
+		seq int
+		id  int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(seed)
+		var fired []int
+		live := map[int]planned{}
+		timers := map[int]*Timer{}
+		seq := 0
+		for id := 0; id < 400; id++ {
+			id := id
+			at := Time(rng.Intn(50))
+			fn := func() { fired = append(fired, id) }
+			seq++
+			live[id] = planned{at, seq, id}
+			if rng.Intn(2) == 0 {
+				s.PostAt(at, fn)
+			} else {
+				timers[id] = s.At(at, fn)
+			}
+			// Cancel or reschedule one of the timers so far.
+			for victim, tm := range timers {
+				switch rng.Intn(4) {
+				case 0:
+					tm.Cancel()
+					delete(live, victim)
+					delete(timers, victim)
+				case 1:
+					d := float64(rng.Intn(50))
+					tm.Reset(d)
+					seq++
+					live[victim] = planned{Time(d), seq, victim}
+				}
+				break
+			}
+		}
+		var want []planned
+		for _, p := range live {
+			want = append(want, p)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if s.Pending() != len(want) {
+			t.Fatalf("seed %d: %d pending, model has %d", seed, s.Pending(), len(want))
+		}
+		s.Run()
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, model %d", seed, len(fired), len(want))
+		}
+		for i, p := range want {
+			if fired[i] != p.id {
+				t.Fatalf("seed %d: event %d fired id %d, model id %d", seed, i, fired[i], p.id)
+			}
+		}
+	}
+}
+
+func TestResetReusesAFiredOrCancelledTimer(t *testing.T) {
+	s := New(1)
+	n := 0
+	tm := s.NewTimer(func() { n++ })
+	if tm.Pending() || s.Pending() != 0 {
+		t.Fatal("a new timer is not scheduled")
+	}
+	tm.Reset(5)
+	if !tm.Pending() || tm.When() != 5 {
+		t.Fatalf("after Reset(5): pending=%v when=%v", tm.Pending(), tm.When())
+	}
+	tm.Reset(2) // replaces the schedule, does not add one
+	s.Run()
+	if n != 1 || s.Now() != 2 || tm.Pending() {
+		t.Fatalf("fired %d times, now %v, pending %v; want once at 2", n, s.Now(), tm.Pending())
+	}
+	tm.Reset(1)
+	tm.Cancel()
+	tm.Reset(3)
+	s.Run()
+	if n != 2 || s.Now() != 5 || tm.Cancelled() {
+		t.Fatalf("fired %d times, now %v, cancelled %v; want twice, at 5, not cancelled", n, s.Now(), tm.Cancelled())
+	}
+}
+
+func TestNegativeZeroSortsAsZero(t *testing.T) {
+	s := New(1)
+	var order []string
+	s.PostAt(1, func() { order = append(order, "one") })
+	s.PostAt(Time(math.Copysign(0, -1)), func() { order = append(order, "zero") })
+	s.Run()
+	if len(order) != 2 || order[0] != "zero" {
+		t.Fatalf("order %v, want zero before one", order)
 	}
 }

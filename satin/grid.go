@@ -17,11 +17,6 @@ import (
 type ClusterSpec struct {
 	Name  ClusterID
 	Nodes int
-	// Coordinator overrides the node-level coordinator endpoint for
-	// this cluster's nodes — used for hierarchical deployments where
-	// each cluster reports to its own sub-coordinator
-	// (adapt.SubEndpointName) instead of the main one.
-	Coordinator string
 }
 
 // NodePool is the scheduler substrate a grid allocates processors
@@ -187,7 +182,9 @@ func (g *Grid) Fabric() transport.Fabric { return g.fabric }
 func (g *Grid) Registry() *registry.Server { return g.regSrv }
 
 // clusterOf extracts the cluster from an endpoint name such as
-// "satin:fs0/03" or "reg:fs0/03" (node names come from topo.NodeName).
+// "satin:fs0/03", "reg:fs0/03" or a sub-coordinator's
+// "coordinator:fs0/sub" (names come from topo.NodeName and
+// topo.SubCoordinatorEndpoint).
 func clusterOf(ep string) ClusterID {
 	if i := strings.IndexByte(ep, ':'); i >= 0 {
 		ep = ep[i+1:]
@@ -195,7 +192,7 @@ func clusterOf(ep string) ClusterID {
 	if i := strings.IndexByte(ep, '/'); i >= 0 {
 		return ClusterID(ep[:i])
 	}
-	return "" // registry, coordinator, and other infrastructure
+	return "" // registry, root coordinator, and other infrastructure
 }
 
 // link computes the current emulated parameters of a directed link.
@@ -283,11 +280,6 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	cfg.Cluster = ref.Cluster
 	cfg.Fabric = g.fabric
 	cfg.Registry = g.cfg.Registry
-	for _, spec := range g.cfg.Clusters {
-		if spec.Name == ref.Cluster && spec.Coordinator != "" {
-			cfg.Coordinator = spec.Coordinator
-		}
-	}
 	n, err := StartNode(cfg)
 	if err != nil {
 		g.pool.Release(ref)

@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/registry"
@@ -9,24 +10,29 @@ import (
 )
 
 // membershipView is the node's window on the registry: the client
-// session plus the departed-set that filters late messages from nodes
-// already seen leaving or dying. Its lock is a leaf in the node's
-// hierarchy — membership methods never acquire n.mu (callers holding
-// n.mu may call in here, never the reverse).
+// session, the departed-set that filters late messages from nodes
+// already seen leaving or dying, and the steal kernel's pre-indexed view
+// of the stealable peers. Its lock is a leaf in the node's hierarchy —
+// membership methods never acquire n.mu (callers holding n.mu may call
+// in here, never the reverse).
 type membershipView struct {
 	mu       sync.Mutex
 	reg      *registry.Client
 	departed map[NodeID]bool
+	view     *steal.View    // rebuilt on registry events, not per steal attempt
+	peers    []steal.Member // rebuild's scratch buffer
 }
 
 func (v *membershipView) init() {
 	v.departed = make(map[NodeID]bool)
+	v.view = steal.NewView()
 }
 
 func (v *membershipView) setClient(reg *registry.Client) {
 	v.mu.Lock()
 	v.reg = reg
 	v.mu.Unlock()
+	v.rebuild()
 }
 
 func (v *membershipView) client() *registry.Client {
@@ -53,24 +59,30 @@ func (v *membershipView) clearDeparted(id NodeID) {
 	v.mu.Unlock()
 }
 
-// stealables snapshots the current membership as steal-kernel input.
-// Members without a cluster are non-workers (the adaptation
-// coordinator's registry session): never steal from them. The engine
-// itself filters out the calling node.
-func (v *membershipView) stealables() []steal.Member {
-	reg := v.client()
-	if reg == nil {
-		return nil
-	}
-	members := reg.Members()
-	out := make([]steal.Member, 0, len(members))
+// rebuild re-indexes the steal view over the current membership, in ID
+// order so a seeded run draws the same victims whatever order the
+// registry hands its members out in. Members without a cluster are
+// non-workers (the adaptation coordinators' registry sessions): never
+// steal from them. The engine itself filters out the calling node.
+func (v *membershipView) rebuild() {
+	members := v.client().Members()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.peers = v.peers[:0]
 	for _, m := range members {
-		if m.Cluster == "" {
-			continue
+		if m.Cluster != "" {
+			v.peers = append(v.peers, steal.Member{ID: m.ID, Cluster: m.Cluster})
 		}
-		out = append(out, steal.Member{ID: m.ID, Cluster: m.Cluster})
 	}
-	return out
+	sort.Slice(v.peers, func(i, j int) bool { return v.peers[i].ID < v.peers[j].ID })
+	v.view.Rebuild(v.peers)
+}
+
+// nextSteal runs one round of the steal policy against the view.
+func (v *membershipView) nextSteal(eng *steal.Engine, now float64) steal.Directive {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return eng.NextView(now, v.view)
 }
 
 // clusterOf looks a live member's cluster up ("" when unknown).
@@ -105,7 +117,9 @@ func (n *Node) eventLoop() {
 				// back to the scheduler: a rejoin clears its departed
 				// mark so it can steal again.
 				n.members.clearDeparted(ev.Node.ID)
+				n.members.rebuild()
 			case registry.Died, registry.Left:
+				n.members.rebuild()
 				n.reclaimFrom(ev.Node.ID)
 			case registry.SignalEvent:
 				if ev.Signal == "leave" {

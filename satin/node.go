@@ -30,8 +30,10 @@ type NodeConfig struct {
 	// in one process must not share a timeline.
 	Epoch time.Time
 
-	// Coordinator, when set, is the endpoint name the node sends its
-	// per-period statistics reports to (the adaptation coordinator).
+	// Coordinator, when set, is the adaptation coordinator's endpoint
+	// name (adapt.EndpointName). The node sends its per-period
+	// statistics reports to its own cluster's sub-coordinator, whose
+	// endpoint derives from this name and the cluster.
 	Coordinator string
 	// MonitorPeriod is the statistics period (default 2s — the real
 	// runtime runs at millisecond task scale, so periods shrink with it).

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/topo"
+	"repro/internal/transport"
 )
 
 // tfib is the classic divide-and-conquer test workload: counts calls
@@ -380,5 +382,47 @@ func TestFutureAccessors(t *testing.T) {
 	f2.Wait()
 	if f2.Float() != 1.5 {
 		t.Fatalf("Float = %v", f2.Float())
+	}
+}
+
+// TestSubCoordinatorLinkModel pins where the emulated network places a
+// cluster's sub-coordinator: inside the cluster. Its nodes reach it over
+// the LAN, and its summaries leave through the cluster's own uplink — shaped when the cluster is — instead of
+// being modelled as a site of their own.
+func TestSubCoordinatorLinkModel(t *testing.T) {
+	g, err := NewGrid(GridConfig{
+		Clusters:   []ClusterSpec{{Name: "fs0", Nodes: 1}, {Name: "fs1", Nodes: 1}},
+		LANLatency: time.Millisecond, WANLatency: 10 * time.Millisecond,
+		LANBandwidth: 100e6, WANBandwidth: 50e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	sub := topo.SubCoordinatorEndpoint("coordinator", "fs0")
+	lan := transport.LinkParams{Latency: time.Millisecond, Bandwidth: 100e6}
+	backbone := transport.LinkParams{Latency: 5 * time.Millisecond, Bandwidth: 50e6}
+	g.Shape("fs1", 2e6) // somebody else's uplink: must not matter
+	for _, tc := range []struct {
+		from, to string
+		want     transport.LinkParams
+	}{
+		{"satin:fs0/00", sub, lan},
+		{sub, "satin:fs0/00", lan},
+		{sub, "coordinator", backbone},
+		{"coordinator", sub, backbone},
+		{"satin:fs1/00", sub, transport.LinkParams{Latency: 10 * time.Millisecond, Bandwidth: 2e6}},
+	} {
+		if got := g.link(tc.from, tc.to); got != tc.want {
+			t.Errorf("link %s -> %s = %+v, want %+v", tc.from, tc.to, got, tc.want)
+		}
+	}
+	g.Shape("fs0", 1e5)
+	shaped := transport.LinkParams{Latency: 5 * time.Millisecond, Bandwidth: 1e5}
+	if got := g.link(sub, "coordinator"); got != shaped {
+		t.Errorf("summary link of a shaped cluster = %+v, want %+v", got, shaped)
+	}
+	if got := g.link("satin:fs0/00", sub); got != lan {
+		t.Errorf("report link of a shaped cluster = %+v, want the LAN %+v", got, lan)
 	}
 }

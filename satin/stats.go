@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/topo"
 	"repro/internal/transport/wire"
 )
 
@@ -153,15 +154,16 @@ func (n *Node) queueDepth() int {
 	return n.jobs.Len() + int(n.inbox.size.Load())
 }
 
-// reportLoop pushes per-period statistics to the coordinator. Send
-// failures are counted (satin/report_err) and logged once per failure
-// streak — a coordinator that was evicted or crashed must not silently
-// blind the adaptation loop.
+// reportLoop pushes per-period statistics to the cluster's
+// sub-coordinator. Send failures are counted (satin/report_err) and
+// logged once per failure streak — a coordinator that was evicted or
+// crashed must not silently blind the adaptation loop.
 func (n *Node) reportLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.MonitorPeriod)
 	defer ticker.Stop()
 	gauge := obs.Default.Gauge("satin/queue_depth/" + string(n.cfg.ID))
+	to := topo.SubCoordinatorEndpoint(n.cfg.Coordinator, n.cfg.Cluster)
 	failing := false // reportLoop-goroutine-local; logged on transitions
 	for {
 		select {
@@ -171,17 +173,17 @@ func (n *Node) reportLoop() {
 			depth := n.queueDepth()
 			gauge.Set(float64(depth))
 			obsQueueDepth.Observe(float64(depth))
-			if err := wire.Send(n.wc, n.cfg.Coordinator, n.Report()); err != nil {
+			if err := wire.Send(n.wc, to, n.Report()); err != nil {
 				obsReportErr.Inc()
 				if !failing {
 					failing = true
-					log.Printf("satin: node %s: statistics report to %q failed: %v", n.cfg.ID, n.cfg.Coordinator, err)
+					log.Printf("satin: node %s: statistics report to %q failed: %v", n.cfg.ID, to, err)
 				}
 			} else {
 				obsReportSent.Inc()
 				if failing {
 					failing = false
-					log.Printf("satin: node %s: statistics reports to %q recovered", n.cfg.ID, n.cfg.Coordinator)
+					log.Printf("satin: node %s: statistics reports to %q recovered", n.cfg.ID, to)
 				}
 			}
 		}

@@ -94,13 +94,13 @@ func (s *stealer) replyArrived(seq uint64, got bool) {
 }
 
 // trySteal runs one round of the steal policy: the engine picks
-// victims from the current membership snapshot, this node contacts
-// them. Under CRS the wide-area victim is contacted asynchronously
-// (latency hidden behind the synchronous local attempt); under
-// StealRandom the one victim is contacted synchronously wherever it
-// sits, paying any WAN round trip in the idle path.
+// victims from the membership view, this node contacts them. Under CRS
+// the wide-area victim is contacted asynchronously (latency hidden
+// behind the synchronous local attempt); under StealRandom the one
+// victim is contacted synchronously wherever it sits, paying any WAN
+// round trip in the idle path.
 func (n *Node) trySteal() (jobMsg, bool) {
-	d := n.stealer.eng.Next(n.monotonicSeconds(), n.members.stealables())
+	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
 	if d.HasAsync {
 		go n.wanSteal(d.Async.ID)
 	}
