@@ -111,6 +111,32 @@ type inprocLink struct {
 	closed bool
 }
 
+// sleepGrain is what a time.Sleep can overshoot by: a P with nothing
+// to run waits for its next timer inside the netpoller, whose timeout
+// is whole milliseconds, rounded up below one. A 200 µs LAN hop slept
+// that way takes 1.1 ms.
+const sleepGrain = time.Millisecond
+
+// waitUntil returns at the deadline: not before it, and after it only
+// by scheduling noise. time.Sleep covers all but the last sleepGrain
+// (the goroutine parks, no thread is held), sleepFine blocks a thread
+// for the rest, and a yield loop closes whatever gap sleepFine left
+// (tens of microseconds at most) so that a frame is never early.
+func waitUntil(deadline time.Time) {
+	d := time.Until(deadline)
+	if d > sleepGrain {
+		time.Sleep(d - sleepGrain)
+		d = time.Until(deadline)
+	}
+	if d <= 0 {
+		return
+	}
+	sleepFine(d)
+	for time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+}
+
 // runLink is a directed pair's delivery worker: it swaps the queue
 // against a reused local buffer (so senders never wait on delivery)
 // and hands frames to the destination handler in FIFO order, honouring
@@ -131,9 +157,7 @@ func (f *InProc) runLink(l *inprocLink, dst *inprocEP) {
 		l.mu.Unlock()
 		for i := range local {
 			q := &local[i]
-			if d := time.Until(q.deadline); d > 0 {
-				time.Sleep(d)
-			}
+			waitUntil(q.deadline)
 			dst.mu.Lock()
 			h := dst.handler
 			closed := dst.closed

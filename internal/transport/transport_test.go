@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,6 +83,43 @@ func TestInProcLatency(t *testing.T) {
 	at := <-got
 	if d := at.Sub(start); d < 25*time.Millisecond {
 		t.Errorf("delivered after %v, want >= ~30ms", d)
+	}
+}
+
+// TestInProcSubMillisecondLatency pins the delay fidelity of a shaped
+// link: a 200 µs hop takes 200 µs, not the millisecond a time.Sleep on
+// an idle P is rounded up to. Frames go one at a time, each timed from
+// before the send to inside the handler.
+func TestInProcSubMillisecondLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock timing")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("the portable sleepFine is only as fine as the platform's timers")
+	}
+	const latency = 200 * time.Microsecond
+	f := NewInProc(func(from, to string) LinkParams {
+		return LinkParams{Latency: latency}
+	})
+	defer f.Close()
+	a, _ := f.Endpoint("a")
+	b, _ := f.Endpoint("b")
+	got := make(chan time.Time, 1)
+	b.SetHandler(func(Message) { got <- time.Now() })
+	hops := make([]time.Duration, 200)
+	for i := range hops {
+		start := time.Now()
+		a.Send("b", "k", nil)
+		hops[i] = (<-got).Sub(start)
+		if hops[i] < latency {
+			t.Fatalf("frame %d delivered after %v, before its %v latency", i, hops[i], latency)
+		}
+	}
+	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
+	p50 := hops[len(hops)/2]
+	t.Logf("hop p50 %v, p90 %v, max %v", p50, hops[len(hops)*9/10], hops[len(hops)-1])
+	if p50 > 500*time.Microsecond {
+		t.Errorf("hop p50 %v on a %v link, want <= 500µs", p50, latency)
 	}
 }
 

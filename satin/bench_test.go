@@ -49,3 +49,56 @@ func BenchmarkSpawnSync(b *testing.B) {
 		}
 	}
 }
+
+// tfeed spawns N no-op children and then holds its worker until
+// released, so the children can only leave through thieves. Root task
+// only: the channel keeps it off the wire.
+type tfeed struct {
+	N       int
+	Release chan struct{}
+}
+
+func (f tfeed) Execute(ctx *Context) (any, error) {
+	for i := 0; i < f.N; i++ {
+		ctx.Spawn(tnop{})
+	}
+	<-f.Release
+	return f.N, ctx.Sync()
+}
+
+// BenchmarkLocalStealRoundTrip measures a granted local steal as the
+// runtime performs it: two nodes of one cluster over the default links
+// (200 µs each way), the master pinned inside a task whose b.N children
+// sit on its deque, the other node's worker stealing them one at a
+// time. One op is one granted steal: request, reply, adoption, the
+// no-op's execution and its result frame. It read 2.3 ms while a link
+// hop slept a whole netpoller millisecond, and reads about 0.5 ms now.
+func BenchmarkLocalStealRoundTrip(b *testing.B) {
+	g, err := NewGrid(GridConfig{Clusters: []ClusterSpec{{Name: "c0", Nodes: 2}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	nodes, err := g.StartNodes("c0", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	master, thief := nodes[0], nodes[1]
+	if _, err := master.Run(tspawnN{N: 1}); err != nil { // warm up; membership settles
+		b.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	release := make(chan struct{})
+	want := thief.StealStats().Hits + int64(b.N)
+	b.ResetTimer()
+	fut := master.Submit(tfeed{N: b.N, Release: release})
+	for thief.StealStats().Hits < want {
+		time.Sleep(100 * time.Microsecond)
+	}
+	b.StopTimer()
+	close(release)
+	fut.Wait()
+	if v, err := fut.Result(); err != nil || v != b.N {
+		b.Fatalf("feed task = %v, %v", v, err)
+	}
+}

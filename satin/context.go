@@ -76,17 +76,17 @@ func (c *Context) Sync() error {
 			return firstErr
 		}
 		if j, ok := n.popNewest(); ok {
-			n.executeJob(j)
-			// Re-enter busy: we are still inside the parent task.
-			n.enterState(int(metrics.Busy))
+			n.executeJob(j) // Busy throughout: we are inside the parent task
 			continue
 		}
-		if j, ok := n.trySteal(); ok {
-			n.executeJob(j)
-			n.enterState(int(metrics.Busy))
-			continue
+		j, ok := n.trySteal()
+		if !ok {
+			n.waitForWork(2 * time.Millisecond)
 		}
-		n.waitForWork(2 * time.Millisecond)
+		// Stealing and parking leave the worker Idle: re-enter Busy.
 		n.enterState(int(metrics.Busy))
+		if ok {
+			n.executeJob(j)
+		}
 	}
 }

@@ -1,14 +1,17 @@
 package satin
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Future is the eventual result of a spawned task. It resolves when the
 // task completes locally or its result message arrives from the thief
 // that executed it. Access the value only after the owning frame's
 // Sync returned (or after Wait for root tasks).
 type Future struct {
-	mu     sync.Mutex
-	done   bool
+	mu     sync.Mutex  // serialises complete against Wait
+	done   atomic.Bool // set after val and err: a reader that sees it may read both bare
 	val    any
 	err    error
 	notify chan struct{}
@@ -17,12 +20,12 @@ type Future struct {
 func (f *Future) complete(val any, err error) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.done {
+	if f.done.Load() {
 		return false // duplicate result (e.g. recomputation raced a late reply)
 	}
-	f.done = true
 	f.val = val
 	f.err = err
+	f.done.Store(true)
 	if f.notify != nil {
 		close(f.notify)
 	}
@@ -33,7 +36,7 @@ func (f *Future) complete(val any, err error) bool {
 // submitted with Node.Submit; inside task code use Sync instead.
 func (f *Future) Wait() {
 	f.mu.Lock()
-	if f.done {
+	if f.done.Load() {
 		f.mu.Unlock()
 		return
 	}
@@ -45,17 +48,16 @@ func (f *Future) Wait() {
 	<-ch
 }
 
-// Done reports whether the result is available.
-func (f *Future) Done() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.done
-}
+// Done reports whether the result is available. Sync polls it once
+// per child, so it is one atomic load, not a lock.
+func (f *Future) Done() bool { return f.done.Load() }
 
-// Result returns the value and error; valid after Sync.
+// Result returns the value and error; valid after Sync (nil, nil
+// while pending).
 func (f *Future) Result() (any, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	if !f.done.Load() {
+		return nil, nil
+	}
 	return f.val, f.err
 }
 

@@ -380,7 +380,11 @@ func (g *Grid) CrashCluster(cluster ClusterID) int {
 	return len(victims)
 }
 
-// Close tears the whole deployment down.
+// Close tears the whole deployment down, in two phases: every node
+// stops stealing and serving while every endpoint is still attached,
+// and only then do endpoints, registry and fabric close. Killing the
+// nodes one after another left the survivors stealing from endpoints
+// already gone, which a healthy run then counted as wire/send_err.
 func (g *Grid) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -393,8 +397,17 @@ func (g *Grid) Close() {
 		all = append(all, n)
 	}
 	g.mu.Unlock()
+	halted := all[:0]
 	for _, n := range all {
-		n.Kill()
+		if n.halt() {
+			halted = append(halted, n)
+		}
+	}
+	for _, n := range halted {
+		n.quiesce()
+	}
+	for _, n := range halted {
+		n.teardown()
 	}
 	g.regSrv.Close()
 	g.inproc.Close()

@@ -123,9 +123,7 @@ func (n *Node) eventLoop() {
 				n.reclaimFrom(ev.Node.ID)
 			case registry.SignalEvent:
 				if ev.Signal == "leave" {
-					n.mu.Lock()
-					n.leaving = true
-					n.mu.Unlock()
+					n.leaving.Store(true)
 					n.wakeUp()
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeConfig configures one runtime node.
@@ -139,13 +140,17 @@ type Node struct {
 	jobs    *deque.Deque[jobMsg]
 	inbox   inbox
 	ctxFree []*Context // worker-confined Context free list
+	wait    *replyWait // worker-confined: its steal attempts and parks
 
 	mu      sync.Mutex
 	pending map[uint64]pendingJob
 	futs    futureSlab
 	nextID  uint64
-	leaving bool
-	stopped bool
+	// leaving and stopped are set under mu, which orders them against
+	// the pending table, and read without it where only the flag matters
+	// (Sync asks Stopped once per pass, onSteal both per request).
+	leaving atomic.Bool
+	stopped atomic.Bool
 
 	members membershipView
 	stealer stealer
@@ -175,6 +180,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		wc:      wire.New(ep),
 		jobs:    deque.New[jobMsg](),
 		pending: make(map[uint64]pendingJob),
+		wait:    newReplyWait(),
 		wake:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 	}
@@ -260,38 +266,38 @@ func (n *Node) Run(t Task) (any, error) {
 }
 
 // Leaving reports whether the node was asked to leave.
-func (n *Node) Leaving() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaving
-}
+func (n *Node) Leaving() bool { return n.leaving.Load() }
 
 // Stopped reports whether the node has shut down.
-func (n *Node) Stopped() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopped
-}
+func (n *Node) Stopped() bool { return n.stopped.Load() }
 
 // SignalLeave asks the node to leave at the next job boundary (the
 // coordinator normally does this through the registry; the method
 // exists for direct orchestration and tests).
 func (n *Node) SignalLeave() {
-	n.mu.Lock()
-	n.leaving = true
-	n.mu.Unlock()
+	n.leaving.Store(true)
 	n.wakeUp()
 }
 
 // Kill stops the node abruptly, simulating a crash: no leave message,
 // no returned jobs; peers find out through the failure detector.
 func (n *Node) Kill() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
+	if n.halt() {
+		n.quiesce()
+		n.teardown()
 	}
-	n.stopped = true
+}
+
+// halt is the first step of Kill: from here on the node steals
+// nothing, serves no thief and runs no further job, but its endpoints
+// stay attached. It reports false when the node had already stopped.
+func (n *Node) halt() bool {
+	n.mu.Lock()
+	if n.stopped.Load() {
+		n.mu.Unlock()
+		return false
+	}
+	n.stopped.Store(true)
 	// Fail every locally owned future: a caller blocked in Future.Wait
 	// (e.g. Node.Run on this node) must not hang forever on a dead
 	// node — nobody will ever deliver those results here.
@@ -303,9 +309,17 @@ func (n *Node) Kill() {
 	}
 	close(n.stopCh)
 	n.wakeUp()
+	return true
+}
+
+// quiesce waits for a halted node's goroutines: once it returns the
+// node sends no more steal requests.
+func (n *Node) quiesce() { n.wg.Wait() }
+
+// teardown detaches a quiesced node from the registry and the fabric.
+func (n *Node) teardown() {
 	n.members.client().Close()
 	n.wc.Close()
-	n.wg.Wait()
 	if n.onStop != nil {
 		n.onStop(n)
 	}
@@ -353,7 +367,7 @@ func (n *Node) noteHolding(j jobMsg) {
 // done. Worker goroutine only (it drains the deque's owner end).
 func (n *Node) tryFinishLeave() bool {
 	n.mu.Lock()
-	if n.stopped {
+	if n.stopped.Load() {
 		// Kill won the race; the node is already down, stopCh closed.
 		n.mu.Unlock()
 		return true
@@ -390,7 +404,7 @@ func (n *Node) tryFinishLeave() bool {
 	}
 
 	n.mu.Lock()
-	if n.stopped {
+	if n.stopped.Load() {
 		// Kill raced the drain: crash semantics, the drained copies
 		// are lost and owners recompute via the failure detector.
 		n.mu.Unlock()
@@ -403,7 +417,7 @@ func (n *Node) tryFinishLeave() bool {
 		}
 		return false
 	}
-	n.stopped = true
+	n.stopped.Store(true)
 	n.mu.Unlock()
 	foreign = append(foreign, n.inbox.drain()...) // late adoptions
 	for _, j := range foreign {

@@ -426,3 +426,44 @@ func TestSubCoordinatorLinkModel(t *testing.T) {
 		t.Errorf("report link of a shaped cluster = %+v, want the LAN %+v", got, lan)
 	}
 }
+
+// TestCloseBusyGridKeepsStealsOffClosedEndpoints: Close used to kill
+// the nodes one after another, so the survivors kept stealing from
+// endpoints already detached and a healthy run ended with
+// wire/send_err/steal and steal-reply counts (21 to 29 over these
+// twenty rounds). Closing in two phases (every node halts, then every
+// endpoint closes) must leave both where they were. The grid is closed
+// the moment a small job returns, which is when all four nodes are out
+// stealing, over fast links so that they ask often.
+func TestCloseBusyGridKeepsStealsOffClosedEndpoints(t *testing.T) {
+	stealErrs := func() uint64 { return obs.Default.Total("wire/send_err/steal") }
+	before := stealErrs()
+	for round := 0; round < 20; round++ {
+		g, err := NewGrid(GridConfig{
+			Clusters:   []ClusterSpec{{Name: "c0", Nodes: 2}, {Name: "c1", Nodes: 2}},
+			LANLatency: 20 * time.Microsecond,
+			WANLatency: 100 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var master *Node
+		for _, c := range []ClusterID{"c0", "c1"} {
+			nodes, err := g.StartNodes(c, 2)
+			if err != nil {
+				g.Close()
+				t.Fatal(err)
+			}
+			if master == nil {
+				master = nodes[0]
+			}
+		}
+		if v, err := master.Run(tfib{N: 10}); err != nil || v != fibLeaves(10) {
+			t.Errorf("round %d: fib(10) = %v, %v", round, v, err)
+		}
+		g.Close()
+	}
+	if after := stealErrs(); after != before {
+		t.Fatalf("closing twenty grids of stealing nodes raised wire/send_err/steal* from %d to %d", before, after)
+	}
+}

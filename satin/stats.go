@@ -2,7 +2,9 @@ package satin
 
 import (
 	"log"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -30,9 +32,14 @@ var (
 type statsTracker struct {
 	epoch time.Time // monotonic origin for this node's report timeline
 
-	mu           sync.Mutex
-	acc          *metrics.Accumulator
-	load         float64
+	// loadBits is the competing-load factor (float64 bits). It is atomic
+	// so that enterState can see "no load" without taking mu.
+	loadBits atomic.Uint64
+
+	mu  sync.Mutex
+	acc *metrics.Accumulator
+	// curState is written by the worker goroutine only, under mu: the
+	// worker may read it bare, everyone else reads it under mu.
 	curState     int
 	stateSince   time.Time // fold origin: advanced by every fold (enterState AND snapshot)
 	stateEntered time.Time // true state entry: advanced only by enterState
@@ -55,9 +62,20 @@ func (s *statsTracker) init(cfg *NodeConfig) {
 // monotonic is the node's report clock: seconds since its grid epoch.
 func (s *statsTracker) monotonic() float64 { return time.Since(s.epoch).Seconds() }
 
+// state is the worker's current accounting bucket. Worker goroutine
+// only.
+func (s *statsTracker) state() int { return s.curState }
+
+func (s *statsTracker) loadFactor() float64 { return math.Float64frombits(s.loadBits.Load()) }
+
 func (s *statsTracker) setLoad(f float64) {
 	s.mu.Lock()
-	s.load = f
+	if s.loadFactor() == 0 {
+		// Unloaded, enterState skips same-state transitions, so the entry
+		// time may be many tasks old: the stretch starts with the load.
+		s.stateEntered = time.Now()
+	}
+	s.loadBits.Store(math.Float64bits(f))
 	s.mu.Unlock()
 }
 
@@ -102,15 +120,23 @@ func (s *statsTracker) addInterBytes(b float64) {
 // node the emulated load all but vanished and the saved wall time
 // leaked into idle. Folding still uses stateSince so time is never
 // double-counted against snapshot's folds.
+//
+// Without a load there is nothing to stretch, and a transition to the
+// state the worker is already in changes no bucket: it returns before
+// the clock is read. That is every nested task of a spawn tree (Busy
+// inside Busy), which would otherwise pay two clock reads each.
 func (s *statsTracker) enterState(next int) {
+	load := s.loadFactor()
+	if next == s.curState && load == 0 {
+		return
+	}
 	s.mu.Lock()
 	now := time.Now()
 	stretched := now.Sub(s.stateEntered)
-	if s.load > 0 && stretched > 0 &&
+	if load > 0 && stretched > 0 &&
 		(s.curState == int(metrics.Busy) || s.curState == int(metrics.Bench)) {
 		// Stretch the interval by sleeping outside the lock, then fold
 		// the stretched elapsed time in a second critical section.
-		load := s.load
 		s.mu.Unlock()
 		time.Sleep(time.Duration(float64(stretched) * load))
 		s.mu.Lock()

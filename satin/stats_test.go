@@ -144,3 +144,87 @@ func TestReportSendFailureCounted(t *testing.T) {
 	}
 	t.Fatal("satin/report_err never moved: failed coordinator sends are dropped silently")
 }
+
+// runNested mimics executeJob under Sync on a bare tracker: every task
+// enters Busy, runs its two children (or the leaf) and restores the
+// state it found.
+func runNested(s *statsTracker, depth int, leaf func()) {
+	prev := s.state()
+	s.enterState(int(metrics.Busy))
+	if depth == 0 {
+		leaf()
+	} else {
+		runNested(s, depth-1, leaf)
+		runNested(s, depth-1, leaf)
+	}
+	s.enterState(prev)
+}
+
+// TestNestedExecutionAccounting pins what the free same-state
+// transition may and may not change. Unloaded, a tree of nested tasks
+// is one Busy interval: its total equals the wall time between the
+// outermost transitions, and nothing inside the tree folds a bucket or
+// reads the clock (the fold origins, which every clock reading
+// advances, stay put). Loaded, every task is still stretched by
+// itself.
+func TestNestedExecutionAccounting(t *testing.T) {
+	var s statsTracker
+	s.init(&NodeConfig{ID: "n0", Cluster: "c0"})
+	s.snapshot() // open a period
+
+	outer := time.Now()
+	var inside time.Duration
+	runNested(&s, 3, func() {
+		t0 := time.Now()
+		for time.Since(t0) < 2*time.Millisecond {
+		}
+		inside += time.Since(t0)
+	})
+	wall := time.Since(outer)
+	if got := s.state(); got != stateIdle {
+		t.Fatalf("state after the tree = %d, want idle", got)
+	}
+	rep := s.snapshot()
+	busy := time.Duration(rep.BusySec * float64(time.Second))
+	if busy < inside || busy > wall {
+		t.Errorf("busy %v, want between the eight leaves' own %v and the tree's wall time %v", busy, inside, wall)
+	}
+
+	// The transitions inside the tree are free: same fold origins before
+	// and after a nested task.
+	s.enterState(int(metrics.Busy))
+	since, entered := s.stateSince, s.stateEntered
+	runNested(&s, 2, func() {})
+	if s.stateSince != since || s.stateEntered != entered {
+		t.Error("a nested Busy-in-Busy task read the clock on an unloaded node")
+	}
+	s.enterState(stateIdle)
+	s.snapshot()
+
+	// Loaded: four 5ms leaves at load 1 account for at least 40ms, and
+	// each leaf is stretched on its own (the tree takes that long too).
+	s.setLoad(1)
+	outer = time.Now()
+	runNested(&s, 2, func() { time.Sleep(5 * time.Millisecond) })
+	wall = time.Since(outer)
+	rep = s.snapshot()
+	if rep.BusySec < 0.040 || wall < 40*time.Millisecond {
+		t.Errorf("loaded tree: busy %.3fs over %v wall, want >= 0.040s each (4 leaves x 5ms x (1+load))", rep.BusySec, wall)
+	}
+}
+
+// TestLoadSetMidStateStretchesFromThen: an unloaded worker's state
+// entry time is not advanced by same-state transitions, so a load that
+// arrives late must not stretch the whole unloaded past.
+func TestLoadSetMidStateStretchesFromThen(t *testing.T) {
+	var s statsTracker
+	s.init(&NodeConfig{ID: "n0", Cluster: "c0"})
+	s.enterState(int(metrics.Busy))
+	time.Sleep(60 * time.Millisecond) // unloaded work
+	s.setLoad(1)
+	t0 := time.Now()
+	s.enterState(stateIdle)
+	if d := time.Since(t0); d > 30*time.Millisecond {
+		t.Fatalf("leaving Busy slept %v: the load stretched work done before it was set", d)
+	}
+}

@@ -16,10 +16,16 @@ import (
 // latency-hidden CRS wide-area slot. Timed around the full
 // request/reply round trip including the emulated link.
 var (
+	// stealRTTBuckets run from 25µs doubling to 6.5s: a local steal over
+	// the default 200µs LAN takes about 500µs, inside the first bucket of
+	// obs.LatencyBuckets, and a saturated WAN attempt runs into its
+	// three-second timeout.
+	stealRTTBuckets = obs.ExpBuckets(25e-6, 2, 19)
+
 	obsStealRTT = map[string]*obs.Histogram{
-		"local":     obs.Default.Histogram("satin/steal_rtt/local", obs.LatencyBuckets),
-		"wan":       obs.Default.Histogram("satin/steal_rtt/wan", obs.LatencyBuckets),
-		"wan_async": obs.Default.Histogram("satin/steal_rtt/wan_async", obs.LatencyBuckets),
+		"local":     obs.Default.Histogram("satin/steal_rtt/local", stealRTTBuckets),
+		"wan":       obs.Default.Histogram("satin/steal_rtt/wan", stealRTTBuckets),
+		"wan_async": obs.Default.Histogram("satin/steal_rtt/wan_async", stealRTTBuckets),
 	}
 	obsStealOK = map[string]*obs.Counter{
 		"local":     obs.Default.Counter("satin/steal_ok/local"),
@@ -66,31 +72,71 @@ func (s *stealer) init(cfg *NodeConfig) {
 	s.waiters = make(map[uint64]chan bool)
 }
 
-func (s *stealer) addWaiter() (uint64, chan bool) {
+// replyWait is what a goroutine blocks on while its steal request is
+// out: a one-slot reply channel and a timeout. The worker keeps one
+// for every synchronous attempt and every park (the two never
+// overlap); an asynchronous wide-area attempt brings its own.
+type replyWait struct {
+	reply chan bool
+	timer *time.Timer // stopped and drained between waits
+}
+
+func newReplyWait() *replyWait { return &replyWait{reply: make(chan bool, 1)} }
+
+// arm starts the timeout and returns its channel. Every arm is paired
+// with a disarm before the next.
+func (w *replyWait) arm(d time.Duration) <-chan time.Time {
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	return w.timer.C
+}
+
+// disarm stops the timer and takes a tick nobody received. A tick
+// that fires while Stop runs can still land afterwards and end the
+// next wait early, which costs that wait's caller one retry.
+func (w *replyWait) disarm() {
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+}
+
+// addWaiter routes the reply to a new request to ch.
+func (s *stealer) addWaiter(ch chan bool) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextSeq++
-	ch := make(chan bool, 1)
 	s.waiters[s.nextSeq] = ch
-	return s.nextSeq, ch
+	return s.nextSeq
 }
 
-func (s *stealer) dropWaiter(seq uint64) {
+// dropWaiter ends the request's claim on ch and empties it. Replies
+// are sent under the same lock, so once this returns none for seq can
+// reach the channel: the next request to use it sees only its own.
+func (s *stealer) dropWaiter(seq uint64, ch chan bool) {
 	s.mu.Lock()
 	delete(s.waiters, seq)
+	select {
+	case <-ch:
+	default:
+	}
 	s.mu.Unlock()
 }
 
 func (s *stealer) replyArrived(seq uint64, got bool) {
 	s.mu.Lock()
-	ch := s.waiters[seq]
-	s.mu.Unlock()
-	if ch != nil {
+	if ch := s.waiters[seq]; ch != nil {
 		select {
 		case ch <- got:
 		default:
 		}
 	}
+	s.mu.Unlock()
 }
 
 // trySteal runs one round of the steal policy: the engine picks
@@ -102,6 +148,7 @@ func (s *stealer) replyArrived(seq uint64, got bool) {
 func (n *Node) trySteal() (jobMsg, bool) {
 	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
 	if d.HasAsync {
+		n.wg.Add(1) // from the worker, which holds a count itself
 		go n.wanSteal(d.Async.ID)
 	}
 	if !d.HasSync {
@@ -112,7 +159,7 @@ func (n *Node) trySteal() (jobMsg, bool) {
 		bucket, timeout, kind = metrics.Inter, n.cfg.WANStealTimeout, "wan"
 	}
 	n.enterState(int(bucket))
-	gotJob := n.stealFrom(d.Sync.ID, timeout, kind)
+	gotJob := n.stealFrom(d.Sync.ID, timeout, kind, n.wait)
 	n.stealer.eng.SyncDone(gotJob)
 	n.enterState(stateIdle)
 	if !gotJob {
@@ -128,7 +175,8 @@ func (n *Node) trySteal() (jobMsg, bool) {
 // adopted by the reply handler; here we only settle the engine's
 // async slot CRS keys on.
 func (n *Node) wanSteal(victim NodeID) {
-	got := n.stealFrom(victim, n.cfg.WANStealTimeout, "wan_async")
+	defer n.wg.Done()
+	got := n.stealFrom(victim, n.cfg.WANStealTimeout, "wan_async", newReplyWait())
 	n.stealer.eng.AsyncDone(got)
 	n.wakeUp()
 }
@@ -136,24 +184,21 @@ func (n *Node) wanSteal(victim NodeID) {
 // stealFrom sends one steal request and waits for the reply; it
 // reports whether the victim granted a job (which the reply handler
 // already adopted into the inbox). kind labels the attempt for the
-// round-trip instruments ("local", "wan", "wan_async").
-func (n *Node) stealFrom(victim NodeID, timeout time.Duration, kind string) bool {
+// round-trip instruments ("local", "wan", "wan_async"); w is the
+// caller's to block on.
+func (n *Node) stealFrom(victim NodeID, timeout time.Duration, kind string, w *replyWait) bool {
 	start := time.Now()
-	got := func() bool {
-		seq, ch := n.stealer.addWaiter()
-		defer n.stealer.dropWaiter(seq)
-		if err := wire.Send(n.wc, satinEP(victim), stealMsg{Thief: n.cfg.ID, Cluster: n.cfg.Cluster, Seq: seq}); err != nil {
-			return false
-		}
+	got := false
+	seq := n.stealer.addWaiter(w.reply)
+	if err := wire.Send(n.wc, satinEP(victim), stealMsg{Thief: n.cfg.ID, Cluster: n.cfg.Cluster, Seq: seq}); err == nil {
 		select {
-		case g := <-ch:
-			return g
-		case <-time.After(timeout):
-			return false
+		case got = <-w.reply:
+		case <-w.arm(timeout):
 		case <-n.stopCh:
-			return false
 		}
-	}()
+		w.disarm()
+	}
+	n.stealer.dropWaiter(seq, w.reply)
 	obsStealRTT[kind].Observe(time.Since(start).Seconds())
 	if got {
 		obsStealOK[kind].Inc()
@@ -166,13 +211,13 @@ func (n *Node) stealFrom(victim NodeID, timeout time.Duration, kind string) bool
 // onSteal serves a thief: take the oldest job (biggest subtree) off
 // the top of the deque and ship it. The deque steal is lock-free —
 // this handler never touches the worker's push/pop path; n.mu is
-// taken only to read lifecycle flags and update job ownership.
+// taken only to update job ownership.
 func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
+	if n.stopped.Load() {
+		return // a dead node does not answer; the thief's endpoint may be gone too
+	}
 	reply := stealReplyMsg{Seq: sm.Seq}
-	n.mu.Lock()
-	serving := !n.stopped && !n.leaving
-	n.mu.Unlock()
-	if serving && !n.members.isDeparted(sm.Thief) {
+	if !n.leaving.Load() && !n.members.isDeparted(sm.Thief) {
 		j, ok := n.jobs.Steal()
 		if !ok {
 			// Nothing on the deque: serve inbox arrivals the worker has
@@ -213,10 +258,7 @@ func (n *Node) onStealReply(sr stealReplyMsg, m wire.Meta) {
 		// Adopt the job here, whatever happened to the waiter: a
 		// reply that lost a race with the steal timeout must not
 		// lose the job (its owner already recorded us as holder).
-		n.mu.Lock()
-		stopped := n.stopped
-		n.mu.Unlock()
-		if stopped {
+		if n.stopped.Load() {
 			wire.Send(n.wc, satinEP(sr.Job.Owner), returnJobMsg{Job: sr.Job})
 		} else {
 			n.inbox.add(sr.Job)

@@ -96,12 +96,10 @@ func (n *Node) drainInbox() {
 func (n *Node) worker() {
 	defer n.wg.Done()
 	for {
-		n.mu.Lock()
-		stopped, leaving := n.stopped, n.leaving
-		n.mu.Unlock()
-		if stopped {
+		if n.stopped.Load() {
 			return
 		}
+		leaving := n.leaving.Load()
 		if leaving {
 			if n.tryFinishLeave() {
 				return
@@ -160,9 +158,10 @@ func (n *Node) waitForWork(d time.Duration) {
 	}
 	select {
 	case <-n.wake:
-	case <-time.After(d):
+	case <-n.wait.arm(d):
 	case <-n.stopCh:
 	}
+	n.wait.disarm()
 	n.enterState(stateIdle)
 }
 
@@ -191,12 +190,16 @@ func (n *Node) putContext(c *Context) {
 	}
 }
 
+// executeJob runs one job and leaves the worker in the accounting
+// state it found: Idle under the worker loop, Busy when Sync runs a
+// child inside its parent, where both transitions are then free.
 func (n *Node) executeJob(j jobMsg) {
+	prev := n.stats.state()
 	n.enterState(int(metrics.Busy))
 	ctx := n.getContext(false)
 	val, err := safeExecute(j.Task, ctx)
 	n.putContext(ctx)
-	n.enterState(stateIdle)
+	n.enterState(prev)
 	if errors.Is(err, errNodeStopped) {
 		// Execution was cut short by Kill: this is not a task result.
 		// Say nothing; the owner recomputes the job when the failure
@@ -209,9 +212,8 @@ func (n *Node) executeJob(j jobMsg) {
 	}
 	res := resultMsg{ID: j.ID, Value: val, Err: errString(err)}
 	if sendErr := wire.Send(n.wc, satinEP(j.Owner), res); sendErr != nil {
-		// Unregistered result type (the encode failure restarted the
-		// session): deliver the error instead so the owner's sync does
-		// not hang.
+		// Unregistered result type: deliver the error instead so the
+		// owner's sync does not hang.
 		wire.Send(n.wc, satinEP(j.Owner), resultMsg{ID: j.ID, Err: sendErr.Error()})
 	}
 }
@@ -251,10 +253,7 @@ func (n *Node) runBench() {
 		interval = 50 * time.Millisecond
 	}
 	time.AfterFunc(interval, func() {
-		n.mu.Lock()
-		rearm := !n.stopped && !n.leaving
-		n.mu.Unlock()
-		if rearm {
+		if !n.stopped.Load() && !n.leaving.Load() {
 			n.stats.armBench()
 		}
 		n.wakeUp()
