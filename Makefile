@@ -39,14 +39,15 @@ bench:
 # Short fuzz smoke over the adversarial-input paths (`go test -fuzz`
 # accepts one target per invocation, hence one line each): the wirefmt
 # reader, the binary control-frame decoder, the batch envelope parser,
-# the receive session's (epoch, seq) state machine, and the coordinator
-# tree's summary/ack/reset frames.
+# the receive session's (epoch, seq) state machine, the coordinator
+# tree's summary/ack/reset frames, and the TCP hub's socket envelope.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzBatchEnvelope -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzTreeFrames -fuzztime=10s ./internal/coord
+	$(GO) test -run=NONE -fuzz=FuzzTCPFrame -fuzztime=10s ./internal/transport
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

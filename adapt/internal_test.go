@@ -85,3 +85,54 @@ func TestRootSendFailuresCounted(t *testing.T) {
 		t.Errorf("reset to a vanished sub: adapt/reset_send_failures moved by %d, want 1", got)
 	}
 }
+
+// TestRootClaimIsTheElectionLock: startRoot's claim on the coordinator
+// endpoint is what keeps two elected subs from both becoming root, so
+// it has to hold on every fabric: of two simultaneous claimants exactly
+// one wins, and the name is there for a successor once the winner dies.
+func TestRootClaimIsTheElectionLock(t *testing.T) {
+	hub, err := transport.NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	inproc := transport.NewInProc(nil)
+	defer inproc.Close()
+	for _, tc := range []struct {
+		name string
+		fab  transport.Fabric
+	}{
+		{"InProc", inproc},
+		{"TCP", transport.NewTCP(hub.Addr())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			claimant := func() *Coordinator {
+				return &Coordinator{cfg: Config{Thresholds: DefaultThresholds()}, f: tc.fab}
+			}
+			rivals := []*Coordinator{claimant(), claimant()}
+			errs := make(chan error, len(rivals))
+			for _, c := range rivals {
+				go func() { errs <- c.startRoot(nil) }()
+			}
+			won := 0
+			for range rivals {
+				if <-errs == nil {
+					won++
+				}
+			}
+			if won != 1 {
+				t.Fatalf("%d of 2 simultaneous claimants became root, want exactly 1", won)
+			}
+			for _, c := range rivals {
+				if c.root != nil {
+					c.root.kill()
+				}
+			}
+			successor := claimant()
+			if err := successor.startRoot(nil); err != nil {
+				t.Fatalf("claim after the root died: %v", err)
+			}
+			successor.root.kill()
+		})
+	}
+}

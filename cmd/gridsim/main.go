@@ -18,44 +18,34 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/expt"
-	"repro/internal/obs"
-	"repro/internal/record"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		scenario  = flag.String("scenario", "all", "scenario id (1, 2a..2c, 3..7) or 'all'")
-		seed      = flag.Int64("seed", 42, "simulation seed")
-		csvDir    = flag.String("csv", "", "directory to write per-scenario iteration CSVs")
-		svgDir    = flag.String("svg", "", "directory to write per-scenario figure SVGs")
-		periods   = flag.Bool("periods", false, "print the adaptive coordinator's period log")
-		list      = flag.Bool("list", false, "list scenarios and exit")
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics (Prometheus), /events (JSONL) and /debug/pprof on this address while scenarios run")
-		recordDB  = flag.String("record-db", "", "append the run's events/samples/decisions to this durable record store (replay with cmd/replay)")
-		recordRun = flag.String("record-run", "", "run ID for -record-db rows (default gridsim-<unixtime>)")
+		scenario = flag.String("scenario", "all", "scenario id (1, 2a..2c, 3..7) or 'all'")
+		seed     = flag.Int64("seed", 42, "simulation seed")
+		csvDir   = flag.String("csv", "", "directory to write per-scenario iteration CSVs")
+		svgDir   = flag.String("svg", "", "directory to write per-scenario figure SVGs")
+		periods  = flag.Bool("periods", false, "print the adaptive coordinator's period log")
+		list     = flag.Bool("list", false, "list scenarios and exit")
+		observe  = cli.ObserveFlags(flag.CommandLine, "gridsim",
+			"serve /metrics (Prometheus), /events (JSONL) and /debug/pprof on this address while scenarios run",
+			"append the run's events/samples/decisions to this durable record store (replay with cmd/replay)")
 	)
 	flag.Parse()
 
-	var rec *record.Recorder
-	if *obsAddr != "" || *recordDB != "" {
-		rec = record.New(8192, 1024)
+	if err := observe.Start(8192); err != nil {
+		fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
+		os.Exit(1)
 	}
-	if *obsAddr != "" {
-		srv, err := record.Serve(*obsAddr, obs.Default, rec, time.Second)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: obs endpoint: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("observability endpoint on http://%s\n", srv.Addr())
-	}
+	defer observe.Close()
+	rec := observe.Rec
 
 	// The DES emits events stamped with virtual time; put the
 	// recorder's own clock — which stamps registry samples and ad-hoc
@@ -79,21 +69,6 @@ func main() {
 			}
 		}
 	}
-	if *recordDB != "" {
-		run := *recordRun
-		if run == "" {
-			run = fmt.Sprintf("gridsim-%d", time.Now().Unix())
-		}
-		db, err := store.Open(*recordDB, run, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: record store: %v\n", err)
-			os.Exit(1)
-		}
-		defer db.Close()
-		rec.SetSink(db)
-		fmt.Printf("recording to %s (run %q)\n", *recordDB, run)
-	}
-
 	if *list {
 		for _, sc := range expt.All() {
 			fmt.Printf("%-3s %-32s %s\n", sc.ID, sc.Name, sc.Figure)

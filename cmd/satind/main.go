@@ -23,17 +23,13 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/record"
 	"repro/internal/sigdrain"
-	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/workload"
 	"repro/satin"
 )
 
@@ -60,10 +56,10 @@ func daemon(args []string) {
 		period   = fs.Duration("period", 500*time.Millisecond, "default monitoring period")
 		patience = fs.Duration("patience", 5*time.Second, "provisioning patience before a job starts undersized")
 		drainTmo = fs.Duration("drain-timeout", 30*time.Second, "SIGTERM: how long to wait for running jobs")
-		obsAddr   = fs.String("obs-addr", "", "serve /metrics, /events and /debug/pprof on this address (:0 picks a port)")
-		recordDB  = fs.String("record-db", "", "append events/samples/per-job decisions to this durable record store (replay with cmd/replay)")
-		recordRun = fs.String("record-run", "", "run ID for -record-db rows (default satind-<unixtime>)")
-		seed      = fs.Int64("seed", 0, "reproducible job seeds (job n runs with seed+n)")
+		observe  = cli.ObserveFlags(fs, "satind",
+			"serve /metrics, /events and /debug/pprof on this address (:0 picks a port)",
+			"append events/samples/per-job decisions to this durable record store (replay with cmd/replay)")
+		seed = fs.Int64("seed", 0, "reproducible job seeds (job n runs with seed+n)")
 	)
 	fs.Parse(args)
 	if *clusters < 1 || *nodes < 1 {
@@ -71,31 +67,8 @@ func daemon(args []string) {
 		os.Exit(2)
 	}
 	obs.Publish()
-	var rec *record.Recorder
-	var db *store.DB
-	if *obsAddr != "" || *recordDB != "" {
-		rec = record.New(4096, 1024)
-	}
-	if *obsAddr != "" {
-		srv, err := record.Serve(*obsAddr, obs.Default, rec, time.Second)
-		if err != nil {
-			log.Fatalf("satind: obs endpoint: %v", err)
-		}
-		defer srv.Close()
-		fmt.Printf("observability endpoint on http://%s (/metrics /events /samples /debug/pprof)\n", srv.Addr())
-	}
-	if *recordDB != "" {
-		run := *recordRun
-		if run == "" {
-			run = fmt.Sprintf("satind-%d", time.Now().Unix())
-		}
-		var err error
-		db, err = store.Open(*recordDB, run, obs.Default)
-		if err != nil {
-			log.Fatalf("satind: record store: %v", err)
-		}
-		rec.SetSink(db)
-		fmt.Printf("recording to %s (run %q)\n", *recordDB, run)
+	if err := observe.Start(4096); err != nil {
+		log.Fatalf("satind: %v", err)
 	}
 
 	var specs []satin.ClusterSpec
@@ -109,7 +82,7 @@ func daemon(args []string) {
 		MaxActive:         *maxAct,
 		Period:            *period,
 		ProvisionPatience: *patience,
-		Recorder:          rec,
+		Recorder:          observe.Rec,
 		Seed:              *seed,
 	})
 	if err != nil {
@@ -129,23 +102,8 @@ func daemon(args []string) {
 		m.Close()
 		srv.Close()
 		hub.Close()
-		if rec != nil {
-			// Terminal snapshot first: a run shorter than one sample
-			// period would otherwise die with an empty sample timeline.
-			rec.Sample(obs.Default)
-			// Flush BOTH retained timelines before the process dies —
-			// /events and /samples are gone once the listener closes,
-			// and losing the sample series on shutdown was exactly the
-			// bug: the event log alone cannot reconstruct the metric
-			// trajectory.
-			_ = rec.WriteEventsJSONL(os.Stderr)
-			_ = rec.WriteSamplesJSONL(os.Stderr)
-		}
-		if db != nil {
-			// Drain the sink's queue to disk; Close is idempotent.
-			if err := db.Close(); err != nil {
-				log.Printf("satind: record store close: %v", err)
-			}
+		if err := observe.Flush(); err != nil {
+			log.Printf("satind: record store close: %v", err)
 		}
 		if cancelled > 0 {
 			log.Printf("satind: drained, %d job(s) cancelled", cancelled)
@@ -168,21 +126,10 @@ func client(cmd string, args []string) {
 		tmo  = fs.Duration("timeout", 10*time.Second, "reply timeout")
 		id   = fs.String("id", "", "job ID")
 		// submit flags
-		app      = fs.String("app", "fib", "fib | nqueens | integrate | tsp | knapsack | barneshut")
-		size     = fs.Int("size", 24, "problem size")
-		iters    = fs.Int("iters", 1, "repetitions")
+		jf       = cli.AddJobFlags(fs, "problem size", "repetitions", "monitoring period override", 0)
 		minNodes = fs.Int("min-nodes", 1, "provisioning target before the run starts")
 		maxNodes = fs.Int("max-nodes", 0, "allocation cap (0 = none)")
 		weight   = fs.Float64("weight", 1, "fair-share weight in the pool")
-		adaptOn  = fs.Bool("adapt", false, "run the adaptation coordinator")
-		class    = fs.String("class", "batch", "workload class: batch | stream")
-		stages   = fs.String("stages", "decode=0.05,transform=0.15,encode=0.05", "stream pipeline: name=seconds[/bytes],...")
-		rate     = fs.Float64("rate", 10, "stream: item arrival rate (items/s)")
-		items    = fs.Int("items", 100, "stream: total items to emit")
-		target   = fs.Float64("target", 2, "stream: end-to-end latency SLO (seconds)")
-		period   = fs.Duration("period", 0, "monitoring period override")
-		shape    = fs.String("shape", "", "throttle a cluster's WAN link: fs1=5000 (bytes/s)")
-		load     = fs.String("load", "", "competing CPU load on a cluster: fs1=3")
 		wait     = fs.Bool("wait", false, "result: block until the job finishes")
 	)
 	fs.Parse(args)
@@ -196,55 +143,14 @@ func client(cmd string, args []string) {
 
 	switch cmd {
 	case "submit":
-		spec := job.Spec{
-			App: *app, Size: *size, Iters: *iters,
-			MinNodes: *minNodes, MaxNodes: *maxNodes, Weight: *weight,
-			Adapt: *adaptOn, Period: *period,
-		}
-		// The workload class is validated client-side like the other
-		// flag grammar (malformed stage spec → exit 2 with usage); the
-		// daemon revalidates the whole spec at submit.
-		switch *class {
-		case "batch":
-		case "stream":
-			st, err := job.ParseStages(*stages)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "satind submit: -stages: %v\n", err)
-				os.Exit(2)
-			}
-			stream := workload.StreamSpec{
-				Name: "cli", Stages: st,
-				RateHz: *rate, Items: *items, TargetLatency: *target,
-			}
-			if err := stream.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "satind submit: stream spec: %v\n", err)
-				os.Exit(2)
-			}
-			spec.Class = "stream"
-			spec.Stream = &stream
-		default:
-			fmt.Fprintf(os.Stderr, "satind submit: -class must be batch or stream, got %q\n", *class)
+		// Flag grammar is checked here (exit 2); cluster names in
+		// -shape/-load are the daemon's to check, it knows the deployment.
+		spec, err := jf.Spec(nil)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "satind submit: %v\n", err)
 			os.Exit(2)
 		}
-		// Disturbance specs are parsed here for shape but validated
-		// (including cluster names) by the daemon, which knows the
-		// deployment.
-		if *shape != "" {
-			name, v, err := splitKV(*shape)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "satind submit: -shape: %v\n", err)
-				os.Exit(2)
-			}
-			spec.Shape = map[string]float64{name: v}
-		}
-		if *load != "" {
-			name, v, err := splitKV(*load)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "satind submit: -load: %v\n", err)
-				os.Exit(2)
-			}
-			spec.Load = map[string]float64{name: v}
-		}
+		spec.MinNodes, spec.MaxNodes, spec.Weight = *minNodes, *maxNodes, *weight
 		jid, err := ctl.Submit(spec, *tmo)
 		if err != nil {
 			log.Fatalf("satind submit: %v", err)
@@ -310,21 +216,4 @@ func client(cmd string, args []string) {
 			os.Exit(1)
 		}
 	}
-}
-
-// splitKV parses "cluster=value" client-side (numeric sanity only; the
-// daemon validates cluster names against its deployment).
-func splitKV(s string) (string, float64, error) {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return "", 0, fmt.Errorf("expected cluster=value, got %q", s)
-	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return "", 0, fmt.Errorf("bad value in %q: %v", s, err)
-	}
-	if v <= 0 {
-		return "", 0, fmt.Errorf("value in %q must be > 0", s)
-	}
-	return name, v, nil
 }

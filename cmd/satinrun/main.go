@@ -26,70 +26,36 @@ import (
 	"sort"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/record"
 	"repro/internal/sigdrain"
-	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/workload"
 	"repro/satin"
 )
 
 func main() {
 	var (
-		app      = flag.String("app", "fib", "fib | nqueens | integrate | tsp | knapsack | barneshut")
-		size     = flag.Int("size", 24, "problem size (fib N, queens N, tsp cities, bodies)")
+		jf = cli.AddJobFlags(flag.CommandLine, "problem size (fib N, queens N, tsp cities, bodies)",
+			"repetitions (iterative application)", "monitoring period", 500*time.Millisecond)
 		clusters = flag.Int("clusters", 2, "number of emulated clusters")
 		nodes    = flag.Int("nodes", 4, "nodes per cluster")
-		iters    = flag.Int("iters", 1, "repetitions (iterative application)")
-		class    = flag.String("class", "batch", "workload class: batch | stream")
-		stages   = flag.String("stages", "decode=0.05,transform=0.15,encode=0.05", "stream pipeline: name=seconds[/bytes],...")
-		rate     = flag.Float64("rate", 10, "stream: item arrival rate (items/s)")
-		items    = flag.Int("items", 100, "stream: total items to emit")
-		target   = flag.Float64("target", 2, "stream: end-to-end latency SLO (seconds)")
-		adaptOn  = flag.Bool("adapt", false, "run the adaptation coordinator")
-		period   = flag.Duration("period", 500*time.Millisecond, "monitoring period")
-		shape    = flag.String("shape", "", "throttle a cluster's WAN link: fs1=5000 (bytes/s)")
-		load     = flag.String("load", "", "competing CPU load on a cluster: fs1=3")
 		verbose  = flag.Bool("v", false, "print per-node statistics")
 		wireObs  = flag.Bool("wire-stats", false, "print the wire-layer frame/byte/error counters")
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics (Prometheus), /events (JSONL) and /debug/pprof on this address (e.g. :9090; :0 picks a port)")
-		recordDB  = flag.String("record-db", "", "append the run's events/samples/decisions to this durable record store (replay with cmd/replay)")
-		recordRun = flag.String("record-run", "", "run ID for -record-db rows (default satinrun-<unixtime>)")
+		observe  = cli.ObserveFlags(flag.CommandLine, "satinrun",
+			"serve /metrics (Prometheus), /events (JSONL) and /debug/pprof on this address (e.g. :9090; :0 picks a port)",
+			"append the run's events/samples/decisions to this durable record store (replay with cmd/replay)")
 	)
 	flag.Parse()
 	// Counters are also exported as the expvar "obs" for anything that
 	// scrapes this process.
 	obs.Publish()
-	var rec *record.Recorder
-	var db *store.DB
-	if *obsAddr != "" || *recordDB != "" {
-		rec = record.New(4096, 1024)
+	if err := observe.Start(4096); err != nil {
+		log.Fatalf("satinrun: %v", err)
 	}
-	if *obsAddr != "" {
-		srv, err := record.Serve(*obsAddr, obs.Default, rec, time.Second)
-		if err != nil {
-			log.Fatalf("satinrun: obs endpoint: %v", err)
-		}
-		defer srv.Close()
-		fmt.Printf("observability endpoint on http://%s (/metrics /events /samples /debug/pprof)\n", srv.Addr())
-	}
-	if *recordDB != "" {
-		run := *recordRun
-		if run == "" {
-			run = fmt.Sprintf("satinrun-%d", time.Now().Unix())
-		}
-		var err error
-		db, err = store.Open(*recordDB, run, obs.Default)
-		if err != nil {
-			log.Fatalf("satinrun: record store: %v", err)
-		}
-		defer db.Close()
-		rec.SetSink(db)
-		fmt.Printf("recording to %s (run %q)\n", *recordDB, run)
-	}
-	if *clusters < 1 || *nodes < 1 || *iters < 1 {
+	defer observe.Close()
+	rec := observe.Rec
+	if *clusters < 1 || *nodes < 1 || *jf.Iters < 1 {
 		fmt.Fprintln(os.Stderr, "satinrun: -clusters, -nodes and -iters must be >= 1")
 		os.Exit(2)
 	}
@@ -100,56 +66,18 @@ func main() {
 			Name: satin.ClusterID(fmt.Sprintf("fs%d", i)), Nodes: *nodes * 2,
 		})
 	}
-	// Malformed -shape/-load used to be silently ignored; now they are
-	// validated against the deployment before anything starts — and the
-	// -class/-stages pair gets the same treatment.
-	jobSpec := job.Spec{
-		App: *app, Size: *size, Iters: *iters,
-		MinNodes: *clusters * *nodes,
-		Adapt:    *adaptOn, Period: *period,
-	}
-	switch *class {
-	case "batch":
-	case "stream":
-		st, err := job.ParseStages(*stages)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "satinrun: -stages: %v\n", err)
-			os.Exit(2)
-		}
-		stream := workload.StreamSpec{
-			Name: "cli", Stages: st,
-			RateHz: *rate, Items: *items, TargetLatency: *target,
-		}
-		if err := stream.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "satinrun: stream spec: %v\n", err)
-			os.Exit(2)
-		}
-		jobSpec.Class = "stream"
-		jobSpec.Stream = &stream
-	default:
-		fmt.Fprintf(os.Stderr, "satinrun: -class must be batch or stream, got %q\n", *class)
+	// -class/-stages and -shape/-load are validated against the
+	// deployment before anything starts.
+	jobSpec, err := jf.Spec(specs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "satinrun: %v\n", err)
 		os.Exit(2)
 	}
-	if *shape != "" {
-		cluster, v, err := job.ParseKV(*shape, specs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "satinrun: -shape: %v\n", err)
-			os.Exit(2)
-		}
-		jobSpec.Shape = map[string]float64{string(cluster): v}
-	}
-	if *load != "" {
-		cluster, v, err := job.ParseKV(*load, specs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "satinrun: -load: %v\n", err)
-			os.Exit(2)
-		}
-		jobSpec.Load = map[string]float64{string(cluster): v}
-	}
+	jobSpec.MinNodes = *clusters * *nodes
 
 	m, err := job.NewManager(job.Config{
 		Clusters: specs,
-		Period:   *period,
+		Period:   jobSpec.Period,
 		Recorder: rec,
 	})
 	if err != nil {
@@ -157,26 +85,22 @@ func main() {
 	}
 	if rec != nil {
 		rec.Record("run", map[string]any{
-			"app": *app, "size": *size, "clusters": *clusters,
-			"nodes": *nodes, "iters": *iters, "adapt": *adaptOn,
+			"app": jobSpec.App, "size": jobSpec.Size, "clusters": *clusters,
+			"nodes": *nodes, "iters": jobSpec.Iters, "adapt": jobSpec.Adapt,
 		})
 	}
 	if jobSpec.Class == "stream" {
 		fmt.Printf("stream of %d items at %.1f/s (%d stages, SLO %.1fs) on %d nodes in %d clusters\n",
-			*items, *rate, len(jobSpec.Stream.Stages), *target, *clusters**nodes, *clusters)
+			*jf.Items, *jf.Rate, len(jobSpec.Stream.Stages), *jf.Target, *clusters**nodes, *clusters)
 	} else {
 		fmt.Printf("%s(size %d) on %d nodes in %d clusters, %d iteration(s)\n",
-			*app, *size, *clusters**nodes, *clusters, *iters)
+			jobSpec.App, jobSpec.Size, *clusters**nodes, *clusters, jobSpec.Iters)
 	}
-	if *shape != "" {
-		for c, v := range jobSpec.Shape {
-			fmt.Printf("throttled %s WAN link to %.0f B/s\n", c, v)
-		}
+	for c, v := range jobSpec.Shape {
+		fmt.Printf("throttled %s WAN link to %.0f B/s\n", c, v)
 	}
-	if *load != "" {
-		for c, v := range jobSpec.Load {
-			fmt.Printf("competing load %.1fx on %s\n", v, c)
-		}
+	for c, v := range jobSpec.Load {
+		fmt.Printf("competing load %.1fx on %s\n", v, c)
 	}
 
 	label := "iteration"
@@ -202,16 +126,7 @@ func main() {
 	release := sigdrain.Install("satinrun", func() int {
 		j.Cancel()
 		m.Drain(10 * time.Second)
-		if rec != nil {
-			// Terminal snapshot, then both timelines: the event log
-			// alone cannot reconstruct the metric trajectory.
-			rec.Sample(obs.Default)
-			_ = rec.WriteEventsJSONL(os.Stderr)
-			_ = rec.WriteSamplesJSONL(os.Stderr)
-		}
-		if db != nil {
-			_ = db.Close() // deferred Close won't run on the os.Exit path
-		}
+		_ = observe.Flush() // the deferred Close won't run on the os.Exit path
 		return 130
 	})
 	defer release()
@@ -233,7 +148,7 @@ func main() {
 			res.StreamCompleted, count, res.StreamMeanLatency, res.StreamMaxLatency)
 	} else {
 		fmt.Printf("total: %v, mean %v/iteration\n",
-			total.Round(time.Millisecond), (total / time.Duration(*iters)).Round(time.Millisecond))
+			total.Round(time.Millisecond), (total / time.Duration(jobSpec.Iters)).Round(time.Millisecond))
 	}
 
 	if *verbose {
@@ -245,7 +160,7 @@ func main() {
 				rep.Node, rep.BusySec, rep.IntraSec, rep.InterSec, rep.BenchSec, rep.Speed)
 		}
 	}
-	if *adaptOn {
+	if jobSpec.Adapt {
 		// The same unified period log the simulator prints (both are
 		// the shared kernel's coord.PeriodRecord).
 		fmt.Println("coordinator period log:")

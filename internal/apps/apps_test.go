@@ -257,14 +257,6 @@ func TestPlummerReproducible(t *testing.T) {
 	}
 }
 
-func TestIntegrandNames(t *testing.T) {
-	for _, name := range IntegrandNames() {
-		if _, ok := integrands[name]; !ok {
-			t.Errorf("listed integrand %q missing", name)
-		}
-	}
-}
-
 func TestKnapsackMatchesDP(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		k := RandomKnapsack(18, seed)

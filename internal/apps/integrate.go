@@ -31,11 +31,6 @@ var integrands = map[string]func(float64) float64{
 	"constant": func(float64) float64 { return 1 },
 }
 
-// IntegrandNames lists the available integrands.
-func IntegrandNames() []string {
-	return []string{"poly", "sin", "gauss", "spiky", "needle", "constant"}
-}
-
 func simpson(f func(float64) float64, a, b float64) float64 {
 	return (b - a) / 6 * (f(a) + 4*f((a+b)/2) + f(b))
 }

@@ -48,7 +48,7 @@ func batchedPair(t *testing.T, ft *FaultTransport) (*wire.Conn, *wire.Conn) {
 func TestChaosBatchedLinkInvariants(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 41, nil)
+	ft := NewFaultTransport(inner, 41)
 	defer ft.Close()
 	ca, cb := batchedPair(t, ft)
 	defer ca.Close()
@@ -130,7 +130,7 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 func TestChaosBatchedPartitionResync(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 7, nil)
+	ft := NewFaultTransport(inner, 7)
 	defer ft.Close()
 	ca, cb := batchedPair(t, ft)
 	defer ca.Close()

@@ -43,7 +43,7 @@ func protoErrTotal() uint64 {
 func TestChaosCorruptionAccounted(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 23, nil)
+	ft := NewFaultTransport(inner, 23)
 	defer ft.Close()
 
 	epA, err := ft.Endpoint("satin:ca/0")
@@ -114,7 +114,7 @@ func TestChaosCorruptionCostsOnlyItsFrame(t *testing.T) {
 			t.Parallel()
 			inner := transport.NewInProc(nil)
 			defer inner.Close()
-			ft := NewFaultTransport(inner, seed, nil)
+			ft := NewFaultTransport(inner, seed)
 			defer ft.Close()
 			epA, _ := ft.Endpoint("satin:ca/0")
 			epB, _ := ft.Endpoint("satin:cb/0")

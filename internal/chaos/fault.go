@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -57,23 +58,6 @@ type Stats struct {
 	Corrupted   uint64 // copies delivered with a flipped byte
 }
 
-// ClusterOf maps an endpoint name to its cluster. The default strips a
-// "prefix:" and takes everything before the first '/', matching the
-// satin runtime's naming ("satin:fs0/03" → "fs0"); infrastructure
-// endpoints (registry, coordinator) map to "".
-type ClusterOf func(endpoint string) string
-
-// DefaultClusterOf is the satin/registry naming convention.
-func DefaultClusterOf(ep string) string {
-	if i := strings.IndexByte(ep, ':'); i >= 0 {
-		ep = ep[i+1:]
-	}
-	if i := strings.IndexByte(ep, '/'); i >= 0 {
-		return ep[:i]
-	}
-	return ""
-}
-
 // bareName strips the "prefix:" from an endpoint name, so a crashed
 // node "fs0/03" blocks both its "satin:fs0/03" and "reg:fs0/03"
 // endpoints.
@@ -98,9 +82,8 @@ type linkKey struct{ from, to string } // cluster names; "*" matches any
 // alone, as real wide-area weather does; an exact rule (c, c) faults a
 // LAN explicitly.
 type FaultTransport struct {
-	inner     transport.Fabric
-	seed      int64
-	clusterOf ClusterOf
+	inner transport.Fabric
+	seed  int64
 
 	mu          sync.Mutex
 	faults      map[linkKey]Faults
@@ -113,15 +96,12 @@ type FaultTransport struct {
 	stats       Stats
 }
 
-// NewFaultTransport wraps inner. clusterOf nil means DefaultClusterOf.
-func NewFaultTransport(inner transport.Fabric, seed int64, clusterOf ClusterOf) *FaultTransport {
-	if clusterOf == nil {
-		clusterOf = DefaultClusterOf
-	}
+// NewFaultTransport wraps inner. Endpoints are placed in clusters by
+// the runtime's naming convention (topo.ClusterOf).
+func NewFaultTransport(inner transport.Fabric, seed int64) *FaultTransport {
 	return &FaultTransport{
 		inner:       inner,
 		seed:        seed,
-		clusterOf:   clusterOf,
 		faults:      make(map[linkKey]Faults),
 		partitioned: make(map[string]bool),
 		crashed:     make(map[string]bool),
@@ -274,7 +254,7 @@ func (t *FaultTransport) plan(from, to string, size int) (deliver []delivery) {
 		t.stats.Crashed++
 		return nil
 	}
-	cf, ct := t.clusterOf(from), t.clusterOf(to)
+	cf, ct := string(topo.ClusterOf(from)), string(topo.ClusterOf(to))
 	if cf != ct && (t.partitioned[cf] || t.partitioned[ct]) {
 		t.stats.Partitioned++
 		return nil

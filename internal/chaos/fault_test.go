@@ -47,7 +47,7 @@ func (c *collector) waitLen(t *testing.T, n int, d time.Duration) []string {
 func pair(t *testing.T, seed int64) (*FaultTransport, transport.Endpoint, *collector, func()) {
 	t.Helper()
 	inner := transport.NewInProc(nil)
-	ft := NewFaultTransport(inner, seed, nil)
+	ft := NewFaultTransport(inner, seed)
 	src, err := ft.Endpoint("satin:a/00")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestChaosFaultTransportDeterministicDrop(t *testing.T) {
 func TestChaosFaultTransportPartitionAndHeal(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 1, nil)
+	ft := NewFaultTransport(inner, 1)
 	defer ft.Close()
 	a, _ := ft.Endpoint("satin:a/00")
 	b, _ := ft.Endpoint("satin:b/00")
@@ -137,7 +137,7 @@ func TestChaosFaultTransportPartitionAndHeal(t *testing.T) {
 func TestChaosFaultTransportCrashNode(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 1, nil)
+	ft := NewFaultTransport(inner, 1)
 	defer ft.Close()
 	a, _ := ft.Endpoint("satin:a/00")
 	reg, _ := ft.Endpoint("reg:a/00") // same node, different prefix
@@ -257,7 +257,7 @@ func TestChaosFaultTransportBandwidthSerialises(t *testing.T) {
 func TestChaosFaultTransportWildcardSparesLAN(t *testing.T) {
 	inner := transport.NewInProc(nil)
 	defer inner.Close()
-	ft := NewFaultTransport(inner, 1, nil)
+	ft := NewFaultTransport(inner, 1)
 	defer ft.Close()
 	ft.SetFaults("*", "*", Faults{Drop: 1.0})
 	a0, _ := ft.Endpoint("satin:a/00")

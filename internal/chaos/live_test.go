@@ -36,7 +36,7 @@ func chaosGrid(t *testing.T, seed int64, period time.Duration) (*satin.Grid, *Fa
 		WANLatency: time.Millisecond,
 		Seed:       seed,
 		WrapFabric: func(inner transport.Fabric) transport.Fabric {
-			ft = NewFaultTransport(inner, seed, nil)
+			ft = NewFaultTransport(inner, seed)
 			return ft
 		},
 		Node: satin.NodeConfig{
@@ -196,7 +196,7 @@ func TestChaosLivePartitionIsolates(t *testing.T) {
 		members := g.Registry().Members()
 		gone := true
 		for _, m := range members {
-			if DefaultClusterOf("x:"+string(m.ID)) == "lc1" {
+			if m.Cluster == "lc1" {
 				gone = false
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -70,20 +69,6 @@ func (r *Requirements) ClusterBlacklisted(id ClusterID) bool {
 	defer r.mu.Unlock()
 	_, ok := r.blackClusters[id]
 	return ok
-}
-
-// Pardon removes a cluster from the blacklist — used when the cause of
-// the original problem is known to have disappeared (e.g. background
-// traffic diminished), the relaxation the paper mentions as future work.
-func (r *Requirements) Pardon(id ClusterID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.blackClusters, id)
-	for n, reason := range r.blackNodes {
-		if strings.HasPrefix(reason, "cluster:"+string(id)) {
-			delete(r.blackNodes, n)
-		}
-	}
 }
 
 // LearnMinBandwidth tightens the minimum-bandwidth requirement: bw is

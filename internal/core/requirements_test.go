@@ -34,23 +34,6 @@ func TestRequirementsBlacklist(t *testing.T) {
 	}
 }
 
-func TestRequirementsPardon(t *testing.T) {
-	r := NewRequirements()
-	r.BlacklistCluster("c1", "bad uplink")
-	r.BlacklistNode("c1n0", "cluster:c1 evacuated")
-	r.BlacklistNode("other", "slow")
-	r.Pardon("c1")
-	if r.ClusterBlacklisted("c1") {
-		t.Error("pardoned cluster still blacklisted")
-	}
-	if r.NodeBlacklisted("c1n0", "c1") {
-		t.Error("node evicted as part of the cluster should be pardoned with it")
-	}
-	if !r.NodeBlacklisted("other", "cX") {
-		t.Error("individually blacklisted node must stay blacklisted")
-	}
-}
-
 func TestRequirementsMinBandwidthMonotone(t *testing.T) {
 	r := NewRequirements()
 	if bw := r.MinBandwidth(); bw != 0 {

@@ -39,9 +39,6 @@ func (s *Sim) coordinatorTick() {
 	}
 }
 
-// MonitorOnlyRun reports whether this run only measures (runtime 3).
-func (s *Sim) MonitorOnlyRun() bool { return s.p.MonitorOnly }
-
 // EachReport iterates the coordinator's current report view without
 // copying it (flat kernel in flat mode, the per-cluster sub-kernels in
 // sharded mode).

@@ -42,9 +42,9 @@ func Dial(f transport.Fabric, name string) (*Ctl, error) {
 	return c, nil
 }
 
-// handshake pings until the daemon answers: the hub drops frames to
-// names it has not seen register yet, so the first round-trip is what
-// proves both directions route.
+// handshake pings until the daemon answers. The fabric routes to this
+// client from the moment Dial claimed its name; what the round trip
+// proves is that a daemon is serving EndpointName on it.
 func (c *Ctl) handshake(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -421,6 +421,10 @@ func (m *Manager) run(j *Job) {
 			// pool (g.Provision goes through the fair-share client) and
 			// yields its surplus when other jobs starve.
 			Pressure: client.Pressure,
+			// The grid's registry server runs on these options: a
+			// coordinator heartbeating on the defaults would be declared
+			// dead under a faster failure timeout and stop getting events.
+			Registry: m.cfg.Registry,
 		}
 		if j.Spec.Class == "stream" {
 			// Streaming jobs adapt to their latency SLO, not the WAE band;

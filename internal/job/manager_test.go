@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/adapt"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/satin"
@@ -121,6 +122,48 @@ func TestConcurrentJobsShareOnePool(t *testing.T) {
 		if got != 2 {
 			t.Fatalf("%s: per-job iteration counter advanced by %d, want 2", j.ID, got)
 		}
+	}
+}
+
+// TestAdaptiveJobCoordinatorKeepsRegistrySession: a job's coordinator
+// must heartbeat on the manager's registry options, like the job's
+// nodes. On the defaults (200 ms) the 100 ms failure timeout of these
+// tests declared it dead right after it joined, and a dead member gets
+// no more membership events: the tree's view of the grid froze.
+func TestAdaptiveJobCoordinatorKeepsRegistrySession(t *testing.T) {
+	m := testManager(t, 2, 2, nil)
+	j, err := m.Submit(Spec{App: "fib", Size: 16, Iters: 400, MinNodes: 2, Adapt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Cancel()
+	waitState(t, j, Running, 10*time.Second)
+	j.mu.Lock()
+	g := j.grid
+	j.mu.Unlock()
+	isMember := func() bool {
+		for _, mem := range g.Registry().Members() {
+			if mem.ID == adapt.EndpointName {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !isMember() { // Running is set just before the coordinator joins
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never joined the job's registry")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for waited := time.Duration(0); waited < 5*fastReg().FailureTimeout; waited += 10 * time.Millisecond {
+		if j.State() != Running {
+			t.Fatalf("job %s before the coordinator could be watched", j.State())
+		}
+		if !isMember() {
+			t.Fatalf("the registry declared the job's coordinator dead after %v", waited)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

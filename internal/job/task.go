@@ -48,7 +48,8 @@ func BuildTask(app string, size int) (satin.Task, func(any) bool, error) {
 // ParseKV parses a "cluster=value" disturbance spec (-shape fs1=5000,
 // -load fs1=3) and validates the cluster against the deployment:
 // unknown cluster names, non-numeric and non-positive values are
-// errors, never silently ignored.
+// errors, never silently ignored. A client that does not know the
+// deployment passes nil clusters and gets the form checked only.
 func ParseKV(spec string, clusters []satin.ClusterSpec) (satin.ClusterID, float64, error) {
 	name, val, ok := strings.Cut(spec, "=")
 	if !ok || name == "" {
@@ -60,6 +61,9 @@ func ParseKV(spec string, clusters []satin.ClusterSpec) (satin.ClusterID, float6
 	}
 	if v <= 0 {
 		return "", 0, fmt.Errorf("value in %q must be > 0", spec)
+	}
+	if clusters == nil {
+		return satin.ClusterID(name), v, nil
 	}
 	for _, c := range clusters {
 		if string(c.Name) == name {

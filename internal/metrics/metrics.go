@@ -224,12 +224,3 @@ func (a *Accumulator) Snapshot(now float64) Report {
 	a.links = nil
 	return r
 }
-
-// StatsFromReports converts a batch of reports for the coordinator.
-func StatsFromReports(reports []Report) []core.NodeStats {
-	out := make([]core.NodeStats, 0, len(reports))
-	for _, r := range reports {
-		out = append(out, r.Stats())
-	}
-	return out
-}

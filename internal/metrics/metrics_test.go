@@ -131,17 +131,6 @@ func TestBucketString(t *testing.T) {
 	}
 }
 
-func TestStatsFromReports(t *testing.T) {
-	rs := []Report{
-		{Node: "a", Cluster: "c", Start: 0, End: 10, BusySec: 10},
-		{Node: "b", Cluster: "c", Start: 0, End: 10, IdleSec: 10},
-	}
-	stats := StatsFromReports(rs)
-	if len(stats) != 2 || stats[0].Node != "a" || stats[1].Idle != 1 {
-		t.Errorf("StatsFromReports = %+v", stats)
-	}
-}
-
 // Property: for any bucket filling within the period, the derived
 // fractions are valid NodeStats and overhead = 1 - busy fraction.
 func TestStatsValidityProperty(t *testing.T) {

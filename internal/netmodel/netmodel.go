@@ -75,15 +75,6 @@ func (p *Pipe) Transfer(now vtime.Time, size float64) vtime.Time {
 	return p.free + vtime.Time(p.latency)
 }
 
-// QueueDelay returns how long a transfer issued now would wait before
-// its first byte enters the link.
-func (p *Pipe) QueueDelay(now vtime.Time) float64 {
-	if p.free <= now {
-		return 0
-	}
-	return float64(p.free - now)
-}
-
 // ObservedBandwidth is total bytes moved divided by link busy time — a
 // coarse achieved-throughput estimate (equals capacity while loaded).
 func (p *Pipe) ObservedBandwidth() float64 {

@@ -30,12 +30,6 @@ func TestPipeFIFOQueueing(t *testing.T) {
 	if d3 != 6 {
 		t.Fatalf("d3=%v, want 6", d3)
 	}
-	if q := p.QueueDelay(5.5); q != 0.5 {
-		t.Fatalf("QueueDelay = %v, want 0.5", q)
-	}
-	if q := p.QueueDelay(10); q != 0 {
-		t.Fatalf("QueueDelay past free = %v, want 0", q)
-	}
 }
 
 func TestPipeSetBandwidth(t *testing.T) {

@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -118,6 +119,21 @@ func NodeName(c ClusterID, i int) NodeID {
 // LAN, behind the cluster's uplink.
 func SubCoordinatorEndpoint(coordinator string, c ClusterID) string {
 	return coordinator + ":" + string(c) + "/sub"
+}
+
+// ClusterOf is the inverse of the two name builders above, for every
+// endpoint the runtime derives from them ("satin:fs0/03", "reg:fs0/03",
+// "coordinator:fs0/sub"): it strips a "prefix:" and returns what stands
+// before the first '/'. Infrastructure endpoints (the registry, the root
+// coordinator) belong to no cluster and map to "".
+func ClusterOf(endpoint string) ClusterID {
+	if i := strings.IndexByte(endpoint, ':'); i >= 0 {
+		endpoint = endpoint[i+1:]
+	}
+	if i := strings.IndexByte(endpoint, '/'); i >= 0 {
+		return ClusterID(endpoint[:i])
+	}
+	return ""
 }
 
 // Uniform network constants used by the presets, chosen to match the

@@ -43,13 +43,16 @@ type Endpoint interface {
 	// SetHandler installs the delivery callback. Must be called before
 	// the first frame arrives; frames delivered earlier are dropped.
 	SetHandler(Handler)
-	// Close detaches the endpoint; subsequent sends to it fail.
+	// Close detaches the endpoint: sends from it fail, and when Close
+	// returns the name can be claimed again.
 	Close() error
 }
 
 // Fabric connects endpoints.
 type Fabric interface {
-	// Endpoint attaches a new named endpoint.
+	// Endpoint attaches a new named endpoint. A name that is taken is an
+	// error (callers use the claim as a lock); when Endpoint returns,
+	// frames sent to the name reach it.
 	Endpoint(name string) (Endpoint, error)
 }
 

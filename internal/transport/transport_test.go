@@ -177,59 +177,6 @@ func TestInProcOrderPreservedPerLink(t *testing.T) {
 	}
 }
 
-func TestTCPHubRouting(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	fab := NewTCP(hub.Addr())
-	a, err := fab.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := fab.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	got := make(chan Message, 1)
-	b.SetHandler(func(m Message) { got <- m })
-	// Registration races with the first send; retry briefly.
-	deadline := time.After(2 * time.Second)
-	for {
-		a.Send("b", "ping", []byte("x"))
-		select {
-		case m := <-got:
-			if m.From != "a" || m.Kind != "ping" || string(m.Payload) != "x" {
-				t.Fatalf("message = %+v", m)
-			}
-			return
-		case <-time.After(50 * time.Millisecond):
-		case <-deadline:
-			t.Fatal("TCP routing timed out")
-		}
-	}
-}
-
-func TestTCPSendAfterCloseFails(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	fab := NewTCP(hub.Addr())
-	a, err := fab.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	if err := a.Send("b", "k", nil); err == nil {
-		t.Fatal("send after close succeeded")
-	}
-}
-
 // Per-pair serialisation (free) and link-worker (links) state must be
 // released when endpoints close: a long-lived fabric with churning
 // endpoints (provisioned and evicted grid nodes) must not grow without

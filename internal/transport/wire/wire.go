@@ -30,7 +30,8 @@
 //     once-logged protocol error — never a silent drop.
 //
 // Layering: obs depends on nothing; wire feeds obs; chaos and the
-// binaries read obs. wire depends only on transport, wirefmt and obs.
+// binaries read obs. wire depends only on transport, wirefmt, obs and
+// (for the endpoint naming convention its pair counters follow) topo.
 package wire
 
 import (
@@ -45,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/topo"
 	"repro/internal/transport"
 	"repro/internal/wirefmt"
 )
@@ -144,15 +146,11 @@ type Meta struct {
 	Bytes int
 }
 
-// clusterLabel maps an endpoint name to its cluster for the per-pair
-// counters, following the runtime's naming convention
-// ("satin:fs0/03" → "fs0"); infrastructure endpoints map to "-".
+// clusterLabel is an endpoint's cluster for the per-pair counters;
+// infrastructure endpoints, which have none, count under "-".
 func clusterLabel(ep string) string {
-	if i := strings.IndexByte(ep, ':'); i >= 0 {
-		ep = ep[i+1:]
-	}
-	if i := strings.IndexByte(ep, '/'); i >= 0 {
-		return ep[:i]
+	if c := topo.ClusterOf(ep); c != "" {
+		return string(c)
 	}
 	return "-"
 }

@@ -3,7 +3,6 @@ package satin
 import (
 	"fmt"
 	"log"
-	"strings"
 	"sync"
 	"time"
 
@@ -181,23 +180,9 @@ func (g *Grid) Fabric() transport.Fabric { return g.fabric }
 // Registry exposes the central registry server.
 func (g *Grid) Registry() *registry.Server { return g.regSrv }
 
-// clusterOf extracts the cluster from an endpoint name such as
-// "satin:fs0/03", "reg:fs0/03" or a sub-coordinator's
-// "coordinator:fs0/sub" (names come from topo.NodeName and
-// topo.SubCoordinatorEndpoint).
-func clusterOf(ep string) ClusterID {
-	if i := strings.IndexByte(ep, ':'); i >= 0 {
-		ep = ep[i+1:]
-	}
-	if i := strings.IndexByte(ep, '/'); i >= 0 {
-		return ClusterID(ep[:i])
-	}
-	return "" // registry, root coordinator, and other infrastructure
-}
-
 // link computes the current emulated parameters of a directed link.
 func (g *Grid) link(from, to string) transport.LinkParams {
-	cf, ct := clusterOf(from), clusterOf(to)
+	cf, ct := topo.ClusterOf(from), topo.ClusterOf(to)
 	if cf != "" && cf == ct {
 		return transport.LinkParams{Latency: g.cfg.LANLatency, Bandwidth: g.cfg.LANBandwidth}
 	}

@@ -54,12 +54,6 @@ type NodeConfig struct {
 	LocalStealTimeout time.Duration
 	WANStealTimeout   time.Duration
 
-	// InterWaitThreshold: waiting on an outstanding wide-area steal
-	// counts as inter-cluster communication overhead only once the
-	// steal has been in flight this long — a healthy WAN round trip
-	// stays idle time, a saturated link shows up as inter overhead.
-	InterWaitThreshold time.Duration
-
 	// StealPolicy selects the victim-selection algorithm (default
 	// StealCRS; StealRandom is the ablation baseline).
 	StealPolicy StealPolicy
@@ -80,9 +74,6 @@ func (c *NodeConfig) defaults() {
 	}
 	if c.WANStealTimeout == 0 {
 		c.WANStealTimeout = 3 * time.Second
-	}
-	if c.InterWaitThreshold == 0 {
-		c.InterWaitThreshold = 50 * time.Millisecond
 	}
 }
 
@@ -265,19 +256,8 @@ func (n *Node) Run(t Task) (any, error) {
 	return fut.Result()
 }
 
-// Leaving reports whether the node was asked to leave.
-func (n *Node) Leaving() bool { return n.leaving.Load() }
-
 // Stopped reports whether the node has shut down.
 func (n *Node) Stopped() bool { return n.stopped.Load() }
-
-// SignalLeave asks the node to leave at the next job boundary (the
-// coordinator normally does this through the registry; the method
-// exists for direct orchestration and tests).
-func (n *Node) SignalLeave() {
-	n.leaving.Store(true)
-	n.wakeUp()
-}
 
 // Kill stops the node abruptly, simulating a crash: no leave message,
 // no returned jobs; peers find out through the failure detector.

@@ -143,6 +143,12 @@ func (n *Node) wakeUp() {
 	}
 }
 
+// interWaitThreshold: waiting on an outstanding wide-area steal counts
+// as inter-cluster communication overhead only once the steal has been
+// in flight this long — a healthy WAN round trip stays idle time, a
+// saturated link shows up as inter overhead.
+const interWaitThreshold = 50 * time.Millisecond
+
 // enterState switches the worker's accounting bucket.
 func (n *Node) enterState(next int) { n.stats.enterState(next) }
 
@@ -151,7 +157,7 @@ func (n *Node) enterState(next int) { n.stats.enterState(next) }
 // which the monitoring must surface as inter-cluster overhead;
 // ordinary round-trip waits stay idle time.
 func (n *Node) waitForWork(d time.Duration) {
-	if n.stealer.eng.AsyncStalled(n.monotonicSeconds(), n.cfg.InterWaitThreshold.Seconds()) {
+	if n.stealer.eng.AsyncStalled(n.monotonicSeconds(), interWaitThreshold.Seconds()) {
 		n.enterState(int(metrics.Inter))
 	} else {
 		n.enterState(stateIdle)
