@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
+.PHONY: build test vet race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ race:
 	$(GO) test -race ./...
 
 verify: build vet race
+
+# The rows too slow for tier-1: the 10,000-node sharded world (about
+# three minutes), next to the 2,000-node row `go test ./...` runs.
+# Not under -race: the simulator is single-goroutine and the detector
+# makes it ten times slower.
+scale:
+	$(GO) test -tags scale -run TestShardedScaleWorld ./internal/des
 
 # Run the paper's evaluation scenarios (Figure 1 table + period logs).
 gridsim:

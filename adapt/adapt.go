@@ -127,9 +127,6 @@ type Config struct {
 	// kernel grows or shrinks to keep mean latency at the target.
 	// Thresholds then only contribute their badness weights.
 	StreamSLO *core.StreamSLOConfig
-	// Registry tunes the coordinator's registry client (zero = default
-	// heartbeat/failure-detection intervals).
-	Registry registry.Options
 }
 
 // PeriodRecord is one coordinator tick, kept for inspection. It is the
@@ -167,7 +164,8 @@ type Coordinator struct {
 // Start launches the coordinator tree on the fabric: the root, and one
 // sub-coordinator for every cluster that has (or later gets) a worker
 // in the registry. The tree joins the registry once, with an empty
-// cluster, which marks it as a non-worker (nodes never steal from it).
+// cluster, which marks it as a non-worker (nodes never steal from it),
+// and heartbeats at the interval the registry server announces.
 func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 2 * time.Second
@@ -175,7 +173,7 @@ func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, erro
 	if cfg.Thresholds == (Thresholds{}) {
 		cfg.Thresholds = DefaultThresholds()
 	}
-	reg, err := registry.Join(f, registry.NodeInfo{ID: EndpointName}, cfg.Registry)
+	reg, err := registry.Join(f, registry.NodeInfo{ID: EndpointName}, registry.Options{})
 	if err != nil {
 		return nil, err
 	}

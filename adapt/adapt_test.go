@@ -26,7 +26,6 @@ func newGrid(t *testing.T, period time.Duration, clusters ...satin.ClusterSpec) 
 		LANLatency: 50 * time.Microsecond,
 		WANLatency: time.Millisecond,
 		Node: satin.NodeConfig{
-			Registry:          fastReg(),
 			Coordinator:       adapt.EndpointName,
 			MonitorPeriod:     period,
 			Bench:             apps.Fib{N: 16, SeqCutoff: 16},
@@ -68,7 +67,6 @@ func TestCoordinatorGrowsUnderHighEfficiency(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +115,6 @@ func TestCoordinatorShrinksWhenIdle(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +173,6 @@ func TestMonitorOnlyNeverActs(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:      period,
 		MonitorOnly: true,
-		Registry:    fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +247,6 @@ func TestHierarchicalCoordinator(t *testing.T) {
 		Clusters: []satin.ClusterSpec{{Name: "c0", Nodes: 4}, {Name: "c1", Nodes: 4}},
 		Registry: fastReg(),
 		Node: satin.NodeConfig{
-			Registry:      fastReg(),
 			Coordinator:   adapt.EndpointName,
 			MonitorPeriod: period,
 			Bench:         apps.Fib{N: 14, SeqCutoff: 14},
@@ -266,7 +261,6 @@ func TestHierarchicalCoordinator(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:      period,
 		MonitorOnly: true,
-		Registry:    fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type scriptWorker struct {
 
 func startScriptWorker(t *testing.T, f transport.Fabric, id core.NodeID, cluster core.ClusterID) *scriptWorker {
 	t.Helper()
-	cli, err := registry.Join(f, registry.NodeInfo{ID: id, Cluster: cluster}, fastReg())
+	cli, err := registry.Join(f, registry.NodeInfo{ID: id, Cluster: cluster}, registry.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,6 @@ func TestChaosClusterEvictionFallback(t *testing.T) {
 	coord, err := adapt.Start(fab, prov, adapt.Config{
 		Period:    150 * time.Millisecond,
 		Protected: []adapt.NodeID{master.id},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +255,6 @@ func TestChaosBlacklistPersistsAcrossShrinks(t *testing.T) {
 	coord, err := adapt.Start(fab, prov, adapt.Config{
 		Period:    150 * time.Millisecond,
 		Protected: []adapt.NodeID{master.id},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,6 @@ func TestChaosRootFailover(t *testing.T) {
 	root, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.id},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +238,6 @@ func TestStreamSLOGrowsOnViolation(t *testing.T) {
 	root, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{workers[0].id},
-		Registry:  fastReg(),
 		StreamSLO: &slo,
 	})
 	if err != nil {
@@ -317,7 +315,7 @@ func TestSubFlushRetriesUntilRootReturns(t *testing.T) {
 
 	const period = 100 * time.Millisecond
 	coord, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
-		Period: period, MonitorOnly: true, Registry: fastReg(),
+		Period: period, MonitorOnly: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +453,6 @@ func (sc rootCrashScript) playLive(t *testing.T) failoverOutcome {
 	c, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{workers[0].id},
-		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +523,7 @@ func TestLifecycleGoroutineBaseline(t *testing.T) {
 	startScriptWorker(t, fab, "cb/00", "cb")
 	cycle := func(failover bool) {
 		c, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{
-			Period: 50 * time.Millisecond, MonitorOnly: true, Registry: fastReg(),
+			Period: 50 * time.Millisecond, MonitorOnly: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 
 	"repro/cmd/internal/cli"
 	"repro/internal/job"
-	"repro/internal/obs"
 	"repro/internal/sigdrain"
 	"repro/internal/transport"
 	"repro/satin"
@@ -66,7 +65,6 @@ func daemon(args []string) {
 		fmt.Fprintln(os.Stderr, "satind: -clusters and -nodes must be >= 1")
 		os.Exit(2)
 	}
-	obs.Publish()
 	if err := observe.Start(4096); err != nil {
 		log.Fatalf("satind: %v", err)
 	}

@@ -47,9 +47,6 @@ func main() {
 			"append the run's events/samples/decisions to this durable record store (replay with cmd/replay)")
 	)
 	flag.Parse()
-	// Counters are also exported as the expvar "obs" for anything that
-	// scrapes this process.
-	obs.Publish()
 	if err := observe.Start(4096); err != nil {
 		log.Fatalf("satinrun: %v", err)
 	}

@@ -31,7 +31,6 @@ func main() {
 		},
 		Registry: fast,
 		Node: satin.NodeConfig{
-			Registry:      fast,
 			Coordinator:   adapt.EndpointName,
 			MonitorPeriod: period,
 			Bench:         apps.Fib{N: 17, SeqCutoff: 17},

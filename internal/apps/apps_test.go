@@ -22,7 +22,6 @@ func newTestGrid(t *testing.T, clusters ...satin.ClusterSpec) *satin.Grid {
 		LANLatency: 50 * time.Microsecond,
 		WANLatency: time.Millisecond,
 		Node: satin.NodeConfig{
-			Registry:          fast,
 			LocalStealTimeout: 100 * time.Millisecond,
 			WANStealTimeout:   500 * time.Millisecond,
 		},

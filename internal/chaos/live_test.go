@@ -40,7 +40,6 @@ func chaosGrid(t *testing.T, seed int64, period time.Duration) (*satin.Grid, *Fa
 			return ft
 		},
 		Node: satin.NodeConfig{
-			Registry:          fastReg(),
 			Coordinator:       adapt.EndpointName,
 			MonitorPeriod:     period,
 			Bench:             apps.Fib{N: 16, SeqCutoff: 16},
@@ -94,7 +93,6 @@ func TestChaosLiveInvariants(t *testing.T) {
 	coord, err := adapt.Start(g.Fabric(), g, adapt.Config{
 		Period:    period,
 		Protected: []adapt.NodeID{master.ID()},
-		Registry:  fastReg(),
 	})
 	if err != nil {
 		t.Fatal(err)

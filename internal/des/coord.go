@@ -1,11 +1,10 @@
 package des
 
 import (
-	"sort"
-
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // coordinatorTick is the simulator's side of the adaptation loop: it
@@ -70,32 +69,14 @@ type simActuator struct{ s *Sim }
 // the veto (the learned requirements) rejects.
 func (a *simActuator) Provision(count int, minBandwidth float64, veto coord.Veto) int {
 	s := a.s
-	type cc struct {
-		id core.ClusterID
-		n  int
-	}
 	per := make(map[core.ClusterID]int)
 	for _, n := range s.order {
 		per[n.cluster]++
 	}
-	var prefs []cc
-	for id, n := range per {
-		prefs = append(prefs, cc{id, n})
-	}
-	sort.Slice(prefs, func(i, j int) bool {
-		if prefs[i].n != prefs[j].n {
-			return prefs[i].n > prefs[j].n
-		}
-		return prefs[i].id < prefs[j].id
-	})
-	prefer := make([]core.ClusterID, 0, len(prefs))
-	for _, p := range prefs {
-		prefer = append(prefer, p.id)
-	}
 	// The learned minimum-bandwidth requirement travels to the
 	// scheduler: clusters with insufficient uplinks are never handed
 	// out, even ones the application has not tried yet.
-	refs := s.pool.RequestBandwidth(count, prefer, veto, minBandwidth)
+	refs := s.pool.RequestBandwidth(count, sched.LocalityOrder(per), veto, minBandwidth)
 	for _, ref := range refs {
 		s.addNode(ref, false)
 	}

@@ -191,55 +191,67 @@ func genClusterID(i int) string {
 	return "g" + string(digits[i/100%10]) + string(digits[i/10%10]) + string(digits[i%10])
 }
 
-// TestSharded10kNodeWorld is the scale acceptance of ISSUE 8: a
-// 10,000-node world (100 clusters x 100 nodes) runs to completion under
-// the sharded tree, with the root consuming only per-cluster summaries.
-func TestSharded10kNodeWorld(t *testing.T) {
+// scaleWorlds are the rows of TestShardedScaleWorld: uniform worlds of
+// clusters x 100 nodes. Tier-1 runs the 2,000-node row; the 10,000-node
+// row of ISSUE 8 (three minutes on its own) is appended under the
+// `scale` build tag (scale_test.go, `make scale`).
+var scaleWorlds = []scaleWorld{{"2k", 20}}
+
+type scaleWorld struct {
+	name     string
+	clusters int
+}
+
+// TestShardedScaleWorld is the scale acceptance of the sharded tree: a
+// large world runs to completion with every node participating and the
+// root, which consumes only per-cluster summaries, ticking throughout.
+func TestShardedScaleWorld(t *testing.T) {
 	if testing.Short() {
-		t.Skip("10k-node world skipped in -short")
+		t.Skip("scale worlds skipped in -short")
 	}
-	if raceEnabled {
-		t.Skip("10k-node world skipped under the race detector (~10x slowdown)")
+	for _, w := range scaleWorlds {
+		t.Run(w.name, func(t *testing.T) {
+			const perCluster = 100
+			p := Params{
+				Topo: bigGrid(w.clusters, perCluster),
+				Spec: workload.Spec{
+					Name:                   "bigworld",
+					Iterations:             2,
+					WorkPerIteration:       float64(60 * w.clusters * perCluster), // ~60 s/node
+					SequentialPerIteration: 2,
+					Grain:                  10, // fine grain: keep every deque fed
+					Irregularity:           0.3,
+					BytesPerNode:           1e6,
+					ExchangeBytes:          1e5,
+					StealMsgBytes:          4096,
+				},
+				Seed: 1,
+				Mon:  DefaultMonitor(),
+			}
+			p.Mon.Period = 45 // several root ticks inside the short run
+			cfg := core.DefaultConfig()
+			p.Adapt = &cfg
+			p.Sharded = true
+			p.ProposalCap = 8 // O(1) summaries: the big-grid configuration
+			for i := 0; i < w.clusters; i++ {
+				p.Initial = append(p.Initial, Alloc{Cluster: core.ClusterID(genClusterID(i)), Count: perCluster})
+			}
+			res, err := Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed {
+				t.Fatalf("%s-node run did not complete (%d/%d iterations, runtime %.0f)",
+					w.name, len(res.Iterations), p.Spec.Iterations, res.Runtime)
+			}
+			if res.PeakNodes != w.clusters*perCluster {
+				t.Errorf("peak nodes = %d, want %d", res.PeakNodes, w.clusters*perCluster)
+			}
+			if len(res.Periods) == 0 {
+				t.Error("no coordinator ticks recorded")
+			}
+			t.Logf("runtime=%.0fs iters=%d periods=%d final=%d",
+				res.Runtime, len(res.Iterations), len(res.Periods), res.FinalNodes)
+		})
 	}
-	const clusters, perCluster = 100, 100
-	p := Params{
-		Topo: bigGrid(clusters, perCluster),
-		Spec: workload.Spec{
-			Name:                   "bigworld",
-			Iterations:             2,
-			WorkPerIteration:       60 * clusters * perCluster, // ~60 s/node
-			SequentialPerIteration: 2,
-			Grain:                  10, // fine grain: keep 10k deques fed
-			Irregularity:           0.3,
-			BytesPerNode:           1e6,
-			ExchangeBytes:          1e5,
-			StealMsgBytes:          4096,
-		},
-		Seed: 1,
-		Mon:  DefaultMonitor(),
-	}
-	p.Mon.Period = 45 // several root ticks inside the short run
-	cfg := core.DefaultConfig()
-	p.Adapt = &cfg
-	p.Sharded = true
-	p.ProposalCap = 8 // O(1) summaries: the big-grid configuration
-	for i := 0; i < clusters; i++ {
-		p.Initial = append(p.Initial, Alloc{Cluster: core.ClusterID(genClusterID(i)), Count: perCluster})
-	}
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("10k-node run did not complete (%d/%d iterations, runtime %.0f)",
-			len(res.Iterations), p.Spec.Iterations, res.Runtime)
-	}
-	if res.PeakNodes != clusters*perCluster {
-		t.Errorf("peak nodes = %d, want %d", res.PeakNodes, clusters*perCluster)
-	}
-	if len(res.Periods) == 0 {
-		t.Error("no coordinator ticks recorded")
-	}
-	t.Logf("runtime=%.0fs iters=%d periods=%d final=%d",
-		res.Runtime, len(res.Iterations), len(res.Periods), res.FinalNodes)
 }

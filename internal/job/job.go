@@ -102,6 +102,7 @@ type Job struct {
 	ID    string
 	Spec  Spec
 	hooks Hooks
+	seed  int64 // the deployment's seed, fixed at submit (0 = unseeded)
 
 	mu       sync.Mutex
 	state    State

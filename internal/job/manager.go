@@ -13,7 +13,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/record"
 	"repro/internal/registry"
-	"repro/internal/topo"
 	"repro/satin"
 )
 
@@ -40,13 +39,15 @@ type Config struct {
 	ProvisionPatience time.Duration
 	// DemandTTL is passed to the pool arbiter (default 10s).
 	DemandTTL time.Duration
-	// Registry tunes each job's registry (tests use fast heartbeats).
+	// Registry tunes each job's registry server, which sets the pace for
+	// the job's nodes and coordinator (tests use fast heartbeats).
 	Registry registry.Options
 	// Node overrides per-node defaults (benchmark, steal timeouts).
 	Node satin.NodeConfig
 	// Recorder, when set, receives job lifecycle and iteration events.
 	Recorder *record.Recorder
-	// Seed, when non-zero, makes runs reproducible: job n uses Seed+n.
+	// Seed, when non-zero, makes runs reproducible: the n-th job
+	// submitted (job-00n) runs with Seed+n, whenever it is admitted.
 	Seed int64
 }
 
@@ -63,18 +64,6 @@ func (c *Config) defaults() error {
 	if c.ProvisionPatience == 0 {
 		c.ProvisionPatience = 5 * time.Second
 	}
-	if c.LANLatency == 0 {
-		c.LANLatency = 200 * time.Microsecond
-	}
-	if c.WANLatency == 0 {
-		c.WANLatency = 5 * time.Millisecond
-	}
-	if c.LANBandwidth == 0 {
-		c.LANBandwidth = 100e6
-	}
-	if c.WANBandwidth == 0 {
-		c.WANBandwidth = 50e6
-	}
 	if c.Node.Bench == nil {
 		c.Node.Bench = apps.Fib{N: 18, SeqCutoff: 18}
 		c.Node.BenchWork = float64(apps.FibLeaves(18))
@@ -85,8 +74,9 @@ func (c *Config) defaults() error {
 // Manager runs jobs over one shared node pool. One Manager per
 // process; cmd/satind serves it, tests drive it directly.
 type Manager struct {
-	cfg Config
-	arb *pool.Arbiter
+	cfg  Config
+	grid satin.GridConfig // every job's deployment, before its Pool, Seed and period
+	arb  *pool.Arbiter
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -109,22 +99,24 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	// The arbiter owns the whole topology — the same conversion a grid
-	// does for its private pool, so node IDs and bandwidth bounds match.
-	var t topo.Topology
-	for _, c := range cfg.Clusters {
-		t.Clusters = append(t.Clusters, topo.Cluster{
-			ID: c.Name, Nodes: c.Nodes, Speed: 1,
-			LANLatency: cfg.LANLatency.Seconds(), LANBandwidth: cfg.LANBandwidth,
-			WANLatency: cfg.WANLatency.Seconds() / 2, UplinkBandwidth: cfg.WANBandwidth,
-		})
+	grid := satin.GridConfig{
+		Clusters:     cfg.Clusters,
+		LANLatency:   cfg.LANLatency,
+		WANLatency:   cfg.WANLatency,
+		LANBandwidth: cfg.LANBandwidth,
+		WANBandwidth: cfg.WANBandwidth,
+		Registry:     cfg.Registry,
+		Node:         cfg.Node,
 	}
-	arb, err := pool.New(t, pool.Config{DemandTTL: cfg.DemandTTL})
+	// The arbiter owns the whole topology — the conversion a grid does
+	// for its private pool, so node IDs and bandwidth bounds match.
+	arb, err := pool.New(grid.Topology(), pool.Config{DemandTTL: cfg.DemandTTL})
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{
 		cfg:  cfg,
+		grid: grid,
 		arb:  arb,
 		jobs: make(map[string]*Job),
 		wake: make(chan struct{}, 1),
@@ -201,6 +193,11 @@ func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
 	m.nextID++
 	id := fmt.Sprintf("job-%03d", m.nextID)
 	j := newJob(id, spec, hooks, m.onState)
+	if m.cfg.Seed != 0 {
+		// Reproducible but distinct per job, and fixed here rather than at
+		// admission: the submission index perturbs the service seed.
+		j.seed = m.cfg.Seed + int64(m.nextID)
+	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.queue = append(m.queue, j)
@@ -368,35 +365,18 @@ func (m *Manager) run(j *Job) {
 	}
 	defer client.Close()
 
-	m.mu.Lock()
-	var seed int64
-	if m.cfg.Seed != 0 {
-		// Reproducible but distinct per job: the job index perturbs the
-		// service seed.
-		seed = m.cfg.Seed + int64(len(m.order))
-	}
-	m.mu.Unlock()
-
-	nodeCfg := m.cfg.Node
+	gridCfg := m.grid
+	gridCfg.Pool = client
+	gridCfg.Seed = j.seed
 	period := j.Spec.Period
 	if period == 0 {
 		period = m.cfg.Period
 	}
 	if j.Spec.Adapt {
-		nodeCfg.Coordinator = adapt.EndpointName
-		nodeCfg.MonitorPeriod = period
+		gridCfg.Node.Coordinator = adapt.EndpointName
+		gridCfg.Node.MonitorPeriod = period
 	}
-	g, err := satin.NewGrid(satin.GridConfig{
-		Clusters:     m.cfg.Clusters,
-		Pool:         client,
-		LANLatency:   m.cfg.LANLatency,
-		WANLatency:   m.cfg.WANLatency,
-		LANBandwidth: m.cfg.LANBandwidth,
-		WANBandwidth: m.cfg.WANBandwidth,
-		Registry:     m.cfg.Registry,
-		Seed:         seed,
-		Node:         nodeCfg,
-	})
+	g, err := satin.NewGrid(gridCfg)
 	if err != nil {
 		j.fail(err)
 		return
@@ -421,10 +401,6 @@ func (m *Manager) run(j *Job) {
 			// pool (g.Provision goes through the fair-share client) and
 			// yields its surplus when other jobs starve.
 			Pressure: client.Pressure,
-			// The grid's registry server runs on these options: a
-			// coordinator heartbeating on the defaults would be declared
-			// dead under a faster failure timeout and stop getting events.
-			Registry: m.cfg.Registry,
 		}
 		if j.Spec.Class == "stream" {
 			// Streaming jobs adapt to their latency SLO, not the WAE band;

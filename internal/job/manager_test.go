@@ -1,7 +1,12 @@
 package job
 
 import (
+	"bytes"
 	"fmt"
+	"log"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,10 +131,11 @@ func TestConcurrentJobsShareOnePool(t *testing.T) {
 }
 
 // TestAdaptiveJobCoordinatorKeepsRegistrySession: a job's coordinator
-// must heartbeat on the manager's registry options, like the job's
-// nodes. On the defaults (200 ms) the 100 ms failure timeout of these
-// tests declared it dead right after it joined, and a dead member gets
-// no more membership events: the tree's view of the grid froze.
+// must heartbeat at the pace of the job's registry server, like the
+// job's nodes (both adopt it from the join ack). On the defaults
+// (200 ms) the 100 ms failure timeout of these tests declared it dead
+// right after it joined, and a dead member gets no more membership
+// events: the tree's view of the grid froze.
 func TestAdaptiveJobCoordinatorKeepsRegistrySession(t *testing.T) {
 	m := testManager(t, 2, 2, nil)
 	j, err := m.Submit(Spec{App: "fib", Size: 16, Iters: 400, MinNodes: 2, Adapt: true})
@@ -220,6 +226,56 @@ func TestNoStarvation(t *testing.T) {
 		if j.State() != Done {
 			t.Fatalf("%s: state %s, err %q", j.ID, j.State(), j.Result().Err)
 		}
+	}
+}
+
+// lockedBuffer lets the test read what concurrent job goroutines log.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// TestJobSeedFixedAtSubmit: "job n runs with seed+n" holds for the
+// submission index, whenever the job is admitted. Three jobs submitted
+// back to back against MaxActive 1 start one after another; the seeds
+// their grids log on startup must be Seed+1, Seed+2, Seed+3 in that
+// order. Read at admission instead, the index was however many jobs had
+// been submitted by then: the queued ones shared a seed.
+func TestJobSeedFixedAtSubmit(t *testing.T) {
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	m := testManager(t, 1, 2, func(c *Config) { c.MaxActive = 1; c.Seed = 1000 })
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		j, err := m.Submit(Spec{App: "fib", Size: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		waitTerminal(t, j, 30*time.Second)
+		if j.State() != Done {
+			t.Fatalf("%s: state %s, err %q", j.ID, j.State(), j.Result().Err)
+		}
+	}
+	logged.mu.Lock()
+	defer logged.mu.Unlock()
+	var ran []string
+	for _, line := range strings.Split(logged.b.String(), "\n") {
+		if _, after, ok := strings.Cut(line, "grid seed="); ok {
+			ran = append(ran, strings.Fields(after)[0])
+		}
+	}
+	if got, want := strings.Join(ran, " "), "1001 1002 1003"; got != want {
+		t.Fatalf("grids ran with seeds [%s], want [%s]", got, want)
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 // Layering rule: obs depends on nothing but the standard library. Any
 // package may feed it; internal/record samples it; exporters
-// (WriteText, WritePrometheus, expvar) render it. Nothing in here may
+// (WriteText, WritePrometheus) render it. Nothing in here may
 // import another repro package.
 //
 // The hot path is allocation-free: callers resolve a *Counter /
@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -120,18 +119,4 @@ func (r *Registry) WriteText(w io.Writer) {
 	for _, name := range names {
 		fmt.Fprintf(w, "  %-40s %d\n", name, snap[name])
 	}
-}
-
-// publishOnce guards the expvar publication of Default (expvar panics
-// on duplicate names).
-var publishOnce sync.Once
-
-// Publish exports the Default registry as the expvar variable "obs",
-// so any process that serves the expvar handler exposes the counters.
-func Publish() {
-	publishOnce.Do(func() {
-		expvar.Publish("obs", expvar.Func(func() any {
-			return Default.Snapshot()
-		}))
-	})
 }

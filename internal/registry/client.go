@@ -34,9 +34,12 @@ type Client struct {
 	events chan Event
 }
 
-// Join attaches a member to the registry and waits for the ack.
+// Join attaches a member to the registry and waits for the ack. The
+// server owns the deployment's membership timing: a client whose
+// opt.HeartbeatInterval is zero heartbeats at the interval the ack
+// carries, so a member cannot be declared dead for running on defaults
+// the server was not started with. A non-zero interval still wins.
 func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
-	opt.defaults()
 	ep, err := f.Endpoint(clientEP(info.ID))
 	if err != nil {
 		return nil, err
@@ -53,9 +56,8 @@ func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
 	c.cond = sync.NewCond(&c.mu)
 	wire.Handle(c.wc, c.onJoinAck)
 	wire.Handle(c.wc, c.onEvent)
-	// The join is retried until acknowledged: on hub-routed fabrics the
-	// first frames can race the endpoints' registration, and joining is
-	// idempotent on the server.
+	// The join is retried until acknowledged: a lossy fabric can drop
+	// the join or its ack, and joining is idempotent on the server.
 	join := joinMsg{Info: info}
 	deadline := time.After(5 * time.Second)
 	if err := wire.Send(c.wc, ServerName, join); err != nil {
@@ -74,6 +76,7 @@ joinWait:
 			return nil, fmt.Errorf("registry: join of %s timed out", info.ID)
 		}
 	}
+	c.opt.defaults() // an ack without an interval leaves the default
 	c.wg.Add(2)
 	go c.heartbeatLoop()
 	go c.pump()
@@ -132,7 +135,12 @@ func (c *Client) onJoinAck(ack joinAck, _ wire.Meta) {
 		c.members[m.ID] = m
 	}
 	c.mu.Unlock()
-	c.once.Do(func() { close(c.joined) })
+	c.once.Do(func() {
+		if c.opt.HeartbeatInterval == 0 {
+			c.opt.HeartbeatInterval = ack.HeartbeatInterval
+		}
+		close(c.joined)
+	})
 }
 
 func (c *Client) onEvent(em eventMsg, _ wire.Meta) {

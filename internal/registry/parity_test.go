@@ -2,6 +2,7 @@ package registry
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/wirefmt"
 	"repro/internal/wirefmt/frametest"
@@ -21,6 +22,7 @@ func TestWireParity(t *testing.T) {
 		{},
 		{Members: []NodeInfo{}},
 		{Members: []NodeInfo{{ID: "n0", Cluster: "c0"}, uni}},
+		{HeartbeatInterval: 200 * time.Millisecond, Members: []NodeInfo{{ID: "n0", Cluster: "c0"}}},
 	})
 	frametest.Parity[leaveMsg, *leaveMsg](t, []leaveMsg{{}, {ID: uni.ID}})
 	frametest.Parity[heartbeatMsg, *heartbeatMsg](t, []heartbeatMsg{{}, {ID: "n0"}})
@@ -44,7 +46,7 @@ func TestWireCorrupt(t *testing.T) {
 		}
 		return b
 	}
-	frametest.Corrupt[joinAck, *joinAck](t, enc(&joinAck{Members: []NodeInfo{{ID: "n0", Cluster: "c0"}, {ID: "n1", Cluster: "c1"}}}))
+	frametest.Corrupt[joinAck, *joinAck](t, enc(&joinAck{HeartbeatInterval: 20 * time.Millisecond, Members: []NodeInfo{{ID: "n0", Cluster: "c0"}, {ID: "n1", Cluster: "c1"}}}))
 	frametest.Corrupt[eventMsg, *eventMsg](t, enc(&eventMsg{Event: Event{Kind: Died, Node: NodeInfo{ID: "n0", Cluster: "c0"}, Signal: "s"}}))
 	frametest.Corrupt[heartbeatMsg, *heartbeatMsg](t, enc(&heartbeatMsg{ID: "n0"}))
 }

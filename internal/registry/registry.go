@@ -66,12 +66,15 @@ type Event struct {
 	Signal string
 }
 
-// Options tune the failure detector.
+// Options tune the failure detector. They are the server's: it tells
+// every client its heartbeat interval in the join ack, so a deployment
+// states them once, where it starts the server.
 type Options struct {
-	// HeartbeatInterval is how often clients report liveness.
+	// HeartbeatInterval is how often clients report liveness (default
+	// 200ms; a client passing zero to Join adopts the server's).
 	HeartbeatInterval time.Duration
-	// FailureTimeout is the silence after which a member is declared
-	// dead (default 3 heartbeat intervals).
+	// FailureTimeout is the silence after which the server declares a
+	// member dead (default 3 heartbeat intervals).
 	FailureTimeout time.Duration
 }
 
@@ -86,7 +89,10 @@ func (o *Options) defaults() {
 
 // wire payloads
 type joinMsg struct{ Info NodeInfo }
-type joinAck struct{ Members []NodeInfo }
+type joinAck struct {
+	HeartbeatInterval time.Duration // the server's; see Join
+	Members           []NodeInfo
+}
 type leaveMsg struct{ ID core.NodeID }
 type heartbeatMsg struct{ ID core.NodeID }
 type eventMsg struct{ Event Event }
@@ -192,7 +198,7 @@ func (s *Server) onJoin(jm joinMsg, _ wire.Meta) {
 	}
 	_, rejoin := s.members[jm.Info.ID]
 	s.members[jm.Info.ID] = &member{info: jm.Info, lastSeen: time.Now()}
-	ack := joinAck{Members: s.membersLocked()}
+	ack := joinAck{HeartbeatInterval: s.opt.HeartbeatInterval, Members: s.membersLocked()}
 	others := s.otherEPsLocked(jm.Info.ID)
 	s.mu.Unlock()
 	wire.Send(s.wc, clientEP(jm.Info.ID), ack)

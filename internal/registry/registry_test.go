@@ -145,17 +145,52 @@ func TestClientToClientSignal(t *testing.T) {
 	}
 }
 
+// TestHeartbeatsKeepMemberAlive: a heartbeating member outlives several
+// failure timeouts — with its own interval, and with zero Options, where
+// the interval is the server's (from the join ack). A client on the
+// 200 ms default would be declared dead by this server at ~100 ms.
 func TestHeartbeatsKeepMemberAlive(t *testing.T) {
-	f := transport.NewInProc(nil)
-	defer f.Close()
-	srv, _ := NewServer(f, fastOpts())
-	defer srv.Close()
-	a, _ := Join(f, NodeInfo{ID: "a"}, fastOpts())
-	defer a.Close()
+	server := Options{HeartbeatInterval: 20 * time.Millisecond, FailureTimeout: 100 * time.Millisecond}
+	for _, tc := range []struct {
+		name   string
+		tcp    bool
+		client Options
+	}{
+		{"inproc/own-interval", false, fastOpts()},
+		{"inproc/servers-interval", false, Options{}},
+		{"tcp/servers-interval", true, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var f transport.Fabric
+			if tc.tcp {
+				hub, err := transport.NewTCPHub("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hub.Close()
+				f = transport.NewTCP(hub.Addr())
+			} else {
+				inproc := transport.NewInProc(nil)
+				defer inproc.Close()
+				f = inproc
+			}
+			srv, err := NewServer(f, server)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			a, err := Join(f, NodeInfo{ID: "a"}, tc.client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
 
-	time.Sleep(300 * time.Millisecond) // several failure timeouts
-	if got := len(srv.Members()); got != 1 {
-		t.Fatalf("heartbeating member was dropped: members = %d", got)
+			time.Sleep(500 * time.Millisecond) // five failure timeouts
+			if got := len(srv.Members()); got != 1 {
+				t.Fatalf("heartbeating member was dropped: members = %d", got)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/wirefmt"
 )
@@ -32,6 +34,7 @@ func (m *joinMsg) DecodeWire(r *wirefmt.Reader) error {
 }
 
 func (m *joinAck) AppendWire(b []byte) ([]byte, error) {
+	b = wirefmt.AppendVarint(b, int64(m.HeartbeatInterval))
 	b = wirefmt.AppendUvarint(b, uint64(len(m.Members)))
 	for _, ni := range m.Members {
 		b = appendNodeInfo(b, ni)
@@ -40,6 +43,10 @@ func (m *joinAck) AppendWire(b []byte) ([]byte, error) {
 }
 
 func (m *joinAck) DecodeWire(r *wirefmt.Reader) error {
+	m.HeartbeatInterval = time.Duration(r.Varint())
+	if m.HeartbeatInterval < 0 {
+		r.Fail("negative heartbeat interval") // a client would tick on it
+	}
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return r.Err()

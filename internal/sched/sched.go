@@ -26,6 +26,25 @@ type NodeRef struct {
 // requirements (blacklist) in through this.
 type Filter func(node core.NodeID, cluster core.ClusterID) bool
 
+// LocalityOrder is the preference list a grow request carries: the
+// clusters the application occupies, most nodes held first, ties by ID.
+// Both runtimes build their Request's prefer argument here, so the same
+// occupancy places a grown node on the same cluster in the simulator
+// and on the live grid, and neither depends on map iteration order.
+func LocalityOrder(held map[core.ClusterID]int) []core.ClusterID {
+	order := make([]core.ClusterID, 0, len(held))
+	for c := range held {
+		order = append(order, c)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if held[order[i]] != held[order[j]] {
+			return held[order[i]] > held[order[j]]
+		}
+		return order[i] < order[j]
+	})
+	return order
+}
+
 // Pool tracks which processors of a topology are free, in use, or gone.
 // It is safe for concurrent use (the real runtime calls it from
 // multiple goroutines; the simulator is single-threaded but shares the

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -174,5 +175,40 @@ func TestPoolConcurrentSafety(t *testing.T) {
 	wg.Wait()
 	if p.FreeCount() != 14 || p.InUseCount() != 0 {
 		t.Fatalf("pool leaked: free=%d inuse=%d", p.FreeCount(), p.InUseCount())
+	}
+}
+
+// TestLocalityOrder pins the one grow-placement rule both runtimes call
+// (des.simActuator.Provision and satin.Grid.Provision): occupied
+// clusters, most nodes held first, ties by ID — and that a Request
+// carrying it places the first grown node on the head of that order.
+func TestLocalityOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		held map[core.ClusterID]int
+		want []core.ClusterID
+	}{
+		{"nothing held", nil, []core.ClusterID{}},
+		{"fuller first", map[core.ClusterID]int{"A": 1, "B": 3}, []core.ClusterID{"B", "A"}},
+		{"fuller first, ID order reversed", map[core.ClusterID]int{"A": 3, "B": 1}, []core.ClusterID{"A", "B"}},
+		{"ties by ID", map[core.ClusterID]int{"C": 2, "A": 2, "B": 2}, []core.ClusterID{"A", "B", "C"}},
+		{"count before ID", map[core.ClusterID]int{"A": 1, "B": 2, "C": 2}, []core.ClusterID{"B", "C", "A"}},
+	} {
+		for run := 0; run < 10; run++ { // map order must not show
+			if got := LocalityOrder(tc.held); !slices.Equal(got, tc.want) {
+				t.Fatalf("%s: order = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+		if len(tc.want) == 0 {
+			continue
+		}
+		p := pool(t)
+		for c, n := range tc.held {
+			p.AcquireN(c, n)
+		}
+		got := p.Request(1, LocalityOrder(tc.held), nil)
+		if len(got) != 1 || got[0].Cluster != tc.want[0] {
+			t.Errorf("%s: grown node = %v, want one in %s", tc.name, got, tc.want[0])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +335,12 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'a', 'b'})
+	// The registry's join-ack as registry.TestWireGolden pins it (a
+	// varint interval, then a counted member list), and the same frame
+	// with the interval's sign bit set.
+	joinAck, _ := hex.DecodeString("80b4891302066673302f303003667330066673312f303103667331")
+	f.Add(joinAck)
+	f.Add(append([]byte{0x01}, joinAck[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m binEchoMsg
 		r := wirefmt.NewReader(data)

@@ -32,9 +32,9 @@ import (
 )
 
 // Frame is implemented (with pointer receivers for DecodeWire) by
-// control-frame types that encode with the binary codec. The wire
-// layer detects the interface at Register time; types that do not
-// implement it ride the session gob stream as before.
+// control-frame types that encode with the binary codec. It is the only
+// codec the wire layer has: wire.Register, Send and Handle constrain
+// their type parameter to it, so a type without one does not compile.
 type Frame interface {
 	// AppendWire appends the value's encoding to b and returns the
 	// extended slice. It fails only when an embedded gob payload cannot

@@ -33,7 +33,6 @@ func TestSpawnSyncAllocCeiling(t *testing.T) {
 			g, err := NewGrid(GridConfig{
 				Clusters: []ClusterSpec{{Name: "c0", Nodes: tc.nodes}},
 				Registry: fastReg(),
-				Node:     NodeConfig{Registry: fastReg()},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,6 @@ func BenchmarkSpawnSync(b *testing.B) {
 	g, err := NewGrid(GridConfig{
 		Clusters: []ClusterSpec{{Name: "c0", Nodes: 1}},
 		Registry: fastReg(),
-		Node:     NodeConfig{Registry: fastReg()},
 	})
 	if err != nil {
 		b.Fatal(err)

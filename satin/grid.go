@@ -58,6 +58,9 @@ type GridConfig struct {
 	LANBandwidth float64       // bytes/s, default 100 MB/s
 	WANBandwidth float64       // bytes/s, default 50 MB/s
 
+	// Registry is the deployment's membership timing. The grid's registry
+	// server runs on it and tells every client (nodes, the coordinator)
+	// its heartbeat interval, so it is stated here and nowhere else.
 	Registry registry.Options
 
 	// Seed makes a whole-grid run reproducible from one value: every
@@ -66,10 +69,6 @@ type GridConfig struct {
 	// failure report carries everything needed to replay the run.
 	Seed int64
 
-	// StealPolicy selects the victim-selection algorithm for every node
-	// (default StealCRS; StealRandom is the ablation baseline).
-	StealPolicy StealPolicy
-
 	// WrapFabric, when set, wraps the grid's in-process fabric before
 	// the registry or any node attaches. The chaos harness interposes
 	// its fault-injecting transport here; everything — steal traffic,
@@ -77,8 +76,8 @@ type GridConfig struct {
 	WrapFabric func(transport.Fabric) transport.Fabric
 
 	// Node carries the per-node defaults (benchmark, monitoring,
-	// coordinator endpoint, steal timeouts); ID/Cluster/Fabric are
-	// filled per started node, and Seed is filled from the grid-level
+	// coordinator endpoint, steal timeouts and policy); ID/Cluster/Fabric
+	// are filled per started node, and Seed is filled from the grid-level
 	// Seed above.
 	Node NodeConfig
 }
@@ -96,6 +95,23 @@ func (c *GridConfig) defaults() {
 	if c.WANBandwidth == 0 {
 		c.WANBandwidth = 50e6
 	}
+}
+
+// Topology is the deployment as a scheduler pool sees it, link defaults
+// applied: the one conversion behind a grid's private pool and the
+// multi-job service's shared one, so node IDs and bandwidth bounds
+// agree between them.
+func (c GridConfig) Topology() topo.Topology {
+	c.defaults()
+	var t topo.Topology
+	for _, cl := range c.Clusters {
+		t.Clusters = append(t.Clusters, topo.Cluster{
+			ID: cl.Name, Nodes: cl.Nodes, Speed: 1,
+			LANLatency: c.LANLatency.Seconds(), LANBandwidth: c.LANBandwidth,
+			WANLatency: c.WANLatency.Seconds() / 2, UplinkBandwidth: c.WANBandwidth,
+		})
+	}
+	return t
 }
 
 // Grid is a running emulated deployment. It doubles as the scheduler
@@ -126,15 +142,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		// Single-job deployment: the grid owns a private pool over its
 		// own clusters. A multi-job service passes a shared pool.Client
 		// instead, so capacity is arbitrated across grids.
-		var t topo.Topology
-		for _, c := range cfg.Clusters {
-			t.Clusters = append(t.Clusters, topo.Cluster{
-				ID: c.Name, Nodes: c.Nodes, Speed: 1,
-				LANLatency: cfg.LANLatency.Seconds(), LANBandwidth: cfg.LANBandwidth,
-				WANLatency: cfg.WANLatency.Seconds() / 2, UplinkBandwidth: cfg.WANBandwidth,
-			})
-		}
-		p, err := sched.NewPool(t)
+		p, err := sched.NewPool(cfg.Topology())
 		if err != nil {
 			return nil, err
 		}
@@ -157,9 +165,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	g.fabric = g.inproc
 	if cfg.WrapFabric != nil {
 		g.fabric = cfg.WrapFabric(g.inproc)
-	}
-	if cfg.StealPolicy != StealCRS {
-		g.cfg.Node.StealPolicy = cfg.StealPolicy
 	}
 	if cfg.Seed != 0 {
 		g.cfg.Node.Seed = cfg.Seed
@@ -264,7 +269,6 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	cfg.ID = ref.Node
 	cfg.Cluster = ref.Cluster
 	cfg.Fabric = g.fabric
-	cfg.Registry = g.cfg.Registry
 	n, err := StartNode(cfg)
 	if err != nil {
 		g.pool.Release(ref)
@@ -286,7 +290,8 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 }
 
 // Provision implements the adaptation coordinator's "give me n nodes"
-// request with Zorilla-style locality: clusters already in use first.
+// request with Zorilla-style locality: clusters already in use first,
+// in the scheduler's order (sched.LocalityOrder).
 // Clusters whose uplink is below the coordinator's learned minimum
 // bandwidth are never handed out (minBandwidth 0 = no bound).
 func (g *Grid) Provision(count int, minBandwidth float64, veto func(NodeID, ClusterID) bool) int {
@@ -296,11 +301,7 @@ func (g *Grid) Provision(count int, minBandwidth float64, veto func(NodeID, Clus
 		per[n.Cluster()]++
 	}
 	g.mu.Unlock()
-	prefer := make([]ClusterID, 0, len(per))
-	for c := range per {
-		prefer = append(prefer, c)
-	}
-	refs := g.pool.RequestBandwidth(count, prefer, veto, minBandwidth)
+	refs := g.pool.RequestBandwidth(count, sched.LocalityOrder(per), veto, minBandwidth)
 	started := 0
 	for _, ref := range refs {
 		if _, err := g.startRef(ref); err == nil {

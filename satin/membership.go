@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/registry"
 	"repro/internal/steal"
-	"repro/internal/transport/wire"
 )
 
 // membershipView is the node's window on the registry: the client
@@ -85,20 +84,6 @@ func (v *membershipView) nextSteal(eng *steal.Engine, now float64) steal.Directi
 	return eng.NextView(now, v.view)
 }
 
-// clusterOf looks a live member's cluster up ("" when unknown).
-func (v *membershipView) clusterOf(id NodeID) ClusterID {
-	reg := v.client()
-	if reg == nil {
-		return ""
-	}
-	for _, m := range reg.Members() {
-		if m.ID == id {
-			return m.Cluster
-		}
-	}
-	return ""
-}
-
 // eventLoop consumes registry events: deaths trigger recomputation of
 // jobs the dead node held; the "leave" signal starts a graceful exit.
 func (n *Node) eventLoop() {
@@ -157,25 +142,5 @@ func (n *Node) reclaimFrom(dead NodeID) {
 			n.inbox.add(j)
 		}
 		n.wakeUp()
-	}
-}
-
-// countInterBytes books a received frame's wire bytes as inter-cluster
-// traffic when the sender sits in another cluster — the byte counts
-// behind the coordinator's achieved-bandwidth estimate, which feeds the
-// learned minimum-bandwidth requirement.
-func (n *Node) countInterBytes(m wire.Meta) {
-	if m.Bytes == 0 {
-		return
-	}
-	from := NodeID("")
-	if len(m.From) > len("satin:") {
-		from = NodeID(m.From[len("satin:"):])
-	}
-	if from == "" || from == n.cfg.ID {
-		return
-	}
-	if c := n.members.clusterOf(from); c != "" && c != n.cfg.Cluster {
-		n.stats.addInterBytes(float64(m.Bytes))
 	}
 }

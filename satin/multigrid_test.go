@@ -29,7 +29,6 @@ func TestTwoGridsSharedPool(t *testing.T) {
 			LANLatency: 50 * time.Microsecond,
 			WANLatency: time.Millisecond,
 			Node: NodeConfig{
-				Registry:          fastReg(),
 				LocalStealTimeout: 100 * time.Millisecond,
 				WANStealTimeout:   500 * time.Millisecond,
 			},

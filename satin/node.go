@@ -19,10 +19,9 @@ type NodeConfig struct {
 	Cluster ClusterID
 
 	// Fabric carries both the registry session and the steal/result
-	// traffic.
+	// traffic. The node heartbeats at the interval the fabric's registry
+	// server announces.
 	Fabric transport.Fabric
-	// Registry tunes membership heartbeats and failure detection.
-	Registry registry.Options
 
 	// Epoch is the origin of the node's report timeline (Report.Start/
 	// End are seconds since it). NewGrid stamps one shared epoch onto
@@ -186,7 +185,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	wire.Handle(n.wc, n.onResult)
 	wire.Handle(n.wc, n.onHolding)
 	wire.Handle(n.wc, n.onReturnJob)
-	reg, err := registry.Join(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, cfg.Registry)
+	reg, err := registry.Join(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, registry.Options{})
 	if err != nil {
 		n.wc.Close()
 		return nil, err

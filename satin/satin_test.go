@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/transport"
 )
@@ -72,7 +73,6 @@ func testGrid(t *testing.T, clusters ...ClusterSpec) *Grid {
 		LANLatency: 50 * time.Microsecond,
 		WANLatency: 1 * time.Millisecond,
 		Node: NodeConfig{
-			Registry:          fastReg(),
 			LocalStealTimeout: 100 * time.Millisecond,
 			WANStealTimeout:   500 * time.Millisecond,
 		},
@@ -231,6 +231,46 @@ func TestProvisionAddsNodes(t *testing.T) {
 	}
 }
 
+// TestProvisionGrowsOntoFullerCluster: with two occupied clusters a
+// grown node lands on the one holding more nodes — the head of
+// sched.LocalityOrder, which the simulator's Provision calls too — on
+// every run of a seeded grid. A walk of the occupancy map picked either.
+func TestProvisionGrowsOntoFullerCluster(t *testing.T) {
+	held := map[ClusterID]int{"c0": 1, "c1": 3}
+	want := sched.LocalityOrder(held)[0]
+	if want != "c1" {
+		t.Fatalf("scheduler's order for %v starts at %s, want the fuller c1", held, want)
+	}
+	for run := 0; run < 10; run++ {
+		g, err := NewGrid(GridConfig{
+			Clusters: []ClusterSpec{{Name: "c0", Nodes: 4}, {Name: "c1", Nodes: 4}},
+			Registry: fastReg(),
+			Seed:     7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, n := range held {
+			if _, err := g.StartNodes(c, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if added := g.Provision(1, 0, nil); added != 1 {
+			t.Fatalf("run %d: Provision added %d, want 1", run, added)
+		}
+		got := 0
+		for _, n := range g.Nodes() {
+			if n.Cluster() == want {
+				got++
+			}
+		}
+		g.Close()
+		if got != held[want]+1 {
+			t.Fatalf("run %d: grown node did not land on %s (it holds %d nodes, want %d)", run, want, got, held[want]+1)
+		}
+	}
+}
+
 // A node released and provisioned again comes back under the endpoint
 // name it held before. Its peers must treat it as a new incarnation:
 // joining must not stall on, and the next run must not lose frames to,
@@ -291,7 +331,6 @@ func TestBenchmarkMeasuresSpeedAndLoad(t *testing.T) {
 		Clusters: []ClusterSpec{{Name: "c0", Nodes: 1}},
 		Registry: fastReg(),
 		Node: NodeConfig{
-			Registry:    fastReg(),
 			Bench:       tfib{N: 7, Leaf: 20 * time.Microsecond},
 			BenchWork:   float64(fibLeaves(7)),
 			BenchBudget: 2, // rerun quickly for the test

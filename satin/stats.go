@@ -109,6 +109,16 @@ func (s *statsTracker) addInterBytes(b float64) {
 	s.mu.Unlock()
 }
 
+// countInterBytes books a received frame's wire bytes as inter-cluster
+// traffic when the sender's endpoint sits in another cluster — the byte
+// counts behind the coordinator's achieved-bandwidth estimate, which
+// feeds the learned minimum-bandwidth requirement.
+func (n *Node) countInterBytes(m wire.Meta) {
+	if c := topo.ClusterOf(m.From); c != "" && c != n.cfg.Cluster {
+		n.stats.addInterBytes(float64(m.Bytes))
+	}
+}
+
 // enterState switches the accounting bucket. A competing load factor
 // stretches busy and benchmark intervals by sleeping, emulating
 // time-sharing with the load.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/transport/wire"
 )
 
 // TestLoadStretchSurvivesSnapshots is the regression test for the
@@ -77,7 +78,6 @@ func TestGridEpochPerGrid(t *testing.T) {
 	gridA, err := NewGrid(GridConfig{
 		Clusters: []ClusterSpec{{Name: "a0", Nodes: 1}},
 		Registry: fastReg(),
-		Node:     NodeConfig{Registry: fastReg()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,6 @@ func TestGridEpochPerGrid(t *testing.T) {
 	gridB, err := NewGrid(GridConfig{
 		Clusters: []ClusterSpec{{Name: "b0", Nodes: 1}},
 		Registry: fastReg(),
-		Node:     NodeConfig{Registry: fastReg()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,6 @@ func TestReportSendFailureCounted(t *testing.T) {
 		Clusters: []ClusterSpec{{Name: "c0", Nodes: 1}},
 		Registry: fastReg(),
 		Node: NodeConfig{
-			Registry:      fastReg(),
 			Coordinator:   "no-such-endpoint",
 			MonitorPeriod: 20 * time.Millisecond,
 		},
@@ -226,5 +224,34 @@ func TestLoadSetMidStateStretchesFromThen(t *testing.T) {
 	s.enterState(stateIdle)
 	if d := time.Since(t0); d > 30*time.Millisecond {
 		t.Fatalf("leaving Busy slept %v: the load stretched work done before it was set", d)
+	}
+}
+
+// TestCountInterBytes: whether a received frame crossed the WAN is read
+// off the sender's endpoint name by topo.ClusterOf alone — no membership
+// lookup. A frame from another cluster's node or sub-coordinator counts;
+// one from the node's own cluster, or from infrastructure that sits in no
+// cluster, does not.
+func TestCountInterBytes(t *testing.T) {
+	n := &Node{cfg: NodeConfig{ID: "fs0/00", Cluster: "fs0"}}
+	n.stats.init(&n.cfg)
+	for _, tc := range []struct {
+		from string
+		want float64 // bytes booked out of a 100-byte frame
+	}{
+		{"satin:fs1/02", 100},
+		{"coordinator:fs1/sub", 100},
+		{"satin:fs0/01", 0},
+		{"satin:fs0/00", 0},
+		{"registry", 0},
+		{"coordinator", 0},
+	} {
+		n.countInterBytes(wire.Meta{From: tc.from, Bytes: 100})
+		// One second of inter-cluster time turns the period's byte count
+		// into the report's bandwidth; the snapshot starts a new period.
+		n.stats.acc.Add(metrics.Inter, 1)
+		if got := n.Report().InterBandwidth; got != tc.want {
+			t.Errorf("frame from %q: booked %v inter-cluster bytes, want %v", tc.from, got, tc.want)
+		}
 	}
 }

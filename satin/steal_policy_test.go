@@ -12,14 +12,13 @@ import (
 func runPolicyGrid(t *testing.T, policy StealPolicy) int64 {
 	t.Helper()
 	g, err := NewGrid(GridConfig{
-		Clusters:    []ClusterSpec{{Name: "c0", Nodes: 2}, {Name: "c1", Nodes: 2}},
-		Registry:    fastReg(),
-		LANLatency:  50 * time.Microsecond,
-		WANLatency:  1 * time.Millisecond,
-		Seed:        42,
-		StealPolicy: policy,
+		Clusters:   []ClusterSpec{{Name: "c0", Nodes: 2}, {Name: "c1", Nodes: 2}},
+		Registry:   fastReg(),
+		LANLatency: 50 * time.Microsecond,
+		WANLatency: 1 * time.Millisecond,
+		Seed:       42,
 		Node: NodeConfig{
-			Registry:          fastReg(),
+			StealPolicy:       policy,
 			LocalStealTimeout: 50 * time.Millisecond,
 			WANStealTimeout:   200 * time.Millisecond,
 		},

@@ -31,7 +31,6 @@ func TestSatinOverTCP(t *testing.T) {
 			ID:                id,
 			Cluster:           "tcp",
 			Fabric:            fab,
-			Registry:          fastReg(),
 			LocalStealTimeout: 200 * time.Millisecond,
 			WANStealTimeout:   time.Second,
 		})
@@ -90,7 +89,6 @@ func TestChaosTCPConnectionReset(t *testing.T) {
 			ID:                id,
 			Cluster:           "tcp",
 			Fabric:            fab,
-			Registry:          fastReg(),
 			LocalStealTimeout: 200 * time.Millisecond,
 			WANStealTimeout:   time.Second,
 		})
