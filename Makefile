@@ -1,13 +1,13 @@
 # Reproduction of "Self-adaptive applications on the grid" — build and
 # verification entry points. `make verify` is the gate every change
-# must pass: it compiles everything, runs go vet, and runs the whole
-# test suite under the race detector (the adaptation kernel is fed
-# concurrently by transport handlers in the real runtime, so -race is
-# not optional here).
+# must pass: it compiles everything, runs go vet, refuses files gofmt
+# would change, and runs the whole test suite under the race detector
+# (the adaptation kernel is fed concurrently by transport handlers in
+# the real runtime, so -race is not optional here).
 
 GO ?= go
 
-.PHONY: build test vet race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
+.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,14 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fails, listing them, when any file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 race:
 	$(GO) test -race ./...
 
-verify: build vet race
+verify: build vet fmt race
 
 # The rows too slow for tier-1: the 10,000-node sharded world (about
 # three minutes), next to the 2,000-node row `go test ./...` runs.

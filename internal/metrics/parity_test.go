@@ -24,8 +24,8 @@ func TestReportWireParity(t *testing.T) {
 			Node: "n0", Cluster: "c0",
 			Start: -1, End: math.MaxFloat64, Speed: math.SmallestNonzeroFloat64,
 			Links: map[core.ClusterID]core.LinkSample{
-				"c1":     {Seconds: 0.5, Bytes: 1 << 20},
-				"c2-ü":   {Seconds: 1e-9, Bytes: 0},
+				"c1":   {Seconds: 0.5, Bytes: 1 << 20},
+				"c2-ü": {Seconds: 1e-9, Bytes: 0},
 				"远方集群": {Seconds: 3, Bytes: 7},
 			},
 		},

@@ -341,6 +341,11 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	joinAck, _ := hex.DecodeString("80b4891302066673302f303003667330066673312f303103667331")
 	f.Add(joinAck)
 	f.Add(append([]byte{0x01}, joinAck[4:]...))
+	// The satin runtime's wake frame as it crosses a link: the header
+	// and an empty body.
+	wake := make([]byte, headerLen)
+	putHeader(wake, 7, 3)
+	f.Add(wake)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m binEchoMsg
 		r := wirefmt.NewReader(data)

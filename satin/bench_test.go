@@ -101,3 +101,54 @@ func BenchmarkLocalStealRoundTrip(b *testing.B) {
 		b.Fatalf("feed task = %v, %v", v, err)
 	}
 }
+
+// tfibCut is fib with a sequential cutoff: subtrees of N <= Cutoff are
+// computed inline, so a task is a few microseconds of real work (the
+// shape of apps.Fib, which this package cannot import).
+type tfibCut struct{ N, Cutoff int }
+
+func (f tfibCut) Execute(ctx *Context) (any, error) {
+	if f.N <= f.Cutoff {
+		return fibLeaves(f.N), nil
+	}
+	a := ctx.Spawn(tfibCut{N: f.N - 1, Cutoff: f.Cutoff})
+	b := ctx.Spawn(tfibCut{N: f.N - 2, Cutoff: f.Cutoff})
+	if err := ctx.Sync(); err != nil {
+		return nil, err
+	}
+	return a.Int() + b.Int(), nil
+}
+
+func init() { Register(tfibCut{}) }
+
+// BenchmarkFibTwoNodes runs fib(27) with cutoff 12 (3,193 tasks of
+// about 0.5 µs each plus their leaves) from one node of a two-node
+// cluster over the default links. Each op starts with the second node
+// idle, so it times the whole idle path: the wake frame, the steal
+// round trips, the result chain back at the end. steals/op counts the
+// jobs that changed nodes.
+func BenchmarkFibTwoNodes(b *testing.B) {
+	g, err := NewGrid(GridConfig{Clusters: []ClusterSpec{{Name: "c0", Nodes: 2}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	nodes, err := g.StartNodes("c0", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	task, want := tfibCut{N: 27, Cutoff: 12}, fibLeaves(27)
+	if v, err := nodes[0].Run(task); err != nil || v != want { // warm up; membership settles
+		b.Fatalf("warm-up = %v, %v", v, err)
+	}
+	hits := func() int64 { return nodes[0].StealStats().Hits + nodes[1].StealStats().Hits }
+	before := hits()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, err := nodes[0].Run(task); err != nil || v != want {
+			b.Fatalf("fib(27) = %v, %v", v, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(hits()-before)/float64(b.N), "steals/op")
+}

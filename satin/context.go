@@ -2,7 +2,6 @@ package satin
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -79,10 +78,7 @@ func (c *Context) Sync() error {
 			n.executeJob(j) // Busy throughout: we are inside the parent task
 			continue
 		}
-		j, ok := n.trySteal()
-		if !ok {
-			n.waitForWork(2 * time.Millisecond)
-		}
+		j, ok := n.findWork()
 		// Stealing and parking leave the worker Idle: re-enter Busy.
 		n.enterState(int(metrics.Busy))
 		if ok {

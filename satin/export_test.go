@@ -1,0 +1,32 @@
+package satin
+
+// Test-only views of a node's job-ownership state.
+
+// pendingLen is the size of the pending table: submitted roots plus
+// jobs that left the node and have not reported back.
+func (n *Node) pendingLen() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.pending)
+}
+
+// registrations counts the entries ever written to the pending table
+// (every one takes the next ID).
+func (n *Node) registrations() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.nextID
+}
+
+// heldBy counts the pending jobs whose recorded holder is id.
+func (n *Node) heldBy(id NodeID) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	k := 0
+	for _, pj := range n.pending {
+		if pj.holder == id {
+			k++
+		}
+	}
+	return k
+}

@@ -269,6 +269,12 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	cfg.ID = ref.Node
 	cfg.Cluster = ref.Cluster
 	cfg.Fabric = g.fabric
+	if cfg.LocalStealTimeout == 0 {
+		// The grid knows the link a local steal crosses: 25 round trips
+		// of it, not the quarter second a node without that knowledge
+		// assumes, so a thief whose victim died mid-request moves on.
+		cfg.LocalStealTimeout = max(50*g.cfg.LANLatency, 5*time.Millisecond)
+	}
 	n, err := StartNode(cfg)
 	if err != nil {
 		g.pool.Release(ref)

@@ -49,7 +49,8 @@ type NodeConfig struct {
 	BenchBudget float64
 
 	// LocalStealTimeout / WANStealTimeout bound synchronous local and
-	// asynchronous wide-area steal attempts.
+	// asynchronous wide-area steal attempts (defaults 250ms and 3s; a
+	// Grid derives the local one from its LAN latency instead).
 	LocalStealTimeout time.Duration
 	WANStealTimeout   time.Duration
 
@@ -76,20 +77,21 @@ func (c *NodeConfig) defaults() {
 	}
 }
 
-// pendingJob is a spawned job this node owns. Stored BY VALUE in the
-// pending map — spawn registers one per child on the hot path, and a
-// value entry costs no allocation — so mutations must write the entry
-// back.
+// pendingJob is a job this node owns whose result arrives by ID: a
+// root entered through Submit, or a spawned job that left the node
+// (onSteal registers it on its way out, holder = the thief). A spawned
+// job that stays home never has one. Stored BY VALUE in the pending
+// map, so mutations must write the entry back.
 type pendingJob struct {
 	task   Task
 	fut    *Future
 	holder NodeID // who currently holds it ("" never; self = local)
 }
 
-// futureSlab hands out Futures from blocks of 64, amortising the
-// per-spawn allocation the hot path used to pay. Guarded by n.mu
-// (registerJob already holds it). Blocks are garbage once all their
-// futures resolve and drop out of reach.
+// futureSlab hands out Spawn's Futures from blocks of 64, amortising
+// the per-spawn allocation. Worker goroutine only, like Spawn itself:
+// no lock. Blocks are garbage once all their futures resolve and drop
+// out of reach.
 type futureSlab struct {
 	block []Future
 	next  int
@@ -116,31 +118,46 @@ func (s *futureSlab) get() *Future {
 //     (adopted steals, returned jobs, reclaims, Submit roots); the
 //     worker drains it into the deque between tasks.
 //   - mu:      shrunk to the genuinely shared job-OWNERSHIP state:
-//     the pending table, ID allocation and the leaving/stopped flags.
+//     the pending table (submitted roots and jobs that left the node,
+//     nothing a spawn touches), ID allocation and the stopped flag.
+//   - gate:    read-held by every wire handler that sends, from its
+//     stopped check to its last send; halt sets stopped under the write
+//     lock, so once halt returns no handler of this node sends again.
 //   - members: membership view (registry client, departed set).
 //   - stealer: the CRS engine (internal/steal) plus reply waiters.
 //   - stats:   accounting buckets, load factor and benchmark pacing.
 //
-// Lock hierarchy: n.mu may acquire members' or stats' internal locks;
-// never the reverse.
+// Lock hierarchy: gate before n.mu; n.mu may acquire members' or
+// stats' internal locks; never the reverse.
 type Node struct {
 	cfg NodeConfig
 	wc  *wire.Conn
 
 	jobs    *deque.Deque[jobMsg]
 	inbox   inbox
-	ctxFree []*Context // worker-confined Context free list
-	wait    *replyWait // worker-confined: its steal attempts and parks
+	ctxFree []*Context   // worker-confined Context free list
+	futs    futureSlab   // worker-confined: Spawn's futures
+	wait    *replyWait   // worker-confined: its steal waits and parks
+	attempt stealAttempt // worker-confined: its one synchronous steal request
 
+	gate    sync.RWMutex
 	mu      sync.Mutex
 	pending map[uint64]pendingJob
-	futs    futureSlab
 	nextID  uint64
-	// leaving and stopped are set under mu, which orders them against
-	// the pending table, and read without it where only the flag matters
-	// (Sync asks Stopped once per pass, onSteal both per request).
+	// stopped is set under gate and mu, which order it against sending
+	// handlers and the pending table, and read without either where only
+	// the flag matters (Sync asks Stopped once per pass).
 	leaving atomic.Bool
 	stopped atomic.Bool
+
+	// pinned is set while the worker is inside a job it took at the top
+	// of its loop, the only time thieves may help themselves to the inbox.
+	pinned atomic.Bool
+
+	// hungry is the endpoint of the same-cluster thief this node last
+	// turned away empty-handed; the next Spawn or Submit takes it out and
+	// sends it one wake frame.
+	hungry atomic.Pointer[string]
 
 	members membershipView
 	stealer stealer
@@ -185,6 +202,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	wire.Handle(n.wc, n.onResult)
 	wire.Handle(n.wc, n.onHolding)
 	wire.Handle(n.wc, n.onReturnJob)
+	wire.Handle(n.wc, func(wakeMsg, wire.Meta) { n.wakeUp() })
 	reg, err := registry.Join(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, registry.Options{})
 	if err != nil {
 		n.wc.Close()
@@ -218,23 +236,25 @@ func (n *Node) SetLoadFactor(f float64) { n.stats.setLoad(f) }
 // Random ablation pays in the idle path).
 func (n *Node) StealStats() steal.Stats { return n.stealer.eng.Stats() }
 
-// registerJob allocates an ID and records ownership of a new job.
-func (n *Node) registerJob(t Task) (uint64, *Future) {
+// registerJob allocates an ID and records ownership of a job whose
+// result will arrive by that ID.
+func (n *Node) registerJob(t Task, fut *Future, holder NodeID) uint64 {
 	n.mu.Lock()
 	n.nextID++
 	id := n.nextID
-	fut := n.futs.get()
-	n.pending[id] = pendingJob{task: t, fut: fut, holder: n.cfg.ID}
+	n.pending[id] = pendingJob{task: t, fut: fut, holder: holder}
 	n.mu.Unlock()
-	return id, fut
+	return id
 }
 
 // spawnJob enters a job from task code. Only the worker goroutine
-// calls it (via Context.Spawn), so the deque push is an owner
-// operation — lock-free.
+// calls it (via Context.Spawn), so the slab and the deque push are
+// owner operations: no lock, no ID, no pending entry. The job gets
+// those if a thief takes it.
 func (n *Node) spawnJob(t Task) *Future {
-	id, fut := n.registerJob(t)
-	n.jobs.Push(jobMsg{ID: id, Owner: n.cfg.ID, Task: t})
+	fut := n.futs.get()
+	n.jobs.Push(jobMsg{Owner: n.cfg.ID, Task: t, fut: fut})
+	n.wakeThief()
 	return fut
 }
 
@@ -242,10 +262,37 @@ func (n *Node) spawnJob(t Task) *Future {
 // Callable from any goroutine: the job travels through the inbox and
 // the worker adopts it.
 func (n *Node) Submit(t Task) *Future {
-	id, fut := n.registerJob(t)
+	fut := &Future{}
+	id := n.registerJob(t, fut, n.cfg.ID)
 	n.inbox.add(jobMsg{ID: id, Owner: n.cfg.ID, Task: t})
 	n.wakeUp()
+	n.wakeThief()
 	return fut
+}
+
+// wakeThief sends the remembered thief, if any, one wake frame: work
+// just became available here. With nobody remembered, the case on
+// every spawn of a busy grid, it is one atomic load.
+func (n *Node) wakeThief() {
+	if n.hungry.Load() == nil {
+		return
+	}
+	if ep := n.hungry.Swap(nil); ep != nil && n.live() {
+		wire.Send(n.wc, *ep, wakeMsg{})
+		n.gate.RUnlock()
+	}
+}
+
+// live admits a caller about to send on behalf of a running node: it
+// reports false once the node has stopped, and otherwise holds halt
+// off until the caller's n.gate.RUnlock.
+func (n *Node) live() bool {
+	n.gate.RLock()
+	if n.stopped.Load() {
+		n.gate.RUnlock()
+		return false
+	}
+	return true
 }
 
 // Run submits a root task and blocks until it completes.
@@ -269,20 +316,26 @@ func (n *Node) Kill() {
 
 // halt is the first step of Kill: from here on the node steals
 // nothing, serves no thief and runs no further job, but its endpoints
-// stay attached. It reports false when the node had already stopped.
+// stay attached. Handlers in the middle of a send finish it first (the
+// gate), so none sends after halt returns. It reports false when the
+// node had already stopped.
 func (n *Node) halt() bool {
+	n.gate.Lock()
 	n.mu.Lock()
 	if n.stopped.Load() {
 		n.mu.Unlock()
+		n.gate.Unlock()
 		return false
 	}
 	n.stopped.Store(true)
-	// Fail every locally owned future: a caller blocked in Future.Wait
+	// Fail every registered future: a caller blocked in Future.Wait
 	// (e.g. Node.Run on this node) must not hang forever on a dead
-	// node — nobody will ever deliver those results here.
+	// node — nobody will ever deliver those results here. Unregistered
+	// ones belong to frames of this worker, which Sync unblocks.
 	pending := n.pending
 	n.pending = make(map[uint64]pendingJob)
 	n.mu.Unlock()
+	n.gate.Unlock()
 	for _, pj := range pending {
 		pj.fut.complete(nil, errNodeStopped)
 	}
@@ -292,7 +345,7 @@ func (n *Node) halt() bool {
 }
 
 // quiesce waits for a halted node's goroutines: once it returns the
-// node sends no more steal requests.
+// node sends nothing at all (its handlers stopped sending at halt).
 func (n *Node) quiesce() { n.wg.Wait() }
 
 // teardown detaches a quiesced node from the registry and the fabric.
@@ -352,8 +405,8 @@ func (n *Node) tryFinishLeave() bool {
 		return true
 	}
 	if len(n.pending) > 0 {
-		// This node still owns unfinished jobs (it is executing a
-		// subtree): it must keep working before it may leave.
+		// A root of this node, or a job of its that a thief holds, is
+		// unfinished: it must keep working before it may leave.
 		n.mu.Unlock()
 		return false
 	}
@@ -371,7 +424,8 @@ func (n *Node) tryFinishLeave() bool {
 			break
 		}
 		if j.Owner == n.cfg.ID {
-			// Own work still queued (a Submit raced the pending
+			// Own work still queued (spawned and never synced on, so
+			// never registered, or a Submit that raced the pending
 			// check): put everything back and keep working.
 			n.jobs.Push(j)
 			for _, f := range foreign {
@@ -382,15 +436,18 @@ func (n *Node) tryFinishLeave() bool {
 		foreign = append(foreign, j)
 	}
 
+	n.gate.Lock()
 	n.mu.Lock()
 	if n.stopped.Load() {
 		// Kill raced the drain: crash semantics, the drained copies
 		// are lost and owners recompute via the failure detector.
 		n.mu.Unlock()
+		n.gate.Unlock()
 		return true
 	}
 	if len(n.pending) > 0 {
 		n.mu.Unlock()
+		n.gate.Unlock()
 		for _, f := range foreign {
 			n.jobs.Push(f)
 		}
@@ -398,6 +455,7 @@ func (n *Node) tryFinishLeave() bool {
 	}
 	n.stopped.Store(true)
 	n.mu.Unlock()
+	n.gate.Unlock()
 	foreign = append(foreign, n.inbox.drain()...) // late adoptions
 	for _, j := range foreign {
 		// A failed send (unencodable task, owner gone) loses the copy;

@@ -73,6 +73,9 @@ func TestWireCorrupt(t *testing.T) {
 	frametest.Corrupt[resultMsg, *resultMsg](t, enc(&resultMsg{ID: 11, Value: 5, Err: "e"}))
 	frametest.Corrupt[holdingMsg, *holdingMsg](t, enc(&holdingMsg{ID: 3, Holder: "n2"}))
 	frametest.Corrupt[returnJobMsg, *returnJobMsg](t, enc(&returnJobMsg{Job: jobMsg{ID: 6, Owner: "n0", Task: parityTask{Label: "l"}}}))
+	// The wake frame has no body; what a decoder must survive is one
+	// that arrives with bytes.
+	frametest.Corrupt[wakeMsg, *wakeMsg](t, []byte{0x01, 0xFF})
 }
 
 // TestJobMsgRejectsNonTaskPayload: a gob payload that decodes fine but

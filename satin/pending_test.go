@@ -1,0 +1,265 @@
+package satin
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// pendingPeak is the largest pending table any tpeek task saw on its
+// own node while it ran.
+var pendingPeak atomic.Int64
+
+func notePendingPeak(n *Node) {
+	k := int64(n.pendingLen())
+	for {
+		old := pendingPeak.Load()
+		if k <= old || pendingPeak.CompareAndSwap(old, k) {
+			return
+		}
+	}
+}
+
+// tpeek samples its node's pending table from inside the worker, which
+// is where a table filled per spawn would be at its fullest: a leaf
+// runs while its younger siblings still sit on the deque.
+type tpeek struct{}
+
+func (tpeek) Execute(ctx *Context) (any, error) {
+	notePendingPeak(ctx.node)
+	return nil, nil
+}
+
+// tspawnPeek is tspawnN with sampling children.
+type tspawnPeek struct{ N int }
+
+func (s tspawnPeek) Execute(ctx *Context) (any, error) {
+	for i := 0; i < s.N; i++ {
+		ctx.Spawn(tpeek{})
+	}
+	return s.N, ctx.Sync()
+}
+
+func init() {
+	Register(tpeek{})
+	Register(tspawnPeek{})
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A job that never leaves its node is never registered: on one node
+// the pending table holds the submitted root and nothing else, however
+// many children that root spawns.
+func TestPendingHoldsOnlyTheRootOnOneNode(t *testing.T) {
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 1})
+	nodes, err := g.StartNodes("c0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nodes[0]
+	pendingPeak.Store(0)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		if v, err := n.Run(tspawnPeek{N: 256}); err != nil || v != 256 {
+			t.Fatalf("run %d = %v, %v", i, v, err)
+		}
+	}
+	if peak := pendingPeak.Load(); peak != 1 {
+		t.Errorf("pending table peaked at %d entries over %d runs of 256 spawns, want 1 (the root)", peak, runs)
+	}
+	if got := n.registrations(); got != runs {
+		t.Errorf("%d registrations, want %d (one per root)", got, runs)
+	}
+	if got := n.pendingLen(); got != 0 {
+		t.Errorf("%d pending entries left after the runs", got)
+	}
+}
+
+// tfeedThen is tfeed with a second act: N children that can only leave
+// through thieves (the worker is held until released), then M more
+// that the worker mostly runs itself.
+type tfeedThen struct {
+	N, M    int
+	Release chan struct{}
+}
+
+func (f tfeedThen) Execute(ctx *Context) (any, error) {
+	for i := 0; i < f.N; i++ {
+		ctx.Spawn(tnop{})
+	}
+	<-f.Release
+	if err := ctx.Sync(); err != nil {
+		return nil, err
+	}
+	for i := 0; i < f.M; i++ {
+		ctx.Spawn(tnop{})
+	}
+	return f.N + f.M, ctx.Sync()
+}
+
+// On two nodes the pending table gets one entry per root and one per
+// granted steal, whatever the number of spawns: registration happens
+// when a job leaves, and only then.
+func TestPendingRegistersAtSteal(t *testing.T) {
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 2})
+	nodes, err := g.StartNodes("c0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master, thief := nodes[0], nodes[1]
+	const n, m = 12, 256
+	release := make(chan struct{})
+	open := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(open) // a held worker would hang the grid's Close
+	fut := master.Submit(tfeedThen{N: n, M: m, Release: release})
+	waitUntil(t, "the thief has taken all the held children", func() bool {
+		return thief.StealStats().Hits >= n
+	})
+	open()
+	fut.Wait()
+	if v, err := fut.Result(); err != nil || v != n+m {
+		t.Fatalf("feed task = %v, %v", v, err)
+	}
+	hits := master.StealStats().Hits + thief.StealStats().Hits
+	regs := master.registrations() + thief.registrations()
+	if regs != uint64(hits)+1 {
+		t.Errorf("%d registrations for %d granted steals and 1 root (%d spawns)", regs, hits, n+m)
+	}
+	if got := master.pendingLen() + thief.pendingLen(); got != 0 {
+		t.Errorf("%d pending entries left after the run", got)
+	}
+}
+
+// tslow takes Sleep to return V, counting its executions per V. Killed
+// meanwhile it gives up the way a task inside Sync does, so that the
+// dead node reports nothing.
+type tslow struct {
+	V     int
+	Sleep time.Duration
+}
+
+var slowRuns [3]atomic.Int32
+
+func (s tslow) Execute(ctx *Context) (any, error) {
+	slowRuns[s.V].Add(1)
+	for end := time.Now().Add(s.Sleep); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if ctx.node.Stopped() {
+			return nil, errNodeStopped
+		}
+	}
+	return s.V, nil
+}
+
+// theldPair spawns two slow children and holds its worker until
+// released, then sums them.
+type theldPair struct {
+	Sleep   time.Duration
+	Release chan struct{}
+}
+
+func (h theldPair) Execute(ctx *Context) (any, error) {
+	a := ctx.Spawn(tslow{V: 1, Sleep: h.Sleep})
+	b := ctx.Spawn(tslow{V: 2, Sleep: h.Sleep})
+	<-h.Release
+	if err := ctx.Sync(); err != nil {
+		return nil, err
+	}
+	return a.Int() + b.Int(), nil
+}
+
+func init() { Register(tslow{}) }
+
+// The entry written when a job is stolen is what recomputation runs
+// on: the thief is killed while it holds the job, the owner finds the
+// entry under the dead node's name, runs the job itself, and the sum
+// comes out exact.
+func TestKilledThiefsJobIsRecomputed(t *testing.T) {
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 2})
+	nodes, err := g.StartNodes("c0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master, thief := nodes[0], nodes[1]
+	for i := range slowRuns {
+		slowRuns[i].Store(0)
+	}
+	release := make(chan struct{})
+	open := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(open) // a held worker would hang the grid's Close
+	fut := master.Submit(theldPair{Sleep: 100 * time.Millisecond, Release: release})
+	waitUntil(t, "the thief holds one child", func() bool { return master.heldBy(thief.ID()) == 1 })
+	// The root and the stolen child; the other child is on the deque,
+	// spawned and not registered.
+	if got := master.pendingLen(); got != 2 {
+		t.Errorf("%d pending entries with one child stolen and one at home, want 2", got)
+	}
+	thief.Kill()
+	waitUntil(t, "the owner has reclaimed the dead thief's job", func() bool {
+		return master.heldBy(thief.ID()) == 0 && master.heldBy(master.ID()) == 2
+	})
+	open()
+	fut.Wait()
+	if v, err := fut.Result(); err != nil || v != 3 {
+		t.Fatalf("sum = %v, %v, want 3", v, err)
+	}
+	if a, b := slowRuns[1].Load(), slowRuns[2].Load(); a != 2 || b != 1 {
+		t.Errorf("stolen child ran %d times and the other %d, want 2 (thief, then owner) and 1", a, b)
+	}
+}
+
+// tstrayLeaver spawns N counting children, asks its own node to leave
+// and returns without syncing: the children are self-owned work that no
+// table knows about.
+type tstrayLeaver struct{ N int }
+
+var strayRuns atomic.Int32
+
+type tstray struct{}
+
+func (tstray) Execute(ctx *Context) (any, error) {
+	notePendingPeak(ctx.node)
+	strayRuns.Add(1)
+	return nil, nil
+}
+
+func (s tstrayLeaver) Execute(ctx *Context) (any, error) {
+	for i := 0; i < s.N; i++ {
+		ctx.Spawn(tstray{})
+	}
+	ctx.node.leaving.Store(true)
+	return s.N, nil
+}
+
+// A leaving node finishes the self-owned work on its deque before it
+// goes, though none of it is in the pending table: the drain finds it.
+func TestLeaveFinishesUnregisteredWork(t *testing.T) {
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 1})
+	nodes, err := g.StartNodes("c0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nodes[0]
+	pendingPeak.Store(0)
+	strayRuns.Store(0)
+	const strays = 40
+	if v, err := n.Run(tstrayLeaver{N: strays}); err != nil || v != strays {
+		t.Fatalf("root = %v, %v", v, err)
+	}
+	waitUntil(t, "the node has left", n.Stopped)
+	if got := strayRuns.Load(); got != strays {
+		t.Errorf("node left with %d of %d spawned children run", got, strays)
+	}
+	if peak := pendingPeak.Load(); peak > 1 {
+		t.Errorf("pending table held %d entries while the children ran: they were registered", peak)
+	}
+}

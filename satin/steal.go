@@ -74,8 +74,9 @@ func (s *stealer) init(cfg *NodeConfig) {
 
 // replyWait is what a goroutine blocks on while its steal request is
 // out: a one-slot reply channel and a timeout. The worker keeps one
-// for every synchronous attempt and every park (the two never
-// overlap); an asynchronous wide-area attempt brings its own.
+// for its synchronous attempt and every park (a wait uses the timer
+// from arm to disarm, and the worker waits on one thing at a time); an
+// asynchronous wide-area attempt brings its own.
 type replyWait struct {
 	reply chan bool
 	timer *time.Timer // stopped and drained between waits
@@ -104,6 +105,21 @@ func (w *replyWait) disarm() {
 		default:
 		}
 	}
+}
+
+// stealAttempt is the worker's one outstanding synchronous steal
+// request, the slot steal.Engine.syncOut models. It is state, not a
+// blocking call: a wake-up interrupts the wait and sends the worker
+// back to its frame and its inbox while the request stays out, and the
+// next findWork resumes this attempt instead of sending another. The
+// reply or the deadline settles it, once.
+type stealAttempt struct {
+	pending  bool
+	seq      uint64
+	start    time.Time
+	deadline time.Time
+	bucket   metrics.Bucket // where the wait is booked: Intra, Inter for a wide victim
+	kind     string         // round-trip instrument label: "local" or "wan"
 }
 
 // addWaiter routes the reply to a new request to ch.
@@ -139,97 +155,196 @@ func (s *stealer) replyArrived(seq uint64, got bool) {
 	s.mu.Unlock()
 }
 
-// trySteal runs one round of the steal policy: the engine picks
-// victims from the membership view, this node contacts them. Under CRS
-// the wide-area victim is contacted asynchronously (latency hidden
-// behind the synchronous local attempt); under StealRandom the one
-// victim is contacted synchronously wherever it sits, paying any WAN
-// round trip in the idle path.
-func (n *Node) trySteal() (jobMsg, bool) {
-	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
-	if d.HasAsync {
-		n.wg.Add(1) // from the worker, which holds a count itself
-		go n.wanSteal(d.Async.ID)
-	}
-	if !d.HasSync {
-		return jobMsg{}, false
-	}
-	bucket, timeout, kind := metrics.Intra, n.cfg.LocalStealTimeout, "local"
-	if d.SyncWide {
-		bucket, timeout, kind = metrics.Inter, n.cfg.WANStealTimeout, "wan"
-	}
-	n.enterState(int(bucket))
-	gotJob := n.stealFrom(d.Sync.ID, timeout, kind, n.wait)
-	n.stealer.eng.SyncDone(gotJob)
-	n.enterState(stateIdle)
-	if !gotJob {
-		return jobMsg{}, false
-	}
-	// The reply handler adopted the job through the inbox (ownership
-	// transfers there, never through a channel a timed-out waiter may
-	// have abandoned); take the freshest entry.
-	return n.popNewest()
-}
-
-// wanSteal runs the asynchronous wide-area steal: a successful job is
-// adopted by the reply handler; here we only settle the engine's
-// async slot CRS keys on.
-func (n *Node) wanSteal(victim NodeID) {
-	defer n.wg.Done()
-	got := n.stealFrom(victim, n.cfg.WANStealTimeout, "wan_async", newReplyWait())
-	n.stealer.eng.AsyncDone(got)
-	n.wakeUp()
-}
-
-// stealFrom sends one steal request and waits for the reply; it
-// reports whether the victim granted a job (which the reply handler
-// already adopted into the inbox). kind labels the attempt for the
-// round-trip instruments ("local", "wan", "wan_async"); w is the
-// caller's to block on.
-func (n *Node) stealFrom(victim NodeID, timeout time.Duration, kind string, w *replyWait) bool {
-	start := time.Now()
-	got := false
-	seq := n.stealer.addWaiter(w.reply)
-	if err := wire.Send(n.wc, satinEP(victim), stealMsg{Thief: n.cfg.ID, Cluster: n.cfg.Cluster, Seq: seq}); err == nil {
-		select {
-		case got = <-w.reply:
-		case <-w.arm(timeout):
-		case <-n.stopCh:
-		}
-		w.disarm()
-	}
-	n.stealer.dropWaiter(seq, w.reply)
+// finish ends a request: the waiter goes, and the round trip is booked
+// under its kind as a grant or a refusal.
+func (s *stealer) finish(seq uint64, ch chan bool, kind string, start time.Time, got bool) {
+	s.dropWaiter(seq, ch)
 	obsStealRTT[kind].Observe(time.Since(start).Seconds())
 	if got {
 		obsStealOK[kind].Inc()
 	} else {
 		obsStealFail[kind].Inc()
 	}
-	return got
 }
 
-// onSteal serves a thief: take the oldest job (biggest subtree) off
-// the top of the deque and ship it. The deque steal is lock-free —
-// this handler never touches the worker's push/pop path; n.mu is
-// taken only to update job ownership.
+// findWork is one step of the idle path, shared by the worker loop and
+// Sync: wait on the synchronous steal attempt (starting one if none is
+// out) and return the job it brought, or nothing — after a refusal and
+// the fallback park, or at once when a wake-up interrupted the wait,
+// in which case the caller has a result or an inbox arrival to look at
+// and the attempt stays out for the next call. Time in the wait is
+// Intra (Inter for StealRandom's wide victim); parks are Idle.
+func (n *Node) findWork() (jobMsg, bool) {
+	a := &n.attempt
+	// A refusal earns a park only when it answers a request sent in this
+	// call and no wake-up overtook it.
+	park := !a.pending
+	if park && !n.startSteal() {
+		n.waitForWork(2 * time.Millisecond) // nobody to ask
+		return jobMsg{}, false
+	}
+	n.enterState(int(a.bucket))
+	got, settled := false, true
+	select {
+	case got = <-n.wait.reply:
+	case <-n.wait.arm(time.Until(a.deadline)):
+	case <-n.stopCh:
+	case <-n.wake:
+		// What the wake-up announced is the caller's to look into before
+		// this worker blocks again; if it was the victim's wake frame,
+		// sent while its refusal was on its way, the refusal is stale. A
+		// granted job wakes the worker too (onStealReply): its reply is
+		// in the channel by then, and settles the attempt now.
+		park = false
+		select {
+		case got = <-n.wait.reply:
+		default:
+			settled = false
+		}
+	}
+	n.wait.disarm()
+	n.enterState(stateIdle)
+	if settled {
+		n.settleSteal(got)
+	}
+	switch {
+	case got:
+		// The reply handler adopted the job through the inbox (ownership
+		// transfers there, never through a channel a waiter may have
+		// left); take the freshest entry.
+		return n.popNewest()
+	case park:
+		// Turned away. The victim remembers it and sends a wake frame
+		// when it next has work; the timer is the fallback (another
+		// victim, a lost frame, a victim that remembered a later thief).
+		n.waitForWork(2 * time.Millisecond)
+	}
+	return jobMsg{}, false
+}
+
+// startSteal runs one round of the steal policy: the engine picks
+// victims from the membership view, this node contacts them. Under CRS
+// the wide-area victim is contacted asynchronously (latency hidden
+// behind the synchronous local attempt); under StealRandom the one
+// victim is contacted synchronously wherever it sits, paying any WAN
+// round trip in the idle path. It reports whether a synchronous
+// request went out (n.attempt is then pending).
+func (n *Node) startSteal() bool {
+	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
+	if d.HasAsync {
+		n.wg.Add(1) // from the worker, which holds a count itself
+		go n.wanSteal(d.Async.ID)
+	}
+	if !d.HasSync {
+		return false
+	}
+	a := &n.attempt
+	timeout := n.cfg.LocalStealTimeout
+	a.bucket, a.kind = metrics.Intra, "local"
+	if d.SyncWide {
+		timeout = n.cfg.WANStealTimeout
+		a.bucket, a.kind = metrics.Inter, "wan"
+	}
+	a.start = time.Now()
+	a.deadline = a.start.Add(timeout)
+	a.seq = n.stealer.addWaiter(n.wait.reply)
+	a.pending = true
+	if err := wire.Send(n.wc, satinEP(d.Sync.ID), stealMsg{Thief: n.cfg.ID, Cluster: n.cfg.Cluster, Seq: a.seq}); err != nil {
+		n.settleSteal(false)
+		return false
+	}
+	return true
+}
+
+// settleSteal closes the synchronous attempt: the engine's slot frees,
+// and the round trip and its outcome are counted.
+func (n *Node) settleSteal(got bool) {
+	a := &n.attempt
+	a.pending = false
+	n.stealer.finish(a.seq, n.wait.reply, a.kind, a.start, got)
+	n.stealer.eng.SyncDone(got)
+}
+
+// abandonSteal settles as a miss the attempt a stopping worker leaves
+// behind, so that attempts still equal hits plus misses.
+func (n *Node) abandonSteal() {
+	if n.attempt.pending {
+		n.settleSteal(false)
+	}
+}
+
+// wanSteal runs the asynchronous wide-area steal on its own goroutine,
+// which may block for the whole round trip: a granted job is adopted
+// by the reply handler; here we only settle the engine's async slot
+// CRS keys on.
+func (n *Node) wanSteal(victim NodeID) {
+	defer n.wg.Done()
+	w := newReplyWait()
+	start := time.Now()
+	got := false
+	seq := n.stealer.addWaiter(w.reply)
+	if err := wire.Send(n.wc, satinEP(victim), stealMsg{Thief: n.cfg.ID, Cluster: n.cfg.Cluster, Seq: seq}); err == nil {
+		select {
+		case got = <-w.reply:
+		case <-w.arm(n.cfg.WANStealTimeout):
+		case <-n.stopCh:
+		}
+		w.disarm()
+	}
+	n.stealer.finish(seq, w.reply, "wan_async", start, got)
+	n.stealer.eng.AsyncDone(got)
+	n.wakeUp()
+}
+
+// takeOldest takes the oldest job (biggest subtree) off the top of the
+// deque for a thief, or, with nothing there and the worker pinned
+// inside a task, an inbox arrival it has not drained yet. An idle
+// worker is about to drain the inbox itself: a root taken from under it
+// would cost a round trip to move and another to report back.
+func (n *Node) takeOldest() (jobMsg, bool) {
+	if j, ok := n.jobs.Steal(); ok {
+		return j, true
+	}
+	if !n.pinned.Load() {
+		return jobMsg{}, false
+	}
+	return n.inbox.steal()
+}
+
+// onSteal serves a thief. The deque steal is lock-free — this handler
+// never touches the worker's push/pop path; n.mu is taken only for job
+// ownership, which for a spawned job starts here: leaving the node is
+// what gives it an ID and a pending entry, holder = the thief.
 func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
-	if n.stopped.Load() {
+	if !n.live() {
 		return // a dead node does not answer; the thief's endpoint may be gone too
 	}
+	defer n.gate.RUnlock()
+	thief := satinEP(sm.Thief)
 	reply := stealReplyMsg{Seq: sm.Seq}
 	if !n.leaving.Load() && !n.members.isDeparted(sm.Thief) {
-		j, ok := n.jobs.Steal()
-		if !ok {
-			// Nothing on the deque: serve inbox arrivals the worker has
-			// not drained yet (it may be pinned inside a long task).
-			j, ok = n.inbox.steal()
+		j, ok := n.takeOldest()
+		if !ok && sm.Cluster == n.cfg.Cluster {
+			turnedAway := new(string)
+			*turnedAway = thief
+			n.hungry.Store(turnedAway)
+			// A push between the miss and the store found nobody to
+			// wake: look again, so that either it or we see the other.
+			if j, ok = n.takeOldest(); ok {
+				n.hungry.CompareAndSwap(turnedAway, nil)
+			}
 		}
 		if ok {
+			if j.Owner == n.cfg.ID {
+				if j.ID == 0 {
+					j.ID = n.registerJob(j.Task, j.fut, sm.Thief)
+					j.fut = nil
+				} else {
+					n.setHolder(j.ID, sm.Thief)
+				}
+			}
 			reply.HasJob = true
 			reply.Job = j
-			if j.Owner == n.cfg.ID {
-				n.setHolder(j.ID, sm.Thief)
-			}
 		}
 	}
 	if reply.HasJob && reply.Job.Owner != n.cfg.ID && reply.Job.Owner != sm.Thief {
@@ -238,7 +353,7 @@ func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
 		// must still know whom to watch for recomputation.
 		wire.Send(n.wc, satinEP(reply.Job.Owner), holdingMsg{ID: reply.Job.ID, Holder: sm.Thief})
 	}
-	if err := wire.Send(n.wc, satinEP(sm.Thief), reply); err != nil {
+	if err := wire.Send(n.wc, thief, reply); err != nil {
 		// Task type not registered for gob (or the thief is gone): hand
 		// the job back to ourselves and fail the steal.
 		if reply.HasJob {
@@ -248,23 +363,25 @@ func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
 			n.inbox.add(reply.Job)
 			n.wakeUp()
 		}
-		wire.Send(n.wc, satinEP(sm.Thief), stealReplyMsg{Seq: sm.Seq})
+		wire.Send(n.wc, thief, stealReplyMsg{Seq: sm.Seq})
 	}
 }
 
 func (n *Node) onStealReply(sr stealReplyMsg, m wire.Meta) {
 	n.countInterBytes(m)
-	if sr.HasJob {
-		// Adopt the job here, whatever happened to the waiter: a
-		// reply that lost a race with the steal timeout must not
-		// lose the job (its owner already recorded us as holder).
-		if n.stopped.Load() {
-			wire.Send(n.wc, satinEP(sr.Job.Owner), returnJobMsg{Job: sr.Job})
-		} else {
-			n.inbox.add(sr.Job)
-			n.noteHolding(sr.Job)
-			n.wakeUp()
-		}
+	adopted := sr.HasJob && n.live()
+	if adopted {
+		// Adopt the job here, whatever happened to the waiter: a reply
+		// that lost a race with the steal timeout must not lose the job
+		// (its owner already recorded us as holder). A stopped node
+		// adopts nothing and says nothing; the owner recomputes the job
+		// when the registry reports this node gone.
+		n.inbox.add(sr.Job)
+		n.noteHolding(sr.Job)
+		n.gate.RUnlock()
 	}
 	n.stealer.replyArrived(sr.Seq, sr.HasJob)
+	if adopted {
+		n.wakeUp() // after the reply, so the worker it wakes finds both
+	}
 }

@@ -72,10 +72,16 @@ type stealReplyMsg struct {
 	Job    jobMsg
 }
 
+// jobMsg is a job on a deque, in an inbox or on the wire. ID is zero
+// and fut set while a spawned job has never left its owner: the worker
+// that pops it completes fut directly. onSteal gives it an ID the
+// moment it leaves, and from then on its result is looked up in the
+// owner's pending table. fut never travels.
 type jobMsg struct {
 	ID    uint64
 	Owner NodeID
 	Task  Task
+	fut   *Future
 }
 
 type resultMsg struct {
@@ -93,12 +99,17 @@ type returnJobMsg struct {
 	Job jobMsg
 }
 
+// wakeMsg tells a thief that was turned away that its victim has work
+// again. It carries nothing: the sender is in the frame's envelope.
+type wakeMsg struct{}
+
 func init() {
 	wire.Register[stealMsg]("steal")
 	wire.Register[stealReplyMsg]("steal-reply")
 	wire.Register[resultMsg]("result")
 	wire.Register[holdingMsg]("holding")
 	wire.Register[returnJobMsg]("return-job")
+	wire.Register[wakeMsg]("wake")
 	// The statistics report shares its kind with the adapt package's
 	// coordinator side; Register is idempotent for identical pairs.
 	wire.Register[metrics.Report]("report")

@@ -99,3 +99,7 @@ func (m *returnJobMsg) AppendWire(b []byte) ([]byte, error) {
 func (m *returnJobMsg) DecodeWire(r *wirefmt.Reader) error {
 	return m.Job.DecodeWire(r)
 }
+
+func (m *wakeMsg) AppendWire(b []byte) ([]byte, error) { return b, nil }
+
+func (m *wakeMsg) DecodeWire(r *wirefmt.Reader) error { return r.Err() }

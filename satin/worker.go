@@ -61,9 +61,10 @@ func (b *inbox) recycle(js []jobMsg) {
 }
 
 // steal takes the oldest inbox entry. Thieves fall back here when the
-// deque is empty: a Submit while the worker is pinned inside a task
-// must still be visible to idle peers (the inbox is not worker-only
-// the way the deque bottom is, so handing entries out is safe).
+// deque is empty and the worker is pinned inside a task: a Submit
+// meanwhile must still be visible to idle peers (the inbox is not
+// worker-only the way the deque bottom is, so handing entries out is
+// safe).
 func (b *inbox) steal() (jobMsg, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -92,14 +93,20 @@ func (n *Node) drainInbox() {
 
 // worker is the node's single computation goroutine: run a due speed
 // benchmark, else pop the newest job (work-first, splitting subtrees
-// down to leaves), else steal, else park until woken.
+// down to leaves), else look for work elsewhere (findWork: a steal
+// attempt, then a short park that any arrival or a victim's wake frame
+// cuts short).
 func (n *Node) worker() {
 	defer n.wg.Done()
+	defer n.abandonSteal()
 	for {
 		if n.stopped.Load() {
 			return
 		}
-		leaving := n.leaving.Load()
+		// A leaving node lets its outstanding steal request come home
+		// first (findWork below resumes it): the reply must find an
+		// endpoint to arrive at.
+		leaving := n.leaving.Load() && !n.attempt.pending
 		if leaving {
 			if n.tryFinishLeave() {
 				return
@@ -109,21 +116,21 @@ func (n *Node) worker() {
 			n.runBench()
 			continue
 		}
-		if j, ok := n.popNewest(); ok {
-			n.executeJob(j)
-			continue
-		}
-		if leaving {
+		j, ok := n.popNewest()
+		if !ok && leaving {
 			// Deque drained but self-owned work is still outstanding:
 			// wait for results (or reclaims) instead of spinning.
 			n.waitForWork(2 * time.Millisecond)
 			continue
 		}
-		if j, ok := n.trySteal(); ok {
-			n.executeJob(j)
-			continue
+		if !ok {
+			j, ok = n.findWork()
 		}
-		n.waitForWork(2 * time.Millisecond)
+		if ok {
+			n.pinned.Store(true)
+			n.executeJob(j)
+			n.pinned.Store(false)
+		}
 	}
 }
 
@@ -213,7 +220,13 @@ func (n *Node) executeJob(j jobMsg) {
 		return
 	}
 	if j.Owner == n.cfg.ID {
-		n.completeLocal(j.ID, val, err)
+		if j.ID == 0 {
+			// Never left this node: the only one waiting on it is a frame
+			// of this worker, further up the stack.
+			j.fut.complete(val, err)
+		} else {
+			n.completeLocal(j.ID, val, err)
+		}
 		return
 	}
 	res := resultMsg{ID: j.ID, Value: val, Err: errString(err)}
