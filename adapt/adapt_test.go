@@ -198,7 +198,23 @@ func TestMonitorOnlyNeverActs(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(2 * time.Second)
+	// Wait for what the assertions below need, not for a fixed time: on
+	// a loaded box (five packages under -race on two CPUs) two seconds
+	// have passed without one period holding reports. Four periods, one
+	// of them with a measured WAE, is several more than an acting
+	// coordinator takes to shrink this node set.
+	measured := func() bool {
+		hist := coord.History()
+		for _, h := range hist {
+			if h.WAE > 0 {
+				return len(hist) >= 4
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(20 * time.Second); !measured() && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
 	close(stop)
 	<-done
 	if got := g.NodeCount(); got != 4 {

@@ -511,25 +511,15 @@ func (m *Manager) provision(j *Job, g *satin.Grid) (*satin.Node, error) {
 		if j.cancelled() {
 			return nil, fmt.Errorf("cancelled while provisioning")
 		}
-		// Round-robin across clusters, one node at a time: the initial
-		// deployment spreads evenly (a multi-cluster job should start
-		// multi-cluster), and partial fair-share grants still make
-		// progress. Later growth goes through the coordinator's
-		// Provision, which prefers clusters already in use.
-		for need := target - g.NodeCount(); need > 0; {
-			progress := false
-			for _, c := range m.cfg.Clusters {
-				if need == 0 {
-					break
-				}
-				if _, err := g.StartNodes(c.Name, 1); err == nil {
-					need--
-					progress = true
-				}
-			}
-			if !progress {
-				break
-			}
+		// The initial deployment is one step: the grid picks the refs
+		// round-robin across clusters and starts them all at once, so it
+		// costs one join round trip whatever MinNodes is. A partial
+		// fair-share grant still makes progress, and a node that failed
+		// to start is bid for again on the next retry. Later growth goes
+		// through the coordinator's Provision, which prefers clusters
+		// already in use.
+		if need := target - g.NodeCount(); need > 0 {
+			g.StartSpread(need)
 		}
 		n := g.NodeCount()
 		if n >= target || (n >= 1 && time.Now().After(deadline)) {

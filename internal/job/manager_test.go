@@ -323,3 +323,54 @@ func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 		t.Fatal("submissions during drain must be rejected")
 	}
 }
+
+// TestJobDeploysInOneRoundTrip: a job's initial deployment is one step.
+// Four nodes over two clusters cost one registry join round trip (40 ms
+// here, so that scheduling noise under -race is small beside it), not
+// four; the round-robin still spreads them two and two, and the master
+// is still the lowest ID whatever order the joins landed in.
+func TestJobDeploysInOneRoundTrip(t *testing.T) {
+	const rtt = 40 * time.Millisecond
+	m := testManager(t, 2, 2, func(c *Config) { c.WANLatency = rtt })
+
+	start := time.Now()
+	j, err := m.Submit(Spec{App: "fib", Size: 10, MinNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j.State() < Running {
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(start); took < rtt || took >= 2*rtt {
+		t.Fatalf("submit to %s took %v, want one join round trip (%v) and under two", j.State(), took, rtt)
+	}
+	waitTerminal(t, j, 30*time.Second)
+	if j.State() != Done || j.Result().Check != "ok" {
+		t.Fatalf("state %s, check %q, err %q", j.State(), j.Result().Check, j.Result().Err)
+	}
+
+	client, err := m.arb.Register("direct", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	gridCfg := m.grid
+	gridCfg.Pool = client
+	g, err := satin.NewGrid(gridCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	master, err := m.provision(newJob("direct", Spec{MinNodes: 4}, Hooks{}, nil), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if master.ID() != "fs0/00" {
+		t.Fatalf("master is %s, want the lowest ID fs0/00", master.ID())
+	}
+	for _, id := range []satin.NodeID{"fs0/00", "fs0/01", "fs1/00", "fs1/01"} {
+		if g.Node(id) == nil {
+			t.Fatalf("deployment lacks %s: not spread two and two", id)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -57,7 +58,9 @@ func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
 	wire.Handle(c.wc, c.onJoinAck)
 	wire.Handle(c.wc, c.onEvent)
 	// The join is retried until acknowledged: a lossy fabric can drop
-	// the join or its ack, and joining is idempotent on the server.
+	// the join or its ack, and joining is idempotent on the server. A
+	// retry that finds this endpoint or its fabric closed ends the wait:
+	// the deployment was torn down, no ack will come.
 	join := joinMsg{Info: info}
 	deadline := time.After(5 * time.Second)
 	if err := wire.Send(c.wc, ServerName, join); err != nil {
@@ -70,7 +73,10 @@ joinWait:
 		case <-c.joined:
 			break joinWait
 		case <-time.After(100 * time.Millisecond):
-			wire.Send(c.wc, ServerName, join)
+			if err := wire.Send(c.wc, ServerName, join); errors.Is(err, transport.ErrClosed) {
+				c.wc.Close()
+				return nil, fmt.Errorf("registry: join of %s: %w", info.ID, err)
+			}
 		case <-deadline:
 			c.wc.Close()
 			return nil, fmt.Errorf("registry: join of %s timed out", info.ID)

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -231,5 +232,30 @@ func TestEventKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), got, want)
 		}
+	}
+}
+
+// A join whose fabric is closed under it gives up at its next retry
+// instead of waiting out the five-second join deadline: nobody is left
+// to acknowledge it.
+func TestJoinGivesUpOnClosedFabric(t *testing.T) {
+	f := transport.NewInProc(func(string, string) transport.LinkParams {
+		return transport.LinkParams{Latency: time.Second}
+	})
+	if _, err := NewServer(f, fastOpts()); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(10*time.Millisecond, f.Close)
+	start := time.Now()
+	c, err := Join(f, NodeInfo{ID: "a", Cluster: "c0"}, Options{})
+	if err == nil {
+		c.Close()
+		t.Fatal("join on a closed fabric succeeded")
+	}
+	if !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("err = %v, want it to wrap transport.ErrClosed", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("join gave up after %v", took)
 	}
 }

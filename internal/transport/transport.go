@@ -87,6 +87,7 @@ type InProc struct {
 	links     map[[2]string]*inprocLink // per-pair delivery workers
 	wg        sync.WaitGroup
 	closed    bool
+	closing   chan struct{} // closed by Close: link workers stop waiting
 }
 
 // NewInProc builds a fabric; link may be nil (ideal network).
@@ -96,6 +97,7 @@ func NewInProc(link LinkFunc) *InProc {
 		link:      link,
 		free:      make(map[[2]string]time.Time),
 		links:     make(map[[2]string]*inprocLink),
+		closing:   make(chan struct{}),
 	}
 }
 
@@ -120,24 +122,35 @@ type inprocLink struct {
 // that way takes 1.1 ms.
 const sleepGrain = time.Millisecond
 
-// waitUntil returns at the deadline: not before it, and after it only
-// by scheduling noise. time.Sleep covers all but the last sleepGrain
-// (the goroutine parks, no thread is held), sleepFine blocks a thread
-// for the rest, and a yield loop closes whatever gap sleepFine left
-// (tens of microseconds at most) so that a frame is never early.
-func waitUntil(deadline time.Time) {
+// waitUntil returns true at the deadline: not before it, and after it
+// only by scheduling noise. The timer (the worker's own, stopped or
+// drained) covers all but the last sleepGrain (the goroutine parks, no
+// thread is held), sleepFine blocks a thread for the rest, and a yield
+// loop closes whatever gap sleepFine left (tens of microseconds at
+// most) so that a frame is never early. A fabric that closes during the
+// coarse part ends the wait with false: the frame is one Close drops.
+// An endpoint closing does not, because a leaver's last frames, sent
+// before it detached, must still arrive.
+func waitUntil(deadline time.Time, timer *time.Timer, closing <-chan struct{}) bool {
 	d := time.Until(deadline)
 	if d > sleepGrain {
-		time.Sleep(d - sleepGrain)
+		timer.Reset(d - sleepGrain)
+		select {
+		case <-timer.C:
+		case <-closing:
+			timer.Stop()
+			return false
+		}
 		d = time.Until(deadline)
 	}
 	if d <= 0 {
-		return
+		return true
 	}
 	sleepFine(d)
 	for time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
+	return true
 }
 
 // runLink is a directed pair's delivery worker: it swaps the queue
@@ -146,6 +159,8 @@ func waitUntil(deadline time.Time) {
 // each frame's shaped deadline.
 func (f *InProc) runLink(l *inprocLink, dst *inprocEP) {
 	defer f.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	var local []linkFrame
 	l.mu.Lock()
 	for {
@@ -160,7 +175,9 @@ func (f *InProc) runLink(l *inprocLink, dst *inprocEP) {
 		l.mu.Unlock()
 		for i := range local {
 			q := &local[i]
-			waitUntil(q.deadline)
+			if !waitUntil(q.deadline, timer, f.closing) {
+				return
+			}
 			dst.mu.Lock()
 			h := dst.handler
 			closed := dst.closed
@@ -199,10 +216,15 @@ func (f *InProc) Endpoint(name string) (Endpoint, error) {
 	return ep, nil
 }
 
-// Close tears the fabric down and waits for in-flight deliveries.
+// Close tears the fabric down and waits for its link workers. Frames
+// still in flight are dropped, not waited for: a worker sleeping
+// towards a frame's deadline is woken and exits. Idempotent.
 func (f *InProc) Close() {
 	f.mu.Lock()
-	f.closed = true
+	if !f.closed {
+		f.closed = true
+		close(f.closing)
+	}
 	eps := make([]*inprocEP, 0, len(f.endpoints))
 	for _, ep := range f.endpoints {
 		eps = append(eps, ep)

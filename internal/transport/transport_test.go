@@ -236,3 +236,43 @@ func TestInProcPairStateReleasedOnFabricClose(t *testing.T) {
 			len(f.free), len(f.links))
 	}
 }
+
+// Closing the fabric drops the frames in flight; it does not wait out
+// the latency of frames nobody will receive. Closing an endpoint is
+// different: what it sent before it detached still arrives.
+func TestInProcCloseDoesNotWaitOutLatency(t *testing.T) {
+	f := NewInProc(func(string, string) LinkParams { return LinkParams{Latency: 300 * time.Millisecond} })
+	a, _ := f.Endpoint("a")
+	b, _ := f.Endpoint("b")
+	var delivered atomic.Int32
+	b.SetHandler(func(Message) { delivered.Add(1) })
+	for i := 0; i < 3; i++ {
+		if err := a.Send("b", "k", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // the link worker is asleep towards the first deadline
+	start := time.Now()
+	f.Close()
+	f.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Close took %v with frames 300 ms from their deadline", took)
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d frames delivered by a closed fabric", n)
+	}
+
+	f = NewInProc(func(string, string) LinkParams { return LinkParams{Latency: 20 * time.Millisecond} })
+	defer f.Close()
+	a, _ = f.Endpoint("a")
+	b, _ = f.Endpoint("b")
+	got := make(chan Message, 1)
+	b.SetHandler(func(m Message) { got <- m })
+	a.Send("b", "last words", nil)
+	a.Close()
+	select {
+	case <-got:
+	case <-time.After(time.Second):
+		t.Fatal("a frame sent before its sender's endpoint closed never arrived")
+	}
+}

@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -103,16 +104,23 @@ func BenchmarkLocalStealRoundTrip(b *testing.B) {
 }
 
 // tfibCut is fib with a sequential cutoff: subtrees of N <= Cutoff are
-// computed inline, so a task is a few microseconds of real work (the
-// shape of apps.Fib, which this package cannot import).
-type tfibCut struct{ N, Cutoff int }
+// computed inline, so a task is a few microseconds of real work, or
+// Delay of sleep where that is set (the shape of apps.Fib and its
+// LeafDelay, which this package cannot import).
+type tfibCut struct {
+	N, Cutoff int
+	Delay     time.Duration
+}
 
 func (f tfibCut) Execute(ctx *Context) (any, error) {
 	if f.N <= f.Cutoff {
+		if f.Delay > 0 {
+			time.Sleep(f.Delay)
+		}
 		return fibLeaves(f.N), nil
 	}
-	a := ctx.Spawn(tfibCut{N: f.N - 1, Cutoff: f.Cutoff})
-	b := ctx.Spawn(tfibCut{N: f.N - 2, Cutoff: f.Cutoff})
+	a := ctx.Spawn(tfibCut{N: f.N - 1, Cutoff: f.Cutoff, Delay: f.Delay})
+	b := ctx.Spawn(tfibCut{N: f.N - 2, Cutoff: f.Cutoff, Delay: f.Delay})
 	if err := ctx.Sync(); err != nil {
 		return nil, err
 	}
@@ -121,34 +129,65 @@ func (f tfibCut) Execute(ctx *Context) (any, error) {
 
 func init() { Register(tfibCut{}) }
 
-// BenchmarkFibTwoNodes runs fib(27) with cutoff 12 (3,193 tasks of
-// about 0.5 µs each plus their leaves) from one node of a two-node
-// cluster over the default links. Each op starts with the second node
-// idle, so it times the whole idle path: the wake frame, the steal
-// round trips, the result chain back at the end. steals/op counts the
-// jobs that changed nodes.
-func BenchmarkFibTwoNodes(b *testing.B) {
-	g, err := NewGrid(GridConfig{Clusters: []ClusterSpec{{Name: "c0", Nodes: 2}}})
+// benchFibGrid runs task from the first node of a grid of clusters x
+// nodesPer nodes over the default links. Each op starts with every
+// other node idle, so it times the whole idle path: the wake frame, the
+// steal round trips, the result chain back at the end. steals/op counts
+// the jobs that changed nodes.
+func benchFibGrid(b *testing.B, clusters, nodesPer int, task tfibCut) {
+	var cfg GridConfig
+	for c := 0; c < clusters; c++ {
+		cfg.Clusters = append(cfg.Clusters, ClusterSpec{Name: ClusterID(fmt.Sprintf("c%d", c)), Nodes: nodesPer})
+	}
+	g, err := NewGrid(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer g.Close()
-	nodes, err := g.StartNodes("c0", 2)
+	nodes, err := g.StartSpread(clusters * nodesPer)
 	if err != nil {
 		b.Fatal(err)
 	}
-	task, want := tfibCut{N: 27, Cutoff: 12}, fibLeaves(27)
+	want := fibLeaves(task.N)
 	if v, err := nodes[0].Run(task); err != nil || v != want { // warm up; membership settles
 		b.Fatalf("warm-up = %v, %v", v, err)
 	}
-	hits := func() int64 { return nodes[0].StealStats().Hits + nodes[1].StealStats().Hits }
+	hits := func() (n int64) {
+		for _, node := range nodes {
+			n += node.StealStats().Hits
+		}
+		return n
+	}
 	before := hits()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v, err := nodes[0].Run(task); err != nil || v != want {
-			b.Fatalf("fib(27) = %v, %v", v, err)
+			b.Fatalf("fib(%d) = %v, %v", task.N, v, err)
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 	b.ReportMetric(float64(hits()-before)/float64(b.N), "steals/op")
+}
+
+// BenchmarkFibTwoNodes runs fib(27) with cutoff 12 (3,193 tasks of
+// about 0.5 µs each plus their leaves) from one node of a two-node
+// cluster.
+func BenchmarkFibTwoNodes(b *testing.B) {
+	benchFibGrid(b, 1, 2, tfibCut{N: 27, Cutoff: 12})
+}
+
+// BenchmarkFibTwoClusters runs the adaptive job of the service
+// benchmark, fib(19) with cutoff 12 and 3 ms of sleep per leaf (34
+// leaves, 102 ms of work), on two clusters of one node each, and on the
+// three shapes that say what to expect of it: one node, two nodes of
+// one cluster, two clusters of two. A second node 10 ms away should buy
+// something; EXPERIMENTS.md "Two clusters of one node" has what it buys.
+func BenchmarkFibTwoClusters(b *testing.B) {
+	task := tfibCut{N: 19, Cutoff: 12, Delay: 3 * time.Millisecond}
+	for _, shape := range [][2]int{{2, 1}, {1, 1}, {1, 2}, {2, 2}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			benchFibGrid(b, shape[0], shape[1], task)
+		})
+	}
 }

@@ -238,7 +238,10 @@ func (g *Grid) SetClusterLoad(cluster ClusterID, factor float64) {
 	}
 }
 
-// StartNodes brings count nodes of one cluster into the computation.
+// StartNodes brings count nodes of one cluster into the computation, or
+// none when the cluster has fewer free. The nodes come back in ref
+// order; when some fail to start, the others stay up and are returned
+// with the first error.
 func (g *Grid) StartNodes(cluster ClusterID, count int) ([]*Node, error) {
 	refs := g.pool.AcquireN(cluster, count)
 	if len(refs) < count {
@@ -248,22 +251,67 @@ func (g *Grid) StartNodes(cluster ClusterID, count int) ([]*Node, error) {
 		return nil, fmt.Errorf("satin: cluster %s has only %d free nodes, need %d",
 			cluster, g.pool.FreeIn(cluster), count)
 	}
-	nodes := make([]*Node, 0, len(refs))
-	for i, ref := range refs {
-		n, err := g.startRef(ref)
-		if err != nil {
-			// Return the not-yet-started remainder of the batch to the
-			// pool; startRef released its own ref on failure.
-			for _, rest := range refs[i+1:] {
-				g.pool.Release(rest)
-			}
-			return nodes, err
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes, nil
+	return g.startAll(refs)
 }
 
+// StartSpread brings up to count nodes into the computation, taken one
+// at a time round-robin over the grid's clusters: an initial deployment
+// spreads evenly (a multi-cluster job should start multi-cluster), and
+// a pool that grants only part of the bid still makes progress. Which
+// cluster each node comes from is decided here, serially (a pool
+// operation costs a microsecond); the starts are one step. It returns
+// what StartNodes returns.
+func (g *Grid) StartSpread(count int) ([]*Node, error) {
+	var refs []sched.NodeRef
+	for progress := true; progress && len(refs) < count; {
+		progress = false
+		for _, c := range g.cfg.Clusters {
+			if len(refs) == count {
+				break
+			}
+			if got := g.pool.AcquireN(c.Name, 1); len(got) == 1 {
+				refs = append(refs, got[0])
+				progress = true
+			}
+		}
+	}
+	return g.startAll(refs)
+}
+
+// startAll is a deployment step: it starts every ref at once and waits
+// for all of them, so the step costs one registry join round trip over
+// the backbone however many nodes it brings in. Join order is whatever
+// the network makes it and is an input to nothing: every node's
+// membership view, and with it the master and each seeded victim
+// stream, is rebuilt in ID order. A ref that fails to start has been
+// released by startRef; the rest are returned in ref order with the
+// first error.
+func (g *Grid) startAll(refs []sched.NodeRef) ([]*Node, error) {
+	nodes := make([]*Node, len(refs))
+	errs := make([]error, len(refs))
+	var wg sync.WaitGroup
+	for i, ref := range refs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nodes[i], errs[i] = g.startRef(ref)
+		}()
+	}
+	wg.Wait()
+	started := nodes[:0]
+	var first error
+	for i, n := range nodes {
+		if errs[i] == nil {
+			started = append(started, n)
+		} else if first == nil {
+			first = errs[i]
+		}
+	}
+	return started, first
+}
+
+// startRef starts one node on an acquired ref and enters it in the
+// grid's books; on failure the ref goes back to the pool.
 func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	cfg := g.cfg.Node
 	cfg.ID = ref.Node
@@ -278,7 +326,7 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	n, err := StartNode(cfg)
 	if err != nil {
 		g.pool.Release(ref)
-		return nil, err
+		return nil, fmt.Errorf("satin: start of %s: %w", ref.Node, err)
 	}
 	n.onStop = func(stopped *Node) {
 		g.mu.Lock()
@@ -287,6 +335,13 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 		g.pool.Release(ref)
 	}
 	g.mu.Lock()
+	if g.closed {
+		// Close has taken its snapshot of g.nodes and will not see this
+		// one: stop it here, which releases the ref through onStop.
+		g.mu.Unlock()
+		n.Kill()
+		return nil, fmt.Errorf("satin: start of %s: grid closed", ref.Node)
+	}
 	if f := g.load[ref.Cluster]; f > 0 {
 		n.SetLoadFactor(f)
 	}
@@ -297,7 +352,8 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 
 // Provision implements the adaptation coordinator's "give me n nodes"
 // request with Zorilla-style locality: clusters already in use first,
-// in the scheduler's order (sched.LocalityOrder).
+// in the scheduler's order (sched.LocalityOrder). The grant is started
+// as one step and the call returns how many of it came up.
 // Clusters whose uplink is below the coordinator's learned minimum
 // bandwidth are never handed out (minBandwidth 0 = no bound).
 func (g *Grid) Provision(count int, minBandwidth float64, veto func(NodeID, ClusterID) bool) int {
@@ -308,13 +364,8 @@ func (g *Grid) Provision(count int, minBandwidth float64, veto func(NodeID, Clus
 	}
 	g.mu.Unlock()
 	refs := g.pool.RequestBandwidth(count, sched.LocalityOrder(per), veto, minBandwidth)
-	started := 0
-	for _, ref := range refs {
-		if _, err := g.startRef(ref); err == nil {
-			started++
-		}
-	}
-	return started
+	started, _ := g.startAll(refs)
+	return len(started)
 }
 
 // Node returns a live node by ID (nil if gone).
