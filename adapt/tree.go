@@ -15,7 +15,9 @@ import (
 
 // The live driver of the coordinator tree. The protocol — acks, resets,
 // missed-ack counting, election, successor seeding — is coord's tree.go;
-// this file gives it endpoints and a clock, and moves its frames.
+// this file gives it endpoints and a clock, and moves its frames. An
+// ack or a reset it sends carries the root kernel's shared requirements
+// snapshot; the wire only reads it, and what a sub decodes is its own.
 
 // failoverAfter is how many consecutive unacknowledged periods a
 // sub-coordinator tolerates before it stands for election.

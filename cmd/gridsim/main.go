@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"time"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/core"
@@ -93,7 +94,9 @@ func main() {
 		sc.Seed = *seed
 		fmt.Printf("=== scenario %s: %s (%s)\n", sc.ID, sc.Name, sc.Figure)
 		fmt.Printf("    %s\n", sc.Description)
+		t0 := time.Now()
 		out, err := expt.RunWith(sc, decorate)
+		wall := time.Since(t0).Seconds()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
 			os.Exit(1)
@@ -123,6 +126,12 @@ func main() {
 		})
 		fmt.Printf("    runtime: no-adapt %.0f s | adaptive %.0f s | monitor-only %.0f s | improvement %.0f%%\n",
 			na.Runtime, ad.Runtime, mo.Runtime, out.Improvement()*100)
+		var events uint64
+		for _, r := range out.Results {
+			events += r.Events
+		}
+		fmt.Printf("    simulated: %d events in %.2f s wall (%.2f M events/s, all variants)\n",
+			events, wall, float64(events)/wall/1e6)
 		if na.StreamCompleted > 0 {
 			// Streaming scenario: the figure of merit is end-to-end item
 			// latency against the SLO target, not runtime.

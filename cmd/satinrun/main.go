@@ -126,8 +126,10 @@ func main() {
 		_ = observe.Flush() // the deferred Close won't run on the os.Exit path
 		return 130
 	})
-	defer release()
 	<-j.Done()
+	// A drain cancels the job, which closes Done: release returns only
+	// if no drain began, so from here on the exit is main's alone.
+	release()
 
 	res := j.Result()
 	switch j.State() {

@@ -20,8 +20,9 @@ type Observation struct {
 	PerCluster          map[core.ClusterID]int
 }
 
-// NewObservation snapshots one tick; the requirement lists and the
-// census are copied so later mutation cannot corrupt the log.
+// NewObservation snapshots one tick: the requirement lists are the
+// read-only snapshots core.Requirements hands out and the census is
+// copied, so later mutation cannot corrupt the log.
 func NewObservation(rec coord.PeriodRecord, reqs *core.Requirements, perCluster map[core.ClusterID]int) Observation {
 	o := Observation{Record: rec}
 	if reqs != nil {

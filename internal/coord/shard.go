@@ -27,6 +27,7 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,7 +64,8 @@ type ReqState struct {
 // one cluster's smoothed statistics reduced to the aggregates the root
 // decision needs, plus the locally-worst eviction candidates. Its size
 // is O(1) + O(proposal cap) + O(peer clusters), independent of the
-// cluster's node count.
+// cluster's node count, plus the echoed requirements state, which is
+// O(blacklist).
 type ClusterSummary struct {
 	Cluster core.ClusterID
 	// Seq is the sub-kernel's monotone summary counter (dedup).
@@ -502,6 +504,9 @@ func (rk *RootKernel) epoch() uint64 {
 }
 
 // ReqState snapshots the learned requirements for acks and failover.
+// The lists are core.Requirements' shared snapshots: built when a fact
+// was added, not per call, and never written again, so every ack and
+// reset between two facts carries the same two slices.
 func (rk *RootKernel) ReqState() ReqState {
 	return ReqState{
 		Nodes:        rk.reqs.BlacklistedNodes(),
@@ -514,16 +519,24 @@ func (rk *RootKernel) ReqState() ReqState {
 // root re-bootstraps from its own cache and the caches riding on the
 // next round of summaries. Blacklists are monotone so the union never
 // regresses; under DisableBlacklist only the bandwidth bound merges.
+// An empty list (every flat-kernel summary) and a list equal to the
+// root's own snapshot teach it nothing and are skipped whole: the
+// latter is every echo a sub sends back in steady state, the same
+// strings the root handed out, so the compare is mostly pointer checks.
 func (rk *RootKernel) adoptReqState(st ReqState) {
 	if !rk.cfg.DisableBlacklist {
-		for _, n := range st.Nodes {
-			if !rk.reqs.NodeBlacklisted(n, "") {
-				rk.reqs.BlacklistNode(n, "failover-inherited")
+		if len(st.Nodes) > 0 && !slices.Equal(st.Nodes, rk.reqs.BlacklistedNodes()) {
+			for _, n := range st.Nodes {
+				if !rk.reqs.NodeBlacklisted(n, "") {
+					rk.reqs.BlacklistNode(n, "failover-inherited")
+				}
 			}
 		}
-		for _, c := range st.Clusters {
-			if !rk.reqs.ClusterBlacklisted(c) {
-				rk.reqs.BlacklistCluster(c, "failover-inherited")
+		if len(st.Clusters) > 0 && !slices.Equal(st.Clusters, rk.reqs.BlacklistedClusters()) {
+			for _, c := range st.Clusters {
+				if !rk.reqs.ClusterBlacklisted(c) {
+					rk.reqs.BlacklistCluster(c, "failover-inherited")
+				}
 			}
 		}
 	}

@@ -592,6 +592,28 @@ func BenchmarkRootKernelTick(b *testing.B) {
 	}
 }
 
+// BenchmarkRootReceive measures what answering one summary costs a root
+// that has learned a long blacklist: 40 clusters take turns, each
+// echoing the snapshot the root handed out with its last ack, as subs
+// do in steady state. The cost is what the root learned since the last
+// ack (here nothing), not the 2,000 evictions it knows.
+func BenchmarkRootReceive(b *testing.B) {
+	rk := blacklistedRoot(b, 2000)
+	sums := make([]ClusterSummary, 40)
+	for i := range sums {
+		sums[i] = benchSummary(i, 50, 8)
+		sums[i].Req = rk.ReqState()
+		rk.Receive(sums[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ack := rk.Receive(sums[i%len(sums)]); len(ack.Req.Nodes) != 2000 {
+			b.Fatalf("ack carries %d blacklisted nodes", len(ack.Req.Nodes))
+		}
+	}
+}
+
 // BenchmarkFlatKernelTick is the contrast arm: the one-process Kernel
 // summarizes every cluster inside its tick, O(nodes log nodes) with
 // per-node smoothing — the cost the sharded drivers move off the root.

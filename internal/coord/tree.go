@@ -125,7 +125,9 @@ func (l *SubLink) Pushed(r ShardReset) {
 // adopt caches the root's requirements and, when the epoch is newer
 // than the sub's, drops the stored reports and the smoothing window:
 // the root acted, so they describe the pre-action world. An older epoch
-// (a late ack) never takes the sub back.
+// (a late ack) never takes the sub back. The cache keeps the ack's
+// slices, not a copy: where no wire sits in between (the DES) they are
+// the root's own snapshot, which nobody writes after it was handed out.
 func (l *SubLink) adopt(epoch uint64, req ReqState) {
 	l.req = req
 	if epoch > l.epoch {
@@ -183,7 +185,9 @@ func (l *SubLink) Promote(cfg Config, act Actuator) (*RootKernel, error) {
 
 // Receive is the root's side of one summary: ingest it and answer with
 // the receipt — for a stale-epoch summary too, because the ack's epoch
-// is how a lagging or restarted sub catches up.
+// is how a lagging or restarted sub catches up. The ack shares the
+// root's requirements snapshot: its cost is what the root learned since
+// the last one, not the size of what it knows.
 func (rk *RootKernel) Receive(sum ClusterSummary) SummaryAck {
 	rk.Ingest(sum)
 	return SummaryAck{

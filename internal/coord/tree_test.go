@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -264,6 +265,113 @@ func TestTreeProtocolScripts(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.script(t, newTreeScript(t)) })
+	}
+}
+
+// blacklistedRoot is a root that has learned n node evictions, one
+// cluster eviction and a bandwidth bound.
+func blacklistedRoot(tb testing.TB, n int) *RootKernel {
+	tb.Helper()
+	ecfg := core.DefaultConfig()
+	rk, err := NewRoot(Config{Engine: &ecfg}, &scriptedActuator{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rk.reqs.BlacklistNode(core.NodeID(fmt.Sprintf("c%02d/%04d", i%40, i)), "evicted")
+	}
+	rk.reqs.BlacklistCluster("bad", "evicted")
+	rk.reqs.LearnMinBandwidth(1e5)
+	return rk
+}
+
+// An ack costs what the root learned since the last one: answering a
+// sub's steady-state summary (which echoes the snapshot the root handed
+// out) allocates nothing, whether the root knows 10 evictions or 2,000,
+// and every ack between two facts carries the same snapshot.
+func TestReceiveAllocsDoNotGrowWithBlacklist(t *testing.T) {
+	for _, n := range []int{10, 2000} {
+		rk := blacklistedRoot(t, n)
+		sum := ClusterSummary{Cluster: "c00", Seq: 1, Time: 1, Nodes: 1, Req: rk.ReqState()}
+		first := rk.Receive(sum)
+		if len(first.Req.Nodes) != n {
+			t.Fatalf("ack carries %d blacklisted nodes, want %d", len(first.Req.Nodes), n)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { rk.Receive(sum) }); allocs != 0 {
+			t.Errorf("Receive with %d nodes blacklisted allocates %.1f per summary, want 0", n, allocs)
+		}
+		if again := rk.Receive(sum); &again.Req.Nodes[0] != &first.Req.Nodes[0] {
+			t.Errorf("two acks with nothing learned in between carry different snapshots (%d nodes)", n)
+		}
+	}
+}
+
+// A state equal to the root's own snapshot teaches it nothing: no fact
+// is added, no reason rewritten, and the snapshot is not rebuilt. The
+// equal state is a copy, as off the wire, not the root's own slices.
+func TestAdoptEqualSnapshotIsNoOp(t *testing.T) {
+	rk := blacklistedRoot(t, 50)
+	own := rk.ReqState()
+	echo := ReqState{
+		Nodes:        append([]core.NodeID(nil), own.Nodes...),
+		Clusters:     append([]core.ClusterID(nil), own.Clusters...),
+		MinBandwidth: own.MinBandwidth,
+	}
+	rk.adoptReqState(echo)
+	rk.adoptReqState(ReqState{})
+	after := rk.ReqState()
+	if &after.Nodes[0] != &own.Nodes[0] || &after.Clusters[0] != &own.Clusters[0] || after.MinBandwidth != 1e5 {
+		t.Fatalf("adopting an equal state changed the root's: %d nodes, %v, bw %v",
+			len(after.Nodes), after.Clusters, after.MinBandwidth)
+	}
+	if why := rk.reqs.BlacklistReason(own.Nodes[0], ""); why != "evicted" {
+		t.Errorf("reason of a known node is now %q", why)
+	}
+}
+
+// Failover's union-merge: a strict superset adds exactly what the root
+// did not know, as inherited facts, and leaves what it knew alone.
+func TestAdoptSupersetSnapshotAddsTheDifference(t *testing.T) {
+	rk := blacklistedRoot(t, 3)
+	own := rk.ReqState()
+	super := ReqState{
+		Nodes:        append([]core.NodeID{"a/new"}, own.Nodes...), // order on the wire is the sender's
+		Clusters:     append([]core.ClusterID{"worse"}, own.Clusters...),
+		MinBandwidth: 3e5,
+	}
+	rk.adoptReqState(super)
+	got := rk.ReqState()
+	wantNodes := append([]core.NodeID{"a/new"}, own.Nodes...)
+	if !reflect.DeepEqual(got.Nodes, wantNodes) || !reflect.DeepEqual(got.Clusters, []core.ClusterID{"bad", "worse"}) || got.MinBandwidth != 3e5 {
+		t.Fatalf("after the merge: %v %v bw %v", got.Nodes, got.Clusters, got.MinBandwidth)
+	}
+	if len(own.Nodes) != 3 || len(own.Clusters) != 1 {
+		t.Fatalf("the merge wrote into a snapshot already handed out: %v %v", own.Nodes, own.Clusters)
+	}
+	for node, want := range map[core.NodeID]string{"a/new": "failover-inherited", own.Nodes[0]: "evicted"} {
+		if why := rk.reqs.BlacklistReason(node, ""); why != want {
+			t.Errorf("reason of %s = %q, want %q", node, why, want)
+		}
+	}
+	for cluster, want := range map[core.ClusterID]string{"worse": "failover-inherited", "bad": "evicted"} {
+		if why := rk.reqs.BlacklistReason("", cluster); why != want {
+			t.Errorf("reason of cluster %s = %q, want %q", cluster, why, want)
+		}
+	}
+}
+
+// Under DisableBlacklist a snapshot still merges its bandwidth bound,
+// and only that.
+func TestAdoptSnapshotUnderDisableBlacklist(t *testing.T) {
+	ecfg := core.DefaultConfig()
+	rk, err := NewRoot(Config{Engine: &ecfg, DisableBlacklist: true}, &scriptedActuator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk.adoptReqState(ReqState{Nodes: []core.NodeID{"a/01"}, Clusters: []core.ClusterID{"a"}, MinBandwidth: 2e5})
+	got := rk.ReqState()
+	if len(got.Nodes) != 0 || len(got.Clusters) != 0 || got.MinBandwidth != 2e5 {
+		t.Fatalf("merged %v %v bw %v, want the bandwidth bound alone", got.Nodes, got.Clusters, got.MinBandwidth)
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -12,7 +12,8 @@ import (
 //
 //   - removed resources are blacklisted so the scheduler does not hand
 //     them straight back (the paper notes this is conservative — a link
-//     may recover — which is why entries can be expired);
+//     may recover — and so does this: an entry never leaves, which is
+//     what lets coordinators union-merge blacklists and share snapshots);
 //   - every time a cluster is evacuated for insufficient uplink
 //     bandwidth, the estimated bandwidth to that cluster becomes a new
 //     lower bound on the bandwidth the application requires.
@@ -24,6 +25,15 @@ type Requirements struct {
 
 	blackNodes    map[NodeID]string    // node -> reason
 	blackClusters map[ClusterID]string // cluster -> reason
+
+	// nodeSnap and clusterSnap are the sorted key sets of the two maps,
+	// built by the first read after a new fact was added (nil = stale)
+	// and handed out as they are until the next one. A snapshot is
+	// never written again once built: acks, resets, the subs' caches
+	// and stored summaries all alias it, so a new fact makes a new
+	// slice instead of appending in place.
+	nodeSnap    []NodeID
+	clusterSnap []ClusterID
 
 	// minBandwidth is the learned lower bound in bytes/second; zero
 	// means nothing learned yet.
@@ -39,9 +49,13 @@ func NewRequirements() *Requirements {
 }
 
 // BlacklistNode records that node was removed and must not be re-added.
+// Re-blacklisting a known node updates its reason and nothing else.
 func (r *Requirements) BlacklistNode(id NodeID, reason string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, known := r.blackNodes[id]; !known {
+		r.nodeSnap = nil
+	}
 	r.blackNodes[id] = reason
 }
 
@@ -49,6 +63,9 @@ func (r *Requirements) BlacklistNode(id NodeID, reason string) {
 func (r *Requirements) BlacklistCluster(id ClusterID, reason string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, known := r.blackClusters[id]; !known {
+		r.clusterSnap = nil
+	}
 	r.blackClusters[id] = reason
 }
 
@@ -61,6 +78,17 @@ func (r *Requirements) NodeBlacklisted(node NodeID, cluster ClusterID) bool {
 	}
 	_, ok := r.blackClusters[cluster]
 	return ok
+}
+
+// BlacklistReason says why NodeBlacklisted bans the node: the reason
+// recorded for the node itself, else the one for its cluster, else "".
+func (r *Requirements) BlacklistReason(node NodeID, cluster ClusterID) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if why, ok := r.blackNodes[node]; ok {
+		return why
+	}
+	return r.blackClusters[cluster]
 }
 
 // ClusterBlacklisted reports whether the cluster is banned.
@@ -93,27 +121,37 @@ func (r *Requirements) MinBandwidth() float64 {
 	return r.minBandwidth
 }
 
-// BlacklistedNodes returns the banned node IDs in sorted order.
+// BlacklistedNodes returns the banned node IDs in sorted order. The
+// slice is a snapshot shared with every other reader since the last
+// new fact: callers must not modify it, and nothing learned later
+// shows through it.
 func (r *Requirements) BlacklistedNodes() []NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]NodeID, 0, len(r.blackNodes))
-	for n := range r.blackNodes {
-		out = append(out, n)
+	if r.nodeSnap == nil {
+		r.nodeSnap = sortedKeys(r.blackNodes)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return r.nodeSnap
 }
 
-// BlacklistedClusters returns the banned cluster IDs in sorted order.
+// BlacklistedClusters returns the banned cluster IDs in sorted order,
+// as a shared snapshot like BlacklistedNodes'.
 func (r *Requirements) BlacklistedClusters() []ClusterID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]ClusterID, 0, len(r.blackClusters))
-	for c := range r.blackClusters {
-		out = append(out, c)
+	if r.clusterSnap == nil {
+		r.clusterSnap = sortedKeys(r.blackClusters)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return r.clusterSnap
+}
+
+// sortedKeys returns m's keys in a new, sorted, non-nil slice.
+func sortedKeys[K ~string](m map[K]string) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
 	return out
 }
 

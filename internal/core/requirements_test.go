@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +77,112 @@ func TestRequirementsConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := len(r.BlacklistedNodes()); n != 8 {
 		t.Errorf("got %d blacklisted nodes, want 8", n)
+	}
+}
+
+// A snapshot handed out is never written again: acks, resets and the
+// subs' caches alias it, so a later fact must show up in a new slice.
+func TestSnapshotSurvivesLaterFacts(t *testing.T) {
+	r := NewRequirements()
+	r.BlacklistNode("a", "x")
+	r.BlacklistNode("c", "x")
+	r.BlacklistCluster("k2", "x")
+	nodes, clusters := r.BlacklistedNodes(), r.BlacklistedClusters()
+	r.BlacklistNode("b", "x")
+	r.BlacklistCluster("k1", "x")
+	if !slices.Equal(nodes, []NodeID{"a", "c"}) || !slices.Equal(clusters, []ClusterID{"k2"}) {
+		t.Fatalf("snapshots taken before the new facts now read %v %v", nodes, clusters)
+	}
+	if got := r.BlacklistedNodes(); !slices.Equal(got, []NodeID{"a", "b", "c"}) {
+		t.Errorf("BlacklistedNodes = %v, want [a b c]", got)
+	}
+	if got := r.BlacklistedClusters(); !slices.Equal(got, []ClusterID{"k1", "k2"}) {
+		t.Errorf("BlacklistedClusters = %v, want [k1 k2]", got)
+	}
+	if empty := NewRequirements().BlacklistedNodes(); empty == nil || len(empty) != 0 {
+		t.Errorf("empty snapshot = %#v, want empty and non-nil", empty)
+	}
+}
+
+// With nothing new learned a read is the snapshot the last read got:
+// same backing array, no sort, no allocation. A known node blacklisted
+// again is nothing new (its reason is updated, the snapshot stays).
+func TestSnapshotSharedUntilNewFact(t *testing.T) {
+	r := NewRequirements()
+	for i := 0; i < 2000; i++ {
+		r.BlacklistNode(NodeID(fmt.Sprintf("n%04d", i)), "x")
+	}
+	r.BlacklistCluster("k", "x")
+	nodes, clusters := r.BlacklistedNodes(), r.BlacklistedClusters()
+	if !slices.IsSorted(nodes) || len(nodes) != 2000 {
+		t.Fatalf("snapshot of %d nodes, sorted=%v", len(nodes), slices.IsSorted(nodes))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.BlacklistedNodes()
+		r.BlacklistedClusters()
+	}); allocs != 0 {
+		t.Errorf("reading the snapshots allocates %.1f per run, want 0", allocs)
+	}
+	r.BlacklistNode("n0007", "again")
+	r.BlacklistCluster("k", "again")
+	if why := r.BlacklistReason("n0007", ""); why != "again" {
+		t.Errorf("reason after re-blacklisting = %q, want the new one", why)
+	}
+	if again := r.BlacklistedNodes(); &again[0] != &nodes[0] {
+		t.Error("re-blacklisting a known node rebuilt the node snapshot")
+	}
+	if again := r.BlacklistedClusters(); &again[0] != &clusters[0] {
+		t.Error("re-blacklisting a known cluster rebuilt the cluster snapshot")
+	}
+	r.BlacklistNode("zzz", "x")
+	if fresh := r.BlacklistedNodes(); &fresh[0] == &nodes[0] || len(fresh) != 2001 || len(nodes) != 2000 {
+		t.Errorf("a new fact must build a new snapshot: %d entries (old one %d), same array=%v",
+			len(fresh), len(nodes), &fresh[0] == &nodes[0])
+	}
+}
+
+// One writer, several readers walking whatever snapshot they got: under
+// -race this is the proof that a handed-out snapshot is never written.
+func TestSnapshotConcurrentReaders(t *testing.T) {
+	r := NewRequirements()
+	const facts = 500
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for {
+				nodes := r.BlacklistedNodes()
+				if !slices.IsSorted(nodes) || len(nodes) < last {
+					t.Errorf("snapshot of %d after one of %d, sorted=%v", len(nodes), last, slices.IsSorted(nodes))
+					return
+				}
+				last = len(nodes)
+				for _, c := range r.BlacklistedClusters() {
+					if !r.ClusterBlacklisted(c) {
+						t.Errorf("cluster %s in the snapshot, not in the set", c)
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < facts; i++ {
+		r.BlacklistNode(NodeID(fmt.Sprintf("n%03d", (i*7)%facts)), "x")
+		if i%50 == 0 {
+			r.BlacklistCluster(ClusterID(fmt.Sprintf("k%02d", i/50)), "x")
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(r.BlacklistedNodes()); n != facts {
+		t.Errorf("%d nodes blacklisted, want %d", n, facts)
 	}
 }
 

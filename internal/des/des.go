@@ -332,6 +332,11 @@ type Result struct {
 	// PeakNodes is the maximum concurrently live node count.
 	PeakNodes int
 
+	// Events is the number of simulation events the run fired: the
+	// simulator's own measure of the work a run was, whatever its
+	// virtual length (divide by wall time for events per second).
+	Events uint64
+
 	// Learned requirements (adaptive runs).
 	MinBandwidth        float64
 	BlacklistedClusters []core.ClusterID
@@ -371,20 +376,6 @@ func (r *Result) MeanIterDuration(from, to int) float64 {
 		sum += it.Duration
 	}
 	return sum / float64(to-from)
-}
-
-// MaxIterDuration returns the longest iteration in [from, to).
-func (r *Result) MaxIterDuration(from, to int) float64 {
-	if to > len(r.Iterations) {
-		to = len(r.Iterations)
-	}
-	max := 0.0
-	for i := from; i >= 0 && i < to; i++ {
-		if d := r.Iterations[i].Duration; d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // BenchOverhead is the fraction of all node time spent benchmarking —

@@ -14,7 +14,10 @@ import (
 // cost is O(clusters) however many nodes the world holds. The protocol
 // (acks, resets, missed-ack counting, election, successor seeding) is
 // coord's tree.go; this file moves its messages with network latency in
-// virtual time and decides which of them a crash swallows.
+// virtual time and decides which of them a crash swallows. Messages
+// travel as Go values, so a summary's, an ack's and a reset's
+// requirements lists are the root's own snapshot slices, shared and
+// read-only, all the way into the subs' caches and back.
 
 // desSub is one cluster's sub-coordinator.
 type desSub struct {

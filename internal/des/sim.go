@@ -211,6 +211,7 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 		s.startIteration()
 	}
 	s.k.Run()
+	s.res.Events = s.k.Fired()
 
 	// Finalise accounting for nodes still alive.
 	for _, n := range s.order {

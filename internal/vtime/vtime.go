@@ -18,7 +18,6 @@ type Time float64
 // Timer is a handle to a scheduled event; it can be cancelled, and
 // scheduled again with Reset.
 type Timer struct {
-	at        Time
 	fn        func()
 	cancelled bool
 	index     int  // heap index, -1 while not in the queue
@@ -43,8 +42,7 @@ func (t *Timer) Cancel() {
 func (t *Timer) Reset(d float64) {
 	t.Cancel()
 	t.cancelled = false
-	t.at = t.owner.now + Time(d)
-	t.owner.post(t.at, t.fn, t)
+	t.owner.post(t.owner.now+Time(d), t.fn, t)
 }
 
 // Pending reports whether the timer is scheduled and has yet to fire.
@@ -52,9 +50,6 @@ func (t *Timer) Pending() bool { return t.index >= 0 }
 
 // Cancelled reports whether Cancel was called.
 func (t *Timer) Cancelled() bool { return t.cancelled }
-
-// When returns the virtual time the event is scheduled for.
-func (t *Timer) When() Time { return t.at }
 
 // eventHeap is a binary min-heap on (at, seq). The key sits in the
 // slot next to the callback, so sifting compares without following a
@@ -158,6 +153,7 @@ type Sim struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
+	fired   uint64
 	rng     *rand.Rand
 	stopped bool
 }
@@ -177,7 +173,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // panics: it would silently reorder causality.
 func (s *Sim) At(t Time, fn func()) *Timer {
 	ev := s.NewTimer(fn)
-	ev.at = t
 	s.post(t, fn, ev)
 	return ev
 }
@@ -216,6 +211,11 @@ func (s *Sim) After(d float64, fn func()) *Timer {
 // events leave the queue at Cancel time, so this is O(1).
 func (s *Sim) Pending() int { return len(s.events) }
 
+// Fired returns how many events have run so far: the simulator's own
+// count of the work it did, from which a caller with a wall clock gets
+// events per second.
+func (s *Sim) Fired() uint64 { return s.fired }
+
 // Step executes the next event, advancing the clock. It returns false
 // when the queue is empty (a cancelled event left it at Cancel time).
 func (s *Sim) Step() bool {
@@ -224,6 +224,7 @@ func (s *Sim) Step() bool {
 	}
 	ev := s.events.remove(0)
 	s.now = ev.time()
+	s.fired++
 	ev.fn()
 	return true
 }
@@ -235,20 +236,5 @@ func (s *Sim) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to
-// t (if it is ahead of the last event).
-func (s *Sim) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.events) == 0 || s.events[0].time() > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// Stop makes the innermost Run/RunUntil return after the current event.
+// Stop makes Run return after the current event.
 func (s *Sim) Stop() { s.stopped = true }

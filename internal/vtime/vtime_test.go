@@ -62,9 +62,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if tm.When() != 1 {
-		t.Errorf("When() = %v", tm.When())
-	}
 }
 
 func TestPendingCountsLiveEvents(t *testing.T) {
@@ -93,38 +90,23 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.Run()
 }
 
-func TestRunUntil(t *testing.T) {
+// Fired counts the events that ran: a cancelled one never does, and a
+// Run resumed after Stop keeps counting.
+func TestFiredCountsEventsRun(t *testing.T) {
 	s := New(1)
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
+	s.At(1, func() { s.Stop() })
+	s.At(2, func() {}).Cancel()
+	s.PostAt(3, func() { s.Post(1, func() {}) })
+	if s.Fired() != 0 {
+		t.Fatalf("Fired = %d before Run", s.Fired())
 	}
-	s.RunUntil(3)
-	if len(fired) != 3 {
-		t.Fatalf("RunUntil(3) fired %v", fired)
+	s.Run()
+	if s.Fired() != 1 {
+		t.Fatalf("Fired = %d at Stop, want 1", s.Fired())
 	}
-	if s.Now() != 3 {
-		t.Errorf("clock = %v, want 3", s.Now())
-	}
-	s.RunUntil(10)
-	if len(fired) != 5 {
-		t.Fatalf("remaining events not fired: %v", fired)
-	}
-	if s.Now() != 10 {
-		t.Errorf("clock should advance to 10 even past last event, got %v", s.Now())
-	}
-}
-
-func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	s := New(1)
-	a := s.At(1, func() {})
-	fired := false
-	s.At(2, func() { fired = true })
-	a.Cancel()
-	s.RunUntil(2)
-	if !fired {
-		t.Error("event behind a cancelled head did not fire")
+	s.Run()
+	if s.Fired() != 3 {
+		t.Fatalf("Fired = %d, want 3 (the cancelled event never ran)", s.Fired())
 	}
 }
 
@@ -283,8 +265,8 @@ func TestResetReusesAFiredOrCancelledTimer(t *testing.T) {
 		t.Fatal("a new timer is not scheduled")
 	}
 	tm.Reset(5)
-	if !tm.Pending() || tm.When() != 5 {
-		t.Fatalf("after Reset(5): pending=%v when=%v", tm.Pending(), tm.When())
+	if !tm.Pending() {
+		t.Fatal("after Reset(5): not pending")
 	}
 	tm.Reset(2) // replaces the schedule, does not add one
 	s.Run()
