@@ -8,6 +8,7 @@ package expt
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -72,25 +73,46 @@ func Run(sc Scenario, variants ...Variant) (*Outcome, error) {
 }
 
 // RunWith executes like Run but lets the caller decorate each
-// variant's simulator parameters just before the run — observability
+// variant's simulator parameters before the runs — observability
 // hooks, recorders — without the scenario definitions knowing about
 // them (gridsim uses this to put the recorder's clock on the
 // simulator's virtual-time axis).
+//
+// The variants are independent simulations, so they run side by side,
+// one goroutine each. decorate is called once per variant, in variant
+// order, before any of them starts; a hook it installs (des.Params'
+// Observe) runs on its variant's goroutine, so hooks of different
+// variants may run concurrently. Each result is as deterministic as a
+// run on its own. An error is the first in variant order, returned once
+// every variant has finished.
 func RunWith(sc Scenario, decorate func(v Variant, p *des.Params), variants ...Variant) (*Outcome, error) {
 	if len(variants) == 0 {
 		variants = []Variant{NoAdapt, Adaptive, MonitorOnly}
 	}
-	out := &Outcome{Scenario: sc, Results: make(map[Variant]*des.Result, len(variants))}
-	for _, v := range variants {
-		p := sc.Build(v, sc.Seed)
+	params := make([]des.Params, len(variants))
+	for i, v := range variants {
+		params[i] = sc.Build(v, sc.Seed)
 		if decorate != nil {
-			decorate(v, &p)
+			decorate(v, &params[i])
 		}
-		res, err := des.Run(p)
-		if err != nil {
-			return nil, fmt.Errorf("expt: scenario %s variant %s: %w", sc.ID, v, err)
+	}
+	results := make([]*des.Result, len(variants))
+	errs := make([]error, len(variants))
+	var wg sync.WaitGroup
+	for i := range params {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = des.Run(params[i])
+		}()
+	}
+	wg.Wait()
+	out := &Outcome{Scenario: sc, Results: make(map[Variant]*des.Result, len(variants))}
+	for i, v := range variants {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("expt: scenario %s variant %s: %w", sc.ID, v, errs[i])
 		}
-		out.Results[v] = res
+		out.Results[v] = results[i]
 	}
 	return out, nil
 }

@@ -1,9 +1,14 @@
 package expt
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/des"
+	"repro/internal/trace"
 )
 
 func TestAllScenariosWellFormed(t *testing.T) {
@@ -235,5 +240,106 @@ func TestScenario9LoadAwareBenchmarking(t *testing.T) {
 	if ao.Results[MonitorOnly].BenchSec >= po.Results[MonitorOnly].BenchSec {
 		t.Errorf("bench time not reduced: %.0f vs %.0f",
 			ao.Results[MonitorOnly].BenchSec, po.Results[MonitorOnly].BenchSec)
+	}
+}
+
+// The variants of a scenario simulate side by side, and each must come
+// out exactly as it does run alone: the same period log (rendered
+// through trace, as gridsim and replay print it), runtime, event count
+// and iteration series, for every scenario and variant. decorate runs
+// once per variant, in variant order, on the caller's goroutine before
+// any simulation starts, and no goroutine outlives RunWith.
+func TestRunWithMatchesSequential(t *testing.T) {
+	variants := []Variant{NoAdapt, Adaptive, MonitorOnly}
+	for _, sc := range All() {
+		sc.Seed = 1
+		base := runtime.NumGoroutine()
+		var calls []Variant
+		decorate := func(v Variant, p *des.Params) {
+			calls = append(calls, v)
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("scenario %s: decorate(%s) ran beside %d new goroutines: a simulation had started", sc.ID, v, n-base)
+			}
+			shorten(p)
+		}
+		out, err := RunWith(sc, decorate, variants...)
+		if err != nil {
+			t.Fatalf("scenario %s: %v", sc.ID, err)
+		}
+		settleGoroutines(t, base, "scenario "+sc.ID)
+		if !slices.Equal(calls, variants) {
+			t.Errorf("scenario %s: decorate called for %v, want %v", sc.ID, calls, variants)
+		}
+		for _, v := range variants {
+			p := sc.Build(v, sc.Seed)
+			shorten(&p)
+			want, err := des.Run(p)
+			if err != nil {
+				t.Fatalf("scenario %s variant %s alone: %v", sc.ID, v, err)
+			}
+			got := out.Results[v]
+			if got.Runtime != want.Runtime || got.Events != want.Events || got.Completed != want.Completed {
+				t.Errorf("scenario %s variant %s: runtime %v, %d events, completed %v; alone %v, %d, %v",
+					sc.ID, v, got.Runtime, got.Events, got.Completed, want.Runtime, want.Events, want.Completed)
+			}
+			if !slices.Equal(got.Iterations, want.Iterations) {
+				t.Errorf("scenario %s variant %s: iteration series differs from the run alone", sc.ID, v)
+			}
+			if g, w := periodLog(got), periodLog(want); g != w {
+				t.Errorf("scenario %s variant %s: period log\n%s\nalone\n%s", sc.ID, v, g, w)
+			}
+		}
+	}
+}
+
+// shorten stops a run at virtual second 200: past the first
+// coordinator period (the sixth of the streaming scenario) and the
+// injections of scenarios 4, 5, 5x and 10, at a fifth of the wall time
+// of the whole runs, which the race detector makes about eighteen
+// times slower.
+func shorten(p *des.Params) { p.MaxTime = 200 }
+
+func periodLog(r *des.Result) string {
+	var b strings.Builder
+	trace.WritePeriods(&b, r.Periods)
+	return b.String()
+}
+
+// A variant that fails validation is named with its scenario, the
+// first failure in variant order is the one reported, and it comes
+// back only after the variants that did run have finished.
+func TestRunWithReportsFailedVariant(t *testing.T) {
+	one, _ := ByID("1")
+	sc := Scenario{ID: "broken", Seed: 1, Build: func(v Variant, seed int64) des.Params {
+		p := one.Build(v, seed)
+		shorten(&p)
+		if v != NoAdapt {
+			p.Initial = nil
+		}
+		return p
+	}}
+	base := runtime.NumGoroutine()
+	out, err := RunWith(sc, nil, NoAdapt, MonitorOnly, Adaptive)
+	if out != nil || err == nil {
+		t.Fatalf("RunWith = %v, %v; want an error", out, err)
+	}
+	if want := "expt: scenario broken variant monitor-only: des: empty initial allocation"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	settleGoroutines(t, base, "after a failed RunWith")
+}
+
+// settleGoroutines waits for the goroutine count to come down to want:
+// a goroutine that has signalled its WaitGroup may take a moment to
+// exit.
+func settleGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines %s, want at most %d:\n%s", runtime.NumGoroutine(), when, want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

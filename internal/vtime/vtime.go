@@ -18,10 +18,9 @@ type Time float64
 // Timer is a handle to a scheduled event; it can be cancelled, and
 // scheduled again with Reset.
 type Timer struct {
-	fn        func()
-	cancelled bool
-	index     int  // heap index, -1 while not in the queue
-	owner     *Sim // for indexed removal on Cancel
+	fn    func()
+	index int  // heap index, -1 while not in the queue
+	owner *Sim // for indexed removal on Cancel
 }
 
 // Cancel prevents the event from firing and removes it from the queue
@@ -29,7 +28,6 @@ type Timer struct {
 // long-running simulations with heavy timer churn. Safe to call
 // multiple times and after the event fired (then it is a no-op).
 func (t *Timer) Cancel() {
-	t.cancelled = true
 	if t.owner != nil && t.index >= 0 {
 		t.owner.events.remove(t.index)
 	}
@@ -41,15 +39,11 @@ func (t *Timer) Cancel() {
 // leaf, its next retry) needs one Timer for the whole run.
 func (t *Timer) Reset(d float64) {
 	t.Cancel()
-	t.cancelled = false
 	t.owner.post(t.owner.now+Time(d), t.fn, t)
 }
 
 // Pending reports whether the timer is scheduled and has yet to fire.
 func (t *Timer) Pending() bool { return t.index >= 0 }
-
-// Cancelled reports whether Cancel was called.
-func (t *Timer) Cancelled() bool { return t.cancelled }
 
 // eventHeap is a binary min-heap on (at, seq). The key sits in the
 // slot next to the callback, so sifting compares without following a
@@ -57,6 +51,15 @@ func (t *Timer) Cancelled() bool { return t.cancelled }
 // container/heap's interface: the queue is the hot loop of every
 // simulation. (at, seq) is a total order, so the firing order does not
 // depend on the heap's shape.
+//
+// Almost every event posts a successor, so an event that fires keeps
+// its slot at the root until its callback returns (Sim.spent): the
+// first event the callback posts takes the slot over and sifts down
+// from there, which costs one sift per event where a pop and a push
+// cost two. The spent event is the queue's minimum (the current time,
+// the lowest sequence at that time), so a removal during the callback
+// never sifts past it, and the order the rest of the queue fires in
+// is the same as if it had left first.
 type eventHeap []event
 
 type event struct {
@@ -152,6 +155,7 @@ func (h *eventHeap) remove(i int) event {
 type Sim struct {
 	now     Time
 	events  eventHeap
+	spent   bool // events[0] is the firing event, which the next post overwrites
 	seq     uint64
 	fired   uint64
 	rng     *rand.Rand
@@ -169,9 +173,8 @@ func (s *Sim) Now() Time { return s.now }
 // Rand returns the kernel's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn to run at virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (s *Sim) At(t Time, fn func()) *Timer {
+// at schedules fn to run at virtual time t and returns its handle.
+func (s *Sim) at(t Time, fn func()) *Timer {
 	ev := s.NewTimer(fn)
 	s.post(t, fn, ev)
 	return ev
@@ -183,33 +186,38 @@ func (s *Sim) NewTimer(fn func()) *Timer {
 	return &Timer{fn: fn, index: -1, owner: s}
 }
 
-// PostAt schedules fn at virtual time t like At, without a handle: the
-// event cannot be cancelled and costs no allocation of its own. It
-// takes its turn in the same FIFO order as At's events.
+// PostAt schedules fn at virtual time t without a handle: the event
+// cannot be cancelled and costs no allocation of its own. It takes its
+// turn in the same FIFO order as After's events.
 func (s *Sim) PostAt(t Time, fn func()) { s.post(t, fn, nil) }
 
 // Post is PostAt d virtual seconds from now.
 func (s *Sim) Post(d float64, fn func()) { s.post(s.now+Time(d), fn, nil) }
 
+// post queues fn at t. Scheduling in the past panics: it would
+// silently reorder causality. So does a NaN time, which compares false
+// with everything and whose bits would sort it after +Inf.
 func (s *Sim) post(t Time, fn func(), h *Timer) {
-	if t < s.now {
+	if !(t >= s.now) {
 		panic(fmt.Sprintf("vtime: scheduling event at %v before now %v", t, s.now))
 	}
 	if t == 0 {
 		t = 0 // -0 would sort after every positive time by its bits
 	}
 	s.seq++
-	s.events.push(event{math.Float64bits(float64(t)), s.seq, fn, h})
+	e := event{math.Float64bits(float64(t)), s.seq, fn, h}
+	if s.spent {
+		s.spent = false
+		s.events.down(0, e)
+		return
+	}
+	s.events.push(e)
 }
 
 // After schedules fn to run d virtual seconds from now (d < 0 panics).
 func (s *Sim) After(d float64, fn func()) *Timer {
-	return s.At(s.now+Time(d), fn)
+	return s.at(s.now+Time(d), fn)
 }
-
-// Pending returns the number of live scheduled events. Cancelled
-// events leave the queue at Cancel time, so this is O(1).
-func (s *Sim) Pending() int { return len(s.events) }
 
 // Fired returns how many events have run so far: the simulator's own
 // count of the work it did, from which a caller with a wall clock gets
@@ -218,14 +226,25 @@ func (s *Sim) Fired() uint64 { return s.fired }
 
 // Step executes the next event, advancing the clock. It returns false
 // when the queue is empty (a cancelled event left it at Cancel time).
+// The event stays in the root slot while its callback runs, for the
+// callback's first post to take over; a callback that panics leaves it
+// there for good.
 func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	ev := s.events.remove(0)
+	ev := s.events[0]
+	if ev.t != nil {
+		ev.t.index = -1 // fired: Cancel is a no-op, Reset posts anew
+	}
+	s.spent = true
 	s.now = ev.time()
 	s.fired++
 	ev.fn()
+	if s.spent {
+		s.spent = false
+		s.events.remove(0)
+	}
 	return true
 }
 
