@@ -52,7 +52,9 @@ bench:
 # accepts one target per invocation, hence one line each): the wirefmt
 # reader, the binary control-frame decoder, the batch envelope parser,
 # the receive session's (epoch, seq) state machine, the coordinator
-# tree's summary/ack/reset frames, and the TCP hub's socket envelope.
+# tree's summary/ack/reset frames, the TCP hub's socket envelope, and
+# the job service's submit path (decode plus spec check) and its
+# -shape/-load parser.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
@@ -60,6 +62,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzTreeFrames -fuzztime=10s ./internal/coord
 	$(GO) test -run=NONE -fuzz=FuzzTCPFrame -fuzztime=10s ./internal/transport
+	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/job
+	$(GO) test -run=NONE -fuzz=FuzzParseKV -fuzztime=10s ./internal/job
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

@@ -49,10 +49,6 @@ type (
 	ClusterID = core.ClusterID
 	// NodeStats is one processor's per-period statistics.
 	NodeStats = core.NodeStats
-	// Thresholds holds E_min/E_max and the badness coefficients.
-	Thresholds = core.Config
-	// Decision is the engine's verdict for one monitoring period.
-	Decision = core.Decision
 	// Requirements is the learned blacklist + minimum bandwidth.
 	Requirements = core.Requirements
 	// StreamObs is one monitoring period's streaming observation.
@@ -60,16 +56,6 @@ type (
 	// StreamSLOConfig tunes the streaming latency objective.
 	StreamSLOConfig = core.StreamSLOConfig
 )
-
-// DefaultThresholds returns the paper's configuration: E_min 0.30,
-// E_max 0.50, α/β/γ badness weights, 25% cluster-drop threshold.
-func DefaultThresholds() Thresholds { return core.DefaultConfig() }
-
-// DefaultStreamSLO returns the streaming objective's defaults for a
-// latency target.
-func DefaultStreamSLO(targetLatency float64) StreamSLOConfig {
-	return core.DefaultStreamSLO(targetLatency)
-}
 
 // WeightedAverageEfficiency re-exports the paper's metric.
 func WeightedAverageEfficiency(stats []NodeStats) float64 {
@@ -95,10 +81,10 @@ func SubEndpointName(cluster ClusterID) string {
 	return topo.SubCoordinatorEndpoint(EndpointName, cluster)
 }
 
-// Config tunes the coordinator.
+// Config tunes the coordinator. The decision engine runs the paper's
+// configuration, core.DefaultConfig: E_min 0.30, E_max 0.50, the α/β/γ
+// badness weights and the cluster-drop thresholds.
 type Config struct {
-	// Thresholds configure the decision engine (DefaultThresholds()).
-	Thresholds Thresholds
 	// Period is the monitoring period. Nodes report on their own
 	// clocks; once per period the root decides on the summaries the
 	// sub-coordinators sent the period before, whatever reports those
@@ -125,7 +111,8 @@ type Config struct {
 	// objective (core.StreamSLO) instead of the WAE band: the job's
 	// driver feeds period observations through ObserveStream and the
 	// kernel grows or shrinks to keep mean latency at the target.
-	// Thresholds then only contribute their badness weights.
+	// The engine configuration then only contributes its badness
+	// weights.
 	StreamSLO *core.StreamSLOConfig
 }
 
@@ -169,9 +156,6 @@ type Coordinator struct {
 func Start(f transport.Fabric, prov Provisioner, cfg Config) (*Coordinator, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 2 * time.Second
-	}
-	if cfg.Thresholds == (Thresholds{}) {
-		cfg.Thresholds = DefaultThresholds()
 	}
 	reg, err := registry.Join(f, registry.NodeInfo{ID: EndpointName}, registry.Options{})
 	if err != nil {
@@ -281,7 +265,7 @@ func (c *Coordinator) MessagesReceived() int {
 
 // kernelConfig builds the configuration every root incarnation runs.
 func (c *Coordinator) kernelConfig() (coord.Config, error) {
-	th := c.cfg.Thresholds
+	th := core.DefaultConfig()
 	kcfg := coord.Config{
 		Engine:      &th,
 		MonitorOnly: c.cfg.MonitorOnly,

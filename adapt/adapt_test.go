@@ -7,6 +7,7 @@ import (
 
 	"repro/adapt"
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/satin"
 )
@@ -239,7 +240,7 @@ func TestMonitorOnlyNeverActs(t *testing.T) {
 }
 
 func TestDefaultThresholdsMatchPaper(t *testing.T) {
-	th := adapt.DefaultThresholds()
+	th := core.DefaultConfig()
 	if th.EMin != 0.30 || th.EMax != 0.50 {
 		t.Fatalf("thresholds = %+v, want EMin 0.30 EMax 0.50", th)
 	}

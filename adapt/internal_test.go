@@ -107,7 +107,7 @@ func TestRootClaimIsTheElectionLock(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			claimant := func() *Coordinator {
-				return &Coordinator{cfg: Config{Thresholds: DefaultThresholds()}, f: tc.fab}
+				return &Coordinator{f: tc.fab}
 			}
 			rivals := []*Coordinator{claimant(), claimant()}
 			errs := make(chan error, len(rivals))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -18,10 +19,6 @@ import (
 // this file gives it endpoints and a clock, and moves its frames. An
 // ack or a reset it sends carries the root kernel's shared requirements
 // snapshot; the wire only reads it, and what a sub decodes is its own.
-
-// failoverAfter is how many consecutive unacknowledged periods a
-// sub-coordinator tolerates before it stands for election.
-const failoverAfter = 2
 
 // loop is the tree's clock: once per period every sub-coordinator
 // summarizes, in cluster order, and the root decides as soon as the
@@ -288,8 +285,8 @@ func (c *Coordinator) ensureSub(cl ClusterID) {
 		c:       c,
 		cluster: cl,
 		// No proposal cap: the root ranks every reporting node, exactly
-		// as the in-process coord.Kernel does.
-		link: coord.NewSubLink(cl, 0, c.cfg.Thresholds.Weights, failoverAfter),
+		// as the in-process coord.Kernel does, with its engine's weights.
+		link: coord.NewSubLink(cl, 0, core.DefaultConfig().Weights),
 		wc:   wire.New(ep),
 	}
 	wire.Handle(s.wc, func(rep metrics.Report, _ wire.Meta) { s.link.Report(rep) })

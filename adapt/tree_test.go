@@ -180,7 +180,7 @@ func TestChaosRootFailover(t *testing.T) {
 			Speed: 1, BusySec: 0.4 * dur, IdleSec: 0.6 * dur}
 	}, workers)
 
-	th := adapt.DefaultThresholds()
+	th := core.DefaultConfig()
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		inBand := false
@@ -232,7 +232,7 @@ func TestStreamSLOGrowsOnViolation(t *testing.T) {
 	}
 
 	const period = 100 * time.Millisecond
-	slo := adapt.DefaultStreamSLO(1) // 1s latency target
+	slo := adapt.StreamSLOConfig{TargetLatency: 1}
 	dropped := obs.Default.Counter("adapt/stream_obs_dropped")
 	droppedBefore := dropped.Value()
 	root, err := adapt.Start(fab, &scriptProvisioner{}, adapt.Config{

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -150,6 +151,10 @@ func client(cmd string, args []string) {
 		}
 		spec.MinNodes, spec.MaxNodes, spec.Weight = *minNodes, *maxNodes, *weight
 		jid, err := ctl.Submit(spec, *tmo)
+		if errors.Is(err, job.ErrRejected) {
+			fmt.Fprintf(os.Stderr, "satind submit: %v\n", err)
+			os.Exit(2)
+		}
 		if err != nil {
 			log.Fatalf("satind submit: %v", err)
 		}

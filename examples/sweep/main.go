@@ -11,28 +11,31 @@ import (
 	"fmt"
 	"log"
 
-	"repro/grid"
+	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 func main() {
 	fmt.Println("Barnes-Hut (100k bodies) on DAS-2, 10 iterations per point")
 	fmt.Println("nodes  clusters  iter_s   efficiency")
 	for _, n := range []int{4, 8, 16, 24, 36, 48, 72, 96} {
-		var initial []grid.Alloc
+		var initial []des.Alloc
 		remaining := n
-		for _, c := range []grid.ClusterID{"fs0", "fs1", "fs2", "fs3"} {
+		for _, c := range []core.ClusterID{"fs0", "fs1", "fs2", "fs3"} {
 			take := remaining
 			if take > 24 {
 				take = 24
 			}
 			if take > 0 {
-				initial = append(initial, grid.Alloc{Cluster: c, Count: take})
+				initial = append(initial, des.Alloc{Cluster: c, Count: take})
 				remaining -= take
 			}
 		}
-		res, err := grid.Simulate(grid.Params{
-			Topo:    grid.DAS2(),
-			Spec:    grid.BarnesHut(100000, 10),
+		res, err := des.Run(des.Params{
+			Topo:    topo.DAS2(),
+			Spec:    workload.BarnesHut(100000, 10),
 			Seed:    1,
 			Initial: initial,
 		})

@@ -1,22 +1,30 @@
+// Package grid_test holds end-to-end checks of the simulation library
+// as an example program uses it: DAS-2 topology, Barnes-Hut workload,
+// des.Run with and without the coordinator, and the scenario registry.
+// The directory has no non-test code.
 package grid_test
 
 import (
 	"testing"
 
-	"repro/grid"
+	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/expt"
+	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 func TestSimulateQuickstart(t *testing.T) {
-	p := grid.Params{
-		Topo: grid.DAS2(),
-		Spec: grid.BarnesHut(100000, 5),
+	p := des.Params{
+		Topo: topo.DAS2(),
+		Spec: workload.BarnesHut(100000, 5),
 		Seed: 1,
-		Initial: []grid.Alloc{
+		Initial: []des.Alloc{
 			{Cluster: "fs0", Count: 12},
 			{Cluster: "fs1", Count: 12},
 		},
 	}
-	res, err := grid.Simulate(p)
+	res, err := des.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,16 +34,16 @@ func TestSimulateQuickstart(t *testing.T) {
 }
 
 func TestSimulateAdaptive(t *testing.T) {
-	p := grid.Params{
-		Topo:    grid.DAS2(),
-		Spec:    grid.BarnesHut(100000, 30),
+	p := des.Params{
+		Topo:    topo.DAS2(),
+		Spec:    workload.BarnesHut(100000, 30),
 		Seed:    1,
-		Initial: []grid.Alloc{{Cluster: "fs0", Count: 8}},
+		Initial: []des.Alloc{{Cluster: "fs0", Count: 8}},
 	}
-	p.Mon = grid.DefaultMonitor()
-	th := grid.DefaultThresholds()
+	p.Mon = des.DefaultMonitor()
+	th := core.DefaultConfig()
 	p.Adapt = &th
-	res, err := grid.Simulate(p)
+	res, err := des.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,21 +56,21 @@ func TestSimulateAdaptive(t *testing.T) {
 }
 
 func TestSimulateRejectsBadParams(t *testing.T) {
-	if _, err := grid.Simulate(grid.Params{}); err == nil {
+	if _, err := des.Run(des.Params{}); err == nil {
 		t.Fatal("empty params accepted")
 	}
-	p := grid.Params{
-		Topo:    grid.DAS2(),
-		Spec:    grid.BarnesHut(1000, 3),
-		Initial: []grid.Alloc{{Cluster: "nope", Count: 3}},
+	p := des.Params{
+		Topo:    topo.DAS2(),
+		Spec:    workload.BarnesHut(1000, 3),
+		Initial: []des.Alloc{{Cluster: "nope", Count: 3}},
 	}
-	if _, err := grid.Simulate(p); err == nil {
+	if _, err := des.Run(p); err == nil {
 		t.Fatal("unknown cluster accepted")
 	}
 }
 
 func TestScenarioRegistry(t *testing.T) {
-	scs := grid.Scenarios()
+	scs := expt.All()
 	if len(scs) < 8 {
 		t.Fatalf("got %d scenarios, want >= 8 (1, 2a-2c, 3-7)", len(scs))
 	}
@@ -81,32 +89,16 @@ func TestScenarioRegistry(t *testing.T) {
 			t.Errorf("missing scenario %s", want)
 		}
 	}
-	if _, ok := grid.ScenarioByID("4"); !ok {
-		t.Error("ScenarioByID(4) failed")
+	if _, ok := expt.ByID("4"); !ok {
+		t.Error("ByID(4) failed")
 	}
-	if _, ok := grid.ScenarioByID("zzz"); ok {
-		t.Error("ScenarioByID(zzz) found something")
-	}
-}
-
-func TestRunScenarioSingleVariant(t *testing.T) {
-	sc, _ := grid.ScenarioByID("1")
-	// Shorten: rebuild with fewer iterations via the scenario's own
-	// Build, then run just one variant for speed.
-	out, err := grid.RunScenario(sc, grid.NoAdapt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Results[grid.NoAdapt] == nil || !out.Results[grid.NoAdapt].Completed {
-		t.Fatalf("outcome = %+v", out.Results)
-	}
-	if out.Results[grid.Adaptive] != nil {
-		t.Error("unrequested variant ran")
+	if _, ok := expt.ByID("zzz"); ok {
+		t.Error("ByID(zzz) found something")
 	}
 }
 
 func TestVaryingParallelism(t *testing.T) {
-	w := grid.VaryingParallelism(grid.BarnesHut(100000, 10), func(i int) float64 {
+	w := workload.VaryingParallelism(workload.BarnesHut(100000, 10), func(i int) float64 {
 		if i >= 5 {
 			return 0.5
 		}

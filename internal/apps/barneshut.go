@@ -166,16 +166,6 @@ func (c *cell) force(bodies []Body, i int, theta, softening float64, a *Accel) {
 	}
 }
 
-// ForcesSequential computes all accelerations directly (reference).
-func ForcesSequential(bodies []Body, theta float64) []Accel {
-	tree := BuildTree(bodies)
-	out := make([]Accel, len(bodies))
-	for i := range bodies {
-		tree.force(bodies, i, theta, 1e-6, &out[i])
-	}
-	return out
-}
-
 // BHForces is the satin task of the force phase: compute accelerations
 // for bodies[Lo:Hi). Tasks split ranges until Grain; every executing
 // node rebuilds the tree from the snapshot (the replicated tree of the

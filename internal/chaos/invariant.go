@@ -55,7 +55,7 @@ type CheckConfig struct {
 	// ProvisionGrace is how many observations after a cluster first
 	// appears blacklisted its population may still grow: a grant
 	// issued before the eviction decision can land afterwards
-	// (deployment takes JoinDelay). Default 1.
+	// (deployment takes the simulator's join delay). Default 1.
 	ProvisionGrace int
 
 	// Streaming-objective invariants (ISSUE 9). In a streaming run the

@@ -331,8 +331,9 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 		case EvPartition:
 			e.Heal = e.At + cfg.Period*(0.5+rng.Float64())
 		case EvRootCrash:
-			// A whole-tree fault; recovery takes FailoverAfter summary
-			// periods of silence plus the successor's first fresh tick.
+			// A whole-tree fault; recovery takes the tree's failover
+			// threshold of silent summary periods plus the successor's
+			// first fresh tick.
 			e.Cluster = ""
 		case EvSubCrash:
 			// Any disturbed-side cluster works: the sub restarts empty
@@ -390,9 +391,8 @@ func (sc Scenario) DESParams() des.Params {
 		MaxTime: sc.Horizon,
 	}
 	if sc.Stream != nil {
-		slo := core.DefaultStreamSLO(sc.Stream.TargetLatency)
 		p.Stream = sc.Stream
-		p.StreamSLO = &slo
+		p.StreamSLO = &core.StreamSLOConfig{TargetLatency: sc.Stream.TargetLatency}
 	} else {
 		adapt := core.DefaultConfig()
 		p.Adapt = &adapt

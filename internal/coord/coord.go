@@ -115,9 +115,6 @@ type Config struct {
 	// Opportunistic enables opportunistic migration when the actuator
 	// implements Migrator.
 	Opportunistic bool
-	// OpportunisticFactor is how much faster an available cluster must
-	// be than the slowest live node to trigger a migration (default 1.5).
-	OpportunisticFactor float64
 	// Pressure, when set, is the shared node pool's reclaim signal: how
 	// many nodes this kernel's job holds beyond its fair share while
 	// other jobs are starved. The kernel yields that many of its worst
@@ -126,6 +123,20 @@ type Config struct {
 	// them back later). This is how a coordinator participates in
 	// multi-job arbitration instead of assuming it owns the scheduler.
 	Pressure func() int
+}
+
+// opportunisticFactor is how much faster an available cluster must be
+// than the slowest live node to trigger an opportunistic migration.
+const opportunisticFactor = 1.5
+
+// Weights are the badness weights the root ranks nodes with, and so the
+// ones its subs must pre-rank their proposals with: the batch engine's,
+// else core's defaults.
+func (c Config) Weights() core.BadnessWeights {
+	if c.Engine != nil {
+		return c.Engine.Weights
+	}
+	return core.DefaultBadnessWeights()
 }
 
 // Kernel is the runtime-independent adaptation coordinator in one
@@ -195,18 +206,6 @@ func (k *Kernel) Forget(id core.NodeID) {
 	for _, sub := range k.subs {
 		sub.Forget(id)
 	}
-}
-
-// Reports returns a copy of the kernel's current report view. Hot
-// paths that only need to look should use EachReport instead — this
-// copy allocates a fresh map per call.
-func (k *Kernel) Reports() map[core.NodeID]metrics.Report {
-	out := make(map[core.NodeID]metrics.Report)
-	k.EachReport(func(rep metrics.Report) bool {
-		out[rep.Node] = rep
-		return true
-	})
-	return out
 }
 
 // EachReport calls fn for every stored report under the kernel lock,

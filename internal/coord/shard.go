@@ -452,12 +452,9 @@ func NewRoot(cfg Config, act Actuator) (*RootKernel, error) {
 	if act == nil {
 		return nil, fmt.Errorf("coord: nil actuator")
 	}
-	if cfg.OpportunisticFactor == 0 {
-		cfg.OpportunisticFactor = 1.5
-	}
 	rk := &RootKernel{
 		cfg:       cfg,
-		weights:   core.DefaultBadnessWeights(),
+		weights:   cfg.Weights(),
 		reqs:      core.NewRequirements(),
 		act:       act,
 		sums:      make(map[core.ClusterID]ClusterSummary),
@@ -475,15 +472,11 @@ func NewRoot(cfg Config, act Actuator) (*RootKernel, error) {
 		cfg.Objective = obj
 	}
 	rk.obj = cfg.Objective
-	switch obj := cfg.Objective.(type) {
-	case *core.BatchWAE:
+	if b, ok := cfg.Objective.(*core.BatchWAE); ok {
 		// The batch objective keeps its engine reachable: the
 		// cluster-eviction rules need the culprit thresholds and
 		// ShrinkCount.
-		rk.eng = obj.Engine()
-		rk.weights = rk.eng.Config().Weights
-	case *core.StreamSLO:
-		rk.weights = obj.Config().Weights
+		rk.eng = b.Engine()
 	}
 	return rk, nil
 }
@@ -834,7 +827,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 
 		// Primary rule: measured pair-bandwidth culprit.
 		if ecfg.ClusterDropBWRatio > 0 {
-			if culprit, bw, ref, ok := rk.bandwidthCulprit(order, ecfg.MinPairBytes); ok && ref > 0 && bw <= ref*ecfg.ClusterDropBWRatio {
+			if culprit, bw, ref, ok := rk.bandwidthCulprit(order); ok && ref > 0 && bw <= ref*ecfg.ClusterDropBWRatio {
 				if s, here := rk.sums[culprit]; here && s.Stats > 0 && n-s.Stats >= ecfg.MinNodes {
 					rec.Action = "remove-cluster"
 					rec.Detail = fmt.Sprintf("cluster %s best-pair bandwidth %.0f B/s vs %.0f B/s elsewhere: uplink insufficient, evacuating cluster",
@@ -861,9 +854,9 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 		}
 		dominates := len(clusters) > 1 && worst >= 0 &&
 			clusters[worst].InterComm > ecfg.ClusterDropInterComm
-		if dominates && ecfg.ClusterDropRelative > 0 && second >= 0 {
+		if dominates && second >= 0 {
 			dominates = clusters[worst].InterComm >
-				clusters[second].InterComm*ecfg.ClusterDropRelative
+				clusters[second].InterComm*core.ClusterDropRelative
 		}
 		if dominates {
 			c := clusters[worst]
@@ -1062,7 +1055,7 @@ func (rk *RootKernel) rankProposals(order []core.ClusterID, maxSp, minKnown floa
 // bandwidthCulprit rebuilds core.BandwidthCulprit from the clusters'
 // summed link samples. Each pair's total is the same set of per-node
 // samples core.PairBandwidths sums, pre-reduced per cluster.
-func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID, minBytes float64) (culprit core.ClusterID, bw, ref float64, ok bool) {
+func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID) (culprit core.ClusterID, bw, ref float64, ok bool) {
 	synth := make([]core.NodeStats, 0, len(order))
 	for _, c := range order {
 		s := rk.sums[c]
@@ -1075,7 +1068,7 @@ func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID, minBytes float64)
 			Links:   s.Links,
 		})
 	}
-	return core.BandwidthCulprit(synth, minBytes)
+	return core.BandwidthCulprit(synth, core.MinPairBytes)
 }
 
 // evict filters out protected nodes, asks the actuator to remove the
@@ -1121,7 +1114,7 @@ func (rk *RootKernel) tryOpportunistic(order []core.ClusterID, maxSp, minKnown f
 		return 0, 0 // no measured speeds yet
 	}
 	cluster, speed, free := mig.BestAvailable(rk.veto)
-	if cluster == "" || speed < minKnown*rk.cfg.OpportunisticFactor {
+	if cluster == "" || speed < minKnown*opportunisticFactor {
 		return 0, 0
 	}
 	type cand struct {
@@ -1132,7 +1125,7 @@ func (rk *RootKernel) tryOpportunistic(order []core.ClusterID, maxSp, minKnown f
 	var slow []cand
 	for _, c := range order {
 		for _, p := range rk.sums[c].Proposals {
-			if p.Speed > 0 && p.Speed*rk.cfg.OpportunisticFactor <= speed && !rk.protected[p.Node] {
+			if p.Speed > 0 && p.Speed*opportunisticFactor <= speed && !rk.protected[p.Node] {
 				slow = append(slow, cand{p.Node, c, p.Speed})
 			}
 		}

@@ -364,8 +364,9 @@ func TestClusterEvictionSparesUnreportedNodes(t *testing.T) {
 func streamWorld(t *testing.T) (*Kernel, *worldActuator, func(int) []metrics.Report) {
 	t.Helper()
 	act := newWorld(map[core.NodeID]core.ClusterID{"a1": "A", "a2": "A", "b1": "B", "b2": "B"})
-	// Target 2s; HighRatio 1, LowRatio 0.5, ShrinkAfter 4, StuckAfter 3.
-	obj, err := core.NewStreamSLO(core.DefaultStreamSLO(2))
+	// Target 2s; core's high/low ratios 1 and 0.5, shrink after 4 calm
+	// periods, shed after 3 stuck ones.
+	obj, err := core.NewStreamSLO(core.StreamSLOConfig{TargetLatency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

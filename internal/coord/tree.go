@@ -44,12 +44,15 @@ type ShardReset struct {
 	Req   ReqState
 }
 
+// failoverAfter is how many consecutive unacknowledged summary periods
+// a sub-coordinator tolerates before it stands for election.
+const failoverAfter = 2
+
 // SubLink is a sub-coordinator's end of the tree protocol, wrapped
 // around the cluster's SubKernel (whose Report, ObserveStream, Forget
 // and EachReport it passes through). Safe for concurrent use.
 type SubLink struct {
 	*SubKernel
-	failoverAfter int
 
 	mu      sync.Mutex // guards the fields below (not the SubKernel's, which has its own); taken first
 	missed  int        // consecutive periods without an ack
@@ -59,15 +62,10 @@ type SubLink struct {
 }
 
 // NewSubLink builds one cluster's sub-coordinator state; proposalCap
-// and weights are NewSubKernel's, failoverAfter is how many consecutive
-// unacknowledged periods make the sub stand for election. A restarted
-// sub is a new SubLink: it re-learns epoch and requirements from the
-// first ack.
-func NewSubLink(cluster core.ClusterID, proposalCap int, weights core.BadnessWeights, failoverAfter int) *SubLink {
-	return &SubLink{
-		SubKernel:     NewSubKernel(cluster, proposalCap, weights),
-		failoverAfter: failoverAfter,
-	}
+// and weights are NewSubKernel's. A restarted sub is a new SubLink: it
+// re-learns epoch and requirements from the first ack.
+func NewSubLink(cluster core.ClusterID, proposalCap int, weights core.BadnessWeights) *SubLink {
+	return &SubLink{SubKernel: NewSubKernel(cluster, proposalCap, weights)}
 }
 
 // Period runs when a period elapsed: a summary still unacknowledged
@@ -99,7 +97,7 @@ func (l *SubLink) Sent(accepted bool) (starved bool) {
 	} else {
 		l.missed++
 	}
-	return l.missed >= l.failoverAfter
+	return l.missed >= failoverAfter
 }
 
 // Ack takes the root's receipt: the silence ends, and the ack's epoch

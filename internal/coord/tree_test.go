@@ -25,8 +25,6 @@ type treeScript struct {
 	now  float64
 }
 
-const scriptFailoverAfter = 2
-
 func newTreeScript(t *testing.T) *treeScript {
 	t.Helper()
 	ecfg := core.DefaultConfig()
@@ -41,7 +39,7 @@ func newTreeScript(t *testing.T) *treeScript {
 }
 
 func (s *treeScript) restart() {
-	s.sub = NewSubLink("b", 0, core.DefaultBadnessWeights(), scriptFailoverAfter)
+	s.sub = NewSubLink("b", 0, core.DefaultBadnessWeights())
 }
 
 // period elapses at the sub; the network accepts or refuses the summary.
@@ -201,7 +199,7 @@ func TestTreeProtocolScripts(t *testing.T) {
 		{"a second claimant stands down", func(t *testing.T, s *treeScript) {
 			// Two subs with diverging views both believe they are lowest;
 			// the endpoint claim (the driver's lock) admits one.
-			rival := NewSubLink("c", 0, core.DefaultBadnessWeights(), scriptFailoverAfter)
+			rival := NewSubLink("c", 0, core.DefaultBadnessWeights())
 			for _, l := range []*SubLink{s.sub, rival} {
 				l.Period(1, nil)
 				l.Sent(false)

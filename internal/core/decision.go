@@ -25,18 +25,11 @@ type Config struct {
 	// ClusterDropInterComm is the "exceptionally high" inter-cluster
 	// overhead fraction above which the whole cluster is removed at once
 	// (its uplink bandwidth is concluded to be insufficient) instead of
-	// ranking and removing individual nodes.
-	ClusterDropInterComm float64
-
-	// ClusterDropRelative additionally requires the offending cluster's
-	// inter-cluster overhead to exceed the runner-up's by this factor:
-	// a saturated uplink also elevates its neighbours' overhead (their
-	// steals cross the same link), and "exceptionally high" must single
-	// out the culprit, not the collateral. 0 disables the check. Both
-	// thresholds apply only to the overhead-based fallback; when the
+	// ranking and removing individual nodes. It applies only to the
+	// overhead-based fallback (with ClusterDropRelative); when the
 	// statistics carry per-pair transfer samples the bandwidth rule
 	// below takes precedence.
-	ClusterDropRelative float64
+	ClusterDropInterComm float64
 
 	// ClusterDropBWRatio drives the primary, measurement-based rule:
 	// when per-pair bandwidth estimates exist, the cluster whose BEST
@@ -45,17 +38,9 @@ type Config struct {
 	// estimates exactly these pair bandwidths from data transfer times.
 	ClusterDropBWRatio float64
 
-	// MinPairBytes is the evidence floor: pair-bandwidth estimates
-	// built on fewer transferred bytes are ignored as noise.
-	MinPairBytes float64
-
 	// MinNodes is the floor below which the engine never shrinks the
 	// computation (at least 1).
 	MinNodes int
-
-	// MaxGrowFactor caps a single grow step at MaxGrowFactor × the
-	// current node count, so one optimistic period cannot over-allocate.
-	MaxGrowFactor float64
 
 	// UnweightedEfficiency makes the engine use the classic
 	// (speed-blind) parallel efficiency instead of the weighted average
@@ -63,6 +48,23 @@ type Config struct {
 	// matters on heterogeneous resources.
 	UnweightedEfficiency bool
 }
+
+// The decision rules' constants that no caller tunes (DESIGN.md §1).
+const (
+	// ClusterDropRelative: the overhead fallback also requires the
+	// offending cluster's inter-cluster overhead to exceed the
+	// runner-up's by this factor. A saturated uplink also elevates its
+	// neighbours' overhead (their steals cross the same link), and
+	// "exceptionally high" must single out the culprit, not the
+	// collateral.
+	ClusterDropRelative = 1.5
+	// MinPairBytes is the evidence floor: pair-bandwidth estimates built
+	// on fewer transferred bytes are ignored as noise.
+	MinPairBytes = 256 << 10
+	// maxGrowFactor caps a single grow step at maxGrowFactor × the
+	// current node count, so one optimistic period cannot over-allocate.
+	maxGrowFactor = 1.0
+)
 
 // DefaultConfig returns the paper's thresholds with the documented
 // heuristic constants.
@@ -72,11 +74,8 @@ func DefaultConfig() Config {
 		EMax:                 0.50,
 		Weights:              DefaultBadnessWeights(),
 		ClusterDropInterComm: 0.25,
-		ClusterDropRelative:  1.5,
 		ClusterDropBWRatio:   0.1,
-		MinPairBytes:         256 << 10,
 		MinNodes:             1,
-		MaxGrowFactor:        1.0,
 	}
 }
 
@@ -90,9 +89,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinNodes < 1 {
 		return fmt.Errorf("core: MinNodes %d < 1", c.MinNodes)
-	}
-	if c.MaxGrowFactor <= 0 {
-		return fmt.Errorf("core: MaxGrowFactor %v <= 0", c.MaxGrowFactor)
 	}
 	return nil
 }
@@ -180,7 +176,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // [EMin,EMax] band: assuming total useful throughput n·wae stays roughly
 // constant while the overhead per node grows with n, the node count that
 // would land at target efficiency t is n·wae/t. The step is capped by
-// MaxGrowFactor and is at least 1.
+// maxGrowFactor and is at least 1.
 func (e *Engine) GrowCount(n int, wae float64) int {
 	if n <= 0 {
 		return 1
@@ -191,7 +187,7 @@ func (e *Engine) GrowCount(n int, wae float64) int {
 	if add < 1 {
 		add = 1
 	}
-	if cap := int(math.Ceil(float64(n) * e.cfg.MaxGrowFactor)); add > cap {
+	if cap := int(math.Ceil(float64(n) * maxGrowFactor)); add > cap {
 		add = cap
 	}
 	return add
@@ -281,9 +277,9 @@ func (e *Engine) Decide(stats []NodeStats) Decision {
 		}
 		dominates := len(clusters) > 1 &&
 			clusters[worst].InterComm > e.cfg.ClusterDropInterComm
-		if dominates && e.cfg.ClusterDropRelative > 0 && second >= 0 {
+		if dominates && second >= 0 {
 			dominates = clusters[worst].InterComm >
-				clusters[second].InterComm*e.cfg.ClusterDropRelative
+				clusters[second].InterComm*ClusterDropRelative
 		}
 		if dominates {
 			c := clusters[worst]
@@ -333,7 +329,7 @@ func (e *Engine) bandwidthDrop(stats []NodeStats, clusters []ClusterBadness, wae
 	if e.cfg.ClusterDropBWRatio <= 0 {
 		return Decision{}, false // rule disabled (ablations)
 	}
-	culprit, bw, ref, ok := BandwidthCulprit(stats, e.cfg.MinPairBytes)
+	culprit, bw, ref, ok := BandwidthCulprit(stats, MinPairBytes)
 	if !ok || ref <= 0 || bw > ref*e.cfg.ClusterDropBWRatio {
 		return Decision{}, false
 	}

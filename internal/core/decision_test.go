@@ -33,12 +33,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{EMin: 0, EMax: 0.5, ClusterDropInterComm: 0.25, MinNodes: 1, MaxGrowFactor: 1},
-		{EMin: 0.5, EMax: 0.3, ClusterDropInterComm: 0.25, MinNodes: 1, MaxGrowFactor: 1},
-		{EMin: 0.3, EMax: 1.5, ClusterDropInterComm: 0.25, MinNodes: 1, MaxGrowFactor: 1},
-		{EMin: 0.3, EMax: 0.5, ClusterDropInterComm: 0, MinNodes: 1, MaxGrowFactor: 1},
-		{EMin: 0.3, EMax: 0.5, ClusterDropInterComm: 0.25, MinNodes: 0, MaxGrowFactor: 1},
-		{EMin: 0.3, EMax: 0.5, ClusterDropInterComm: 0.25, MinNodes: 1, MaxGrowFactor: 0},
+		{EMin: 0, EMax: 0.5, ClusterDropInterComm: 0.25, MinNodes: 1},
+		{EMin: 0.5, EMax: 0.3, ClusterDropInterComm: 0.25, MinNodes: 1},
+		{EMin: 0.3, EMax: 1.5, ClusterDropInterComm: 0.25, MinNodes: 1},
+		{EMin: 0.3, EMax: 0.5, ClusterDropInterComm: 0, MinNodes: 1},
+		{EMin: 0.3, EMax: 0.5, ClusterDropInterComm: 0.25, MinNodes: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -60,9 +59,9 @@ func TestDecideAddsWhenEfficiencyHigh(t *testing.T) {
 	if d.AddCount < 1 {
 		t.Errorf("AddCount = %d, want >= 1", d.AddCount)
 	}
-	// Growth is capped at MaxGrowFactor * n.
+	// Growth is capped at maxGrowFactor * n.
 	if d.AddCount > 8 {
-		t.Errorf("AddCount = %d exceeds MaxGrowFactor cap 8", d.AddCount)
+		t.Errorf("AddCount = %d exceeds maxGrowFactor cap 8", d.AddCount)
 	}
 	// Higher efficiency must request at least as many processors.
 	d2 := e.Decide(homogeneous(8, 0.45)) // WAE 0.55, barely above EMax

@@ -188,89 +188,52 @@ func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 
 // ---- StreamSLO: throughput/latency targets for pipelines -------------
 
-// StreamSLOConfig parameterises the streaming objective.
+// StreamSLOConfig parameterises the streaming objective. Shrink victims
+// are ranked by the batch badness formula with the kernel's weights:
+// slow or communication-bound nodes go first.
 type StreamSLOConfig struct {
 	// TargetLatency is the end-to-end latency SLO in seconds: the mean
 	// latency of a period's completed items should stay below it.
 	TargetLatency float64
-	// HighRatio: the objective grows when mean latency exceeds
-	// HighRatio × target (default 1.0 — any overshoot is a violation).
-	HighRatio float64
-	// LowRatio: a period counts as calm when mean latency is below
-	// LowRatio × target AND the backlog is empty (default 0.5). The gap
-	// between HighRatio and LowRatio is the hysteresis dead band that
-	// prevents grow/shrink oscillation.
-	LowRatio float64
-	// ShrinkAfter is how many consecutive calm periods must pass before
-	// one node is released (default 4).
-	ShrinkAfter int
-	// MaxGrowFactor caps a single grow step at factor × current nodes
-	// (default 1.0).
-	MaxGrowFactor float64
-	// MinNodes is the floor below which the pipeline never shrinks.
-	MinNodes int
-	// StuckAfter is the straggler guard: after this many consecutive
+}
+
+// The streaming objective's state machine constants (DESIGN.md §1).
+const (
+	// highRatio: the objective grows when mean latency exceeds
+	// highRatio × target (any overshoot is a violation).
+	highRatio = 1.0
+	// lowRatio: a period counts as calm when mean latency is below
+	// lowRatio × target AND the backlog is empty. The gap between
+	// highRatio and lowRatio is the hysteresis dead band that prevents
+	// grow/shrink oscillation.
+	lowRatio = 0.5
+	// shrinkAfter is how many consecutive calm periods must pass before
+	// one node is released.
+	shrinkAfter = 4
+	// streamMinNodes is the floor below which the pipeline never shrinks.
+	streamMinNodes = 1
+	// stuckAfter is the straggler guard: after this many consecutive
 	// violating periods during which the node count did not grow —
 	// grow requests are being made but the pool has nothing left to
 	// grant — more capacity is evidently not coming, so the objective
 	// starts shedding the worst-badness node each violating period
 	// instead. A degraded node poisons pipeline latency by holding
 	// items hostage, and shedding (with blacklisting, so it is not
-	// handed straight back) is the only remaining lever. 0 disables
-	// the guard (default 3).
-	StuckAfter int
-	// ReboundWindow is the anti-oscillation guard: when an SLO
+	// handed straight back) is the only remaining lever.
+	stuckAfter = 3
+	// reboundWindow is the anti-oscillation guard: when an SLO
 	// violation follows within this many judged periods of a release,
 	// the release was a mistake — the survivors could not absorb the
 	// load. The objective re-grows and learns the pre-release node
 	// count as a capacity floor it never shrinks below again, so the
 	// loop cannot cycle release/violate/re-grow around the same level.
-	// 0 disables the guard (default 2).
-	ReboundWindow int
-	// Weights rank shrink victims (worst badness first), reusing the
-	// batch badness formula: slow or communication-bound nodes go
-	// first.
-	Weights BadnessWeights
-}
-
-// DefaultStreamSLO returns the streaming objective's defaults for a
-// given latency target (seconds).
-func DefaultStreamSLO(targetLatency float64) StreamSLOConfig {
-	return StreamSLOConfig{
-		TargetLatency: targetLatency,
-		HighRatio:     1.0,
-		LowRatio:      0.5,
-		ShrinkAfter:   4,
-		MaxGrowFactor: 1.0,
-		MinNodes:      1,
-		StuckAfter:    3,
-		ReboundWindow: 2,
-		Weights:       DefaultBadnessWeights(),
-	}
-}
+	reboundWindow = 2
+)
 
 // Validate checks the configuration.
 func (c StreamSLOConfig) Validate() error {
 	if c.TargetLatency <= 0 {
 		return fmt.Errorf("core: stream SLO needs TargetLatency > 0, got %v", c.TargetLatency)
-	}
-	if !(c.LowRatio > 0 && c.LowRatio < c.HighRatio) {
-		return fmt.Errorf("core: need 0 < LowRatio < HighRatio, got %v/%v", c.LowRatio, c.HighRatio)
-	}
-	if c.ShrinkAfter < 1 {
-		return fmt.Errorf("core: ShrinkAfter %d < 1", c.ShrinkAfter)
-	}
-	if c.MinNodes < 1 {
-		return fmt.Errorf("core: MinNodes %d < 1", c.MinNodes)
-	}
-	if c.MaxGrowFactor <= 0 {
-		return fmt.Errorf("core: MaxGrowFactor %v <= 0", c.MaxGrowFactor)
-	}
-	if c.ReboundWindow < 0 {
-		return fmt.Errorf("core: ReboundWindow %d < 0", c.ReboundWindow)
-	}
-	if c.StuckAfter < 0 {
-		return fmt.Errorf("core: StuckAfter %d < 0", c.StuckAfter)
 	}
 	return nil
 }
@@ -300,19 +263,19 @@ func StreamHealth(o StreamObs, targetLatency float64) float64 {
 
 // StreamSLO adapts a streaming pipeline to its latency SLO. Growth is
 // immediate and proportional to the overshoot; shrink is deliberately
-// sluggish — ShrinkAfter consecutive calm periods, one node at a time,
+// sluggish — shrinkAfter consecutive calm periods, one node at a time,
 // victims never blacklisted — because releasing capacity is a
 // reversible economy measure, not a verdict on the node, and the
 // asymmetry is what keeps the loop from oscillating around the target.
 // When the asymmetry is not enough — a release is followed so closely
 // by a violation that the release itself must have caused it — the
-// rebound guard (ReboundWindow) learns the pre-release node count as a
+// rebound guard (reboundWindow) learns the pre-release node count as a
 // capacity floor, so each level can be probed at most once.
 type StreamSLO struct {
 	cfg  StreamSLOConfig
 	calm int // consecutive calm periods (hysteresis state)
 
-	// Rebound tracking (the ReboundWindow guard). Like the batch
+	// Rebound tracking (the reboundWindow guard). Like the batch
 	// engine's blacklist, floor is a requirement learned during the
 	// run: monotone, never unlearned, and carried across post-action
 	// resets because the objective instance is long-lived.
@@ -320,7 +283,7 @@ type StreamSLO struct {
 	lastShrinkN int // node count just before the latest release, 0 = none pending
 	sinceShrink int // judged periods since that release
 
-	// Straggler tracking (the StuckAfter guard).
+	// Straggler tracking (the stuckAfter guard).
 	stuck     int // consecutive violating periods without capacity growth
 	prevViolN int // node count at the previous violating period
 }
@@ -332,9 +295,6 @@ func NewStreamSLO(cfg StreamSLOConfig) (*StreamSLO, error) {
 	}
 	return &StreamSLO{cfg: cfg}, nil
 }
-
-// Config returns the objective's configuration.
-func (s *StreamSLO) Config() StreamSLOConfig { return s.cfg }
 
 // Name implements Objective.
 func (s *StreamSLO) Name() string { return "stream-slo" }
@@ -351,31 +311,31 @@ func (s *StreamSLO) Health(po PeriodObs) float64 {
 	return StreamHealth(*po.Stream, s.cfg.TargetLatency)
 }
 
-// minNodes is the effective shrink floor: the configured minimum,
-// raised by whatever capacity level the rebound guard has learned to
-// be load-bearing.
+// minNodes is the effective shrink floor: streamMinNodes, raised by
+// whatever capacity level the rebound guard has learned to be
+// load-bearing.
 func (s *StreamSLO) minNodes() int {
-	if s.floor > s.cfg.MinNodes {
+	if s.floor > streamMinNodes {
 		return s.floor
 	}
-	return s.cfg.MinNodes
+	return streamMinNodes
 }
 
 // Judge implements Objective. health is target/latency: below
-// 1/HighRatio the SLO is violated and the pipeline grows; above
-// 1/LowRatio the period is calm and the hysteresis counter advances;
+// 1/highRatio the SLO is violated and the pipeline grows; above
+// 1/lowRatio the period is calm and the hysteresis counter advances;
 // anywhere between, the counter resets and nothing happens.
 func (s *StreamSLO) Judge(health float64, n int) (Verdict, int) {
 	if s.lastShrinkN > 0 {
 		s.sinceShrink++
-		if s.sinceShrink > s.cfg.ReboundWindow {
+		if s.sinceShrink > reboundWindow {
 			// The release stuck: later violations are new load, not the
 			// shrink's fault.
 			s.lastShrinkN = 0
 		}
 	}
 	switch {
-	case health*s.cfg.HighRatio < 1:
+	case health*highRatio < 1:
 		s.calm = 0
 		if s.lastShrinkN > 0 {
 			// The violation chased the release: that capacity was
@@ -397,7 +357,7 @@ func (s *StreamSLO) Judge(health float64, n int) (Verdict, int) {
 		}
 		s.prevViolN = n
 		s.stuck++
-		if s.cfg.StuckAfter > 0 && s.stuck > s.cfg.StuckAfter && n > s.minNodes() {
+		if s.stuck > stuckAfter && n > s.minNodes() {
 			return VerdictShed, 1
 		}
 		// Proportional response: latency overshoot 1/health means the
@@ -410,14 +370,14 @@ func (s *StreamSLO) Judge(health float64, n int) (Verdict, int) {
 		if add < 1 {
 			add = 1
 		}
-		if cap := int(math.Ceil(float64(n) * s.cfg.MaxGrowFactor)); add > cap {
+		if cap := int(math.Ceil(float64(n) * maxGrowFactor)); add > cap {
 			add = cap
 		}
 		return VerdictGrow, add
-	case health*s.cfg.LowRatio > 1:
+	case health*lowRatio > 1:
 		s.calm++
 		s.stuck, s.prevViolN = 0, 0
-		if s.calm >= s.cfg.ShrinkAfter && n > s.minNodes() {
+		if s.calm >= shrinkAfter && n > s.minNodes() {
 			s.calm = 0
 			s.lastShrinkN = n
 			s.sinceShrink = 0
@@ -442,7 +402,7 @@ func (s *StreamSLO) Explain(v Verdict, health float64, n, count int) string {
 			return fmt.Sprintf("stream health %.3f but already at MinNodes=%d", health, s.minNodes())
 		}
 		return fmt.Sprintf("stream health %.3f calm for %d periods on %d nodes: release %d",
-			health, s.cfg.ShrinkAfter, n, count)
+			health, shrinkAfter, n, count)
 	case VerdictShed:
 		return fmt.Sprintf("stream health %.3f stuck below SLO on %d nodes with no capacity coming: shed %d straggler",
 			health, n, count)

@@ -39,7 +39,7 @@ func TestObjectiveTraits(t *testing.T) {
 	if tr := b.Traits(); !tr.BlacklistVictims || !tr.ClusterEviction {
 		t.Fatalf("batch traits %+v: want blacklist and cluster eviction", tr)
 	}
-	s, _ := NewStreamSLO(DefaultStreamSLO(5))
+	s, _ := NewStreamSLO(StreamSLOConfig{TargetLatency: 5})
 	if tr := s.Traits(); tr.BlacklistVictims || tr.ClusterEviction {
 		t.Fatalf("stream traits %+v: capacity shrink must not blacklist or evict clusters", tr)
 	}
@@ -85,17 +85,12 @@ func TestStreamHealthEdges(t *testing.T) {
 }
 
 func TestStreamSLOConfigValidate(t *testing.T) {
-	good := DefaultStreamSLO(5)
+	good := StreamSLOConfig{TargetLatency: 5}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*StreamSLOConfig){
-		"zero target":    func(c *StreamSLOConfig) { c.TargetLatency = 0 },
-		"low above high": func(c *StreamSLOConfig) { c.LowRatio = 2 },
-		"zero low":       func(c *StreamSLOConfig) { c.LowRatio = 0 },
-		"zero shrink":    func(c *StreamSLOConfig) { c.ShrinkAfter = 0 },
-		"zero min":       func(c *StreamSLOConfig) { c.MinNodes = 0 },
-		"zero grow cap":  func(c *StreamSLOConfig) { c.MaxGrowFactor = 0 },
+		"zero target": func(c *StreamSLOConfig) { c.TargetLatency = 0 },
 	} {
 		c := good
 		mutate(&c)
@@ -109,12 +104,12 @@ func TestStreamSLOConfigValidate(t *testing.T) {
 }
 
 // TestStreamSLOJudgeHysteresis walks the calm counter through its whole
-// state machine: shrink only after ShrinkAfter consecutive calm
+// state machine: shrink only after shrinkAfter consecutive calm
 // periods, any violation or dead-band period resets the count, and the
-// MinNodes floor blocks the release without consuming the calm streak's
+// streamMinNodes floor blocks the release without consuming the calm streak's
 // decision.
 func TestStreamSLOJudgeHysteresis(t *testing.T) {
-	cfg := DefaultStreamSLO(5) // ShrinkAfter 4, LowRatio 0.5, HighRatio 1.0
+	cfg := StreamSLOConfig{TargetLatency: 5}
 	s, _ := NewStreamSLO(cfg)
 	calm, mid, bad := 3.0, 1.5, 0.5 // calm: 3*0.5>1; mid: dead band; bad: SLO violated
 
@@ -154,19 +149,19 @@ func TestStreamSLOJudgeHysteresis(t *testing.T) {
 			t.Fatalf("calm after violation %d: want hold", i)
 		}
 	}
-	// At the MinNodes floor the release is blocked.
+	// At the streamMinNodes floor the release is blocked.
 	s2, _ := NewStreamSLO(cfg)
 	for i := 0; i < 10; i++ {
-		if v, cnt := s2.Judge(calm, cfg.MinNodes); v != VerdictHold || cnt != 0 {
+		if v, cnt := s2.Judge(calm, streamMinNodes); v != VerdictHold || cnt != 0 {
 			t.Fatalf("at floor: verdict %v count %d, want hold 0", v, cnt)
 		}
 	}
 }
 
 // TestStreamSLOGrowProportional: the grow step tracks the latency
-// overshoot and is capped by MaxGrowFactor.
+// overshoot and is capped by maxGrowFactor.
 func TestStreamSLOGrowProportional(t *testing.T) {
-	s, _ := NewStreamSLO(DefaultStreamSLO(5)) // MaxGrowFactor 1.0
+	s, _ := NewStreamSLO(StreamSLOConfig{TargetLatency: 5})
 	// health 0.5 = latency at 2x target: ask for ~n more.
 	if v, cnt := s.Judge(0.5, 4); v != VerdictGrow || cnt != 4 {
 		t.Fatalf("2x overshoot on 4: %v %d, want grow 4", v, cnt)
@@ -191,13 +186,13 @@ func TestStreamSLOGrowProportional(t *testing.T) {
 // the loop cannot cycle release/violate/re-grow (the oscillation the
 // chaos corpus's no-oscillation invariant watches for).
 func TestStreamSLOReboundFloor(t *testing.T) {
-	cfg := DefaultStreamSLO(5) // ShrinkAfter 4, ReboundWindow 2
+	cfg := StreamSLOConfig{TargetLatency: 5}
 	s, _ := NewStreamSLO(cfg)
 	calm, bad := 3.0, 0.5
 
 	shrinkAt := func(n int) {
 		t.Helper()
-		for i := 0; i < cfg.ShrinkAfter-1; i++ {
+		for i := 0; i < shrinkAfter-1; i++ {
 			if v, _ := s.Judge(calm, n); v != VerdictHold {
 				t.Fatalf("calm %d: verdict %v, want hold", i, v)
 			}
@@ -212,7 +207,7 @@ func TestStreamSLOReboundFloor(t *testing.T) {
 		t.Fatal("rebound violation must grow")
 	}
 	// Back at 2 nodes: the learned floor blocks every further release.
-	for i := 0; i < 3*cfg.ShrinkAfter; i++ {
+	for i := 0; i < 3*shrinkAfter; i++ {
 		if v, cnt := s.Judge(calm, 2); v != VerdictHold || cnt != 0 {
 			t.Fatalf("probe %d after rebound: verdict %v count %d, want hold", i, v, cnt)
 		}
@@ -223,19 +218,19 @@ func TestStreamSLOReboundFloor(t *testing.T) {
 
 	// A violation beyond the window is new load, not a rebound: no floor.
 	s2, _ := NewStreamSLO(cfg)
-	for i := 0; i < cfg.ShrinkAfter-1; i++ {
+	for i := 0; i < shrinkAfter-1; i++ {
 		s2.Judge(calm, 2)
 	}
 	if v, _ := s2.Judge(calm, 2); v != VerdictShrink {
 		t.Fatal("setup shrink missing")
 	}
-	for i := 0; i < cfg.ReboundWindow+1; i++ {
+	for i := 0; i < reboundWindow+1; i++ {
 		s2.Judge(calm, 1)
 	}
 	if v, _ := s2.Judge(bad, 1); v != VerdictGrow {
 		t.Fatal("late violation must grow")
 	}
-	for i := 0; i < cfg.ShrinkAfter-1; i++ {
+	for i := 0; i < shrinkAfter-1; i++ {
 		s2.Judge(calm, 2)
 	}
 	if v, _ := s2.Judge(calm, 2); v != VerdictShrink {
@@ -248,7 +243,7 @@ func TestStreamSLOReboundFloor(t *testing.T) {
 // from growing to shedding the worst node, and fresh capacity resets
 // the streak.
 func TestStreamSLOStragglerShed(t *testing.T) {
-	cfg := DefaultStreamSLO(5) // StuckAfter 3
+	cfg := StreamSLOConfig{TargetLatency: 5}
 	s, _ := NewStreamSLO(cfg)
 	bad := 0.5
 
@@ -258,8 +253,8 @@ func TestStreamSLOStragglerShed(t *testing.T) {
 			t.Fatalf("growing fleet at %d: want grow", n)
 		}
 	}
-	// Capacity stalls at 8: StuckAfter more violations still grow...
-	for i := 0; i < cfg.StuckAfter-1; i++ {
+	// Capacity stalls at 8: stuckAfter more violations still grow...
+	for i := 0; i < stuckAfter-1; i++ {
 		if v, _ := s.Judge(bad, 8); v != VerdictGrow {
 			t.Fatalf("stuck violation %d: want grow", i)
 		}
@@ -277,7 +272,7 @@ func TestStreamSLOStragglerShed(t *testing.T) {
 
 	// A calm period also resets the streak.
 	s4, _ := NewStreamSLO(cfg)
-	for i := 0; i < cfg.StuckAfter; i++ {
+	for i := 0; i < stuckAfter; i++ {
 		s4.Judge(bad, 4)
 	}
 	s4.Judge(3.0, 4) // calm
@@ -295,7 +290,7 @@ func TestObjectiveHealth(t *testing.T) {
 	if h := b.Health(PeriodObs{Efficiency: 0.25}); h != 0.25 {
 		t.Fatalf("batch health %v, want the efficiency 0.25", h)
 	}
-	s, _ := NewStreamSLO(DefaultStreamSLO(5))
+	s, _ := NewStreamSLO(StreamSLOConfig{TargetLatency: 5})
 	if h := s.Health(PeriodObs{Efficiency: 0.25}); h != 1 {
 		t.Fatalf("no observation: health %v, want neutral 1", h)
 	}
@@ -311,7 +306,7 @@ func TestObjectiveExplainStability(t *testing.T) {
 	if got := b.Explain(VerdictGrow, 0.61, 8, 3); got != "WAE 0.610 > EMax 0.50 on 8 nodes: request 3 more" {
 		t.Fatalf("batch grow: %q", got)
 	}
-	s, _ := NewStreamSLO(DefaultStreamSLO(5))
+	s, _ := NewStreamSLO(StreamSLOConfig{TargetLatency: 5})
 	if got := s.Explain(VerdictGrow, 0.500, 8, 3); got != "stream health 0.500 below SLO (target 5s) on 8 nodes: request 3 more" {
 		t.Fatalf("stream grow: %q", got)
 	}

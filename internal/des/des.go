@@ -36,14 +36,6 @@ type MonitorParams struct {
 	Enabled bool
 	// Period is the monitoring period in seconds (paper: 180).
 	Period float64
-	// BenchWork is the work of one benchmark run in speed-seconds: the
-	// application itself with a small problem size.
-	BenchWork float64
-	// BenchBudget is the maximal fraction of a node's time the
-	// benchmark may consume; it sets the re-run frequency.
-	BenchBudget float64
-	// SpeedNoise is the relative measurement error (±fraction).
-	SpeedNoise float64
 	// LoadAware re-runs the benchmark only when the processor's load
 	// changed since the last run — the paper's §3.2 optimisation that
 	// "would reduce the benchmarking overhead to almost zero since the
@@ -51,18 +43,35 @@ type MonitorParams struct {
 	LoadAware bool
 }
 
-// DefaultMonitor mirrors the paper's setup: 3-minute periods and a
-// benchmark (~2 speed-seconds) budgeted at 3% overhead, i.e. roughly
-// 2–3 runs per monitoring period.
+// DefaultMonitor mirrors the paper's setup: monitoring on, 3-minute
+// periods.
 func DefaultMonitor() MonitorParams {
-	return MonitorParams{
-		Enabled:     true,
-		Period:      180,
-		BenchWork:   2.0,
-		BenchBudget: 0.03,
-		SpeedNoise:  0.02,
-	}
+	return MonitorParams{Enabled: true, Period: 180}
 }
+
+// The simulated testbed's constants (DESIGN.md §1).
+const (
+	// benchWork is the work of one benchmark run in speed-seconds: the
+	// application itself with a small problem size.
+	benchWork = 2.0
+	// benchBudget is the maximal fraction of a node's time the benchmark
+	// may consume; it sets the re-run frequency (2–3 runs of a 3-minute
+	// period).
+	benchBudget = 0.03
+	// speedNoise is the benchmark's relative measurement error
+	// (±fraction).
+	speedNoise = 0.02
+	// joinDelay is the seconds between the scheduler granting a node and
+	// the node taking part (deployment plus state transfer setup).
+	joinDelay = 5
+	// crashDetect is the failure-detection latency before a crashed
+	// node's work is recomputed elsewhere.
+	crashDetect = 10
+	// pollInterval is the victim-side delay to handle one steal request;
+	// competing load multiplies it (a loaded machine's runtime thread is
+	// scheduled rarely).
+	pollInterval = 0.002
+)
 
 // InjKind enumerates scenario injections.
 type InjKind int
@@ -82,7 +91,7 @@ const (
 	// and elect a successor.
 	InjCrashRoot
 	// InjCrashSub kills one cluster's sub-coordinator (sharded runs
-	// only); it restarts empty after CrashDetect and re-learns the
+	// only); it restarts empty after crashDetect and re-learns the
 	// reset epoch from the root's next ack.
 	InjCrashSub
 )
@@ -133,16 +142,6 @@ type Params struct {
 
 	Events []Injection
 
-	// JoinDelay is the seconds between the scheduler granting a node
-	// and the node taking part (deployment plus state transfer setup).
-	JoinDelay float64
-	// CrashDetect is the failure-detection latency before a crashed
-	// node's work is recomputed elsewhere.
-	CrashDetect float64
-	// PollInterval is the victim-side delay to handle one steal
-	// request; competing load multiplies it (a loaded machine's runtime
-	// thread is scheduled rarely).
-	PollInterval float64
 	// MaxTime aborts runs that stopped making progress (safety net).
 	MaxTime float64
 
@@ -162,11 +161,6 @@ type Params struct {
 	// by application-specific speed (sched.Pool.BestAvailable).
 	Opportunistic bool
 
-	// OpportunisticFactor is how much faster an available cluster must
-	// be than the slowest live node to trigger a migration (default
-	// 1.5).
-	OpportunisticFactor float64
-
 	// Sharded runs the hierarchical coordinator tree instead of the
 	// flat kernel: one sub-coordinator per cluster aggregates its
 	// cluster's reports into a ClusterSummary, and the root tick costs
@@ -176,10 +170,6 @@ type Params struct {
 	// carries (0 = all reporting nodes, which keeps flat/sharded
 	// decision parity exact on small worlds).
 	ProposalCap int
-	// FailoverAfter is how many consecutive unacknowledged summary
-	// periods a sub-coordinator tolerates before electing a new root
-	// (default 2).
-	FailoverAfter int
 
 	// Observe, when set, is called after every coordinator tick with
 	// the period record, the learned requirements, and the per-cluster
@@ -209,32 +199,11 @@ const (
 
 // Defaults fills zero fields with sensible values.
 func (p *Params) Defaults() {
-	if p.JoinDelay == 0 {
-		p.JoinDelay = 5
-	}
-	if p.OpportunisticFactor == 0 {
-		p.OpportunisticFactor = 1.5
-	}
-	if p.CrashDetect == 0 {
-		p.CrashDetect = 10
-	}
-	if p.PollInterval == 0 {
-		p.PollInterval = 0.002
-	}
 	if p.MaxTime == 0 {
 		p.MaxTime = 200000
 	}
 	if p.Mon.Period == 0 {
 		p.Mon.Period = 180
-	}
-	if p.Mon.BenchWork == 0 {
-		p.Mon.BenchWork = 2
-	}
-	if p.Mon.BenchBudget == 0 {
-		p.Mon.BenchBudget = 0.03
-	}
-	if p.FailoverAfter == 0 {
-		p.FailoverAfter = 2
 	}
 }
 

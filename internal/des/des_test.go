@@ -26,7 +26,7 @@ func TestParamsValidate(t *testing.T) {
 			p.Adapt = &cfg // adaptation without monitoring
 		},
 		func(p *Params) {
-			cfg := core.Config{EMin: 0.9, EMax: 0.1, ClusterDropInterComm: 0.2, MinNodes: 1, MaxGrowFactor: 1}
+			cfg := core.Config{EMin: 0.9, EMax: 0.1, ClusterDropInterComm: 0.2, MinNodes: 1}
 			p.Mon = DefaultMonitor()
 			p.Adapt = &cfg
 		},
@@ -44,8 +44,7 @@ func TestParamsValidate(t *testing.T) {
 func TestDefaultsFillZeroes(t *testing.T) {
 	var p Params
 	p.Defaults()
-	if p.JoinDelay == 0 || p.CrashDetect == 0 || p.PollInterval == 0 ||
-		p.MaxTime == 0 || p.Mon.Period == 0 || p.Mon.BenchWork == 0 || p.Mon.BenchBudget == 0 {
+	if p.MaxTime == 0 || p.Mon.Period == 0 {
 		t.Fatalf("defaults incomplete: %+v", p)
 	}
 }

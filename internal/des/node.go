@@ -178,7 +178,7 @@ func (s *Sim) stealArrive(m *stealMsg) {
 	if v.busyUntil > handleAt {
 		handleAt = v.busyUntil
 	}
-	v.stealFree = handleAt + vtime.Time(s.p.PollInterval*(1+v.load))
+	v.stealFree = handleAt + vtime.Time(pollInterval*(1+v.load))
 	s.k.PostAt(v.stealFree, m.handle)
 }
 
@@ -290,12 +290,12 @@ func (s *Sim) stealReply(m *stealMsg, got bool, commSec float64) {
 // ---- benchmarking and monitoring ----
 
 // startBench runs the application-specific speed benchmark: the
-// application itself with a small problem size (BenchWork). Its
+// application itself with a small problem size (benchWork). Its
 // duration on the current effective speed *is* the measurement.
 func (s *Sim) startBench(n *simNode) {
 	n.benchPending = false
 	n.benching = true
-	dur := s.p.Mon.BenchWork / n.effSpeed()
+	dur := benchWork / n.effSpeed()
 	n.busyUntil = s.k.Now() + vtime.Time(dur)
 	s.k.Post(dur, func() {
 		n.benching = false
@@ -303,12 +303,12 @@ func (s *Sim) startBench(n *simNode) {
 			return
 		}
 		s.addTime(n, metrics.Bench, dur)
-		noise := 1 + s.p.Mon.SpeedNoise*(2*s.k.Rand().Float64()-1)
+		noise := 1 + speedNoise*(2*s.k.Rand().Float64()-1)
 		n.acc.SetSpeed(n.effSpeed() * noise)
 		n.loadAtBench = n.load
 		// Re-run at the frequency the overhead budget allows: a run of
 		// dur seconds every dur/budget seconds costs exactly budget.
-		interval := dur / s.p.Mon.BenchBudget
+		interval := dur / benchBudget
 		var rearm func()
 		rearm = func() {
 			n.benchTimer = s.k.After(interval, func() {

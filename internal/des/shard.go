@@ -50,18 +50,10 @@ func (s *Sim) subFor(c core.ClusterID) *desSub {
 	return sub
 }
 
-// newSubLink builds a sub-coordinator's (re)start state; the badness
-// weights its sub-kernel ranks eviction proposals with come from
-// whichever objective the run adapts under.
+// newSubLink builds a sub-coordinator's (re)start state; its sub-kernel
+// ranks eviction proposals with the root's badness weights.
 func (s *Sim) newSubLink(c core.ClusterID) *coord.SubLink {
-	w := core.DefaultConfig().Weights
-	switch {
-	case s.p.Adapt != nil:
-		w = s.p.Adapt.Weights
-	case s.p.StreamSLO != nil:
-		w = s.p.StreamSLO.Weights
-	}
-	return coord.NewSubLink(c, s.p.ProposalCap, w, s.p.FailoverAfter)
+	return coord.NewSubLink(c, s.p.ProposalCap, coord.Config{Engine: s.p.Adapt}.Weights())
 }
 
 // subOrder returns the sub-coordinators' clusters in deterministic
@@ -118,11 +110,11 @@ func (s *Sim) deliverReport(c core.ClusterID, rep metrics.Report) {
 }
 
 // subsTick runs every sub-coordinator's period: summarize the cluster,
-// hand the summary to the network, and — when a sub has gone
-// FailoverAfter periods without an ack and the root is indeed down —
-// hold the election. One recurring event iterates all subs (the real
-// subs tick independently; collapsing them keeps the event queue small
-// at 10k nodes without changing what the root observes).
+// hand the summary to the network, and — when a sub has gone coord's
+// failover threshold of periods without an ack and the root is indeed
+// down — hold the election. One recurring event iterates all subs (the
+// real subs tick independently; collapsing them keeps the event queue
+// small at 10k nodes without changing what the root observes).
 func (s *Sim) subsTick() {
 	if s.done {
 		return
@@ -228,11 +220,10 @@ func (s *Sim) electRoot(liveBy map[core.ClusterID][]core.NodeID) {
 // elected successor run.
 func (s *Sim) rootConfig() coord.Config {
 	cfg := coord.Config{
-		Engine:              s.p.Adapt,
-		MonitorOnly:         s.p.MonitorOnly,
-		DisableBlacklist:    s.p.DisableBlacklist,
-		Opportunistic:       s.p.Opportunistic,
-		OpportunisticFactor: s.p.OpportunisticFactor,
+		Engine:           s.p.Adapt,
+		MonitorOnly:      s.p.MonitorOnly,
+		DisableBlacklist: s.p.DisableBlacklist,
+		Opportunistic:    s.p.Opportunistic,
 	}
 	if s.p.StreamSLO != nil {
 		// Each root instance (initial or elected successor) gets a fresh
@@ -303,7 +294,7 @@ func (s *Sim) crashRoot() {
 }
 
 // crashSub kills one cluster's sub-coordinator; reports from that
-// cluster are lost until the sub restarts after CrashDetect with empty
+// cluster are lost until the sub restarts after crashDetect with empty
 // state (it re-learns the epoch from the first ack).
 func (s *Sim) crashSub(c core.ClusterID) {
 	sub, ok := s.subs[c]
@@ -311,7 +302,7 @@ func (s *Sim) crashSub(c core.ClusterID) {
 		return
 	}
 	sub.crashed = true
-	s.k.Post(s.p.CrashDetect, func() {
+	s.k.Post(crashDetect, func() {
 		if s.done {
 			return
 		}

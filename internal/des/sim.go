@@ -334,7 +334,7 @@ func (s *Sim) addNode(ref sched.NodeRef, immediate bool) {
 		start()
 		return
 	}
-	s.k.Post(s.p.JoinDelay, func() {
+	s.k.Post(joinDelay, func() {
 		if s.done {
 			s.pool.Release(ref)
 			return
@@ -460,7 +460,7 @@ func (s *Sim) leave(n *simNode) {
 }
 
 // crash fails a node abruptly. Its work reappears elsewhere only after
-// the failure is detected (CrashDetect), modelling the registry's
+// the failure is detected (crashDetect), modelling the registry's
 // heartbeat fault detection plus Satin's orphan recomputation.
 func (s *Sim) crash(n *simNode) {
 	if n.gone() {
@@ -486,7 +486,7 @@ func (s *Sim) crash(n *simNode) {
 	n.curItem = nil
 	n.deque = nil
 	if len(lost) > 0 || lostItem != nil {
-		s.k.Post(s.p.CrashDetect, func() {
+		s.k.Post(crashDetect, func() {
 			if s.done {
 				return
 			}
@@ -505,7 +505,7 @@ func (s *Sim) crash(n *simNode) {
 		s.exchangeDone()
 	}
 	if wasMaster && s.phase == phaseSeq && s.master != nil {
-		s.k.Post(s.p.CrashDetect, func() {
+		s.k.Post(crashDetect, func() {
 			if !s.done && s.phase == phaseSeq {
 				s.startSeq()
 			}

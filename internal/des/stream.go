@@ -18,7 +18,7 @@ import (
 // the item into the next queue. The figure of merit is end-to-end
 // latency: born at emission, stopped when the item leaves the last
 // stage. Faults never stop an item's clock — a crashed node's item
-// reappears at its stage's head only after CrashDetect, which is
+// reappears at its stage's head only after crashDetect, which is
 // exactly the latency spike the StreamSLO objective must adapt away.
 
 // streamItem is one unit of work travelling the pipeline.

@@ -25,8 +25,7 @@ func streamParams(items int) Params {
 func streamAdaptive(p Params) Params {
 	p.Mon = DefaultMonitor()
 	p.Mon.Period = 30
-	cfg := core.DefaultStreamSLO(p.Stream.TargetLatency)
-	p.StreamSLO = &cfg
+	p.StreamSLO = &core.StreamSLOConfig{TargetLatency: p.Stream.TargetLatency}
 	return p
 }
 
@@ -43,7 +42,7 @@ func TestStreamValidate(t *testing.T) {
 		},
 		func(p *Params) { p.Stream = nil }, // SLO without a stream
 		func(p *Params) { p.Mon.Enabled = false },
-		func(p *Params) { p.StreamSLO.HighRatio = -1 },
+		func(p *Params) { p.StreamSLO.TargetLatency = 0 },
 		func(p *Params) { p.Stream.RateHz = 0 },
 	}
 	for i, mutate := range cases {

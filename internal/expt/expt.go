@@ -390,8 +390,7 @@ func buildStreaming(v Variant, seed int64) des.Params {
 	case Adaptive, MonitorOnly:
 		p.Mon = des.DefaultMonitor()
 		p.Mon.Period = 30
-		slo := core.DefaultStreamSLO(spec.TargetLatency)
-		p.StreamSLO = &slo
+		p.StreamSLO = &core.StreamSLOConfig{TargetLatency: spec.TargetLatency}
 		p.MonitorOnly = v == MonitorOnly
 	}
 	return p

@@ -53,12 +53,32 @@ func TestAllScenariosWellFormed(t *testing.T) {
 	}
 }
 
+// TestByID: every scenario of the paper's evaluation is registered
+// under its figure's ID.
 func TestByID(t *testing.T) {
-	if _, ok := ByID("2b"); !ok {
-		t.Error("2b missing")
+	for _, id := range []string{"1", "2a", "2b", "2c", "3", "4", "5", "6"} {
+		if sc, ok := ByID(id); !ok || sc.Build == nil {
+			t.Errorf("scenario %s missing", id)
+		}
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("found nonexistent scenario")
+	}
+}
+
+// TestRunScenarioSingleVariant: Run executes exactly the variants it
+// is asked for.
+func TestRunScenarioSingleVariant(t *testing.T) {
+	sc, _ := ByID("1")
+	out, err := Run(sc, NoAdapt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Results[NoAdapt] == nil || !out.Results[NoAdapt].Completed {
+		t.Fatalf("outcome = %+v", out.Results)
+	}
+	if len(out.Results) != 1 {
+		t.Errorf("unrequested variants ran: %v", out.Results)
 	}
 }
 

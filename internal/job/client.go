@@ -1,6 +1,7 @@
 package job
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -8,6 +9,11 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
+
+// ErrRejected marks a submit the service answered with a refusal (an
+// invalid spec, or a draining service), as opposed to one that got no
+// answer.
+var ErrRejected = errors.New("submit rejected")
 
 // Ctl is a control client of the service: it dials the fabric the
 // daemon serves on (in-process in tests, the TCP hub in satind's
@@ -116,7 +122,7 @@ func (c *Ctl) Submit(spec Spec, timeout time.Duration) (string, error) {
 	}
 	r := reply.(SubmitReply)
 	if r.Err != "" {
-		return "", fmt.Errorf("submit rejected: %s", r.Err)
+		return "", fmt.Errorf("%w: %s", ErrRejected, r.Err)
 	}
 	return r.ID, nil
 }

@@ -1,0 +1,78 @@
+package job
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/wirefmt"
+	"repro/internal/workload"
+	"repro/satin"
+)
+
+// fuzzClusters is the deployment the fuzz targets check against: two
+// clusters of four nodes.
+var fuzzClusters = []satin.ClusterSpec{{Name: "fs0", Nodes: 4}, {Name: "fs1", Nodes: 4}}
+
+// FuzzSubmitRequest runs what a daemon does with every submit frame
+// from its public port, decode and then the spec check, on arbitrary
+// bytes. Nothing may panic, and a spec the check lets through must be
+// one the manager can run without panicking or waiting forever: a
+// non-negative period (a node's report ticker panics on a negative
+// one), at least one iteration, a provisioning target the pool can
+// meet, and a cap that does not undercut it.
+func FuzzSubmitRequest(f *testing.F) {
+	const capacity = 8
+	stream := workload.Pipeline3(4, 10)
+	for _, spec := range []Spec{
+		{App: "fib", Size: 10, Adapt: true, Period: -time.Second},
+		{App: "fib", Size: 24, Iters: 3, MinNodes: 2, MaxNodes: 4, Weight: 1, Adapt: true, Period: time.Second,
+			Shape: map[string]float64{"fs1": 5000}, Load: map[string]float64{"fs0": 3}},
+		{Class: "stream", Stream: &stream, Adapt: true},
+		{App: "tsp", Size: 1 << 40}, // accepted: the check builds nothing
+	} {
+		enc, err := (&SubmitRequest{Token: 7, Spec: spec}).AppendWire(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SubmitRequest
+		r := wirefmt.NewReader(data)
+		if req.DecodeWire(&r) != nil {
+			return
+		}
+		s := req.Spec
+		if s.check(fuzzClusters, capacity) != nil {
+			return
+		}
+		if s.Period < 0 || s.Iters < 1 || s.MinNodes < 1 || s.MinNodes > capacity ||
+			(s.MaxNodes != 0 && s.MaxNodes < s.MinNodes) {
+			t.Fatalf("accepted a spec the manager cannot run: %+v", s)
+		}
+	})
+}
+
+// FuzzParseKV: the -shape/-load parser never panics, and what it
+// accepts is a positive number for the cluster named before the "=",
+// one of the deployment's when the deployment is given.
+func FuzzParseKV(f *testing.F) {
+	for _, spec := range []string{"fs1=5000", "fs0=0.5", "fs1", "=5000", "fs1=-3", "fs1=NaN", "fs9=1", "fs0=1e309", "fs0==1"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		for _, clusters := range [][]satin.ClusterSpec{nil, fuzzClusters} {
+			c, v, err := ParseKV(spec, clusters)
+			if err != nil {
+				continue
+			}
+			if name, _, _ := strings.Cut(spec, "="); string(c) != name || !(v > 0) {
+				t.Fatalf("ParseKV(%q) = %q, %v: want the named cluster and a value > 0", spec, c, v)
+			}
+			if clusters != nil && c != "fs0" && c != "fs1" {
+				t.Fatalf("ParseKV(%q) accepted cluster %q outside the deployment", spec, c)
+			}
+		}
+	})
+}

@@ -24,10 +24,8 @@ type Config struct {
 	// these same clusters; the shared arbiter owns the processors.
 	Clusters []satin.ClusterSpec
 
-	LANLatency   time.Duration // default 200µs
-	WANLatency   time.Duration // default 5ms
-	LANBandwidth float64       // bytes/s, default 100 MB/s
-	WANBandwidth float64       // bytes/s, default 50 MB/s
+	LANLatency time.Duration // default 200µs
+	WANLatency time.Duration // default 5ms
 
 	// MaxActive bounds concurrently executing jobs (default 8); queued
 	// jobs also wait until the admitted jobs' MinNodes fit capacity.
@@ -37,8 +35,6 @@ type Config struct {
 	// ProvisionPatience bounds how long a job waits for MinNodes before
 	// starting with whatever it holds — at least the master (default 5s).
 	ProvisionPatience time.Duration
-	// DemandTTL is passed to the pool arbiter (default 10s).
-	DemandTTL time.Duration
 	// Registry tunes each job's registry server, which sets the pace for
 	// the job's nodes and coordinator (tests use fast heartbeats).
 	Registry registry.Options
@@ -54,6 +50,9 @@ type Config struct {
 func (c *Config) defaults() error {
 	if len(c.Clusters) == 0 {
 		return fmt.Errorf("job: manager needs at least one cluster")
+	}
+	if c.Period < 0 {
+		return fmt.Errorf("job: monitoring period must be >= 0, got %v", c.Period)
 	}
 	if c.MaxActive == 0 {
 		c.MaxActive = 8
@@ -100,17 +99,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	grid := satin.GridConfig{
-		Clusters:     cfg.Clusters,
-		LANLatency:   cfg.LANLatency,
-		WANLatency:   cfg.WANLatency,
-		LANBandwidth: cfg.LANBandwidth,
-		WANBandwidth: cfg.WANBandwidth,
-		Registry:     cfg.Registry,
-		Node:         cfg.Node,
+		Clusters:   cfg.Clusters,
+		LANLatency: cfg.LANLatency,
+		WANLatency: cfg.WANLatency,
+		Registry:   cfg.Registry,
+		Node:       cfg.Node,
 	}
 	// The arbiter owns the whole topology — the conversion a grid does
 	// for its private pool, so node IDs and bandwidth bounds match.
-	arb, err := pool.New(grid.Topology(), pool.Config{DemandTTL: cfg.DemandTTL})
+	arb, err := pool.New(grid.Topology(), pool.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -144,45 +141,8 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 
 // SubmitJob is Submit with in-process callbacks attached.
 func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
-	switch spec.Class {
-	case "", "batch":
-		if spec.Stream != nil {
-			return nil, fmt.Errorf("batch job carries a stream spec (submit with class=stream)")
-		}
-		if _, _, err := BuildTask(spec.App, spec.Size); err != nil {
-			return nil, err
-		}
-	case "stream":
-		if spec.Stream == nil {
-			return nil, fmt.Errorf("stream job needs a pipeline spec")
-		}
-		if err := spec.Stream.Validate(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown class %q (batch | stream)", spec.Class)
-	}
-	if spec.Iters == 0 {
-		spec.Iters = 1
-	}
-	if spec.Iters < 0 {
-		return nil, fmt.Errorf("iters must be >= 1, got %d", spec.Iters)
-	}
-	if spec.MinNodes == 0 {
-		spec.MinNodes = 1
-	}
-	if spec.MinNodes < 0 || spec.MinNodes > m.arb.Capacity() {
-		return nil, fmt.Errorf("min nodes %d out of range (capacity %d)", spec.MinNodes, m.arb.Capacity())
-	}
-	if spec.MaxNodes != 0 && spec.MaxNodes < spec.MinNodes {
-		return nil, fmt.Errorf("max nodes %d below min nodes %d", spec.MaxNodes, spec.MinNodes)
-	}
-	for _, dist := range []map[string]float64{spec.Shape, spec.Load} {
-		for name, v := range dist {
-			if _, _, err := ParseKV(fmt.Sprintf("%s=%g", name, v), m.cfg.Clusters); err != nil {
-				return nil, err
-			}
-		}
+	if err := spec.check(m.cfg.Clusters, m.arb.Capacity()); err != nil {
+		return nil, err
 	}
 
 	m.mu.Lock()
@@ -210,6 +170,58 @@ func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
 	})
 	m.wakeUp()
 	return j, nil
+}
+
+// check validates a submitted spec against the deployment (its clusters
+// and their node capacity) and fills in the defaults: one iteration, one
+// node. It builds nothing, so any problem size costs the same to check.
+func (s *Spec) check(clusters []satin.ClusterSpec, capacity int) error {
+	switch s.Class {
+	case "", "batch":
+		if s.Stream != nil {
+			return fmt.Errorf("batch job carries a stream spec (submit with class=stream)")
+		}
+		if err := checkApp(s.App, s.Size); err != nil {
+			return err
+		}
+	case "stream":
+		if s.Stream == nil {
+			return fmt.Errorf("stream job needs a pipeline spec")
+		}
+		if err := s.Stream.Validate(); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("unknown class %q (batch | stream)", s.Class)
+	}
+	if s.Iters == 0 {
+		s.Iters = 1
+	}
+	if s.Iters < 0 {
+		return fmt.Errorf("iters must be >= 1, got %d", s.Iters)
+	}
+	if s.Period < 0 {
+		// A node's report ticker panics on a non-positive interval; 0
+		// means the manager's period.
+		return fmt.Errorf("period must be >= 0, got %v", s.Period)
+	}
+	if s.MinNodes == 0 {
+		s.MinNodes = 1
+	}
+	if s.MinNodes < 0 || s.MinNodes > capacity {
+		return fmt.Errorf("min nodes %d out of range (capacity %d)", s.MinNodes, capacity)
+	}
+	if s.MaxNodes != 0 && s.MaxNodes < s.MinNodes {
+		return fmt.Errorf("max nodes %d below min nodes %d", s.MaxNodes, s.MinNodes)
+	}
+	for _, dist := range []map[string]float64{s.Shape, s.Load} {
+		for name, v := range dist {
+			if _, _, err := ParseKV(fmt.Sprintf("%s=%g", name, v), clusters); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Job returns a job by ID (nil if unknown).
@@ -405,8 +417,7 @@ func (m *Manager) run(j *Job) {
 		if j.Spec.Class == "stream" {
 			// Streaming jobs adapt to their latency SLO, not the WAE band;
 			// the window driver (runStream) feeds the observations.
-			slo := adapt.DefaultStreamSLO(j.Spec.Stream.TargetLatency)
-			cfg.StreamSLO = &slo
+			cfg.StreamSLO = &adapt.StreamSLOConfig{TargetLatency: j.Spec.Stream.TargetLatency}
 		}
 		if rec := m.cfg.Recorder; rec != nil {
 			id := j.ID

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -293,10 +294,19 @@ func TestSubmitValidation(t *testing.T) {
 		{"max below min", Spec{App: "fib", Size: 10, MinNodes: 2, MaxNodes: 1}},
 		{"bad shape cluster", Spec{App: "fib", Size: 10, Shape: map[string]float64{"nope": 5000}}},
 		{"bad load value", Spec{App: "fib", Size: 10, Load: map[string]float64{"fs0": -1}}},
+		// Accepted, this one's nodes panic in their report ticker and
+		// take the process down with every job in it.
+		{"negative period", Spec{App: "fib", Size: 10, Adapt: true, Period: -time.Second}},
+		{"NaN load", Spec{App: "fib", Size: 10, Load: map[string]float64{"fs0": math.NaN()}}},
 	} {
-		if _, err := m.Submit(tc.spec); err == nil {
+		if j, err := m.Submit(tc.spec); err == nil {
 			t.Errorf("%s: accepted, want error", tc.name)
+			waitTerminal(t, j, 10*time.Second) // and see what running it does
 		}
+	}
+	if m2, err := NewManager(Config{Clusters: m.cfg.Clusters, Period: -time.Second}); err == nil {
+		m2.Close()
+		t.Error("manager with a negative monitoring period accepted")
 	}
 }
 

@@ -145,6 +145,7 @@ func TestParseKV(t *testing.T) {
 		{spec: "fs1=fast", wantErr: "bad value"},
 		{spec: "fs1=-3", wantErr: "must be > 0"},
 		{spec: "fs1=0", wantErr: "must be > 0"},
+		{spec: "fs1=NaN", wantErr: "must be > 0"},
 		{spec: "fs9=5000", wantErr: "unknown cluster"},
 	} {
 		cluster, v, err := ParseKV(tc.spec, clusters)

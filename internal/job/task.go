@@ -11,38 +11,61 @@ import (
 	"repro/satin"
 )
 
+// builders maps each application name onto internal/apps: the root
+// task at a problem size plus an optional correctness check. Building
+// can cost time and memory in proportion to the size; checkApp only
+// looks the name up.
+var builders = map[string]func(size int) (satin.Task, func(any) bool){
+	"fib": func(size int) (satin.Task, func(any) bool) {
+		want := apps.FibLeaves(size)
+		return apps.Fib{N: size, SeqCutoff: 12, LeafDelay: 3 * time.Millisecond},
+			func(v any) bool { return v.(int) == want }
+	},
+	"nqueens": func(size int) (satin.Task, func(any) bool) {
+		want := apps.QueensSolutions(size)
+		return apps.NQueens{N: size, SpawnDepth: 3},
+			func(v any) bool { return want < 0 || v.(int) == want }
+	},
+	"integrate": func(int) (satin.Task, func(any) bool) {
+		return apps.Integrate{Fn: "spiky", A: -3, B: 3, Eps: 1e-10}, nil
+	},
+	"tsp": func(size int) (satin.Task, func(any) bool) {
+		return apps.NewTSP(apps.RandomCities(size, 42), 3), nil
+	},
+	"knapsack": func(size int) (satin.Task, func(any) bool) {
+		k := apps.RandomKnapsack(size, 42)
+		want := apps.KnapsackDP(k.Weights, k.Values, k.Capacity)
+		return k, func(v any) bool { return v.(int) == want }
+	},
+	"barneshut": func(size int) (satin.Task, func(any) bool) {
+		bodies := apps.Plummer(size, 42)
+		return apps.BHForces{Bodies: bodies, Lo: 0, Hi: len(bodies), Theta: 0.5, Grain: 128},
+			func(v any) bool { return len(v.([]apps.Accel)) == len(bodies) }
+	},
+}
+
+// checkApp says whether BuildTask accepts app at size, without building
+// anything.
+func checkApp(app string, size int) error {
+	if size < 1 {
+		return fmt.Errorf("size must be >= 1, got %d", size)
+	}
+	if builders[app] == nil {
+		return fmt.Errorf("unknown app %q (fib | nqueens | integrate | tsp | knapsack | barneshut)", app)
+	}
+	return nil
+}
+
 // BuildTask turns an application name and problem size into a root
 // task plus an optional correctness check. It is the single place the
 // service and satinrun map the -app flag onto internal/apps, so submit
 // validation and execution can never disagree on what is runnable.
 func BuildTask(app string, size int) (satin.Task, func(any) bool, error) {
-	if size < 1 {
-		return nil, nil, fmt.Errorf("size must be >= 1, got %d", size)
+	if err := checkApp(app, size); err != nil {
+		return nil, nil, err
 	}
-	switch app {
-	case "fib":
-		want := apps.FibLeaves(size)
-		return apps.Fib{N: size, SeqCutoff: 12, LeafDelay: 3 * time.Millisecond},
-			func(v any) bool { return v.(int) == want }, nil
-	case "nqueens":
-		want := apps.QueensSolutions(size)
-		return apps.NQueens{N: size, SpawnDepth: 3},
-			func(v any) bool { return want < 0 || v.(int) == want }, nil
-	case "integrate":
-		return apps.Integrate{Fn: "spiky", A: -3, B: 3, Eps: 1e-10}, nil, nil
-	case "tsp":
-		return apps.NewTSP(apps.RandomCities(size, 42), 3), nil, nil
-	case "knapsack":
-		k := apps.RandomKnapsack(size, 42)
-		want := apps.KnapsackDP(k.Weights, k.Values, k.Capacity)
-		return k, func(v any) bool { return v.(int) == want }, nil
-	case "barneshut":
-		bodies := apps.Plummer(size, 42)
-		return apps.BHForces{Bodies: bodies, Lo: 0, Hi: len(bodies), Theta: 0.5, Grain: 128},
-			func(v any) bool { return len(v.([]apps.Accel)) == len(bodies) }, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown app %q (fib | nqueens | integrate | tsp | knapsack | barneshut)", app)
-	}
+	task, check := builders[app](size)
+	return task, check, nil
 }
 
 // ParseKV parses a "cluster=value" disturbance spec (-shape fs1=5000,
@@ -59,7 +82,7 @@ func ParseKV(spec string, clusters []satin.ClusterSpec) (satin.ClusterID, float6
 	if err != nil {
 		return "", 0, fmt.Errorf("bad value in %q: %v", spec, err)
 	}
-	if v <= 0 {
+	if !(v > 0) { // NaN parses, and is no more a bandwidth than -3 is
 		return "", 0, fmt.Errorf("value in %q must be > 0", spec)
 	}
 	if clusters == nil {

@@ -286,13 +286,6 @@ func (c *Client) FreeIn(cluster core.ClusterID) int { return c.arb.pool.FreeIn(c
 // MarkDead removes a node from the grid permanently.
 func (c *Client) MarkDead(node core.NodeID) { c.arb.MarkDead(node) }
 
-// Held returns how many nodes the client currently holds.
-func (c *Client) Held() int {
-	c.arb.mu.Lock()
-	defer c.arb.mu.Unlock()
-	return len(c.held)
-}
-
 // Pressure returns how many nodes the client should yield: the amount
 // it holds beyond its fair share while other clients are needy. The
 // job's adaptation coordinator polls this each tick and evicts that

@@ -168,22 +168,6 @@ func (r *Recorder) Samples() []Sample {
 	return r.samples.all()
 }
 
-// EventsDropped reports how many events were overwritten by ring
-// wraparound.
-func (r *Recorder) EventsDropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsDropped
-}
-
-// SamplesDropped reports how many samples were overwritten by ring
-// wraparound.
-func (r *Recorder) SamplesDropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samplesDropped
-}
-
 // WriteEventsJSONL writes the retained events as one JSON object per
 // line. When wraparound has dropped events, the first line says so.
 func (r *Recorder) WriteEventsJSONL(w io.Writer) error {

@@ -82,12 +82,6 @@ func (s StreamSpec) ItemWork() float64 {
 	return w
 }
 
-// Demand is the offered load in speed-seconds per second: the minimum
-// aggregate speed the pipeline needs just to keep up with the source
-// (utilisation 1). A sensible allocation provisions comfortably above
-// it so queueing delay stays inside the latency SLO.
-func (s StreamSpec) Demand() float64 { return s.RateHz * s.ItemWork() }
-
 // Duration is the source's emission window in seconds.
 func (s StreamSpec) Duration() float64 { return float64(s.Items) / s.RateHz }
 

@@ -1,5 +1,10 @@
 package satin
 
+import "repro/internal/steal"
+
+// StealStats snapshots the node's steal-attempt counters.
+func (n *Node) StealStats() steal.Stats { return n.stealer.eng.Stats() }
+
 // Test-only views of a node's job-ownership state.
 
 // pendingLen is the size of the pending table: submitted roots plus

@@ -53,10 +53,8 @@ type GridConfig struct {
 	// behaviour.
 	Pool NodePool
 
-	LANLatency   time.Duration // default 200µs
-	WANLatency   time.Duration // default 5ms
-	LANBandwidth float64       // bytes/s, default 100 MB/s
-	WANBandwidth float64       // bytes/s, default 50 MB/s
+	LANLatency time.Duration // default 200µs
+	WANLatency time.Duration // default 5ms
 
 	// Registry is the deployment's membership timing. The grid's registry
 	// server runs on it and tells every client (nodes, the coordinator)
@@ -82,18 +80,19 @@ type GridConfig struct {
 	Node NodeConfig
 }
 
+// The emulated links' bandwidths in bytes/s: a cluster's WAN uplink
+// runs at wanBandwidth unless Grid.Shape throttles it.
+const (
+	lanBandwidth = 100e6
+	wanBandwidth = 50e6
+)
+
 func (c *GridConfig) defaults() {
 	if c.LANLatency == 0 {
 		c.LANLatency = 200 * time.Microsecond
 	}
 	if c.WANLatency == 0 {
 		c.WANLatency = 5 * time.Millisecond
-	}
-	if c.LANBandwidth == 0 {
-		c.LANBandwidth = 100e6
-	}
-	if c.WANBandwidth == 0 {
-		c.WANBandwidth = 50e6
 	}
 }
 
@@ -107,8 +106,8 @@ func (c GridConfig) Topology() topo.Topology {
 	for _, cl := range c.Clusters {
 		t.Clusters = append(t.Clusters, topo.Cluster{
 			ID: cl.Name, Nodes: cl.Nodes, Speed: 1,
-			LANLatency: c.LANLatency.Seconds(), LANBandwidth: c.LANBandwidth,
-			WANLatency: c.WANLatency.Seconds() / 2, UplinkBandwidth: c.WANBandwidth,
+			LANLatency: c.LANLatency.Seconds(), LANBandwidth: lanBandwidth,
+			WANLatency: c.WANLatency.Seconds() / 2, UplinkBandwidth: wanBandwidth,
 		})
 	}
 	return t
@@ -189,9 +188,9 @@ func (g *Grid) Registry() *registry.Server { return g.regSrv }
 func (g *Grid) link(from, to string) transport.LinkParams {
 	cf, ct := topo.ClusterOf(from), topo.ClusterOf(to)
 	if cf != "" && cf == ct {
-		return transport.LinkParams{Latency: g.cfg.LANLatency, Bandwidth: g.cfg.LANBandwidth}
+		return transport.LinkParams{Latency: g.cfg.LANLatency, Bandwidth: lanBandwidth}
 	}
-	bw := g.cfg.WANBandwidth
+	bw := wanBandwidth
 	g.mu.Lock()
 	for _, c := range []ClusterID{cf, ct} {
 		if c == "" {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/deque"
 	"repro/internal/registry"
-	"repro/internal/steal"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 	"sync"
@@ -229,12 +228,6 @@ func (n *Node) Cluster() ClusterID { return n.cfg.Cluster }
 // the benchmark) takes (1+f) times as long. This is the real-runtime
 // counterpart of the paper's artificial-load experiments.
 func (n *Node) SetLoadFactor(f float64) { n.stats.setLoad(f) }
-
-// StealStats snapshots the node's steal-attempt counters (victim
-// selection lives in internal/steal; the counts distinguish
-// latency-hidden asynchronous WAN attempts from synchronous ones the
-// Random ablation pays in the idle path).
-func (n *Node) StealStats() steal.Stats { return n.stealer.eng.Stats() }
 
 // registerJob allocates an ID and records ownership of a job whose
 // result will arrive by that ID.

@@ -432,7 +432,6 @@ func TestSubCoordinatorLinkModel(t *testing.T) {
 	g, err := NewGrid(GridConfig{
 		Clusters:   []ClusterSpec{{Name: "fs0", Nodes: 1}, {Name: "fs1", Nodes: 1}},
 		LANLatency: time.Millisecond, WANLatency: 10 * time.Millisecond,
-		LANBandwidth: 100e6, WANBandwidth: 50e6,
 	})
 	if err != nil {
 		t.Fatal(err)
