@@ -20,7 +20,8 @@ var fuzzClusters = []satin.ClusterSpec{{Name: "fs0", Nodes: 4}, {Name: "fs1", No
 // one the manager can run without panicking or waiting forever: a
 // non-negative period (a node's report ticker panics on a negative
 // one), at least one iteration, a provisioning target the pool can
-// meet, and a cap that does not undercut it.
+// meet, a cap that does not undercut it, and a batch size within its
+// application's bound.
 func FuzzSubmitRequest(f *testing.F) {
 	const capacity = 8
 	stream := workload.Pipeline3(4, 10)
@@ -29,7 +30,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		{App: "fib", Size: 24, Iters: 3, MinNodes: 2, MaxNodes: 4, Weight: 1, Adapt: true, Period: time.Second,
 			Shape: map[string]float64{"fs1": 5000}, Load: map[string]float64{"fs0": 3}},
 		{Class: "stream", Stream: &stream, Adapt: true},
-		{App: "tsp", Size: 1 << 40}, // accepted: the check builds nothing
+		{App: "tsp", Size: 1 << 40}, // rejected: above tsp's bound
 	} {
 		enc, err := (&SubmitRequest{Token: 7, Spec: spec}).AppendWire(nil)
 		if err != nil {
@@ -51,7 +52,24 @@ func FuzzSubmitRequest(f *testing.F) {
 			(s.MaxNodes != 0 && s.MaxNodes < s.MinNodes) {
 			t.Fatalf("accepted a spec the manager cannot run: %+v", s)
 		}
+		if s.Class != "stream" && s.Size > builders[s.App].maxSize {
+			t.Fatalf("accepted %s at size %d, above its bound %d", s.App, s.Size, builders[s.App].maxSize)
+		}
 	})
+}
+
+// An oversized tsp is refused by looking at its size: the check
+// allocates what its error message needs, not the n² distance matrix.
+func TestOversizedSpecRejectedWithoutBuilding(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		s := Spec{App: "tsp", Size: 1_000_000}
+		if s.check(fuzzClusters, 8) == nil {
+			t.Fatal("tsp at size 10^6 accepted")
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("rejecting an oversized tsp made %v allocations, want a handful", allocs)
+	}
 }
 
 // FuzzParseKV: the -shape/-load parser never panics, and what it

@@ -13,45 +13,53 @@ import (
 
 // builders maps each application name onto internal/apps: the root
 // task at a problem size plus an optional correctness check. Building
-// can cost time and memory in proportion to the size; checkApp only
-// looks the name up.
-var builders = map[string]func(size int) (satin.Task, func(any) bool){
-	"fib": func(size int) (satin.Task, func(any) bool) {
+// can cost time and memory in proportion to the size (tsp's distance
+// matrix is n², fib's check walks n), so every application has a
+// largest size it accepts; checkApp looks only at the name and that
+// bound.
+var builders = map[string]struct {
+	maxSize int
+	build   func(size int) (satin.Task, func(any) bool)
+}{
+	"fib": {40, func(size int) (satin.Task, func(any) bool) {
 		want := apps.FibLeaves(size)
 		return apps.Fib{N: size, SeqCutoff: 12, LeafDelay: 3 * time.Millisecond},
 			func(v any) bool { return v.(int) == want }
-	},
-	"nqueens": func(size int) (satin.Task, func(any) bool) {
+	}},
+	// nqueens boards are 32-bit masks; the task refuses more than 20.
+	"nqueens": {20, func(size int) (satin.Task, func(any) bool) {
 		want := apps.QueensSolutions(size)
 		return apps.NQueens{N: size, SpawnDepth: 3},
 			func(v any) bool { return want < 0 || v.(int) == want }
-	},
-	"integrate": func(int) (satin.Task, func(any) bool) {
+	}},
+	// integrate ignores the size; the bound admits the -size default.
+	"integrate": {64, func(int) (satin.Task, func(any) bool) {
 		return apps.Integrate{Fn: "spiky", A: -3, B: 3, Eps: 1e-10}, nil
-	},
-	"tsp": func(size int) (satin.Task, func(any) bool) {
+	}},
+	"tsp": {32, func(size int) (satin.Task, func(any) bool) {
 		return apps.NewTSP(apps.RandomCities(size, 42), 3), nil
-	},
-	"knapsack": func(size int) (satin.Task, func(any) bool) {
+	}},
+	"knapsack": {64, func(size int) (satin.Task, func(any) bool) {
 		k := apps.RandomKnapsack(size, 42)
 		want := apps.KnapsackDP(k.Weights, k.Values, k.Capacity)
 		return k, func(v any) bool { return v.(int) == want }
-	},
-	"barneshut": func(size int) (satin.Task, func(any) bool) {
+	}},
+	"barneshut": {100000, func(size int) (satin.Task, func(any) bool) {
 		bodies := apps.Plummer(size, 42)
 		return apps.BHForces{Bodies: bodies, Lo: 0, Hi: len(bodies), Theta: 0.5, Grain: 128},
 			func(v any) bool { return len(v.([]apps.Accel)) == len(bodies) }
-	},
+	}},
 }
 
 // checkApp says whether BuildTask accepts app at size, without building
 // anything.
 func checkApp(app string, size int) error {
-	if size < 1 {
-		return fmt.Errorf("size must be >= 1, got %d", size)
-	}
-	if builders[app] == nil {
+	b, ok := builders[app]
+	if !ok {
 		return fmt.Errorf("unknown app %q (fib | nqueens | integrate | tsp | knapsack | barneshut)", app)
+	}
+	if size < 1 || size > b.maxSize {
+		return fmt.Errorf("%s size must be in [1, %d], got %d", app, b.maxSize, size)
 	}
 	return nil
 }
@@ -64,7 +72,7 @@ func BuildTask(app string, size int) (satin.Task, func(any) bool, error) {
 	if err := checkApp(app, size); err != nil {
 		return nil, nil, err
 	}
-	task, check := builders[app](size)
+	task, check := builders[app].build(size)
 	return task, check, nil
 }
 

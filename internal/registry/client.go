@@ -12,10 +12,10 @@ import (
 )
 
 // Client is one member's registry session. It keeps an up-to-date
-// membership view, heartbeats automatically, and delivers membership
-// events and signals through an unbounded internal queue (so slow
-// consumers never block the transport and never lose a Died event the
-// fault-tolerance layer depends on).
+// membership view, heartbeats automatically once joined, and delivers
+// membership events and signals through an unbounded internal queue (so
+// slow consumers never block the transport and never lose a Died event
+// the fault-tolerance layer depends on).
 type Client struct {
 	info NodeInfo
 	wc   *wire.Conn
@@ -23,8 +23,10 @@ type Client struct {
 
 	mu      sync.Mutex
 	members map[core.NodeID]NodeInfo
-	joined  chan struct{} // closed on join-ack
-	once    sync.Once
+	joined  chan struct{} // closed on the join-ack
+	failed  chan struct{} // closed when the join gives up; err says why
+	err     error
+	settled sync.Once // closes exactly one of joined and failed
 	queue   []Event
 	cond    *sync.Cond
 	closed  bool
@@ -35,12 +37,14 @@ type Client struct {
 	events chan Event
 }
 
-// Join attaches a member to the registry and waits for the ack. The
-// server owns the deployment's membership timing: a client whose
-// opt.HeartbeatInterval is zero heartbeats at the interval the ack
-// carries, so a member cannot be declared dead for running on defaults
-// the server was not started with. A non-zero interval still wins.
-func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
+// Begin attaches a member to the registry and sends its join without
+// waiting for the ack. Joined closes when the ack arrives, Failed when
+// the join gives up. The server owns the deployment's membership timing:
+// a client whose opt.HeartbeatInterval is zero heartbeats at the
+// interval the ack carries, so a member cannot be declared dead for
+// running on defaults the server was not started with. A non-zero
+// interval still wins.
+func Begin(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
 	ep, err := f.Endpoint(clientEP(info.ID))
 	if err != nil {
 		return nil, err
@@ -51,42 +55,55 @@ func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
 		opt:     opt,
 		members: make(map[core.NodeID]NodeInfo),
 		joined:  make(chan struct{}),
+		failed:  make(chan struct{}),
 		stop:    make(chan struct{}),
 		events:  make(chan Event, 16),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	wire.Handle(c.wc, c.onJoinAck)
 	wire.Handle(c.wc, c.onEvent)
-	// The join is retried until acknowledged: a lossy fabric can drop
-	// the join or its ack, and joining is idempotent on the server. A
-	// retry that finds this endpoint or its fabric closed ends the wait:
-	// the deployment was torn down, no ack will come.
 	join := joinMsg{Info: info}
-	deadline := time.After(5 * time.Second)
 	if err := wire.Send(c.wc, ServerName, join); err != nil {
 		c.wc.Close()
 		return nil, err
 	}
-joinWait:
-	for {
-		select {
-		case <-c.joined:
-			break joinWait
-		case <-time.After(100 * time.Millisecond):
-			if err := wire.Send(c.wc, ServerName, join); errors.Is(err, transport.ErrClosed) {
-				c.wc.Close()
-				return nil, fmt.Errorf("registry: join of %s: %w", info.ID, err)
-			}
-		case <-deadline:
-			c.wc.Close()
-			return nil, fmt.Errorf("registry: join of %s timed out", info.ID)
-		}
-	}
-	c.opt.defaults() // an ack without an interval leaves the default
 	c.wg.Add(2)
-	go c.heartbeatLoop()
+	go c.session(join)
 	go c.pump()
 	return c, nil
+}
+
+// Join is Begin followed by a wait for the ack. A join that gives up
+// leaves nothing behind.
+func Join(f transport.Fabric, info NodeInfo, opt Options) (*Client, error) {
+	c, err := Begin(f, info, opt)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-c.joined:
+		return c, nil
+	case <-c.failed:
+		c.Close()
+		return nil, c.err
+	}
+}
+
+// Joined is closed once the server has acknowledged the join; Members
+// then holds everyone who joined before this member.
+func (c *Client) Joined() <-chan struct{} { return c.joined }
+
+// Failed is closed when the join gives up; Err says why.
+func (c *Client) Failed() <-chan struct{} { return c.failed }
+
+// Err is why the join gave up, or nil while it has not.
+func (c *Client) Err() error {
+	select {
+	case <-c.failed:
+		return c.err
+	default:
+		return nil
+	}
 }
 
 // Info returns this member's identity.
@@ -141,7 +158,7 @@ func (c *Client) onJoinAck(ack joinAck, _ wire.Meta) {
 		c.members[m.ID] = m
 	}
 	c.mu.Unlock()
-	c.once.Do(func() {
+	c.settled.Do(func() {
 		if c.opt.HeartbeatInterval == 0 {
 			c.opt.HeartbeatInterval = ack.HeartbeatInterval
 		}
@@ -186,8 +203,13 @@ func (c *Client) pump() {
 	}
 }
 
-func (c *Client) heartbeatLoop() {
+// session waits for the join's ack, then heartbeats.
+func (c *Client) session(join joinMsg) {
 	defer c.wg.Done()
+	if !c.awaitAck(join) {
+		return
+	}
+	c.opt.defaults() // an ack without an interval leaves the default
 	ticker := time.NewTicker(c.opt.HeartbeatInterval)
 	defer ticker.Stop()
 	hb := heartbeatMsg{ID: c.info.ID}
@@ -199,4 +221,41 @@ func (c *Client) heartbeatLoop() {
 			wire.Send(c.wc, ServerName, hb)
 		}
 	}
+}
+
+// awaitAck resends the join until it is acknowledged and reports
+// whether it was. A lossy fabric can drop the join or its ack, and
+// joining is idempotent on the server, so the join is resent every
+// 100 ms for at most five seconds. A resend that finds this endpoint or
+// its fabric closed gives up at once: the deployment was torn down, no
+// ack will come.
+func (c *Client) awaitAck(join joinMsg) bool {
+	retry := time.NewTicker(100 * time.Millisecond)
+	defer retry.Stop()
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+	for {
+		select {
+		case <-c.joined:
+			return true
+		case <-c.failed:
+			return false
+		case <-c.stop:
+			return false
+		case <-retry.C:
+			if err := wire.Send(c.wc, ServerName, join); errors.Is(err, transport.ErrClosed) {
+				c.fail(fmt.Errorf("registry: join of %s: %w", c.info.ID, err))
+			}
+		case <-deadline.C:
+			c.fail(fmt.Errorf("registry: join of %s timed out", c.info.ID))
+		}
+	}
+}
+
+// fail settles the join as given up, unless the ack won the race.
+func (c *Client) fail(err error) {
+	c.settled.Do(func() {
+		c.err = err
+		close(c.failed)
+	})
 }

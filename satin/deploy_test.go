@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/transport"
 )
 
@@ -40,10 +42,11 @@ func settleGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
-// A deployment step costs one join round trip however many nodes it
-// brings in: the four joins of StartNodes(c, 4) overlap. Started one
-// after another they took four round trips.
-func TestStartNodesOverlapsJoins(t *testing.T) {
+// A deployment step waits for no join ack: StartNodes(c, 4) returns with
+// the four workers running and their joins in flight. Whatever order the
+// acks land in, everybody knows everybody within two round trips: from
+// the ack, or from the join events that follow it.
+func TestStartNodesReturnsBeforeJoinsAck(t *testing.T) {
 	g := deployGrid(t, nil, ClusterSpec{Name: "c0", Nodes: 4})
 	start := time.Now()
 	nodes, err := g.StartNodes("c0", 4)
@@ -51,8 +54,8 @@ func TestStartNodesOverlapsJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took < joinRTT || took >= 2*joinRTT {
-		t.Fatalf("StartNodes(c0, 4) took %v, want one join round trip (%v) and under two", took, joinRTT)
+	if took >= joinRTT/4 {
+		t.Fatalf("StartNodes(c0, 4) took %v, want under a quarter of a join round trip (%v)", took, joinRTT)
 	}
 	if len(nodes) != 4 || g.NodeCount() != 4 {
 		t.Fatalf("got %d nodes, grid holds %d, want 4", len(nodes), g.NodeCount())
@@ -62,18 +65,12 @@ func TestStartNodesOverlapsJoins(t *testing.T) {
 			t.Fatalf("nodes[%d] = %s, want %s: not in ref order", i, n.ID(), want)
 		}
 	}
-	// Whatever order the joins landed in, everybody ends up knowing
-	// everybody: from the ack, or from the join events that follow it.
-	for _, n := range nodes {
-		waitUntil(t, fmt.Sprintf("%s sees four members", n.ID()), func() bool {
-			return len(n.members.client().Members()) == 4
-		})
-	}
+	waitMembers(t, start, nodes, 4)
 }
 
-// The coordinator's grow is a deployment step too: Provision(4) blocks
-// its tick for one round trip, not four.
-func TestProvisionOverlapsJoins(t *testing.T) {
+// The coordinator's grow is a deployment step too: Provision(4) does not
+// hold its tick for a round trip.
+func TestProvisionReturnsBeforeJoinsAck(t *testing.T) {
 	g := deployGrid(t, nil, ClusterSpec{Name: "c0", Nodes: 3}, ClusterSpec{Name: "c1", Nodes: 3})
 	if _, err := g.StartNodes("c0", 1); err != nil {
 		t.Fatal(err)
@@ -84,8 +81,23 @@ func TestProvisionOverlapsJoins(t *testing.T) {
 	if got != 4 || g.NodeCount() != 5 {
 		t.Fatalf("Provision(4) = %d, grid holds %d nodes, want 4 and 5", got, g.NodeCount())
 	}
-	if took < joinRTT || took >= 2*joinRTT {
-		t.Fatalf("Provision(4) took %v, want one join round trip (%v) and under two", took, joinRTT)
+	if took >= joinRTT/4 {
+		t.Fatalf("Provision(4) took %v, want under a quarter of a join round trip (%v)", took, joinRTT)
+	}
+	waitMembers(t, start, g.Nodes(), 5)
+}
+
+// waitMembers fails unless every node's registry view holds want
+// members within two join round trips of start.
+func waitMembers(t *testing.T, start time.Time, nodes []*Node, want int) {
+	t.Helper()
+	for _, n := range nodes {
+		for len(n.members.client().Members()) != want {
+			if time.Since(start) > 2*joinRTT {
+				t.Fatalf("%s sees %d members %v after the step, want %d", n.ID(), len(n.members.client().Members()), time.Since(start), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -131,31 +143,28 @@ func TestStartNodesPartialFailure(t *testing.T) {
 	}
 }
 
-// A grid closed while its nodes are joining does not leave StartNodes
-// waiting out the join deadline (five seconds): the joins notice the
-// closed fabric at their next retry, every ref goes back to the pool and
-// nothing is left running.
+// A grid closed while its nodes' joins are in flight closes at once:
+// the close stops each join's retry, every ref goes back to the pool and
+// nothing is left running. The step racing the close may return the
+// nodes or an error; either way they are stopped.
 func TestCloseWhileJoining(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g, err := NewGrid(GridConfig{Clusters: []ClusterSpec{{Name: "fs0", Nodes: 4}}})
+	g, err := NewGrid(GridConfig{Clusters: []ClusterSpec{{Name: "fs0", Nodes: 4}}, WANLatency: joinRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	start := time.Now()
+	done := make(chan struct{})
 	go func() {
-		_, err := g.StartNodes("fs0", 4)
-		done <- err
+		g.StartNodes("fs0", 4)
+		close(done)
 	}()
 	time.Sleep(time.Millisecond)
+	start := time.Now()
 	g.Close()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("StartNodes on a grid closed mid-join reported no error")
-		}
+	case <-done:
 		if took := time.Since(start); took > 250*time.Millisecond {
-			t.Fatalf("StartNodes returned %v after the close: %v", took, err)
+			t.Fatalf("close and step returned %v after the close began", took)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("StartNodes still blocked ten seconds after the close")
@@ -163,6 +172,69 @@ func TestCloseWhileJoining(t *testing.T) {
 	if free, n := g.pool.FreeIn("fs0"), g.NodeCount(); free != 4 || n != 0 {
 		t.Fatalf("%d refs free and %d nodes in the grid, want 4 and 0", free, n)
 	}
+	settleGoroutines(t, base, "after the close")
+}
+
+// lostJoinFabric stands for a registry the matching endpoints never
+// reach: the first join each sends is lost on the way, and every later
+// send to the registry finds it closed, so their joins give up at the
+// first retry.
+type lostJoinFabric struct {
+	transport.Fabric
+	lost func(endpoint string) bool
+}
+
+func (f lostJoinFabric) Endpoint(name string) (transport.Endpoint, error) {
+	ep, err := f.Fabric.Endpoint(name)
+	if err != nil || !f.lost(name) {
+		return ep, err
+	}
+	return &lostJoinEndpoint{Endpoint: ep}, nil
+}
+
+type lostJoinEndpoint struct {
+	transport.Endpoint
+	sent atomic.Bool
+}
+
+func (e *lostJoinEndpoint) Send(to, kind string, payload []byte) error {
+	if to != registry.ServerName {
+		return e.Endpoint.Send(to, kind, payload)
+	}
+	if e.sent.CompareAndSwap(false, true) {
+		return nil
+	}
+	return transport.ErrClosed
+}
+
+// A join that gives up is a crash on arrival: the node StartNodes
+// returned stops within one retry, its ref is free again, the failure is
+// counted, and nothing is left running.
+func TestFailedJoinStopsNode(t *testing.T) {
+	base := runtime.NumGoroutine()
+	failed := obsJoinFailed.Value()
+	g, err := NewGrid(GridConfig{
+		Clusters:   []ClusterSpec{{Name: "c0", Nodes: 1}},
+		WrapFabric: func(f transport.Fabric) transport.Fabric { return lostJoinFabric{f, func(string) bool { return true }} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	nodes, err := g.StartNodes("c0", 1)
+	if err != nil || len(nodes) != 1 {
+		t.Fatalf("StartNodes = %d nodes, %v; want the node, running", len(nodes), err)
+	}
+	waitUntil(t, "the node is stopped and its ref free", func() bool {
+		return nodes[0].Stopped() && g.NodeCount() == 0 && g.pool.FreeIn("c0") == 1
+	})
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("the node stopped %v after its start, want within one retry (100ms)", took)
+	}
+	if n := obsJoinFailed.Value() - failed; n != 1 {
+		t.Fatalf("satin/join_failed rose by %d, want 1", n)
+	}
+	g.Close()
 	settleGoroutines(t, base, "after the close")
 }
 

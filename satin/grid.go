@@ -277,33 +277,25 @@ func (g *Grid) StartSpread(count int) ([]*Node, error) {
 	return g.startAll(refs)
 }
 
-// startAll is a deployment step: it starts every ref at once and waits
-// for all of them, so the step costs one registry join round trip over
-// the backbone however many nodes it brings in. Join order is whatever
+// startAll is a deployment step: it starts every ref and returns once
+// each node's worker runs, without waiting for any registry join ack, so
+// the step costs no backbone round trip however many nodes it brings in.
+// A node learns its peers when its ack arrives; join order is whatever
 // the network makes it and is an input to nothing: every node's
-// membership view, and with it the master and each seeded victim
-// stream, is rebuilt in ID order. A ref that fails to start has been
+// membership view, and with it each seeded victim stream, is rebuilt in
+// ID order. A node whose join later gives up stops like a crashed one
+// and its ref goes back to the pool. A ref that fails to start has been
 // released by startRef; the rest are returned in ref order with the
 // first error.
 func (g *Grid) startAll(refs []sched.NodeRef) ([]*Node, error) {
-	nodes := make([]*Node, len(refs))
-	errs := make([]error, len(refs))
-	var wg sync.WaitGroup
-	for i, ref := range refs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nodes[i], errs[i] = g.startRef(ref)
-		}()
-	}
-	wg.Wait()
-	started := nodes[:0]
+	var started []*Node
 	var first error
-	for i, n := range nodes {
-		if errs[i] == nil {
+	for _, ref := range refs {
+		n, err := g.startRef(ref)
+		if err == nil {
 			started = append(started, n)
 		} else if first == nil {
-			first = errs[i]
+			first = err
 		}
 	}
 	return started, first
@@ -322,24 +314,24 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 		// assumes, so a thief whose victim died mid-request moves on.
 		cfg.LocalStealTimeout = max(50*g.cfg.LANLatency, 5*time.Millisecond)
 	}
-	n, err := StartNode(cfg)
-	if err != nil {
-		g.pool.Release(ref)
-		return nil, fmt.Errorf("satin: start of %s: %w", ref.Node, err)
-	}
-	n.onStop = func(stopped *Node) {
+	n, err := startNode(cfg, func(stopped *Node) {
 		g.mu.Lock()
 		delete(g.nodes, stopped.ID())
 		g.mu.Unlock()
 		g.pool.Release(ref)
+	})
+	if err != nil {
+		g.pool.Release(ref)
+		return nil, fmt.Errorf("satin: start of %s: %w", ref.Node, err)
 	}
 	g.mu.Lock()
-	if g.closed {
+	if g.closed || n.Stopped() {
 		// Close has taken its snapshot of g.nodes and will not see this
-		// one: stop it here, which releases the ref through onStop.
+		// one, or its join already gave up: keep it out of the books and
+		// stop it (a no-op if stopped), so onStop has released the ref.
 		g.mu.Unlock()
 		n.Kill()
-		return nil, fmt.Errorf("satin: start of %s: grid closed", ref.Node)
+		return nil, fmt.Errorf("satin: start of %s: stopped while starting", ref.Node)
 	}
 	if f := g.load[ref.Cluster]; f > 0 {
 		n.SetLoadFactor(f)

@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"log"
 	"sort"
 	"sync"
 
@@ -84,15 +85,28 @@ func (v *membershipView) nextSteal(eng *steal.Engine, now float64) steal.Directi
 	return eng.NextView(now, v.view)
 }
 
-// eventLoop consumes registry events: deaths trigger recomputation of
-// jobs the dead node held; the "leave" signal starts a graceful exit.
+// eventLoop consumes registry events: the join ack rebuilds the steal
+// view over everyone who joined first; deaths trigger recomputation of
+// jobs the dead node held; the "leave" signal starts a graceful exit. A
+// join that gives up is a crash on arrival: counted, and the node is
+// killed (from another goroutine, since Kill waits for this one).
 func (n *Node) eventLoop() {
 	defer n.wg.Done()
+	reg := n.members.client()
+	joined, failed := reg.Joined(), reg.Failed()
 	for {
 		select {
 		case <-n.stopCh:
 			return
-		case ev, ok := <-n.members.client().Events():
+		case <-joined:
+			joined, failed = nil, nil
+			n.members.rebuild()
+		case <-failed:
+			obsJoinFailed.Inc()
+			log.Printf("satin: %s stopped: %v", n.cfg.ID, reg.Err())
+			go n.Kill()
+			return
+		case ev, ok := <-reg.Events():
 			if !ok {
 				return
 			}

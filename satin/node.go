@@ -171,8 +171,15 @@ type Node struct {
 
 func satinEP(id NodeID) string { return "satin:" + string(id) }
 
-// StartNode joins the registry and starts the worker.
-func StartNode(cfg NodeConfig) (*Node, error) {
+// StartNode sends the node's registry join and starts its worker
+// without waiting for the ack: until the ack arrives nobody knows the
+// node, so it runs only what is submitted to it and holds no stolen
+// work. A join that gives up stops the node the way a crash does.
+func StartNode(cfg NodeConfig) (*Node, error) { return startNode(cfg, nil) }
+
+// startNode is StartNode with the deployment's bookkeeping hook, set
+// before any of the node's goroutines can stop it.
+func startNode(cfg NodeConfig, onStop func(*Node)) (*Node, error) {
 	cfg.defaults()
 	if cfg.ID == "" || cfg.Fabric == nil {
 		return nil, fmt.Errorf("satin: NodeConfig needs ID and Fabric")
@@ -189,20 +196,21 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		wait:    newReplyWait(),
 		wake:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
+		onStop:  onStop,
 	}
 	n.members.init()
 	n.stealer.init(&cfg)
 	n.stats.init(&cfg)
 	// Handlers go live before the registry join: a peer that learns of
-	// this node through the join broadcast may steal from it before
-	// Join even returns here.
+	// this node through the join broadcast may steal from it before the
+	// ack reaches it here.
 	wire.Handle(n.wc, n.onSteal)
 	wire.Handle(n.wc, n.onStealReply)
 	wire.Handle(n.wc, n.onResult)
 	wire.Handle(n.wc, n.onHolding)
 	wire.Handle(n.wc, n.onReturnJob)
 	wire.Handle(n.wc, func(wakeMsg, wire.Meta) { n.wakeUp() })
-	reg, err := registry.Join(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, registry.Options{})
+	reg, err := registry.Begin(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, registry.Options{})
 	if err != nil {
 		n.wc.Close()
 		return nil, err

@@ -16,12 +16,14 @@ import (
 // worker states (metrics buckets plus implicit idle)
 const stateIdle = -1
 
-// Process-global observability instruments fed by every node's report
-// loop. Queue depth is also published per node as a gauge so the
-// endpoint shows the imbalance CRS is supposed to erase.
+// Process-global observability instruments fed by every node: its
+// report loop, and its registry join if that gives up. Queue depth is
+// also published per node as a gauge so the endpoint shows the
+// imbalance CRS is supposed to erase.
 var (
 	obsReportErr  = obs.Default.Counter("satin/report_err")
 	obsReportSent = obs.Default.Counter("satin/report_sent")
+	obsJoinFailed = obs.Default.Counter("satin/join_failed")
 	obsQueueDepth = obs.Default.Histogram("satin/queue_depth", obs.DepthBuckets)
 )
 
