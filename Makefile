@@ -52,9 +52,9 @@ bench:
 # accepts one target per invocation, hence one line each): the wirefmt
 # reader, the binary control-frame decoder, the batch envelope parser,
 # the receive session's (epoch, seq) state machine, the coordinator
-# tree's summary/ack/reset frames, the TCP hub's socket envelope, and
-# the job service's submit path (decode plus spec check) and its
-# -shape/-load parser.
+# tree's summary/ack/reset frames, the TCP hub's socket envelope, the
+# job service's submit path (decode plus spec check), its other frames
+# and its -shape/-load parser, and the record store's line reader.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
@@ -63,7 +63,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTreeFrames -fuzztime=10s ./internal/coord
 	$(GO) test -run=NONE -fuzz=FuzzTCPFrame -fuzztime=10s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/job
+	$(GO) test -run=NONE -fuzz=FuzzJobFrames -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzParseKV -fuzztime=10s ./internal/job
+	$(GO) test -run=NONE -fuzz=FuzzReadLogFrom -fuzztime=10s ./internal/store
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

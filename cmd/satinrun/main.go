@@ -57,11 +57,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var specs []satin.ClusterSpec
+	// Each cluster has room for the coordinator to grow to twice the
+	// start; the start is -nodes in every one of them, stated as the
+	// job's layout (left to the pool, that many nodes fit in fs0).
+	var specs, layout []satin.ClusterSpec
 	for i := 0; i < *clusters; i++ {
-		specs = append(specs, satin.ClusterSpec{
-			Name: satin.ClusterID(fmt.Sprintf("fs%d", i)), Nodes: *nodes * 2,
-		})
+		name := satin.ClusterID(fmt.Sprintf("fs%d", i))
+		specs = append(specs, satin.ClusterSpec{Name: name, Nodes: *nodes * 2})
+		layout = append(layout, satin.ClusterSpec{Name: name, Nodes: *nodes})
 	}
 	// -class/-stages and -shape/-load are validated against the
 	// deployment before anything starts.
@@ -70,7 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "satinrun: %v\n", err)
 		os.Exit(2)
 	}
-	jobSpec.MinNodes = *clusters * *nodes
 
 	m, err := job.NewManager(job.Config{
 		Clusters: specs,
@@ -107,6 +109,7 @@ func main() {
 	total := time.Duration(0)
 	count := 0
 	j, err := m.SubmitJob(jobSpec, job.Hooks{
+		Layout: layout,
 		OnIteration: func(i int, seconds float64, nodes int) {
 			el := time.Duration(seconds * float64(time.Second))
 			total += el

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,75 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 		if s.Class != "stream" && s.Size > builders[s.App].maxSize {
 			t.Fatalf("accepted %s at size %d, above its bound %d", s.App, s.Size, builders[s.App].maxSize)
+		}
+	})
+}
+
+// FuzzJobFrames feeds arbitrary bytes to the decoders of every other
+// frame of the job protocol, the ones a daemon or a client reads off
+// the TCP hub: no panic, a sticky error on truncation, and whatever a
+// decoder accepts must re-encode to bytes that decode to the same value.
+func FuzzJobFrames(f *testing.F) {
+	fresh := []func() wirefmt.Frame{
+		func() wirefmt.Frame { return &PingRequest{} },
+		func() wirefmt.Frame { return &PingReply{} },
+		func() wirefmt.Frame { return &SubmitReply{} },
+		func() wirefmt.Frame { return &StatusRequest{} },
+		func() wirefmt.Frame { return &StatusReply{} },
+		func() wirefmt.Frame { return &CancelRequest{} },
+		func() wirefmt.Frame { return &CancelReply{} },
+		func() wirefmt.Frame { return &ResultRequest{} },
+		func() wirefmt.Frame { return &ResultReply{} },
+	}
+	for _, fr := range []wirefmt.Frame{
+		&PingRequest{Token: ^uint64(0)}, &PingReply{Token: 1},
+		&SubmitReply{Token: 7, ID: "job-001"}, &SubmitReply{Token: 8, Err: "unknown app \"sort\""},
+		&StatusRequest{Token: 9, ID: "job-é"}, &StatusRequest{},
+		&StatusReply{Token: 10, Jobs: []JobStatus{
+			{ID: "job-001", App: "fib", Size: 24, Iters: 3, State: "running", Nodes: 4, Done: 1, Seconds: 0.25},
+			{ID: "job-002", Class: "stream", Size: -1, State: "failed", Seconds: math.Inf(1), Err: "iteration 0: node stopped"},
+		}},
+		&CancelRequest{Token: 11, ID: "job-002"}, &CancelReply{Token: 12, Err: "unknown job"},
+		&ResultRequest{Token: 13, ID: "job-001", Wait: true},
+		&ResultReply{Token: 14, ID: "job-001", State: "done", Result: "46368", Check: "ok",
+			Iterations: []float64{0.5, math.NaN(), 5e-324}, Learned: "min bw 0"},
+	} {
+		enc, err := fr.AppendWire(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mk := range fresh {
+			r := wirefmt.NewReader(data)
+			fr := mk()
+			if err := fr.DecodeWire(&r); err != nil {
+				if r.Err() == nil {
+					t.Fatalf("%T: decode failed (%v) but the reader's error is not sticky", fr, err)
+				}
+				continue
+			}
+			enc, err := fr.AppendWire(nil)
+			if err != nil {
+				t.Fatalf("%T: accepted frame does not re-encode: %v", fr, err)
+			}
+			r2 := wirefmt.NewReader(enc)
+			again := mk()
+			if err := again.DecodeWire(&r2); err != nil || r2.Remaining() != 0 {
+				t.Fatalf("%T: re-encoded frame does not decode cleanly: %v, %d bytes left", fr, err, r2.Remaining())
+			}
+			if enc2, _ := again.AppendWire(nil); string(enc2) != string(enc) {
+				t.Fatalf("%T: re-encode does not round-trip:\n %x\n %x", fr, enc, enc2)
+			}
+			// Every field is mandatory, so each cut of a whole frame fails
+			// (the first 4 KiB of cuts: a long frame costs n² to check).
+			for cut := 0; cut < len(enc) && cut < 4096; cut++ {
+				r3 := wirefmt.NewReader(enc[:cut])
+				if mk().DecodeWire(&r3) == nil || r3.Err() == nil {
+					t.Fatalf("%T: truncated to %d of %d bytes, decode did not fail with a sticky error", fr, cut, len(enc))
+				}
+			}
 		}
 	})
 }

@@ -87,13 +87,18 @@ type Result struct {
 	Err string
 }
 
-// Hooks are optional in-process callbacks for a job's run — what a
-// thin interactive client (satinrun) uses for live output. They are
-// never serialised; wire submissions have none.
+// Hooks are optional in-process settings for a job's run — what a thin
+// interactive client (satinrun) uses for live output and a stated
+// layout. They are never serialised; wire submissions have none.
 type Hooks struct {
 	// OnIteration fires after each completed iteration with its wall
 	// time and the job's current node count.
 	OnIteration func(i int, seconds float64, nodes int)
+	// Layout, when set, is the initial deployment: Nodes nodes in each
+	// named cluster, started cluster by cluster. Its total replaces
+	// Spec.MinNodes. Without it the job's first nodes are placed like
+	// every later grow, on as few clusters as they fit in.
+	Layout []satin.ClusterSpec
 }
 
 // Job is one submitted computation. All exported methods are safe for

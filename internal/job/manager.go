@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -139,8 +140,16 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	return m.SubmitJob(spec, Hooks{})
 }
 
-// SubmitJob is Submit with in-process callbacks attached.
+// SubmitJob is Submit with in-process hooks attached. A stated layout
+// must fit the deployment, and its total becomes the spec's MinNodes.
 func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
+	if hooks.Layout != nil {
+		total, err := layoutTotal(hooks.Layout, m.cfg.Clusters)
+		if err != nil {
+			return nil, err
+		}
+		spec.MinNodes = total
+	}
 	if err := spec.check(m.cfg.Clusters, m.arb.Capacity()); err != nil {
 		return nil, err
 	}
@@ -222,6 +231,24 @@ func (s *Spec) check(clusters []satin.ClusterSpec, capacity int) error {
 		}
 	}
 	return nil
+}
+
+// layoutTotal checks that every cluster of a stated layout exists and
+// has the nodes asked of it, so that provisioning cannot retry forever
+// for nodes that do not exist, and returns the layout's node count.
+func layoutTotal(layout, clusters []satin.ClusterSpec) (int, error) {
+	total := 0
+	for _, l := range layout {
+		i := slices.IndexFunc(clusters, func(c satin.ClusterSpec) bool { return c.Name == l.Name })
+		if i < 0 {
+			return 0, fmt.Errorf("layout names unknown cluster %q", l.Name)
+		}
+		if l.Nodes < 1 || l.Nodes > clusters[i].Nodes {
+			return 0, fmt.Errorf("layout asks for %d nodes of %s, which has %d", l.Nodes, l.Name, clusters[i].Nodes)
+		}
+		total += l.Nodes
+	}
+	return total, nil
 }
 
 // Job returns a job by ID (nil if unknown).
@@ -522,16 +549,7 @@ func (m *Manager) provision(j *Job, g *satin.Grid) (*satin.Node, error) {
 		if j.cancelled() {
 			return nil, fmt.Errorf("cancelled while provisioning")
 		}
-		// The initial deployment is one step: the grid picks the refs
-		// round-robin across clusters and starts them all at once, so it
-		// costs one join round trip whatever MinNodes is. A partial
-		// fair-share grant still makes progress, and a node that failed
-		// to start is bid for again on the next retry. Later growth goes
-		// through the coordinator's Provision, which prefers clusters
-		// already in use.
-		if need := target - g.NodeCount(); need > 0 {
-			g.StartSpread(need)
-		}
+		deploy(g, j.hooks.Layout, target)
 		n := g.NodeCount()
 		if n >= target || (n >= 1 && time.Now().After(deadline)) {
 			break
@@ -548,4 +566,30 @@ func (m *Manager) provision(j *Job, g *satin.Grid) (*satin.Node, error) {
 	// Deterministic master: the lowest node ID the job holds.
 	sort.Slice(nodes, func(a, b int) bool { return nodes[a].ID() < nodes[b].ID() })
 	return nodes[0], nil
+}
+
+// deploy is one provisioning attempt towards the job's target. Without a
+// layout the nodes come from the pool's locality order, the rule every
+// later grow follows, so a job starts on as few clusters as it fits in
+// and a partial fair-share grant is completed next to what it holds: a
+// two-node job split over two clusters waits out a wide-area round trip
+// per steal and is no faster than one node. A stated layout is started
+// cluster by cluster. A node that failed to start is bid for again on
+// the next attempt.
+func deploy(g *satin.Grid, layout []satin.ClusterSpec, target int) {
+	if layout == nil {
+		if need := target - g.NodeCount(); need > 0 {
+			g.Provision(need, 0, nil)
+		}
+		return
+	}
+	held := make(map[satin.ClusterID]int)
+	for _, n := range g.Nodes() {
+		held[n.Cluster()]++
+	}
+	for _, c := range layout {
+		if need := c.Nodes - held[c.Name]; need > 0 {
+			g.StartNodes(c.Name, need)
+		}
+	}
 }

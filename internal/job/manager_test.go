@@ -349,7 +349,7 @@ func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 // ack. From submit to Running takes less than one join round trip (40 ms
 // here, so that scheduling noise under -race is small beside it); the
 // master is the lowest ID and runs the root while the other joins are in
-// flight; the round-robin still spreads the nodes two and two.
+// flight; a four-node job on a 2 × 2 pool holds all of it.
 func TestJobRunsBeforeJoinsAck(t *testing.T) {
 	const rtt = 40 * time.Millisecond
 	m := testManager(t, 2, 2, func(c *Config) { c.WANLatency = rtt })
@@ -391,7 +391,7 @@ func TestJobRunsBeforeJoinsAck(t *testing.T) {
 	}
 	for _, id := range []satin.NodeID{"fs0/00", "fs0/01", "fs1/00", "fs1/01"} {
 		if g.Node(id) == nil {
-			t.Fatalf("deployment lacks %s: not spread two and two", id)
+			t.Fatalf("deployment lacks %s", id)
 		}
 	}
 }

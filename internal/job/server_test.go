@@ -1,6 +1,8 @@
 package job
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +126,86 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	if res.State != "done" || res.Check != "ok" {
 		t.Fatalf("tcp result: state %q check %q err %q", res.State, res.Check, res.Err)
+	}
+}
+
+// TestServedStackReturnsGoroutines: the daemon's whole stack, a TCP hub,
+// the wire server and two control clients over one manager, runs ten
+// short jobs and an adaptive one over the wire, cancels one mid-run, then
+// drains and closes in satind's order. Every goroutine it started, the
+// hub's per-connection readers and the result waiters included, is gone
+// afterwards.
+func TestServedStackReturnsGoroutines(t *testing.T) {
+	const tmo = 30 * time.Second
+	base := runtime.NumGoroutine()
+	m, err := NewManager(testConfig(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := transport.NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(transport.NewTCP(hub.Addr()), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctls []*Ctl
+	for i := 0; i < 2; i++ {
+		ctl, err := Dial(transport.NewTCP(hub.Addr()), fmt.Sprintf("satinctl-lifecycle-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctls = append(ctls, ctl)
+	}
+
+	long, err := ctls[0].Submit(Spec{App: "fib", Size: 24, Iters: 60, MinNodes: 2}, tmo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m.Job(long), Running, tmo)
+	ids := map[string]*Ctl{}
+	for i := 0; i < 10; i++ {
+		ctl := ctls[i%2]
+		id, err := ctl.Submit(Spec{App: "nqueens", Size: 7, MinNodes: 1 + i%2}, tmo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[id] = ctl
+	}
+	adaptive, err := ctls[1].Submit(Spec{App: "fib", Size: 16, Iters: 10, MinNodes: 2, Adapt: true}, tmo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids[adaptive] = ctls[1]
+	if err := ctls[1].Cancel(long, tmo); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := ctls[0].Result(long, true, tmo); err != nil || res.State != "cancelled" {
+		t.Fatalf("cancelled job: state %q, err %v", res.State, err)
+	}
+	for id, ctl := range ids {
+		res, err := ctl.Result(id, true, tmo)
+		if err != nil || res.State != "done" || res.Check != "ok" {
+			t.Fatalf("%s: state %q, check %q, err %v %q", id, res.State, res.Check, err, res.Err)
+		}
+	}
+
+	m.Drain(10 * time.Second)
+	m.Close()
+	for _, ctl := range ctls {
+		ctl.Close()
+	}
+	srv.Close()
+	hub.Close()
+
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, want at most %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

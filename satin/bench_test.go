@@ -130,7 +130,8 @@ func (f tfibCut) Execute(ctx *Context) (any, error) {
 func init() { Register(tfibCut{}) }
 
 // benchFibGrid runs task from the first node of a grid of clusters x
-// nodesPer nodes over the default links. Each op starts with every
+// nodesPer nodes over the default links, started cluster by cluster so
+// that the grid has the shape asked for. Each op starts with every
 // other node idle, so it times the whole idle path: the wake frame, the
 // steal round trips, the result chain back at the end. steals/op counts
 // the jobs that changed nodes.
@@ -144,9 +145,13 @@ func benchFibGrid(b *testing.B, clusters, nodesPer int, task tfibCut) {
 		b.Fatal(err)
 	}
 	defer g.Close()
-	nodes, err := g.StartSpread(clusters * nodesPer)
-	if err != nil {
-		b.Fatal(err)
+	var nodes []*Node
+	for _, c := range cfg.Clusters {
+		started, err := g.StartNodes(c.Name, nodesPer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = append(nodes, started...)
 	}
 	want := fibLeaves(task.N)
 	if v, err := nodes[0].Run(task); err != nil || v != want { // warm up; membership settles

@@ -253,30 +253,6 @@ func (g *Grid) StartNodes(cluster ClusterID, count int) ([]*Node, error) {
 	return g.startAll(refs)
 }
 
-// StartSpread brings up to count nodes into the computation, taken one
-// at a time round-robin over the grid's clusters: an initial deployment
-// spreads evenly (a multi-cluster job should start multi-cluster), and
-// a pool that grants only part of the bid still makes progress. Which
-// cluster each node comes from is decided here, serially (a pool
-// operation costs a microsecond); the starts are one step. It returns
-// what StartNodes returns.
-func (g *Grid) StartSpread(count int) ([]*Node, error) {
-	var refs []sched.NodeRef
-	for progress := true; progress && len(refs) < count; {
-		progress = false
-		for _, c := range g.cfg.Clusters {
-			if len(refs) == count {
-				break
-			}
-			if got := g.pool.AcquireN(c.Name, 1); len(got) == 1 {
-				refs = append(refs, got[0])
-				progress = true
-			}
-		}
-	}
-	return g.startAll(refs)
-}
-
 // startAll is a deployment step: it starts every ref and returns once
 // each node's worker runs, without waiting for any registry join ack, so
 // the step costs no backbone round trip however many nodes it brings in.
@@ -341,10 +317,12 @@ func (g *Grid) startRef(ref sched.NodeRef) (*Node, error) {
 	return n, nil
 }
 
-// Provision implements the adaptation coordinator's "give me n nodes"
-// request with Zorilla-style locality: clusters already in use first,
-// in the scheduler's order (sched.LocalityOrder). The grant is started
-// as one step and the call returns how many of it came up.
+// Provision implements "give me n nodes" with Zorilla-style locality:
+// clusters already in use first, in the scheduler's order
+// (sched.LocalityOrder), then the others by descending free capacity, so
+// the nodes land on as few sites as possible. It is the placement of a
+// job's first nodes and of every grow the coordinator makes. The grant
+// is started as one step and the call returns how many of it came up.
 // Clusters whose uplink is below the coordinator's learned minimum
 // bandwidth are never handed out (minBandwidth 0 = no bound).
 func (g *Grid) Provision(count int, minBandwidth float64, veto func(NodeID, ClusterID) bool) int {
