@@ -53,8 +53,9 @@ bench:
 # reader, the binary control-frame decoder, the batch envelope parser,
 # the receive session's (epoch, seq) state machine, the coordinator
 # tree's summary/ack/reset frames, the TCP hub's socket envelope, the
-# job service's submit path (decode plus spec check), its other frames
-# and its -shape/-load parser, and the record store's line reader.
+# job service's submit path (decode plus spec check), its other frames,
+# its -shape/-load parser and its -stages grammar, and the record
+# store's line reader.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzJobFrames -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzParseKV -fuzztime=10s ./internal/job
+	$(GO) test -run=NONE -fuzz=FuzzParseStages -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzReadLogFrom -fuzztime=10s ./internal/store
 
 # End-to-end smoke of the multi-job service: start satind, run two

@@ -164,3 +164,37 @@ func FuzzParseKV(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseStages: the -stages grammar (name=seconds[/bytes],...) that
+// cli.JobFlags.Spec hands both binaries never panics, and every spec it
+// accepts is a pipeline the manager can run: each stage named, with a
+// finite positive work and finite non-negative bytes per item, and the
+// stream built from it with the flags' defaults (10 items/s, 100 items,
+// a 2 s target) passes workload.StreamSpec.Validate.
+func FuzzParseStages(f *testing.F) {
+	for _, spec := range []string{
+		"decode=0.05,transform=0.15,encode=0.05", "a=1/2048", "a=1/0", "a=0", "a=-1",
+		"a=NaN", "a=Inf", "a=1/NaN", "a=1/-Inf", "=1", "a", "a=1,", ",", "a=1//2", "a=1e308,b=1e308", "",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		stages, err := ParseStages(spec)
+		if err != nil {
+			return
+		}
+		if len(stages) != strings.Count(spec, ",")+1 {
+			t.Fatalf("ParseStages(%q) = %d stages for %d parts", spec, len(stages), strings.Count(spec, ",")+1)
+		}
+		for _, st := range stages {
+			if st.Name == "" || !(st.WorkPerItem > 0) || math.IsInf(st.WorkPerItem, 0) ||
+				!(st.BytesPerItem >= 0) || math.IsInf(st.BytesPerItem, 0) {
+				t.Fatalf("ParseStages(%q) accepted stage %+v", spec, st)
+			}
+		}
+		stream := workload.StreamSpec{Name: "cli", Stages: stages, RateHz: 10, Items: 100, TargetLatency: 2}
+		if err := stream.Validate(); err != nil {
+			t.Fatalf("ParseStages(%q) accepted a pipeline Validate refuses: %v", spec, err)
+		}
+	})
+}

@@ -463,7 +463,12 @@ func (m *Manager) run(j *Job) {
 			j.fail(err)
 			return
 		}
-		defer coord.Stop()
+		defer func() {
+			// The nodes go first: one that reports after its
+			// sub-coordinator stopped finds no endpoint there.
+			g.Halt()
+			coord.Stop()
+		}()
 	}
 	for name, bw := range j.Spec.Shape {
 		g.Shape(satin.ClusterID(name), bw)

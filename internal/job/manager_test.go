@@ -525,3 +525,40 @@ func TestManagerLifecycleReturnsGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestAdaptiveJobStopsReportsBeforeCoordinator: an adaptive job halts
+// its nodes before it stops its coordinator tree. The other way round, a
+// node that reported in between found no sub-coordinator and counted
+// wire/send_err/report: about 25 per traced service_jobs run, where the
+// job ends on its nodes' report tick. With a 1 ms period the old order
+// counted 3 to 13 such failures over these twenty jobs, in five runs of
+// five. Counting starts at the last iteration: a node
+// may report before its job's coordinator has started, which is not
+// what this test is about.
+func TestAdaptiveJobStopsReportsBeforeCoordinator(t *testing.T) {
+	sendErrs := obs.Default.Counter("wire/send_err/report")
+	const jobs, iters = 20, 3
+	var gap uint64
+	for i := 0; i < jobs; i++ {
+		m := testManager(t, 1, 2, nil)
+		var atEnd uint64
+		j, err := m.SubmitJob(Spec{App: "fib", Size: 14, Iters: iters, MinNodes: 2, Adapt: true, Period: time.Millisecond},
+			Hooks{OnIteration: func(i int, _ float64, _ int) {
+				if i == iters-1 {
+					atEnd = sendErrs.Value()
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j, 10*time.Second)
+		if j.State() != Done || j.Result().Check != "ok" {
+			t.Fatalf("%s: state %s, check %q, err %q", j.ID, j.State(), j.Result().Check, j.Result().Err)
+		}
+		m.Drain(10 * time.Second) // the job's teardown has run
+		gap += sendErrs.Value() - atEnd
+	}
+	if gap != 0 {
+		t.Fatalf("%d adaptive jobs raised wire/send_err/report by %d from their last iteration on, want 0", jobs, gap)
+	}
+}

@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -125,8 +126,8 @@ func ParseStages(spec string) ([]workload.StreamStage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad work in %q: %v", part, err)
 		}
-		if w <= 0 {
-			return nil, fmt.Errorf("work in %q must be > 0", part)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("work in %q must be a finite number > 0", part)
 		}
 		st := workload.StreamStage{Name: name, WorkPerItem: w}
 		if hasBytes {
@@ -134,8 +135,8 @@ func ParseStages(spec string) ([]workload.StreamStage, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad bytes in %q: %v", part, err)
 			}
-			if bv < 0 {
-				return nil, fmt.Errorf("bytes in %q must be >= 0", part)
+			if !(bv >= 0) || math.IsInf(bv, 1) {
+				return nil, fmt.Errorf("bytes in %q must be a finite number >= 0", part)
 			}
 			st.BytesPerItem = bv
 		}

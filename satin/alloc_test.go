@@ -7,10 +7,14 @@ import (
 
 // The ISSUE 7 spawn-sync ceiling: one task spawning and syncing 256
 // trivial children must stay under 300 allocations (BENCH_5 measured
-// 986 before the value pending-map, Future slab, Context free list and
-// deque node recycling). The ceiling is far above the ~20 measured so
+// 986 before the value pending-map, pooled futures, Context free list
+// and deque node recycling). A run measures 9: the root's boxed task
+// and result, its future, channel and job record, and the four 64-slot
+// blocks past the 60 slots a pooled Context keeps (8 with a 64-future
+// slab, which took four blocks a run). The ceiling is far above that so
 // background goroutines (heartbeats, the registry) cannot flake it,
-// while still catching a regression back to per-spawn boxing.
+// while still catching a regression back to per-spawn boxing;
+// TestSpawnAllocBudget holds the bytes.
 //
 // The two-node variant holds the idle path to the same ceiling: after
 // the same warm-up, one measured run is the pair making sixteen local

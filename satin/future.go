@@ -1,64 +1,81 @@
 package satin
 
 import (
-	"sync"
 	"sync/atomic"
+	"time"
+)
+
+// Future states. A future is completed once: the CAS from futPending to
+// futClaimed elects the one writer, which stores the outcome and then
+// publishes it with the final state.
+const (
+	futPending uint32 = iota
+	futClaimed
+	futValue // out holds the task's value
+	futError // out holds the task's error
 )
 
 // Future is the eventual result of a spawned task. It resolves when the
 // task completes locally or its result message arrives from the thief
 // that executed it. Access the value only after the owning frame's
 // Sync returned (or after Wait for root tasks).
+//
+// A Future returned by Context.Spawn lives in its parent's frame and is
+// valid until the spawning task returns, like the Context itself: the
+// runtime reuses it for a later spawn. A Future returned by Node.Submit
+// belongs to the caller.
 type Future struct {
-	mu     sync.Mutex  // serialises complete against Wait
-	done   atomic.Bool // set after val and err: a reader that sees it may read both bare
-	val    any
-	err    error
-	notify chan struct{}
+	state  atomic.Uint32
+	out    any           // the value or the error; the state says which
+	notify chan struct{} // Submit roots only: closed when the result is in
 }
 
 func (f *Future) complete(val any, err error) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done.Load() {
+	if !f.state.CompareAndSwap(futPending, futClaimed) {
 		return false // duplicate result (e.g. recomputation raced a late reply)
 	}
-	f.val = val
-	f.err = err
-	f.done.Store(true)
-	if f.notify != nil {
-		close(f.notify)
+	next := futValue
+	f.out = val
+	if err != nil {
+		next, f.out = futError, err
+	}
+	// Everything complete needs from f is read before the state says
+	// done: from then on the owner may reuse a spawn slot's future.
+	ch := f.notify
+	f.state.Store(next)
+	if ch != nil {
+		close(ch)
 	}
 	return true
 }
 
 // Wait blocks until the future resolves. Intended for root tasks
-// submitted with Node.Submit; inside task code use Sync instead.
+// submitted with Node.Submit, whose futures carry a channel; inside task
+// code use Sync instead. Any other future is polled.
 func (f *Future) Wait() {
-	f.mu.Lock()
-	if f.done.Load() {
-		f.mu.Unlock()
+	if f.notify != nil {
+		<-f.notify
 		return
 	}
-	if f.notify == nil {
-		f.notify = make(chan struct{})
+	for d := time.Microsecond; !f.Done(); d = min(2*d, time.Millisecond) {
+		time.Sleep(d)
 	}
-	ch := f.notify
-	f.mu.Unlock()
-	<-ch
 }
 
 // Done reports whether the result is available. Sync polls it once
-// per child, so it is one atomic load, not a lock.
-func (f *Future) Done() bool { return f.done.Load() }
+// per child, so it is one atomic load.
+func (f *Future) Done() bool { return f.state.Load() >= futValue }
 
 // Result returns the value and error; valid after Sync (nil, nil
 // while pending).
 func (f *Future) Result() (any, error) {
-	if !f.done.Load() {
-		return nil, nil
+	switch f.state.Load() {
+	case futValue:
+		return f.out, nil
+	case futError:
+		return nil, f.out.(error)
 	}
-	return f.val, f.err
+	return nil, nil
 }
 
 // Value returns the raw value (nil if errored or pending).

@@ -127,7 +127,10 @@ type Grid struct {
 	nodes  map[NodeID]*Node
 	shaped map[ClusterID]float64 // WAN bandwidth override per cluster
 	load   map[ClusterID]float64 // ambient load applied to new nodes
-	closed bool
+	closed bool                  // halting or halted: nodes that start now are stopped
+
+	haltOnce, closeOnce sync.Once
+	halted              []*Node // stopped by Halt, torn down by Close
 }
 
 // NewGrid builds the fabric, registry and scheduler pool.
@@ -392,35 +395,45 @@ func (g *Grid) CrashCluster(cluster ClusterID) int {
 	return len(victims)
 }
 
-// Close tears the whole deployment down, in two phases: every node
-// stops stealing and serving while every endpoint is still attached,
-// and only then do endpoints, registry and fabric close. Killing the
-// nodes one after another left the survivors stealing from endpoints
-// already gone, which a healthy run then counted as wire/send_err.
-func (g *Grid) Close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	var all []*Node
-	for _, n := range g.nodes {
-		all = append(all, n)
-	}
-	g.mu.Unlock()
-	halted := all[:0]
-	for _, n := range all {
-		if n.halt() {
-			halted = append(halted, n)
+// Halt is the first phase of Close: every node stops computing,
+// stealing, serving and reporting while every endpoint is still
+// attached, and a node that starts from now on is stopped at once. An
+// adaptive job halts its grid before it stops its coordinator, so that
+// no node reports to a sub-coordinator that is gone.
+func (g *Grid) Halt() {
+	g.haltOnce.Do(func() {
+		g.mu.Lock()
+		g.closed = true
+		var all []*Node
+		for _, n := range g.nodes {
+			all = append(all, n)
 		}
-	}
-	for _, n := range halted {
-		n.quiesce()
-	}
-	for _, n := range halted {
-		n.teardown()
-	}
-	g.regSrv.Close()
-	g.inproc.Close()
+		g.mu.Unlock()
+		halted := all[:0]
+		for _, n := range all {
+			if n.halt() {
+				halted = append(halted, n)
+			}
+		}
+		for _, n := range halted {
+			n.quiesce()
+		}
+		g.halted = halted
+	})
+}
+
+// Close tears the whole deployment down, in two phases: Halt, then
+// endpoints, registry and fabric close. Killing the nodes one after
+// another left the survivors stealing from endpoints already gone,
+// which a healthy run then counted as wire/send_err.
+func (g *Grid) Close() {
+	g.Halt()
+	g.closeOnce.Do(func() {
+		for _, n := range g.halted {
+			n.teardown()
+		}
+		g.halted = nil
+		g.regSrv.Close()
+		g.inproc.Close()
+	})
 }

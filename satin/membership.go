@@ -142,12 +142,12 @@ func (n *Node) reclaimFrom(dead NodeID) {
 	}
 	n.members.markDeparted(dead)
 	n.mu.Lock()
-	var reclaimed []jobMsg
+	var reclaimed []*jobMsg
 	for id, pj := range n.pending {
 		if pj.holder == dead {
 			pj.holder = n.cfg.ID
 			n.pending[id] = pj
-			reclaimed = append(reclaimed, jobMsg{ID: id, Owner: n.cfg.ID, Task: pj.task})
+			reclaimed = append(reclaimed, &jobMsg{ID: id, Owner: n.cfg.ID, Task: pj.task})
 		}
 	}
 	n.mu.Unlock()

@@ -87,25 +87,6 @@ type pendingJob struct {
 	holder NodeID // who currently holds it ("" never; self = local)
 }
 
-// futureSlab hands out Spawn's Futures from blocks of 64, amortising
-// the per-spawn allocation. Worker goroutine only, like Spawn itself:
-// no lock. Blocks are garbage once all their futures resolve and drop
-// out of reach.
-type futureSlab struct {
-	block []Future
-	next  int
-}
-
-func (s *futureSlab) get() *Future {
-	if s.next == len(s.block) {
-		s.block = make([]Future, 64)
-		s.next = 0
-	}
-	f := &s.block[s.next]
-	s.next++
-	return f
-}
-
 // Node is one processor of the runtime, decomposed into components
 // with narrow locks so the spawn/pop hot path never serialises
 // against steal handlers, membership events or statistics:
@@ -132,10 +113,9 @@ type Node struct {
 	cfg NodeConfig
 	wc  *wire.Conn
 
-	jobs    *deque.Deque[jobMsg]
+	jobs    *deque.Deque[*jobMsg]
 	inbox   inbox
-	ctxFree []*Context   // worker-confined Context free list
-	futs    futureSlab   // worker-confined: Spawn's futures
+	ctxFree []*Context   // worker-confined Context free list, with their spawn slots
 	wait    *replyWait   // worker-confined: its steal waits and parks
 	attempt stealAttempt // worker-confined: its one synchronous steal request
 
@@ -191,7 +171,7 @@ func startNode(cfg NodeConfig, onStop func(*Node)) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		wc:      wire.New(ep),
-		jobs:    deque.New[jobMsg](),
+		jobs:    deque.New[*jobMsg](),
 		pending: make(map[uint64]pendingJob),
 		wait:    newReplyWait(),
 		wake:    make(chan struct{}, 1),
@@ -248,24 +228,13 @@ func (n *Node) registerJob(t Task, fut *Future, holder NodeID) uint64 {
 	return id
 }
 
-// spawnJob enters a job from task code. Only the worker goroutine
-// calls it (via Context.Spawn), so the slab and the deque push are
-// owner operations: no lock, no ID, no pending entry. The job gets
-// those if a thief takes it.
-func (n *Node) spawnJob(t Task) *Future {
-	fut := n.futs.get()
-	n.jobs.Push(jobMsg{Owner: n.cfg.ID, Task: t, fut: fut})
-	n.wakeThief()
-	return fut
-}
-
 // Submit enters a root task owned by this node and returns its future.
 // Callable from any goroutine: the job travels through the inbox and
 // the worker adopts it.
 func (n *Node) Submit(t Task) *Future {
-	fut := &Future{}
+	fut := &Future{notify: make(chan struct{})}
 	id := n.registerJob(t, fut, n.cfg.ID)
-	n.inbox.add(jobMsg{ID: id, Owner: n.cfg.ID, Task: t})
+	n.inbox.add(&jobMsg{ID: id, Owner: n.cfg.ID, Task: t})
 	n.wakeUp()
 	n.wakeThief()
 	return fut
@@ -384,7 +353,7 @@ func (n *Node) setHolder(id uint64, holder NodeID) {
 
 // noteHolding tells the job's owner who holds it now, so the owner can
 // recompute it if this node dies (the fault-tolerance bookkeeping).
-func (n *Node) noteHolding(j jobMsg) {
+func (n *Node) noteHolding(j *jobMsg) {
 	if j.Owner == n.cfg.ID {
 		n.setHolder(j.ID, n.cfg.ID)
 		return
@@ -418,7 +387,7 @@ func (n *Node) tryFinishLeave() bool {
 	// individual jobs, which is fine — a stolen job is simply no
 	// longer ours to return.
 	n.drainInbox()
-	var foreign []jobMsg
+	var foreign []*jobMsg
 	for {
 		j, ok := n.jobs.PopBottom()
 		if !ok {
@@ -461,7 +430,7 @@ func (n *Node) tryFinishLeave() bool {
 	for _, j := range foreign {
 		// A failed send (unencodable task, owner gone) loses the copy;
 		// the owner recomputes when the failure detector reports us.
-		wire.Send(n.wc, satinEP(j.Owner), returnJobMsg{Job: j})
+		wire.Send(n.wc, satinEP(j.Owner), returnJobMsg{Job: *j})
 	}
 	close(n.stopCh)
 	n.members.client().Leave()
@@ -486,23 +455,21 @@ func (n *Node) onResult(rm resultMsg, m wire.Meta) {
 
 func (n *Node) onHolding(hm holdingMsg, _ wire.Meta) {
 	n.mu.Lock()
-	reclaim := false
-	var job jobMsg
+	var job *jobMsg
 	if pj, ok := n.pending[hm.ID]; ok {
 		if n.members.isDeparted(hm.Holder) {
 			// The notification lost the race with the holder's
 			// death event: recompute here and now, or the job
 			// would point at a dead node forever.
 			pj.holder = n.cfg.ID
-			job = jobMsg{ID: hm.ID, Owner: n.cfg.ID, Task: pj.task}
-			reclaim = true
+			job = &jobMsg{ID: hm.ID, Owner: n.cfg.ID, Task: pj.task}
 		} else {
 			pj.holder = hm.Holder
 		}
 		n.pending[hm.ID] = pj
 	}
 	n.mu.Unlock()
-	if reclaim {
+	if job != nil {
 		n.inbox.add(job)
 		n.wakeUp()
 	}
@@ -521,6 +488,7 @@ func (n *Node) onReturnJob(rj returnJobMsg, _ wire.Meta) {
 			return // already completed elsewhere; drop the duplicate
 		}
 	}
-	n.inbox.add(rj.Job)
+	job := rj.Job
+	n.inbox.add(&job)
 	n.wakeUp()
 }

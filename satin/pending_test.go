@@ -203,6 +203,9 @@ func TestKilledThiefsJobIsRecomputed(t *testing.T) {
 	if got := master.pendingLen(); got != 2 {
 		t.Errorf("%d pending entries with one child stolen and one at home, want 2", got)
 	}
+	// onSteal records the thief before its reply leaves: a kill before the
+	// thief has adopted and started the child would leave one run to count.
+	waitUntil(t, "the thief runs it", func() bool { return slowRuns[1].Load() == 1 })
 	thief.Kill()
 	waitUntil(t, "the owner has reclaimed the dead thief's job", func() bool {
 		return master.heldBy(thief.ID()) == 0 && master.heldBy(master.ID()) == 2

@@ -3,6 +3,8 @@ package satin
 import (
 	"errors"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -413,7 +415,12 @@ func TestFutureAccessors(t *testing.T) {
 		t.Fatalf("accessors: %d %f", f.Int(), f.Float())
 	}
 	f.Wait() // already done: returns immediately
-	f2 := &Future{}
+	failed := &Future{}
+	failed.complete(7, errors.New("boom"))
+	if v, err := failed.Result(); v != nil || err == nil || err.Error() != "boom" {
+		t.Fatalf("failed future = %v, %v, want nil, boom", v, err)
+	}
+	f2 := &Future{} // no channel: Wait polls
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		f2.complete(1.5, nil)
@@ -421,6 +428,45 @@ func TestFutureAccessors(t *testing.T) {
 	f2.Wait()
 	if f2.Float() != 1.5 {
 		t.Fatalf("Float = %v", f2.Float())
+	}
+	root := &Future{notify: make(chan struct{})} // a Submit root's
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		root.complete(3, nil)
+	}()
+	root.Wait()
+	if root.Int() != 3 || root.complete(4, nil) {
+		t.Fatalf("root future = %d after a refused duplicate, want 3", root.Int())
+	}
+}
+
+// Several goroutines race to complete one future while others wait on
+// it: exactly one write wins, and every waiter sees it.
+func TestFutureWaitersAndWriters(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		f := &Future{notify: make(chan struct{})}
+		var wins atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(2)
+			go func(w int) {
+				defer wg.Done()
+				if f.complete(w, nil) {
+					wins.Add(1)
+				}
+			}(w)
+			go func() {
+				defer wg.Done()
+				f.Wait()
+				if !f.Done() {
+					t.Error("Wait returned on a pending future")
+				}
+			}()
+		}
+		wg.Wait()
+		if wins.Load() != 1 {
+			t.Fatalf("round %d: %d completions won, want 1", round, wins.Load())
+		}
 	}
 }
 

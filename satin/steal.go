@@ -174,14 +174,14 @@ func (s *stealer) finish(seq uint64, ch chan bool, kind string, start time.Time,
 // in which case the caller has a result or an inbox arrival to look at
 // and the attempt stays out for the next call. Time in the wait is
 // Intra (Inter for StealRandom's wide victim); parks are Idle.
-func (n *Node) findWork() (jobMsg, bool) {
+func (n *Node) findWork() (*jobMsg, bool) {
 	a := &n.attempt
 	// A refusal earns a park only when it answers a request sent in this
 	// call and no wake-up overtook it.
 	park := !a.pending
 	if park && !n.startSteal() {
 		n.waitForWork(2 * time.Millisecond) // nobody to ask
-		return jobMsg{}, false
+		return nil, false
 	}
 	n.enterState(int(a.bucket))
 	got, settled := false, true
@@ -219,7 +219,7 @@ func (n *Node) findWork() (jobMsg, bool) {
 		// victim, a lost frame, a victim that remembered a later thief).
 		n.waitForWork(2 * time.Millisecond)
 	}
-	return jobMsg{}, false
+	return nil, false
 }
 
 // startSteal runs one round of the steal policy: the engine picks
@@ -301,12 +301,12 @@ func (n *Node) wanSteal(victim NodeID) {
 // inside a task, an inbox arrival it has not drained yet. An idle
 // worker is about to drain the inbox itself: a root taken from under it
 // would cost a round trip to move and another to report back.
-func (n *Node) takeOldest() (jobMsg, bool) {
+func (n *Node) takeOldest() (*jobMsg, bool) {
 	if j, ok := n.jobs.Steal(); ok {
 		return j, true
 	}
 	if !n.pinned.Load() {
-		return jobMsg{}, false
+		return nil, false
 	}
 	return n.inbox.steal()
 }
@@ -335,16 +335,18 @@ func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
 			}
 		}
 		if ok {
+			// A copy: a spawned job's record is a slot of its owner's
+			// frame, which must stay as the spawn left it.
+			reply.HasJob = true
+			reply.Job = *j
 			if j.Owner == n.cfg.ID {
 				if j.ID == 0 {
-					j.ID = n.registerJob(j.Task, j.fut, sm.Thief)
-					j.fut = nil
+					reply.Job.ID = n.registerJob(j.Task, j.fut, sm.Thief)
+					reply.Job.fut = nil
 				} else {
 					n.setHolder(j.ID, sm.Thief)
 				}
 			}
-			reply.HasJob = true
-			reply.Job = j
 		}
 	}
 	if reply.HasJob && reply.Job.Owner != n.cfg.ID && reply.Job.Owner != sm.Thief {
@@ -360,7 +362,8 @@ func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
 			if reply.Job.Owner == n.cfg.ID {
 				n.setHolder(reply.Job.ID, n.cfg.ID)
 			}
-			n.inbox.add(reply.Job)
+			job := reply.Job
+			n.inbox.add(&job)
 			n.wakeUp()
 		}
 		wire.Send(n.wc, thief, stealReplyMsg{Seq: sm.Seq})
@@ -376,8 +379,9 @@ func (n *Node) onStealReply(sr stealReplyMsg, m wire.Meta) {
 		// (its owner already recorded us as holder). A stopped node
 		// adopts nothing and says nothing; the owner recomputes the job
 		// when the registry reports this node gone.
-		n.inbox.add(sr.Job)
-		n.noteHolding(sr.Job)
+		job := sr.Job
+		n.inbox.add(&job)
+		n.noteHolding(&job)
 		n.gate.RUnlock()
 	}
 	n.stealer.replyArrived(sr.Seq, sr.HasJob)

@@ -76,7 +76,9 @@ type stealReplyMsg struct {
 // and fut set while a spawned job has never left its owner: the worker
 // that pops it completes fut directly. onSteal gives it an ID the
 // moment it leaves, and from then on its result is looked up in the
-// owner's pending table. fut never travels.
+// owner's pending table. fut never travels. The deque and the inbox
+// hold pointers: a spawned job's record is a slot of its parent's frame
+// (spawnSlot), which nobody but the spawning worker writes.
 type jobMsg struct {
 	ID    uint64
 	Owner NodeID

@@ -20,18 +20,18 @@ import (
 type inbox struct {
 	mu    sync.Mutex
 	size  atomic.Int32 // mirror of len(jobs): the worker's lock-free emptiness probe
-	jobs  []jobMsg
-	spare []jobMsg // drained buffer awaiting reuse (double buffering)
+	jobs  []*jobMsg
+	spare []*jobMsg // drained buffer awaiting reuse (double buffering)
 }
 
-func (b *inbox) add(j jobMsg) {
+func (b *inbox) add(j *jobMsg) {
 	b.mu.Lock()
 	b.jobs = append(b.jobs, j)
 	b.size.Store(int32(len(b.jobs)))
 	b.mu.Unlock()
 }
 
-func (b *inbox) drain() []jobMsg {
+func (b *inbox) drain() []*jobMsg {
 	if b.size.Load() == 0 {
 		// The common case on the worker's pop path: nothing arrived, no
 		// lock taken. A racing add is not lost — its wakeUp lands after
@@ -49,10 +49,8 @@ func (b *inbox) drain() []jobMsg {
 
 // recycle returns a drained buffer for reuse once its entries have
 // been consumed, so steady-state drains allocate nothing.
-func (b *inbox) recycle(js []jobMsg) {
-	for i := range js {
-		js[i] = jobMsg{} // release task payload references
-	}
+func (b *inbox) recycle(js []*jobMsg) {
+	clear(js) // release task payload references
 	b.mu.Lock()
 	if b.spare == nil {
 		b.spare = js[:0]
@@ -65,14 +63,14 @@ func (b *inbox) recycle(js []jobMsg) {
 // meanwhile must still be visible to idle peers (the inbox is not
 // worker-only the way the deque bottom is, so handing entries out is
 // safe).
-func (b *inbox) steal() (jobMsg, bool) {
+func (b *inbox) steal() (*jobMsg, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.jobs) == 0 {
-		return jobMsg{}, false
+		return nil, false
 	}
 	j := b.jobs[0]
-	b.jobs[0] = jobMsg{} // release the payload reference
+	b.jobs[0] = nil // release the payload reference
 	b.jobs = b.jobs[1:]
 	b.size.Store(int32(len(b.jobs)))
 	return j, true
@@ -138,7 +136,7 @@ func (n *Node) worker() {
 // deque, then the bottom is popped. Worker goroutine only (owner
 // operations throughout) — Context.Sync qualifies, it runs inside
 // task code on the worker.
-func (n *Node) popNewest() (jobMsg, bool) {
+func (n *Node) popNewest() (*jobMsg, bool) {
 	n.drainInbox()
 	return n.jobs.PopBottom()
 }
@@ -179,9 +177,10 @@ func (n *Node) waitForWork(d time.Duration) {
 }
 
 // getContext / putContext keep a small free list of execution
-// contexts. Worker goroutine only (executeJob and runBench run there,
-// including Sync's nested executions), so no lock. A Context is
-// invalid once its task returns — task code must not retain it.
+// contexts, each with the spawn slots of its frame. Worker goroutine
+// only (executeJob and runBench run there, including Sync's nested
+// executions), so no lock. A Context and the futures its Spawn returned
+// are invalid once its task returns — task code must not retain them.
 func (n *Node) getContext(bench bool) *Context {
 	if k := len(n.ctxFree); k > 0 {
 		c := n.ctxFree[k-1]
@@ -193,11 +192,7 @@ func (n *Node) getContext(bench bool) *Context {
 }
 
 func (n *Node) putContext(c *Context) {
-	for i := range c.frame {
-		c.frame[i] = nil // release future references
-	}
-	c.frame = c.frame[:0]
-	c.benchMode = false
+	c.release()
 	if len(n.ctxFree) < 32 {
 		n.ctxFree = append(n.ctxFree, c)
 	}
@@ -206,7 +201,12 @@ func (n *Node) putContext(c *Context) {
 // executeJob runs one job and leaves the worker in the accounting
 // state it found: Idle under the worker loop, Busy when Sync runs a
 // child inside its parent, where both transitions are then free.
-func (n *Node) executeJob(j jobMsg) {
+//
+// A spawned job that never left this node is a slot in a frame further
+// up this worker's stack: completing its future is the last thing done
+// with it, since the frame may reuse the slot as soon as it sees the
+// result.
+func (n *Node) executeJob(j *jobMsg) {
 	prev := n.stats.state()
 	n.enterState(int(metrics.Busy))
 	ctx := n.getContext(false)
