@@ -51,7 +51,8 @@ bench:
 # Short fuzz smoke over the adversarial-input paths (`go test -fuzz`
 # accepts one target per invocation, hence one line each): the wirefmt
 # reader, the binary control-frame decoder, the batch envelope parser,
-# the receive session's (epoch, seq) state machine, the coordinator
+# the receive session's (epoch, seq) cursor (every frame it does not
+# refuse reaches its handler before delivery returns), the coordinator
 # tree's summary/ack/reset frames, the TCP hub's socket envelope, the
 # job service's submit path (decode plus spec check), its other frames,
 # its -shape/-load parser and its -stages grammar, and the record

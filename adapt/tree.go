@@ -124,8 +124,8 @@ func (r *root) kill() {
 	r.dead = true
 	r.mu.Unlock()
 	if !was {
-		// Outside the lock: Close takes the receive sessions' locks, and
-		// a session holds its own while onSummary waits for r.mu.
+		// Outside the lock: on TCP, Close waits for the endpoint's read
+		// loop, which may sit in onSummary waiting for r.mu.
 		r.wc.Close()
 	}
 }

@@ -74,7 +74,7 @@ func TestChaosBatchedLinkInvariants(t *testing.T) {
 			wire.Send(ca, "satin:cb/0", chaosPing{Seq: i})
 		}
 		if i%50 == 49 {
-			// Let window flushes and gap timers land mid-barrage.
+			// Let window flushes land mid-barrage.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -173,8 +173,8 @@ func TestChaosBatchedPartitionResync(t *testing.T) {
 	}
 	ft.Heal("cb")
 
-	// Post-heal probes: the first arrivals expose the sequence gap and
-	// wait in the reorder buffer until the gap timer skips it.
+	// Post-heal probes: the first arrival exposes the sequence gap,
+	// which is counted and skipped on the spot.
 	probe := uint64(1 << 32)
 	deadline = time.Now().Add(5 * time.Second)
 	for {

@@ -28,13 +28,14 @@ type Faults struct {
 	// Drop is the probability a frame is silently lost.
 	Drop float64
 	// Duplicate is the probability a frame is delivered twice (the
-	// second copy gets its own jitter, so duplicates also reorder).
+	// second copy gets its own jitter and follows its original).
 	Duplicate float64
 	// Delay is added to every frame on the link.
 	Delay time.Duration
 	// Jitter adds a uniformly random extra delay in [0, Jitter) per
-	// frame. Because the underlying fabric only preserves order of
-	// frames handed to it, jitter yields genuine reordering.
+	// frame. Like every delay here it models a slow link, not a
+	// reordering one: a frame never overtakes one sent before it
+	// between the same two endpoints, as on every real fabric.
 	Jitter time.Duration
 	// Bandwidth, when positive, serialises payloads through a degraded
 	// link of that many bytes/second (on top of whatever the inner
@@ -71,10 +72,12 @@ func bareName(ep string) string {
 type linkKey struct{ from, to string } // cluster names; "*" matches any
 
 // FaultTransport wraps a transport.Fabric and injects seeded,
-// deterministic faults: drop, duplication, delay, reorder (via
-// jitter), bandwidth degradation, full cluster partition, and abrupt
-// node crash (the node's endpoints go unreachable while the process
-// keeps running — the nastiest failure mode a failure detector faces).
+// deterministic faults: drop, duplication, delay, jitter, bandwidth
+// degradation, corruption, full cluster partition, and abrupt node
+// crash (the node's endpoints go unreachable while the process keeps
+// running — the nastiest failure mode a failure detector faces).
+// Delayed copies leave in send order per endpoint pair: each pair has
+// a queue drained by one timer.
 //
 // Fault rules are keyed by directed cluster pair; "*" is a wildcard.
 // Wildcard rules apply only to inter-cluster (uplink/backbone)
@@ -91,7 +94,7 @@ type FaultTransport struct {
 	crashed     map[string]bool
 	rngs        map[linkKey]*rand.Rand
 	free        map[linkKey]time.Time // degraded-link serialisation
-	timers      map[*time.Timer]struct{}
+	queues      map[pairKey]*pairQueue
 	closed      bool
 	stats       Stats
 }
@@ -107,7 +110,7 @@ func NewFaultTransport(inner transport.Fabric, seed int64) *FaultTransport {
 		crashed:     make(map[string]bool),
 		rngs:        make(map[linkKey]*rand.Rand),
 		free:        make(map[linkKey]time.Time),
-		timers:      make(map[*time.Timer]struct{}),
+		queues:      make(map[pairKey]*pairQueue),
 	}
 }
 
@@ -177,16 +180,12 @@ func (t *FaultTransport) Stats() Stats {
 // inner fabric (the owner does that).
 func (t *FaultTransport) Close() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.closed = true
-	timers := make([]*time.Timer, 0, len(t.timers))
-	for tm := range t.timers {
-		timers = append(timers, tm)
+	for _, q := range t.queues {
+		q.timer.Stop()
 	}
-	t.timers = make(map[*time.Timer]struct{})
-	t.mu.Unlock()
-	for _, tm := range timers {
-		tm.Stop()
-	}
+	t.queues = make(map[pairKey]*pairQueue)
 }
 
 // Endpoint implements transport.Fabric.
@@ -304,27 +303,79 @@ func (t *FaultTransport) plan(from, to string, size int) (deliver []delivery) {
 	return deliver
 }
 
-// after schedules fn once the delay elapses, unless the transport is
-// closed first.
-func (t *FaultTransport) after(d time.Duration, fn func()) {
+type pairKey struct{ from, to string } // endpoint names
+
+// pairQueue holds one endpoint pair's delayed copies in send order. Its
+// timer, armed while it is not empty, is the only thing that takes
+// copies off it, and only from the head: a copy leaves once it is due
+// and every copy ahead of it has left.
+type pairQueue struct {
+	items []queued
+	timer *time.Timer
+}
+
+type queued struct {
+	due      time.Time
+	ep       *faultEP
+	to, kind string
+	p        []byte
+}
+
+// enqueue puts a copy on its pair's queue. It reports false, queueing
+// nothing, for a copy with no delay and nothing ahead of it: the caller
+// sends that one itself.
+func (t *FaultTransport) enqueue(e *faultEP, to, kind string, p []byte, delay time.Duration) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
-		return
+		return true // eaten, as plan eats a frame sent after Close
 	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		t.mu.Lock()
-		_, live := t.timers[tm]
-		delete(t.timers, tm)
-		closed := t.closed
-		t.mu.Unlock()
-		if live && !closed {
-			fn()
+	k := pairKey{e.inner.Name(), to}
+	q := t.queues[k]
+	if q == nil {
+		if delay <= 0 {
+			return false
 		}
-	})
-	t.timers[tm] = struct{}{}
-	t.mu.Unlock()
+		q = &pairQueue{}
+		t.queues[k] = q
+		q.timer = time.AfterFunc(delay, func() { t.drain(k, q) })
+	}
+	q.items = append(q.items, queued{due: time.Now().Add(delay), ep: e, to: to, kind: kind, p: p})
+	return true
+}
+
+// drain sends a pair's copies that are due, in order, then re-arms the
+// timer for the next one or retires the empty queue. A copy leaves the
+// queue only once it has been sent, so a zero-delay Send arriving
+// meanwhile queues behind it instead of overtaking it. A copy that
+// fails to send is lost silently (the destination died in the
+// meantime: exactly the race a real network exhibits).
+func (t *FaultTransport) drain(k pairKey, q *pairQueue) {
+	for {
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
+			return
+		}
+		head := q.items[0]
+		if wait := time.Until(head.due); wait > 0 {
+			q.timer = time.AfterFunc(wait, func() { t.drain(k, q) })
+			t.mu.Unlock()
+			return
+		}
+		t.mu.Unlock()
+		_ = head.ep.send(head.to, head.kind, head.p)
+		t.mu.Lock()
+		q.items = q.items[1:]
+		empty := len(q.items) == 0
+		if empty {
+			delete(t.queues, k)
+		}
+		t.mu.Unlock()
+		if empty {
+			return
+		}
+	}
 }
 
 type faultEP struct {
@@ -339,9 +390,8 @@ func (e *faultEP) send(to, kind string, p []byte) error { return e.inner.Send(to
 
 // Send applies the fault plan. A frame the chaos layer eats returns
 // nil — from the sender a lossy network is indistinguishable from a
-// slow one. Delayed copies that fail to send later are likewise lost
-// silently (the destination died in the meantime: exactly the race a
-// real network exhibits).
+// slow one. A copy with no delay and nothing queued ahead of it goes
+// straight to the inner fabric, and the first copy's error is returned.
 func (e *faultEP) Send(to, kind string, payload []byte) error {
 	plan := e.t.plan(e.inner.Name(), to, len(payload))
 	if plan == nil {
@@ -355,11 +405,12 @@ func (e *faultEP) Send(to, kind string, payload []byte) error {
 			p = append([]byte(nil), payload...)
 			p[dl.flip] ^= 0xFF
 		}
-		if dl.delay <= 0 && i == 0 {
-			err = e.send(to, kind, p)
+		if e.t.enqueue(e, to, kind, p, dl.delay) {
 			continue
 		}
-		e.t.after(dl.delay, func() { _ = e.send(to, kind, p) })
+		if sendErr := e.send(to, kind, p); i == 0 {
+			err = sendErr
+		}
 	}
 	return err
 }

@@ -204,30 +204,48 @@ func TestChaosFaultTransportDelay(t *testing.T) {
 	}
 }
 
-// Jitter reorders: with per-frame random delays spread over 80ms, 30
-// back-to-back frames cannot arrive in send order.
-func TestChaosFaultTransportJitterReorders(t *testing.T) {
-	ft, src, c, done := pair(t, 7)
-	defer done()
-	ft.SetFaults("a", "b", Faults{Jitter: 80 * time.Millisecond})
-	for i := 0; i < 30; i++ {
-		if err := src.Send("satin:b/00", fmt.Sprintf("m%02d", i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.waitLen(t, 30, 2*time.Second)
-	if len(got) != 30 {
-		t.Fatalf("delivered %d of 30 jittered frames", len(got))
-	}
-	inOrder := true
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			inOrder = false
-			break
-		}
-	}
-	if inOrder {
-		t.Fatal("30 frames with 80ms jitter arrived in perfect send order — no reordering happened")
+// Delays model a slow link, not a reordering one: under Jitter, a
+// constant Delay, and a Delay with duplicates, 2,000 back-to-back frames
+// arrive in send order, each duplicate right behind its original, and a
+// frame sent once the faults are cleared still arrives after them.
+func TestChaosFaultTransportJitterKeepsOrder(t *testing.T) {
+	const frames = 2000
+	for _, tc := range []struct {
+		name string
+		f    Faults
+	}{
+		{"jitter", Faults{Jitter: 80 * time.Millisecond}},
+		{"delay", Faults{Delay: 2 * time.Millisecond}},
+		{"delay+duplicate", Faults{Delay: 2 * time.Millisecond, Duplicate: 0.1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ft, src, c, done := pair(t, 7)
+			defer done()
+			ft.SetFaults("a", "b", tc.f)
+			for i := 0; i < frames; i++ {
+				if err := src.Send("satin:b/00", fmt.Sprintf("m%04d", i), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ft.ClearFaults()
+			if err := src.Send("satin:b/00", fmt.Sprintf("m%04d", frames), nil); err != nil {
+				t.Fatal(err)
+			}
+			want := frames + 1 + int(ft.Stats().Duplicated)
+			got := c.waitLen(t, want, 5*time.Second)
+			if len(got) != want {
+				t.Fatalf("delivered %d of %d copies", len(got), want)
+			}
+			inversions := 0
+			for i := 1; i < len(got); i++ {
+				if got[i] < got[i-1] {
+					inversions++
+				}
+			}
+			if inversions != 0 {
+				t.Fatalf("%d of %d copies arrived ahead of one sent before them", inversions, want)
+			}
+		})
 	}
 }
 

@@ -114,8 +114,9 @@ func TestChaosLiveInvariants(t *testing.T) {
 	}()
 	defer func() { close(stop); <-done }()
 
-	// Chaos phase: the WAN delays, jitters (= reorders) and duplicates
-	// frames, and lc1 gets buried under competing load. No
+	// Chaos phase: the WAN delays, jitters and duplicates frames (each
+	// pair's frames still in send order, as on any fabric), and lc1
+	// gets buried under competing load. No
 	// probabilistic drop on the work protocol: the runtime's transport
 	// contract is a stream — loss shows up as a connection/node
 	// failure, which the partition and crash tests cover.

@@ -9,10 +9,10 @@
 // frame its kind string and its length-prefixed payload. Each payload
 // is a complete headered frame (epoch + seq + body), so the receiver
 // simply replays the envelope through the normal per-frame path: the
-// epoch/seq dedup, reorder buffer and gap skipping see exactly the
-// frames they would have seen unbatched. A corrupted envelope is a
-// counted decode error; the sub-frames it carried become a sequence
-// gap the receiver skips after gapTimeout.
+// epoch/seq cursor sees exactly the frames it would have seen
+// unbatched. A corrupted envelope is a counted decode error; the
+// sub-frames it carried become a sequence gap, counted as lost when
+// the next frame arrives.
 package wire
 
 import (

@@ -111,7 +111,7 @@ func TestBinaryCorruptFrameSkippedNotPoisoned(t *testing.T) {
 	truncateNext = true
 	mu.Unlock()
 	Send(a, "b", binEchoMsg{N: 1, ID: "x"}) // mangled in flight
-	Send(a, "b", binEchoMsg{N: 2, ID: "x"}) // must arrive with no gap wait
+	Send(a, "b", binEchoMsg{N: 2, ID: "x"}) // must be delivered, not counted as a gap
 	waitFor(t, "frame after corruption", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -240,13 +240,9 @@ func TestCloseFlushesBatch(t *testing.T) {
 }
 
 // A corrupted envelope is a counted protocol error, its frames become
-// a sequence gap, and the ordinary gap skip restores the flow — the
+// a sequence gap, and the next frame to arrive restores the flow — the
 // batching layer adds no new failure mode.
 func TestBatchEnvelopeCorruptionRecovers(t *testing.T) {
-	old := gapTimeout
-	gapTimeout = 10 * time.Millisecond
-	defer func() { gapTimeout = old }()
-
 	var mu sync.Mutex
 	corruptNext := false
 	inner := transport.NewInProc(nil)

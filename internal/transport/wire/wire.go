@@ -13,16 +13,17 @@
 //   - (epoch, seq) sessions: every frame is self-contained and carries
 //     its directed pair's (epoch, seq), which buys at-most-once,
 //     in-order delivery with nothing flowing back to the sender.
-//     Receive rules: a stale epoch is counted and dropped, a newer one
-//     adopted; seq below the cursor is a counted duplicate; seq above
-//     it is buffered behind a bounded gap wait, after which the hole is
-//     skipped (counted) and the buffered frames delivered in order; an
+//     Every fabric keeps a pair's frames in send order, so the receive
+//     session is a cursor and nothing more: a stale epoch is counted and
+//     dropped, a newer one adopted from seq 0; seq below the cursor is a
+//     counted duplicate; seq above it means the frames in between were
+//     lost, so the gap is counted and the frame delivered at once; an
 //     unknown kind or a decode error is counted and consumes its slot.
 //     Incarnation rules: send sessions draw epochs from one process-wide
 //     monotone, clock-seeded source, so a new Conn under a reused
 //     endpoint name outranks its predecessor on its first frame; and a
 //     receive session adopts the first epoch it sees, so a rejoined
-//     endpoint picks up a mid-stream sender after one gap wait (a gap
+//     endpoint picks up a mid-stream sender on its first frame (a gap
 //     at seq 0: counted as wire/pickup, not as loss);
 //   - observability: every frame, byte, duplicate, stale frame, skipped
 //     gap and decode error is counted in internal/obs, per message kind
@@ -128,16 +129,6 @@ func parseHeader(p []byte) (epoch uint32, seq uint64, ok bool) {
 // of logical frames (batch.go).
 const ctrlBatch = "\x00wire-batch"
 
-// gapTimeout bounds how long a receive session waits for a reordered
-// frame to fill a sequence gap before declaring the missing frames lost
-// and skipping them. It must stay well below registry failure timeouts,
-// or a lost frame could stall heartbeats long enough to look like a
-// death. Variable for tests.
-var gapTimeout = 100 * time.Millisecond
-
-// maxPending bounds the receive-side reorder buffer per session.
-const maxPending = 256
-
 // Meta describes a delivered frame to its handler.
 type Meta struct {
 	// From is the sending endpoint's name.
@@ -211,7 +202,7 @@ func init() { lastEpoch.Store(uint32(time.Now().Unix())) }
 // Conn wraps one transport endpoint with typed dispatch and (epoch,
 // seq) sessions. Create with New, register handlers with Handle, send
 // with Send. Handlers run one at a time and in order per sending peer,
-// on fabric delivery goroutines or a gap timer's, and may call Send.
+// on fabric delivery goroutines, and may call Send.
 type Conn struct {
 	ep    transport.Endpoint
 	batch BatchConfig // zero = coalescing off
@@ -245,15 +236,10 @@ func New(ep transport.Endpoint, opts ...Option) *Conn {
 	return c
 }
 
-// Close flushes pending frame batches, detaches the endpoint and stops
-// the sessions' timers.
+// Close flushes pending frame batches and detaches the endpoint.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	recvs := make([]*recvSession, 0, len(c.recvs))
-	for _, rs := range c.recvs {
-		recvs = append(recvs, rs)
-	}
 	sends := make([]*sendSession, 0, len(c.sends))
 	for _, ss := range c.sends {
 		sends = append(sends, ss)
@@ -263,11 +249,6 @@ func (c *Conn) Close() error {
 		ss.mu.Lock()
 		ss.flushLocked(c) // best effort; the endpoint may already refuse
 		ss.mu.Unlock()
-	}
-	for _, rs := range recvs {
-		rs.mu.Lock()
-		rs.stopGapTimerLocked()
-		rs.mu.Unlock()
 	}
 	return c.ep.Close()
 }
@@ -328,8 +309,9 @@ func Send[T any, PT framePtr[T]](c *Conn, to string, v T) error {
 	if err := ss.dispatchLocked(c, kind, p); err != nil {
 		// The frame never left (endpoint gone, fabric refused) but its
 		// sequence number is spent: the next successful send would open
-		// a gap the receiver has to wait out. A restart makes the next
-		// send the start of a stream; the receiver adopts it on arrival.
+		// a gap the receiver counts as lost frames. A restart makes the
+		// next send the start of a stream; the receiver adopts it on
+		// arrival.
 		ss.restartLocked()
 		obs.Default.Counter("wire/send_err/" + kind).Inc()
 		return err
@@ -396,31 +378,22 @@ func (ss *sendSession) restartLocked() {
 
 // ---- receive sessions ----
 
-type pframe struct {
-	kind string
-	data []byte // the body; the header has been parsed off
-}
-
 // recvSession is one peer's delivery cursor: frames below (epoch, next)
-// are refused, the frame at it is delivered, frames above it wait in
-// pending for the gap to fill or gapTimer to give up on it.
+// are refused, every other frame is delivered and moves the cursor past
+// itself.
 type recvSession struct {
-	mu       sync.Mutex
-	epoch    uint32
-	next     uint64
-	pending  map[uint64]pframe
-	gapTimer *time.Timer
+	mu    sync.Mutex
+	epoch uint32
+	next  uint64
 
 	kindC                 map[string]*kindCounters
 	pairFrames, pairBytes *obs.Counter
 }
 
 // recvSession returns the session for frames from the named peer. A new
-// one sits below every epoch, so it adopts the first it sees from seq 0.
-// A first frame with a higher seq waits out one gap: the sender may be
-// mid-stream (this endpoint rejoined), or its first frames may be
-// arriving out of order, and taking the second case for the first would
-// lose them.
+// one sits below every epoch, so it adopts the first it sees from seq 0,
+// and a first frame with a higher seq is a sender this endpoint joined
+// mid-stream (it rejoined under a name the sender already talked to).
 func (c *Conn) recvSession(from string) *recvSession {
 	c.mu.RLock()
 	rs, ok := c.recvs[from]
@@ -435,7 +408,6 @@ func (c *Conn) recvSession(from string) *recvSession {
 	}
 	pair := pairLabel(from, c.ep.Name())
 	rs = &recvSession{
-		pending:    make(map[uint64]pframe),
 		kindC:      make(map[string]*kindCounters),
 		pairFrames: obs.Default.Counter("wire/pair_frames_in/" + pair),
 		pairBytes:  obs.Default.Counter("wire/pair_bytes_in/" + pair),
@@ -451,7 +423,7 @@ func (c *Conn) isClosed() bool {
 }
 
 // handle is the transport delivery callback: session bookkeeping, then
-// typed dispatch of in-order frames.
+// typed dispatch.
 func (c *Conn) handle(msg transport.Message) {
 	if c.isClosed() {
 		return
@@ -466,7 +438,6 @@ func (c *Conn) handle(msg transport.Message) {
 		logKindOnce("truncated or corrupt frame header", msg.Kind, nil)
 		return
 	}
-	pf := pframe{kind: msg.Kind, data: msg.Payload[headerLen:]}
 	rs := c.recvSession(msg.From)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -476,18 +447,13 @@ func (c *Conn) handle(msg transport.Message) {
 
 	switch {
 	case epoch < rs.epoch:
-		// A frame of an abandoned stream arriving late (reordered across
-		// a restart, or sent by an incarnation that has been replaced).
+		// A frame of an abandoned stream arriving late (sent by an
+		// incarnation that has been replaced).
 		obs.Default.Counter("wire/stale/" + msg.Kind).Inc()
 		return
 	case epoch > rs.epoch:
 		// The sender restarted the stream, or a new incarnation took the
-		// name: adopt its epoch from seq 0, drop whatever the old one
-		// still had buffered.
-		for seq, pf := range rs.pending {
-			obs.Default.Counter("wire/stale/" + pf.kind).Inc()
-			delete(rs.pending, seq)
-		}
+		// name: adopt its epoch from seq 0.
 		rs.epoch, rs.next = epoch, 0
 	}
 	switch {
@@ -496,110 +462,40 @@ func (c *Conn) handle(msg transport.Message) {
 		obs.Default.Counter("wire/dup/" + msg.Kind).Inc()
 		return
 	case seq > rs.next:
-		if _, dup := rs.pending[seq]; dup {
-			obs.Default.Counter("wire/dup/" + msg.Kind).Inc()
-			return
+		// The fabric keeps the pair's order, so the frames in between are
+		// not late but lost (a drop, a partition, a corrupted header, a
+		// refused dispatch the sender did not see); one lost frame costs
+		// that frame, not its successors. A gap at seq 0 is counted apart
+		// and not logged: nothing of this epoch has been delivered, so
+		// what is skipped is, as far as this receiver can know, a
+		// conversation with its predecessor under the name (a rejoined
+		// endpoint picking up a mid-stream sender), not a hole in its own.
+		pair := pairLabel(msg.From, c.ep.Name())
+		if rs.next == 0 {
+			obs.Default.Counter("wire/pickup/" + pair).Inc()
+		} else {
+			obs.Default.Counter("wire/desync/" + pair).Inc()
+			logKindOnce("frames lost, sequence gap skipped", pair, nil)
 		}
-		rs.pending[seq] = pf
-		if len(rs.pending) > maxPending {
-			c.skipGapLocked(rs, msg.From)
-		}
-	default:
-		c.deliverLocked(rs, msg.From, pf)
-		c.drainLocked(rs, msg.From)
 	}
-	c.syncGapTimerLocked(rs, msg.From)
+	rs.next = seq + 1
+	c.deliverLocked(msg.From, msg.Kind, msg.Payload[headerLen:])
 }
 
-// deliverLocked dispatches the frame at the cursor and advances it.
-// Frames are self-contained: one without a handler or with a malformed
-// body is counted and consumes its slot, and the stream continues.
-func (c *Conn) deliverLocked(rs *recvSession, from string, pf pframe) {
-	rs.next++
+// deliverLocked dispatches a frame the cursor has accepted. Frames are
+// self-contained: one without a handler or with a malformed body is
+// counted and consumes its slot, and the stream continues.
+func (c *Conn) deliverLocked(from, kind string, data []byte) {
 	c.mu.RLock()
-	h, ok := c.handlers[pf.kind]
+	h, ok := c.handlers[kind]
 	c.mu.RUnlock()
 	if !ok {
-		obs.Default.Counter("wire/unknown_kind/" + pf.kind).Inc()
-		logKindOnce("no handler", pf.kind, nil)
+		obs.Default.Counter("wire/unknown_kind/" + kind).Inc()
+		logKindOnce("no handler", kind, nil)
 		return
 	}
-	if err := h(pf.data, Meta{From: from, Bytes: headerLen + len(pf.data)}); err != nil {
-		obs.Default.Counter("wire/decode_err/" + pf.kind).Inc()
-		logKindOnce("decode error", pf.kind, err)
+	if err := h(data, Meta{From: from, Bytes: headerLen + len(data)}); err != nil {
+		obs.Default.Counter("wire/decode_err/" + kind).Inc()
+		logKindOnce("decode error", kind, err)
 	}
-}
-
-// drainLocked delivers the buffered frames that have become in-sequence.
-func (c *Conn) drainLocked(rs *recvSession, from string) {
-	for {
-		pf, ok := rs.pending[rs.next]
-		if !ok {
-			return
-		}
-		delete(rs.pending, rs.next)
-		c.deliverLocked(rs, from, pf)
-	}
-}
-
-// skipGapLocked gives up on the frames missing at the cursor (lost to a
-// drop, a partition or a refused dispatch the sender did not see): the
-// cursor jumps to the lowest buffered seq and delivery resumes from
-// there, in order. One lost frame costs that frame, not its successors.
-// A gap at seq 0 is counted apart and not logged: nothing of this epoch
-// has been delivered, so what is skipped is, as far as this receiver can
-// know, a conversation with its predecessor under the name (a rejoined
-// endpoint picking up a mid-stream sender), not a hole in its own.
-func (c *Conn) skipGapLocked(rs *recvSession, from string) {
-	if len(rs.pending) == 0 {
-		return
-	}
-	pair := pairLabel(from, c.ep.Name())
-	if rs.next == 0 {
-		obs.Default.Counter("wire/pickup/" + pair).Inc()
-	} else {
-		obs.Default.Counter("wire/desync/" + pair).Inc()
-		logKindOnce("frames lost, sequence gap skipped", pair, nil)
-	}
-	rs.next = ^uint64(0)
-	for seq := range rs.pending {
-		rs.next = min(rs.next, seq)
-	}
-	c.drainLocked(rs, from)
-}
-
-func (rs *recvSession) stopGapTimerLocked() {
-	if rs.gapTimer != nil {
-		rs.gapTimer.Stop()
-		rs.gapTimer = nil
-	}
-}
-
-// syncGapTimerLocked keeps the gap timer armed exactly while frames
-// wait in the reorder buffer. The timer skips the gap only if the
-// cursor has not moved since it was armed; if it has, the frames still
-// buffered wait behind a younger gap and get a full wait of their own.
-func (c *Conn) syncGapTimerLocked(rs *recvSession, from string) {
-	if len(rs.pending) == 0 {
-		rs.stopGapTimerLocked()
-		return
-	}
-	if rs.gapTimer != nil || c.isClosed() {
-		return
-	}
-	epoch, next := rs.epoch, rs.next
-	var t *time.Timer
-	t = time.AfterFunc(gapTimeout, func() {
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		if rs.gapTimer != t {
-			return // stopped or replaced while this callback waited for the lock
-		}
-		rs.gapTimer = nil
-		if rs.epoch == epoch && rs.next == next {
-			c.skipGapLocked(rs, from)
-		}
-		c.syncGapTimerLocked(rs, from)
-	})
-	rs.gapTimer = t
 }
