@@ -27,9 +27,10 @@ race:
 
 verify: build vet fmt race
 
-# The rows too slow for tier-1: the 10,000-node sharded world (38-42 s
-# on a busy 2-CPU box, 43-47 s before ISSUE 25; CI fails the step past
-# 90 s), next to the 2,000-node row
+# The rows too slow for tier-1: the 10,000-node sharded world (58-63 s
+# on a busy 2-CPU box that ran the code before the pointer-free event
+# queue in 67-73 s the same hour, and that code in 38-42 s on a quieter
+# day; CI fails the step past 90 s), next to the 2,000-node row
 # `go test ./...` runs. Not under -race: the simulator is
 # single-goroutine and the detector makes it ten times slower.
 scale:

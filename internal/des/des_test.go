@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/steal"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -340,5 +342,61 @@ func TestIterationTimelineContiguous(t *testing.T) {
 	}
 	if res.Runtime != prevEnd {
 		t.Fatalf("runtime %v != last iteration end %v", res.Runtime, prevEnd)
+	}
+}
+
+// stealSeries reads the process's five steal/* series.
+func stealSeries() steal.Stats {
+	c := func(name string) int64 { return int64(obs.Default.Counter("steal/" + name).Value()) }
+	return steal.Stats{
+		SyncLocal: c("sync_local_attempts"), SyncWide: c("sync_wide_attempts"),
+		Async: c("async_attempts"), Hits: c("hits"), Misses: c("misses"),
+	}
+}
+
+// plus adds b to a, counter by counter; sign -1 subtracts it.
+func plus(a, b steal.Stats, sign int64) steal.Stats {
+	return steal.Stats{
+		SyncLocal: a.SyncLocal + sign*b.SyncLocal, SyncWide: a.SyncWide + sign*b.SyncWide,
+		Async: a.Async + sign*b.Async, Hits: a.Hits + sign*b.Hits, Misses: a.Misses + sign*b.Misses,
+	}
+}
+
+// A run publishes what every one of its engines counted: the steal/*
+// series move by the sum of the engines' Stats, the engines of nodes
+// that crashed or that the coordinator removed mid-run included (a
+// removed thief's steal can still come back after it left).
+func TestStealSeriesSumEveryEngine(t *testing.T) {
+	engines := map[*steal.Engine]core.NodeID{}
+	newEngine = func(p steal.Policy, self core.NodeID, c core.ClusterID, seed int64) *steal.Engine {
+		e := steal.New(p, self, c, seed)
+		engines[e] = self
+		return e
+	}
+	defer func() { newEngine = steal.New }()
+	p := adaptive(baseParams(40))
+	p.Events = []Injection{
+		{At: 1, Kind: InjShapeUplink, Cluster: "fs2", Bandwidth: 100e3},
+		{At: 60, Kind: InjCrash, Cluster: "fs1", Count: 4},
+	}
+	before := stealSeries()
+	res, s, err := runReturningSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := stealSeries()
+	var want, departed steal.Stats
+	for e, id := range engines {
+		want = plus(want, e.Stats(), 1)
+		if _, live := s.nodes[id]; !live {
+			departed = plus(departed, e.Stats(), 1)
+		}
+	}
+	if got := plus(after, before, -1); got != want {
+		t.Fatalf("steal/* moved by %+v, the run's %d engines counted %+v", got, len(engines), want)
+	}
+	if departed.SyncLocal == 0 || departed.Async == 0 || len(engines)-res.FinalNodes < 8 {
+		t.Fatalf("%d engines, %d nodes at the end, departed nodes counted %+v: the run removed too little to test",
+			len(engines), res.FinalNodes, departed)
 	}
 }

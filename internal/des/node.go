@@ -78,10 +78,10 @@ func (s *Sim) tryStealing(n *simNode) {
 	}
 	d := n.eng.NextView(float64(s.k.Now()), s.stealSnapshot())
 	if d.HasAsync {
-		s.sendSteal(n, s.nodes[d.Async.ID], true, true)
+		s.sendSteal(n, s.stealNodes[d.AsyncAt], true, true)
 	}
 	if d.HasSync {
-		v := s.nodes[d.Sync.ID]
+		v := s.stealNodes[d.SyncAt]
 		s.sendSteal(n, v, v.cluster != n.cluster, false)
 	} else if !d.HasAsync && !n.eng.Outstanding() {
 		// Nobody to steal from at all: back off and retry.
@@ -96,9 +96,12 @@ func (s *Sim) tryStealing(n *simNode) {
 func (s *Sim) stealSnapshot() *steal.View {
 	if s.membersDirty {
 		s.stealMembers = s.stealMembers[:0]
+		clear(s.stealNodes) // a departed node must not stay reachable from the tail
+		s.stealNodes = s.stealNodes[:0]
 		for _, v := range s.order {
 			if v.joined {
 				s.stealMembers = append(s.stealMembers, steal.Member{ID: v.id, Cluster: v.cluster})
+				s.stealNodes = append(s.stealNodes, v)
 			}
 		}
 		s.stealView.Rebuild(s.stealMembers)
@@ -149,7 +152,7 @@ func (s *Sim) sendSteal(n, v *simNode, inter, wanSlot bool) {
 	}
 	*m = stealMsg{
 		n: n, v: v, inter: inter, wanSlot: wanSlot,
-		lat: s.net.Latency(n.cluster, v.cluster), issuedAt: s.k.Now(),
+		lat: n.site.Latency(v.site), issuedAt: s.k.Now(),
 		arrive: m.arrive, handle: m.handle, refuse: m.refuse, deliver: m.deliver,
 	}
 	s.k.Post(m.lat, m.arrive)
@@ -201,9 +204,9 @@ func (s *Sim) stealHandle(m *stealMsg) {
 	m.bytes = s.p.Spec.JobBytes(m.stolen.work)
 	var deliverAt vtime.Time
 	if m.inter {
-		deliverAt = s.net.Inter(handover, v.cluster, n.cluster, m.bytes)
+		deliverAt = v.site.Inter(handover, n.site, m.bytes)
 	} else {
-		deliverAt = s.net.Intra(handover, v.cluster, m.bytes)
+		deliverAt = v.site.Intra(handover, m.bytes)
 	}
 	// Only genuine network time counts as communication: the
 	// request latency plus the reply's transfer time (including
@@ -242,6 +245,9 @@ func (s *Sim) stealReply(m *stealMsg, got bool, commSec float64) {
 		n.eng.AsyncDone(got)
 	} else {
 		n.eng.SyncDone(got)
+	}
+	if n.gone() {
+		n.eng.Publish() // published when it left; this settle came later
 	}
 	if s.done {
 		if got {

@@ -31,6 +31,7 @@ type simNode struct {
 	id      core.NodeID
 	cluster core.ClusterID
 	ref     sched.NodeRef
+	site    netmodel.Site // the cluster's links, for the steal messages
 
 	speedBase float64
 	load      float64 // competing CPU load factor
@@ -101,7 +102,10 @@ type Sim struct {
 	// to the steal engines (rebuilt lazily on churn): at 10k nodes any
 	// O(nodes) work per steal attempt dominates the simulator's time;
 	// the pre-indexed View makes each victim draw O(log cluster-size).
+	// stealNodes runs parallel to stealMembers, so a directive's victim
+	// positions name their nodes without a lookup by ID.
 	stealMembers []steal.Member
+	stealNodes   []*simNode
 	stealView    *steal.View
 	membersDirty bool
 	stealPool    []*stealMsg // finished steal attempts, for sendSteal to reuse
@@ -122,6 +126,10 @@ type Sim struct {
 	done    bool
 	aborted bool
 }
+
+// newEngine builds a node's steal engine; tests wrap it to see every
+// engine of a run, departed nodes' too.
+var newEngine = steal.New
 
 // Run executes one simulation and returns its result.
 func Run(p Params) (*Result, error) {
@@ -213,9 +221,11 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 	s.k.Run()
 	s.res.Events = s.k.Fired()
 
-	// Finalise accounting for nodes still alive.
+	// Finalise accounting for nodes still alive; a departed node's
+	// engine was published when it left.
 	for _, n := range s.order {
 		s.finalizeNode(n)
+		n.eng.Publish()
 	}
 	s.res.FinalNodes = len(s.order)
 	if s.stream != nil {
@@ -271,9 +281,10 @@ func (s *Sim) addNode(ref sched.NodeRef, immediate bool) {
 		id:        ref.Node,
 		cluster:   ref.Cluster,
 		ref:       ref,
+		site:      s.net.Site(ref.Cluster),
 		speedBase: spec.Speed,
 		load:      s.clusterLoad[ref.Cluster],
-		eng:       steal.New(s.p.StealPolicy, ref.Node, ref.Cluster, steal.SeedFor(s.p.Seed, ref.Node)),
+		eng:       newEngine(s.p.StealPolicy, ref.Node, ref.Cluster, steal.SeedFor(s.p.Seed, ref.Node)),
 	}
 	n.leaf = s.k.NewTimer(func() { s.leafDone(n) })
 	n.retry = s.k.NewTimer(func() { s.nodeIdle(n) })
@@ -368,6 +379,7 @@ func (s *Sim) removeFromOrder(n *simNode) {
 	delete(s.nodes, n.id)
 	s.membersDirty = true
 	s.forgetNode(n)
+	n.eng.Publish()
 }
 
 func (s *Sim) cancelNodeTimers(n *simNode) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -308,6 +309,55 @@ func TestRunWithMatchesSequential(t *testing.T) {
 			if g, w := periodLog(got), periodLog(want); g != w {
 				t.Errorf("scenario %s variant %s: period log\n%s\nalone\n%s", sc.ID, v, g, w)
 			}
+		}
+	}
+}
+
+// The variants' simulations publish their steal counts into the one
+// process registry from their own goroutines: side by side they move
+// every steal/* series by what the runs move it by one after another.
+func TestRunWithPublishesEveryVariant(t *testing.T) {
+	names := []string{"sync_local_attempts", "sync_wide_attempts", "async_attempts", "hits", "misses"}
+	series := func() (v []uint64) {
+		for _, name := range names {
+			v = append(v, obs.Default.Counter("steal/"+name).Value())
+		}
+		return v
+	}
+	moved := func(run func()) []uint64 {
+		before := series()
+		run()
+		after := series()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		return after
+	}
+	for _, id := range []string{"4", "5x"} {
+		sc, _ := ByID(id)
+		sc.Seed = 1
+		variants := []Variant{NoAdapt, Adaptive}
+		together := moved(func() {
+			if _, err := RunWith(sc, func(_ Variant, p *des.Params) { shorten(p) }, variants...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		alone := make([]uint64, len(names))
+		for _, v := range variants {
+			got := moved(func() {
+				p := sc.Build(v, sc.Seed)
+				shorten(&p)
+				if _, err := des.Run(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for i := range got {
+				alone[i] += got[i]
+			}
+		}
+		if !slices.Equal(together, alone) || together[0] == 0 {
+			t.Errorf("scenario %s: steal/{%s} moved by %v side by side, by %v one after another",
+				id, strings.Join(names, ","), together, alone)
 		}
 	}
 }

@@ -84,11 +84,18 @@ func (p *Pipe) ObservedBandwidth() float64 {
 	return p.bytes / p.busyTime
 }
 
+// lat is the pipe's latency, 0 for a link the topology does not have.
+func (p *Pipe) lat() float64 {
+	if p == nil {
+		return 0
+	}
+	return p.latency
+}
+
 // Net models the whole grid network for one topology.
 type Net struct {
 	lans    map[topo.ClusterID]*Pipe // per-cluster LAN fabric
 	uplinks map[topo.ClusterID]*Pipe // per-cluster access link
-	wanLat  map[topo.ClusterID]float64
 }
 
 // New builds the network for a topology.
@@ -96,16 +103,14 @@ func New(t topo.Topology) *Net {
 	n := &Net{
 		lans:    make(map[topo.ClusterID]*Pipe, len(t.Clusters)),
 		uplinks: make(map[topo.ClusterID]*Pipe, len(t.Clusters)),
-		wanLat:  make(map[topo.ClusterID]float64, len(t.Clusters)),
 	}
 	for _, c := range t.Clusters {
 		// The LAN is switched: per-transfer bandwidth without queueing
 		// against other nodes' transfers, modelled as an infinitely wide
-		// pipe by computing duration inline in Intra below. We still keep
-		// a Pipe for latency/bandwidth bookkeeping.
+		// pipe by computing duration inline in Site.Intra below. We still
+		// keep a Pipe for latency/bandwidth bookkeeping.
 		n.lans[c.ID] = NewPipe(c.LANBandwidth, c.LANLatency)
 		n.uplinks[c.ID] = NewPipe(c.UplinkBandwidth, c.WANLatency)
-		n.wanLat[c.ID] = c.WANLatency
 	}
 	return n
 }
@@ -113,58 +118,76 @@ func New(t topo.Topology) *Net {
 // Uplink exposes a cluster's access link (for shaping in scenarios).
 func (n *Net) Uplink(c topo.ClusterID) *Pipe { return n.uplinks[c] }
 
+// Site is one cluster's two links. A caller that sends from or to a
+// cluster again and again keeps its Site, and so skips the lookups by
+// name that the Net's methods make on every message.
+type Site struct{ lan, uplink *Pipe }
+
+// Site returns a cluster's links. A cluster the topology does not have
+// gets a Site whose messages arrive at once.
+func (n *Net) Site(c topo.ClusterID) Site { return Site{n.lans[c], n.uplinks[c]} }
+
 // LANLatency returns a cluster's one-way LAN latency.
-func (n *Net) LANLatency(c topo.ClusterID) float64 {
-	if p, ok := n.lans[c]; ok {
-		return p.Latency()
-	}
-	return 0
-}
+func (n *Net) LANLatency(c topo.ClusterID) float64 { return n.lans[c].lat() }
 
 // WANLatency returns the one-way site-to-site latency between two
 // clusters (sum of both access latencies).
 func (n *Net) WANLatency(from, to topo.ClusterID) float64 {
-	return n.wanLat[from] + n.wanLat[to]
+	return n.uplinks[from].lat() + n.uplinks[to].lat()
 }
 
-// Intra returns the delivery time of an intra-cluster message of size
-// bytes sent at now within cluster c. Switched LAN: latency plus
-// serialisation at LAN bandwidth, no cross-node contention.
+// Intra is Site.Intra for cluster c.
 func (n *Net) Intra(now vtime.Time, c topo.ClusterID, size float64) vtime.Time {
-	p := n.lans[c]
-	if p == nil {
-		return now
-	}
-	return now + vtime.Time(p.Latency()+size/p.Bandwidth())
+	return n.Site(c).Intra(now, size)
 }
 
-// Inter returns the delivery time of an inter-cluster message of size
-// bytes from cluster a to cluster b sent at now. The payload must
-// serialise through a's access link and through b's (the backbone
-// itself is never the bottleneck); delivery is bounded by the slower
-// of the two. Both reservations start at now: reserving the
-// destination pipe only from the moment the payload clears the jammed
-// source pipe would block unrelated traffic behind a future
-// reservation, which a real link does not do.
+// Inter is Site.Inter from cluster from to cluster to.
 func (n *Net) Inter(now vtime.Time, from, to topo.ClusterID, size float64) vtime.Time {
-	up, down := n.uplinks[from], n.uplinks[to]
-	if up == nil || down == nil {
-		return now
-	}
-	d1 := up.Transfer(now, size)
-	d2 := down.Transfer(now, size)
-	if d2 > d1 {
-		return d2
-	}
-	return d1
+	return n.Site(from).Inter(now, n.Site(to), size)
 }
 
 // Latency returns the one-way message latency between two clusters
 // (LAN latency if equal, WAN otherwise) — used for small control
 // messages such as steal requests, which don't consume link bandwidth.
 func (n *Net) Latency(from, to topo.ClusterID) float64 {
-	if from == to {
-		return n.LANLatency(from)
+	return n.Site(from).Latency(n.Site(to))
+}
+
+// Intra returns the delivery time of a message of size bytes sent at
+// now within the site. Switched LAN: latency plus serialisation at LAN
+// bandwidth, no cross-node contention.
+func (a Site) Intra(now vtime.Time, size float64) vtime.Time {
+	if a.lan == nil {
+		return now
 	}
-	return n.WANLatency(from, to)
+	return now + vtime.Time(a.lan.latency+size/a.lan.bandwidth)
+}
+
+// Inter returns the delivery time of a message of size bytes from site
+// a to site b sent at now. The payload must serialise through a's
+// access link and through b's (the backbone itself is never the
+// bottleneck); delivery is bounded by the slower of the two. Both
+// reservations start at now: reserving the destination pipe only from
+// the moment the payload clears the jammed source pipe would block
+// unrelated traffic behind a future reservation, which a real link
+// does not do.
+func (a Site) Inter(now vtime.Time, b Site, size float64) vtime.Time {
+	if a.uplink == nil || b.uplink == nil {
+		return now
+	}
+	d1 := a.uplink.Transfer(now, size)
+	d2 := b.uplink.Transfer(now, size)
+	if d2 > d1 {
+		return d2
+	}
+	return d1
+}
+
+// Latency returns the one-way message latency from site a to site b:
+// the LAN's within a site, both access links' across sites.
+func (a Site) Latency(b Site) float64 {
+	if a == b {
+		return a.lan.lat()
+	}
+	return a.uplink.lat() + b.uplink.lat()
 }

@@ -27,9 +27,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Process-global attempt counters, complementing each engine's
-// per-node Stats: the observability endpoint reads these without
-// enumerating engines. Resolved once; NextView/done touch only atomics.
+// The process root's attempt series, which the observability endpoint
+// reads without enumerating engines. An engine counts into its own
+// Stats and adds to these only when the runtime calls Publish, so a
+// steal round writes nothing that another node's round writes too: a
+// shared counter would be a cache line that every simulated and every
+// live node bounces between the cores.
 var (
 	obsSyncLocal = obs.Default.Counter("steal/sync_local_attempts")
 	obsSyncWide  = obs.Default.Counter("steal/sync_wide_attempts")
@@ -61,11 +64,15 @@ type Member struct {
 // contact on which slot. It is a plain value — the steal decision sits
 // on every idle node's hot path, and a by-value directive with
 // presence flags keeps it allocation-free — so check HasSync/HasAsync
-// before touching the victims.
+// before touching the victims. SyncAt and AsyncAt are the victims'
+// positions in the snapshot the View was last rebuilt from, so a
+// runtime that keeps its own records in snapshot order finds a victim's
+// without looking its ID up.
 type Directive struct {
 	// Sync is the synchronous victim (CRS: always same-cluster;
 	// Random: anyone); meaningful only when HasSync.
-	Sync Member
+	Sync   Member
+	SyncAt int
 	// HasSync reports that the synchronous slot was filled this round.
 	HasSync bool
 	// SyncWide reports that Sync sits in another cluster, so the
@@ -73,7 +80,8 @@ type Directive struct {
 	SyncWide bool
 	// Async is the single outstanding asynchronous wide-area victim
 	// (CRS only); meaningful only when HasAsync.
-	Async Member
+	Async   Member
+	AsyncAt int
 	// HasAsync reports that the asynchronous slot was filled this round.
 	HasAsync bool
 }
@@ -86,6 +94,7 @@ type Stats struct {
 	SyncWide  int64 // synchronous cross-cluster attempts
 	Async     int64 // asynchronous wide-area attempts (latency-hidden)
 	Hits      int64 // attempts that brought a job back
+	Misses    int64 // attempts that came back empty
 }
 
 // SeedFor derives a node's victim-selection stream from a run seed:
@@ -114,12 +123,15 @@ type Engine struct {
 	asyncSince float64 // engine time the async steal was issued
 	failStreak int
 	stats      Stats
+	published  Stats // what Publish has added to the process series so far
 
-	// cached position of self inside the last View seen, so NextView
-	// re-scans the home group only when membership actually changed.
+	// cached home group and position of self inside the last View seen,
+	// so NextView re-scans the home group only when membership actually
+	// changed, and looks no cluster up per round.
 	viewGen   uint64
 	view      *View
-	selfLocal int // index of self within its cluster group, -1 if absent
+	home      *viewGroup // nil if the cluster has no members in the view
+	selfLocal int        // index of self within its cluster group, -1 if absent
 }
 
 // New builds an engine for one node. seed is the node's stream (use
@@ -195,25 +207,26 @@ func (v *View) group(c core.ClusterID) *viewGroup {
 	return g
 }
 
-// remoteAt returns the j-th member of the snapshot with the cluster's
-// own block filtered out, in snapshot order. pos is sorted ascending,
-// so the filtered index maps back to a snapshot index by counting how
-// many excluded positions precede it; pos[k]-k is non-decreasing, which
-// makes the predicate binary-searchable.
-func (v *View) remoteAt(g *viewGroup, j int) Member {
+// remoteAt returns the snapshot position of the j-th member of the
+// snapshot with the cluster's own block filtered out, in snapshot
+// order. pos is sorted ascending, so the filtered index maps back to a
+// snapshot index by counting how many excluded positions precede it;
+// pos[k]-k is non-decreasing, which makes the predicate
+// binary-searchable.
+func (v *View) remoteAt(g *viewGroup, j int) int {
 	if g == nil {
-		return v.members[j]
+		return j
 	}
-	k := sort.Search(len(g.pos), func(k int) bool { return g.pos[k] > j+k })
-	return v.members[j+k]
+	return j + sort.Search(len(g.pos), func(k int) bool { return g.pos[k] > j+k })
 }
 
-// refreshView re-locates self inside the view's home group. Called
+// refreshView re-locates the home group and self inside it. Called
 // with e.mu held; O(cluster size), and only after a Rebuild.
 func (e *Engine) refreshView(v *View) {
 	e.view, e.viewGen = v, v.gen
+	e.home = v.group(e.cluster)
 	e.selfLocal = -1
-	if g := v.group(e.cluster); g != nil {
+	if g := e.home; g != nil {
 		for i, m := range g.members {
 			if m.ID == e.self {
 				e.selfLocal = i
@@ -233,7 +246,7 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 	if e.view != v || e.viewGen != v.gen {
 		e.refreshView(v)
 	}
-	g := v.group(e.cluster)
+	g := e.home
 	nLocal := 0
 	if g != nil {
 		nLocal = len(g.members)
@@ -257,15 +270,13 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 		}
 		vict := v.members[i]
 		e.syncOut = true
-		d.Sync = vict
+		d.Sync, d.SyncAt = vict, i
 		d.HasSync = true
 		d.SyncWide = vict.Cluster != e.cluster
 		if d.SyncWide {
 			e.stats.SyncWide++
-			obsSyncWide.Inc()
 		} else {
 			e.stats.SyncLocal++
-			obsSyncLocal.Inc()
 		}
 		return d
 	}
@@ -273,12 +284,12 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 	// slot — the draw order both runtimes historically used, kept so
 	// one RNG stream drives both identically.
 	if nRemote := len(v.members) - nLocal; !e.asyncOut && nRemote > 0 {
-		d.Async = v.remoteAt(g, e.rng.Intn(nRemote))
+		d.AsyncAt = v.remoteAt(g, e.rng.Intn(nRemote))
+		d.Async = v.members[d.AsyncAt]
 		d.HasAsync = true
 		e.asyncOut = true
 		e.asyncSince = now
 		e.stats.Async++
-		obsAsync.Inc()
 	}
 	nCand := nLocal
 	if e.selfLocal >= 0 {
@@ -289,11 +300,10 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 		if e.selfLocal >= 0 && i >= e.selfLocal {
 			i++
 		}
-		d.Sync = g.members[i]
+		d.Sync, d.SyncAt = g.members[i], g.pos[i]
 		d.HasSync = true
 		e.syncOut = true
 		e.stats.SyncLocal++
-		obsSyncLocal.Inc()
 	}
 	return d
 }
@@ -312,10 +322,9 @@ func (e *Engine) done(slot *bool, got bool) {
 	if got {
 		e.failStreak = 0
 		e.stats.Hits++
-		obsHits.Inc()
 	} else {
 		e.failStreak++
-		obsMisses.Inc()
+		e.stats.Misses++
 	}
 }
 
@@ -355,4 +364,28 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
+}
+
+// Publish adds to the process's steal/* series what the engine counted
+// since it last published. The runtime picks the moments: a live node
+// after every round and every reply, the simulator when the engine's
+// node leaves and when the run ends.
+func (e *Engine) Publish() {
+	e.mu.Lock()
+	s, p := e.stats, e.published
+	e.published = s
+	e.mu.Unlock()
+	add(obsSyncLocal, s.SyncLocal-p.SyncLocal)
+	add(obsSyncWide, s.SyncWide-p.SyncWide)
+	add(obsAsync, s.Async-p.Async)
+	add(obsHits, s.Hits-p.Hits)
+	add(obsMisses, s.Misses-p.Misses)
+}
+
+// add leaves c alone when there is nothing to add: an atomic add of
+// zero still takes the cache line.
+func add(c *obs.Counter, n int64) {
+	if n > 0 {
+		c.Add(uint64(n))
+	}
 }

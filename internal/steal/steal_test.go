@@ -247,8 +247,12 @@ func TestCrossRuntimeVictimParity(t *testing.T) {
 // TestViewSelectsOnlyLegalVictims drives NextView over randomized,
 // interleaved memberships (self present in about half) and checks what
 // the index arithmetic must guarantee whatever the snapshot looks like:
-// never self, CRS sync victims local and async victims remote, and —
-// the remote remap — every remote member reachable, in snapshot order.
+// never self, CRS sync victims local and async victims remote, every
+// directive's positions naming its victims in the snapshot, and — the
+// remote remap — every remote member reachable, in snapshot order.
+// Every seventh rebuild drops the home cluster whole and every fifth
+// another one, each back in the next: the engine's cached home group
+// must follow.
 func TestViewSelectsOnlyLegalVictims(t *testing.T) {
 	self, home := core.NodeID("c1/01"), core.ClusterID("c1")
 	for seed := int64(1); seed <= 20; seed++ {
@@ -269,7 +273,28 @@ func TestViewSelectsOnlyLegalVictims(t *testing.T) {
 				}
 			}
 			script.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+			var drop core.ClusterID
+			switch {
+			case step%7 == 3:
+				drop = home
+			case step%5 == 1:
+				drop = "c0"
+			}
+			if drop != "" {
+				kept := ms[:0]
+				for _, m := range ms {
+					if m.Cluster != drop {
+						kept = append(kept, m)
+					}
+				}
+				ms = kept
+			}
 			view.Rebuild(ms)
+			at := func(policy string, d Directive) {
+				if d.HasSync && ms[d.SyncAt] != d.Sync || d.HasAsync && ms[d.AsyncAt] != d.Async {
+					t.Fatalf("seed %d step %d: %s directive %+v names other members by position (members %v)", seed, step, policy, d, ms)
+				}
+			}
 
 			var remotes []Member
 			for _, m := range ms {
@@ -278,12 +303,13 @@ func TestViewSelectsOnlyLegalVictims(t *testing.T) {
 				}
 			}
 			for j, want := range remotes {
-				if got := view.remoteAt(view.group(home), j); got != want {
+				if got := view.members[view.remoteAt(view.group(home), j)]; got != want {
 					t.Fatalf("seed %d step %d: remote %d = %v, want %v (members %v)", seed, step, j, got, want, ms)
 				}
 			}
 
 			d := crs.NextView(float64(step), view)
+			at("CRS", d)
 			if d.HasSync && (d.Sync.ID == self || d.Sync.Cluster != home || d.SyncWide) {
 				t.Fatalf("seed %d step %d: CRS sync victim %+v (members %v)", seed, step, d, ms)
 			}
@@ -303,6 +329,7 @@ func TestViewSelectsOnlyLegalVictims(t *testing.T) {
 				}
 			}
 			r := rnd.NextView(float64(step), view)
+			at("Random", r)
 			if r.HasSync != (others > 0) || r.HasAsync || (r.HasSync && (r.Sync.ID == self || r.SyncWide != (r.Sync.Cluster != home))) {
 				t.Fatalf("seed %d step %d: Random directive %+v with %d other members", seed, step, r, others)
 			}
@@ -310,5 +337,51 @@ func TestViewSelectsOnlyLegalVictims(t *testing.T) {
 				rnd.SyncDone(false)
 			}
 		}
+	}
+}
+
+// Rounds and replies count into the engine alone; Publish adds to the
+// process's steal/* series what the engine counted since it last
+// published, so publishing twice adds nothing the second time.
+func TestPublishAddsWhatTheEngineCounted(t *testing.T) {
+	series := func() Stats {
+		return Stats{
+			SyncLocal: int64(obsSyncLocal.Value()), SyncWide: int64(obsSyncWide.Value()),
+			Async: int64(obsAsync.Value()), Hits: int64(obsHits.Value()), Misses: int64(obsMisses.Value()),
+		}
+	}
+	start := series()
+	view := members("c0/01", "c0/02", "c1/00")
+	crs, rnd := New(CRS, "c0/00", "c0", 1), New(Random, "c0/00", "c0", 1)
+	round := func() {
+		for i := 0; i < 10; i++ {
+			if d := crs.NextView(float64(i), view); d.HasSync {
+				crs.SyncDone(i%3 == 0)
+				crs.AsyncDone(i%2 == 0)
+			}
+			rnd.NextView(float64(i), view)
+			rnd.SyncDone(i%4 == 0)
+		}
+	}
+	sum := func() Stats {
+		a, b := crs.Stats(), rnd.Stats()
+		return Stats{a.SyncLocal + b.SyncLocal, a.SyncWide + b.SyncWide, a.Async + b.Async, a.Hits + b.Hits, a.Misses + b.Misses}
+	}
+	moved := func() Stats {
+		s := series()
+		return Stats{s.SyncLocal - start.SyncLocal, s.SyncWide - start.SyncWide, s.Async - start.Async, s.Hits - start.Hits, s.Misses - start.Misses}
+	}
+	round()
+	if m := moved(); m != (Stats{}) {
+		t.Fatalf("rounds moved the process series by %+v before any Publish", m)
+	}
+	for pass := 0; pass < 2; pass++ {
+		crs.Publish()
+		rnd.Publish()
+		crs.Publish()
+		if m, want := moved(), sum(); m != want || want.SyncWide == 0 || want.Async == 0 || want.Misses == 0 {
+			t.Fatalf("pass %d: the series moved by %+v, the engines counted %+v", pass, m, want)
+		}
+		round()
 	}
 }

@@ -19,17 +19,19 @@ type Time float64
 // scheduled again with Reset.
 type Timer struct {
 	fn    func()
-	index int  // heap index, -1 while not in the queue
-	owner *Sim // for indexed removal on Cancel
+	owner *Sim
+	seq   uint64 // sequence number of the pending schedule, 0 if none
 }
 
-// Cancel prevents the event from firing and removes it from the queue
-// immediately (O(log n)), so cancelled events don't pile up in
-// long-running simulations with heavy timer churn. Safe to call
-// multiple times and after the event fired (then it is a no-op).
+// Cancel prevents the event from firing. The queue entry stays where
+// it is and is dropped unfired when it reaches the root (the timer no
+// longer carries its sequence number), so cancelling writes nothing
+// but the timer. Safe to call multiple times and after the event fired
+// (then it is a no-op).
 func (t *Timer) Cancel() {
-	if t.owner != nil && t.index >= 0 {
-		t.owner.events.remove(t.index)
+	if t.seq != 0 {
+		t.seq = 0
+		t.owner.dead++
 	}
 }
 
@@ -43,37 +45,48 @@ func (t *Timer) Reset(d float64) {
 }
 
 // Pending reports whether the timer is scheduled and has yet to fire.
-func (t *Timer) Pending() bool { return t.index >= 0 }
+func (t *Timer) Pending() bool { return t.seq != 0 }
 
-// eventHeap is a binary min-heap on (at, seq). The key sits in the
-// slot next to the callback, so sifting compares without following a
-// pointer, and the sifts are written out instead of going through
-// container/heap's interface: the queue is the hot loop of every
-// simulation. (at, seq) is a total order, so the firing order does not
-// depend on the heap's shape.
+// eventHeap is a binary min-heap on (at, key). An entry holds no
+// pointer: the callback and the timer sit in the Sim's slot array, and
+// the entry names its slot in the low bits of key, below the sequence
+// number. So sifting moves 16-byte values that the GC does not scan,
+// with no write barrier and no index to keep in a timer, and the sifts
+// are written out instead of going through container/heap's interface:
+// the queue is the hot loop of every simulation. Sequence numbers are
+// unique, so (at, key) orders like (at, seq), a total order: the firing
+// order does not depend on the heap's shape.
 //
 // Almost every event posts a successor, so an event that fires keeps
-// its slot at the root until its callback returns (Sim.spent): the
-// first event the callback posts takes the slot over and sifts down
+// its entry at the root until its callback returns (Sim.spent): the
+// first event the callback posts takes the root over and sifts down
 // from there, which costs one sift per event where a pop and a push
-// cost two. The spent event is the queue's minimum (the current time,
-// the lowest sequence at that time), so a removal during the callback
-// never sifts past it, and the order the rest of the queue fires in
-// is the same as if it had left first.
+// cost two.
 type eventHeap []event
 
 type event struct {
 	at  uint64 // math.Float64bits of the time: never negative, so the bits order like the numbers
-	seq uint64 // FIFO among simultaneous events
-	fn  func()
-	t   *Timer // nil for an event posted without a handle
+	key uint64 // seq<<slotBits | slot; seq keeps simultaneous events FIFO
 }
+
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+
+	// rebuildSlack is how many dead entries the queue carries beyond
+	// its live ones before post rebuilds it from the live ones.
+	rebuildSlack = 64
+)
+
+func (e event) seq() uint64 { return e.key >> slotBits }
+func (e event) slot() int   { return int(e.key & slotMask) }
 
 // lt is 1 when e fires before o and 0 otherwise: a 128-bit compare
 // through the borrow, without a branch. Which of two children is the
 // earlier is a coin toss, and the predictor loses it every other time.
 func (e event) lt(o event) int {
-	_, borrow := bits.Sub64(e.seq, o.seq, 0)
+	_, borrow := bits.Sub64(e.key, o.key, 0)
 	_, borrow = bits.Sub64(e.at, o.at, borrow)
 	return int(borrow)
 }
@@ -82,14 +95,6 @@ func (e event) before(o event) bool { return e.lt(o) == 1 }
 
 func (e event) time() Time { return Time(math.Float64frombits(e.at)) }
 
-// set stores e in slot i.
-func (h eventHeap) set(i int, e event) {
-	h[i] = e
-	if e.t != nil {
-		e.t.index = i
-	}
-}
-
 // up moves e from slot i towards the root until its parent fires first.
 func (h eventHeap) up(i int, e event) {
 	for i > 0 {
@@ -97,10 +102,10 @@ func (h eventHeap) up(i int, e event) {
 		if !e.before(h[parent]) {
 			break
 		}
-		h.set(i, h[parent])
+		h[i] = h[parent]
 		i = parent
 	}
-	h.set(i, e)
+	h[i] = e
 }
 
 // down moves e from slot i towards the leaves until both children fire
@@ -118,10 +123,10 @@ func (h eventHeap) down(i int, e event) {
 		if !h[child].before(e) {
 			break
 		}
-		h.set(i, h[child])
+		h[i] = h[child]
 		i = child
 	}
-	h.set(i, e)
+	h[i] = e
 }
 
 func (h *eventHeap) push(e event) {
@@ -129,24 +134,21 @@ func (h *eventHeap) push(e event) {
 	h.up(len(*h)-1, e)
 }
 
-// remove takes the event in slot i out of the queue.
-func (h *eventHeap) remove(i int) event {
+// popRoot takes the root entry out of the queue.
+func (h *eventHeap) popRoot() {
 	old := *h
-	e := old[i]
 	last := old[len(old)-1]
-	old[len(old)-1] = event{}
 	*h = old[:len(old)-1]
-	if e.t != nil {
-		e.t.index = -1
+	if len(*h) > 0 {
+		h.down(0, last)
 	}
-	if i < len(*h) {
-		if last.before(old[i]) {
-			h.up(i, last)
-		} else {
-			h.down(i, last)
-		}
-	}
-	return e
+}
+
+// slot is what an entry points at: the callback, and the timer whose
+// schedule the entry is (nil for an event posted without a handle).
+type slot struct {
+	fn func()
+	t  *Timer
 }
 
 // Sim is the simulation kernel. It is not safe for concurrent use: the
@@ -156,6 +158,9 @@ type Sim struct {
 	now     Time
 	events  eventHeap
 	spent   bool // events[0] is the firing event, which the next post overwrites
+	dead    int  // entries in events whose timer was cancelled or reset
+	slots   []slot
+	free    []int32 // indices of unused slots
 	seq     uint64
 	fired   uint64
 	rng     *rand.Rand
@@ -183,7 +188,7 @@ func (s *Sim) at(t Time, fn func()) *Timer {
 // NewTimer returns a timer for fn that is not scheduled; Reset
 // schedules it.
 func (s *Sim) NewTimer(fn func()) *Timer {
-	return &Timer{fn: fn, index: -1, owner: s}
+	return &Timer{fn: fn, owner: s}
 }
 
 // PostAt schedules fn at virtual time t without a handle: the event
@@ -204,14 +209,88 @@ func (s *Sim) post(t Time, fn func(), h *Timer) {
 	if t == 0 {
 		t = 0 // -0 would sort after every positive time by its bits
 	}
+	if s.seq == maxSeq {
+		panic("vtime: out of sequence numbers")
+	}
+	if s.dead > len(s.events)-s.dead+rebuildSlack {
+		s.rebuild()
+	}
 	s.seq++
-	e := event{math.Float64bits(float64(t)), s.seq, fn, h}
+	var i int
+	if k := len(s.free); k > 0 {
+		i = int(s.free[k-1])
+		s.free = s.free[:k-1]
+	} else {
+		i = len(s.slots)
+		if i > slotMask {
+			panic("vtime: out of queue slots")
+		}
+		s.slots = append(s.slots, slot{})
+	}
+	s.slots[i] = slot{fn, h}
+	if h != nil {
+		h.seq = s.seq
+	}
+	e := event{math.Float64bits(float64(t)), s.seq<<slotBits | uint64(i)}
 	if s.spent {
 		s.spent = false
 		s.events.down(0, e)
 		return
 	}
 	s.events.push(e)
+}
+
+// release returns slot i to the free list and hands back what it held.
+func (s *Sim) release(i int) slot {
+	sl := s.slots[i]
+	s.slots[i] = slot{}
+	s.free = append(s.free, int32(i))
+	return sl
+}
+
+// isDead reports whether e's timer was cancelled or reset since e was
+// posted.
+func (s *Sim) isDead(e event) bool {
+	t := s.slots[e.slot()].t
+	return t != nil && t.seq != e.seq()
+}
+
+// pop takes the root entry out of the queue. Dead entries at the end
+// of the array go first: dropping one there is free, and left in place
+// it would cost a sift from the root when it got there.
+func (s *Sim) pop() {
+	for s.dead > 0 && len(s.events) > 1 {
+		last := s.events[len(s.events)-1]
+		if !s.isDead(last) {
+			break
+		}
+		s.release(last.slot())
+		s.dead--
+		s.events = s.events[:len(s.events)-1]
+	}
+	s.events.popRoot()
+}
+
+// rebuild drops the dead entries, and the spent one, and re-heaps the
+// rest. The order the live entries fire in is their (at, key) order,
+// whatever the new heap's shape.
+func (s *Sim) rebuild() {
+	live := s.events[:0]
+	for i, e := range s.events {
+		if i == 0 && s.spent {
+			continue // its slot was released when it fired
+		}
+		if s.isDead(e) {
+			s.release(e.slot())
+			continue
+		}
+		live = append(live, e)
+	}
+	clear(s.events[len(live):])
+	s.events, s.dead, s.spent = live, 0, false
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i, live[i])
+	}
 }
 
 // After schedules fn to run d virtual seconds from now (d < 0 panics).
@@ -225,27 +304,38 @@ func (s *Sim) After(d float64, fn func()) *Timer {
 func (s *Sim) Fired() uint64 { return s.fired }
 
 // Step executes the next event, advancing the clock. It returns false
-// when the queue is empty (a cancelled event left it at Cancel time).
-// The event stays in the root slot while its callback runs, for the
-// callback's first post to take over; a callback that panics leaves it
-// there for good.
+// when no live event is left. A cancelled or rescheduled entry that
+// reaches the root is dropped on the way: it does not move the clock
+// and does not count as fired. The event stays in the root slot while
+// its callback runs, for the callback's first post to take over; the
+// next Step drops it if a callback panicked before it was taken over.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	ev := s.events[0]
-	if ev.t != nil {
-		ev.t.index = -1 // fired: Cancel is a no-op, Reset posts anew
-	}
-	s.spent = true
-	s.now = ev.time()
-	s.fired++
-	ev.fn()
 	if s.spent {
 		s.spent = false
-		s.events.remove(0)
+		s.pop()
 	}
-	return true
+	for len(s.events) > 0 {
+		e := s.events[0]
+		sl := s.release(e.slot())
+		if sl.t != nil {
+			if sl.t.seq != e.seq() {
+				s.dead--
+				s.pop()
+				continue
+			}
+			sl.t.seq = 0 // fired: Cancel is a no-op, Reset posts anew
+		}
+		s.spent = true
+		s.now = e.time()
+		s.fired++
+		sl.fn()
+		if s.spent {
+			s.spent = false
+			s.pop()
+		}
+		return true
+	}
+	return false
 }
 
 // Run executes events until the queue drains or Stop is called.

@@ -63,13 +63,14 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// queued is the number of live events: the queue less the slot of the
-// event that is firing, while its callback has posted nothing yet.
+// queued is the number of live events: the queue less its dead
+// entries and the slot of the event that is firing, while its callback
+// has posted nothing yet.
 func queued(s *Sim) int {
 	if s.spent {
-		return len(s.events) - 1
+		return len(s.events) - s.dead - 1
 	}
-	return len(s.events)
+	return len(s.events) - s.dead
 }
 
 func TestPendingCountsLiveEvents(t *testing.T) {
@@ -245,11 +246,15 @@ func TestOrderProperty(t *testing.T) {
 // The queue against a sorted model. Events are scheduled with and
 // without a handle, cancelled and reset, from outside Step and from
 // inside callbacks, which post zero, one or several successors (some
-// at the current time), reset their own timer or another, cancel the
-// next-due timer or the one in the last slot, or stop the run. Every
-// event that fires must be the model's earliest live event by (time,
-// scheduling order), whatever shape the heap took on the way and
-// whether or not the firing event still held the root slot.
+// at the current time), reset their own timer or another (now and then
+// hundreds of times over, which rebuilds the queue mid-callback),
+// cancel the next-due timer or the one in the last entry, or stop the
+// run. Every event that fires must be the model's earliest live event
+// by (time, scheduling order), whatever shape the heap took on the way
+// and whether or not the firing event still held the root slot. A
+// cancelled or rescheduled entry never fires, never moves the clock
+// and never counts in Fired, and Step reports an empty queue when only
+// such entries are left.
 func TestQueueMatchesSortedModel(t *testing.T) {
 	type planned struct {
 		at  Time
@@ -265,6 +270,7 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 			ids     = map[*Timer]int{}
 			seq     int
 			fired   int
+			lastAt  Time
 			stopAt  = -1
 			fire    func(id int)
 		)
@@ -319,6 +325,10 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 			}
 			delete(live, id)
 			fired++
+			lastAt = s.Now()
+			if s.Fired() != uint64(fired) {
+				t.Fatalf("seed %d: Fired = %d at the model's event %d", seed, s.Fired(), fired)
+			}
 			if tm := timers[id]; tm != nil && tm.Pending() {
 				t.Fatalf("seed %d: id %d is pending while it fires", seed, id)
 			}
@@ -336,19 +346,37 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 				for n := 2 + rng.Intn(3); more && n > 0; n-- {
 					schedule(s.Now() + Time(rng.Intn(5)))
 				}
-			case 6: // reset the firing timer, or another
+			case 6: // reset the firing timer, or another, once or in a burst
+				n := 1
+				if rng.Intn(8) == 0 {
+					n = rng.Intn(6 * rebuildSlack)
+				}
 				if timers[id] != nil && rng.Intn(2) == 0 {
-					reset(id)
+					for ; n > 0; n-- {
+						reset(id)
+					}
 				} else if len(handles) > 0 {
-					reset(handles[rng.Intn(len(handles))])
+					victim := handles[rng.Intn(len(handles))]
+					for ; n > 0; n-- {
+						reset(victim)
+					}
 				}
-			case 7: // cancel the next-due timer
-				if next, ok := earliest(true); ok {
-					cancel(next)
+			case 7: // cancel the next-due timer, or a burst of them, which leaves
+				// the next callback's first post to rebuild under the spent root
+				n := 1
+				if rng.Intn(8) == 0 {
+					n = rng.Intn(3 * rebuildSlack)
 				}
-			case 8: // cancel the timer in the last slot: the firing one if it is alone
-				if last := s.events[len(s.events)-1]; last.t != nil {
-					cancel(ids[last.t])
+				for ; n > 0; n-- {
+					if next, ok := earliest(true); ok {
+						cancel(next)
+					}
+				}
+			case 8: // cancel the timer of the last entry if that entry is its schedule
+				// (the firing entry's slot is released, so it never is)
+				last := s.events[len(s.events)-1]
+				if tm := s.slots[last.slot()].t; tm != nil && tm.seq == last.seq() {
+					cancel(ids[tm])
 				}
 			case 9:
 				s.Stop()
@@ -386,7 +414,47 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 		if len(live) != 0 || len(s.events) != 0 {
 			t.Fatalf("seed %d: Run returned with %d slots queued, model has %d", seed, len(s.events), len(live))
 		}
+		if s.Now() != lastAt || s.Fired() != uint64(fired) {
+			t.Fatalf("seed %d: clock %v and Fired %d at the end, want %v and %d", seed, s.Now(), s.Fired(), lastAt, fired)
+		}
+
+		// Only dead entries left: Step finds nothing to fire.
+		for i := 1; i <= 5; i++ {
+			s.at(s.Now()+Time(i), func() { t.Fatalf("seed %d: a cancelled event fired", seed) }).Cancel()
+			tm := s.NewTimer(func() { t.Fatalf("seed %d: a rescheduled event fired", seed) })
+			tm.Reset(float64(i))
+			tm.Reset(float64(2 * i))
+			tm.Cancel()
+		}
+		if s.Step() || s.Now() != lastAt || s.Fired() != uint64(fired) || len(s.events) != 0 {
+			t.Fatalf("seed %d: Step over dead entries: clock %v, Fired %d, %d entries left", seed, s.Now(), s.Fired(), len(s.events))
+		}
 	}
+}
+
+// A callback that panics leaves its entry at the root; the next Step
+// drops it instead of firing it again, and a sequence number that would
+// wrap panics instead.
+func TestQueueAfterPanics(t *testing.T) {
+	s := New(1)
+	var got []int
+	s.PostAt(1, func() { panic("boom") })
+	s.PostAt(2, func() { got = append(got, 2) })
+	func() {
+		defer func() { recover() }()
+		s.Step()
+	}()
+	s.Run()
+	if len(got) != 1 || s.Now() != 2 || len(s.events) != 0 {
+		t.Fatalf("after a panicking callback: ran %v, clock %v, %d entries left", got, s.Now(), len(s.events))
+	}
+	s.seq = maxSeq
+	defer func() {
+		if recover() == nil {
+			t.Fatal("posting past the last sequence number did not panic")
+		}
+	}()
+	s.Post(1, func() {})
 }
 
 func TestResetReusesAFiredOrCancelledTimer(t *testing.T) {
@@ -425,6 +493,47 @@ func BenchmarkStepPostsOne(b *testing.B) {
 	next = func() { s.Post(rng.Float64(), next) }
 	for i := 0; i < 70; i++ {
 		s.Post(rng.Float64(), next)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// Resetting a pending timer leaves a dead entry behind, so a timer
+// reset over and over between two Steps would grow the queue without
+// bound if post did not rebuild it: it stays under twice its live
+// entries plus the slack.
+func TestResetWhilePendingBoundsQueue(t *testing.T) {
+	s := New(1)
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	s.Post(5, func() {})
+	for i := 0; i < 1000000; i++ {
+		tm.Reset(float64(i % 7))
+		if live := queued(s); live != 2 || len(s.events) > 2*live+rebuildSlack || len(s.slots) > 2*live+rebuildSlack+1 {
+			t.Fatalf("reset %d: %d entries in %d slots for %d live events", i, len(s.events), len(s.slots), live)
+		}
+	}
+	s.Run()
+	if fired != 1 || s.Fired() != 2 || s.Now() != 5 || len(s.events) != 0 {
+		t.Fatalf("fired %d, Fired %d, clock %v, %d entries left; want the timer once, 2 events, clock 5, none left",
+			fired, s.Fired(), s.Now(), len(s.events))
+	}
+}
+
+// BenchmarkStepResetsTimer is the queue as the simulator's leaf and
+// retry chains use it: about 70 events pending, each a timer that
+// resets itself when it fires, so every post goes through a handle.
+// One op is one Step.
+func BenchmarkStepResetsTimer(b *testing.B) {
+	s := New(1)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 70; i++ {
+		var tm *Timer
+		tm = s.NewTimer(func() { tm.Reset(rng.Float64()) })
+		tm.Reset(rng.Float64())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -141,6 +141,33 @@ func TestMultiNodeDistributes(t *testing.T) {
 	}
 }
 
+// The steal/* series move while the grid runs, not when it closes:
+// satind's /metrics reads them off a grid that is still computing.
+func TestStealSeriesMoveBeforeClose(t *testing.T) {
+	series := func(name string) uint64 { return obs.Default.Counter("steal/" + name).Value() }
+	attempts0, hits0 := series("sync_local_attempts"), series("hits")
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 2})
+	nodes, err := g.StartNodes("c0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := nodes[0].Run(tfib{N: 15, Leaf: 300 * time.Microsecond})
+	if err != nil || val.(int) != fibLeaves(15) {
+		t.Fatalf("fib(15) = %v, %v; want %d", val, err, fibLeaves(15))
+	}
+	var attempts, hits int64
+	for _, n := range nodes {
+		attempts += n.StealStats().SyncLocal
+		hits += n.StealStats().Hits
+	}
+	if hits == 0 {
+		t.Fatal("no steal brought a job back: nothing to publish")
+	}
+	waitUntil(t, "the steal/* series catch up with the engines' counts", func() bool {
+		return series("sync_local_attempts")-attempts0 >= uint64(attempts) && series("hits")-hits0 >= uint64(hits)
+	})
+}
+
 func TestErrorPropagates(t *testing.T) {
 	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 1})
 	nodes, _ := g.StartNodes("c0", 1)

@@ -10,34 +10,38 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Steal round-trip instruments, by attempt kind: "local" is the
-// synchronous same-cluster attempt, "wan" a synchronous cross-cluster
-// attempt (Random policy pays these in the idle path), "wan_async" the
-// latency-hidden CRS wide-area slot. Timed around the full
-// request/reply round trip including the emulated link.
-var (
-	// stealRTTBuckets run from 25µs doubling to 6.5s: a local steal over
-	// the default 200µs LAN takes about 500µs, inside the first bucket of
-	// obs.LatencyBuckets, and a saturated WAN attempt runs into its
-	// three-second timeout.
-	stealRTTBuckets = obs.ExpBuckets(25e-6, 2, 19)
+// stealKind is a steal attempt's kind, which names its instruments.
+type stealKind int
 
-	obsStealRTT = map[string]*obs.Histogram{
-		"local":     obs.Default.Histogram("satin/steal_rtt/local", stealRTTBuckets),
-		"wan":       obs.Default.Histogram("satin/steal_rtt/wan", stealRTTBuckets),
-		"wan_async": obs.Default.Histogram("satin/steal_rtt/wan_async", stealRTTBuckets),
-	}
-	obsStealOK = map[string]*obs.Counter{
-		"local":     obs.Default.Counter("satin/steal_ok/local"),
-		"wan":       obs.Default.Counter("satin/steal_ok/wan"),
-		"wan_async": obs.Default.Counter("satin/steal_ok/wan_async"),
-	}
-	obsStealFail = map[string]*obs.Counter{
-		"local":     obs.Default.Counter("satin/steal_fail/local"),
-		"wan":       obs.Default.Counter("satin/steal_fail/wan"),
-		"wan_async": obs.Default.Counter("satin/steal_fail/wan_async"),
-	}
+const (
+	stealLocal    stealKind = iota // the synchronous same-cluster attempt
+	stealWAN                       // a synchronous cross-cluster attempt (StealRandom pays these in the idle path)
+	stealWANAsync                  // the latency-hidden CRS wide-area slot
+	numStealKinds
 )
+
+// stealRTTBuckets run from 25µs doubling to 6.5s: a local steal over
+// the default 200µs LAN takes about 500µs, inside the first bucket of
+// obs.LatencyBuckets, and a saturated WAN attempt runs into its
+// three-second timeout.
+var stealRTTBuckets = obs.ExpBuckets(25e-6, 2, 19)
+
+// stealInstruments time an attempt's full request/reply round trip,
+// including the emulated link, and count its outcome.
+type stealInstruments struct {
+	rtt      *obs.Histogram
+	ok, fail *obs.Counter
+}
+
+// stealObs holds each kind's instruments, indexed by the kind.
+var stealObs = func() (in [numStealKinds]stealInstruments) {
+	for k, name := range [numStealKinds]string{"local", "wan", "wan_async"} {
+		in[k].rtt = obs.Default.Histogram("satin/steal_rtt/"+name, stealRTTBuckets)
+		in[k].ok = obs.Default.Counter("satin/steal_ok/" + name)
+		in[k].fail = obs.Default.Counter("satin/steal_fail/" + name)
+	}
+	return in
+}()
 
 // StealPolicy selects the victim-selection algorithm. The policy
 // itself lives in internal/steal — one kernel drives both this runtime
@@ -119,7 +123,7 @@ type stealAttempt struct {
 	start    time.Time
 	deadline time.Time
 	bucket   metrics.Bucket // where the wait is booked: Intra, Inter for a wide victim
-	kind     string         // round-trip instrument label: "local" or "wan"
+	kind     stealKind      // stealLocal or stealWAN
 }
 
 // addWaiter routes the reply to a new request to ch.
@@ -155,16 +159,25 @@ func (s *stealer) replyArrived(seq uint64, got bool) {
 	s.mu.Unlock()
 }
 
-// finish ends a request: the waiter goes, and the round trip is booked
-// under its kind as a grant or a refusal.
-func (s *stealer) finish(seq uint64, ch chan bool, kind string, start time.Time, got bool) {
+// finish ends a request: the waiter goes, the round trip is booked
+// under its kind as a grant or a refusal, the engine's slot frees, and
+// the engine publishes its counts, so the steal/* series stay current
+// per attempt.
+func (s *stealer) finish(seq uint64, ch chan bool, kind stealKind, start time.Time, got bool) {
 	s.dropWaiter(seq, ch)
-	obsStealRTT[kind].Observe(time.Since(start).Seconds())
+	in := &stealObs[kind]
+	in.rtt.Observe(time.Since(start).Seconds())
 	if got {
-		obsStealOK[kind].Inc()
+		in.ok.Inc()
 	} else {
-		obsStealFail[kind].Inc()
+		in.fail.Inc()
 	}
+	if kind == stealWANAsync {
+		s.eng.AsyncDone(got)
+	} else {
+		s.eng.SyncDone(got)
+	}
+	s.eng.Publish()
 }
 
 // findWork is one step of the idle path, shared by the worker loop and
@@ -231,6 +244,7 @@ func (n *Node) findWork() (*jobMsg, bool) {
 // request went out (n.attempt is then pending).
 func (n *Node) startSteal() bool {
 	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
+	n.stealer.eng.Publish()
 	if d.HasAsync {
 		n.wg.Add(1) // from the worker, which holds a count itself
 		go n.wanSteal(d.Async.ID)
@@ -240,10 +254,10 @@ func (n *Node) startSteal() bool {
 	}
 	a := &n.attempt
 	timeout := n.cfg.LocalStealTimeout
-	a.bucket, a.kind = metrics.Intra, "local"
+	a.bucket, a.kind = metrics.Intra, stealLocal
 	if d.SyncWide {
 		timeout = n.cfg.WANStealTimeout
-		a.bucket, a.kind = metrics.Inter, "wan"
+		a.bucket, a.kind = metrics.Inter, stealWAN
 	}
 	a.start = time.Now()
 	a.deadline = a.start.Add(timeout)
@@ -262,7 +276,6 @@ func (n *Node) settleSteal(got bool) {
 	a := &n.attempt
 	a.pending = false
 	n.stealer.finish(a.seq, n.wait.reply, a.kind, a.start, got)
-	n.stealer.eng.SyncDone(got)
 }
 
 // abandonSteal settles as a miss the attempt a stopping worker leaves
@@ -291,8 +304,7 @@ func (n *Node) wanSteal(victim NodeID) {
 		}
 		w.disarm()
 	}
-	n.stealer.finish(seq, w.reply, "wan_async", start, got)
-	n.stealer.eng.AsyncDone(got)
+	n.stealer.finish(seq, w.reply, stealWANAsync, start, got)
 	n.wakeUp()
 }
 
