@@ -27,12 +27,12 @@ race:
 
 verify: build vet fmt race
 
-# The rows too slow for tier-1: the 10,000-node sharded world (58-63 s
-# on a busy 2-CPU box that ran the code before the pointer-free event
-# queue in 67-73 s the same hour, and that code in 38-42 s on a quieter
-# day; CI fails the step past 90 s), next to the 2,000-node row
-# `go test ./...` runs. Not under -race: the simulator is
-# single-goroutine and the detector makes it ten times slower.
+# The rows too slow for tier-1: the 10,000-node sharded world (45-46 s
+# on a shared 2-CPU box that ran the code before the engines' draw
+# buffer in 50-53 s, alternated in the same hour; CI fails the step past
+# 90 s), next to the 2,000-node row `go test ./...` runs. Not under
+# -race: the simulator is single-goroutine and the detector makes it
+# ten times slower.
 scale:
 	$(GO) test -tags scale -run TestShardedScaleWorld ./internal/des
 

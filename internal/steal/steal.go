@@ -117,7 +117,7 @@ type Engine struct {
 	cluster core.ClusterID
 
 	mu         sync.Mutex
-	rng        *rand.Rand
+	rng        *rand.Rand // over &draws: victims come from Intn's arithmetic
 	syncOut    bool
 	asyncOut   bool
 	asyncSince float64 // engine time the async steal was issued
@@ -132,17 +132,55 @@ type Engine struct {
 	view      *View
 	home      *viewGroup // nil if the cluster has no members in the view
 	selfLocal int        // index of self within its cluster group, -1 if absent
+
+	// draws hands rng the node's math/rand stream value for value from a
+	// buffer inside the Engine, so a round reads the Engine's own memory
+	// and the generator's 4.9 KB state only once per drawBuf draws.
+	draws draws
 }
 
 // New builds an engine for one node. seed is the node's stream (use
 // SeedFor to derive it from a run seed).
 func New(policy Policy, self core.NodeID, cluster core.ClusterID, seed int64) *Engine {
-	return &Engine{
-		policy:  policy,
-		self:    self,
-		cluster: cluster,
-		rng:     rand.New(rand.NewSource(seed)),
+	e := &Engine{policy: policy, self: self, cluster: cluster}
+	e.draws.src = rand.NewSource(seed).(rand.Source64)
+	e.rng = rand.New(&e.draws)
+	return e
+}
+
+// drawBuf is how many values of the stream draws reads at a time.
+const drawBuf = 32
+
+// draws is a rand.Source64 that reads a math/rand source drawBuf
+// values at a time. Int63 masks a buffered value exactly as the
+// source's own Int63 does, so a rand.Rand over draws yields the
+// source's sequence unchanged. In a world of thousands of engines
+// almost every round is a refused probe, and each draw straight from
+// the source would read two scattered words of its 607-word state.
+type draws struct {
+	src  rand.Source64
+	left int // values at the end of buf not yet handed out
+	buf  [drawBuf]uint64
+}
+
+func (d *draws) Uint64() uint64 {
+	if d.left == 0 {
+		for i := range d.buf {
+			d.buf[i] = d.src.Uint64()
+		}
+		d.left = drawBuf
 	}
+	v := d.buf[drawBuf-d.left]
+	d.left--
+	return v
+}
+
+func (d *draws) Int63() int64 { return int64(d.Uint64() & (1<<63 - 1)) }
+
+// Seed restarts the stream from seed and drops what is buffered.
+func (d *draws) Seed(seed int64) {
+	d.src.Seed(seed)
+	d.left = 0
 }
 
 // View is a membership snapshot pre-indexed by cluster: the simulator

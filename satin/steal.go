@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -20,11 +21,13 @@ const (
 	numStealKinds
 )
 
-// stealRTTBuckets run from 25µs doubling to 6.5s: a local steal over
-// the default 200µs LAN takes about 500µs, inside the first bucket of
-// obs.LatencyBuckets, and a saturated WAN attempt runs into its
-// three-second timeout.
-var stealRTTBuckets = obs.ExpBuckets(25e-6, 2, 19)
+// stealRTTBuckets run from 25µs to 6.55s, √2 apart: a local steal over
+// the default 200µs LAN takes about 450µs and a wide-area one over a 5ms
+// WAN just over 10ms, and a median interpolated inside a √2 bucket is
+// off by at most a fifth of its lower edge, where a doubling bucket
+// allowed half; a saturated WAN attempt runs into its three-second
+// timeout.
+var stealRTTBuckets = obs.ExpBuckets(25e-6, math.Sqrt2, 37)
 
 // stealInstruments time an attempt's full request/reply round trip,
 // including the emulated link, and count its outcome.
