@@ -199,16 +199,6 @@ func (c *Coordinator) Stop() {
 	})
 }
 
-// Protect marks a node as unremovable (e.g. after electing a new root
-// host).
-func (c *Coordinator) Protect(id NodeID) {
-	c.mu.Lock()
-	c.cfg.Protected = append(c.cfg.Protected, id)
-	r := c.root
-	c.mu.Unlock()
-	r.kern.Protect(id)
-}
-
 // History returns the period records so far.
 func (c *Coordinator) History() []PeriodRecord {
 	c.mu.Lock()

@@ -165,10 +165,6 @@ func New(cfg Config, act Actuator) (*Kernel, error) {
 	return &Kernel{root: root, subs: make(map[core.ClusterID]*SubKernel)}, nil
 }
 
-// Objective returns the kernel's adaptation objective (nil when the
-// kernel only monitors).
-func (k *Kernel) Objective() core.Objective { return k.root.Objective() }
-
 // Requirements exposes what the run has taught the kernel.
 func (k *Kernel) Requirements() *core.Requirements { return k.root.Requirements() }
 

@@ -481,10 +481,6 @@ func NewRoot(cfg Config, act Actuator) (*RootKernel, error) {
 	return rk, nil
 }
 
-// Objective returns the root's adaptation objective (nil when the root
-// only monitors).
-func (rk *RootKernel) Objective() core.Objective { return rk.obj }
-
 // Requirements exposes what the run has taught the root.
 func (rk *RootKernel) Requirements() *core.Requirements { return rk.reqs }
 
@@ -599,15 +595,6 @@ func (rk *RootKernel) Ingest(sum ClusterSummary) bool {
 	rk.sums[sum.Cluster] = sum
 	rk.ins.ingested.Inc()
 	return true
-}
-
-// Forget drops a cluster's summary (the cluster's sub died or the
-// cluster emptied; Tick also prunes clusters missing from the live
-// set).
-func (rk *RootKernel) Forget(c core.ClusterID) {
-	rk.mu.Lock()
-	defer rk.mu.Unlock()
-	delete(rk.sums, c)
 }
 
 // Tick runs one root pass of the Figure-2 loop over the latest cluster

@@ -556,8 +556,8 @@ func benchSummary(i, nodes, proposals int) ClusterSummary {
 }
 
 // BenchmarkRootKernelTick measures the root's per-period cost:
-// O(clusters · proposal cap), independent of the node count. The
-// 10k/100k arms back the EXPERIMENTS.md table and the bench gate.
+// O(clusters · proposal cap), independent of the node count. The arms
+// back the table in EXPERIMENTS.md, "The coordinator tree".
 func BenchmarkRootKernelTick(b *testing.B) {
 	for _, bc := range []struct {
 		name              string

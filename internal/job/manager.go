@@ -129,9 +129,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // Capacity returns the pool's (non-dead) node count.
 func (m *Manager) Capacity() int { return m.arb.Capacity() }
 
-// Arbiter exposes the shared pool (chaos and tests).
-func (m *Manager) Arbiter() *pool.Arbiter { return m.arb }
-
 // Submit validates a spec and enqueues the job. Validation is strict:
 // an unknown application, impossible node counts, or a disturbance
 // naming an unknown cluster is rejected here, before the job holds

@@ -61,25 +61,17 @@ func TestBatchAndStreamShareOnePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both must be active at once — side by side, not serialized.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		active := 0
-		for _, j := range []*Job{batch, stream} {
-			if s := j.State(); s == Running || s == Provisioning {
-				active++
-			}
-		}
-		if active == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("jobs not concurrent: batch %s, stream %s", batch.State(), stream.State())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	waitTerminal(t, batch, 30*time.Second)
 	waitTerminal(t, stream, 30*time.Second)
+	// Both must have run at once — side by side, not serialized: each
+	// entered Running before the other became terminal.
+	bStart, bEnd := batch.runSpan()
+	sStart, sEnd := stream.runSpan()
+	if bStart.IsZero() || sStart.IsZero() || bStart.After(sEnd) || sStart.After(bEnd) {
+		t.Fatalf("jobs not concurrent: batch ran %v–%v, stream %v–%v",
+			bStart.Format(time.StampMicro), bEnd.Format(time.StampMicro),
+			sStart.Format(time.StampMicro), sEnd.Format(time.StampMicro))
+	}
 	if batch.State() != Done || batch.Result().Check != "ok" {
 		t.Fatalf("batch: state %s, check %q, err %q",
 			batch.State(), batch.Result().Check, batch.Result().Err)
@@ -98,6 +90,14 @@ func TestBatchAndStreamShareOnePool(t *testing.T) {
 	if len(r.Iterations) == 0 {
 		t.Fatal("stream job recorded no windows")
 	}
+}
+
+// runSpan returns when the job first entered Running and when it became
+// terminal (zero while it has not).
+func (j *Job) runSpan() (started, finished time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.started, j.finished
 }
 
 // TestStreamJobAdapts: a streaming job submitted with Adapt runs its

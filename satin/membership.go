@@ -131,8 +131,8 @@ func (n *Node) eventLoop() {
 }
 
 // reclaimFrom re-enqueues every pending job the departed node held —
-// Satin's orphan recomputation. A graceful leaver also returns jobs
-// explicitly; the Future deduplicates if both paths deliver. The
+// Satin's orphan recomputation, the one recovery path for a crash and
+// a graceful leave alike (a leaver drops the foreign jobs it holds). The
 // departed mark goes in BEFORE n.mu is taken, so onHolding's check
 // under n.mu can never observe a holder that is about to die without
 // the mark being visible.

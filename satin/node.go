@@ -95,8 +95,8 @@ type pendingJob struct {
 //     the bottom (Spawn push, popNewest pop), steal handlers CAS the
 //     top. No lock on the path every task traverses.
 //   - inbox:   the funnel for jobs arriving off the worker goroutine
-//     (adopted steals, returned jobs, reclaims, Submit roots); the
-//     worker drains it into the deque between tasks.
+//     (adopted steals, reclaims, Submit roots); the worker drains it
+//     into the deque between tasks.
 //   - mu:      shrunk to the genuinely shared job-OWNERSHIP state:
 //     the pending table (submitted roots and jobs that left the node,
 //     nothing a spawn touches), ID allocation and the stopped flag.
@@ -188,7 +188,6 @@ func startNode(cfg NodeConfig, onStop func(*Node)) (*Node, error) {
 	wire.Handle(n.wc, n.onStealReply)
 	wire.Handle(n.wc, n.onResult)
 	wire.Handle(n.wc, n.onHolding)
-	wire.Handle(n.wc, n.onReturnJob)
 	wire.Handle(n.wc, func(wakeMsg, wire.Meta) { n.wakeUp() })
 	reg, err := registry.Begin(cfg.Fabric, registry.NodeInfo{ID: cfg.ID, Cluster: cfg.Cluster}, registry.Options{})
 	if err != nil {
@@ -275,8 +274,8 @@ func (n *Node) Run(t Task) (any, error) {
 // Stopped reports whether the node has shut down.
 func (n *Node) Stopped() bool { return n.stopped.Load() }
 
-// Kill stops the node abruptly, simulating a crash: no leave message,
-// no returned jobs; peers find out through the failure detector.
+// Kill stops the node abruptly, simulating a crash: no leave message;
+// peers find out through the failure detector.
 func (n *Node) Kill() {
 	if n.halt() {
 		n.quiesce()
@@ -364,9 +363,10 @@ func (n *Node) noteHolding(j *jobMsg) {
 // ---- malleability ----
 
 // tryFinishLeave completes a graceful departure once no self-owned
-// work remains: foreign jobs in the deque go back to their owners,
-// then the node leaves the registry. Returns true when the node is
-// done. Worker goroutine only (it drains the deque's owner end).
+// work remains: foreign jobs still queued here are dropped, and their
+// owners recompute them when the registry reports the departure
+// (reclaimFrom), exactly as after a crash. Returns true when the node
+// is done. Worker goroutine only (it drains the deque's owner end).
 func (n *Node) tryFinishLeave() bool {
 	n.mu.Lock()
 	if n.stopped.Load() {
@@ -384,8 +384,8 @@ func (n *Node) tryFinishLeave() bool {
 
 	// Drain everything this node holds. The worker owns the deque
 	// bottom, so nobody else pops here; thieves may race us for
-	// individual jobs, which is fine — a stolen job is simply no
-	// longer ours to return.
+	// individual jobs, which is fine — a stolen job's owner has the
+	// thief as its holder, not us.
 	n.drainInbox()
 	var foreign []*jobMsg
 	for {
@@ -409,8 +409,7 @@ func (n *Node) tryFinishLeave() bool {
 	n.gate.Lock()
 	n.mu.Lock()
 	if n.stopped.Load() {
-		// Kill raced the drain: crash semantics, the drained copies
-		// are lost and owners recompute via the failure detector.
+		// Kill raced the drain: the node is already down.
 		n.mu.Unlock()
 		n.gate.Unlock()
 		return true
@@ -426,12 +425,6 @@ func (n *Node) tryFinishLeave() bool {
 	n.stopped.Store(true)
 	n.mu.Unlock()
 	n.gate.Unlock()
-	foreign = append(foreign, n.inbox.drain()...) // late adoptions
-	for _, j := range foreign {
-		// A failed send (unencodable task, owner gone) loses the copy;
-		// the owner recomputes when the failure detector reports us.
-		wire.Send(n.wc, satinEP(j.Owner), returnJobMsg{Job: *j})
-	}
 	close(n.stopCh)
 	n.members.client().Leave()
 	n.wc.Close()
@@ -473,22 +466,4 @@ func (n *Node) onHolding(hm holdingMsg, _ wire.Meta) {
 		n.inbox.add(job)
 		n.wakeUp()
 	}
-}
-
-func (n *Node) onReturnJob(rj returnJobMsg, _ wire.Meta) {
-	if rj.Job.Owner == n.cfg.ID {
-		n.mu.Lock()
-		pj, ok := n.pending[rj.Job.ID]
-		if ok {
-			pj.holder = n.cfg.ID
-			n.pending[rj.Job.ID] = pj
-		}
-		n.mu.Unlock()
-		if !ok {
-			return // already completed elsewhere; drop the duplicate
-		}
-	}
-	job := rj.Job
-	n.inbox.add(&job)
-	n.wakeUp()
 }

@@ -266,3 +266,112 @@ func TestLeaveFinishesUnregisteredWork(t *testing.T) {
 		t.Errorf("pending table held %d entries while the children ran: they were registered", peak)
 	}
 }
+
+// twhere returns V and records which node ran it.
+type twhere struct{ V int }
+
+var (
+	whereMu  sync.Mutex
+	whereRan []NodeID
+)
+
+func (w twhere) Execute(ctx *Context) (any, error) {
+	whereMu.Lock()
+	whereRan = append(whereRan, ctx.node.ID())
+	whereMu.Unlock()
+	return w.V, nil
+}
+
+// theldOne spawns one twhere child, says so, and holds its worker until
+// released; then it syncs and doubles the child's value.
+type theldOne struct {
+	Spawned chan struct{}
+	Release chan struct{}
+}
+
+func (h theldOne) Execute(ctx *Context) (any, error) {
+	c := ctx.Spawn(twhere{V: 21})
+	close(h.Spawned)
+	<-h.Release
+	if err := ctx.Sync(); err != nil {
+		return nil, err
+	}
+	return 2 * c.Int(), nil
+}
+
+func init() { Register(twhere{}) }
+
+// A leaver that still holds another node's job when it drains drops the
+// job, and the owner recomputes it from its pending record when the
+// registry reports the departure: the same recomputation a crash gets.
+// The job reaches the leaver the way onSteal hands one out (registered
+// at the owner with the leaver as holder, adopted into the leaver's
+// inbox) while the leaver's worker is pinned inside a task of its own.
+// The leaver is started and pinned before the owner exists, so it has
+// no steal attempt in flight (a leaver with one lets it settle first,
+// and runs what it holds meanwhile instead of draining it), and it has
+// the leave signal before the job arrives, so no thief takes the job.
+func TestLeaveWithForeignJobIsRecomputed(t *testing.T) {
+	g := testGrid(t, ClusterSpec{Name: "c0", Nodes: 2})
+	start := func() *Node {
+		t.Helper()
+		nodes, err := g.StartNodes("c0", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nodes[0]
+	}
+	whereMu.Lock()
+	whereRan = nil
+	whereMu.Unlock()
+
+	leaver := start()
+	started, pin := make(chan struct{}), make(chan struct{})
+	openPin := sync.OnceFunc(func() { close(pin) })
+	t.Cleanup(openPin) // a held worker would hang the grid's Close
+	pinned := leaver.Submit(tgate{Started: started, Release: pin})
+	<-started
+	owner := start()
+	for _, n := range []*Node{leaver, owner} {
+		select {
+		case <-n.members.client().Joined():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s's join was never acked", n.ID())
+		}
+	}
+	if err := g.Registry().Signal(leaver.ID(), "leave"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the leaver has the leave signal", leaver.leaving.Load)
+
+	spawned, release := make(chan struct{}), make(chan struct{})
+	openRelease := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(openRelease)
+	fut := owner.Submit(theldOne{Spawned: spawned, Release: release})
+	<-spawned
+	j, ok := owner.takeOldest()
+	if !ok {
+		t.Fatal("the spawned child is not on the owner's deque")
+	}
+	id := owner.registerJob(j.Task, j.fut, leaver.ID())
+	leaver.inbox.add(&jobMsg{ID: id, Owner: owner.ID(), Task: j.Task})
+	openPin()
+	pinned.Wait()
+	waitUntil(t, "the leaver has stopped", leaver.Stopped)
+	// Nothing but reclaimFrom moves the holder: no holding notice was
+	// sent, and the owner's worker is still held inside its root.
+	waitUntil(t, "the owner has reclaimed the leaver's job", func() bool {
+		return owner.heldBy(leaver.ID()) == 0 && owner.heldBy(owner.ID()) == 2
+	})
+
+	openRelease()
+	fut.Wait()
+	if v, err := fut.Result(); err != nil || v != 42 {
+		t.Fatalf("root = %v, %v, want 42", v, err)
+	}
+	whereMu.Lock()
+	defer whereMu.Unlock()
+	if len(whereRan) != 1 || whereRan[0] != owner.ID() {
+		t.Errorf("the foreign job ran on %v, want once on its owner %s", whereRan, owner.ID())
+	}
+}

@@ -97,10 +97,6 @@ type holdingMsg struct {
 	Holder NodeID
 }
 
-type returnJobMsg struct {
-	Job jobMsg
-}
-
 // wakeMsg tells a thief that was turned away that its victim has work
 // again. It carries nothing: the sender is in the frame's envelope.
 type wakeMsg struct{}
@@ -110,7 +106,6 @@ func init() {
 	wire.Register[stealReplyMsg]("steal-reply")
 	wire.Register[resultMsg]("result")
 	wire.Register[holdingMsg]("holding")
-	wire.Register[returnJobMsg]("return-job")
 	wire.Register[wakeMsg]("wake")
 	// The statistics report shares its kind with the adapt package's
 	// coordinator side; Register is idempotent for identical pairs.

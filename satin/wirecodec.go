@@ -23,9 +23,8 @@ func (m *stealMsg) DecodeWire(r *wirefmt.Reader) error {
 	return r.Err()
 }
 
-// jobMsg never travels alone — it nests inside steal replies and
-// returned jobs — but implementing Frame directly keeps the containers
-// one-line delegations.
+// jobMsg never travels alone — it nests inside a steal reply — but
+// implementing Frame directly keeps the reply's codec a delegation.
 func (m *jobMsg) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendUvarint(b, m.ID)
 	b = wirefmt.AppendString(b, string(m.Owner))
@@ -90,14 +89,6 @@ func (m *holdingMsg) DecodeWire(r *wirefmt.Reader) error {
 	m.ID = r.Uvarint()
 	m.Holder = NodeID(r.String())
 	return r.Err()
-}
-
-func (m *returnJobMsg) AppendWire(b []byte) ([]byte, error) {
-	return m.Job.AppendWire(b)
-}
-
-func (m *returnJobMsg) DecodeWire(r *wirefmt.Reader) error {
-	return m.Job.DecodeWire(r)
 }
 
 func (m *wakeMsg) AppendWire(b []byte) ([]byte, error) { return b, nil }

@@ -12,7 +12,7 @@ import (
 )
 
 // inbox funnels jobs that arrive OFF the worker goroutine — adopted
-// steal replies, returned jobs, reclaimed orphans, Submit roots — into
+// steal replies, reclaimed orphans, Submit roots — into
 // the worker's world. The lock-free deque has a single owner (the
 // worker); everyone else appends here and the worker drains between
 // tasks. Contention is rare (one entry per remote event, not per
