@@ -101,10 +101,14 @@ func (c *Ctl) call(build func(tok uint64) error, timeout time.Duration) (any, er
 		c.mu.Unlock()
 		return nil, err
 	}
+	// A stopped timer is freed now; time.After's would live until it
+	// fired, a whole timeout after the reply.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case reply := <-ch:
 		return reply, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		c.mu.Lock()
 		delete(c.waiters, tok)
 		c.mu.Unlock()

@@ -136,11 +136,14 @@ func newJob(id string, spec Spec, hooks Hooks, onState func(*Job, State, State))
 		onState:  onState,
 		// Per-job observability: the obs registry is flat, so the job ID
 		// becomes a name segment — /metrics then exposes one counter and
-		// gauge series per job.
-		obsNodes: obs.Default.Gauge("job/" + id + "/nodes"),
-		obsIters: obs.Default.Counter("job/" + id + "/iterations"),
+		// gauge series per job, until the manager evicts the job.
+		obsNodes: obs.Default.Gauge(nodesSeries(id)),
+		obsIters: obs.Default.Counter(itersSeries(id)),
 	}
 }
+
+func nodesSeries(id string) string { return "job/" + id + "/nodes" }
+func itersSeries(id string) string { return "job/" + id + "/iterations" }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
@@ -149,7 +152,8 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Done closes when the job reaches a terminal state.
+// Done closes when the job reaches a terminal state, once the manager
+// has recorded it.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the (possibly partial) result snapshot.
@@ -214,12 +218,16 @@ func (j *Job) setState(to State) {
 	if to.Terminal() {
 		j.finished = time.Now()
 		j.grid = nil
-		close(j.done)
 	}
 	j.mu.Unlock()
 	obs.Default.Counter("job/state/" + to.String()).Inc()
 	if j.onState != nil {
 		j.onState(j, from, to)
+	}
+	if to.Terminal() {
+		// After the manager's hook: whoever waits on Done finds the job
+		// recorded and the window moved.
+		close(j.done)
 	}
 }
 
@@ -259,6 +267,42 @@ func (j *Job) setValue(v any, check func(any) bool) {
 	}
 }
 
+// jobRecord is what a finished job's status and result report, and the
+// payload of its job-result event: the record store answers from it
+// once the manager has evicted the job.
+type jobRecord struct {
+	State      string    `json:"state"`
+	Result     string    `json:"result,omitempty"`
+	Check      string    `json:"check,omitempty"`
+	Iterations []float64 `json:"iterations,omitempty"`
+	Learned    string    `json:"learned,omitempty"`
+	Err        string    `json:"err,omitempty"`
+	Seconds    float64   `json:"seconds"`
+}
+
+// record snapshots the job's state and result in one piece.
+func (j *Job) record() jobRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return jobRecord{
+		State:      j.state.String(),
+		Result:     j.result.Formatted,
+		Check:      j.result.Check,
+		Iterations: append([]float64(nil), j.result.Iterations...),
+		Learned:    j.result.Learned,
+		Err:        j.result.Err,
+		Seconds:    j.secondsLocked(),
+	}
+}
+
+// reply is the record as the answer to a result request.
+func (r jobRecord) reply(token uint64, id string) ResultReply {
+	return ResultReply{
+		Token: token, ID: id, State: r.State, Result: r.Result, Check: r.Check,
+		Iterations: r.Iterations, Learned: r.Learned, Err: r.Err,
+	}
+}
+
 // Status snapshots the job for the wire protocol.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
@@ -276,13 +320,19 @@ func (j *Job) Status() JobStatus {
 	if j.grid != nil {
 		st.Nodes = j.grid.NodeCount()
 	}
+	st.Seconds = j.secondsLocked()
+	return st
+}
+
+// secondsLocked is the job's busy time: so far while it runs, in total
+// once it has finished, 0 if it never ran (cancelled while queued).
+func (j *Job) secondsLocked() float64 {
 	switch {
 	case j.started.IsZero():
-		// never ran (cancelled while queued): no time to report
+		return 0
 	case !j.finished.IsZero():
-		st.Seconds = j.finished.Sub(j.started).Seconds()
-	case !j.started.IsZero():
-		st.Seconds = time.Since(j.started).Seconds()
+		return j.finished.Sub(j.started).Seconds()
+	default:
+		return time.Since(j.started).Seconds()
 	}
-	return st
 }

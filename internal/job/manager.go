@@ -1,6 +1,7 @@
 package job
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -71,6 +72,13 @@ func (c *Config) defaults() error {
 	return nil
 }
 
+// finishedWindow is how many finished jobs the manager keeps in memory.
+// The oldest one past it is evicted: it leaves Jobs and its per-job
+// series leave obs.Default, and its status and result are answered from
+// the record store, so a long-lived daemon's footprint does not grow
+// with the jobs it has served.
+const finishedWindow = 64
+
 // Manager runs jobs over one shared node pool. One Manager per
 // process; cmd/satind serves it, tests drive it directly.
 type Manager struct {
@@ -79,8 +87,9 @@ type Manager struct {
 	arb  *pool.Arbiter
 
 	mu          sync.Mutex
-	jobs        map[string]*Job
-	order       []string
+	jobs        map[string]*Job // retained: unfinished and the finishedWindow newest finished
+	order       []string        // retained job IDs in submission order
+	finished    []string        // retained finished job IDs, oldest first
 	queue       []*Job
 	active      int
 	minReserved int // sum of admitted jobs' MinNodes
@@ -120,7 +129,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}
-	arb.Subscribe(m.wake)
 	m.loop.Add(1)
 	go m.scheduler()
 	return m, nil
@@ -157,7 +165,7 @@ func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
 		return nil, fmt.Errorf("service is draining, not accepting jobs")
 	}
 	m.nextID++
-	id := fmt.Sprintf("job-%03d", m.nextID)
+	id := jobID(m.nextID)
 	j := newJob(id, spec, hooks, m.onState)
 	if m.cfg.Seed != 0 {
 		// Reproducible but distinct per job, and fixed here rather than at
@@ -166,14 +174,17 @@ func (m *Manager) SubmitJob(spec Spec, hooks Hooks) (*Job, error) {
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
-	m.queue = append(m.queue, j)
-	m.mu.Unlock()
-
-	obs.Default.Counter("job/submitted").Inc()
+	// Recorded before the scheduler can see the job, so that the store
+	// holds the submission ahead of every state the job reaches: an
+	// evicted job's answer starts at it. Recording never blocks.
 	m.record(j, "job-submitted", map[string]any{
 		"app": spec.App, "class": spec.Class, "size": spec.Size,
 		"iters": spec.Iters, "min_nodes": spec.MinNodes, "adapt": spec.Adapt,
 	})
+	m.queue = append(m.queue, j)
+	m.mu.Unlock()
+
+	obs.Default.Counter("job/submitted").Inc()
 	m.wakeUp()
 	return j, nil
 }
@@ -248,14 +259,87 @@ func layoutTotal(layout, clusters []satin.ClusterSpec) (int, error) {
 	return total, nil
 }
 
-// Job returns a job by ID (nil if unknown).
+func jobID(n int) string { return fmt.Sprintf("job-%03d", n) }
+
+// Job returns a retained job by ID (nil if unknown or evicted).
 func (m *Manager) Job(id string) *Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.jobs[id]
 }
 
-// Jobs returns every job in submission order.
+// assigned reports whether this manager assigned the ID.
+func (m *Manager) assigned(id string) bool {
+	var n int
+	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil || jobID(n) != id {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return n >= 1 && n <= m.nextID
+}
+
+// jobLookup is the record store's per-job query (*store.DB), reached
+// through the recorder's sink.
+type jobLookup interface {
+	JobEvents(job string) ([]record.Event, error)
+}
+
+// archived answers for a job that is not in memory from the record
+// store: its status and its job-result record. The store answers for
+// the newest job of that ID in its run, so after a restart on the same
+// run it also answers for the earlier daemon's jobs.
+func (m *Manager) archived(id string) (JobStatus, jobRecord, error) {
+	var lookup jobLookup
+	if rec := m.cfg.Recorder; rec != nil {
+		lookup, _ = rec.Sink().(jobLookup)
+	}
+	if lookup == nil {
+		if m.assigned(id) {
+			return JobStatus{}, jobRecord{}, fmt.Errorf("job %s evicted, no record store", id)
+		}
+		return JobStatus{}, jobRecord{}, fmt.Errorf("unknown job %q", id)
+	}
+	evs, err := lookup.JobEvents(id)
+	if err != nil {
+		return JobStatus{}, jobRecord{}, fmt.Errorf("job %s: %w", id, err)
+	}
+	if len(evs) == 0 && !m.assigned(id) {
+		return JobStatus{}, jobRecord{}, fmt.Errorf("unknown job %q", id)
+	}
+	// The answer stands only when the submission leads and one
+	// job-result ends the lifecycle: a row dropped on a full queue makes
+	// the job evicted, never another job's state.
+	var spec Spec
+	var r jobRecord
+	whole := len(evs) > 0 && evs[0].Kind == "job-submitted" && decodeStored(evs[0], &spec)
+	results := 0
+	for _, e := range evs {
+		switch e.Kind {
+		case "job-result":
+			results++
+			whole = whole && decodeStored(e, &r)
+		case "job-state":
+			whole = whole && results == 0
+		}
+	}
+	if !whole || results != 1 {
+		return JobStatus{}, jobRecord{}, fmt.Errorf("job %s evicted, its record is not in the store", id)
+	}
+	st := JobStatus{
+		ID: id, App: spec.App, Class: spec.Class, Size: spec.Size, Iters: spec.Iters,
+		State: r.State, Done: len(r.Iterations), Seconds: r.Seconds, Err: r.Err,
+	}
+	return st, r, nil
+}
+
+// decodeStored reads a stored event's JSON payload into v.
+func decodeStored(e record.Event, v any) bool {
+	raw, ok := e.Data.(json.RawMessage)
+	return ok && json.Unmarshal(raw, v) == nil
+}
+
+// Jobs returns every retained job in submission order.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -327,7 +411,7 @@ func (m *Manager) wakeUp() {
 	}
 }
 
-func (m *Manager) record(j *Job, kind string, data map[string]any) {
+func (m *Manager) record(j *Job, kind string, data any) {
 	if m.cfg.Recorder == nil {
 		return
 	}
@@ -338,6 +422,33 @@ func (m *Manager) record(j *Job, kind string, data map[string]any) {
 
 func (m *Manager) onState(j *Job, from, to State) {
 	m.record(j, "job-state", map[string]any{"from": from.String(), "to": to.String()})
+	if !to.Terminal() {
+		return
+	}
+	if m.cfg.Recorder != nil {
+		m.record(j, "job-result", j.record())
+	}
+	m.retire(j.ID)
+}
+
+// retire moves a finished job into the window and evicts the oldest
+// finished job past it.
+func (m *Manager) retire(id string) {
+	m.mu.Lock()
+	m.finished = append(m.finished, id)
+	var evicted string
+	if len(m.finished) > finishedWindow {
+		evicted = m.finished[0]
+		m.finished = slices.Delete(m.finished, 0, 1)
+		delete(m.jobs, evicted)
+		if i := slices.Index(m.order, evicted); i >= 0 {
+			m.order = slices.Delete(m.order, i, i+1)
+		}
+	}
+	m.mu.Unlock()
+	if evicted != "" {
+		obs.Default.Remove(nodesSeries(evicted), itersSeries(evicted))
+	}
 }
 
 // scheduler is the admission loop: FIFO over the queue, bounded by
@@ -349,34 +460,42 @@ func (m *Manager) scheduler() {
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
 	for {
+		released := m.arb.Released()
 		m.admit()
 		select {
 		case <-m.stop:
 			return
 		case <-m.wake:
+		case <-released:
 		case <-ticker.C:
 		}
 	}
 }
 
 func (m *Manager) admit() {
+	var cancelled []*Job
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(m.queue) > 0 {
 		j := m.queue[0]
 		if j.cancelled() {
 			m.queue = m.queue[1:]
-			j.setState(Cancelled)
+			cancelled = append(cancelled, j)
 			continue
 		}
 		if m.active >= m.cfg.MaxActive || m.minReserved+j.Spec.MinNodes > m.arb.Capacity() {
-			return
+			break
 		}
 		m.queue = m.queue[1:]
 		m.active++
 		m.minReserved += j.Spec.MinNodes
 		m.wg.Add(1)
 		go m.run(j)
+	}
+	m.mu.Unlock()
+	// Outside the lock: a terminal transition retires the job, which
+	// takes it.
+	for _, j := range cancelled {
+		j.setState(Cancelled)
 	}
 }
 
@@ -537,28 +656,30 @@ func (m *Manager) runBatch(j *Job, g *satin.Grid, master *satin.Node) error {
 	return nil
 }
 
-// provision bids for the job's MinNodes, retrying as the shared pool
-// frees up. It returns once the target is met, or — after
+// provision bids for the job's MinNodes, retrying each time the shared
+// pool frees nodes. It returns once the target is met, or — after
 // ProvisionPatience — as soon as the job holds at least one node (the
 // master); MinNodes is a target, not a barrier, exactly like the
 // paper's runtime starting before all requested machines arrive.
 func (m *Manager) provision(j *Job, g *satin.Grid) (*satin.Node, error) {
 	target := j.Spec.MinNodes
 	deadline := time.Now().Add(m.cfg.ProvisionPatience)
-	retry := time.NewTicker(25 * time.Millisecond)
-	defer retry.Stop()
+	patience := time.NewTimer(m.cfg.ProvisionPatience)
+	defer patience.Stop()
 	for {
 		if j.cancelled() {
 			return nil, fmt.Errorf("cancelled while provisioning")
 		}
+		released := m.arb.Released()
 		deploy(g, j.hooks.Layout, target)
 		n := g.NodeCount()
-		if n >= target || (n >= 1 && time.Now().After(deadline)) {
+		if n >= target || (n >= 1 && !time.Now().Before(deadline)) {
 			break
 		}
 		select {
 		case <-j.cancelCh:
-		case <-retry.C:
+		case <-released:
+		case <-patience.C:
 		}
 	}
 	nodes := g.Nodes()

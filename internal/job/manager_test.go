@@ -67,9 +67,11 @@ func testConfig(clusters, nodes int) Config {
 
 func waitTerminal(t *testing.T, j *Job, timeout time.Duration) {
 	t.Helper()
+	timer := time.NewTimer(timeout) // stopped, not left to fire: see Ctl.call
+	defer timer.Stop()
 	select {
 	case <-j.Done():
-	case <-time.After(timeout):
+	case <-timer.C:
 		t.Fatalf("%s still %s after %v", j.ID, j.State(), timeout)
 	}
 }
@@ -91,34 +93,17 @@ func waitState(t *testing.T, j *Job, want State, timeout time.Duration) {
 // with a verified result, and per-job observability stays separate.
 func TestConcurrentJobsShareOnePool(t *testing.T) {
 	m := testManager(t, 2, 2, nil) // capacity 4, one node per job
-	const n = 4
+	// Each job runs for about 12 ms, so the overlap checked below is wide.
+	const n, iters = 4, 4
 	jobs := make([]*Job, n)
 	before := make([]uint64, n)
 	for i := range jobs {
-		j, err := m.Submit(Spec{App: "fib", Size: 12, Iters: 2, MinNodes: 1})
+		j, err := m.Submit(Spec{App: "fib", Size: 12, Iters: iters, MinNodes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs[i] = j
 		before[i] = obs.Default.Counter("job/" + j.ID + "/iterations").Value()
-	}
-	// All four must be admitted together (MaxActive 8, 4 × MinNodes 1
-	// fits capacity 4) — genuinely concurrent, not serialized.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		running := 0
-		for _, j := range jobs {
-			if s := j.State(); s == Running || s == Provisioning {
-				running++
-			}
-		}
-		if running == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs active concurrently", running, n)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	for i, j := range jobs {
 		waitTerminal(t, j, 30*time.Second)
@@ -129,15 +114,35 @@ func TestConcurrentJobsShareOnePool(t *testing.T) {
 		if r.Check != "ok" {
 			t.Fatalf("%s: check %q", j.ID, r.Check)
 		}
-		if len(r.Iterations) != 2 {
-			t.Fatalf("%s: %d iterations recorded, want 2", j.ID, len(r.Iterations))
+		if len(r.Iterations) != iters {
+			t.Fatalf("%s: %d iterations recorded, want %d", j.ID, len(r.Iterations), iters)
 		}
 		// Per-job counters must not cross-contaminate: each job's series
 		// advanced by exactly its own iterations.
 		got := obs.Default.Counter("job/"+j.ID+"/iterations").Value() - before[i]
-		if got != 2 {
-			t.Fatalf("%s: per-job iteration counter advanced by %d, want 2", j.ID, got)
+		if got != iters {
+			t.Fatalf("%s: per-job iteration counter advanced by %d, want %d", j.ID, got, iters)
 		}
+	}
+	// All four must be admitted together (MaxActive 8, 4 × MinNodes 1
+	// fits capacity 4) — genuinely concurrent, not serialized: the last
+	// to enter Running did so before the first one finished.
+	var lastStart, firstEnd time.Time
+	for _, j := range jobs {
+		start, end := j.runSpan()
+		if start.After(lastStart) {
+			lastStart = start
+		}
+		if firstEnd.IsZero() || end.Before(firstEnd) {
+			firstEnd = end
+		}
+	}
+	if !lastStart.Before(firstEnd) {
+		for _, j := range jobs {
+			start, end := j.runSpan()
+			t.Logf("%s ran %v–%v", j.ID, start.Format(time.StampMicro), end.Format(time.StampMicro))
+		}
+		t.Fatalf("the %d jobs did not all run at once", n)
 	}
 }
 

@@ -50,17 +50,24 @@ func (s *Server) onSubmit(req SubmitRequest, m wire.Meta) {
 
 func (s *Server) onStatus(req StatusRequest, m wire.Meta) {
 	reply := StatusReply{Token: req.Token}
-	if req.ID != "" {
-		j := s.m.Job(req.ID)
-		if j == nil {
-			reply.Err = fmt.Sprintf("unknown job %q", req.ID)
-		} else {
-			reply.Jobs = []JobStatus{j.Status()}
-		}
-	} else {
+	if req.ID == "" {
 		for _, j := range s.m.Jobs() {
 			reply.Jobs = append(reply.Jobs, j.Status())
 		}
+	} else if j := s.m.Job(req.ID); j != nil {
+		reply.Jobs = []JobStatus{j.Status()}
+	} else {
+		// Evicted, or never assigned: the record store's answer is a file
+		// scan, so it is made off the fabric goroutine.
+		go func() {
+			if st, _, err := s.m.archived(req.ID); err != nil {
+				reply.Err = err.Error()
+			} else {
+				reply.Jobs = []JobStatus{st}
+			}
+			_ = wire.Send(s.wc, m.From, reply)
+		}()
+		return
 	}
 	_ = wire.Send(s.wc, m.From, reply)
 }
@@ -76,26 +83,24 @@ func (s *Server) onCancel(req CancelRequest, m wire.Meta) {
 func (s *Server) onResult(req ResultRequest, m wire.Meta) {
 	j := s.m.Job(req.ID)
 	if j == nil {
-		_ = wire.Send(s.wc, m.From, ResultReply{
-			Token: req.Token, ID: req.ID,
-			Err: fmt.Sprintf("unknown job %q", req.ID),
-		})
+		// Evicted, or never assigned: finished, so nothing to wait for, but
+		// answered off the fabric goroutine like a status.
+		go func() {
+			reply := ResultReply{Token: req.Token, ID: req.ID}
+			if _, r, err := s.m.archived(req.ID); err != nil {
+				reply.Err = err.Error()
+			} else {
+				reply = r.reply(req.Token, req.ID)
+			}
+			_ = wire.Send(s.wc, m.From, reply)
+		}()
 		return
 	}
 	send := func() {
-		r := j.Result()
-		reply := ResultReply{
-			Token:      req.Token,
-			ID:         j.ID,
-			State:      j.State().String(),
-			Result:     r.Formatted,
-			Check:      r.Check,
-			Iterations: r.Iterations,
-			Learned:    r.Learned,
-			Err:        r.Err,
-		}
-		if !j.State().Terminal() && !req.Wait {
-			reply.Err = fmt.Sprintf("job %s is %s (use wait)", j.ID, j.State())
+		terminal := j.State().Terminal() // a waiting fetch sends after Done
+		reply := j.record().reply(req.Token, j.ID)
+		if !terminal {
+			reply.Err = fmt.Sprintf("job %s is %s (use wait)", j.ID, reply.State)
 		}
 		_ = wire.Send(s.wc, m.From, reply)
 	}

@@ -17,6 +17,13 @@ import (
 func testService(t *testing.T) (*Manager, *Ctl) {
 	t.Helper()
 	m := testManager(t, 1, 2, nil)
+	return m, serve(t, m)
+}
+
+// serve puts the manager behind the wire protocol on an in-process
+// fabric and dials a control client into it.
+func serve(t *testing.T, m *Manager) *Ctl {
+	t.Helper()
 	f := transport.NewInProc(nil)
 	t.Cleanup(f.Close)
 	srv, err := Serve(f, m)
@@ -29,7 +36,7 @@ func testService(t *testing.T) (*Manager, *Ctl) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ctl.Close)
-	return m, ctl
+	return ctl
 }
 
 // TestProtocolRoundTrip drives the full submit → status → result →

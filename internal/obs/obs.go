@@ -80,6 +80,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Remove drops the named counters and gauges, so a series whose subject
+// is gone (a finished job's) stops being exported and sampled. A name
+// resolved again afterwards starts a new series at zero; a pointer
+// resolved before keeps working but is no longer read.
+func (r *Registry) Remove(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.m, name)
+		delete(r.g, name)
+	}
+}
+
 // Snapshot returns a copy of every counter's current value.
 func (r *Registry) Snapshot() map[string]uint64 {
 	r.mu.RLock()

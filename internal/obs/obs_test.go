@@ -68,3 +68,20 @@ func TestConcurrentCounting(t *testing.T) {
 		t.Fatalf("got %d, want 8000", got)
 	}
 }
+
+func TestRemoveDropsSeries(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("job/job-001/iterations").Add(3)
+	r.Gauge("job/job-001/nodes").Set(2)
+	r.Counter("job/state/done").Inc()
+	r.Remove("job/job-001/iterations", "job/job-001/nodes", "never/registered")
+	if snap := r.Snapshot(); len(snap) != 1 || snap["job/state/done"] != 1 {
+		t.Fatalf("counters after Remove = %v", snap)
+	}
+	if g := r.Gauges(); len(g) != 0 {
+		t.Fatalf("gauges after Remove = %v", g)
+	}
+	if got := r.Counter("job/job-001/iterations").Value(); got != 0 {
+		t.Fatalf("a removed name resolves to a new series, got %d", got)
+	}
+}

@@ -61,7 +61,7 @@ type Arbiter struct {
 	clients  map[string]*Client
 	capacity int // non-dead nodes in the topology
 	dead     map[core.NodeID]bool
-	subs     []chan<- struct{}
+	released chan struct{} // closed and replaced when nodes return
 
 	granted, denied *obs.Counter
 }
@@ -79,6 +79,7 @@ func New(t topo.Topology, cfg Config) (*Arbiter, error) {
 		clients:  make(map[string]*Client),
 		capacity: t.TotalNodes(),
 		dead:     make(map[core.NodeID]bool),
+		released: make(chan struct{}),
 		granted:  obs.Default.Counter("pool/granted"),
 		denied:   obs.Default.Counter("pool/denied"),
 	}, nil
@@ -94,21 +95,19 @@ func (a *Arbiter) Capacity() int {
 // Free returns the currently allocatable node count.
 func (a *Arbiter) Free() int { return a.pool.FreeCount() }
 
-// Subscribe registers a channel that gets a non-blocking send whenever
-// nodes return to the pool — the job scheduler's wake-up call.
-func (a *Arbiter) Subscribe(ch chan<- struct{}) {
+// Released returns a channel that closes the next time the pool
+// changes in a waiter's favour: a node is released, a client closes or
+// a node dies. Take it before looking at the pool, then wait on it, and
+// no release in between is missed.
+func (a *Arbiter) Released() <-chan struct{} {
 	a.mu.Lock()
-	a.subs = append(a.subs, ch)
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	return a.released
 }
 
-func (a *Arbiter) notifyLocked() {
-	for _, ch := range a.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+func (a *Arbiter) signalLocked() {
+	close(a.released)
+	a.released = make(chan struct{})
 }
 
 // MarkDead removes a node from the grid permanently (site crash).
@@ -128,6 +127,7 @@ func (a *Arbiter) markDeadLocked(node core.NodeID) {
 	for _, c := range a.clients {
 		delete(c.held, node)
 	}
+	a.signalLocked()
 }
 
 // Register creates a client handle. weight scales the client's fair
@@ -275,7 +275,7 @@ func (c *Client) Release(ref sched.NodeRef) {
 	a.mu.Lock()
 	delete(c.held, ref.Node)
 	a.pool.Release(ref)
-	a.notifyLocked()
+	a.signalLocked()
 	a.mu.Unlock()
 }
 
@@ -320,5 +320,5 @@ func (c *Client) Close() {
 	c.held = make(map[core.NodeID]sched.NodeRef)
 	c.want = 0
 	delete(a.clients, c.id)
-	a.notifyLocked()
+	a.signalLocked()
 }

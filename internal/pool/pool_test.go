@@ -142,13 +142,12 @@ func TestCloseReleasesEverything(t *testing.T) {
 	c1, _ := a.Register("j1", 1, 0)
 	take(t, c1, 4)
 	c2, _ := a.Register("j2", 1, 0)
-	notify := make(chan struct{}, 1)
-	a.Subscribe(notify)
+	released := a.Released()
 	c1.Close()
 	select {
-	case <-notify:
+	case <-released:
 	default:
-		t.Fatal("Close must notify subscribers")
+		t.Fatal("Close must signal the release")
 	}
 	if got := take(t, c2, 4); len(got) != 4 {
 		t.Fatalf("closed client's nodes must be claimable, got %d", len(got))
@@ -158,13 +157,44 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestReleaseWakesWaiter: a waiter that took the signal before the pool
+// ran dry wakes on the next release, and each release arms a new one.
+func TestReleaseWakesWaiter(t *testing.T) {
+	a := newArbiter(t, 1, 2, time.Minute)
+	c, _ := a.Register("j", 1, 0)
+	refs := take(t, c, 2)
+	released := a.Released()
+	woke := make(chan struct{})
+	go func() { <-released; close(woke) }()
+	c.Release(refs[0])
+	select {
+	case <-woke:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a release did not wake the waiter")
+	}
+	next := a.Released()
+	select {
+	case <-next:
+		t.Fatal("the signal after a release must be a fresh one")
+	default:
+	}
+	c.Release(refs[1])
+	<-next
+}
+
 // TestMarkDeadShrinksCapacity: dead nodes leave both the pool and the
 // fair-share arithmetic.
 func TestMarkDeadShrinksCapacity(t *testing.T) {
 	a := newArbiter(t, 1, 4, time.Minute)
 	c, _ := a.Register("j", 1, 0)
 	refs := take(t, c, 2)
+	released := a.Released()
 	a.MarkDead(refs[0].Node)
+	select {
+	case <-released:
+	default:
+		t.Fatal("MarkDead must signal the release")
+	}
 	a.MarkDead(refs[0].Node) // idempotent
 	if a.Capacity() != 3 {
 		t.Fatalf("capacity after one death: want 3, got %d", a.Capacity())

@@ -129,6 +129,9 @@ func TestSinkReceivesEventsAndSamples(t *testing.T) {
 	r := New(4, 4)
 	sink := &capturingSink{}
 	r.SetSink(sink)
+	if r.Sink() != Sink(sink) {
+		t.Fatal("Sink does not return the attached sink")
+	}
 	reg := obs.NewRegistry()
 	reg.Counter("c").Inc()
 
@@ -144,6 +147,9 @@ func TestSinkReceivesEventsAndSamples(t *testing.T) {
 	}
 
 	r.SetSink(nil)
+	if r.Sink() != nil {
+		t.Fatal("Sink after detaching is not nil")
+	}
 	r.RecordAt(2, "period", nil)
 	if len(sink.events) != 2 {
 		t.Fatal("detached sink still receiving")

@@ -109,6 +109,15 @@ func (r *Recorder) SetSink(s Sink) {
 	r.mu.Unlock()
 }
 
+// Sink returns the attached durable sink (nil if none), so a reader can
+// reach what the sink offers beyond Sink, such as the record store's
+// per-job lookup.
+func (r *Recorder) Sink() Sink {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sink
+}
+
 // Record appends an event stamped with the recorder's own clock.
 func (r *Recorder) Record(kind string, data any) {
 	r.RecordAt(r.Now(), kind, data)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,9 @@ import (
 
 	"repro/internal/record"
 )
+
+// maxLine bounds one row's encoded length on the read side.
+const maxLine = 1 << 24
 
 // Log is one store file loaded for querying: the read side of the
 // datastore. Rows are in file (i.e. write) order.
@@ -39,7 +43,7 @@ func ReadLog(path string) (*Log, error) {
 func ReadLogFrom(rd io.Reader) (*Log, error) {
 	l := &Log{}
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<20), maxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -68,7 +72,7 @@ func ReadLogFrom(rd io.Reader) (*Log, error) {
 func FromEventsJSONL(rd io.Reader, run string) (*Log, error) {
 	l := &Log{}
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<20), maxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -167,4 +171,46 @@ func (l *Log) table(table, run, job string) []Row {
 		out = append(out, r)
 	}
 	return out
+}
+
+// JobEvents returns the rows of one job in the store's own run, oldest
+// first, as events whose Data is the raw JSON payload. It streams the
+// file and keeps only that job's rows, so a query costs one read of the
+// file and memory for one job. Job IDs restart at job-001 when a daemon
+// restarts on the same run, so the newest job-submitted row for the ID
+// starts the answer over. The writer flushes every batch, so a job that
+// finished a while ago is on disk; a row still queued, or dropped on a
+// full queue, is missing from the answer.
+func (db *DB) JobEvents(job string) ([]record.Event, error) {
+	f, err := os.Open(db.path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	id, err := json.Marshal(job)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	field := append([]byte(`"job":`), id...) // the job's rows as writeRow encodes them
+	var out []record.Event
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, maxLine)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if !bytes.Contains(line, field) {
+			continue // another job's row, or none's: skip it undecoded
+		}
+		var row Row
+		if json.Unmarshal(line, &row) != nil || row.Run != db.run || row.Job != job {
+			continue
+		}
+		if row.Kind == "job-submitted" {
+			out = out[:0]
+		}
+		out = append(out, record.Event{Time: row.Time, Kind: row.Kind, Job: row.Job, Data: row.Data})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return out, nil
 }

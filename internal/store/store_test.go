@@ -178,3 +178,53 @@ func TestPutAllocsBounded(t *testing.T) {
 		t.Fatalf("PutEvent allocates %.1f/op, want <= 1", allocs)
 	}
 }
+
+// TestJobEventsNewestSubmission: a per-job lookup keeps its own run and
+// job only, and a daemon restarted on the same run, whose IDs start at
+// job-001 again, answers with the newest job of that ID.
+func TestJobEventsNewestSubmission(t *testing.T) {
+	path := tmpDB(t)
+	write := func(run string, evs ...record.Event) *DB {
+		t.Helper()
+		db, err := Open(path, run, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			db.PutEvent(e)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	first := write("A",
+		record.Event{Time: 1, Kind: "job-submitted", Job: "job-001", Data: map[string]any{"app": "fib"}},
+		record.Event{Time: 2, Kind: "job-result", Job: "job-001", Data: map[string]any{"state": "done"}},
+		// A payload naming another job is not that job's row.
+		record.Event{Time: 3, Kind: "job-submitted", Job: "job-002", Data: map[string]any{"job": "job-001"}},
+	)
+	write("B", record.Event{Time: 1, Kind: "job-submitted", Job: "job-001", Data: map[string]any{"app": "tsp"}})
+	restarted := write("A",
+		record.Event{Time: 1, Kind: "job-submitted", Job: "job-001", Data: map[string]any{"app": "nqueens"}},
+		record.Event{Time: 2, Kind: "job-state", Job: "job-001", Data: map[string]any{"to": "provisioning"}},
+	)
+
+	evs, err := restarted.JobEvents("job-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 2 || evs[0].Kind != "job-submitted" || evs[1].Kind != "job-state" {
+		t.Fatalf("restarted run's job-001 = %+v, want its own submission and state", evs)
+	}
+	var spec struct{ App string }
+	if err := json.Unmarshal(evs[0].Data.(json.RawMessage), &spec); err != nil || spec.App != "nqueens" {
+		t.Fatalf("newest submission's payload = %s (%v)", evs[0].Data, err)
+	}
+	if evs, err := first.JobEvents("job-002"); err != nil || len(evs) != 1 {
+		t.Fatalf("job-002 = %+v (%v), want its one row", evs, err)
+	}
+	if evs, err := first.JobEvents("job-009"); err != nil || len(evs) != 0 {
+		t.Fatalf("job-009 = %+v (%v), want no rows", evs, err)
+	}
+}
