@@ -60,6 +60,9 @@ func main() {
 			os.Exit(2)
 		}
 		regressed, err := compareRuns(os.Stdout, l, a, b, *jobID, *tolerance)
+		if err == nil {
+			err = l.Err()
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 			os.Exit(2)
@@ -86,13 +89,21 @@ func main() {
 			}
 			fmt.Println()
 		}
+		if err := l.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+			os.Exit(2)
+		}
 		return
 	}
 	run := *runID
 	if run == "" {
 		run = runs[len(runs)-1]
 	}
-	if err := render(os.Stdout, l, run, *jobID, *periods); err != nil {
+	err = render(os.Stdout, l, run, *jobID, *periods)
+	if err == nil {
+		err = l.Err()
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(2)
 	}

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReadLogFrom feeds arbitrary bytes to the store's line reader, what
-// cmd/replay runs on a file a crash may have torn: no panic; every
-// non-empty line is the format header, a row, or counted as skipped; and
+// FuzzReadLogFrom feeds arbitrary bytes to the store's one line reader,
+// what ReadLog, the queries and cmd/replay run on a file a crash may
+// have torn: no panic; every non-empty line is the format header, a row,
+// or counted as skipped; each row's offsets frame a line in order; and
 // an accepted row re-marshals to a line that reads back as the same row.
 func FuzzReadLogFrom(f *testing.F) {
 	for _, seed := range []string{
@@ -25,7 +26,7 @@ func FuzzReadLogFrom(f *testing.F) {
 		if len(data) >= 1<<24 {
 			return // one line may exceed the reader's bound, an error by design
 		}
-		l, err := ReadLogFrom(bytes.NewReader(data))
+		rows, skipped, err := readRows(t, data)
 		if err != nil {
 			t.Fatalf("read failed: %v", err)
 		}
@@ -38,23 +39,44 @@ func FuzzReadLogFrom(f *testing.F) {
 			}
 			lines++
 		}
-		if got := len(l.Rows) + l.Skipped; got != lines {
-			t.Fatalf("%d rows + %d skipped, want the %d non-empty, non-header lines", len(l.Rows), l.Skipped, lines)
+		if got := len(rows) + skipped; got != lines {
+			t.Fatalf("%d rows + %d skipped, want the %d non-empty, non-header lines", len(rows), skipped, lines)
 		}
-		for _, row := range l.Rows {
+		for _, row := range rows {
 			line, err := json.Marshal(row)
 			if err != nil {
 				t.Fatalf("accepted row %+v does not marshal: %v", row, err)
 			}
-			back, err := ReadLogFrom(bytes.NewReader(line))
-			if err != nil || len(back.Rows) != 1 {
+			back, _, err := readRows(t, line)
+			if err != nil || len(back) != 1 {
 				t.Fatalf("re-marshalled row %s reads back as %+v, %v", line, back, err)
 			}
-			if got := back.Rows[0]; !sameRow(row, got) {
+			if got := back[0]; !sameRow(row, got) {
 				t.Fatalf("row %+v reads back as %+v", row, got)
 			}
 		}
 	})
+}
+
+// readRows collects what the store's line reader hands its callback,
+// checking that each row's offsets, which a Log's spans are made of,
+// frame the line it was decoded from.
+func readRows(t *testing.T, data []byte) ([]Row, int, error) {
+	var rows []Row
+	var last int64
+	skipped, err := scanRows(bytes.NewReader(data), nil, func(row Row, start, end int64) {
+		if start < last || end <= start || end > int64(len(data)) {
+			t.Fatalf("row %+v framed as [%d, %d) after offset %d of %d", row, start, end, last, len(data))
+		}
+		line := bytes.TrimSuffix(bytes.TrimSuffix(data[start:end], []byte("\n")), []byte("\r"))
+		var framed Row
+		if err := json.Unmarshal(line, &framed); err != nil || !sameRow(row, framed) {
+			t.Fatalf("row %+v framed as %q (%v)", row, line, err)
+		}
+		last = end
+		rows = append(rows, row)
+	})
+	return rows, skipped, err
 }
 
 // sameRow compares two rows field by field, and their payloads as JSON

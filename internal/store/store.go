@@ -15,20 +15,29 @@
 // naming the format, a run-open row per Open, then one row per record
 // with its table (event | sample | decision), run, timestamp,
 // optional kind/job, and the raw payload. The format is deliberately
-// dumb: it survives torn final writes (the reader stops at the first
-// undecodable line and reports how many bytes it skipped), it appends
-// across process restarts so one file accumulates many runs for
-// cross-run regression comparison, and any JSONL tooling (jq,
+// dumb: it survives torn writes (the reader skips each undecodable
+// line, counts it in Log.Skipped and reads on; a writer whose write
+// failed, or an Open that finds the file ending mid-line, ends the torn
+// line before writing on), it appends across process restarts so one
+// file accumulates many runs for cross-run regression comparison, and
+// any JSONL tooling (jq,
 // `sqlite3 .import`, a spreadsheet) can consume it directly. A real
 // SQLite backend would slot behind the same record.Sink interface and
 // query helpers, but this build is dependency-free by policy, so the
 // helpers here are the query layer.
+//
+// The read side streams. ReadLog makes one pass over the file and keeps
+// an index (each run's name, job IDs and byte span), not the rows; a
+// query re-reads the span of its run. A Log is a snapshot of the file
+// as it was at ReadLog: no query reads past the end the index recorded,
+// so rows a live writer appends afterwards are not in it.
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -47,6 +56,10 @@ const (
 
 // formatHeader is the first line of every new file.
 const formatHeader = "recdb/1"
+
+// writeChunk is the encoded size past which the writer hands a batch
+// to the file before the batch ends.
+const writeChunk = 64 << 10
 
 // Row is one persisted record — the store's wire-and-disk schema.
 type Row struct {
@@ -83,7 +96,9 @@ type DB struct {
 	path string
 	run  string
 	f    *os.File
-	w    *bufio.Writer
+	out  io.Writer // the file; tests put a failing writer in front of it
+	buf  []byte    // encoded lines the file has not been handed yet
+	torn bool      // a failed write left the file ending mid-line
 
 	queue chan pending
 	stop  chan struct{}
@@ -118,7 +133,7 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -126,7 +141,7 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 		path:     path,
 		run:      run,
 		f:        f,
-		w:        bufio.NewWriter(f),
+		out:      f,
 		queue:    make(chan pending, o.QueueSize),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -142,23 +157,36 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	if st.Size() == 0 {
-		if err := db.writeRow(Row{Format: formatHeader}); err != nil {
+		if err := db.encode(Row{Format: formatHeader}); err != nil {
 			f.Close()
 			return nil, err
 		}
+	} else {
+		// A crash mid-write leaves the file ending mid-line; the run-open
+		// row must not be appended to that line and lost with it.
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		db.torn = last[0] != '\n'
 	}
 	// The run-open row anchors the run's virtual/relative time axis to
 	// a wall-clock instant, for humans listing runs later.
-	if err := db.writeRow(Row{
+	if err := db.encode(Row{
 		Run: run, Table: "run", Kind: "open",
 		Data: json.RawMessage(fmt.Sprintf(`{"started":%q}`, time.Now().UTC().Format(time.RFC3339))),
 	}); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := db.flush(); err != nil {
+	if _, _, err := db.write(); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	go db.writer()
 	return db, nil
@@ -228,7 +256,7 @@ func (db *DB) writer() {
 					db.writeBatch(p)
 				default:
 					db.closeMu.Lock()
-					if err := db.flush(); err != nil {
+					if err := db.f.Sync(); err != nil {
 						db.closeErr = err
 					}
 					if err := db.f.Close(); err != nil && db.closeErr == nil {
@@ -242,8 +270,8 @@ func (db *DB) writer() {
 	}
 }
 
-// writeBatch writes first plus everything currently queued (bounded),
-// then flushes once.
+// writeBatch encodes first plus everything currently queued (bounded),
+// hands it to the file, then syncs once.
 func (db *DB) writeBatch(first pending) {
 	start := time.Now()
 	db.writePending(first)
@@ -252,11 +280,15 @@ drain:
 		select {
 		case p := <-db.queue:
 			db.writePending(p)
+			if len(db.buf) >= writeChunk {
+				db.emit()
+			}
 		default:
 			break drain
 		}
 	}
-	if err := db.flush(); err != nil {
+	db.emit()
+	if err := db.f.Sync(); err != nil {
 		db.writeErr.Inc()
 	}
 	db.depth.Set(float64(len(db.queue)))
@@ -275,27 +307,57 @@ func (db *DB) writePending(p pending) {
 			row.Data = raw
 		}
 	}
-	if err := db.writeRow(row); err != nil {
+	if err := db.encode(row); err != nil {
 		db.writeErr.Inc()
-		return
 	}
-	db.rows.Inc()
 }
 
-func (db *DB) writeRow(row Row) error {
+// emit hands the encoded rows to the file. A failed write, a full disk
+// say, costs the rows it did not finish, counted as dropped, and
+// nothing after them: the next write goes to the file again.
+func (db *DB) emit() {
+	done, lines, err := db.write()
+	db.rows.Add(uint64(done))
+	if err != nil {
+		db.writeErr.Inc()
+		db.dropped.Add(uint64(lines - done))
+	}
+}
+
+func (db *DB) encode(row Row) error {
 	b, err := json.Marshal(row)
 	if err != nil {
 		return err
 	}
-	if _, err := db.w.Write(b); err != nil {
-		return err
-	}
-	return db.w.WriteByte('\n')
+	db.buf = append(append(db.buf, b...), '\n')
+	return nil
 }
 
-func (db *DB) flush() error {
-	if err := db.w.Flush(); err != nil {
-		return err
+var newline = []byte{'\n'}
+
+// write hands the encoded lines to the file in one call and empties the
+// buffer. It returns how many of the lines the file took whole, of how
+// many. A short write leaves the file ending mid-line, so the next call
+// first ends that line: one undecodable line, and the rows after it
+// read back.
+func (db *DB) write() (done, lines int, err error) {
+	if len(db.buf) == 0 {
+		return 0, 0, nil
 	}
-	return db.f.Sync()
+	lines = bytes.Count(db.buf, newline)
+	defer func() {
+		db.buf = db.buf[:0]
+		if cap(db.buf) > 4*writeChunk {
+			db.buf = nil // one outsized row does not pin its buffer
+		}
+	}()
+	if db.torn {
+		if _, err := db.out.Write(newline); err != nil {
+			return 0, lines, err
+		}
+		db.torn = false
+	}
+	n, err := db.out.Write(db.buf)
+	db.torn = n > 0 && db.buf[n-1] != '\n'
+	return bytes.Count(db.buf[:n], newline), lines, err
 }

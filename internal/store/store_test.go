@@ -158,7 +158,7 @@ func TestFromEventsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(l.Events("export", "")) != 1 || len(l.Decisions("export", "j1")) != 1 {
-		t.Fatalf("rows = %+v", l.Rows)
+		t.Fatalf("events = %+v, decisions = %+v", l.Events("export", ""), l.Decisions("export", "j1"))
 	}
 }
 
