@@ -57,7 +57,7 @@ bench:
 # tree's summary/ack/reset frames, the TCP hub's socket envelope, the
 # job service's submit path (decode plus spec check), its other frames,
 # its -shape/-load parser and its -stages grammar, and the record
-# store's line reader.
+# store's line reader and its index's fast path.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseKV -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzParseStages -fuzztime=10s ./internal/job
 	$(GO) test -run=NONE -fuzz=FuzzReadLogFrom -fuzztime=10s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzRowKeys -fuzztime=10s ./internal/store
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

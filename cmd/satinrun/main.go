@@ -158,8 +158,12 @@ func main() {
 		sort.Slice(reports, func(i, k int) bool { return reports[i].Node < reports[k].Node })
 		fmt.Println("per-node statistics:")
 		for _, rep := range reports {
-			fmt.Printf("  %-10s busy=%.2fs intra=%.2fs inter=%.2fs bench=%.2fs speed=%.0f\n",
-				rep.Node, rep.BusySec, rep.IntraSec, rep.InterSec, rep.BenchSec, rep.Speed)
+			speed := "-" // never benchmarked: only adaptive jobs measure speed
+			if rep.Speed > 0 {
+				speed = fmt.Sprintf("%.0f", rep.Speed)
+			}
+			fmt.Printf("  %-10s busy=%.2fs intra=%.2fs inter=%.2fs bench=%.2fs speed=%s\n",
+				rep.Node, rep.BusySec, rep.IntraSec, rep.InterSec, rep.BenchSec, speed)
 		}
 	}
 	if jobSpec.Adapt {

@@ -40,7 +40,9 @@ type Config struct {
 	// Registry tunes each job's registry server, which sets the pace for
 	// the job's nodes and coordinator (tests use fast heartbeats).
 	Registry registry.Options
-	// Node overrides per-node defaults (benchmark, steal timeouts).
+	// Node overrides per-node defaults (benchmark, steal timeouts). The
+	// default benchmark is fib(18) at a 3 % budget; only adaptive jobs
+	// run it, since the coordinator is the one reader of a node's speed.
 	Node satin.NodeConfig
 	// Recorder, when set, receives job lifecycle and iteration events.
 	Recorder *record.Recorder
@@ -530,6 +532,10 @@ func (m *Manager) run(j *Job) {
 	if j.Spec.Adapt {
 		gridCfg.Node.Coordinator = adapt.EndpointName
 		gridCfg.Node.MonitorPeriod = period
+	} else {
+		// No coordinator reads a node's speed, so no node measures it:
+		// the simulator's NoAdapt variant does not benchmark either.
+		gridCfg.Node.Bench = nil
 	}
 	g, err := satin.NewGrid(gridCfg)
 	if err != nil {

@@ -189,6 +189,35 @@ func TestAdaptiveJobCoordinatorKeepsRegistrySession(t *testing.T) {
 	}
 }
 
+// TestOnlyAdaptiveJobsBenchmark: a node's speed has one reader, the
+// job's coordinator, so the nodes of a job without one never run the
+// speed benchmark, and those of an adaptive job measure their speed.
+func TestOnlyAdaptiveJobsBenchmark(t *testing.T) {
+	m := testManager(t, 1, 2, nil)
+	for _, adaptive := range []bool{false, true} {
+		j, err := m.Submit(Spec{App: "fib", Size: 14, Iters: 4, MinNodes: 2, Adapt: adaptive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j, 30*time.Second)
+		if j.State() != Done {
+			t.Fatalf("adapt=%v: job %s: %s", adaptive, j.State(), j.Result().Err)
+		}
+		reports := j.Result().NodeReports
+		if len(reports) == 0 {
+			t.Fatalf("adapt=%v: no node reports", adaptive)
+		}
+		for _, r := range reports {
+			if !adaptive && (r.BenchSec != 0 || r.Speed != 0) {
+				t.Errorf("non-adaptive node %s benchmarked: bench=%gs speed=%g", r.Node, r.BenchSec, r.Speed)
+			}
+			if adaptive && r.Speed <= 0 {
+				t.Errorf("adaptive node %s reports speed %g", r.Node, r.Speed)
+			}
+		}
+	}
+}
+
 // TestCancelFreesNodesForQueued is the acceptance scenario: cancelling
 // a running job returns its nodes to the shared pool, and a queued job
 // claims them.

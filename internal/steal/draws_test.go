@@ -48,6 +48,30 @@ func TestDrawsMatchMathRand(t *testing.T) {
 	}
 }
 
+// An engine builds its math/rand source at its first draw, not in New
+// or Seed: until then it holds none, and from then on, as after a
+// reseed, the first 200 draws are math/rand's.
+func TestDrawsSeedAtFirstDraw(t *testing.T) {
+	for _, seed := range drawSeeds() {
+		e := New(CRS, "c0/00", "c0", seed)
+		e.rng.Seed(seed) // a reseed before any draw builds nothing either
+		if e.hasSource() {
+			t.Fatalf("seed %d: the engine built its source before its first draw", seed)
+		}
+		for phase, s := range []int64{seed, seed + 1} {
+			if phase > 0 {
+				e.rng.Seed(s)
+			}
+			want := rand.New(rand.NewSource(s))
+			for i := 0; i < 200; i++ {
+				if got, w := e.rng.Int63(), want.Int63(); got != w {
+					t.Fatalf("seed %d phase %d draw %d: %d, math/rand gives %d", s, phase, i, got, w)
+				}
+			}
+		}
+	}
+}
+
 // A randomized NextView run under both policies, over rebuilt views of
 // changing size and with hits and misses mixed in, gives the same
 // directives whether the engine draws through its buffer or straight

@@ -14,3 +14,6 @@ func newDirect(policy Policy, self core.NodeID, cluster core.ClusterID, seed int
 	e.rng = rand.New(rand.NewSource(seed))
 	return e
 }
+
+// hasSource reports whether the engine has built its math/rand source.
+func (e *Engine) hasSource() bool { return e.draws.src != nil }

@@ -143,7 +143,7 @@ type Engine struct {
 // SeedFor to derive it from a run seed).
 func New(policy Policy, self core.NodeID, cluster core.ClusterID, seed int64) *Engine {
 	e := &Engine{policy: policy, self: self, cluster: cluster}
-	e.draws.src = rand.NewSource(seed).(rand.Source64)
+	e.draws.Seed(seed)
 	e.rng = rand.New(&e.draws)
 	return e
 }
@@ -157,14 +157,21 @@ const drawBuf = 32
 // source's sequence unchanged. In a world of thousands of engines
 // almost every round is a refused probe, and each draw straight from
 // the source would read two scattered words of its 607-word state.
+// The source is built from the seed at the first refill after a Seed,
+// so a live node that never draws a victim never pays for its 4.9 KB
+// state or its seeding.
 type draws struct {
-	src  rand.Source64
+	src  rand.Source64 // nil until the first refill after a Seed
+	seed int64
 	left int // values at the end of buf not yet handed out
 	buf  [drawBuf]uint64
 }
 
 func (d *draws) Uint64() uint64 {
 	if d.left == 0 {
+		if d.src == nil {
+			d.src = rand.NewSource(d.seed).(rand.Source64)
+		}
 		for i := range d.buf {
 			d.buf[i] = d.src.Uint64()
 		}
@@ -177,10 +184,10 @@ func (d *draws) Uint64() uint64 {
 
 func (d *draws) Int63() int64 { return int64(d.Uint64() & (1<<63 - 1)) }
 
-// Seed restarts the stream from seed and drops what is buffered.
+// Seed restarts the stream from seed and drops what is buffered and
+// the source; the next draw builds a source from seed.
 func (d *draws) Seed(seed int64) {
-	d.src.Seed(seed)
-	d.left = 0
+	d.seed, d.src, d.left = seed, nil, 0
 }
 
 // View is a membership snapshot pre-indexed by cluster: the simulator

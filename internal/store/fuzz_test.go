@@ -99,3 +99,55 @@ func jsonValue(raw json.RawMessage) any {
 	}
 	return v
 }
+
+// FuzzRowKeys holds the index's fast path to encoding/json: a line
+// rowKeys reads is one json.Unmarshal decodes into a row, not the
+// format header, with the same run and job.
+func FuzzRowKeys(f *testing.F) {
+	for _, seed := range []string{
+		`{"run":"r","table":"event","t":3,"kind":"iteration","job":"job-007","data":{"i":3}}`,
+		`{"run":"r","table":"sample","t":-0.5e-3,"data":{"counters":{"a":1}}}`,
+		`{"t":0}`,
+		`{"format":"recdb/1"}`,
+		`{"run":"r","t":1e400}`,
+		`{"run":"r","t":1,"data":1,"run":"x"}`,
+		`{"run":"café","t":1}`,
+		`{"RUN":"caps","t":01}`,
+		`{"run":"r","table":"event","t":1,"job":"j","data":{"a":[1,{"b":"}"}]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		run, job, ok := rowKeys(line)
+		if !ok {
+			return
+		}
+		var row Row
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("rowKeys read %q, which json.Unmarshal refuses: %v", line, err)
+		}
+		if row.Format != "" || row.Run != string(run) || row.Job != string(job) {
+			t.Fatalf("rowKeys read %q as run %q job %q, json.Unmarshal as %+v", line, run, job, row)
+		}
+	})
+}
+
+// TestRowKeysReadsWriterLines: every line the writer encodes takes the
+// index's fast path, so ReadLog decodes no row of a store in full.
+func TestRowKeysReadsWriterLines(t *testing.T) {
+	for _, row := range []Row{
+		{Run: "r", Table: TableEvent, Time: 3, Kind: "iteration", Job: "job-007", Data: json.RawMessage(`{"i":3}`)},
+		{Run: "2026-10-18T09:00:00Z", Table: TableSample, Time: 0.125, Data: json.RawMessage(`{"counters":{"a":1}}`)},
+		{Run: "r", Table: TableDecision, Time: 1e-9, Kind: "decision", Job: "job-001", Data: json.RawMessage(`{"Action":"add","x":"}"}`)},
+		{Time: -2},
+	} {
+		line, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, job, ok := rowKeys(line)
+		if !ok || string(run) != row.Run || string(job) != row.Job {
+			t.Errorf("rowKeys(%s) = %q, %q, %v", line, run, job, ok)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/record"
@@ -99,39 +100,161 @@ func FromEventsJSONL(rd io.Reader, run string) (*Log, error) {
 	return l, err
 }
 
-// index makes the one pass over the source that a Log keeps.
+// index makes the one pass over the source that a Log keeps. It reads
+// a row's run and job straight from its line where rowKeys can, and
+// decodes the line in full only where it cannot.
 func (l *Log) index(rd io.Reader) error {
 	l.byName = make(map[string]int)
-	type runJob struct {
-		run int
-		job string
-	}
-	seen := make(map[runJob]bool)
-	skipped, err := scanRows(rd, nil, func(row Row, start, end int64) {
-		i, ok := l.byName[row.Run]
+	var seen []map[string]bool // per run: the jobs already listed
+	return scanLines(rd, func(line []byte, start, end int64) {
+		run, job, ok := rowKeys(line)
 		if !ok {
+			var row Row
+			if json.Unmarshal(line, &row) != nil {
+				l.Skipped++
+				return
+			}
+			if row.Format != "" {
+				return // format header
+			}
+			run, job = []byte(row.Run), []byte(row.Job)
+		}
+		i, ok := l.byName[string(run)]
+		if !ok {
+			name := string(run)
 			i = len(l.runs)
-			l.byName[row.Run] = i
-			l.runs = append(l.runs, runSpan{name: row.Run, start: start})
+			l.byName[name] = i
+			l.runs = append(l.runs, runSpan{name: name, start: start})
+			seen = append(seen, make(map[string]bool))
 		}
 		r := &l.runs[i]
 		r.end = end
-		if row.Job != "" && !seen[runJob{i, row.Job}] {
-			seen[runJob{i, row.Job}] = true
-			r.jobs = append(r.jobs, row.Job)
+		if len(job) > 0 && !seen[i][string(job)] {
+			seen[i][string(job)] = true
+			r.jobs = append(r.jobs, string(job))
 		}
 	})
-	l.Skipped += skipped
-	return err
 }
 
-// scanRows is the store's one line reader. It reads store lines from
-// rd and calls fn with each row that decodes and the offsets in rd
-// where its line starts and where the next begins. Blank lines and the
-// format header are passed over; so is, undecoded, every line that does
-// not contain want, when want is set. A line that does not decode is
-// counted in skipped.
-func scanRows(rd io.Reader, want []byte, fn func(row Row, start, end int64)) (skipped int, err error) {
+// rowKeys reads a row's run and job from its line without decoding
+// it, where the line has the shape encode writes: Row's fields in
+// their declared order, no format field, strings of printable ASCII
+// with no escapes, a JSON number for "t", and a payload json.Valid
+// accepts. json.Unmarshal decodes such a line into a row with the same
+// run and job (FuzzRowKeys). ok is false for every other line, which
+// the caller decodes in full, so Skipped counts what it counted.
+func rowKeys(line []byte) (run, job []byte, ok bool) {
+	b, ok := cut(line, "{")
+	if !ok {
+		return nil, nil, false
+	}
+	if run, b, ok = cutString(b, `"run":"`, `",`); !ok {
+		return nil, nil, false
+	}
+	if _, b, ok = cutString(b, `"table":"`, `",`); !ok {
+		return nil, nil, false
+	}
+	if b, ok = cut(b, `"t":`); !ok {
+		return nil, nil, false
+	}
+	if b, ok = cutNumber(b); !ok {
+		return nil, nil, false
+	}
+	if _, b, ok = cutString(b, `,"kind":"`, `"`); !ok {
+		return nil, nil, false
+	}
+	if job, b, ok = cutString(b, `,"job":"`, `"`); !ok {
+		return nil, nil, false
+	}
+	if data, hasData := cut(b, `,"data":`); hasData {
+		// The payload runs to the closing brace: Valid refuses one that
+		// is not a single JSON value, such as one followed by more
+		// fields.
+		if len(data) < 2 || data[len(data)-1] != '}' || !json.Valid(data[:len(data)-1]) {
+			return nil, nil, false
+		}
+		b = data[len(data)-1:]
+	}
+	return run, job, string(b) == "}"
+}
+
+// cut is bytes.CutPrefix for a string prefix.
+func cut(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return b, false
+	}
+	return b[len(prefix):], true
+}
+
+// cutString cuts an optional string field, written as prefix, value
+// and suffix, from the front of b; an absent field reads as an empty
+// value. ok is false where the value may not stand for itself: it
+// holds an escape, a control byte or a non-ASCII byte, which
+// json.Unmarshal would unescape or replace.
+func cutString(b []byte, prefix, suffix string) (val, rest []byte, ok bool) {
+	v, found := cut(b, prefix)
+	if !found {
+		return nil, b, true
+	}
+	end := bytes.IndexByte(v, '"')
+	if end < 0 {
+		return nil, b, false
+	}
+	for _, c := range v[:end] {
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			return nil, b, false
+		}
+	}
+	if rest, found = cut(v[end:], suffix); !found {
+		return nil, b, false
+	}
+	return v[:end], rest, true
+}
+
+// cutNumber cuts a JSON number that fits a float64 from the front of b.
+func cutNumber(b []byte) (rest []byte, ok bool) {
+	i := 0
+	digits := func() int {
+		n := 0
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+			n++
+		}
+		return n
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if digits() == 0 {
+		return b, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return b, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return b, false
+		}
+	}
+	if _, err := strconv.ParseFloat(string(b[:i]), 64); err != nil {
+		return b, false // out of float64's range: json.Unmarshal refuses it
+	}
+	return b[i:], true
+}
+
+// scanLines is the store's one line reader. It calls fn with each
+// non-empty line of rd and the offsets in rd where the line starts and
+// where the next begins.
+func scanLines(rd io.Reader, fn func(line []byte, start, end int64)) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, maxLine)
 	var start, next int64
@@ -143,24 +266,36 @@ func scanRows(rd io.Reader, want []byte, fn func(row Row, start, end int64)) (sk
 		return adv, tok, err
 	})
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 || (want != nil && !bytes.Contains(line, want)) {
-			continue
+		if line := sc.Bytes(); len(line) > 0 {
+			fn(line, start, next)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// scanRows calls fn with each row of rd that decodes, and the offsets
+// of its line. The format header is passed over; so is, undecoded,
+// every line that does not contain want, when want is set. A line that
+// does not decode is counted in skipped.
+func scanRows(rd io.Reader, want []byte, fn func(row Row, start, end int64)) (skipped int, err error) {
+	err = scanLines(rd, func(line []byte, start, end int64) {
+		if want != nil && !bytes.Contains(line, want) {
+			return
 		}
 		var row Row
 		if json.Unmarshal(line, &row) != nil {
 			skipped++
-			continue
+			return
 		}
 		if row.Format != "" {
-			continue // format header
+			return // format header
 		}
-		fn(row, start, next)
-	}
-	if err := sc.Err(); err != nil {
-		return skipped, fmt.Errorf("store: %w", err)
-	}
-	return skipped, nil
+		fn(row, start, end)
+	})
+	return skipped, err
 }
 
 // Runs lists the run IDs present, in first-seen order.

@@ -18,7 +18,7 @@ func jobID(i int) string { return fmt.Sprintf("job-%03d", i) }
 
 // fill writes rows events spread round-robin over jobs jobs through a
 // DB, pacing the puts so that none is dropped on a full queue.
-func fill(t *testing.T, path, run string, rows, jobs int) {
+func fill(t testing.TB, path, run string, rows, jobs int) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	db, err := Open(path, run, reg)
@@ -94,6 +94,24 @@ func TestReadLogFootprintFlat(t *testing.T) {
 	}
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkReadLog200k times ReadLog's one indexing pass over a store
+// of 200 000 rows spread over 100 jobs, as the writer encodes them.
+func BenchmarkReadLog200k(b *testing.B) {
+	path := b.TempDir() + "/large.db"
+	fill(b, path, "r", 200_000, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := ReadLog(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if l.Skipped != 0 || len(l.Jobs("r")) != 100 {
+			b.Fatalf("index: %d skipped, %d jobs", l.Skipped, len(l.Jobs("r")))
+		}
 	}
 }
 

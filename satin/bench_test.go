@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/wirefmt"
 )
 
 // tspawnN spawns N trivial children and syncs — the spawn/sync hot
@@ -128,6 +130,44 @@ func (f tfibCut) Execute(ctx *Context) (any, error) {
 }
 
 func init() { Register(tfibCut{}) }
+
+// BenchmarkStealReplyRoundTrip encodes and decodes the two frames a
+// granted steal puts on the wire after the request: the reply that
+// carries a registered task and the result that comes back for it. One
+// op is both round trips. Each payload rides as a gob blob with an
+// encoder and a decoder of its own, which is most of the cost: the
+// baseline for a typed payload codec.
+func BenchmarkStealReplyRoundTrip(b *testing.B) {
+	reply := stealReplyMsg{Seq: 7, HasJob: true, Job: jobMsg{ID: 42, Owner: "c0/01", Task: tfibCut{N: 20, Cutoff: 12}}}
+	result := resultMsg{ID: 42, Value: fibLeaves(20)}
+	var gotReply stealReplyMsg
+	var gotResult resultMsg
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = reply.AppendWire(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+		r := wirefmt.NewReader(buf)
+		gotReply = stealReplyMsg{}
+		if err := gotReply.DecodeWire(&r); err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = result.AppendWire(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+		r = wirefmt.NewReader(buf)
+		gotResult = resultMsg{}
+		if err := gotResult.DecodeWire(&r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if gotReply != reply || gotResult != result {
+		b.Fatalf("round trip gave %+v and %+v, want %+v and %+v", gotReply, gotResult, reply, result)
+	}
+}
 
 // benchFibGrid runs task from the first node of a grid of clusters x
 // nodesPer nodes over the default links, started cluster by cluster so

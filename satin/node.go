@@ -43,6 +43,9 @@ type NodeConfig struct {
 	// sequential task (no spawns). BenchWork is its nominal size in
 	// work units; the measured speed is BenchWork divided by the wall
 	// time of one run. BenchBudget bounds the benchmarking overhead.
+	// A nil Bench leaves the node unbenchmarked: its reports carry
+	// speed 0 and no bench time. Only a node that reports to a
+	// Coordinator needs one.
 	Bench       Task
 	BenchWork   float64
 	BenchBudget float64
