@@ -9,7 +9,13 @@
 // producer — a full queue is a counted drop, not a stalled
 // coordinator callback; typed query helpers per table form the read
 // side; and the store carries obs telemetry on itself (rows written,
-// queue depth, dropped rows, write errors, flush latency).
+// syncs, queue depth, dropped rows, write errors, flush latency).
+//
+// The writer hands each batch to the file as it arrives but syncs the
+// file at most once a second, and at Close. A killed process loses no
+// row the writer has handed over (it is in the page cache, and ReadLog
+// reads it); a kernel crash or power loss loses the queued rows, which
+// no Put ever waited on, and at most the last second of written ones.
 //
 // On-disk format ("recdb/1"): one JSON object per line — a header row
 // naming the format, a run-open row per Open, then one row per record
@@ -61,6 +67,17 @@ const formatHeader = "recdb/1"
 // to the file before the batch ends.
 const writeChunk = 64 << 10
 
+// syncEvery is the shortest time between two syncs of the file by the
+// writer; Close syncs regardless. Tests shorten it.
+var syncEvery = time.Second
+
+// file is what the writer needs of its file: *os.File, or in tests a
+// failing file in front of it.
+type file interface {
+	io.Writer
+	Sync() error
+}
+
 // Row is one persisted record — the store's wire-and-disk schema.
 type Row struct {
 	Format string          `json:"format,omitempty"` // header row only
@@ -96,9 +113,14 @@ type DB struct {
 	path string
 	run  string
 	f    *os.File
-	out  io.Writer // the file; tests put a failing writer in front of it
-	buf  []byte    // encoded lines the file has not been handed yet
-	torn bool      // a failed write left the file ending mid-line
+	out  file   // the file; tests put a failing one in front of it
+	buf  []byte // encoded lines the file has not been handed yet
+	torn bool   // a failed write left the file ending mid-line
+
+	// Owned by the writer goroutine once Open returns.
+	every  time.Duration // the least time between the writer's syncs
+	dirty  bool          // the file holds rows written since the last sync
+	synced time.Time     // when the last sync started
 
 	queue chan pending
 	stop  chan struct{}
@@ -109,6 +131,7 @@ type DB struct {
 	closeErr error
 
 	rows     *obs.Counter
+	syncs    *obs.Counter
 	dropped  *obs.Counter
 	writeErr *obs.Counter
 	depth    *obs.Gauge
@@ -117,8 +140,9 @@ type DB struct {
 
 // Open appends to (or creates) the store at path and opens a run named
 // run (empty = a UTC timestamp). reg receives the store's telemetry:
-// store/rows_written, store/dropped_rows, store/write_err counters,
-// the store/queue_depth gauge and the store/flush_latency histogram.
+// store/rows_written, store/syncs, store/dropped_rows, store/write_err
+// counters, the store/queue_depth gauge and the store/flush_latency
+// histogram.
 func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 	var o Options
 	if len(opts) > 0 {
@@ -142,10 +166,12 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 		run:      run,
 		f:        f,
 		out:      f,
+		every:    syncEvery,
 		queue:    make(chan pending, o.QueueSize),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		rows:     reg.Counter("store/rows_written"),
+		syncs:    reg.Counter("store/syncs"),
 		dropped:  reg.Counter("store/dropped_rows"),
 		writeErr: reg.Counter("store/write_err"),
 		depth:    reg.Gauge("store/queue_depth"),
@@ -184,7 +210,7 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := db.sync(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -241,22 +267,31 @@ func (db *DB) Close() error {
 }
 
 // writer is the single goroutine that owns the file: it drains the
-// queue in batches, marshals off the producers' path, and flushes
-// once per batch with the flush latency observed.
+// queue in batches, marshals off the producers' path, and hands each
+// batch to the file with the flush latency observed. It syncs at most
+// once per db.every: a timer, armed only while the file is dirty, syncs
+// what a batch left unsynced, so an idle store never wakes.
 func (db *DB) writer() {
 	defer close(db.done)
+	timer := time.NewTimer(db.every)
+	timer.Stop()
+	armed := false
 	for {
 		select {
 		case p := <-db.queue:
 			db.writeBatch(p)
+		case <-timer.C:
+			armed = false
+			db.syncDue()
 		case <-db.stop:
+			timer.Stop()
 			for {
 				select {
 				case p := <-db.queue:
 					db.writeBatch(p)
 				default:
 					db.closeMu.Lock()
-					if err := db.f.Sync(); err != nil {
+					if err := db.sync(); err != nil {
 						db.closeErr = err
 					}
 					if err := db.f.Close(); err != nil && db.closeErr == nil {
@@ -267,11 +302,16 @@ func (db *DB) writer() {
 				}
 			}
 		}
+		if db.dirty && !armed {
+			timer.Reset(db.every - time.Since(db.synced))
+			armed = true
+		}
 	}
 }
 
-// writeBatch encodes first plus everything currently queued (bounded),
-// hands it to the file, then syncs once.
+// writeBatch encodes first plus everything currently queued (bounded)
+// and hands it to the file, which it syncs only if the last sync is at
+// least db.every old.
 func (db *DB) writeBatch(first pending) {
 	start := time.Now()
 	db.writePending(first)
@@ -288,11 +328,29 @@ drain:
 		}
 	}
 	db.emit()
-	if err := db.f.Sync(); err != nil {
-		db.writeErr.Inc()
-	}
+	db.dirty = true
+	db.syncDue()
 	db.depth.Set(float64(len(db.queue)))
 	db.flushLat.Observe(time.Since(start).Seconds())
+}
+
+// syncDue syncs a dirty file whose last sync is at least db.every old.
+func (db *DB) syncDue() {
+	if db.dirty && time.Since(db.synced) >= db.every {
+		db.sync()
+	}
+}
+
+// sync is the store's one path to fsync. A failed sync is counted as a
+// write error; the writer writes on.
+func (db *DB) sync() error {
+	db.synced, db.dirty = time.Now(), false
+	db.syncs.Inc()
+	err := db.out.Sync()
+	if err != nil {
+		db.writeErr.Inc()
+	}
+	return err
 }
 
 func (db *DB) writePending(p pending) {

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -201,16 +200,16 @@ func TestReadLogWhileAppending(t *testing.T) {
 // failOnce tears the first write it is handed in half and fails it, as
 // a full disk would, then passes every write through.
 type failOnce struct {
-	w      io.Writer
+	file
 	failed bool
 }
 
 func (f *failOnce) Write(p []byte) (int, error) {
 	if f.failed {
-		return f.w.Write(p)
+		return f.file.Write(p)
 	}
 	f.failed = true
-	n, _ := f.w.Write(p[:len(p)/2])
+	n, _ := f.file.Write(p[:len(p)/2])
 	return n, errors.New("no space left on device")
 }
 
@@ -224,7 +223,7 @@ func TestWriteErrorRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.out = &failOnce{w: db.f} // before the first put, which orders it before the writer's use
+	db.out = &failOnce{file: db.f} // before the first put, which orders it before the writer's use
 	db.PutEvent(record.Event{Time: 1, Kind: "lost"})
 	for deadline := time.Now().Add(5 * time.Second); reg.Counter("store/write_err").Value() == 0; {
 		if time.Now().After(deadline) {
