@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke
+.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke reach
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ verify: build vet fmt race
 # ten times slower.
 scale:
 	$(GO) test -tags scale -run TestShardedScaleWorld ./internal/des
+
+# Fails on a function that no cmd/* or examples/* binary links unless
+# scripts/reach_allow.txt lists it with its reason, and on a listed one
+# that is linked again or gone (see scripts/check_reach.sh).
+reach:
+	./scripts/check_reach.sh
 
 # Run the paper's evaluation scenarios (Figure 1 table + period logs).
 gridsim:

@@ -57,11 +57,6 @@ type (
 	StreamSLOConfig = core.StreamSLOConfig
 )
 
-// WeightedAverageEfficiency re-exports the paper's metric.
-func WeightedAverageEfficiency(stats []NodeStats) float64 {
-	return core.WeightedAverageEfficiency(stats)
-}
-
 // Provisioner supplies processors — the grid scheduler's role
 // (satin.Grid implements it).
 type Provisioner interface {

@@ -248,7 +248,7 @@ func TestDefaultThresholdsMatchPaper(t *testing.T) {
 		{Node: "a", Cluster: "c", Speed: 10, Idle: 0.5},
 		{Node: "b", Cluster: "c", Speed: 5, Idle: 0.5},
 	}
-	wae := adapt.WeightedAverageEfficiency(stats)
+	wae := core.WeightedAverageEfficiency(stats)
 	if wae <= 0 || wae >= 1 {
 		t.Fatalf("WAE = %v", wae)
 	}

@@ -244,7 +244,7 @@ func TestChaosKernelNoStaleActionChain(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		live = append(live, core.NodeID(fmt.Sprintf("c0/%02d", i)))
 	}
-	k.Protect(live[0])
+	k.SetProtected(live[0])
 	for _, id := range live {
 		k.Report(idleReport(id, "c0", 0, 180))
 	}

@@ -173,10 +173,6 @@ func (k *Kernel) Requirements() *core.Requirements { return k.root.Requirements(
 // yet. Partial observations within a period merge by summation.
 func (k *Kernel) ObserveStream(o core.StreamObs) { k.root.observeStream(o) }
 
-// Protect marks nodes as unremovable (the node hosting the root of the
-// computation, and in the real system the process the user started).
-func (k *Kernel) Protect(ids ...core.NodeID) { k.root.Protect(ids...) }
-
 // SetProtected replaces the protected set — used by runtimes where the
 // protected role moves (a new master is elected after a crash).
 func (k *Kernel) SetProtected(ids ...core.NodeID) { k.root.SetProtected(ids...) }
@@ -201,19 +197,6 @@ func (k *Kernel) Forget(id core.NodeID) {
 	defer k.mu.Unlock()
 	for _, sub := range k.subs {
 		sub.Forget(id)
-	}
-}
-
-// EachReport calls fn for every stored report under the kernel lock,
-// stopping early when fn returns false. It allocates nothing (pinned
-// by an AllocsPerRun guard); fn must not call back into the kernel.
-func (k *Kernel) EachReport(fn func(metrics.Report) bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for _, sub := range k.subs {
-		if !sub.eachReport(fn) {
-			return
-		}
 	}
 }
 

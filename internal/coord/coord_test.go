@@ -326,7 +326,7 @@ func parityReport(p int, id core.NodeID) metrics.Report {
 func runParityScript(t *testing.T, rt runtimeFake) ([]PeriodRecord, *Kernel) {
 	t.Helper()
 	k := newKernel(t, Config{}, rt)
-	k.Protect("b1")
+	k.SetProtected("b1")
 	var recs []PeriodRecord
 	for p := 0; p < 6; p++ {
 		for _, id := range rt.live() {
@@ -594,7 +594,7 @@ func TestMonitorOnlyRecordsWithoutActing(t *testing.T) {
 func TestProtectedNodesSurvive(t *testing.T) {
 	act := &scriptedActuator{}
 	k := newKernel(t, Config{}, act)
-	k.Protect("n1")
+	k.SetProtected("n1")
 	live := []core.NodeID{"n1", "n2"}
 	// WAE 0.10 on 2 nodes → remove 1 worst; the tie-ranked worst is n1,
 	// which is protected, so nothing may be evicted.
@@ -647,7 +647,7 @@ func (a *migratingActuator) ProvisionFrom(c core.ClusterID, n int, minBandwidth 
 func TestOpportunisticMigration(t *testing.T) {
 	act := &migratingActuator{cluster: "F", speed: 200, free: 2}
 	k := newKernel(t, Config{Opportunistic: true}, act)
-	k.Protect("n1")
+	k.SetProtected("n1")
 	live := []core.NodeID{"n1", "n2", "n3"}
 	for _, n := range live {
 		k.Report(rep(n, "A", 0, 60, 0, 0, 100, 0)) // WAE 0.40: inside the band
@@ -710,7 +710,7 @@ func TestFairShareYield(t *testing.T) {
 	act := &scriptedActuator{}
 	pressure := 2
 	k := newKernel(t, Config{Pressure: func() int { return pressure }}, act)
-	k.Protect("A/0")
+	k.SetProtected("A/0")
 
 	live := []core.NodeID{"A/0", "A/1", "B/0", "B/1"}
 	// Healthy efficiencies; B's nodes carry more inter-cluster overhead
@@ -753,7 +753,7 @@ func TestFairShareYield(t *testing.T) {
 func TestFairShareYieldSparesProtected(t *testing.T) {
 	act := &scriptedActuator{}
 	k := newKernel(t, Config{Pressure: func() int { return 5 }}, act)
-	k.Protect("A/0")
+	k.SetProtected("A/0")
 	k.Report(rep("A/0", "A", 0, 10, 2, 2, 100, 0))
 	k.Report(rep("A/1", "A", 0, 12, 2, 2, 100, 0))
 	rec := k.Tick(dur, []core.NodeID{"A/0", "A/1"})

@@ -7,10 +7,15 @@ import (
 
 // Reports returns a copy of the kernel's current report view.
 func (k *Kernel) Reports() map[core.NodeID]metrics.Report {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	out := make(map[core.NodeID]metrics.Report)
-	k.EachReport(func(rep metrics.Report) bool {
-		out[rep.Node] = rep
-		return true
-	})
+	for _, sub := range k.subs {
+		sub.mu.Lock()
+		for id, rep := range sub.reports {
+			out[id] = rep
+		}
+		sub.mu.Unlock()
+	}
 	return out
 }

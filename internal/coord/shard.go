@@ -197,30 +197,6 @@ func (sk *SubKernel) Reset() {
 	sk.prevStats = make(map[core.NodeID]core.NodeStats)
 }
 
-// EachReport calls fn for every stored report under the sub's lock,
-// stopping early when fn returns false. It allocates nothing; fn must
-// not call back into the sub.
-func (sk *SubKernel) EachReport(fn func(metrics.Report) bool) { sk.eachReport(fn) }
-
-// eachReport is EachReport that also tells whether fn ran to the end.
-func (sk *SubKernel) eachReport(fn func(metrics.Report) bool) bool {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	for _, rep := range sk.reports {
-		if !fn(rep) {
-			return false
-		}
-	}
-	return true
-}
-
-// Pending returns how many node reports the sub currently holds.
-func (sk *SubKernel) Pending() int {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	return len(sk.reports)
-}
-
 // Summarize runs the sub's period over the cluster's live nodes: prune
 // departed nodes, smooth over two periods, and reduce the cluster to
 // one ClusterSummary. The caller stamps Epoch and Req before sending.

@@ -26,7 +26,7 @@ func TestClusterSummaryWireParity(t *testing.T) {
 			EffSum: 2.5, SpeedSum: 300, InterSum: 0.75,
 			InterBWSum: 4e6, InterBWCnt: 2},
 		{Cluster: "кластер-ü", Seq: math.MaxUint64, Epoch: 7,
-			Time: -1, Nodes: -1, Stats: 0,
+			Time: -1, Nodes: math.MaxInt32, Stats: 0,
 			SpeedMax: math.MaxFloat64, SpeedMin: math.SmallestNonzeroFloat64,
 			Links: map[core.ClusterID]core.LinkSample{
 				"B":    {Seconds: 0.5, Bytes: 1 << 20},
@@ -46,9 +46,40 @@ func TestClusterSummaryWireParity(t *testing.T) {
 			HasStream: true, StreamArrived: 120, StreamCompleted: 118,
 			StreamLatencySum: 94.5, StreamBacklog: 17},
 		{Cluster: "stream-edge", HasStream: true,
-			StreamArrived: math.MaxInt32, StreamCompleted: -1,
-			StreamLatencySum: math.Inf(1), StreamBacklog: 0},
+			StreamArrived: math.MaxInt32, StreamCompleted: 0,
+			StreamLatencySum: math.MaxFloat64, StreamBacklog: 0},
 	})
+}
+
+// A summary no sub-kernel could build fails its frame, as a node's
+// report does: a non-finite float, or a negative count, speed, partial
+// sum or link sample.
+func TestClusterSummaryWireRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	frametest.Rejects[ClusterSummary, *ClusterSummary](t, []ClusterSummary{
+		{Time: nan},
+		{Time: -inf},
+		{Nodes: -1},
+		{Stats: -1},
+		{SpeedMax: inf},
+		{SpeedMin: -1},
+		{WorkSum: nan},
+		{ZeroWork: -1},
+		{EffSum: nan},
+		{SpeedSum: -1},
+		{InterSum: nan},
+		{InterBWSum: -1},
+		{InterBWCnt: -1},
+		{HasStream: true, StreamCompleted: -1},
+		{HasStream: true, StreamLatencySum: inf},
+		{HasStream: true, StreamBacklog: -1},
+		{Links: map[core.ClusterID]core.LinkSample{"B": {Seconds: nan}}},
+		{Links: map[core.ClusterID]core.LinkSample{"B": {Bytes: -1}}},
+		{Proposals: []NodeSample{{Node: "n0", Idle: nan}}},
+		{Proposals: []NodeSample{{Node: "n0", Speed: -1}}},
+		{Req: ReqState{MinBandwidth: nan}},
+	})
+	frametest.Rejects[SummaryAck, *SummaryAck](t, []SummaryAck{{Req: ReqState{MinBandwidth: -1}}})
 }
 
 func TestReqStateWireParity(t *testing.T) {
@@ -501,33 +532,6 @@ func TestStreamObservationBeforeAnyReport(t *testing.T) {
 	// replay of the consumed 0.5.
 	r = period(k, act, 1, reports(1))
 	wantRecord(t, 1, r, "none", "stream health 1.000 within band", 0, 0)
-}
-
-// --- allocation guards -------------------------------------------------
-
-// TestEachReportNoAllocs pins the satellite fix for Reports(): the
-// iteration-based accessors must not copy the report map.
-func TestEachReportNoAllocs(t *testing.T) {
-	k := newKernel(t, Config{}, &scriptedActuator{})
-	for i := 0; i < 32; i++ {
-		k.Report(rep(core.NodeID(fmt.Sprintf("n%02d", i)), "A", 0, 10, 0, 0, 100, 0))
-	}
-	count := 0
-	fn := func(metrics.Report) bool { count++; return true }
-	if allocs := testing.AllocsPerRun(100, func() { k.EachReport(fn) }); allocs != 0 {
-		t.Errorf("Kernel.EachReport allocates %.1f per run, want 0", allocs)
-	}
-	if count == 0 {
-		t.Fatal("EachReport visited no reports")
-	}
-
-	sk := NewSubKernel("A", 0, core.DefaultConfig().Weights)
-	for i := 0; i < 32; i++ {
-		sk.Report(rep(core.NodeID(fmt.Sprintf("n%02d", i)), "A", 0, 10, 0, 0, 100, 0))
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sk.EachReport(fn) }); allocs != 0 {
-		t.Errorf("SubKernel.EachReport allocates %.1f per run, want 0", allocs)
-	}
 }
 
 // --- tick cost benchmarks ----------------------------------------------

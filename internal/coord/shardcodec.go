@@ -58,7 +58,7 @@ func (st *ReqState) DecodeWire(r *wirefmt.Reader) error {
 			st.Clusters = append(st.Clusters, core.ClusterID(r.String()))
 		}
 	}
-	st.MinBandwidth = r.F64()
+	st.MinBandwidth = r.Amount()
 	return r.Err()
 }
 
@@ -116,29 +116,31 @@ func (sum *ClusterSummary) AppendWire(b []byte) ([]byte, error) {
 	return sum.Req.AppendWire(b)
 }
 
-// DecodeWire implements wirefmt.Frame.
+// DecodeWire implements wirefmt.Frame. As for a node's report, a
+// summary no sub-kernel could build fails the frame: a non-finite
+// float, or a negative count, speed, partial sum or link sample.
 func (sum *ClusterSummary) DecodeWire(r *wirefmt.Reader) error {
 	sum.Cluster = core.ClusterID(r.String())
 	sum.Seq = r.Uvarint()
 	sum.Epoch = r.Uvarint()
-	sum.Time = r.F64()
-	sum.Nodes = int(r.Varint())
-	sum.Stats = int(r.Varint())
-	sum.SpeedMax = r.F64()
-	sum.SpeedMin = r.F64()
-	sum.WorkSum = r.F64()
-	sum.ZeroWork = r.F64()
-	sum.EffSum = r.F64()
-	sum.SpeedSum = r.F64()
-	sum.InterSum = r.F64()
-	sum.InterBWSum = r.F64()
-	sum.InterBWCnt = int(r.Varint())
+	sum.Time = r.Finite()
+	sum.Nodes = r.Count()
+	sum.Stats = r.Count()
+	sum.SpeedMax = r.Amount()
+	sum.SpeedMin = r.Amount()
+	sum.WorkSum = r.Amount()
+	sum.ZeroWork = r.Amount()
+	sum.EffSum = r.Amount()
+	sum.SpeedSum = r.Amount()
+	sum.InterSum = r.Amount()
+	sum.InterBWSum = r.Amount()
+	sum.InterBWCnt = r.Count()
 	if r.Bool() {
 		sum.HasStream = true
-		sum.StreamArrived = int(r.Varint())
-		sum.StreamCompleted = int(r.Varint())
-		sum.StreamLatencySum = r.F64()
-		sum.StreamBacklog = int(r.Varint())
+		sum.StreamArrived = r.Count()
+		sum.StreamCompleted = r.Count()
+		sum.StreamLatencySum = r.Amount()
+		sum.StreamBacklog = r.Count()
 	}
 	if r.Bool() {
 		n := r.Uvarint()
@@ -153,8 +155,8 @@ func (sum *ClusterSummary) DecodeWire(r *wirefmt.Reader) error {
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
 			peer := core.ClusterID(r.String())
 			var l core.LinkSample
-			l.Seconds = r.F64()
-			l.Bytes = r.F64()
+			l.Seconds = r.Amount()
+			l.Bytes = r.Amount()
 			sum.Links[peer] = l
 		}
 	}
@@ -171,10 +173,10 @@ func (sum *ClusterSummary) DecodeWire(r *wirefmt.Reader) error {
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
 			var p NodeSample
 			p.Node = core.NodeID(r.String())
-			p.Speed = r.F64()
-			p.Idle = r.F64()
-			p.IntraComm = r.F64()
-			p.InterComm = r.F64()
+			p.Speed = r.Amount()
+			p.Idle = r.Amount()
+			p.IntraComm = r.Amount()
+			p.InterComm = r.Amount()
 			sum.Proposals = append(sum.Proposals, p)
 		}
 	}

@@ -49,8 +49,8 @@ type ShardReset struct {
 const failoverAfter = 2
 
 // SubLink is a sub-coordinator's end of the tree protocol, wrapped
-// around the cluster's SubKernel (whose Report, ObserveStream, Forget
-// and EachReport it passes through). Safe for concurrent use.
+// around the cluster's SubKernel (whose Report, ObserveStream and Forget
+// it passes through). Safe for concurrent use.
 type SubLink struct {
 	*SubKernel
 

@@ -140,13 +140,13 @@ func TestTreeProtocolScripts(t *testing.T) {
 			s.deliver() // stale for the root, but the receipt carries epoch 1
 			s.sub.Ack(s.ack)
 			s.want(0, false, 1)
-			if n := s.sub.Pending(); n != 0 {
+			if n := len(s.sub.reports); n != 0 {
 				t.Fatalf("%d pre-action reports survived the epoch the ack carried", n)
 			}
 			s.period(true)
 			s.sub.Pushed(ShardReset{Epoch: 2, Req: ReqState{Clusters: []core.ClusterID{"x"}}})
 			s.want(0, true, 2) // a push is not a receipt: the summary stays pending
-			if n := s.sub.Pending(); n != 0 {
+			if n := len(s.sub.reports); n != 0 {
 				t.Fatalf("%d pre-action reports survived the pushed reset", n)
 			}
 			if s.period(true); !reflect.DeepEqual(s.sum.Req.Clusters, []core.ClusterID{"x"}) || s.sum.Epoch != 2 {
@@ -158,7 +158,7 @@ func TestTreeProtocolScripts(t *testing.T) {
 			s.period(true)
 			s.sub.Ack(SummaryAck{Cluster: "b", Epoch: 2, Req: ReqState{MinBandwidth: 5}})
 			s.want(0, false, 3)
-			if n := s.sub.Pending(); n != 1 {
+			if n := len(s.sub.reports); n != 1 {
 				t.Fatalf("stale ack reset the sub: %d reports left", n)
 			}
 			if s.period(true); s.sum.Req.MinBandwidth != 5 {

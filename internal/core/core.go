@@ -12,10 +12,7 @@
 // the statistics, never an application performance model.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // NodeID identifies a single processor taking part in the computation.
 type NodeID string
@@ -81,29 +78,6 @@ func (s NodeStats) Overhead() float64 {
 		return 1
 	}
 	return o
-}
-
-// Validate reports whether the stats are internally consistent.
-func (s NodeStats) Validate() error {
-	if s.Node == "" {
-		return fmt.Errorf("core: NodeStats with empty NodeID")
-	}
-	if s.Speed < 0 {
-		return fmt.Errorf("core: node %s: negative speed %v", s.Node, s.Speed)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"idle", s.Idle}, {"intra", s.IntraComm}, {"inter", s.InterComm}} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("core: node %s: %s fraction %v out of [0,1]", s.Node, f.name, f.v)
-		}
-	}
-	if s.Idle+s.IntraComm+s.InterComm > 1+1e-9 {
-		return fmt.Errorf("core: node %s: overhead fractions sum to %v > 1",
-			s.Node, s.Idle+s.IntraComm+s.InterComm)
-	}
-	return nil
 }
 
 // RelativeSpeeds returns each node's speed divided by the fastest node's

@@ -28,26 +28,6 @@ func TestNodeStatsOverheadClamps(t *testing.T) {
 	}
 }
 
-func TestNodeStatsValidate(t *testing.T) {
-	good := NodeStats{Node: "n0", Cluster: "c0", Speed: 1, Idle: 0.2, IntraComm: 0.1, InterComm: 0.1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid stats rejected: %v", err)
-	}
-	bad := []NodeStats{
-		{Node: "", Speed: 1},
-		{Node: "n", Speed: -1},
-		{Node: "n", Idle: 1.5},
-		{Node: "n", IntraComm: -0.1},
-		{Node: "n", InterComm: 2},
-		{Node: "n", Idle: 0.6, IntraComm: 0.6}, // sum > 1
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: invalid stats %+v accepted", i, s)
-		}
-	}
-}
-
 func TestRelativeSpeeds(t *testing.T) {
 	t.Run("normalises to fastest", func(t *testing.T) {
 		stats := []NodeStats{

@@ -3,7 +3,6 @@ package des
 import (
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -35,26 +34,6 @@ func (s *Sim) coordinatorTick() {
 			perCluster[n.cluster]++
 		}
 		s.p.Observe(rec, s.kern.Requirements(), perCluster)
-	}
-}
-
-// EachReport iterates the coordinator's current report view without
-// copying it (flat kernel in flat mode, the per-cluster sub-kernels in
-// sharded mode).
-func (s *Sim) EachReport(fn func(metrics.Report) bool) {
-	if s.kern != nil {
-		s.kern.EachReport(fn)
-		return
-	}
-	for _, c := range s.subOrder() {
-		stop := false
-		s.subs[c].link.EachReport(func(rep metrics.Report) bool {
-			stop = !fn(rep)
-			return !stop
-		})
-		if stop {
-			return
-		}
 	}
 }
 

@@ -346,13 +346,3 @@ func (r *Result) MeanIterDuration(from, to int) float64 {
 	}
 	return sum / float64(to-from)
 }
-
-// BenchOverhead is the fraction of all node time spent benchmarking —
-// the adaptivity overhead scenario 1 measures.
-func (r *Result) BenchOverhead() float64 {
-	total := r.BusySec + r.IdleSec + r.IntraSec + r.InterSec + r.BenchSec
-	if total == 0 {
-		return 0
-	}
-	return r.BenchSec / total
-}

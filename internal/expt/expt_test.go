@@ -121,7 +121,7 @@ func TestScenario1OverheadSmall(t *testing.T) {
 	if overhead < 0 {
 		t.Errorf("monitoring made the run faster? overhead=%v", overhead)
 	}
-	if overhead > 0.12 {
+	if overhead > 0.05 {
 		t.Errorf("overhead %.1f%% too large (paper: a few percent)", overhead*100)
 	}
 	// In the no-disturbance scenario, the adaptive run must not wreck
@@ -134,24 +134,36 @@ func TestScenario1OverheadSmall(t *testing.T) {
 	}
 }
 
-// The paper's headline: scenarios 2a-6 all improve with adaptation.
+// The paper's headline, and the shape of Figure 1: scenarios 2a-6 and
+// 2c all improve with adaptation, each by 1-60 %, and they rank by gain
+// in the order the table reads today. A change to the policy or the
+// simulator that reorders them changes the paper's story, not just a
+// number.
 func TestAdaptationImprovesAllDisturbedScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full evaluation")
 	}
-	for _, id := range []string{"2a", "2b", "3", "4", "5", "6"} {
+	byGain := []string{"2a", "4", "5", "2b", "3", "6", "2c"}
+	gains := make([]float64, len(byGain))
+	for i, id := range byGain {
 		sc, _ := ByID(id)
 		out, err := Run(sc, NoAdapt, Adaptive)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		imp := out.Improvement()
-		t.Logf("scenario %s: improvement %.0f%%", id, imp*100)
-		if imp <= 0 {
-			t.Errorf("scenario %s: adaptation did not improve runtime (%.1f%%)", id, imp*100)
+		gains[i] = out.Improvement()
+		t.Logf("scenario %s: improvement %.0f%%", id, gains[i]*100)
+		if gains[i] < 0.01 || gains[i] > 0.60 {
+			t.Errorf("scenario %s: adaptation gained %.1f%%, want 1-60%%", id, gains[i]*100)
 		}
 		if !out.Results[Adaptive].Completed {
 			t.Errorf("scenario %s: adaptive run incomplete", id)
+		}
+	}
+	for i := 1; i < len(byGain); i++ {
+		if gains[i] >= gains[i-1] {
+			t.Errorf("scenario %s gains %.1f%%, not less than %s's %.1f%%: the order by gain is %v",
+				byGain[i], gains[i]*100, byGain[i-1], gains[i-1]*100, byGain)
 		}
 	}
 }

@@ -70,12 +70,6 @@ func NewAccumulator(node core.NodeID, cluster core.ClusterID, now float64) *Accu
 	return &Accumulator{node: node, cluster: cluster, periodStart: now}
 }
 
-// Node returns the owning node's ID.
-func (a *Accumulator) Node() core.NodeID { return a.node }
-
-// Cluster returns the owning node's cluster.
-func (a *Accumulator) Cluster() core.ClusterID { return a.cluster }
-
 // Add records d seconds of activity in bucket b. Negative d panics.
 func (a *Accumulator) Add(b Bucket, d float64) {
 	if d < 0 {
@@ -112,9 +106,6 @@ func (a *Accumulator) AddInterBytes(n float64) {
 
 // SetSpeed records the latest benchmark measurement.
 func (a *Accumulator) SetSpeed(s float64) { a.speed = s }
-
-// Speed returns the latest benchmark measurement (0 = not measured).
-func (a *Accumulator) Speed() float64 { return a.speed }
 
 // Report is one node's statistics for one completed monitoring period.
 type Report struct {

@@ -33,6 +33,28 @@ func TestReportWireParity(t *testing.T) {
 	})
 }
 
+// A report no Accumulator could build fails its frame: one NaN would
+// otherwise reach the period's WAE, since Stats clamps but passes NaN.
+func TestReportWireRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	frametest.Rejects[Report, *Report](t, []Report{
+		{Start: nan},
+		{End: -inf},
+		{Start: 2, End: 1},
+		{End: 1, BusySec: nan},
+		{End: 1, IntraSec: -1},
+		{End: 1, InterSec: inf},
+		{End: 1, BenchSec: -1e-300},
+		{End: 1, IdleSec: -1},
+		{End: 1, Speed: nan},
+		{End: 1, Speed: -1},
+		{End: 1, InterBandwidth: -1},
+		{End: 1, Links: map[core.ClusterID]core.LinkSample{"c1": {Seconds: -1}}},
+		{End: 1, Links: map[core.ClusterID]core.LinkSample{"c1": {Seconds: 1, Bytes: nan}}},
+		{End: 1, Links: map[core.ClusterID]core.LinkSample{"c1": {Bytes: -1}}},
+	})
+}
+
 func TestReportWireCorrupt(t *testing.T) {
 	rep := Report{
 		Node: "n0", Cluster: "c0", Start: 1, End: 2, BusySec: 0.5, Speed: 100,

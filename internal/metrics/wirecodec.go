@@ -50,19 +50,24 @@ func (rep *Report) AppendWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeWire implements wirefmt.Frame.
+// DecodeWire implements wirefmt.Frame. A report no Accumulator could
+// build fails the frame: a non-finite field, End before Start, or a
+// negative time, speed, bandwidth or link sample.
 func (rep *Report) DecodeWire(r *wirefmt.Reader) error {
 	rep.Node = core.NodeID(r.String())
 	rep.Cluster = core.ClusterID(r.String())
-	rep.Start = r.F64()
-	rep.End = r.F64()
-	rep.BusySec = r.F64()
-	rep.IntraSec = r.F64()
-	rep.InterSec = r.F64()
-	rep.BenchSec = r.F64()
-	rep.IdleSec = r.F64()
-	rep.Speed = r.F64()
-	rep.InterBandwidth = r.F64()
+	rep.Start = r.Finite()
+	rep.End = r.Finite()
+	if rep.End < rep.Start {
+		r.Fail("report ends before it starts")
+	}
+	rep.BusySec = r.Amount()
+	rep.IntraSec = r.Amount()
+	rep.InterSec = r.Amount()
+	rep.BenchSec = r.Amount()
+	rep.IdleSec = r.Amount()
+	rep.Speed = r.Amount()
+	rep.InterBandwidth = r.Amount()
 	if !r.Bool() {
 		return r.Err()
 	}
@@ -80,8 +85,8 @@ func (rep *Report) DecodeWire(r *wirefmt.Reader) error {
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		peer := core.ClusterID(r.String())
 		var l core.LinkSample
-		l.Seconds = r.F64()
-		l.Bytes = r.F64()
+		l.Seconds = r.Amount()
+		l.Bytes = r.Amount()
 		rep.Links[peer] = l
 	}
 	return r.Err()

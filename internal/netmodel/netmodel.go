@@ -50,12 +50,6 @@ func (p *Pipe) SetBandwidth(bw float64) {
 	p.busyTime = 0
 }
 
-// Bandwidth returns the current capacity in bytes/s.
-func (p *Pipe) Bandwidth() float64 { return p.bandwidth }
-
-// Latency returns the one-way latency in seconds.
-func (p *Pipe) Latency() float64 { return p.latency }
-
 // Transfer enqueues size bytes starting no earlier than now and returns
 // the virtual time at which the last byte emerges from the link
 // (including latency). The pipe stays busy until that time minus the
@@ -126,15 +120,6 @@ type Site struct{ lan, uplink *Pipe }
 // Site returns a cluster's links. A cluster the topology does not have
 // gets a Site whose messages arrive at once.
 func (n *Net) Site(c topo.ClusterID) Site { return Site{n.lans[c], n.uplinks[c]} }
-
-// LANLatency returns a cluster's one-way LAN latency.
-func (n *Net) LANLatency(c topo.ClusterID) float64 { return n.lans[c].lat() }
-
-// WANLatency returns the one-way site-to-site latency between two
-// clusters (sum of both access latencies).
-func (n *Net) WANLatency(from, to topo.ClusterID) float64 {
-	return n.uplinks[from].lat() + n.uplinks[to].lat()
-}
 
 // Intra is Site.Intra for cluster c.
 func (n *Net) Intra(now vtime.Time, c topo.ClusterID, size float64) vtime.Time {

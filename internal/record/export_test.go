@@ -15,3 +15,10 @@ func (r *Recorder) SamplesDropped() uint64 {
 	defer r.mu.Unlock()
 	return r.samplesDropped
 }
+
+// Samples returns the retained samples, oldest first.
+func (r *Recorder) Samples() []Sample {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.samples.all()
+}

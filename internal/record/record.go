@@ -170,13 +170,6 @@ func (r *Recorder) Events() []Event {
 	return r.events.all()
 }
 
-// Samples returns the retained samples, oldest first.
-func (r *Recorder) Samples() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples.all()
-}
-
 // WriteEventsJSONL writes the retained events as one JSON object per
 // line. When wraparound has dropped events, the first line says so.
 func (r *Recorder) WriteEventsJSONL(w io.Writer) error {

@@ -106,9 +106,6 @@ func (c *Client) Err() error {
 	}
 }
 
-// Info returns this member's identity.
-func (c *Client) Info() NodeInfo { return c.info }
-
 // Events delivers membership events and signals in order.
 func (c *Client) Events() <-chan Event { return c.events }
 

@@ -218,12 +218,6 @@ func Open(path, run string, reg *obs.Registry, opts ...Options) (*DB, error) {
 	return db, nil
 }
 
-// Run returns the run ID rows are written under.
-func (db *DB) Run() string { return db.run }
-
-// Path returns the file backing the store.
-func (db *DB) Path() string { return db.path }
-
 // PutEvent implements record.Sink: events stream into the event table,
 // adaptation decisions into their own. Never blocks; a full queue is
 // a counted drop.

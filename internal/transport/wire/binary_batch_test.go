@@ -2,10 +2,12 @@ package wire
 
 import (
 	"encoding/hex"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wirefmt"
@@ -122,6 +124,39 @@ func TestBinaryCorruptFrameSkippedNotPoisoned(t *testing.T) {
 	}
 	if got := obs.Default.Total("wire/desync/"); got != desyncBefore {
 		t.Fatal("binary decode error poisoned the session; it must only skip the frame")
+	}
+}
+
+func init() { Register[metrics.Report]("test-report") }
+
+// A statistics report no node could have measured (here a NaN busy
+// time) never reaches the coordinator's handler: its decoder fails the
+// frame, the wire counts it under wire/decode_err, and the next report
+// flows.
+func TestNaNReportCountedNotDelivered(t *testing.T) {
+	f := transport.NewInProc(nil)
+	defer f.Close()
+	epA, _ := f.Endpoint("a")
+	epB, _ := f.Endpoint("b")
+	a, b := New(epA), New(epB)
+	var mu sync.Mutex
+	var got []metrics.Report
+	Handle(b, func(rep metrics.Report, _ Meta) {
+		mu.Lock()
+		got = append(got, rep)
+		mu.Unlock()
+	})
+	errBefore := obs.Default.Counter("wire/decode_err/test-report").Value()
+	Send(a, "b", metrics.Report{Node: "bad", End: 1, BusySec: math.NaN()})
+	Send(a, "b", metrics.Report{Node: "good", End: 1, BusySec: 0.5})
+	waitFor(t, "the good report", func() bool { mu.Lock(); defer mu.Unlock(); return len(got) > 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 || got[0].Node != "good" {
+		t.Fatalf("delivered %+v, want only the good report", got)
+	}
+	if n := obs.Default.Counter("wire/decode_err/test-report").Value() - errBefore; n != 1 {
+		t.Fatalf("wire/decode_err/test-report rose by %d, want 1", n)
 	}
 }
 

@@ -8,6 +8,7 @@ package frametest
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -63,6 +64,29 @@ func Parity[T any, PT interface {
 		// codec is lossy.
 		if reflect.DeepEqual(gobOut, v) && !reflect.DeepEqual(binOut, v) {
 			t.Errorf("value %d: binary codec lossy where gob is not\n  original: %+v\n  binary:   %+v", i, v, binOut)
+		}
+	}
+}
+
+// Rejects asserts that the binary decoder refuses every value with a
+// malformed-frame error. The encoder trusts its caller and writes them;
+// they are the frames no correct sender produces, which the wire layer
+// then counts as decode errors instead of delivering.
+func Rejects[T any, PT interface {
+	*T
+	wirefmt.Frame
+}](t *testing.T, vals []T) {
+	t.Helper()
+	for i, v := range vals {
+		enc, err := PT(&v).AppendWire(nil)
+		if err != nil {
+			t.Errorf("value %d (%+v): binary encode: %v", i, v, err)
+			continue
+		}
+		var out T
+		r := wirefmt.NewReader(enc)
+		if err := PT(&out).DecodeWire(&r); !errors.Is(err, wirefmt.ErrMalformed) {
+			t.Errorf("value %d (%+v): decode returned %v, want a malformed-frame error", i, v, err)
 		}
 	}
 }

@@ -199,6 +199,36 @@ func (r *Reader) F64() float64 {
 	return v
 }
 
+// Finite reads a float64 that must be finite: NaN or ±Inf fails the
+// frame.
+func (r *Reader) Finite() float64 {
+	v := r.F64()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.fail("non-finite float64")
+	}
+	return v
+}
+
+// Amount reads a float64 that must be finite and non-negative: a
+// duration, a speed, a byte count or a sum of them. No correct sender
+// writes anything else, and one NaN would poison every sum it reaches.
+func (r *Reader) Amount() float64 {
+	v := r.F64()
+	if !(v >= 0 && v <= math.MaxFloat64) {
+		r.fail("float64 not finite and non-negative")
+	}
+	return v
+}
+
+// Count reads a zig-zag signed varint that must be a non-negative int.
+func (r *Reader) Count() int {
+	v := r.Varint()
+	if v < 0 {
+		r.fail("negative count")
+	}
+	return int(v)
+}
+
 // Len reads a length prefix and validates it against the bytes
 // actually remaining, so a hostile length can neither over-read nor
 // drive a huge allocation.
@@ -248,17 +278,6 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(r.view(n))
-}
-
-// Bytes reads a length-prefixed byte slice (copied, safe to retain).
-// Zero length decodes as nil, matching gob's treatment of empty
-// slices.
-func (r *Reader) Bytes() []byte {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	return append([]byte(nil), r.view(n)...)
 }
 
 // Gob reads a payload written by AppendGob into *v. Absent payloads

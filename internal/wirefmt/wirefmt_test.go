@@ -54,11 +54,11 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := r.String(); got != "" {
 		t.Fatalf("empty string = %q", got)
 	}
-	if got := r.Bytes(); string(got) != "\x01\x02\x03" {
+	if got := r.View(r.Len()); string(got) != "\x01\x02\x03" {
 		t.Fatalf("bytes = %v", got)
 	}
-	if got := r.Bytes(); got != nil {
-		t.Fatalf("nil bytes = %v", got)
+	if n := r.Len(); n != 0 {
+		t.Fatalf("nil bytes length = %d", n)
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
@@ -149,8 +149,11 @@ func FuzzReader(f *testing.F) {
 		_ = r.Varint()
 		_ = r.Bool()
 		_ = r.F64()
+		_ = r.Finite()
+		_ = r.Amount()
+		_ = r.Count()
 		_ = r.String()
-		_ = r.Bytes()
+		_ = r.View(r.Len())
 		var v any
 		_ = r.Gob(&v)
 		if r.Remaining() < 0 {

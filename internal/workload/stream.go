@@ -82,9 +82,6 @@ func (s StreamSpec) ItemWork() float64 {
 	return w
 }
 
-// Duration is the source's emission window in seconds.
-func (s StreamSpec) Duration() float64 { return float64(s.Items) / s.RateHz }
-
 // Pipeline3 returns the calibrated three-stage reference pipeline the
 // streaming experiments use: decode → transform → encode, with the
 // middle stage dominating. At the default 4 items/s the offered load is

@@ -34,9 +34,6 @@ func TestStreamSpecDerived(t *testing.T) {
 	if d := s.Demand(); math.Abs(d-6) > 1e-12 {
 		t.Errorf("demand = %v, want 6 speed-seconds/s", d)
 	}
-	if d := s.Duration(); math.Abs(d-50) > 1e-12 {
-		t.Errorf("duration = %v, want 50s", d)
-	}
 }
 
 func TestPipeline3Defaults(t *testing.T) {

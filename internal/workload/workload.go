@@ -123,21 +123,6 @@ func (s Spec) Split(work float64, rng *rand.Rand) (a, b float64) {
 	return a, b
 }
 
-// Profile returns the Eager-et-al work profile of one iteration:
-// T1 = sequential + parallel work; Tinf is approximated by the
-// sequential phase plus the expected depth of the task tree times the
-// grain (the longest chain of leaf executions).
-func (s Spec) Profile(iter int) (t1, tinf float64) {
-	w := s.IterWork(iter)
-	t1 = s.SequentialPerIteration + w
-	depth := math.Log2(w/s.Grain) + 1
-	if depth < 1 {
-		depth = 1
-	}
-	tinf = s.SequentialPerIteration + depth*s.Grain
-	return t1, tinf
-}
-
 // BarnesHut returns the calibrated model of the Barnes-Hut N-body
 // application the paper evaluates: nBodies bodies simulated for the
 // given number of iterations. The constants are calibrated so that on
