@@ -57,15 +57,17 @@ bench:
 
 # Short fuzz smoke over the adversarial-input paths (`go test -fuzz`
 # accepts one target per invocation, hence one line each): the wirefmt
-# reader, the binary control-frame decoder, the batch envelope parser,
-# the receive session's (epoch, seq) cursor (every frame it does not
-# refuse reaches its handler before delivery returns), the coordinator
-# tree's summary/ack/reset frames, the TCP hub's socket envelope, the
-# job service's submit path (decode plus spec check), its other frames,
-# its -shape/-load parser and its -stages grammar, and the record
-# store's line reader and its index's fast path.
+# reader, the task payload decoder, the binary control-frame decoder,
+# the batch envelope parser, the receive session's (epoch, seq) cursor
+# (every frame it does not refuse reaches its handler before delivery
+# returns), the coordinator tree's summary/ack/reset frames, the TCP
+# hub's socket envelope, the job service's submit path (decode plus
+# spec check), its other frames, its -shape/-load parser and its
+# -stages grammar, and the record store's line reader and its index's
+# fast path.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
+	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./satin
 	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzBatchEnvelope -fuzztime=10s ./internal/transport/wire
 	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/transport/wire

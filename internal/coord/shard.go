@@ -492,16 +492,12 @@ func (rk *RootKernel) adoptReqState(st ReqState) {
 	if !rk.cfg.DisableBlacklist {
 		if len(st.Nodes) > 0 && !slices.Equal(st.Nodes, rk.reqs.BlacklistedNodes()) {
 			for _, n := range st.Nodes {
-				if !rk.reqs.NodeBlacklisted(n, "") {
-					rk.reqs.BlacklistNode(n, "failover-inherited")
-				}
+				rk.reqs.BlacklistNode(n)
 			}
 		}
 		if len(st.Clusters) > 0 && !slices.Equal(st.Clusters, rk.reqs.BlacklistedClusters()) {
 			for _, c := range st.Clusters {
-				if !rk.reqs.ClusterBlacklisted(c) {
-					rk.reqs.BlacklistCluster(c, "failover-inherited")
-				}
+				rk.reqs.BlacklistCluster(c)
 			}
 		}
 	}
@@ -795,8 +791,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 					rec.Action = "remove-cluster"
 					rec.Detail = fmt.Sprintf("cluster %s best-pair bandwidth %.0f B/s vs %.0f B/s elsewhere: uplink insufficient, evacuating cluster",
 						culprit, bw, ref)
-					interComm := s.InterSum / float64(s.Stats)
-					rec.Removed = rk.evictCluster(rec, culprit, interComm, bw, health, n)
+					rec.Removed = rk.evictCluster(culprit, bw, health, n)
 					return rec.Removed > 0
 				}
 			}
@@ -827,7 +822,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 				rec.Action = "remove-cluster"
 				rec.Detail = fmt.Sprintf("cluster %s inter-cluster overhead %.0f%% > %.0f%%: uplink bandwidth insufficient, evacuating cluster",
 					c.Cluster, c.InterComm*100, ecfg.ClusterDropInterComm*100)
-				rec.Removed = rk.evictCluster(rec, c.Cluster, c.InterComm, 0, health, n)
+				rec.Removed = rk.evictCluster(c.Cluster, 0, health, n)
 				return rec.Removed > 0
 			}
 		}
@@ -862,7 +857,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 // blacklist the cluster, and fall back to worst-node eviction when the
 // cluster holds only protected nodes, which cannot leave, so the
 // coordinator does not spin on the same decision.
-func (rk *RootKernel) evictCluster(rec *PeriodRecord, c core.ClusterID, interComm, measuredBW, wae float64, n int) int {
+func (rk *RootKernel) evictCluster(c core.ClusterID, measuredBW, wae float64, n int) int {
 	rk.learnClusterBandwidth(c, measuredBW)
 	var victims []core.NodeID
 	if rk.roster != nil {
@@ -875,8 +870,7 @@ func (rk *RootKernel) evictCluster(rec *PeriodRecord, c core.ClusterID, interCom
 	removed := rk.evict(victims, "cluster uplink saturated", true)
 	if removed > 0 {
 		if !rk.cfg.DisableBlacklist {
-			rk.reqs.BlacklistCluster(c,
-				fmt.Sprintf("inter-cluster overhead %.0f%%", interComm*100))
+			rk.reqs.BlacklistCluster(c)
 		}
 		rk.act.Annotate(fmt.Sprintf("removed badly connected cluster %s (%d nodes)", c, removed))
 		return removed
@@ -1052,7 +1046,7 @@ func (rk *RootKernel) evict(victims []core.NodeID, reason string, blacklist bool
 	evicted := rk.act.Evict(want, reason)
 	for _, id := range evicted {
 		if blacklist && !rk.cfg.DisableBlacklist {
-			rk.reqs.BlacklistNode(id, reason)
+			rk.reqs.BlacklistNode(id)
 		}
 	}
 	return len(evicted)

@@ -234,7 +234,7 @@ func TestTreeProtocolScripts(t *testing.T) {
 			}
 			s.want(0, false, 4)
 			reqs := rk.Requirements()
-			if rk.epoch() != 4 || !reqs.NodeBlacklisted("b/07", "") || !reqs.ClusterBlacklisted("x") || reqs.MinBandwidth() != 2e6 {
+			if rk.epoch() != 4 || !reqs.NodeBlacklisted("b/07", "") || !reqs.NodeBlacklisted("", "x") || reqs.MinBandwidth() != 2e6 {
 				t.Fatalf("successor epoch %d blacklist %v/%v bw %v", rk.epoch(),
 					reqs.BlacklistedNodes(), reqs.BlacklistedClusters(), reqs.MinBandwidth())
 			}
@@ -276,9 +276,9 @@ func blacklistedRoot(tb testing.TB, n int) *RootKernel {
 		tb.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		rk.reqs.BlacklistNode(core.NodeID(fmt.Sprintf("c%02d/%04d", i%40, i)), "evicted")
+		rk.reqs.BlacklistNode(core.NodeID(fmt.Sprintf("c%02d/%04d", i%40, i)))
 	}
-	rk.reqs.BlacklistCluster("bad", "evicted")
+	rk.reqs.BlacklistCluster("bad")
 	rk.reqs.LearnMinBandwidth(1e5)
 	return rk
 }
@@ -305,8 +305,8 @@ func TestReceiveAllocsDoNotGrowWithBlacklist(t *testing.T) {
 }
 
 // A state equal to the root's own snapshot teaches it nothing: no fact
-// is added, no reason rewritten, and the snapshot is not rebuilt. The
-// equal state is a copy, as off the wire, not the root's own slices.
+// is added and the snapshot is not rebuilt. The equal state is a copy,
+// as off the wire, not the root's own slices.
 func TestAdoptEqualSnapshotIsNoOp(t *testing.T) {
 	rk := blacklistedRoot(t, 50)
 	own := rk.ReqState()
@@ -322,13 +322,13 @@ func TestAdoptEqualSnapshotIsNoOp(t *testing.T) {
 		t.Fatalf("adopting an equal state changed the root's: %d nodes, %v, bw %v",
 			len(after.Nodes), after.Clusters, after.MinBandwidth)
 	}
-	if why := rk.reqs.BlacklistReason(own.Nodes[0], ""); why != "evicted" {
-		t.Errorf("reason of a known node is now %q", why)
+	if !rk.reqs.NodeBlacklisted(own.Nodes[0], "") {
+		t.Errorf("known node %s left the blacklist", own.Nodes[0])
 	}
 }
 
 // Failover's union-merge: a strict superset adds exactly what the root
-// did not know, as inherited facts, and leaves what it knew alone.
+// did not know and leaves what it knew alone.
 func TestAdoptSupersetSnapshotAddsTheDifference(t *testing.T) {
 	rk := blacklistedRoot(t, 3)
 	own := rk.ReqState()
@@ -346,14 +346,14 @@ func TestAdoptSupersetSnapshotAddsTheDifference(t *testing.T) {
 	if len(own.Nodes) != 3 || len(own.Clusters) != 1 {
 		t.Fatalf("the merge wrote into a snapshot already handed out: %v %v", own.Nodes, own.Clusters)
 	}
-	for node, want := range map[core.NodeID]string{"a/new": "failover-inherited", own.Nodes[0]: "evicted"} {
-		if why := rk.reqs.BlacklistReason(node, ""); why != want {
-			t.Errorf("reason of %s = %q, want %q", node, why, want)
+	for _, node := range []core.NodeID{"a/new", own.Nodes[0]} {
+		if !rk.reqs.NodeBlacklisted(node, "") {
+			t.Errorf("node %s is not blacklisted after the merge", node)
 		}
 	}
-	for cluster, want := range map[core.ClusterID]string{"worse": "failover-inherited", "bad": "evicted"} {
-		if why := rk.reqs.BlacklistReason("", cluster); why != want {
-			t.Errorf("reason of cluster %s = %q, want %q", cluster, why, want)
+	for _, cluster := range []core.ClusterID{"worse", "bad"} {
+		if !rk.reqs.NodeBlacklisted("", cluster) {
+			t.Errorf("cluster %s is not blacklisted after the merge", cluster)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 type Requirements struct {
 	mu sync.Mutex
 
-	blackNodes    map[NodeID]string    // node -> reason
-	blackClusters map[ClusterID]string // cluster -> reason
+	blackNodes    map[NodeID]struct{}
+	blackClusters map[ClusterID]struct{}
 
 	// nodeSnap and clusterSnap are the sorted key sets of the two maps,
 	// built by the first read after a new fact was added (nil = stale)
@@ -43,33 +43,34 @@ type Requirements struct {
 // NewRequirements returns an empty requirement set.
 func NewRequirements() *Requirements {
 	return &Requirements{
-		blackNodes:    make(map[NodeID]string),
-		blackClusters: make(map[ClusterID]string),
+		blackNodes:    make(map[NodeID]struct{}),
+		blackClusters: make(map[ClusterID]struct{}),
 	}
 }
 
 // BlacklistNode records that node was removed and must not be re-added.
-// Re-blacklisting a known node updates its reason and nothing else.
-func (r *Requirements) BlacklistNode(id NodeID, reason string) {
+// Re-blacklisting a known node changes nothing.
+func (r *Requirements) BlacklistNode(id NodeID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, known := r.blackNodes[id]; !known {
 		r.nodeSnap = nil
+		r.blackNodes[id] = struct{}{}
 	}
-	r.blackNodes[id] = reason
 }
 
 // BlacklistCluster records that the whole cluster was evacuated.
-func (r *Requirements) BlacklistCluster(id ClusterID, reason string) {
+func (r *Requirements) BlacklistCluster(id ClusterID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, known := r.blackClusters[id]; !known {
 		r.clusterSnap = nil
+		r.blackClusters[id] = struct{}{}
 	}
-	r.blackClusters[id] = reason
 }
 
-// NodeBlacklisted reports whether the node (or its cluster) is banned.
+// NodeBlacklisted reports whether the node (or its cluster) is banned;
+// an empty node asks about the cluster alone.
 func (r *Requirements) NodeBlacklisted(node NodeID, cluster ClusterID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -77,25 +78,6 @@ func (r *Requirements) NodeBlacklisted(node NodeID, cluster ClusterID) bool {
 		return true
 	}
 	_, ok := r.blackClusters[cluster]
-	return ok
-}
-
-// BlacklistReason says why NodeBlacklisted bans the node: the reason
-// recorded for the node itself, else the one for its cluster, else "".
-func (r *Requirements) BlacklistReason(node NodeID, cluster ClusterID) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if why, ok := r.blackNodes[node]; ok {
-		return why
-	}
-	return r.blackClusters[cluster]
-}
-
-// ClusterBlacklisted reports whether the cluster is banned.
-func (r *Requirements) ClusterBlacklisted(id ClusterID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.blackClusters[id]
 	return ok
 }
 
@@ -146,7 +128,7 @@ func (r *Requirements) BlacklistedClusters() []ClusterID {
 }
 
 // sortedKeys returns m's keys in a new, sorted, non-nil slice.
-func sortedKeys[K ~string](m map[K]string) []K {
+func sortedKeys[K ~string](m map[K]struct{}) []K {
 	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)

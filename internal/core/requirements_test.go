@@ -13,18 +13,18 @@ func TestRequirementsBlacklist(t *testing.T) {
 	if r.NodeBlacklisted("n1", "c1") {
 		t.Fatal("fresh requirements should not blacklist anything")
 	}
-	r.BlacklistNode("n1", "overloaded")
+	r.BlacklistNode("n1")
 	if !r.NodeBlacklisted("n1", "c1") {
 		t.Error("n1 should be blacklisted")
 	}
 	if r.NodeBlacklisted("n2", "c1") {
 		t.Error("n2 should not be blacklisted")
 	}
-	r.BlacklistCluster("c9", "bad uplink")
+	r.BlacklistCluster("c9")
 	if !r.NodeBlacklisted("anything", "c9") {
 		t.Error("nodes of a blacklisted cluster are blacklisted")
 	}
-	if !r.ClusterBlacklisted("c9") {
+	if !r.NodeBlacklisted("", "c9") {
 		t.Error("c9 should be blacklisted")
 	}
 	got := r.BlacklistedNodes()
@@ -66,7 +66,7 @@ func TestRequirementsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				id := NodeID(rune('a' + i))
-				r.BlacklistNode(id, "x")
+				r.BlacklistNode(id)
 				r.NodeBlacklisted(id, "c")
 				r.LearnMinBandwidth(float64(j))
 				r.BlacklistedNodes()
@@ -84,12 +84,12 @@ func TestRequirementsConcurrent(t *testing.T) {
 // subs' caches alias it, so a later fact must show up in a new slice.
 func TestSnapshotSurvivesLaterFacts(t *testing.T) {
 	r := NewRequirements()
-	r.BlacklistNode("a", "x")
-	r.BlacklistNode("c", "x")
-	r.BlacklistCluster("k2", "x")
+	r.BlacklistNode("a")
+	r.BlacklistNode("c")
+	r.BlacklistCluster("k2")
 	nodes, clusters := r.BlacklistedNodes(), r.BlacklistedClusters()
-	r.BlacklistNode("b", "x")
-	r.BlacklistCluster("k1", "x")
+	r.BlacklistNode("b")
+	r.BlacklistCluster("k1")
 	if !slices.Equal(nodes, []NodeID{"a", "c"}) || !slices.Equal(clusters, []ClusterID{"k2"}) {
 		t.Fatalf("snapshots taken before the new facts now read %v %v", nodes, clusters)
 	}
@@ -106,13 +106,13 @@ func TestSnapshotSurvivesLaterFacts(t *testing.T) {
 
 // With nothing new learned a read is the snapshot the last read got:
 // same backing array, no sort, no allocation. A known node blacklisted
-// again is nothing new (its reason is updated, the snapshot stays).
+// again is nothing new: the snapshot stays.
 func TestSnapshotSharedUntilNewFact(t *testing.T) {
 	r := NewRequirements()
 	for i := 0; i < 2000; i++ {
-		r.BlacklistNode(NodeID(fmt.Sprintf("n%04d", i)), "x")
+		r.BlacklistNode(NodeID(fmt.Sprintf("n%04d", i)))
 	}
-	r.BlacklistCluster("k", "x")
+	r.BlacklistCluster("k")
 	nodes, clusters := r.BlacklistedNodes(), r.BlacklistedClusters()
 	if !slices.IsSorted(nodes) || len(nodes) != 2000 {
 		t.Fatalf("snapshot of %d nodes, sorted=%v", len(nodes), slices.IsSorted(nodes))
@@ -123,10 +123,10 @@ func TestSnapshotSharedUntilNewFact(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("reading the snapshots allocates %.1f per run, want 0", allocs)
 	}
-	r.BlacklistNode("n0007", "again")
-	r.BlacklistCluster("k", "again")
-	if why := r.BlacklistReason("n0007", ""); why != "again" {
-		t.Errorf("reason after re-blacklisting = %q, want the new one", why)
+	r.BlacklistNode("n0007")
+	r.BlacklistCluster("k")
+	if !r.NodeBlacklisted("n0007", "") || !r.NodeBlacklisted("", "k") {
+		t.Error("re-blacklisting dropped a fact")
 	}
 	if again := r.BlacklistedNodes(); &again[0] != &nodes[0] {
 		t.Error("re-blacklisting a known node rebuilt the node snapshot")
@@ -134,7 +134,7 @@ func TestSnapshotSharedUntilNewFact(t *testing.T) {
 	if again := r.BlacklistedClusters(); &again[0] != &clusters[0] {
 		t.Error("re-blacklisting a known cluster rebuilt the cluster snapshot")
 	}
-	r.BlacklistNode("zzz", "x")
+	r.BlacklistNode("zzz")
 	if fresh := r.BlacklistedNodes(); &fresh[0] == &nodes[0] || len(fresh) != 2001 || len(nodes) != 2000 {
 		t.Errorf("a new fact must build a new snapshot: %d entries (old one %d), same array=%v",
 			len(fresh), len(nodes), &fresh[0] == &nodes[0])
@@ -161,7 +161,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 				}
 				last = len(nodes)
 				for _, c := range r.BlacklistedClusters() {
-					if !r.ClusterBlacklisted(c) {
+					if !r.NodeBlacklisted("", c) {
 						t.Errorf("cluster %s in the snapshot, not in the set", c)
 					}
 				}
@@ -174,9 +174,9 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < facts; i++ {
-		r.BlacklistNode(NodeID(fmt.Sprintf("n%03d", (i*7)%facts)), "x")
+		r.BlacklistNode(NodeID(fmt.Sprintf("n%03d", (i*7)%facts)))
 		if i%50 == 0 {
-			r.BlacklistCluster(ClusterID(fmt.Sprintf("k%02d", i/50)), "x")
+			r.BlacklistCluster(ClusterID(fmt.Sprintf("k%02d", i/50)))
 		}
 	}
 	close(stop)
@@ -188,7 +188,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 
 func TestRequirementsString(t *testing.T) {
 	r := NewRequirements()
-	r.BlacklistNode("n", "slow")
+	r.BlacklistNode("n")
 	r.LearnMinBandwidth(1e5)
 	s := r.String()
 	if !strings.Contains(s, "blacklistedNodes=1") || !strings.Contains(s, "100000") {

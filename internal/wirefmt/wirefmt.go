@@ -1,11 +1,10 @@
 // Package wirefmt is the hand-rolled binary wire format the typed
 // wire layer (internal/transport/wire) uses for the repository's
-// fixed-shape control frames — steal requests and replies, statistics
-// reports, registry traffic, the job protocol — instead of paying a
-// gob round trip per frame. User task payloads (satin.Task values,
-// task results) keep travelling as gob: they are open-ended Go values,
-// and gob's type registry is exactly the right tool for them. A frame
-// embeds such a payload as one length-prefixed gob blob.
+// control frames — steal requests and replies, statistics reports,
+// registry traffic, the job protocol — instead of paying a gob round
+// trip per frame. User task payloads (satin.Task values, task results)
+// are written with the same primitives, by a plan satin compiles once
+// per registered type.
 //
 // The format is deliberately boring: unsigned varints for integers,
 // zig-zag varints for signed ones, fixed 8-byte little-endian IEEE 754
@@ -23,9 +22,7 @@
 package wirefmt
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -37,7 +34,7 @@ import (
 // their type parameter to it, so a type without one does not compile.
 type Frame interface {
 	// AppendWire appends the value's encoding to b and returns the
-	// extended slice. It fails only when an embedded gob payload cannot
+	// extended slice. It fails only when an embedded user payload cannot
 	// be encoded (an unregistered concrete type).
 	AppendWire(b []byte) ([]byte, error)
 	// DecodeWire reads the value back from r. It must consume exactly
@@ -71,9 +68,14 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// AppendU64 appends v as 8 little-endian bytes.
+func AppendU64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
+}
+
 // AppendF64 appends v as 8 little-endian IEEE 754 bytes.
 func AppendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	return AppendU64(b, math.Float64bits(v))
 }
 
 // AppendString appends s length-prefixed.
@@ -86,22 +88,6 @@ func AppendString(b []byte, s string) []byte {
 func AppendBytes(b []byte, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
-}
-
-// AppendGob appends v as one length-prefixed gob blob — the escape
-// hatch control frames use for open-ended user payloads (tasks, task
-// results). A nil v encodes as an explicit absence marker, which gob
-// itself cannot represent.
-func AppendGob(b []byte, v any) ([]byte, error) {
-	if v == nil {
-		return append(b, 0), nil
-	}
-	b = append(b, 1)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return AppendBytes(b, buf.Bytes()), nil
 }
 
 // ---- decoding ----
@@ -185,19 +171,22 @@ func (r *Reader) Bool() bool {
 	return c == 1
 }
 
-// F64 reads 8 little-endian IEEE 754 bytes.
-func (r *Reader) F64() float64 {
+// U64 reads 8 little-endian bytes.
+func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.Remaining() < 8 {
-		r.fail("truncated float64")
+		r.fail("truncated 8-byte field")
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	v := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8
 	return v
 }
+
+// F64 reads 8 little-endian IEEE 754 bytes.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Finite reads a float64 that must be finite: NaN or ±Inf fails the
 // frame.
@@ -278,29 +267,4 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(r.view(n))
-}
-
-// Gob reads a payload written by AppendGob into *v. Absent payloads
-// leave *v nil.
-func (r *Reader) Gob(v *any) error {
-	present := r.Bool()
-	if r.err != nil {
-		return r.err
-	}
-	if !present {
-		*v = nil
-		return nil
-	}
-	n := r.Len()
-	if r.err != nil {
-		return r.err
-	}
-	blob := r.view(n)
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: gob payload: %v", ErrMalformed, err)
-		}
-		return r.err
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package wirefmt
 
 import (
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -18,6 +17,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	b = AppendBool(b, false)
 	b = AppendF64(b, math.Inf(-1))
 	b = AppendF64(b, 3.5)
+	b = AppendU64(b, math.MaxUint64-1)
 	b = AppendString(b, "héllo wörld ✓")
 	b = AppendString(b, "")
 	b = AppendBytes(b, []byte{1, 2, 3})
@@ -47,6 +47,9 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	if got := r.F64(); got != 3.5 {
 		t.Fatalf("f64 = %v", got)
+	}
+	if got := r.U64(); got != math.MaxUint64-1 {
+		t.Fatalf("u64 = %d", got)
 	}
 	if got := r.String(); got != "héllo wörld ✓" {
 		t.Fatalf("string = %q", got)
@@ -97,50 +100,13 @@ func TestBadBoolRejected(t *testing.T) {
 	}
 }
 
-type gobPayload struct{ X int }
-
-func init() { gob.Register(gobPayload{}) }
-
-func TestGobBlobRoundTrip(t *testing.T) {
-	b, err := AppendGob(nil, gobPayload{X: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err = AppendGob(b, nil) // explicit absence
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(b)
-	var v1, v2 any
-	if err := r.Gob(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Gob(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if v1.(gobPayload).X != 41 || v2 != nil {
-		t.Fatalf("gob blobs = %v, %v", v1, v2)
-	}
-}
-
-func TestGobBlobUnregisteredTypeFailsCleanly(t *testing.T) {
-	type never struct{ Y int }
-	if _, err := AppendGob(nil, never{1}); err == nil {
-		t.Fatal("encoding an unregistered type must fail")
-	}
-}
-
 // FuzzReader drives every Reader method over arbitrary input: no
 // sequence of reads may panic or read past the buffer.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0xFF, 0x80, 0x80, 0x80})
 	f.Add(AppendString(AppendUvarint(nil, 7), strings.Repeat("a", 40)))
-	b, _ := AppendGob(nil, gobPayload{X: 1})
-	f.Add(b)
+	f.Add(AppendString(AppendU64([]byte{1}, 0x0123456789abcdef), "x"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		// A fixed op schedule covering every method; sticky errors make
@@ -154,8 +120,7 @@ func FuzzReader(f *testing.F) {
 		_ = r.Count()
 		_ = r.String()
 		_ = r.View(r.Len())
-		var v any
-		_ = r.Gob(&v)
+		_ = r.U64()
 		if r.Remaining() < 0 {
 			t.Fatalf("reader over-read: %d remaining", r.Remaining())
 		}

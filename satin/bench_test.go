@@ -134,9 +134,9 @@ func init() { Register(tfibCut{}) }
 // BenchmarkStealReplyRoundTrip encodes and decodes the two frames a
 // granted steal puts on the wire after the request: the reply that
 // carries a registered task and the result that comes back for it. One
-// op is both round trips. Each payload rides as a gob blob with an
-// encoder and a decoder of its own, which is most of the cost: the
-// baseline for a typed payload codec.
+// op is both round trips. Each payload goes through the plan its type
+// compiled at registration; decoding allocates the owner string and
+// each payload's value and interface box.
 func BenchmarkStealReplyRoundTrip(b *testing.B) {
 	reply := stealReplyMsg{Seq: 7, HasJob: true, Job: jobMsg{ID: 42, Owner: "c0/01", Task: tfibCut{N: 20, Cutoff: 12}}}
 	result := resultMsg{ID: 42, Value: fibLeaves(20)}

@@ -1,6 +1,9 @@
 package satin
 
-import "repro/internal/steal"
+import (
+	"repro/internal/steal"
+	"repro/internal/wirefmt"
+)
 
 // StealStats snapshots the node's steal-attempt counters.
 func (n *Node) StealStats() steal.Stats { return n.stealer.eng.Stats() }
@@ -34,4 +37,15 @@ func (n *Node) heldBy(id NodeID) int {
 		}
 	}
 	return k
+}
+
+// EncodePayload and DecodePayload run the payload codec alone, for the
+// round-trip table of the external tests. DecodePayload fails unless
+// the payload takes exactly b.
+func EncodePayload(v any) ([]byte, error) { return appendPayload(nil, v) }
+
+func DecodePayload(b []byte) (any, error) {
+	r := wirefmt.NewReader(b)
+	v := readPayload(&r)
+	return v, r.Finish()
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // tgate occupies a node's worker: Execute announces it started, then
-// blocks until released. It never crosses the wire successfully (chan
-// fields are not gob-encodable), which is fine — a steal attempt takes
-// the encode-fallback path and hands the job back.
+// blocks until released. It never crosses the wire successfully: its
+// chan fields have no payload codec, so it is not registered, and a
+// steal attempt takes the encode-fallback path and hands the job back.
 type tgate struct {
 	Started chan struct{}
 	Release chan struct{}
@@ -20,7 +20,7 @@ func (g tgate) Execute(*Context) (any, error) {
 	return 0, nil
 }
 
-// unregisteredResult is deliberately never gob-registered: a task
+// unregisteredResult is deliberately never registered: a task
 // returning it produces a result frame that cannot be encoded.
 type unregisteredResult struct{ X int }
 
@@ -28,10 +28,7 @@ type tbadResult struct{}
 
 func (tbadResult) Execute(*Context) (any, error) { return unregisteredResult{X: 1}, nil }
 
-func init() {
-	Register(tgate{})
-	Register(tbadResult{})
-}
+func init() { Register(tbadResult{}) }
 
 // A remotely executed task whose result type is not registered must
 // surface as an error on the spawner's future — never a silent drop

@@ -371,7 +371,7 @@ func (n *Node) onSteal(sm stealMsg, _ wire.Meta) {
 		wire.Send(n.wc, satinEP(reply.Job.Owner), holdingMsg{ID: reply.Job.ID, Holder: sm.Thief})
 	}
 	if err := wire.Send(n.wc, thief, reply); err != nil {
-		// Task type not registered for gob (or the thief is gone): hand
+		// Task type not registered (or the thief is gone): hand
 		// the job back to ourselves and fail the steal.
 		if reply.HasJob {
 			if reply.Job.Owner == n.cfg.ID {

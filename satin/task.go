@@ -8,9 +8,9 @@
 //
 // Tasks are plain Go values implementing Task; they and their result
 // types must be registered (Register/RegisterValue) because stolen
-// jobs and their results travel between nodes as gob blobs embedded in
-// binary control frames (every other field of every frame has a
-// hand-written codec; gob is used only where the shape is open).
+// jobs and their results travel between nodes in binary control
+// frames, encoded by a plan that registration compiles once per type
+// over its exported fields.
 //
 // A typical divide-and-conquer application:
 //
@@ -30,8 +30,8 @@
 package satin
 
 import (
-	"encoding/gob"
 	"fmt"
+	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -46,18 +46,21 @@ type (
 
 // Task is a unit of distributable work. Execute runs on whichever node
 // ends up holding the task; it may spawn subtasks through the Context.
-// Implementations must be gob-encodable values (no unexported fields
-// carrying state) and registered with Register.
+// Implementations must be values whose exported fields are bools,
+// ints, uints, floats, strings, or slices, arrays and structs of them
+// (unexported fields do not travel), registered with Register.
 type Task interface {
 	Execute(ctx *Context) (any, error)
 }
 
-// Register makes a task type transferable between nodes.
-func Register(t Task) { gob.Register(t) }
+// Register makes a task type transferable between nodes. It panics,
+// naming the field, if the type has a field of any other kind.
+func Register(t Task) { registerPayload(reflect.TypeOf(t)) }
 
-// RegisterValue makes a result type transferable between nodes; basic
-// types (ints, floats, strings, slices of them) work out of the box.
-func RegisterValue(v any) { gob.Register(v) }
+// RegisterValue makes a result type transferable between nodes, with
+// Register's rules; basic types (ints, floats, strings, slices of them)
+// work out of the box.
+func RegisterValue(v any) { registerPayload(reflect.TypeOf(v)) }
 
 // wire messages of the runtime protocol
 type stealMsg struct {

@@ -9,7 +9,7 @@ import (
 )
 
 // The runtime over real TCP sockets: a hub, a registry and three nodes
-// exchanging gob-encoded jobs and results through the loopback
+// exchanging encoded jobs and results through the loopback
 // interface — the deployment mode for nodes in separate processes.
 func TestSatinOverTCP(t *testing.T) {
 	hub, err := transport.NewTCPHub("127.0.0.1:0")

@@ -2,12 +2,11 @@ package satin
 
 import "repro/internal/wirefmt"
 
-// Binary codecs for the runtime protocol's control frames (ISSUE 7):
-// the fixed-shape fields are hand-encoded with wirefmt primitives, and
-// the open-ended user payloads — Task values and task results — ride
-// inside as length-prefixed gob blobs. Gob's type registry is exactly
-// the right tool for those, and embedding them keeps
-// Register/RegisterValue the only user-facing registration API.
+// Binary codecs for the runtime protocol's control frames: the
+// fixed-shape fields are hand-encoded with wirefmt primitives, and the
+// open-ended user payloads — Task values and task results — ride
+// inside through the payload codec (payload.go), whose plans
+// Register/RegisterValue compile.
 
 func (m *stealMsg) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendString(b, string(m.Thief))
@@ -28,17 +27,13 @@ func (m *stealMsg) DecodeWire(r *wirefmt.Reader) error {
 func (m *jobMsg) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendUvarint(b, m.ID)
 	b = wirefmt.AppendString(b, string(m.Owner))
-	return wirefmt.AppendGob(b, m.Task)
+	return appendPayload(b, m.Task)
 }
 
 func (m *jobMsg) DecodeWire(r *wirefmt.Reader) error {
 	m.ID = r.Uvarint()
 	m.Owner = NodeID(r.String())
-	var v any
-	if err := r.Gob(&v); err != nil {
-		return err
-	}
-	if v != nil {
+	if v := readPayload(r); v != nil {
 		t, ok := v.(Task)
 		if !ok {
 			r.Fail("job payload does not implement Task")
@@ -63,8 +58,8 @@ func (m *stealReplyMsg) DecodeWire(r *wirefmt.Reader) error {
 
 func (m *resultMsg) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendUvarint(b, m.ID)
-	var err error
-	if b, err = wirefmt.AppendGob(b, m.Value); err != nil {
+	b, err := appendPayload(b, m.Value)
+	if err != nil {
 		return nil, err
 	}
 	return wirefmt.AppendString(b, m.Err), nil
@@ -72,9 +67,7 @@ func (m *resultMsg) AppendWire(b []byte) ([]byte, error) {
 
 func (m *resultMsg) DecodeWire(r *wirefmt.Reader) error {
 	m.ID = r.Uvarint()
-	if err := r.Gob(&m.Value); err != nil {
-		return err
-	}
+	m.Value = readPayload(r)
 	m.Err = r.String()
 	return r.Err()
 }
