@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,11 +16,11 @@ import (
 
 // --- wire codec golden suite ------------------------------------------
 
-// TestClusterSummaryWireParity runs the summary frame's edge cases
-// through the binary codec and gob: zero values, extreme floats,
-// unicode IDs, nil-vs-populated link maps, and a fully loaded frame.
+// TestClusterSummaryWireParity holds the summary frame to the value it
+// was encoded from: zero values, extreme floats, unicode IDs,
+// nil-vs-empty-vs-populated link maps, and a fully loaded frame.
 func TestClusterSummaryWireParity(t *testing.T) {
-	frametest.Parity[ClusterSummary, *ClusterSummary](t, []ClusterSummary{
+	frametest.RoundTrip[ClusterSummary, *ClusterSummary](t, []ClusterSummary{
 		{},
 		{Cluster: "A", Seq: 1, Epoch: 0, Time: 100, Nodes: 4, Stats: 4,
 			SpeedMax: 100, SpeedMin: 50, WorkSum: 180, ZeroWork: 0.5,
@@ -83,7 +84,7 @@ func TestClusterSummaryWireRejects(t *testing.T) {
 }
 
 func TestReqStateWireParity(t *testing.T) {
-	frametest.Parity[ReqState, *ReqState](t, []ReqState{
+	frametest.RoundTrip[ReqState, *ReqState](t, []ReqState{
 		{},
 		{Nodes: []core.NodeID{"n1"}, MinBandwidth: 1e6},
 		{Nodes: []core.NodeID{"n1", "узел-2"}, Clusters: []core.ClusterID{"A", "B"}, MinBandwidth: 0.5},
@@ -93,7 +94,7 @@ func TestReqStateWireParity(t *testing.T) {
 // The tree protocol's control frames: the root's summary receipt and
 // its eager post-action reset push.
 func TestSummaryAckWireParity(t *testing.T) {
-	frametest.Parity[SummaryAck, *SummaryAck](t, []SummaryAck{
+	frametest.RoundTrip[SummaryAck, *SummaryAck](t, []SummaryAck{
 		{},
 		{Cluster: "c0", Seq: 7, Epoch: 3},
 		{Cluster: "grappe-é", Seq: math.MaxUint64, Epoch: 1 << 40, Req: ReqState{
@@ -105,7 +106,7 @@ func TestSummaryAckWireParity(t *testing.T) {
 }
 
 func TestShardResetWireParity(t *testing.T) {
-	frametest.Parity[ShardReset, *ShardReset](t, []ShardReset{
+	frametest.RoundTrip[ShardReset, *ShardReset](t, []ShardReset{
 		{},
 		{Epoch: 5},
 		{Epoch: math.MaxUint64, Req: ReqState{
@@ -116,34 +117,44 @@ func TestShardResetWireParity(t *testing.T) {
 	})
 }
 
-func TestSummaryAckWireCorrupt(t *testing.T) {
-	ack := SummaryAck{Cluster: "c0", Seq: 9, Epoch: 2, Req: ReqState{
-		Nodes: []core.NodeID{"c0/01"}, Clusters: []core.ClusterID{"bad"}, MinBandwidth: 1e5,
-	}}
-	enc, err := ack.AppendWire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frametest.Corrupt[SummaryAck, *SummaryAck](t, enc)
+// summaryGolden, ackGolden and resetGolden are one frame of each
+// tree-protocol kind, zero and fully loaded, with its committed bytes;
+// FuzzTreeFrames seeds from all of them.
+var summaryGolden = []frametest.Row{
+	{Frame: &ClusterSummary{}, Hex: "00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{Frame: &ClusterSummary{
+		Cluster: "grappe-é", Seq: 3, Epoch: 1, Time: 200, Nodes: 2, Stats: 2,
+		SpeedMax: 100, SpeedMin: 50, WorkSum: 75, ZeroWork: 0.5, EffSum: 1.5,
+		SpeedSum: 150, InterSum: 0.25, InterBWSum: 2e6, InterBWCnt: 1,
+		Links:     map[core.ClusterID]core.LinkSample{"B": {Seconds: 1, Bytes: 2e6}, "": {}},
+		Proposals: []NodeSample{{Node: "узел-1", Speed: 50, Idle: 0.5, IntraComm: 0.125, InterComm: 0.0625}},
+		HasStream: true, StreamArrived: 40, StreamCompleted: 39, StreamLatencySum: 12.25, StreamBacklog: 3,
+		Req: ReqState{Nodes: []core.NodeID{"bad"}, MinBandwidth: 1e5},
+	}, Hex: "096772617070652dc3a9030100000000000069400404000000000000594000000000000049400000000000c05240000000000000e03f000000000000f83f0000000000c06240000000000000d03f0000000080843e410201504e000000000080284006010200000000000000000000000000000000000142000000000000f03f0000000080843e41010ad183d0b7d0b5d0bb2d310000000000004940000000000000e03f000000000000c03f000000000000b03f01036261640000000000006af840"},
 }
 
-func TestClusterSummaryWireCorrupt(t *testing.T) {
-	sum := ClusterSummary{
-		Cluster: "A", Seq: 3, Epoch: 1, Time: 200, Nodes: 2, Stats: 2,
-		SpeedMax: 100, SpeedMin: 50, WorkSum: 75, EffSum: 1.5,
-		SpeedSum: 150, InterSum: 0.25, InterBWSum: 2e6, InterBWCnt: 1,
-		Links:     map[core.ClusterID]core.LinkSample{"B": {Seconds: 1, Bytes: 2e6}},
-		Proposals: []NodeSample{{Node: "n0", Speed: 50, Idle: 0.5}},
-		Req:       ReqState{Nodes: []core.NodeID{"bad"}, MinBandwidth: 1e5},
-		HasStream: true, StreamArrived: 40, StreamCompleted: 39,
-		StreamLatencySum: 12.25, StreamBacklog: 3,
-	}
-	enc, err := sum.AppendWire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frametest.Corrupt[ClusterSummary, *ClusterSummary](t, enc)
+var ackGolden = []frametest.Row{
+	{Frame: &SummaryAck{}, Hex: "00000000000000000000000000"},
+	{Frame: &SummaryAck{Cluster: "c0", Seq: 9, Epoch: 2, Req: ReqState{
+		Nodes: []core.NodeID{"c0/01"}, Clusters: []core.ClusterID{"bad"}, MinBandwidth: 5e-324}}, Hex: "0263300902010563302f303101036261640100000000000000"},
 }
+
+var resetGolden = []frametest.Row{
+	{Frame: &ShardReset{}, Hex: "0000000000000000000000"},
+	{Frame: &ShardReset{Epoch: ^uint64(0), Req: ReqState{Clusters: []core.ClusterID{"x", "y"}}}, Hex: "ffffffffffffffffff010002017801790000000000000000"},
+}
+
+var treeGolden = slices.Concat(summaryGolden, ackGolden, resetGolden)
+
+// TestTreeWireGolden pins the tree protocol's frames by bytes.
+func TestTreeWireGolden(t *testing.T) { frametest.Golden(t, treeGolden) }
+
+// TestClusterSummaryWireCorrupt, TestSummaryAckWireCorrupt and
+// TestShardResetWireCorrupt: a truncated frame fails cleanly and a
+// flipped byte never panics the decoder.
+func TestClusterSummaryWireCorrupt(t *testing.T) { frametest.Corrupt(t, summaryGolden) }
+func TestSummaryAckWireCorrupt(t *testing.T)     { frametest.Corrupt(t, ackGolden) }
+func TestShardResetWireCorrupt(t *testing.T)     { frametest.Corrupt(t, resetGolden) }
 
 // --- scripted decisions through the composed kernel -------------------
 

@@ -88,8 +88,8 @@ func (sum *ClusterSummary) AppendWire(b []byte) ([]byte, error) {
 		b = wirefmt.AppendF64(b, sum.StreamLatencySum)
 		b = wirefmt.AppendVarint(b, int64(sum.StreamBacklog))
 	}
-	// Presence byte keeps a nil link map distinguishable from an empty
-	// one, exactly as gob keeps it.
+	// A presence byte keeps a nil link map apart from an empty one, so
+	// the decoder returns the map that was sent.
 	b = wirefmt.AppendBool(b, sum.Links != nil)
 	if sum.Links != nil {
 		b = wirefmt.AppendUvarint(b, uint64(len(sum.Links)))

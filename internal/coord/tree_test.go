@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/wirefmt"
+	"repro/internal/wirefmt/frametest"
 )
 
 // treeScript drives the tree protocol the way a driver does — nothing
@@ -374,57 +374,6 @@ func TestAdoptSnapshotUnderDisableBlacklist(t *testing.T) {
 }
 
 // FuzzTreeFrames feeds arbitrary bytes to the decoders of the three
-// frames every adaptive job's coordinator tree exchanges: no panic, a
-// sticky error on truncation, and whatever a decoder accepts must
-// re-encode to bytes that decode to the same value.
-func FuzzTreeFrames(f *testing.F) {
-	for _, fr := range []wirefmt.Frame{
-		&ClusterSummary{}, &SummaryAck{}, &ShardReset{},
-		&ClusterSummary{
-			Cluster: "grappe-é", Seq: ^uint64(0), Epoch: 1 << 40, Time: 200, Nodes: 2, Stats: 2,
-			SpeedMax: 100, SpeedMin: 50, WorkSum: 75, EffSum: 1.5, SpeedSum: 150, InterSum: 0.25,
-			InterBWSum: 2e6, InterBWCnt: 1,
-			Links:     map[core.ClusterID]core.LinkSample{"B": {Seconds: 1, Bytes: 2e6}, "": {}},
-			Proposals: []NodeSample{{Node: "узел-1", Speed: 50, Idle: 0.5}},
-			HasStream: true, StreamArrived: 40, StreamCompleted: 39, StreamLatencySum: 12.25, StreamBacklog: 3,
-			Req: ReqState{Nodes: []core.NodeID{"bad"}, MinBandwidth: 1e5},
-		},
-		&SummaryAck{Cluster: "c0", Seq: 9, Epoch: 2, Req: ReqState{
-			Nodes: []core.NodeID{"c0/01"}, Clusters: []core.ClusterID{"bad"}, MinBandwidth: 5e-324}},
-		&ShardReset{Epoch: ^uint64(0), Req: ReqState{Clusters: []core.ClusterID{"x", "y"}}},
-	} {
-		enc, err := fr.AppendWire(nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, fresh := range []func() wirefmt.Frame{
-			func() wirefmt.Frame { return &ClusterSummary{} },
-			func() wirefmt.Frame { return &SummaryAck{} },
-			func() wirefmt.Frame { return &ShardReset{} },
-		} {
-			r := wirefmt.NewReader(data)
-			fr := fresh()
-			if err := fr.DecodeWire(&r); err != nil {
-				if r.Err() == nil {
-					t.Fatalf("%T: decode failed (%v) but the reader's error is not sticky", fr, err)
-				}
-				continue
-			}
-			enc, err := fr.AppendWire(nil)
-			if err != nil {
-				t.Fatalf("%T: accepted frame does not re-encode: %v", fr, err)
-			}
-			r2 := wirefmt.NewReader(enc)
-			again := fresh()
-			if err := again.DecodeWire(&r2); err != nil || r2.Remaining() != 0 {
-				t.Fatalf("%T: re-encoded frame does not decode cleanly: %v, %d bytes left", fr, err, r2.Remaining())
-			}
-			if enc2, _ := again.AppendWire(nil); string(enc2) != string(enc) {
-				t.Fatalf("%T: re-encode does not round-trip:\n %x\n %x", fr, enc, enc2)
-			}
-		}
-	})
-}
+// frames every adaptive job's coordinator tree exchanges, seeded from
+// their golden table (frametest.Fuzz states the property).
+func FuzzTreeFrames(f *testing.F) { frametest.Fuzz(f, treeGolden) }

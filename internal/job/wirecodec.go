@@ -14,7 +14,7 @@ import (
 
 // appendF64Map writes a string→float64 map in sorted key order, so a
 // given value always encodes to the same bytes. A presence byte keeps
-// nil distinguishable from empty, exactly as gob keeps it.
+// nil apart from empty, so the decoder returns the map that was sent.
 func appendF64Map(b []byte, m map[string]float64) []byte {
 	b = wirefmt.AppendBool(b, m != nil)
 	if m == nil {

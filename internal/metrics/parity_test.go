@@ -8,11 +8,11 @@ import (
 	"repro/internal/wirefmt/frametest"
 )
 
-// TestReportWireParity is the ISSUE 7 golden suite for the statistics
-// report: binary and gob codecs must agree on zero values, extreme
-// floats, unicode IDs and nil-vs-populated link maps.
+// TestReportWireParity holds the statistics report to the value it was
+// encoded from, over zero values, extreme floats, unicode IDs and
+// nil-vs-empty-vs-populated link maps.
 func TestReportWireParity(t *testing.T) {
-	frametest.Parity[Report, *Report](t, []Report{
+	frametest.RoundTrip[Report, *Report](t, []Report{
 		{},
 		{
 			Node: "узел-0", Cluster: "cluster-ü",
@@ -55,17 +55,22 @@ func TestReportWireRejects(t *testing.T) {
 	})
 }
 
-func TestReportWireCorrupt(t *testing.T) {
-	rep := Report{
-		Node: "n0", Cluster: "c0", Start: 1, End: 2, BusySec: 0.5, Speed: 100,
-		Links: map[core.ClusterID]core.LinkSample{"c1": {Seconds: 1, Bytes: 2}},
-	}
-	enc, err := rep.AppendWire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frametest.Corrupt[Report, *Report](t, enc)
+// reportGolden is the statistics report with its committed bytes.
+var reportGolden = []frametest.Row{
+	{Frame: &Report{
+		Node: "fs0/00", Cluster: "fs0", Start: 180, End: 360,
+		BusySec: 150, IntraSec: 10, InterSec: 5, BenchSec: 3, IdleSec: 12,
+		Speed: 1234.5, InterBandwidth: 2e6,
+		Links: map[core.ClusterID]core.LinkSample{"fs1": {Seconds: 0.5, Bytes: 1 << 20}, "fs2": {Seconds: 2, Bytes: 7}},
+	}, Hex: "066673302f303003667330000000000080664000000000008076400000000000c06240000000000000244000000000000014400000000000000840000000000000284000000000004a93400000000080843e41010203667331000000000000e03f00000000000030410366733200000000000000400000000000001c40"},
 }
+
+// TestReportWireGolden pins the report by bytes.
+func TestReportWireGolden(t *testing.T) { frametest.Golden(t, reportGolden) }
+
+// TestReportWireCorrupt: a truncated report fails cleanly and a flipped
+// byte never panics the decoder.
+func TestReportWireCorrupt(t *testing.T) { frametest.Corrupt(t, reportGolden) }
 
 // TestReportEncodingDeterministic: the link map is written in sorted
 // peer order, so the same report always encodes to the same bytes.

@@ -27,8 +27,8 @@ func (rep *Report) AppendWire(b []byte) ([]byte, error) {
 	b = wirefmt.AppendF64(b, rep.IdleSec)
 	b = wirefmt.AppendF64(b, rep.Speed)
 	b = wirefmt.AppendF64(b, rep.InterBandwidth)
-	// Presence byte keeps a nil map distinguishable from an empty one,
-	// exactly as gob keeps it.
+	// A presence byte keeps a nil map apart from an empty one, so the
+	// decoder returns the map that was sent.
 	b = wirefmt.AppendBool(b, rep.Links != nil)
 	if rep.Links == nil {
 		return b, nil

@@ -52,7 +52,7 @@ func (m *joinAck) DecodeWire(r *wirefmt.Reader) error {
 		return r.Err()
 	}
 	if n == 0 {
-		return nil // empty decodes as nil, matching gob
+		return nil // an empty list is its count alone, and decodes as nil
 	}
 	// Each member takes at least two length prefixes; a count past the
 	// remaining bytes is hostile, not short.

@@ -14,8 +14,8 @@ import (
 	"repro/internal/wirefmt/frametest"
 )
 
-// parityTask is a registered task type so Task payloads can round-trip
-// through both codecs in the parity suite.
+// parityTask is a registered task type, so a steal reply can carry one
+// in the round-trip and golden suites.
 type parityTask struct {
 	N     int
 	Label string
@@ -25,84 +25,61 @@ func (p parityTask) Execute(*Context) (any, error) { return p.N, nil }
 
 func init() { Register(parityTask{}) }
 
-// TestWireParity is the golden suite for the runtime protocol: every
-// registered control-frame kind, encoded by the binary codec and by a
-// fresh gob session, must decode to identical values across an
-// edge-case table (zero values, max integers, unicode IDs, absent
-// payloads). A frame that carries a payload is held to the value it
-// started as instead: gob knows no payload type the payload codec
-// registers, so it is no reference for them.
+// TestWireParity holds every runtime control-frame kind to the value it
+// was encoded from, over zero values, max integers, unicode IDs, absent
+// and present payloads.
 func TestWireParity(t *testing.T) {
 	uni := NodeID("узел/θ-7")
-	frametest.Parity[stealMsg, *stealMsg](t, []stealMsg{
+	frametest.RoundTrip[stealMsg, *stealMsg](t, []stealMsg{
 		{},
 		{Thief: "n0", Cluster: "c0", Seq: 1},
 		{Thief: uni, Cluster: "grappe-é", Seq: ^uint64(0)},
 	})
-	frametest.Parity[stealReplyMsg, *stealReplyMsg](t, []stealReplyMsg{
+	frametest.RoundTrip[stealReplyMsg, *stealReplyMsg](t, []stealReplyMsg{
 		{},
 		{Seq: 7, HasJob: false},
-	})
-	frametest.Parity[resultMsg, *resultMsg](t, []resultMsg{
-		{},
-		{ID: 3, Value: nil, Err: "task panic"},
-	})
-	roundTrips[stealReplyMsg, *stealReplyMsg](t, []stealReplyMsg{
 		{Seq: ^uint64(0), HasJob: true, Job: jobMsg{ID: 42, Owner: uni, Task: parityTask{N: -3, Label: "日本語"}}},
 	})
-	roundTrips[resultMsg, *resultMsg](t, []resultMsg{
+	frametest.RoundTrip[resultMsg, *resultMsg](t, []resultMsg{
+		{},
+		{ID: 3, Value: nil, Err: "task panic"},
 		{ID: 9, Value: 123, Err: ""},
 		{ID: ^uint64(0), Value: strings.Repeat("x", 300), Err: "boom: перелом"},
 	})
-	frametest.Parity[holdingMsg, *holdingMsg](t, []holdingMsg{
+	frametest.RoundTrip[holdingMsg, *holdingMsg](t, []holdingMsg{
 		{},
 		{ID: ^uint64(0), Holder: uni},
 	})
+	frametest.RoundTrip[wakeMsg, *wakeMsg](t, []wakeMsg{{}})
 }
 
-// roundTrips fails the test unless every value decodes, from exactly
-// the bytes its encoding took, to a value deeply equal to itself.
-func roundTrips[T any, PT interface {
-	*T
-	wirefmt.Frame
-}](t *testing.T, vals []T) {
-	t.Helper()
-	for i, v := range vals {
-		enc, err := PT(&v).AppendWire(nil)
-		if err != nil {
-			t.Errorf("value %d (%+v): encode: %v", i, v, err)
-			continue
-		}
-		var out T
-		r := wirefmt.NewReader(enc)
-		if err := PT(&out).DecodeWire(&r); err != nil {
-			t.Errorf("value %d (%+v): decode: %v", i, v, err)
-		} else if err := r.Finish(); err != nil {
-			t.Errorf("value %d (%+v): %v", i, v, err)
-		} else if !reflect.DeepEqual(out, v) {
-			t.Errorf("value %d: decoded %+v, want %+v", i, out, v)
-		}
-	}
+// satinGolden is one frame of each runtime kind, with its committed
+// bytes; the steal reply's task pins parityTask's payload fingerprint.
+var satinGolden = []frametest.Row{
+	{Frame: &stealMsg{Thief: "fs0/01", Cluster: "fs0", Seq: 77}, Hex: "066673302f3031036673304d"},
+	{Frame: &stealReplyMsg{Seq: 2, HasJob: true, Job: jobMsg{ID: 1, Owner: "fs1/00", Task: parityTask{N: 4, Label: "é"}}}, Hex: "020101066673312f3030010faa45ee50f508e80802c3a9"},
+	{Frame: &resultMsg{ID: 11, Value: 5, Err: "e"}, Hex: "0b012ac6a92bca4037f00a0165"},
+	{Frame: &holdingMsg{ID: 3, Holder: "fs0/02"}, Hex: "03066673302f3032"},
+	{Frame: &wakeMsg{}, Hex: ""},
 }
 
-// TestWireCorrupt walks every truncation and byte flip of a
-// representative encoding of each frame kind through the decoder: no
-// panics, no over-reads.
+// TestWireGolden pins the runtime protocol by bytes.
+func TestWireGolden(t *testing.T) { frametest.Golden(t, satinGolden) }
+
+// TestWireCorrupt: a truncated runtime frame fails cleanly and a
+// flipped byte never panics the decoder. The wake frame has no body,
+// so the bytes a corrupt one arrives with are a tail the frame check
+// refuses.
 func TestWireCorrupt(t *testing.T) {
-	enc := func(f wirefmt.Frame) []byte {
-		b, err := f.AppendWire(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	frametest.Corrupt(t, satinGolden)
+	var m wakeMsg
+	r := wirefmt.NewReader([]byte{0x01, 0xFF})
+	if err := m.DecodeWire(&r); err != nil {
+		t.Fatalf("wake decode: %v", err)
 	}
-	frametest.Corrupt[stealMsg, *stealMsg](t, enc(&stealMsg{Thief: "n0", Cluster: "c0", Seq: 77}))
-	frametest.Corrupt[stealReplyMsg, *stealReplyMsg](t, enc(&stealReplyMsg{Seq: 2, HasJob: true, Job: jobMsg{ID: 1, Owner: "n1", Task: parityTask{N: 4}}}))
-	frametest.Corrupt[resultMsg, *resultMsg](t, enc(&resultMsg{ID: 11, Value: 5, Err: "e"}))
-	frametest.Corrupt[holdingMsg, *holdingMsg](t, enc(&holdingMsg{ID: 3, Holder: "n2"}))
-	// The wake frame has no body; what a decoder must survive is one
-	// that arrives with bytes.
-	frametest.Corrupt[wakeMsg, *wakeMsg](t, []byte{0x01, 0xFF})
+	if err := r.Finish(); !errors.Is(err, wirefmt.ErrMalformed) {
+		t.Fatalf("wake frame with 2 trailing bytes finished with %v, want a malformed-frame error", err)
+	}
 }
 
 // TestJobMsgRejectsNonTaskPayload: a payload that decodes fine but is

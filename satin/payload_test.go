@@ -1,6 +1,7 @@
 package satin_test
 
 import (
+	"encoding/hex"
 	"math"
 	"reflect"
 	"strings"
@@ -26,7 +27,7 @@ func init() { satin.Register(fibCut{}) }
 // type the applications register, every basic kind, nil, and a
 // tfibCut-shaped task: each value decodes, from exactly the bytes its
 // encoding took, to a value deeply equal to itself. An empty slice
-// decodes as nil, as gob decoded it.
+// decodes as nil, as in every control codec.
 func TestPayloadRoundTrip(t *testing.T) {
 	dist := [][]float64{{0, 1.5, 2}, {1.5, 0, math.Inf(1)}, {2, math.Inf(1), 0}}
 	for _, tc := range []struct {
@@ -83,6 +84,35 @@ func TestPayloadRoundTrip(t *testing.T) {
 				t.Fatalf("decoded %#v, want %#v", got, want)
 			}
 		})
+	}
+}
+
+// TestAppPayloadFingerprints pins the fingerprint, the 8 bytes after
+// the presence byte, of every payload type the applications register.
+// It hashes the type's name and field layout, so a renamed, added or
+// reordered field changes what a peer accepts and fails here first.
+func TestAppPayloadFingerprints(t *testing.T) {
+	for _, tc := range []struct {
+		v  any
+		fp string
+	}{
+		{apps.Fib{}, "0a90bf3bcc30afc9"},
+		{apps.NQueens{}, "b132d50918c149cd"},
+		{apps.Integrate{}, "b829547823c93410"},
+		{apps.BHForces{}, "7b1469d0037a6e83"},
+		{apps.Knapsack{}, "3e0c2da04dce1430"},
+		{apps.TSP{}, "0157d2f50451d90e"},
+		{apps.StreamWindow{}, "360e222294199908"},
+		{apps.TourResult{}, "0fc57189d8cb8476"},
+		{[]apps.Accel{}, "5ed11bc7de1e72a2"},
+	} {
+		b, err := satin.EncodePayload(tc.v)
+		if err != nil {
+			t.Fatalf("%T: %v", tc.v, err)
+		}
+		if got := hex.EncodeToString(b[1:9]); got != tc.fp {
+			t.Errorf("%T: fingerprint %s, want %s", tc.v, got, tc.fp)
+		}
 	}
 }
 
