@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke reach
+.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke reach goldens
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ scale:
 # that is linked again or gone (see scripts/check_reach.sh).
 reach:
 	./scripts/check_reach.sh
+
+# Rewrites every golden the simulator owns from what the code prints:
+# the period-log digests TestPeriodLogGolden reads, the des_paper and
+# des_scale benchmark digests, and EXPERIMENTS.md's Figure 1 rows (see
+# scripts/goldens.sh). A PR that may move simulated decisions runs it
+# and commits what it writes; CI fails when it would change a file.
+goldens:
+	./scripts/goldens.sh
 
 # Run the paper's evaluation scenarios (Figure 1 table + period logs).
 gridsim:

@@ -111,7 +111,7 @@ func (c *Coordinator) startRoot(seed *coord.SubLink) error {
 	c.root = r
 	protected := append([]NodeID(nil), c.cfg.Protected...)
 	c.mu.Unlock()
-	r.kern.Protect(protected...)
+	r.kern.SetProtected(protected...)
 	wire.Handle(r.wc, r.onSummary)
 	return nil
 }

@@ -506,15 +506,6 @@ func (rk *RootKernel) adoptReqState(st ReqState) {
 	}
 }
 
-// Protect marks nodes as unremovable.
-func (rk *RootKernel) Protect(ids ...core.NodeID) {
-	rk.mu.Lock()
-	defer rk.mu.Unlock()
-	for _, id := range ids {
-		rk.protected[id] = true
-	}
-}
-
 // SetProtected replaces the protected set.
 func (rk *RootKernel) SetProtected(ids ...core.NodeID) {
 	rk.mu.Lock()

@@ -3,6 +3,7 @@ package expt
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func periodLogDigest(t *testing.T, p des.Params) (digest string, log string) {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))), b.String()
 }
 
-// uniformWorld is a flat-kernel run on clusters x perCluster identical
+// uniformWorld is a run on clusters x perCluster identical
 // nodes whose first cluster sits behind a throttled uplink, so the log
 // holds a whole-cluster eviction and the growth that follows it.
 func uniformWorld(clusters, perCluster int) des.Params {
@@ -77,37 +78,80 @@ func uniformWorld(clusters, perCluster int) des.Params {
 // bandwidth), 5 (slow nodes and the bad link together), 8 (the
 // measured-bandwidth culprit rule), 10 (the streaming objective) and a
 // 4x10 uniform world whose second eviction takes the protected-only
-// fallback. A digest moves only when a decision, a census, a reason
+// fallback. Each world runs on the flat kernel and on the coordinator
+// tree the live runtime ships, and the 4x10 world also at des_scale's
+// proposal cap. A digest moves only when a decision, a census, a reason
 // string or a learned bound does — seen here in a second instead of in a
-// benchmark run; re-record one only with the reason in CHANGES.md.
+// benchmark run. The digests live in testdata/periodlog.digest, which
+// `make goldens` rewrites; re-record one only with the reason in
+// CHANGES.md.
 func TestPeriodLogGolden(t *testing.T) {
-	want := map[string]string{
-		"4x10":        "506f380adf7be4b5ff03ecc60e97dea837aff5984fd902f6f7034c0522af926a",
-		"scenario 4":  "78d33a82d1b6606d8772dedd4c5e69ba572cabb7267b7070d597c4e2cc4a096b",
-		"scenario 5":  "0ebedeeb0e012988617220efb8a8416a5503eca52df8592f0b0a6402f9d30c09",
-		"scenario 8":  "5f78344567666389727034f85d9e935608565a8cb5ef6a31615819de18050312",
-		"scenario 10": "6093010c9be9ebe5b3460d010ef2c9e224c4c2353caa3e21638054849d127a62",
-	}
+	want := readDigests(t, "testdata/periodlog.digest")
 	type run struct {
 		name string
 		p    func() des.Params
 	}
-	runs := []run{{"4x10", func() des.Params { return uniformWorld(4, 10) }}}
+	worlds := []run{{"4x10", func() des.Params { return uniformWorld(4, 10) }}}
 	for _, id := range []string{"4", "5", "8", "10"} {
 		sc, ok := ByID(id)
 		if !ok {
 			t.Fatalf("scenario %s missing", id)
 		}
-		runs = append(runs, run{"scenario " + id, func() des.Params { return sc.Build(Adaptive, sc.Seed) }})
+		worlds = append(worlds, run{"scenario " + id, func() des.Params { return sc.Build(Adaptive, sc.Seed) }})
 	}
+	var runs []run
+	for _, w := range worlds {
+		w := w
+		runs = append(runs, w, run{w.name + " tree", func() des.Params {
+			p := w.p()
+			p.Sharded = true
+			return p
+		}})
+	}
+	runs = append(runs, run{"4x10 tree cap8", func() des.Params {
+		p := uniformWorld(4, 10)
+		p.Sharded, p.ProposalCap = true, 8
+		return p
+	}})
+	ran := make(map[string]bool, len(runs))
 	for _, r := range runs {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
+			name := strings.TrimPrefix(t.Name(), "TestPeriodLogGolden/")
+			ran[name] = true
 			t.Parallel()
 			got, log := periodLogDigest(t, r.p())
-			if got != want[r.name] {
-				t.Errorf("period log digest %s, want %s\n%s", got, want[r.name], log)
+			if got != want[name] {
+				t.Errorf("period log digest %s, want %s\n%s", got, want[name], log)
 			}
 		})
 	}
+	for name := range want {
+		if !ran[name] {
+			t.Errorf("testdata row %s names no run", name)
+		}
+	}
+}
+
+// readDigests reads a digest file: one "name digest" line per run, the
+// name as go test prints the subtest's (spaces become underscores);
+// blank lines and lines starting with # are skipped.
+func readDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		want[f[0]] = f[1]
+	}
+	return want
 }
