@@ -150,11 +150,11 @@ func (s *Sim) sendSteal(n, v *simNode, inter, wanSlot bool) {
 		m.refuse = func() { s.stealReply(m, false, 2*m.lat) }
 		m.deliver = func() { s.stealDeliver(m) }
 	}
-	*m = stealMsg{
-		n: n, v: v, inter: inter, wanSlot: wanSlot,
-		lat: n.site.Latency(v.site), issuedAt: s.k.Now(),
-		arrive: m.arrive, handle: m.handle, refuse: m.refuse, deliver: m.deliver,
-	}
+	// Field by field: a struct literal would store the four bound
+	// closures again. stolen, wireSec and bytes are set by stealHandle
+	// before anything reads them.
+	m.n, m.v, m.inter, m.wanSlot = n, v, inter, wanSlot
+	m.lat, m.issuedAt = n.site.Latency(v.site), s.k.Now()
 	s.k.Post(m.lat, m.arrive)
 }
 
@@ -195,8 +195,11 @@ func (s *Sim) stealHandle(m *stealMsg) {
 		s.k.Post(m.lat, m.refuse)
 		return
 	}
-	m.stolen = v.deque[0] // steal the oldest = biggest subtree
-	v.deque = v.deque[1:]
+	// Steal the oldest = biggest subtree. The rest moves down rather
+	// than the slice's start moving up, so the deque keeps its capacity
+	// and the victim's next splits append without growing it again.
+	m.stolen = v.deque[0]
+	v.deque = v.deque[:copy(v.deque, v.deque[1:])]
 	handover := s.k.Now()
 	// The job carries its data: a big subtree entering a
 	// badly connected cluster drags its body share through

@@ -140,9 +140,25 @@ func Run(p Params) (*Result, error) {
 // runReturningSim also hands the finished Sim back for inspection
 // (probes and tests read the coordinator's final report view).
 func runReturningSim(p Params) (*Result, *Sim, error) {
+	s, err := newSim(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.p.Stream != nil {
+		s.startStream()
+	} else {
+		s.startIteration()
+	}
+	s.k.Run()
+	return s.finish(), s, nil
+}
+
+// newSim builds a run: its initial nodes joined, its injections and
+// coordinator ticks posted, and nothing started.
+func newSim(p Params) (*Sim, error) {
 	p.Defaults()
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := &Sim{
 		p:           p,
@@ -156,20 +172,20 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 	}
 	pool, err := sched.NewPool(p.Topo)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.pool = pool
 	if p.Sharded {
 		rk, err := coord.NewRoot(s.rootConfig(), &simActuator{s})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.subs = make(map[core.ClusterID]*desSub)
 		s.root = &desRoot{kern: rk}
 	} else {
 		kern, err := coord.New(s.rootConfig(), &simActuator{s})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.kern = kern
 	}
@@ -178,7 +194,7 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 	for _, a := range p.Initial {
 		refs := s.pool.AcquireN(a.Cluster, a.Count)
 		if len(refs) != a.Count {
-			return nil, nil, fmt.Errorf("des: could not acquire %d nodes in %s", a.Count, a.Cluster)
+			return nil, fmt.Errorf("des: could not acquire %d nodes in %s", a.Count, a.Cluster)
 		}
 		for _, ref := range refs {
 			s.addNode(ref, true)
@@ -212,13 +228,11 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 			s.k.Stop()
 		}
 	})
+	return s, nil
+}
 
-	if p.Stream != nil {
-		s.startStream()
-	} else {
-		s.startIteration()
-	}
-	s.k.Run()
+// finish closes the accounting of a run the kernel has finished.
+func (s *Sim) finish() *Result {
 	s.res.Events = s.k.Fired()
 
 	// Finalise accounting for nodes still alive; a departed node's
@@ -241,7 +255,7 @@ func runReturningSim(p Params) (*Result, *Sim, error) {
 	sort.Slice(s.res.UsedClusters, func(i, j int) bool {
 		return s.res.UsedClusters[i] < s.res.UsedClusters[j]
 	})
-	return s.res, s, nil
+	return s.res
 }
 
 // addTime books d seconds of bucket b on node n, both for the current

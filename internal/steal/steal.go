@@ -11,9 +11,10 @@
 // steal.
 //
 // The kernel is pure policy: a membership snapshot goes in, steal
-// directives come out. Both runtimes drive it — internal/des from its
-// virtual-time event loop, satin from its live worker — so an
-// identical membership/steal script produces the identical victim
+// directives come out. It takes no lock, so one engine has one caller
+// at a time. Both runtimes drive it — internal/des from its single
+// virtual-time goroutine, satin under its membership view's lock — so
+// an identical membership/steal script produces the identical victim
 // sequence from the same seed on either runtime.
 package steal
 
@@ -21,7 +22,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -108,15 +108,14 @@ func SeedFor(seed int64, id core.NodeID) int64 {
 
 // Engine holds one node's steal-policy state: the seeded RNG, the
 // sync/async slot occupancy, and the failure streak driving back-off.
-// Methods are safe for concurrent use; the engine has its own narrow
-// lock precisely so victim selection never serialises against a
-// runtime's job push/pop path.
+// It takes no lock, so its caller serialises the calls: the simulator
+// makes them from its one goroutine, satin under its membership view's
+// lock.
 type Engine struct {
 	policy  Policy
 	self    core.NodeID
 	cluster core.ClusterID
 
-	mu         sync.Mutex
 	rng        *rand.Rand // over &draws: victims come from Intn's arithmetic
 	syncOut    bool
 	asyncOut   bool
@@ -265,8 +264,8 @@ func (v *View) remoteAt(g *viewGroup, j int) int {
 	return j + sort.Search(len(g.pos), func(k int) bool { return g.pos[k] > j+k })
 }
 
-// refreshView re-locates the home group and self inside it. Called
-// with e.mu held; O(cluster size), and only after a Rebuild.
+// refreshView re-locates the home group and self inside it.
+// O(cluster size), and only after a Rebuild.
 func (e *Engine) refreshView(v *View) {
 	e.view, e.viewGen = v, v.gen
 	e.home = v.group(e.cluster)
@@ -286,8 +285,6 @@ func (e *Engine) refreshView(v *View) {
 // caller's clock in seconds (virtual or wall — the engine only ever
 // compares differences).
 func (e *Engine) NextView(now float64, v *View) Directive {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.view != v || e.viewGen != v.gen {
 		e.refreshView(v)
 	}
@@ -361,8 +358,6 @@ func (e *Engine) SyncDone(got bool) { e.done(&e.syncOut, got) }
 func (e *Engine) AsyncDone(got bool) { e.done(&e.asyncOut, got) }
 
 func (e *Engine) done(slot *bool, got bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	*slot = false
 	if got {
 		e.failStreak = 0
@@ -375,8 +370,6 @@ func (e *Engine) done(slot *bool, got bool) {
 
 // Outstanding reports whether any steal slot is in flight.
 func (e *Engine) Outstanding() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.syncOut || e.asyncOut
 }
 
@@ -385,8 +378,6 @@ func (e *Engine) Outstanding() bool {
 // stays idle time, a saturated link must surface as inter-cluster
 // communication overhead.
 func (e *Engine) AsyncStalled(now, threshold float64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.asyncOut && now-e.asyncSince > threshold
 }
 
@@ -394,10 +385,7 @@ func (e *Engine) AsyncStalled(now, threshold float64) bool {
 // 2ms doubling per consecutive failure, capped at 250ms, so an idle
 // node keeps probing without flooding anyone.
 func (e *Engine) BackoffSec() float64 {
-	e.mu.Lock()
-	streak := e.failStreak
-	e.mu.Unlock()
-	backoff := 0.002 * float64(int(1)<<min(streak, 7))
+	backoff := 0.002 * float64(int(1)<<min(e.failStreak, 7))
 	if backoff > 0.25 {
 		backoff = 0.25
 	}
@@ -406,8 +394,6 @@ func (e *Engine) BackoffSec() float64 {
 
 // Stats snapshots the attempt counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.stats
 }
 
@@ -416,10 +402,8 @@ func (e *Engine) Stats() Stats {
 // after every round and every reply, the simulator when the engine's
 // node leaves and when the run ends.
 func (e *Engine) Publish() {
-	e.mu.Lock()
 	s, p := e.stats, e.published
 	e.published = s
-	e.mu.Unlock()
 	add(obsSyncLocal, s.SyncLocal-p.SyncLocal)
 	add(obsSyncWide, s.SyncWide-p.SyncWide)
 	add(obsAsync, s.Async-p.Async)

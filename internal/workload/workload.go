@@ -70,7 +70,7 @@ type Spec struct {
 // the Satin implementation). This is what concentrates bandwidth pain
 // at a badly connected cluster: all work entering it crosses its
 // uplink with its data attached.
-func (s Spec) JobBytes(work float64) float64 {
+func (s *Spec) JobBytes(work float64) float64 {
 	if s.WorkPerIteration <= 0 {
 		return s.StealMsgBytes
 	}
@@ -78,7 +78,7 @@ func (s Spec) JobBytes(work float64) float64 {
 }
 
 // Validate checks the spec is runnable.
-func (s Spec) Validate() error {
+func (s *Spec) Validate() error {
 	if s.Iterations <= 0 {
 		return fmt.Errorf("workload %q: iterations %d must be positive", s.Name, s.Iterations)
 	}
@@ -101,7 +101,7 @@ func (s Spec) Validate() error {
 }
 
 // IterWork returns iteration iter's parallel work in speed-seconds.
-func (s Spec) IterWork(iter int) float64 {
+func (s *Spec) IterWork(iter int) float64 {
 	w := s.WorkPerIteration
 	if s.WorkScale != nil {
 		w *= s.WorkScale(iter)
@@ -110,13 +110,13 @@ func (s Spec) IterWork(iter int) float64 {
 }
 
 // ShouldSplit reports whether a task of the given work splits further.
-func (s Spec) ShouldSplit(work float64) bool { return work > s.Grain }
+func (s *Spec) ShouldSplit(work float64) bool { return work > s.Grain }
 
 // Split divides a task's work into two children. The split fraction is
 // drawn from rng within [0.5−0.45·irr, 0.5+0.45·irr]; the children's
 // work sums exactly to the parent's (b is computed by subtraction), so
 // no work is created or lost by decomposition.
-func (s Spec) Split(work float64, rng *rand.Rand) (a, b float64) {
+func (s *Spec) Split(work float64, rng *rand.Rand) (a, b float64) {
 	f := 0.5 + s.Irregularity*0.9*(rng.Float64()-0.5)
 	a = work * f
 	b = work - a

@@ -136,7 +136,7 @@ func init() { Register(tfibCut{}) }
 // carries a registered task and the result that comes back for it. One
 // op is both round trips. Each payload goes through the plan its type
 // compiled at registration; decoding allocates the owner string and
-// each payload's value and interface box.
+// each payload's interface box (TestStealReplyRoundTripAllocs).
 func BenchmarkStealReplyRoundTrip(b *testing.B) {
 	reply := stealReplyMsg{Seq: 7, HasJob: true, Job: jobMsg{ID: 42, Owner: "c0/01", Task: tfibCut{N: 20, Cutoff: 12}}}
 	result := resultMsg{ID: 42, Value: fibLeaves(20)}

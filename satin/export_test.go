@@ -6,7 +6,11 @@ import (
 )
 
 // StealStats snapshots the node's steal-attempt counters.
-func (n *Node) StealStats() steal.Stats { return n.stealer.eng.Stats() }
+func (n *Node) StealStats() steal.Stats {
+	n.members.mu.Lock()
+	defer n.members.mu.Unlock()
+	return n.members.eng.Stats()
+}
 
 // Test-only views of a node's job-ownership state.
 

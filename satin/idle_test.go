@@ -161,6 +161,57 @@ func TestResultInterruptsStealWait(t *testing.T) {
 	}
 }
 
+// A node's steal engine takes no lock of its own: the worker's rounds
+// and stall checks and the settles of its wide-area steals, which run
+// on goroutines of their own, all go through the membership view's
+// lock. Idle nodes in two clusters keep one WAN steal out each while
+// their workers draw local victims, then run a job; under the race
+// detector an engine call outside the lock is a reported race. Every
+// attempt must also be settled exactly once.
+func TestWANSettleSharesTheEngineLock(t *testing.T) {
+	g, err := NewGrid(GridConfig{
+		Clusters:   []ClusterSpec{{Name: "c0", Nodes: 2}, {Name: "c1", Nodes: 2}},
+		Registry:   fastReg(),
+		LANLatency: 50 * time.Microsecond,
+		WANLatency: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			g.Close()
+		}
+	}()
+	var nodes []*Node
+	for _, c := range []ClusterID{"c0", "c1"} {
+		ns, err := g.StartNodes(c, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, ns...)
+	}
+	waitUntil(t, "a wide-area steal has settled", func() bool {
+		s := nodes[0].StealStats()
+		return s.Async > 0 && s.Hits+s.Misses > s.SyncLocal
+	})
+	if res, err := nodes[0].Run(tfib{N: 10, Leaf: 100 * time.Microsecond}); err != nil || res != fibLeaves(10) {
+		t.Fatalf("fib(10) = %v, %v, want %d", res, err, fibLeaves(10))
+	}
+	g.Close()
+	closed = true
+	for _, n := range nodes {
+		s := n.StealStats()
+		if s.Async == 0 {
+			t.Errorf("%s issued no wide-area steal: nothing was measured", n.ID())
+		}
+		if attempts := s.SyncLocal + s.SyncWide + s.Async; attempts != s.Hits+s.Misses {
+			t.Errorf("%s: %d attempts, %d settled (hits %d + misses %d)", n.ID(), attempts, s.Hits+s.Misses, s.Hits, s.Misses)
+		}
+	}
+}
+
 // A node asked to leave while its steal request is out lets the reply
 // come home before it closes its endpoint: an interrupted wait must
 // not turn every leave into a victim's failed send.

@@ -11,21 +11,26 @@ import (
 
 // membershipView is the node's window on the registry: the client
 // session, the departed-set that filters late messages from nodes
-// already seen leaving or dying, and the steal kernel's pre-indexed view
-// of the stealable peers. Its lock is a leaf in the node's hierarchy —
-// membership methods never acquire n.mu (callers holding n.mu may call
-// in here, never the reverse).
+// already seen leaving or dying, the steal kernel's pre-indexed view
+// of the stealable peers, and the node's steal engine. The engine takes
+// no lock of its own, so every call into it is made under this lock,
+// from the worker and from a wide-area steal's goroutine alike. The
+// lock is a leaf in the node's hierarchy — membership methods never
+// acquire n.mu (callers holding n.mu may call in here, never the
+// reverse).
 type membershipView struct {
 	mu       sync.Mutex
 	reg      *registry.Client
 	departed map[NodeID]bool
 	view     *steal.View    // rebuilt on registry events, not per steal attempt
 	peers    []steal.Member // rebuild's scratch buffer
+	eng      *steal.Engine
 }
 
-func (v *membershipView) init() {
+func (v *membershipView) init(cfg *NodeConfig) {
 	v.departed = make(map[NodeID]bool)
 	v.view = steal.NewView()
+	v.eng = steal.New(cfg.StealPolicy, cfg.ID, cfg.Cluster, steal.SeedFor(cfg.Seed, cfg.ID))
 }
 
 func (v *membershipView) setClient(reg *registry.Client) {
@@ -78,11 +83,36 @@ func (v *membershipView) rebuild() {
 	v.view.Rebuild(v.peers)
 }
 
-// nextSteal runs one round of the steal policy against the view.
-func (v *membershipView) nextSteal(eng *steal.Engine, now float64) steal.Directive {
+// nextSteal runs one round of the steal policy against the view and
+// publishes what the engine counted.
+func (v *membershipView) nextSteal(now float64) steal.Directive {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return eng.NextView(now, v.view)
+	d := v.eng.NextView(now, v.view)
+	v.eng.Publish()
+	return d
+}
+
+// settleSteal frees the engine's wide-area (async) or synchronous slot
+// and publishes the outcome, so the steal/* series stay current per
+// attempt.
+func (v *membershipView) settleSteal(async, got bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if async {
+		v.eng.AsyncDone(got)
+	} else {
+		v.eng.SyncDone(got)
+	}
+	v.eng.Publish()
+}
+
+// asyncStalled reports whether the outstanding wide-area steal has
+// been in flight longer than threshold.
+func (v *membershipView) asyncStalled(now, threshold float64) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.eng.AsyncStalled(now, threshold)
 }
 
 // eventLoop consumes registry events: the join ack rebuilds the steal

@@ -106,8 +106,9 @@ type pendingJob struct {
 //   - gate:    read-held by every wire handler that sends, from its
 //     stopped check to its last send; halt sets stopped under the write
 //     lock, so once halt returns no handler of this node sends again.
-//   - members: membership view (registry client, departed set).
-//   - stealer: the CRS engine (internal/steal) plus reply waiters.
+//   - members: membership view (registry client, departed set) and the
+//     CRS engine (internal/steal), which takes no lock of its own.
+//   - stealer: steal reply waiters.
 //   - stats:   accounting buckets, load factor and benchmark pacing.
 //
 // Lock hierarchy: gate before n.mu; n.mu may acquire members' or
@@ -181,8 +182,8 @@ func startNode(cfg NodeConfig, onStop func(*Node)) (*Node, error) {
 		stopCh:  make(chan struct{}),
 		onStop:  onStop,
 	}
-	n.members.init()
-	n.stealer.init(&cfg)
+	n.members.init(&cfg)
+	n.stealer.init()
 	n.stats.init(&cfg)
 	// Handlers go live before the registry join: a peer that learns of
 	// this node through the join broadcast may steal from it before the

@@ -102,9 +102,11 @@ func TestJobMsgRejectsNonTaskPayload(t *testing.T) {
 }
 
 // A steal reply with its task and the result that comes back for it,
-// both encoded and decoded, allocate at most 10 times between them (5
-// as written: the owner string, and the task and the result each as a
-// fresh value and its interface box).
+// both encoded and decoded, allocate 3 times between them: the owner
+// string, and the task's and the result's interface box, each copied
+// out of a pooled scratch value. A decode that also allocated the value
+// it decodes into made 5. The race detector makes sync.Pool drop a
+// value now and then, and each drop costs one scratch value more.
 func TestStealReplyRoundTripAllocs(t *testing.T) {
 	reply := stealReplyMsg{Seq: 7, HasJob: true, Job: jobMsg{ID: 42, Owner: "c0/01", Task: tfibCut{N: 20, Cutoff: 12}}}
 	result := resultMsg{ID: 42, Value: fibLeaves(20)}
@@ -123,8 +125,12 @@ func TestStealReplyRoundTripAllocs(t *testing.T) {
 			t.Fatalf("result decoded to %+v, %v", gotResult, err)
 		}
 	})
-	if allocs > 10 {
-		t.Errorf("reply plus result round trip allocates %.0f times, want at most 10", allocs)
+	limit := 3.0
+	if raceEnabled {
+		limit = 5
+	}
+	if allocs > limit {
+		t.Errorf("reply plus result round trip allocates %.1f times, want at most %.0f", allocs, limit)
 	}
 }
 

@@ -38,11 +38,14 @@ type fieldPlan struct {
 	plan  *plan
 }
 
-// payloadType is a registered top-level type.
+// payloadType is a registered top-level type. scratch holds pointers
+// to zeroed values of it for readPayload to decode into, so that a
+// decoded value is allocated once, by the copy Interface makes.
 type payloadType struct {
-	name string
-	fp   uint64
-	plan *plan
+	name    string
+	fp      uint64
+	plan    *plan
+	scratch sync.Pool
 }
 
 // payloadTypes is the registry. It is copied on write, so encoders and
@@ -91,6 +94,7 @@ func registerPayload(t reflect.Type) {
 	name := typeName(t)
 	pt := &payloadType{name: name, plan: buildPlan(t, name, map[reflect.Type]bool{})}
 	pt.fp = fingerprint(t)
+	pt.scratch.New = func() any { return reflect.New(t).Interface() }
 	if other, ok := old.byFP[pt.fp]; ok {
 		panic(fmt.Sprintf("satin: payload types %s and %s share fingerprint %016x", other.name, name, pt.fp))
 	}
@@ -259,12 +263,18 @@ func readPayload(r *wirefmt.Reader) any {
 		r.Fail(fmt.Sprintf("%s payload needs %d bytes, %d remain", pt.name, pt.plan.min, r.Remaining()))
 		return nil
 	}
-	v := reflect.New(pt.plan.typ).Elem()
+	scratch := pt.scratch.Get()
+	v := reflect.ValueOf(scratch).Elem()
 	readValue(r, pt.plan, v)
-	if r.Err() != nil {
-		return nil
+	var out any
+	if r.Err() == nil {
+		out = v.Interface()
 	}
-	return v.Interface()
+	// Zeroed before it goes back, so that no slice or string decoded
+	// here is shared with the next value or kept alive by the pool.
+	v.SetZero()
+	pt.scratch.Put(scratch)
+	return out
 }
 
 func readValue(r *wirefmt.Reader, p *plan, v reflect.Value) {

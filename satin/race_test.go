@@ -8,3 +8,6 @@ import "time"
 // spans a few hops of the emulated fabric: it roughly triples each
 // hop's cost on the delivery path.
 const raceAllowance = time.Millisecond
+
+// raceEnabled reports whether the race detector is on.
+const raceEnabled = true

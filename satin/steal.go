@@ -62,20 +62,17 @@ const (
 	StealRandom = steal.Random
 )
 
-// stealer is the node's thief side: the shared CRS policy engine plus
-// the reply-waiter bookkeeping of the request/reply protocol. Its lock
-// covers only the waiter map — victim selection locks inside the
-// engine, and neither ever holds n.mu.
+// stealer is the node's thief side: the reply-waiter bookkeeping of
+// the request/reply protocol. Its lock covers only the waiter map; the
+// CRS policy engine lives under the membership view's lock, and
+// neither ever holds n.mu.
 type stealer struct {
-	eng *steal.Engine
-
 	mu      sync.Mutex
 	waiters map[uint64]chan bool
 	nextSeq uint64
 }
 
-func (s *stealer) init(cfg *NodeConfig) {
-	s.eng = steal.New(cfg.StealPolicy, cfg.ID, cfg.Cluster, steal.SeedFor(cfg.Seed, cfg.ID))
+func (s *stealer) init() {
 	s.waiters = make(map[uint64]chan bool)
 }
 
@@ -162,12 +159,11 @@ func (s *stealer) replyArrived(seq uint64, got bool) {
 	s.mu.Unlock()
 }
 
-// finish ends a request: the waiter goes, the round trip is booked
-// under its kind as a grant or a refusal, the engine's slot frees, and
-// the engine publishes its counts, so the steal/* series stay current
-// per attempt.
-func (s *stealer) finish(seq uint64, ch chan bool, kind stealKind, start time.Time, got bool) {
-	s.dropWaiter(seq, ch)
+// finishSteal ends a request: the waiter goes, the round trip is
+// booked under its kind as a grant or a refusal, and the engine's slot
+// frees.
+func (n *Node) finishSteal(seq uint64, ch chan bool, kind stealKind, start time.Time, got bool) {
+	n.stealer.dropWaiter(seq, ch)
 	in := &stealObs[kind]
 	in.rtt.Observe(time.Since(start).Seconds())
 	if got {
@@ -175,12 +171,7 @@ func (s *stealer) finish(seq uint64, ch chan bool, kind stealKind, start time.Ti
 	} else {
 		in.fail.Inc()
 	}
-	if kind == stealWANAsync {
-		s.eng.AsyncDone(got)
-	} else {
-		s.eng.SyncDone(got)
-	}
-	s.eng.Publish()
+	n.members.settleSteal(kind == stealWANAsync, got)
 }
 
 // findWork is one step of the idle path, shared by the worker loop and
@@ -246,8 +237,7 @@ func (n *Node) findWork() (*jobMsg, bool) {
 // round trip in the idle path. It reports whether a synchronous
 // request went out (n.attempt is then pending).
 func (n *Node) startSteal() bool {
-	d := n.members.nextSteal(n.stealer.eng, n.monotonicSeconds())
-	n.stealer.eng.Publish()
+	d := n.members.nextSteal(n.monotonicSeconds())
 	if d.HasAsync {
 		n.wg.Add(1) // from the worker, which holds a count itself
 		go n.wanSteal(d.Async.ID)
@@ -278,7 +268,7 @@ func (n *Node) startSteal() bool {
 func (n *Node) settleSteal(got bool) {
 	a := &n.attempt
 	a.pending = false
-	n.stealer.finish(a.seq, n.wait.reply, a.kind, a.start, got)
+	n.finishSteal(a.seq, n.wait.reply, a.kind, a.start, got)
 }
 
 // abandonSteal settles as a miss the attempt a stopping worker leaves
@@ -307,7 +297,7 @@ func (n *Node) wanSteal(victim NodeID) {
 		}
 		w.disarm()
 	}
-	n.stealer.finish(seq, w.reply, stealWANAsync, start, got)
+	n.finishSteal(seq, w.reply, stealWANAsync, start, got)
 	n.wakeUp()
 }
 

@@ -162,7 +162,7 @@ func (n *Node) enterState(next int) { n.stats.enterState(next) }
 // which the monitoring must surface as inter-cluster overhead;
 // ordinary round-trip waits stay idle time.
 func (n *Node) waitForWork(d time.Duration) {
-	if n.stealer.eng.AsyncStalled(n.monotonicSeconds(), interWaitThreshold.Seconds()) {
+	if n.members.asyncStalled(n.monotonicSeconds(), interWaitThreshold.Seconds()) {
 		n.enterState(int(metrics.Inter))
 	} else {
 		n.enterState(stateIdle)
