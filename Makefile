@@ -42,9 +42,10 @@ scale:
 reach:
 	./scripts/check_reach.sh
 
-# Rewrites every golden the simulator owns from what the code prints:
-# the period-log digests TestPeriodLogGolden reads, the des_paper and
-# des_scale benchmark digests, and EXPERIMENTS.md's Figure 1 rows (see
+# Rewrites every golden the simulator and the coordinator own from
+# what the code prints: the period-log digests TestPeriodLogGolden
+# reads, the des_paper and des_scale benchmark digests, EXPERIMENTS.md's
+# Figure 1 rows and the coordinator tree's decision golden (see
 # scripts/goldens.sh). A PR that may move simulated decisions runs it
 # and commits what it writes; CI fails when it would change a file.
 goldens:

@@ -422,18 +422,6 @@ func BenchmarkRankNodes(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineDecide(b *testing.B) {
-	eng, err := core.NewEngine(core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	stats := synthStats(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Decide(stats)
-	}
-}
-
 // Event throughput of the simulator kernel via a small full run.
 func BenchmarkDESBaselineRun(b *testing.B) {
 	sc, _ := expt.ByID("1")

@@ -82,7 +82,7 @@ type PeriodRecord struct {
 	WAE     float64
 	Nodes   int    // live participants at the tick
 	Stats   int    // node reports the tick decided on (0 = nothing to decide)
-	Action  string // core.Action string, "" when idle/monitor-only
+	Action  string // add, none, remove-nodes, remove-cluster, yield or opportunistic-migrate; "" when idle/monitor-only
 	Detail  string
 	Added   int
 	Removed int

@@ -3,7 +3,6 @@ package coord
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -407,108 +406,6 @@ func TestCrossRuntimeParity(t *testing.T) {
 		len(d) != 1 || d[0] != "B" {
 		t.Errorf("blacklisted clusters des %v real %v, want [B] on both", d, a)
 	}
-}
-
-// --- the Figure-2 reference --------------------------------------------
-
-// TestKernelMatchesEngineDecide drives core.Engine.Decide — the
-// paper's strategy over one flat slice of node statistics — against a
-// one-tick Kernel fed the same fleet as reports: same action, same
-// reason string, same victims in the same order. The kernel evaluates
-// the rules over cluster partials, so the WAE may differ in the last
-// ulp; nothing printed or decided may.
-func TestKernelMatchesEngineDecide(t *testing.T) {
-	type fleet struct {
-		name    string
-		reports []metrics.Report
-	}
-	linked := func(r metrics.Report, peer core.ClusterID, sec, bytes float64) metrics.Report {
-		r.Links = map[core.ClusterID]core.LinkSample{peer: {Seconds: sec, Bytes: bytes}}
-		return r
-	}
-	fleets := []fleet{
-		{"empty fleet bootstraps", nil},
-		{"grow", []metrics.Report{
-			rep("a1", "A", 0, 10, 5, 0, 100, 0), rep("a2", "A", 0, 20, 0, 5, 80, 0), rep("b1", "B", 0, 15, 0, 0, 120, 0)}},
-		{"hold", []metrics.Report{
-			rep("a1", "A", 0, 55, 0, 0, 100, 0), rep("b1", "B", 0, 60, 0, 0, 100, 0)}},
-		{"shrink worst nodes, slow and unmeasured", []metrics.Report{
-			rep("a1", "A", 0, 80, 0, 2, 100, 0), rep("a2", "A", 0, 85, 0, 1, 40, 0),
-			rep("b1", "B", 0, 90, 0, 3, 100, 0), rep("b2", "B", 0, 70, 5, 0, 0, 0),
-			rep("c1", "C", 0, 75, 0, 4, 60, 0)}},
-		{"at the MinNodes floor", []metrics.Report{rep("a1", "A", 0, 95, 0, 0, 100, 0)}},
-		{"inter-comm dominance evacuates the cluster", []metrics.Report{
-			rep("a1", "A", 0, 80, 0, 5, 100, 0), rep("a2", "A", 0, 80, 0, 5, 100, 0),
-			rep("b1", "B", 0, 30, 0, 60, 100, 1e6), rep("b2", "B", 0, 35, 0, 55, 100, 1e6)}},
-		{"dominance without a runner-up margin ranks nodes instead", []metrics.Report{
-			rep("a1", "A", 0, 50, 0, 40, 100, 0), rep("a2", "A", 0, 50, 0, 40, 100, 0),
-			rep("b1", "B", 0, 45, 0, 45, 100, 0), rep("b2", "B", 0, 45, 0, 45, 100, 0)}},
-		{"the only cluster is never evacuated", []metrics.Report{
-			rep("a1", "A", 0, 30, 0, 60, 100, 0), rep("a2", "A", 0, 30, 0, 60, 100, 0)}},
-		{"measured pair bandwidth names the culprit", []metrics.Report{
-			linked(rep("d1", "D", 0, 85, 0, 5, 100, 0), "F", 0.5, 5e6),
-			linked(rep("d2", "D", 0, 85, 0, 5, 100, 0), "F", 0.7, 6e6),
-			linked(rep("e1", "E", 0, 85, 0, 5, 100, 0), "D", 2, 1e6),
-			linked(rep("e2", "E", 0, 85, 0, 5, 100, 0), "D", 3, 1.1e6),
-			linked(rep("f1", "F", 0, 85, 0, 5, 100, 0), "D", 0.3, 2e6),
-			rep("f2", "F", 0, 85, 0, 5, 100, 0)}},
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		f := fleet{name: fmt.Sprintf("random fleet %d", i)}
-		for n, size := 0, 1+rng.Intn(40); n < size; n++ {
-			c := core.ClusterID(fmt.Sprintf("c%d", rng.Intn(4)))
-			r := rep(core.NodeID(fmt.Sprintf("n%03d", n)), c, 0,
-				rng.Float64()*70, rng.Float64()*20, rng.Float64()*40, 0.5+rng.Float64()*2, 0)
-			if rng.Intn(3) == 0 {
-				r = linked(r, "c0", rng.Float64(), rng.Float64()*1e6)
-			}
-			f.reports = append(f.reports, r)
-		}
-		fleets = append(fleets, f)
-	}
-
-	ecfg := core.DefaultConfig()
-	eng, err := core.NewEngine(ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]int{}
-	for _, f := range fleets {
-		var stats []core.NodeStats
-		var live []core.NodeID
-		act := &scriptedActuator{}
-		k := newKernel(t, Config{}, act)
-		for _, r := range f.reports { // scripted in node order: the order the kernel sorts into
-			stats = append(stats, r.Stats())
-			live = append(live, r.Node)
-			k.Report(r)
-		}
-		want := eng.Decide(stats)
-		got := k.Tick(dur, live)
-		seen[got.Action]++
-		if got.Action != want.Action.String() || got.Detail != want.Reason || !approx(got.WAE, want.WAE) {
-			t.Errorf("%s:\n got %q %q WAE %v\nwant %q %q WAE %v",
-				f.name, got.Action, got.Detail, got.WAE, want.Action, want.Reason, want.WAE)
-			continue
-		}
-		if got.Added != want.AddCount || got.Removed != len(want.RemoveNodes) {
-			t.Errorf("%s: effects +%d -%d, want +%d -%d", f.name, got.Added, got.Removed, want.AddCount, len(want.RemoveNodes))
-		}
-		var evicted []core.NodeID
-		if len(act.evictions) > 0 {
-			evicted = act.evictions[0]
-		}
-		if len(act.evictions) > 1 || !reflect.DeepEqual(evicted, want.RemoveNodes) {
-			t.Errorf("%s: evicted %v, want %v", f.name, act.evictions, want.RemoveNodes)
-		}
-	}
-	for _, a := range []string{"add", "none", "remove-nodes", "remove-cluster"} {
-		if seen[a] == 0 {
-			t.Errorf("no fleet led to %q: the table lost coverage", a)
-		}
-	}
-	t.Logf("actions over %d fleets: %v", len(fleets), seen)
 }
 
 // --- learned bandwidth: capacity-preferred fallback order -------------

@@ -766,10 +766,11 @@ func (rk *RootKernel) resetLocked() {
 // shrink is the objective's shrink (or shed) verdict: for objectives
 // with the ClusterEviction trait, bandwidth-culprit cluster eviction
 // first, then the inter-comm dominance fallback; then worst-node
-// removal — the exact rule order of core.Engine.Decide, recomputed
-// from cluster partials. cnt is the objective's node-removal magnitude
-// (0 = floor reached). A VerdictShed blacklists its victims regardless
-// of the objective's traits.
+// removal. This is the paper's Figure-2 rule order, written only here
+// and computed from cluster partials; TestDecisionGolden pins what it
+// decides. cnt is the objective's node-removal magnitude (0 = floor
+// reached). A VerdictShed blacklists its victims regardless of the
+// objective's traits.
 func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.ClusterID, health float64, n, cnt int, maxSp, minKnown float64) bool {
 	tr := rk.obj.Traits()
 	if tr.ClusterEviction && rk.eng != nil {

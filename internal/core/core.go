@@ -129,21 +129,6 @@ func WeightedAverageEfficiency(stats []NodeStats) float64 {
 	return sum / float64(len(stats))
 }
 
-// Efficiency is the classic homogeneous-machine parallel efficiency:
-// the mean over nodes of (1 - overhead). It ignores processor speeds and
-// is provided for the ablation comparing weighted vs unweighted
-// efficiency under heterogeneity.
-func Efficiency(stats []NodeStats) float64 {
-	if len(stats) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range stats {
-		sum += 1 - s.Overhead()
-	}
-	return sum / float64(len(stats))
-}
-
 // ClusterStats aggregates one cluster's nodes for one period.
 type ClusterStats struct {
 	Cluster ClusterID

@@ -63,14 +63,25 @@ func TestRelativeSpeeds(t *testing.T) {
 	})
 }
 
+// meanEfficiency is the classic speed-blind parallel efficiency, the
+// mean of 1 - overhead: what the coordinator judges under the
+// UnweightedEfficiency ablation.
+func meanEfficiency(stats []NodeStats) float64 {
+	sum := 0.0
+	for _, s := range stats {
+		sum += 1 - s.Overhead()
+	}
+	return sum / float64(len(stats))
+}
+
 func TestWeightedAverageEfficiencyHomogeneousMatchesEfficiency(t *testing.T) {
 	stats := []NodeStats{
 		{Node: "a", Speed: 10, Idle: 0.3},
 		{Node: "b", Speed: 10, InterComm: 0.1},
 		{Node: "c", Speed: 10, IntraComm: 0.25},
 	}
-	if wae, e := WeightedAverageEfficiency(stats), Efficiency(stats); !almostEq(wae, e) {
-		t.Errorf("homogeneous speeds: WAE %v != efficiency %v", wae, e)
+	if wae, mean := WeightedAverageEfficiency(stats), meanEfficiency(stats); !almostEq(wae, mean) {
+		t.Errorf("homogeneous speeds: WAE %v != unweighted efficiency %v", wae, mean)
 	}
 }
 
@@ -97,9 +108,6 @@ func TestWeightedAverageEfficiencyEmpty(t *testing.T) {
 	if w := WeightedAverageEfficiency(nil); w != 0 {
 		t.Errorf("empty WAE = %v, want 0", w)
 	}
-	if e := Efficiency(nil); e != 0 {
-		t.Errorf("empty efficiency = %v, want 0", e)
-	}
 }
 
 // Property: WAE is always within [0,1] and never exceeds the unweighted
@@ -123,7 +131,7 @@ func TestWAEBoundsProperty(t *testing.T) {
 			}
 		}
 		wae := WeightedAverageEfficiency(stats)
-		eff := Efficiency(stats)
+		eff := meanEfficiency(stats)
 		return wae >= 0 && wae <= 1+1e-12 && wae <= eff+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +16,17 @@ func mustEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+func mustBatch(t *testing.T, cfg Config) *BatchWAE {
+	t.Helper()
+	b, err := NewBatchWAE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// homogeneous is n equally fast nodes of one cluster, each with the
+// given overhead.
 func homogeneous(n int, overhead float64) []NodeStats {
 	stats := make([]NodeStats, n)
 	for i := range stats {
@@ -49,148 +61,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestDecideAddsWhenEfficiencyHigh(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	// overhead 0.1 -> WAE 0.9 > EMax
-	d := e.Decide(homogeneous(8, 0.1))
-	if d.Action != ActionAdd {
-		t.Fatalf("action = %v, want add (decision: %+v)", d.Action, d)
-	}
-	if d.AddCount < 1 {
-		t.Errorf("AddCount = %d, want >= 1", d.AddCount)
-	}
-	// Growth is capped at maxGrowFactor * n.
-	if d.AddCount > 8 {
-		t.Errorf("AddCount = %d exceeds maxGrowFactor cap 8", d.AddCount)
-	}
-	// Higher efficiency must request at least as many processors.
-	d2 := e.Decide(homogeneous(8, 0.45)) // WAE 0.55, barely above EMax
-	if d2.Action != ActionAdd {
-		t.Fatalf("action = %v, want add", d2.Action)
-	}
-	if d2.AddCount > d.AddCount {
-		t.Errorf("lower efficiency requested more nodes: %d (WAE .55) > %d (WAE .9)",
-			d2.AddCount, d.AddCount)
-	}
-}
-
-func TestDecideNoneInsideBand(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	d := e.Decide(homogeneous(8, 0.6)) // WAE 0.4 in (0.3,0.5)
-	if d.Action != ActionNone {
-		t.Fatalf("action = %v, want none (%s)", d.Action, d.Reason)
-	}
-	if d.WAE < 0.39 || d.WAE > 0.41 {
-		t.Errorf("WAE = %v, want 0.4", d.WAE)
-	}
-}
-
-func TestDecideRemovesWhenEfficiencyLow(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	d := e.Decide(homogeneous(16, 0.85)) // WAE 0.15 < EMin
-	if d.Action != ActionRemoveNodes {
-		t.Fatalf("action = %v, want remove-nodes (%s)", d.Action, d.Reason)
-	}
-	if len(d.RemoveNodes) < 1 || len(d.RemoveNodes) >= 16 {
-		t.Errorf("RemoveNodes = %d nodes, want in [1,15]", len(d.RemoveNodes))
-	}
-	// Lower efficiency removes at least as many.
-	d2 := e.Decide(homogeneous(16, 0.72)) // WAE 0.28, barely below
-	if d2.Action != ActionRemoveNodes {
-		t.Fatalf("action = %v, want remove-nodes", d2.Action)
-	}
-	if len(d2.RemoveNodes) > len(d.RemoveNodes) {
-		t.Errorf("higher efficiency removed more: %d (WAE .28) > %d (WAE .15)",
-			len(d2.RemoveNodes), len(d.RemoveNodes))
-	}
-}
-
-func TestDecideRemovesWorstNodesFirst(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	stats := []NodeStats{
-		{Node: "fast1", Cluster: "A", Speed: 10, Idle: 0.8},
-		{Node: "fast2", Cluster: "A", Speed: 10, Idle: 0.8},
-		{Node: "fast3", Cluster: "A", Speed: 10, Idle: 0.8},
-		{Node: "crawl", Cluster: "A", Speed: 1, Idle: 0.8},
-	}
-	d := e.Decide(stats)
-	if d.Action != ActionRemoveNodes {
-		t.Fatalf("action = %v (%s)", d.Action, d.Reason)
-	}
-	if d.RemoveNodes[0] != "crawl" {
-		t.Errorf("the ~10x slower node must be evicted first, got %v", d.RemoveNodes)
-	}
-}
-
-func TestDecideDropsSaturatedCluster(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	var stats []NodeStats
-	for i := 0; i < 8; i++ {
-		stats = append(stats, NodeStats{
-			Node: NodeID(rune('a' + i)), Cluster: "ok", Speed: 10, Idle: 0.6,
-		})
-	}
-	for i := 0; i < 4; i++ {
-		stats = append(stats, NodeStats{
-			Node: NodeID(rune('p' + i)), Cluster: "throttled", Speed: 10,
-			Idle: 0.2, InterComm: 0.75,
-		})
-	}
-	d := e.Decide(stats)
-	if d.Action != ActionRemoveCluster {
-		t.Fatalf("action = %v, want remove-cluster (%s)", d.Action, d.Reason)
-	}
-	if d.RemoveCluster != "throttled" {
-		t.Errorf("RemoveCluster = %v", d.RemoveCluster)
-	}
-	if len(d.RemoveNodes) != 4 {
-		t.Errorf("cluster eviction should list its 4 members, got %v", d.RemoveNodes)
-	}
-	if d.ClusterInterComm < 0.74 {
-		t.Errorf("ClusterInterComm = %v, want ~0.75", d.ClusterInterComm)
-	}
-}
-
-func TestDecideNeverDropsOnlyCluster(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	var stats []NodeStats
-	for i := 0; i < 4; i++ {
-		stats = append(stats, NodeStats{
-			Node: NodeID(rune('a' + i)), Cluster: "only", Speed: 10,
-			Idle: 0.2, InterComm: 0.7,
-		})
-	}
-	d := e.Decide(stats)
-	if d.Action == ActionRemoveCluster {
-		t.Fatalf("must not evacuate the only cluster: %+v", d)
-	}
-}
-
-func TestDecideRespectsMinNodes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinNodes = 4
-	e := mustEngine(t, cfg)
-	d := e.Decide(homogeneous(4, 0.95))
-	if d.Action != ActionNone {
-		t.Fatalf("at MinNodes the engine must hold: %+v", d)
-	}
-	d = e.Decide(homogeneous(6, 0.95))
-	if d.Action != ActionRemoveNodes {
-		t.Fatalf("action = %v", d.Action)
-	}
-	if len(d.RemoveNodes) > 2 {
-		t.Errorf("removed %d nodes, would violate MinNodes=4", len(d.RemoveNodes))
-	}
-}
-
-func TestDecideBootstrapsFromZeroNodes(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	d := e.Decide(nil)
-	if d.Action != ActionAdd || d.AddCount != 1 {
-		t.Fatalf("empty stats should bootstrap with one node: %+v", d)
-	}
-}
-
 func TestGrowShrinkCounts(t *testing.T) {
 	e := mustEngine(t, DefaultConfig())
 	// WAE 0.8 on 10 nodes, target 0.4: ideal 20 -> add 10 (== cap).
@@ -213,53 +83,121 @@ func TestGrowShrinkCounts(t *testing.T) {
 	}
 }
 
-func TestActionString(t *testing.T) {
-	for a, want := range map[Action]string{
-		ActionNone:          "none",
-		ActionAdd:           "add",
-		ActionRemoveNodes:   "remove-nodes",
-		ActionRemoveCluster: "remove-cluster",
-		Action(99):          "Action(99)",
-	} {
-		if got := a.String(); got != want {
-			t.Errorf("Action(%d).String() = %q, want %q", int(a), got, want)
-		}
+// The TestDecide* tests check the band's decisions on the parts the
+// coordinator calls: a fleet's WAE, BatchWAE.Judge's verdict and count,
+// Explain's reason and RankNodes' victim order. internal/coord's
+// TestDecisionGolden pins whole decisions, cluster eviction and
+// bootstrap included, on the coordinator tree.
+
+func TestDecideAddsWhenEfficiencyHigh(t *testing.T) {
+	b := mustBatch(t, DefaultConfig())
+	// overhead 0.1 -> WAE 0.9 > EMax
+	v, add := b.Judge(WeightedAverageEfficiency(homogeneous(8, 0.1)), 8)
+	if v != VerdictGrow {
+		t.Fatalf("verdict = %v, want grow", v)
+	}
+	// Growth is capped at maxGrowFactor * n.
+	if add < 1 || add > 8 {
+		t.Errorf("grow count = %d, want in [1,8]", add)
+	}
+	// Higher efficiency must request at least as many processors.
+	v2, add2 := b.Judge(WeightedAverageEfficiency(homogeneous(8, 0.45)), 8) // WAE 0.55, barely above EMax
+	if v2 != VerdictGrow {
+		t.Fatalf("verdict = %v, want grow", v2)
+	}
+	if add2 > add {
+		t.Errorf("lower efficiency requested more nodes: %d (WAE .55) > %d (WAE .9)", add2, add)
 	}
 }
 
-// Property: the decision's action always agrees with where WAE sits
-// relative to the thresholds, and removals never empty the computation.
+func TestDecideNoneInsideBand(t *testing.T) {
+	b := mustBatch(t, DefaultConfig())
+	wae := WeightedAverageEfficiency(homogeneous(8, 0.6)) // WAE 0.4 in (0.3,0.5)
+	if wae < 0.39 || wae > 0.41 {
+		t.Errorf("WAE = %v, want 0.4", wae)
+	}
+	if v, _ := b.Judge(wae, 8); v != VerdictHold {
+		t.Fatalf("verdict = %v, want hold (%s)", v, b.Explain(v, wae, 8, 0))
+	}
+}
+
+func TestDecideRemovesWhenEfficiencyLow(t *testing.T) {
+	b := mustBatch(t, DefaultConfig())
+	v, k := b.Judge(WeightedAverageEfficiency(homogeneous(16, 0.85)), 16) // WAE 0.15 < EMin
+	if v != VerdictShrink {
+		t.Fatalf("verdict = %v, want shrink", v)
+	}
+	if k < 1 || k >= 16 {
+		t.Errorf("shrink count = %d, want in [1,15]", k)
+	}
+	// Lower efficiency removes at least as many.
+	v2, k2 := b.Judge(WeightedAverageEfficiency(homogeneous(16, 0.72)), 16) // WAE 0.28, barely below
+	if v2 != VerdictShrink {
+		t.Fatalf("verdict = %v, want shrink", v2)
+	}
+	if k2 > k {
+		t.Errorf("higher efficiency removed more: %d (WAE .28) > %d (WAE .15)", k2, k)
+	}
+}
+
+func TestDecideRemovesWorstNodesFirst(t *testing.T) {
+	ranked := RankNodes([]NodeStats{
+		{Node: "fast1", Cluster: "A", Speed: 10, Idle: 0.8},
+		{Node: "fast2", Cluster: "A", Speed: 10, Idle: 0.8},
+		{Node: "fast3", Cluster: "A", Speed: 10, Idle: 0.8},
+		{Node: "crawl", Cluster: "A", Speed: 1, Idle: 0.8},
+	}, DefaultBadnessWeights())
+	if ranked[0].Node != "crawl" {
+		t.Errorf("the ~10x slower node must be evicted first, got %+v", ranked)
+	}
+}
+
+func TestDecideRespectsMinNodes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MinNodes = 4
+	b := mustBatch(t, cfg)
+	wae := WeightedAverageEfficiency(homogeneous(4, 0.95))
+	v, k := b.Judge(wae, 4)
+	if v != VerdictShrink || k != 0 {
+		t.Fatalf("at MinNodes the band must hold: verdict %v count %d", v, k)
+	}
+	if r := b.Explain(v, wae, 4, k); !strings.Contains(r, "already at MinNodes=4") {
+		t.Errorf("reason %q does not name the floor", r)
+	}
+	if v, k = b.Judge(WeightedAverageEfficiency(homogeneous(6, 0.95)), 6); v != VerdictShrink || k != 2 {
+		t.Errorf("verdict %v count %d, want shrink by the 2 nodes above MinNodes=4", v, k)
+	}
+}
+
+// Property: the verdict always agrees with where WAE sits relative to
+// the thresholds, a grow asks for at least one node, and a shrink
+// never takes the computation below MinNodes.
 func TestDecideConsistencyProperty(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	f := func(seed int64, nRaw uint8, clustersRaw uint8) bool {
+	b := mustBatch(t, DefaultConfig())
+	cfg := b.Engine().Config()
+	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%40) + 1
-		nc := int(clustersRaw%5) + 1
 		stats := make([]NodeStats, n)
 		for i := range stats {
 			idle := rng.Float64()
-			inter := rng.Float64() * (1 - idle)
 			stats[i] = NodeStats{
 				Node:      NodeID(string(rune('a'+i%26)) + string(rune('0'+i/26))),
-				Cluster:   ClusterID(rune('A' + i%nc)),
+				Cluster:   "A",
 				Speed:     1 + rng.Float64()*9,
 				Idle:      idle,
-				InterComm: inter,
+				InterComm: rng.Float64() * (1 - idle),
 			}
 		}
-		d := e.Decide(stats)
 		wae := WeightedAverageEfficiency(stats)
-		switch d.Action {
-		case ActionAdd:
-			return wae > e.Config().EMax && d.AddCount >= 1
-		case ActionRemoveNodes:
-			return wae < e.Config().EMin &&
-				len(d.RemoveNodes) >= 1 && len(d.RemoveNodes) < n
-		case ActionRemoveCluster:
-			return wae < e.Config().EMin && len(d.RemoveNodes) < n
-		case ActionNone:
-			return wae >= e.Config().EMin-1e-12 && wae <= e.Config().EMax+1e-12 ||
-				n == e.Config().MinNodes
+		v, k := b.Judge(wae, n)
+		switch v {
+		case VerdictGrow:
+			return wae > cfg.EMax && k >= 1
+		case VerdictShrink:
+			return wae < cfg.EMin && n-k >= cfg.MinNodes && (k >= 1 || n == cfg.MinNodes)
+		case VerdictHold:
+			return wae >= cfg.EMin && wae <= cfg.EMax
 		}
 		return false
 	}

@@ -118,42 +118,6 @@ func TestBandwidthCulpritHealthyGridHasHighRatio(t *testing.T) {
 	}
 }
 
-// The decision engine evacuates the congested cluster via the
-// bandwidth rule even when per-node overhead alone would be ambiguous.
-func TestDecideBandwidthRuleEvictsCulprit(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	stats := linkStats()
-	// Make everyone equally overloaded so the overhead fallback could
-	// not discriminate (it would not even fire: ic fractions are 0).
-	for i := range stats {
-		stats[i].Idle = 0.9
-	}
-	d := e.Decide(stats)
-	if d.Action != ActionRemoveCluster {
-		t.Fatalf("action = %v (%s), want remove-cluster", d.Action, d.Reason)
-	}
-	if d.RemoveCluster != "C" {
-		t.Errorf("evicted %v, want C", d.RemoveCluster)
-	}
-	if d.MeasuredBandwidth <= 0 || d.MeasuredBandwidth > 1e4 {
-		t.Errorf("measured bandwidth = %v", d.MeasuredBandwidth)
-	}
-}
-
-func TestDecideBandwidthRuleDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ClusterDropBWRatio = 0
-	e := mustEngine(t, cfg)
-	stats := linkStats()
-	for i := range stats {
-		stats[i].Idle = 0.9
-	}
-	d := e.Decide(stats)
-	if d.Action == ActionRemoveCluster {
-		t.Fatalf("bandwidth rule should be disabled: %+v", d)
-	}
-}
-
 // Property: the culprit's best-pair bandwidth never exceeds the
 // reference, and the culprit is always a cluster that appears in some
 // pair.

@@ -124,8 +124,7 @@ type Objective interface {
 // efficiency inside [EMin, EMax], rank victims by badness, escalate to
 // whole-cluster eviction on bandwidth emergencies, and blacklist what
 // was removed. It takes its thresholds and step sizes from the decision
-// Engine, whose Decide remains the Figure-2 reference the kernel is
-// tested against.
+// Engine.
 type BatchWAE struct {
 	eng *Engine
 }
@@ -166,8 +165,8 @@ func (b *BatchWAE) Judge(health float64, n int) (Verdict, int) {
 	return VerdictHold, 0
 }
 
-// Explain implements Objective, reproducing Engine.Decide's reason
-// strings byte for byte.
+// Explain implements Objective: the band's reason strings, which
+// internal/coord's decision golden pins.
 func (b *BatchWAE) Explain(v Verdict, health float64, n, count int) string {
 	cfg := b.eng.cfg
 	switch v {

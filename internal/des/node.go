@@ -76,7 +76,8 @@ func (s *Sim) tryStealing(n *simNode) {
 	if s.done || n.gone() || !n.joined || n.busy() || s.phase != phaseCompute || len(n.deque) > 0 {
 		return
 	}
-	d := n.eng.NextView(float64(s.k.Now()), s.stealSnapshot())
+	d := &s.stealDir
+	n.eng.NextViewInto(float64(s.k.Now()), s.stealSnapshot(), d)
 	if d.HasAsync {
 		s.sendSteal(n, s.stealNodes[d.AsyncAt], true, true)
 	}

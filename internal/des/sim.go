@@ -108,7 +108,8 @@ type Sim struct {
 	stealNodes   []*simNode
 	stealView    *steal.View
 	membersDirty bool
-	stealPool    []*stealMsg // finished steal attempts, for sendSteal to reuse
+	stealPool    []*stealMsg     // finished steal attempts, for sendSteal to reuse
+	stealDir     steal.Directive // the round tryStealing is acting on, rewritten each round
 
 	master      *simNode
 	coordClst   core.ClusterID

@@ -280,23 +280,33 @@ func (e *Engine) refreshView(v *View) {
 	}
 }
 
-// NextView runs one steal round against a membership view: it fills
-// every free slot the policy allows and marks it in flight. now is the
+// NextView is NextViewInto for a caller that keeps no Directive of its own.
+func (e *Engine) NextView(now float64, v *View) Directive {
+	var d Directive
+	e.NextViewInto(now, v, &d)
+	return d
+}
+
+// NextViewInto runs one steal round against a membership view: it
+// fills every free slot the policy allows, marks it in flight, and
+// writes whom to contact into d, which the caller owns, so a round
+// copies no Directive. It writes only the slots it fills: HasSync and
+// HasAsync say which of d's victims are this round's. now is the
 // caller's clock in seconds (virtual or wall — the engine only ever
 // compares differences).
-func (e *Engine) NextView(now float64, v *View) Directive {
+func (e *Engine) NextViewInto(now float64, v *View, d *Directive) {
 	if e.view != v || e.viewGen != v.gen {
 		e.refreshView(v)
 	}
+	d.HasSync, d.SyncWide, d.HasAsync = false, false, false
 	g := e.home
 	nLocal := 0
 	if g != nil {
 		nLocal = len(g.members)
 	}
-	var d Directive
 	if e.policy == Random {
 		if e.syncOut {
-			return d
+			return
 		}
 		// all = snapshot minus self, in snapshot order.
 		n := len(v.members)
@@ -304,7 +314,7 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 			n--
 		}
 		if n == 0 {
-			return d
+			return
 		}
 		i := e.rng.Intn(n)
 		if e.selfLocal >= 0 && i >= g.pos[e.selfLocal] {
@@ -320,7 +330,7 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 		} else {
 			e.stats.SyncLocal++
 		}
-		return d
+		return
 	}
 	// CRS: async (wide-area) slot first, then the synchronous local
 	// slot — the draw order both runtimes historically used, kept so
@@ -347,7 +357,6 @@ func (e *Engine) NextView(now float64, v *View) Directive {
 		e.syncOut = true
 		e.stats.SyncLocal++
 	}
-	return d
 }
 
 // SyncDone clears the synchronous slot; got reports whether the

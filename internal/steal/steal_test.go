@@ -385,3 +385,56 @@ func TestPublishAddsWhatTheEngineCounted(t *testing.T) {
 		round()
 	}
 }
+
+// NextViewInto over one reused Directive tells its caller what NextView
+// returns: the flags every round, and the victims of every slot the
+// round filled, while slots left empty keep an earlier round's victims.
+func TestNextViewIntoReusedDirective(t *testing.T) {
+	self, home := core.NodeID("c1/01"), core.ClusterID("c1")
+	for _, policy := range []Policy{CRS, Random} {
+		e, twin := New(policy, self, home, 7), New(policy, self, home, 7)
+		script := rand.New(rand.NewSource(7))
+		view := NewView()
+		var d Directive
+		stale := 0
+		for step := 0; step < 500; step++ {
+			if step%10 == 0 {
+				var ms []Member
+				for c := 0; c < 1+script.Intn(4); c++ {
+					cl := core.ClusterID(fmt.Sprintf("c%d", c))
+					for n := 0; n < script.Intn(6); n++ {
+						ms = append(ms, Member{ID: core.NodeID(fmt.Sprintf("%s/%02d", cl, n)), Cluster: cl})
+					}
+				}
+				view.Rebuild(ms)
+			}
+			e.NextViewInto(float64(step), view, &d)
+			want := twin.NextView(float64(step), view)
+			got := d
+			if !got.HasSync {
+				if got.Sync != (Member{}) {
+					stale++
+				}
+				got.Sync, got.SyncAt = Member{}, 0
+			}
+			if !got.HasAsync {
+				got.Async, got.AsyncAt = Member{}, 0
+			}
+			if got != want {
+				t.Fatalf("policy %v step %d: into %+v, NextView %+v", policy, step, d, want)
+			}
+			hit := script.Intn(3) == 0
+			for _, eng := range []*Engine{e, twin} {
+				if eng.syncOut && step%2 == 0 {
+					eng.SyncDone(hit)
+				}
+				if eng.asyncOut && step%3 == 0 {
+					eng.AsyncDone(hit)
+				}
+			}
+		}
+		if stale == 0 {
+			t.Errorf("policy %v: no round left an earlier victim in an empty slot", policy)
+		}
+	}
+}

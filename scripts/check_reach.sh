@@ -67,14 +67,14 @@ awk 'NR == FNR {
 # whole package. Compare it both ways.
 awk -v allowfile="$allow" '
 BEGIN {
-	split("reference harness interface test-seam user-api paper-shape", rs, " ")
+	split("harness interface test-seam user-api paper-shape", rs, " ")
 	for (i in rs) reasons[rs[i]] = 1
 	while ((getline line < allowfile) > 0) {
 		n++
 		if (line ~ /^[[:space:]]*(#|$)/) continue
 		split(line, f, /[[:space:]]+/)
 		if (!(f[2] in reasons) || f[3] == "") {
-			printf "%s:%d: want \"symbol reason note\" with a reason among: reference harness interface test-seam user-api paper-shape\n", allowfile, n
+			printf "%s:%d: want \"symbol reason note\" with a reason among: harness interface test-seam user-api paper-shape\n", allowfile, n
 			bad = 1
 			continue
 		}

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Rewrites every golden the simulator owns from what the code prints:
+# Rewrites every golden the simulator and the coordinator own from what
+# the code prints:
 #   - internal/expt/testdata/periodlog.digest, from TestPeriodLogGolden's
 #     "period log digest X, want Y" failures;
 #   - benchmark/testdata/{des_paper,des_scale}.digest, from the
 #     harness's "digest got X want Y" lines;
 #   - EXPERIMENTS.md's Figure 1 rows between the figure1 markers, from
-#     the table `go run ./cmd/gridsim -scenario all` prints last.
+#     the table `go run ./cmd/gridsim -scenario all` prints last;
+#   - internal/coord/testdata/decisions.golden, the coordinator tree's
+#     Figure-2 decisions, which TestDecisionGolden writes under -update.
 # Each digest file first gets a placeholder, so that every checker fails
 # and prints the value it computed; that value is written back. On an
 # unchanged tree the files come out byte for byte as they went in, which
@@ -75,5 +78,11 @@ FIG="$fig" awk '
 	!on { print }
 	/^<!-- figure1:begin -->$/ { on = 1 }' "$backup/$f" > "$f"
 
+# The decision golden: the test checks each named fleet's action and
+# the table's coverage before it writes, so a failure keeps the old file.
+f=internal/coord/testdata/decisions.golden
+save "$f"
+go test -count=1 -run '^TestDecisionGolden$' ./internal/coord -update >/dev/null
+
 trap - ERR INT TERM
-echo "goldens written: $(git status --porcelain -- internal/expt/testdata benchmark/testdata EXPERIMENTS.md | wc -l) file(s) differ from git"
+echo "goldens written: $(git status --porcelain -- internal/expt/testdata benchmark/testdata EXPERIMENTS.md internal/coord/testdata | wc -l) file(s) differ from git"
