@@ -17,9 +17,11 @@ package coord
 // aggregate fields of ClusterSummary are chosen so the root
 // reconstructs the global WAE, the cluster badness ranking and the
 // pair-bandwidth culprit rule EXACTLY (up to floating-point
-// association) from cluster partials; node eviction ranks the subs'
-// proposed candidates with core's badness formula, so with an uncapped
-// proposal budget the ranking covers every reporting node.
+// association) from cluster partials: the ranking fields are a
+// core.ClusterPartial, and core ranks them with the one implementation
+// of the badness formulas and the culprit rule. Node eviction ranks
+// the subs' proposed candidates, so with an uncapped proposal budget
+// the ranking covers every reporting node.
 //
 // Kernel (coord.go) composes the two halves in one process; the tree
 // drivers (internal/des, adapt) put a network between them and speak
@@ -91,7 +93,8 @@ type ClusterSummary struct {
 	ZeroWork float64 // Σ (1-overhead) over unmeasured nodes
 	EffSum   float64 // Σ (1-overhead) over all nodes (unweighted ablation)
 
-	// Cluster badness inputs (exact partials of AggregateClusters).
+	// Cluster badness inputs (core.ClusterPartial's sums, with Stats,
+	// SpeedMax, SpeedMin and Links).
 	SpeedSum float64 // Σ speeds
 	InterSum float64 // Σ inter-cluster overhead fractions
 
@@ -121,6 +124,12 @@ type ClusterSummary struct {
 
 	// Req is the sub's cached requirements state (see ReqState).
 	Req ReqState
+}
+
+// partial is the summary's share of the ranking inputs.
+func (s ClusterSummary) partial() core.ClusterPartial {
+	return core.ClusterPartial{Cluster: s.Cluster, Stats: s.Stats, SpeedSum: s.SpeedSum,
+		SpeedMax: s.SpeedMax, SpeedMin: s.SpeedMin, InterSum: s.InterSum, Links: s.Links}
 }
 
 // SubKernel is the per-cluster half of the sharded coordinator: report
@@ -247,34 +256,20 @@ func (sk *SubKernel) summarize(now float64, liveSet map[core.NodeID]bool) Cluste
 		Cluster: sk.cluster,
 		Seq:     sk.seq,
 		Time:    now,
-		Stats:   len(stats),
 	}
+	part := core.ClusterPartial{Cluster: sk.cluster}
 	for _, st := range stats {
 		eff := 1 - st.Overhead()
 		if st.Speed > 0 {
 			sum.WorkSum += st.Speed * eff
-			if st.Speed > sum.SpeedMax {
-				sum.SpeedMax = st.Speed
-			}
-			if sum.SpeedMin == 0 || st.Speed < sum.SpeedMin {
-				sum.SpeedMin = st.Speed
-			}
 		} else {
 			sum.ZeroWork += eff
 		}
 		sum.EffSum += eff
-		sum.SpeedSum += st.Speed
-		sum.InterSum += st.InterComm
-		for peer, l := range st.Links {
-			if sum.Links == nil {
-				sum.Links = make(map[core.ClusterID]core.LinkSample)
-			}
-			agg := sum.Links[peer]
-			agg.Seconds += l.Seconds
-			agg.Bytes += l.Bytes
-			sum.Links[peer] = agg
-		}
+		part.Add(st)
 	}
+	sum.Stats, sum.SpeedSum, sum.SpeedMax, sum.SpeedMin = part.Stats, part.SpeedSum, part.SpeedMax, part.SpeedMin
+	sum.InterSum, sum.Links = part.InterSum, part.Links
 	// Achieved-throughput fallback for the learned bandwidth bound,
 	// summed in sorted node order for determinism.
 	for _, id := range ids {
@@ -308,10 +303,7 @@ func smooth(cur, prev core.NodeStats) core.NodeStats {
 	merged := make(map[core.ClusterID]core.LinkSample, len(cur.Links)+len(prev.Links))
 	for _, links := range []map[core.ClusterID]core.LinkSample{cur.Links, prev.Links} {
 		for peer, l := range links {
-			m := merged[peer]
-			m.Seconds += l.Seconds
-			m.Bytes += l.Bytes
-			merged[peer] = m
+			merged[peer] = merged[peer].Plus(l)
 		}
 	}
 	if len(merged) > 0 {
@@ -322,38 +314,30 @@ func smooth(cur, prev core.NodeStats) core.NodeStats {
 
 // propose selects the eviction candidates: every reporting node when
 // uncapped (sorted-node order — the root re-sorts anyway), else the
-// locally-worst cap nodes by the shared badness formula. Local badness
-// uses cluster-local relative speeds; the ordering may differ slightly
-// from the global one, which is the documented approximation of a
-// capped summary (the cap exists precisely so frames stay O(1)).
+// locally-worst cap nodes by core.RankNodes, which reduces the stats to
+// the partial this summary carries and ranks with the root's formulas.
+// Local badness uses cluster-local relative speeds; the ordering may
+// differ slightly from the global one, which is the documented
+// approximation of a capped summary (the cap exists precisely so frames
+// stay O(1)).
 func (sk *SubKernel) propose(stats []core.NodeStats) []NodeSample {
 	if len(stats) == 0 {
 		return nil
 	}
-	toSample := func(st core.NodeStats) NodeSample {
-		return NodeSample{
-			Node:      st.Node,
-			Speed:     st.Speed,
-			Idle:      st.Idle,
-			IntraComm: st.IntraComm,
-			InterComm: st.InterComm,
-		}
-	}
-	if sk.cap <= 0 || len(stats) <= sk.cap {
-		out := make([]NodeSample, 0, len(stats))
+	picked := stats
+	if sk.cap > 0 && len(stats) > sk.cap {
+		byNode := make(map[core.NodeID]core.NodeStats, len(stats))
 		for _, st := range stats {
-			out = append(out, toSample(st))
+			byNode[st.Node] = st
 		}
-		return out
+		picked = make([]core.NodeStats, 0, sk.cap)
+		for _, nb := range core.RankNodes(stats, sk.weights)[:sk.cap] {
+			picked = append(picked, byNode[nb.Node])
+		}
 	}
-	byNode := make(map[core.NodeID]core.NodeStats, len(stats))
-	for _, st := range stats {
-		byNode[st.Node] = st
-	}
-	ranked := core.RankNodes(stats, sk.weights)
-	out := make([]NodeSample, 0, sk.cap)
-	for _, nb := range ranked[:sk.cap] {
-		out = append(out, toSample(byNode[nb.Node]))
+	out := make([]NodeSample, 0, len(picked))
+	for _, st := range picked {
+		out = append(out, NodeSample{Node: st.Node, Speed: st.Speed, Idle: st.Idle, IntraComm: st.IntraComm, InterComm: st.InterComm})
 	}
 	return out
 }
@@ -585,19 +569,15 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
-	// Global speed extrema and report count from the cluster partials.
+	// The ranking inputs in cluster order, the report count and the
+	// global speed extrema.
+	parts := make([]core.ClusterPartial, len(order))
 	n := 0
-	maxSp, minKnown := 0.0, 0.0
-	for _, c := range order {
-		s := rk.sums[c]
-		n += s.Stats
-		if s.SpeedMax > maxSp {
-			maxSp = s.SpeedMax
-		}
-		if s.SpeedMin > 0 && (minKnown == 0 || s.SpeedMin < minKnown) {
-			minKnown = s.SpeedMin
-		}
+	for i, c := range order {
+		parts[i] = rk.sums[c].partial()
+		n += parts[i].Stats
 	}
+	maxSp, minKnown := core.SpeedRange(parts)
 	// WAE = [Σ WorkSum/max + (minKnown/max)·Σ ZeroWork] / n —
 	// core.WeightedAverageEfficiency reassociated over cluster partials.
 	var wae, eff float64
@@ -695,7 +675,7 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 	// configuration next period.
 	if rk.cfg.Pressure != nil {
 		if p := rk.cfg.Pressure(); p > 0 {
-			ranked := rk.rankProposals(order, maxSp, minKnown)
+			ranked := rk.rank(parts)
 			var victims []core.NodeID
 			for _, nb := range ranked {
 				if len(victims) >= p {
@@ -729,12 +709,12 @@ func (rk *RootKernel) Tick(now float64, liveClusters []core.ClusterID, totalNode
 			rk.act.Annotate(fmt.Sprintf("adding %d nodes (WAE %.2f)", rec.Added, health))
 		}
 	case core.VerdictShrink, core.VerdictShed:
-		acted = rk.shrink(&rec, v, order, health, n, cnt, maxSp, minKnown)
+		acted = rk.shrink(&rec, v, parts, health, n, cnt)
 	default:
 		rec.Action = "none"
 		rec.Detail = rk.obj.Explain(core.VerdictHold, health, n, 0)
 		if rk.cfg.Opportunistic {
-			if added, removed := rk.tryOpportunistic(order, maxSp, minKnown); added > 0 {
+			if added, removed := rk.tryOpportunistic(parts, minKnown); added > 0 {
 				rec.Action = "opportunistic-migrate"
 				rec.Added = added
 				rec.Removed = removed
@@ -771,19 +751,19 @@ func (rk *RootKernel) resetLocked() {
 // decides. cnt is the objective's node-removal magnitude (0 = floor
 // reached). A VerdictShed blacklists its victims regardless of the
 // objective's traits.
-func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.ClusterID, health float64, n, cnt int, maxSp, minKnown float64) bool {
+func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, parts []core.ClusterPartial, health float64, n, cnt int) bool {
 	tr := rk.obj.Traits()
 	if tr.ClusterEviction && rk.eng != nil {
 		ecfg := rk.eng.Config()
 
 		// Primary rule: measured pair-bandwidth culprit.
 		if ecfg.ClusterDropBWRatio > 0 {
-			if culprit, bw, ref, ok := rk.bandwidthCulprit(order); ok && ref > 0 && bw <= ref*ecfg.ClusterDropBWRatio {
+			if culprit, bw, ref, ok := core.BandwidthCulprit(parts, core.MinPairBytes); ok && ref > 0 && bw <= ref*ecfg.ClusterDropBWRatio {
 				if s, here := rk.sums[culprit]; here && s.Stats > 0 && n-s.Stats >= ecfg.MinNodes {
 					rec.Action = "remove-cluster"
 					rec.Detail = fmt.Sprintf("cluster %s best-pair bandwidth %.0f B/s vs %.0f B/s elsewhere: uplink insufficient, evacuating cluster",
 						culprit, bw, ref)
-					rec.Removed = rk.evictCluster(culprit, bw, health, n)
+					rec.Removed = rk.evictCluster(parts, culprit, bw, health, n)
 					return rec.Removed > 0
 				}
 			}
@@ -791,7 +771,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 
 		// Fallback rule: exceptionally high inter-cluster overhead that
 		// clearly dominates the runner-up.
-		clusters := rk.rankClusters(order)
+		clusters := core.RankClusters(parts, rk.weights)
 		worst, second := -1, -1
 		for i := range clusters {
 			switch {
@@ -814,7 +794,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 				rec.Action = "remove-cluster"
 				rec.Detail = fmt.Sprintf("cluster %s inter-cluster overhead %.0f%% > %.0f%%: uplink bandwidth insufficient, evacuating cluster",
 					c.Cluster, c.InterComm*100, ecfg.ClusterDropInterComm*100)
-				rec.Removed = rk.evictCluster(c.Cluster, 0, health, n)
+				rec.Removed = rk.evictCluster(parts, c.Cluster, 0, health, n)
 				return rec.Removed > 0
 			}
 		}
@@ -825,7 +805,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 		rec.Detail = rk.obj.Explain(v, health, n, 0)
 		return false
 	}
-	ranked := rk.rankProposals(order, maxSp, minKnown)
+	ranked := rk.rank(parts)
 	if len(ranked) > cnt {
 		ranked = ranked[:cnt]
 	}
@@ -849,7 +829,7 @@ func (rk *RootKernel) shrink(rec *PeriodRecord, v core.Verdict, order []core.Clu
 // blacklist the cluster, and fall back to worst-node eviction when the
 // cluster holds only protected nodes, which cannot leave, so the
 // coordinator does not spin on the same decision.
-func (rk *RootKernel) evictCluster(c core.ClusterID, measuredBW, wae float64, n int) int {
+func (rk *RootKernel) evictCluster(parts []core.ClusterPartial, c core.ClusterID, measuredBW, wae float64, n int) int {
 	rk.learnClusterBandwidth(c, measuredBW)
 	var victims []core.NodeID
 	if rk.roster != nil {
@@ -870,22 +850,7 @@ func (rk *RootKernel) evictCluster(c core.ClusterID, measuredBW, wae float64, n 
 	// Only protected nodes there: evict the worst ordinary nodes
 	// instead, skipping the offending cluster.
 	count := rk.eng.ShrinkCount(n, wae)
-	var maxSp, minKnown float64
-	order := make([]core.ClusterID, 0, len(rk.sums))
-	for cc := range rk.sums {
-		order = append(order, cc)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, cc := range order {
-		s := rk.sums[cc]
-		if s.SpeedMax > maxSp {
-			maxSp = s.SpeedMax
-		}
-		if s.SpeedMin > 0 && (minKnown == 0 || s.SpeedMin < minKnown) {
-			minKnown = s.SpeedMin
-		}
-	}
-	ranked := rk.rankProposals(order, maxSp, minKnown)
+	ranked := rk.rank(parts)
 	var fallback []core.NodeID
 	for _, nb := range ranked {
 		if len(fallback) >= count {
@@ -925,99 +890,18 @@ func (rk *RootKernel) learnClusterBandwidth(c core.ClusterID, measured float64) 
 	}
 }
 
-// rankClusters recomputes core.RankClusters from the cluster partials:
-// SpeedSum and the InterComm mean are exact sums/means over the same
-// nodes in the same order, so the ranking matches core's exactly.
-func (rk *RootKernel) rankClusters(order []core.ClusterID) []core.ClusterBadness {
-	maxSpeed := 0.0
-	for _, c := range order {
-		if s := rk.sums[c]; s.Stats > 0 && s.SpeedSum > maxSpeed {
-			maxSpeed = s.SpeedSum
+// rank orders every cluster's proposed candidates worst-first with
+// core.RankCandidates over all clusters' partials: the global speed
+// normalisation, the unmeasured-node fallback and the γ bonus for the
+// worst cluster are only known here.
+func (rk *RootKernel) rank(parts []core.ClusterPartial) []core.NodeBadness {
+	var cands []core.Candidate
+	for _, p := range parts {
+		for _, s := range rk.sums[p.Cluster].Proposals {
+			cands = append(cands, core.Candidate{Node: s.Node, Cluster: p.Cluster, Speed: s.Speed, InterComm: s.InterComm})
 		}
 	}
-	w := rk.weights
-	out := make([]core.ClusterBadness, 0, len(order))
-	for _, c := range order {
-		s := rk.sums[c]
-		if s.Stats == 0 {
-			continue
-		}
-		rel := 1.0
-		if maxSpeed > 0 {
-			rel = s.SpeedSum / maxSpeed
-		}
-		inter := s.InterSum / float64(s.Stats)
-		out = append(out, core.ClusterBadness{
-			Cluster:   c,
-			Badness:   w.Alpha*core.InvSpeed(rel) + w.Beta*inter,
-			InterComm: inter,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Badness != out[j].Badness {
-			return out[i].Badness > out[j].Badness
-		}
-		return out[i].Cluster < out[j].Cluster
-	})
-	return out
-}
-
-// rankProposals re-ranks every cluster's proposed candidates with the
-// GLOBAL badness formula — global speed normalisation, global minKnown
-// fallback and the γ bonus for the worst cluster — exactly
-// core.RankNodes restricted to the proposed nodes.
-func (rk *RootKernel) rankProposals(order []core.ClusterID, maxSp, minKnown float64) []core.NodeBadness {
-	var worst core.ClusterID
-	if clusters := rk.rankClusters(order); len(clusters) > 0 {
-		worst = clusters[0].Cluster
-	}
-	var out []core.NodeBadness
-	w := rk.weights
-	for _, c := range order {
-		s := rk.sums[c]
-		for _, p := range s.Proposals {
-			var rel float64
-			switch {
-			case maxSp == 0:
-				rel = 1
-			case p.Speed > 0:
-				rel = p.Speed / maxSp
-			default:
-				rel = minKnown / maxSp
-			}
-			b := w.Alpha*core.InvSpeed(rel) + w.Beta*p.InterComm
-			if c == worst {
-				b += w.Gamma
-			}
-			out = append(out, core.NodeBadness{Node: p.Node, Cluster: c, Badness: b})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Badness != out[j].Badness {
-			return out[i].Badness > out[j].Badness
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-// bandwidthCulprit rebuilds core.BandwidthCulprit from the clusters'
-// summed link samples. Each pair's total is the same set of per-node
-// samples core.PairBandwidths sums, pre-reduced per cluster.
-func (rk *RootKernel) bandwidthCulprit(order []core.ClusterID) (culprit core.ClusterID, bw, ref float64, ok bool) {
-	synth := make([]core.NodeStats, 0, len(order))
-	for _, c := range order {
-		s := rk.sums[c]
-		if len(s.Links) == 0 {
-			continue
-		}
-		synth = append(synth, core.NodeStats{
-			Node:    core.NodeID("cluster:" + string(c)),
-			Cluster: c,
-			Links:   s.Links,
-		})
-	}
-	return core.BandwidthCulprit(synth, core.MinPairBytes)
+	return core.RankCandidates(parts, cands, rk.weights)
 }
 
 // evict filters out protected nodes, asks the actuator to remove the
@@ -1054,7 +938,7 @@ func (rk *RootKernel) evict(victims []core.NodeID, reason string, blacklist bool
 // migration victim set comes from the proposals, which is exact when
 // the proposal cap covers the cluster and a documented approximation
 // otherwise.
-func (rk *RootKernel) tryOpportunistic(order []core.ClusterID, maxSp, minKnown float64) (added, removed int) {
+func (rk *RootKernel) tryOpportunistic(parts []core.ClusterPartial, minKnown float64) (added, removed int) {
 	mig, ok := rk.act.(Migrator)
 	if !ok {
 		return 0, 0
@@ -1072,10 +956,10 @@ func (rk *RootKernel) tryOpportunistic(order []core.ClusterID, maxSp, minKnown f
 		speed   float64
 	}
 	var slow []cand
-	for _, c := range order {
-		for _, p := range rk.sums[c].Proposals {
+	for _, part := range parts {
+		for _, p := range rk.sums[part.Cluster].Proposals {
 			if p.Speed > 0 && p.Speed*opportunisticFactor <= speed && !rk.protected[p.Node] {
-				slow = append(slow, cand{p.Node, c, p.Speed})
+				slow = append(slow, cand{p.Node, part.Cluster, p.Speed})
 			}
 		}
 	}

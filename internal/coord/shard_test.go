@@ -373,6 +373,80 @@ func TestKernelBandwidthCulprit(t *testing.T) {
 	}
 }
 
+// TestCappedProposalsAreTheRootsWorst pins the capped proposal path: a
+// sub with cap k proposes exactly the k nodes the root ranks worst in
+// the uncapped summary of the same cluster, in the root's order, and a
+// cap at or above the report count proposes every node. The fleet mixes
+// speeds, has an unmeasured node (ranked at the slowest measured
+// speed) and ties, which break on NodeID.
+func TestCappedProposalsAreTheRootsWorst(t *testing.T) {
+	w := core.DefaultBadnessWeights()
+	// rep's inter argument is seconds of the 100 s period.
+	reports := []metrics.Report{
+		rep("a0", "A", 0, 50, 0, 2, 100, 0),
+		rep("a1", "A", 0, 50, 0, 2, 50, 0),
+		rep("a2", "A", 0, 50, 0, 2, 50, 0),
+		rep("a3", "A", 0, 50, 0, 10, 25, 0),
+		rep("a4", "A", 0, 50, 0, 2, 0, 0),
+		rep("a5", "A", 0, 50, 0, 5, 100, 0),
+		rep("a6", "A", 0, 50, 0, 5, 80, 0),
+		rep("a7", "A", 0, 50, 0, 2, 100, 0),
+	}
+	var live []core.NodeID
+	for _, r := range reports {
+		live = append(live, r.Node)
+	}
+	summarize := func(proposalCap int) ClusterSummary {
+		sub := NewSubKernel("A", proposalCap, w)
+		for _, r := range reports {
+			sub.Report(r)
+		}
+		return sub.Summarize(dur, live)
+	}
+	nodes := func(ps []NodeSample) []core.NodeID {
+		var out []core.NodeID
+		for _, p := range ps {
+			out = append(out, p.Node)
+		}
+		return out
+	}
+
+	full := summarize(0)
+	c := core.DefaultConfig()
+	rk, err := NewRoot(Config{Engine: &c}, &scriptedActuator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rk.Ingest(full) {
+		t.Fatal("uncapped summary refused")
+	}
+	var worst []core.NodeID
+	for _, nb := range rk.rank([]core.ClusterPartial{full.partial()}) {
+		worst = append(worst, nb.Node)
+	}
+	// Badness 1/speed + 100·inter + 10: a3 14, a6 6.25, a4 (as slow as
+	// a3) 6, a5 6, a1 = a2 4, a0 = a7 3.
+	if want := []core.NodeID{"a3", "a6", "a4", "a5", "a1", "a2", "a0", "a7"}; !reflect.DeepEqual(worst, want) {
+		t.Fatalf("root ranking = %v, want %v", worst, want)
+	}
+
+	for k := 1; k <= len(reports)+1; k++ {
+		sum := summarize(k)
+		want := live
+		if k < len(reports) {
+			want = worst[:k]
+		}
+		if got := nodes(sum.Proposals); !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d proposes %v, want %v", k, got, want)
+		}
+		for _, p := range sum.Proposals {
+			if i := slices.Index(live, p.Node); !reflect.DeepEqual(p, full.Proposals[i]) {
+				t.Errorf("cap %d sample %+v, uncapped %+v", k, p, full.Proposals[i])
+			}
+		}
+	}
+}
+
 // TestClusterEvictionSparesUnreportedNodes: whole-cluster eviction is a
 // verdict on the nodes whose reports showed the saturated uplink. A
 // node that joined the cluster and has not completed a period stays,

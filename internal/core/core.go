@@ -12,8 +12,6 @@
 // the statistics, never an application performance model.
 package core
 
-import "sort"
-
 // NodeID identifies a single processor taking part in the computation.
 type NodeID string
 
@@ -67,6 +65,11 @@ func (l LinkSample) Bandwidth() float64 {
 	return l.Bytes / l.Seconds
 }
 
+// Plus returns the two samples' sum: both transfers' time and bytes.
+func (l LinkSample) Plus(o LinkSample) LinkSample {
+	return LinkSample{Seconds: l.Seconds + o.Seconds, Bytes: l.Bytes + o.Bytes}
+}
+
 // Overhead returns the node's total overhead fraction for the period:
 // the time not spent on useful application work, clamped to [0,1].
 func (s NodeStats) Overhead() float64 {
@@ -80,176 +83,25 @@ func (s NodeStats) Overhead() float64 {
 	return o
 }
 
-// RelativeSpeeds returns each node's speed divided by the fastest node's
-// speed, so the fastest node has relative speed 1 and 0 < speed <= 1
-// holds for all others. Nodes with unknown (zero) speed are assigned the
-// smallest known relative speed (or 1 if no node has a known speed).
-func RelativeSpeeds(stats []NodeStats) []float64 {
-	rel := make([]float64, len(stats))
-	max := 0.0
-	minKnown := 0.0
-	for _, s := range stats {
-		if s.Speed > max {
-			max = s.Speed
-		}
-		if s.Speed > 0 && (minKnown == 0 || s.Speed < minKnown) {
-			minKnown = s.Speed
-		}
-	}
-	for i, s := range stats {
-		switch {
-		case max == 0:
-			rel[i] = 1 // nobody measured yet: treat as homogeneous
-		case s.Speed > 0:
-			rel[i] = s.Speed / max
-		default:
-			rel[i] = minKnown / max
-		}
-	}
-	return rel
-}
-
 // WeightedAverageEfficiency computes the paper's central metric:
 //
 //	WAE = (1/n) * sum_i speed_i * (1 - overhead_i)
 //
-// where speed_i is relative to the fastest processor. Slow processors
-// are thereby modelled as fast processors that are idle a large fraction
-// of the time, so adding slow processors is correctly valued below
-// adding fast ones. Returns 0 for an empty report set.
+// where speed_i is relative to the fastest processor (relativeSpeed).
+// Slow processors are thereby modelled as fast processors that are idle
+// a large fraction of the time, so adding slow processors is correctly
+// valued below adding fast ones. Returns 0 for an empty report set.
 func WeightedAverageEfficiency(stats []NodeStats) float64 {
 	if len(stats) == 0 {
 		return 0
 	}
-	rel := RelativeSpeeds(stats)
+	var all ClusterPartial
+	for _, s := range stats {
+		all.addSpeed(s.Speed)
+	}
 	sum := 0.0
-	for i, s := range stats {
-		sum += rel[i] * (1 - s.Overhead())
+	for _, s := range stats {
+		sum += relativeSpeed(s.Speed, all.SpeedMax, all.SpeedMin) * (1 - s.Overhead())
 	}
 	return sum / float64(len(stats))
-}
-
-// ClusterStats aggregates one cluster's nodes for one period.
-type ClusterStats struct {
-	Cluster ClusterID
-	Nodes   []NodeID
-	// Speed is the sum of the member nodes' absolute speeds.
-	Speed float64
-	// RelSpeed is Speed normalised to the fastest cluster (1 = fastest).
-	RelSpeed float64
-	// InterComm is the mean inter-cluster communication overhead of the
-	// member nodes.
-	InterComm float64
-	// MeanOverhead is the mean total overhead of the member nodes.
-	MeanOverhead float64
-}
-
-// AggregateClusters groups per-node stats by cluster, computing cluster
-// speeds (sum of node speeds, normalised to the fastest cluster) and the
-// mean inter-cluster overhead, in deterministic (sorted) cluster order.
-func AggregateClusters(stats []NodeStats) []ClusterStats {
-	byCluster := make(map[ClusterID]*ClusterStats)
-	var order []ClusterID
-	for _, s := range stats {
-		c, ok := byCluster[s.Cluster]
-		if !ok {
-			c = &ClusterStats{Cluster: s.Cluster}
-			byCluster[s.Cluster] = c
-			order = append(order, s.Cluster)
-		}
-		c.Nodes = append(c.Nodes, s.Node)
-		c.Speed += s.Speed
-		c.InterComm += s.InterComm
-		c.MeanOverhead += s.Overhead()
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]ClusterStats, 0, len(order))
-	maxSpeed := 0.0
-	for _, id := range order {
-		c := byCluster[id]
-		n := float64(len(c.Nodes))
-		c.InterComm /= n
-		c.MeanOverhead /= n
-		sort.Slice(c.Nodes, func(i, j int) bool { return c.Nodes[i] < c.Nodes[j] })
-		if c.Speed > maxSpeed {
-			maxSpeed = c.Speed
-		}
-		out = append(out, *c)
-	}
-	for i := range out {
-		if maxSpeed > 0 {
-			out[i].RelSpeed = out[i].Speed / maxSpeed
-		} else {
-			out[i].RelSpeed = 1
-		}
-	}
-	return out
-}
-
-// PairKey orders two cluster IDs canonically.
-func PairKey(a, b ClusterID) [2]ClusterID {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]ClusterID{a, b}
-}
-
-// PairBandwidths estimates the achieved bandwidth of every cluster pair
-// from the nodes' transfer samples (both directions combined). Pairs
-// with fewer than minBytes of evidence are omitted as noise.
-func PairBandwidths(stats []NodeStats, minBytes float64) map[[2]ClusterID]LinkSample {
-	pairs := make(map[[2]ClusterID]LinkSample)
-	for _, s := range stats {
-		for peer, sample := range s.Links {
-			if peer == s.Cluster {
-				continue
-			}
-			k := PairKey(s.Cluster, peer)
-			agg := pairs[k]
-			agg.Seconds += sample.Seconds
-			agg.Bytes += sample.Bytes
-			pairs[k] = agg
-		}
-	}
-	for k, agg := range pairs {
-		if agg.Bytes < minBytes {
-			delete(pairs, k)
-		}
-	}
-	return pairs
-}
-
-// BandwidthCulprit finds the cluster whose connectivity is the
-// bottleneck: the participant cluster whose BEST pair bandwidth is the
-// lowest. A congested access link degrades every pair the cluster is
-// part of, while its neighbours keep healthy pairs among themselves —
-// so comparing best-pair bandwidths separates the culprit from its
-// collateral victims. Returns the culprit, its best-pair bandwidth and
-// the best bandwidth observed anywhere (the reference); ok is false
-// when fewer than two pairs have evidence.
-func BandwidthCulprit(stats []NodeStats, minBytes float64) (culprit ClusterID, bw, ref float64, ok bool) {
-	pairs := PairBandwidths(stats, minBytes)
-	if len(pairs) < 2 {
-		return "", 0, 0, false
-	}
-	best := make(map[ClusterID]float64)
-	for k, sample := range pairs {
-		b := sample.Bandwidth()
-		if b > ref {
-			ref = b
-		}
-		for _, c := range k {
-			if b > best[c] {
-				best[c] = b
-			}
-		}
-	}
-	first := true
-	for c, b := range best {
-		if first || b < bw || (b == bw && c < culprit) {
-			culprit, bw = c, b
-			first = false
-		}
-	}
-	return culprit, bw, ref, true
 }

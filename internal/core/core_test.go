@@ -28,6 +28,20 @@ func TestNodeStatsOverheadClamps(t *testing.T) {
 	}
 }
 
+// relSpeeds is each node's relative speed by the rule
+// WeightedAverageEfficiency and RankCandidates share.
+func relSpeeds(stats []NodeStats) []float64 {
+	var all ClusterPartial
+	for _, s := range stats {
+		all.addSpeed(s.Speed)
+	}
+	rel := make([]float64, len(stats))
+	for i, s := range stats {
+		rel[i] = relativeSpeed(s.Speed, all.SpeedMax, all.SpeedMin)
+	}
+	return rel
+}
+
 func TestRelativeSpeeds(t *testing.T) {
 	t.Run("normalises to fastest", func(t *testing.T) {
 		stats := []NodeStats{
@@ -35,7 +49,7 @@ func TestRelativeSpeeds(t *testing.T) {
 			{Node: "b", Speed: 100},
 			{Node: "c", Speed: 25},
 		}
-		rel := RelativeSpeeds(stats)
+		rel := relSpeeds(stats)
 		want := []float64{0.5, 1.0, 0.25}
 		for i := range want {
 			if !almostEq(rel[i], want[i]) {
@@ -49,14 +63,14 @@ func TestRelativeSpeeds(t *testing.T) {
 			{Node: "b", Speed: 100},
 			{Node: "c", Speed: 20},
 		}
-		rel := RelativeSpeeds(stats)
+		rel := relSpeeds(stats)
 		if !almostEq(rel[0], 0.2) {
 			t.Errorf("unknown speed got rel %v, want 0.2 (slowest known)", rel[0])
 		}
 	})
 	t.Run("all unknown is homogeneous", func(t *testing.T) {
 		stats := []NodeStats{{Node: "a"}, {Node: "b"}}
-		rel := RelativeSpeeds(stats)
+		rel := relSpeeds(stats)
 		if rel[0] != 1 || rel[1] != 1 {
 			t.Errorf("all-unknown speeds should be 1, got %v", rel)
 		}
@@ -144,27 +158,40 @@ func TestAggregateClusters(t *testing.T) {
 		{Node: "b1", Cluster: "B", Speed: 5, InterComm: 0.4, Idle: 0.1},
 		{Node: "a1", Cluster: "A", Speed: 10, InterComm: 0.1},
 		{Node: "a2", Cluster: "A", Speed: 10, InterComm: 0.3},
-		{Node: "b2", Cluster: "B", Speed: 5, InterComm: 0.2},
+		{Node: "b2", Cluster: "B", Speed: 0, InterComm: 0.2},
 	}
-	agg := AggregateClusters(stats)
-	if len(agg) != 2 {
-		t.Fatalf("got %d clusters, want 2", len(agg))
+	parts := partials(stats)
+	if len(parts) != 2 {
+		t.Fatalf("got %d clusters, want 2", len(parts))
 	}
-	if agg[0].Cluster != "A" || agg[1].Cluster != "B" {
-		t.Fatalf("clusters not in sorted order: %v %v", agg[0].Cluster, agg[1].Cluster)
+	if parts[0].Cluster != "A" || parts[1].Cluster != "B" {
+		t.Fatalf("clusters not in sorted order: %v %v", parts[0].Cluster, parts[1].Cluster)
 	}
-	a, b := agg[0], agg[1]
-	if !almostEq(a.Speed, 20) || !almostEq(b.Speed, 10) {
-		t.Errorf("cluster speeds = %v,%v want 20,10", a.Speed, b.Speed)
+	a, b := parts[0], parts[1]
+	if a.Stats != 2 || b.Stats != 2 {
+		t.Errorf("report counts = %d,%d want 2,2", a.Stats, b.Stats)
 	}
-	if !almostEq(a.RelSpeed, 1) || !almostEq(b.RelSpeed, 0.5) {
-		t.Errorf("rel speeds = %v,%v want 1,0.5", a.RelSpeed, b.RelSpeed)
+	if !almostEq(a.SpeedSum, 20) || !almostEq(b.SpeedSum, 5) {
+		t.Errorf("cluster speeds = %v,%v want 20,5", a.SpeedSum, b.SpeedSum)
 	}
-	if !almostEq(a.InterComm, 0.2) || !almostEq(b.InterComm, 0.3) {
-		t.Errorf("intercomm = %v,%v want 0.2,0.3", a.InterComm, b.InterComm)
+	// b2 is unmeasured: it counts in the sum but not in the extrema.
+	if a.SpeedMax != 10 || a.SpeedMin != 10 || b.SpeedMax != 5 || b.SpeedMin != 5 {
+		t.Errorf("extrema = A %v..%v, B %v..%v", a.SpeedMin, a.SpeedMax, b.SpeedMin, b.SpeedMax)
 	}
-	if len(a.Nodes) != 2 || a.Nodes[0] != "a1" || a.Nodes[1] != "a2" {
-		t.Errorf("cluster A nodes = %v", a.Nodes)
+	if fastest, slowest := SpeedRange(parts); fastest != 10 || slowest != 5 {
+		t.Errorf("SpeedRange = %v,%v want 10,5", fastest, slowest)
+	}
+	// Cluster badness reads the mean inter-comm and the summed speed
+	// relative to the fastest cluster: A 1/1 + 100·.2, B 1/.25 + 100·.3.
+	ranked := RankClusters(parts, DefaultBadnessWeights())
+	if len(ranked) != 2 || ranked[0].Cluster != "B" {
+		t.Fatalf("ranking = %+v, want B worst", ranked)
+	}
+	if !almostEq(ranked[0].InterComm, 0.3) || !almostEq(ranked[1].InterComm, 0.2) {
+		t.Errorf("intercomm = %v,%v want 0.3,0.2", ranked[0].InterComm, ranked[1].InterComm)
+	}
+	if !almostEq(ranked[0].Badness, 34) || !almostEq(ranked[1].Badness, 21) {
+		t.Errorf("badness = %v,%v want 34,21", ranked[0].Badness, ranked[1].Badness)
 	}
 }
 
@@ -176,12 +203,18 @@ func TestRankClustersWorstFirst(t *testing.T) {
 		{Node: "s1", Cluster: "sat", Speed: 10, InterComm: 0.5},
 		{Node: "s2", Cluster: "sat", Speed: 10, InterComm: 0.4},
 	}
-	ranked := RankClusters(stats, w)
+	ranked := RankClusters(partials(stats), w)
 	if ranked[0].Cluster != "sat" {
 		t.Fatalf("saturated cluster should rank worst, got %v", ranked[0].Cluster)
 	}
 	if ranked[0].Badness <= ranked[1].Badness {
 		t.Errorf("badness not descending: %v then %v", ranked[0].Badness, ranked[1].Badness)
+	}
+	// A partial without reports (a sub that summarized before its
+	// nodes' first period) has no badness.
+	ranked = RankClusters(append(partials(stats), ClusterPartial{Cluster: "new"}), w)
+	if len(ranked) != 2 {
+		t.Errorf("empty partial ranked: %+v", ranked)
 	}
 }
 

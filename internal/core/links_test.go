@@ -45,35 +45,39 @@ func TestPairKeyCanonical(t *testing.T) {
 	}
 }
 
+// The TestPairBandwidths* tests pin the pair estimation inside
+// BandwidthCulprit, over the cluster partials the root holds.
+
 func TestPairBandwidthsCombinesDirections(t *testing.T) {
-	pairs := PairBandwidths(linkStats(), 0)
-	if len(pairs) != 3 {
-		t.Fatalf("got %d pairs, want 3", len(pairs))
+	_, bw, ref, ok := BandwidthCulprit(partials(linkStats()), 0)
+	if !ok {
+		t.Fatal("no culprit found")
 	}
-	ab := pairs[PairKey("A", "B")]
-	// Both directions combined: 32 MB over 3 s.
-	if ab.Bytes != 32e6 || ab.Seconds != 3 {
-		t.Errorf("A<->B sample = %+v", ab)
+	// Both directions combined: A<->B moved 32 MB over 3 s, the best
+	// pair anywhere; C's best pair is A<->C, 0.9 MB over 110 s.
+	if ref != 32e6/3 {
+		t.Errorf("reference bandwidth = %v, want %v", ref, 32e6/3)
 	}
-	ac := pairs[PairKey("A", "C")]
-	if bw := ac.Bandwidth(); bw > 1e4 {
-		t.Errorf("A<->C bandwidth = %v, want thin", bw)
+	if bw != 9e5/110 {
+		t.Errorf("culprit best-pair bandwidth = %v, want %v", bw, 9e5/110)
 	}
 }
 
 func TestPairBandwidthsEvidenceFloor(t *testing.T) {
-	pairs := PairBandwidths(linkStats(), 1e6)
-	// Only A<->B moved more than 1 MB of evidence.
-	if len(pairs) != 1 {
-		t.Fatalf("got %d pairs above floor, want 1: %v", len(pairs), pairs)
+	// Only A<->B moved more than 1 MB of evidence: one pair names no
+	// culprit.
+	if c, _, _, ok := BandwidthCulprit(partials(linkStats()), 1e6); ok {
+		t.Fatalf("one evidenced pair named culprit %v", c)
 	}
-	if _, ok := pairs[PairKey("A", "B")]; !ok {
-		t.Error("A<->B missing")
+	// At 0.8 MB, B<->C (0.7 MB) drops out and A<->C still counts.
+	culprit, bw, _, ok := BandwidthCulprit(partials(linkStats()), 8e5)
+	if !ok || culprit != "C" || bw != 9e5/110 {
+		t.Errorf("culprit = %v %v %v, want C at %v", culprit, bw, ok, 9e5/110)
 	}
 }
 
 func TestBandwidthCulpritFindsCongestedCluster(t *testing.T) {
-	culprit, bw, ref, ok := BandwidthCulprit(linkStats(), 0)
+	culprit, bw, ref, ok := BandwidthCulprit(partials(linkStats()), 0)
 	if !ok {
 		t.Fatal("no culprit found")
 	}
@@ -94,7 +98,7 @@ func TestBandwidthCulpritNeedsTwoPairs(t *testing.T) {
 		Node: "a", Cluster: "A", Speed: 1,
 		Links: map[ClusterID]LinkSample{"B": {Seconds: 1, Bytes: 100}},
 	}}
-	if _, _, _, ok := BandwidthCulprit(one, 0); ok {
+	if _, _, _, ok := BandwidthCulprit(partials(one), 0); ok {
 		t.Fatal("single pair should not identify a culprit")
 	}
 	if _, _, _, ok := BandwidthCulprit(nil, 0); ok {
@@ -109,12 +113,29 @@ func TestBandwidthCulpritHealthyGridHasHighRatio(t *testing.T) {
 		{Node: "b", Cluster: "B", Speed: 1, Links: map[ClusterID]LinkSample{
 			"C": {Seconds: 1, Bytes: 11e6}}},
 	}
-	culprit, bw, ref, ok := BandwidthCulprit(healthy, 0)
+	culprit, bw, ref, ok := BandwidthCulprit(partials(healthy), 0)
 	if !ok {
 		t.Fatal("want a (harmless) culprit candidate")
 	}
 	if bw < ref*0.5 {
 		t.Errorf("healthy grid: culprit %v bw %v vs ref %v should be comparable", culprit, bw, ref)
+	}
+}
+
+// Two clusters whose best pairs are equally thin: the lower ClusterID
+// is the culprit, whatever order the pairs are visited in.
+func TestBandwidthCulpritTieBreaksOnClusterID(t *testing.T) {
+	parts := []ClusterPartial{
+		{Cluster: "A", Stats: 1, Links: map[ClusterID]LinkSample{
+			"B": {Seconds: 1, Bytes: 10e6}, "D": {Seconds: 10, Bytes: 1e6}}},
+		{Cluster: "B", Stats: 1, Links: map[ClusterID]LinkSample{
+			"C": {Seconds: 10, Bytes: 1e6}}},
+	}
+	for i := 0; i < 20; i++ {
+		culprit, bw, ref, ok := BandwidthCulprit(parts, 0)
+		if !ok || culprit != "C" || bw != 1e5 || ref != 10e6 {
+			t.Fatalf("culprit = %v %v %v %v, want C at 1e5 of 1e7", culprit, bw, ref, ok)
+		}
 	}
 }
 
@@ -128,6 +149,7 @@ func TestBandwidthCulpritProperty(t *testing.T) {
 		}
 		clusters := []ClusterID{"A", "B", "C", "D"}
 		var stats []NodeStats
+		inPair := make(map[ClusterID]bool)
 		for i, raw := range seeds {
 			c := clusters[i%len(clusters)]
 			peer := clusters[(i+1+int(raw)%3)%len(clusters)]
@@ -140,21 +162,13 @@ func TestBandwidthCulpritProperty(t *testing.T) {
 					peer: {Seconds: float64(raw%100) + 0.1, Bytes: float64(raw)*1000 + 1},
 				},
 			})
+			inPair[c], inPair[peer] = true, true
 		}
-		culprit, bw, ref, ok := BandwidthCulprit(stats, 0)
+		culprit, bw, ref, ok := BandwidthCulprit(partials(stats), 0)
 		if !ok {
 			return true
 		}
-		if bw > ref {
-			return false
-		}
-		pairs := PairBandwidths(stats, 0)
-		for k := range pairs {
-			if k[0] == culprit || k[1] == culprit {
-				return true
-			}
-		}
-		return false
+		return bw <= ref && inPair[culprit]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -241,9 +241,15 @@ func (s *Sim) stealDeliver(m *stealMsg) {
 // inter-cluster communication — the signal the coordinator's badness
 // formula keys on (the rest of the attempt is implicit idle time).
 func (s *Sim) stealReply(m *stealMsg, got bool, commSec float64) {
-	// The attempt ends here; what stealReply starts (nodeIdle may send
-	// the next steal) finds the pool without it.
-	defer func() { s.stealPool = append(s.stealPool, m) }()
+	s.landSteal(m, got, commSec)
+	// The attempt ends here, after everything landSteal started
+	// (nodeIdle may send the next steal), which found the pool without
+	// it.
+	s.stealPool = append(s.stealPool, m)
+}
+
+// landSteal is stealReply's work at the thief.
+func (s *Sim) landSteal(m *stealMsg, got bool, commSec float64) {
 	n, inter := m.n, m.inter
 	if m.wanSlot {
 		n.eng.AsyncDone(got)

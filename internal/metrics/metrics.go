@@ -89,10 +89,7 @@ func (a *Accumulator) AddLinkSample(peer core.ClusterID, seconds, bytes float64)
 	if a.links == nil {
 		a.links = make(map[core.ClusterID]core.LinkSample)
 	}
-	l := a.links[peer]
-	l.Seconds += seconds
-	l.Bytes += bytes
-	a.links[peer] = l
+	a.links[peer] = a.links[peer].Plus(core.LinkSample{Seconds: seconds, Bytes: bytes})
 }
 
 // AddInterBytes records payload moved across clusters (for bandwidth
