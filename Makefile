@@ -1,13 +1,18 @@
 # Reproduction of "Self-adaptive applications on the grid" — build and
-# verification entry points. `make verify` is the gate every change
-# must pass: it compiles everything, runs go vet, refuses files gofmt
-# would change, and runs the whole test suite under the race detector
-# (the adaptation kernel is fed concurrently by transport handlers in
-# the real runtime, so -race is not optional here).
+# verification entry points. `make ci` is the gate every change must
+# pass and the one step CI runs: scripts/ci.sh, every phase in order,
+# each with its timeout and wall time. `make verify` is its main phase:
+# it compiles everything, runs go vet, refuses files gofmt would change,
+# and runs the whole test suite under the race detector (the adaptation
+# kernel is fed concurrently by transport handlers in the real runtime,
+# so -race is not optional here). The other targets run one phase each.
 
 GO ?= go
 
-.PHONY: build test vet fmt race verify scale gridsim chaos bench fuzz-smoke satind-smoke replay-smoke reach goldens
+.PHONY: ci build test vet fmt race verify scale gridsim chaos bench bench-smoke fuzz-smoke satind-smoke replay-smoke reach goldens
+
+ci:
+	./scripts/ci.sh
 
 build:
 	$(GO) build ./...
@@ -27,12 +32,11 @@ race:
 
 verify: build vet fmt race
 
-# The rows too slow for tier-1: the 10,000-node sharded world (45-46 s
-# on a shared 2-CPU box that ran the code before the engines' draw
-# buffer in 50-53 s, alternated in the same hour; CI fails the step past
-# 90 s), next to the 2,000-node row `go test ./...` runs. Not under
-# -race: the simulator is single-goroutine and the detector makes it
-# ten times slower.
+# The rows too slow for tier-1: the 10,000-node sharded world (26 s on a
+# 2-CPU box; CI fails the phase past 90 s), next to the 2,000-node row
+# `go test ./...` runs.
+# Not under -race: the simulator is single-goroutine and the detector
+# makes it ten times slower.
 scale:
 	$(GO) test -tags scale -run TestShardedScaleWorld ./internal/des
 
@@ -55,39 +59,29 @@ goldens:
 gridsim:
 	$(GO) run ./cmd/gridsim -scenario all
 
-# Deque/steal/runtime microbenchmarks (one iteration each: a smoke run
-# that proves every benchmark still compiles and executes; for timing
-# numbers use -benchtime/-count as in EXPERIMENTS.md), followed by the
-# repo's benchmark (BENCHMARK.json): the five workloads at --seed 1
-# plus one traced run per workload, reports under results/bench/.
-bench:
-	$(GO) test -run=NONE -bench=. -benchtime=1x -count=1 ./internal/deque ./internal/steal ./satin ./internal/transport/wire ./internal/coord
+# Every go-test benchmark compiles and runs one iteration: a smoke, not
+# a timing (for numbers use -benchtime/-count as in EXPERIMENTS.md).
+bench-smoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The smoke, then the repo's benchmark (BENCHMARK.json): the five
+# workloads at --seed 1 plus one traced run per workload, reports under
+# results/bench/.
+bench: bench-smoke
 	./benchmark/run.sh
 
-# Short fuzz smoke over the adversarial-input paths (`go test -fuzz`
-# accepts one target per invocation, hence one line each): the wirefmt
-# reader, the task payload decoder, the binary control-frame decoder,
-# the batch envelope parser, the receive session's (epoch, seq) cursor
-# (every frame it does not refuse reaches its handler before delivery
-# returns), the coordinator tree's summary/ack/reset frames, the TCP
-# hub's socket envelope, the job service's submit path (decode plus
-# spec check), its other frames, its -shape/-load parser and its
-# -stages grammar, and the record store's line reader and its index's
-# fast path.
+# Every Fuzz target `go test -list` finds, 10 s each in its own package
+# (`go test -fuzz` takes one target per invocation): the codecs' and the
+# job service's adversarial-input paths, the wire's receive session, the
+# record store's line reader and its index.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wirefmt
-	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./satin
-	$(GO) test -run=NONE -fuzz=FuzzBinaryFrameDecode -fuzztime=10s ./internal/transport/wire
-	$(GO) test -run=NONE -fuzz=FuzzBatchEnvelope -fuzztime=10s ./internal/transport/wire
-	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/transport/wire
-	$(GO) test -run=NONE -fuzz=FuzzTreeFrames -fuzztime=10s ./internal/coord
-	$(GO) test -run=NONE -fuzz=FuzzTCPFrame -fuzztime=10s ./internal/transport
-	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/job
-	$(GO) test -run=NONE -fuzz=FuzzJobFrames -fuzztime=10s ./internal/job
-	$(GO) test -run=NONE -fuzz=FuzzParseKV -fuzztime=10s ./internal/job
-	$(GO) test -run=NONE -fuzz=FuzzParseStages -fuzztime=10s ./internal/job
-	$(GO) test -run=NONE -fuzz=FuzzReadLogFrom -fuzztime=10s ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzRowKeys -fuzztime=10s ./internal/store
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { f[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print f[i], $$2; n = 0 }'); \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: go test -list found no Fuzz target"; exit 1; }; \
+	echo "$$targets" | while read -r fuzz pkg; do \
+		echo "$(GO) test -run=NONE -fuzz=^$$fuzz\$$ -fuzztime=10s $$pkg"; \
+		$(GO) test -run=NONE -fuzz="^$$fuzz\$$" -fuzztime=10s "$$pkg" </dev/null || exit 1; \
+	done
 
 # End-to-end smoke of the multi-job service: start satind, run two
 # jobs concurrently through the client, check results and per-job

@@ -7,7 +7,8 @@
 # unqualified `Type.member` — must resolve with `go doc -u`: a qualified
 # one in the module's package of that name, an unqualified one in a
 # package that declares the type. EXPERIMENTS.md's Figure 1 rows are
-# checked by scripts/goldens.sh, which rewrites them.
+# checked by scripts/goldens.sh, which rewrites them. Every alternative
+# of a scripts/stress.txt -run pattern must match a listed test.
 # Run from the repository root: ./scripts/check_docs.sh
 set -euo pipefail
 
@@ -28,6 +29,28 @@ if [ -n "$missing" ]; then
 	exit 1
 fi
 echo "$(printf '%s\n' "$cited" | wc -l) cited test and benchmark names all exist"
+
+# `go test -run` passes when its pattern matches nothing, so a renamed
+# test would silently drop out of its stress run: every alternative of a
+# scripts/stress.txt pattern (split at |) must match a test, fuzz target
+# or example that `go test -list` lists in that line's packages.
+alternatives=0
+stale=()
+while read -r _ _ _ pattern pkgs; do
+	[ "$pattern" != - ] || continue
+	# shellcheck disable=SC2086 # the package list splits into arguments
+	runnable=$(go test -list '.*' $pkgs </dev/null | grep -E '^(Test|Fuzz|Example)')
+	for alt in ${pattern//|/ }; do
+		alternatives=$((alternatives + 1))
+		grep -qE -- "$alt" <<<"$runnable" || stale+=("$alt in $pkgs")
+	done
+done < <(grep -vE '^(#|$)' scripts/stress.txt | sed 's/#.*//')
+if [ ${#stale[@]} -gt 0 ]; then
+	echo "a scripts/stress.txt pattern names no test that go test -list lists:"
+	printf '  %s\n' "${stale[@]}"
+	exit 1
+fi
+echo "$alternatives stress-run pattern alternatives all match a test"
 
 # Backticked identifiers joined by dots; file paths (with a slash) and
 # bare names are not symbols this check can place.
