@@ -6,10 +6,12 @@
 package vtime
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
@@ -24,7 +26,7 @@ type Timer struct {
 }
 
 // Cancel prevents the event from firing. The queue entry stays where
-// it is and is dropped unfired when it reaches the root (the timer no
+// it is and is dropped unfired when it reaches the front (the timer no
 // longer carries its sequence number), so cancelling writes nothing
 // but the timer. Safe to call multiple times and after the event fired
 // (then it is a no-op).
@@ -47,15 +49,16 @@ func (t *Timer) Reset(d float64) {
 // Pending reports whether the timer is scheduled and has yet to fire.
 func (t *Timer) Pending() bool { return t.seq != 0 }
 
-// eventHeap is a binary min-heap on (at, key). An entry holds no
-// pointer: the callback and the timer sit in the Sim's slot array, and
-// the entry names its slot in the low bits of key, below the sequence
-// number. So sifting moves 16-byte values that the GC does not scan,
-// with no write barrier and no index to keep in a timer, and the sifts
-// are written out instead of going through container/heap's interface:
-// the queue is the hot loop of every simulation. Sequence numbers are
-// unique, so (at, key) orders like (at, seq), a total order: the firing
-// order does not depend on the heap's shape.
+// eventHeap is the queue while it is small: a binary min-heap on
+// (at, key). An entry holds no pointer: the callback and the timer sit
+// in the Sim's slot array, and the entry names its slot in the low bits
+// of key, below the sequence number. So sifting moves 16-byte values
+// that the GC does not scan, with no write barrier and no index to keep
+// in a timer, and the sifts are written out instead of going through
+// container/heap's interface: the queue is the hot loop of every
+// simulation. Sequence numbers are unique, so (at, key) orders like
+// (at, seq), a total order: the firing order does not depend on the
+// heap's shape.
 //
 // Almost every event posts a successor, so an event that fires keeps
 // its entry at the root until its callback returns (Sim.spent): the
@@ -77,6 +80,14 @@ const (
 	// rebuildSlack is how many dead entries the queue carries beyond
 	// its live ones before post rebuilds it from the live ones.
 	rebuildSlack = 64
+
+	// A heap that reaches toRadix entries becomes a radix heap, and a
+	// radix heap left with fewer than toHeap becomes a heap again. A
+	// simulation's queue of a few dozen entries costs one short sift an
+	// event as a heap, less than the radix heap's spreading; a queue of
+	// thousands costs a dozen levels a sift.
+	toRadix = 1024
+	toHeap  = 256
 )
 
 func (e event) seq() uint64 { return e.key >> slotBits }
@@ -134,6 +145,13 @@ func (h *eventHeap) push(e event) {
 	h.up(len(*h)-1, e)
 }
 
+// init orders h as a heap.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
+}
+
 // popRoot takes the root entry out of the queue.
 func (h *eventHeap) popRoot() {
 	old := *h
@@ -142,6 +160,93 @@ func (h *eventHeap) popRoot() {
 	if len(*h) > 0 {
 		h.down(0, last)
 	}
+}
+
+// radixHeap is the queue while it is large: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) on the time's bits. post
+// refuses a time before now, so no entry is earlier than last, the time
+// of the entry taken out last. Bucket i > 0 holds the entries whose time
+// first differs from last in bit i-1, so every entry of a lower bucket
+// fires earlier; bucket 0 holds the entries at last, in key order (a
+// pushed entry has the largest key yet). Taking the earliest out
+// empties bucket 0 from its front; when it runs dry, the lowest
+// non-empty bucket is spread over those below it around its own
+// earliest time. An entry only moves to a lower bucket, a few times in
+// its life, where a heap of thousands sifts a dozen levels a pop.
+type radixHeap struct {
+	b    [64][]event // a time is never negative: bit 63 never differs
+	head int         // b[0][:head] is taken out
+	full uint64      // bit i, i > 0, is set while b[i] is not empty
+	last uint64
+	n    int // entries queued
+}
+
+func (r *radixHeap) push(e event) {
+	i := bits.Len64(e.at ^ r.last)
+	r.b[i] = append(r.b[i], e)
+	r.full |= 1 << i
+	r.n++
+}
+
+// min returns the earliest entry, which pop takes out. The queue must
+// not be empty.
+func (r *radixHeap) min() event {
+	if r.head == len(r.b[0]) {
+		r.refill()
+	}
+	return r.b[0][r.head]
+}
+
+func (r *radixHeap) pop() {
+	r.head++
+	r.n--
+}
+
+// refill spreads the lowest non-empty bucket over the ones below it,
+// around its earliest time, which becomes last. Its entries agree with
+// each other above the bit that put them there, so none stays.
+func (r *radixHeap) refill() {
+	r.b[0], r.head = r.drained(r.b[0]), 0
+	i := bits.TrailingZeros64(r.full &^ 1)
+	src := r.b[i]
+	m := src[0].at
+	for _, e := range src[1:] {
+		m = min(m, e.at)
+	}
+	r.last = m
+	r.full &^= 1 << i
+	for _, e := range src {
+		j := bits.Len64(e.at ^ m)
+		r.b[j] = append(r.b[j], e)
+		r.full |= 1 << j
+	}
+	r.b[i] = r.drained(src)
+	r.sortFront()
+}
+
+// sortFront puts bucket 0 in key order after entries came in out of
+// order. Usually there is one, or a few nearly in order.
+func (r *radixHeap) sortFront() {
+	b := r.b[0]
+	if len(b) > 32 {
+		slices.SortFunc(b, func(x, y event) int { return cmp.Compare(x.key, y.key) })
+		return
+	}
+	for k := 1; k < len(b); k++ {
+		for j := k; j > 0 && b[j].key < b[j-1].key; j-- {
+			b[j], b[j-1] = b[j-1], b[j]
+		}
+	}
+}
+
+// drained empties bucket b for reuse, or drops its array when that is
+// larger than half the queue: a bucket that once took a burst would
+// keep it for the rest of the run.
+func (r *radixHeap) drained(b []event) []event {
+	if cap(b) > r.n/2 {
+		return nil
+	}
+	return b[:0]
 }
 
 // slot is what an entry points at: the callback, and the timer whose
@@ -156,15 +261,17 @@ type slot struct {
 // deterministic.
 type Sim struct {
 	now     Time
-	events  eventHeap
-	spent   bool // events[0] is the firing event, which the next post overwrites
-	dead    int  // entries in events whose timer was cancelled or reset
+	events  eventHeap // the queue, unless big
+	spent   bool      // events[0] is the firing event, which the next post overwrites
+	big     bool      // the queue is radix, and events is empty
+	dead    int       // entries in the queue whose timer was cancelled or reset
 	slots   []slot
 	free    []int32 // indices of unused slots
 	seq     uint64
 	fired   uint64
 	rng     *rand.Rand
 	stopped bool
+	radix   radixHeap // last: a heap's event touches none of its 1.6 KB
 }
 
 // New returns a kernel whose random source is seeded with seed.
@@ -212,7 +319,7 @@ func (s *Sim) post(t Time, fn func(), h *Timer) {
 	if s.seq == maxSeq {
 		panic("vtime: out of sequence numbers")
 	}
-	if s.dead > len(s.events)-s.dead+rebuildSlack {
+	if s.dead > s.entries()-s.dead+rebuildSlack {
 		s.rebuild()
 	}
 	s.seq++
@@ -237,7 +344,51 @@ func (s *Sim) post(t Time, fn func(), h *Timer) {
 		s.events.down(0, e)
 		return
 	}
+	if s.big {
+		s.radix.push(e)
+		return
+	}
 	s.events.push(e)
+	if len(s.events) >= toRadix {
+		s.toRadix()
+	}
+}
+
+// entries is the number of entries queued, dead and spent ones
+// included.
+func (s *Sim) entries() int {
+	if s.big {
+		return s.radix.n
+	}
+	return len(s.events)
+}
+
+// toRadix moves the heap's entries into the radix heap around now: no
+// entry is earlier, and last may be later, carried past the clock by
+// dead entries the radix heap dropped before it last became a heap.
+// spent is false: the firing event's first post took its place.
+func (s *Sim) toRadix() {
+	s.radix.last = math.Float64bits(float64(s.now))
+	for _, e := range s.events {
+		s.radix.push(e)
+	}
+	s.radix.sortFront()
+	s.events = s.events[:0]
+	s.big = true
+}
+
+// toHeap moves the radix heap's entries into the heap.
+func (s *Sim) toHeap() {
+	r := &s.radix
+	s.events = append(s.events, r.b[0][r.head:]...)
+	r.b[0], r.head = r.drained(r.b[0]), 0
+	for i := 1; i < len(r.b); i++ {
+		s.events = append(s.events, r.b[i]...)
+		r.b[i] = r.drained(r.b[i])
+	}
+	r.full, r.n = 0, 0
+	s.events.init()
+	s.big = false
 }
 
 // release returns slot i to the free list and hands back what it held.
@@ -255,10 +406,18 @@ func (s *Sim) isDead(e event) bool {
 	return t != nil && t.seq != e.seq()
 }
 
-// pop takes the root entry out of the queue. Dead entries at the end
-// of the array go first: dropping one there is free, and left in place
-// it would cost a sift from the root when it got there.
+// pop takes the earliest entry out of the queue. In the heap, dead
+// entries at the end of the array go first: dropping one there is free,
+// and left in place it would cost a sift from the root when it got
+// there.
 func (s *Sim) pop() {
+	if s.big {
+		s.radix.pop()
+		if s.radix.n < toHeap {
+			s.toHeap()
+		}
+		return
+	}
 	for s.dead > 0 && len(s.events) > 1 {
 		last := s.events[len(s.events)-1]
 		if !s.isDead(last) {
@@ -272,25 +431,46 @@ func (s *Sim) pop() {
 }
 
 // rebuild drops the dead entries, and the spent one, and re-heaps the
-// rest. The order the live entries fire in is their (at, key) order,
-// whatever the new heap's shape.
+// rest, or keeps the radix heap's buckets in their order. The order the
+// live entries fire in is their (at, key) order, whatever the queue's
+// shape.
 func (s *Sim) rebuild() {
-	live := s.events[:0]
-	for i, e := range s.events {
-		if i == 0 && s.spent {
-			continue // its slot was released when it fired
+	s.dead = 0
+	if s.big {
+		r := &s.radix
+		r.b[0] = s.live(r.b[0][:0], r.b[0][r.head:])
+		r.head, r.n, r.full = 0, len(r.b[0]), 0
+		for i := 1; i < len(r.b); i++ {
+			r.b[i] = s.live(r.b[i][:0], r.b[i])
+			if len(r.b[i]) > 0 {
+				r.n += len(r.b[i])
+				r.full |= 1 << i
+			}
 		}
+		if r.n < toHeap {
+			s.toHeap()
+		}
+		return
+	}
+	src := s.events
+	if s.spent {
+		src = src[1:] // its slot was released when it fired
+	}
+	s.events, s.spent = s.live(s.events[:0], src), false
+	s.events.init()
+}
+
+// live appends src's live entries to dst, which may share src's array
+// no further on, and releases the dead ones' slots.
+func (s *Sim) live(dst, src []event) []event {
+	for _, e := range src {
 		if s.isDead(e) {
 			s.release(e.slot())
 			continue
 		}
-		live = append(live, e)
+		dst = append(dst, e)
 	}
-	clear(s.events[len(live):])
-	s.events, s.dead, s.spent = live, 0, false
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		live.down(i, live[i])
-	}
+	return dst
 }
 
 // After schedules fn to run d virtual seconds from now (d < 0 panics).
@@ -305,17 +485,24 @@ func (s *Sim) Fired() uint64 { return s.fired }
 
 // Step executes the next event, advancing the clock. It returns false
 // when no live event is left. A cancelled or rescheduled entry that
-// reaches the root is dropped on the way: it does not move the clock
-// and does not count as fired. The event stays in the root slot while
-// its callback runs, for the callback's first post to take over; the
-// next Step drops it if a callback panicked before it was taken over.
+// reaches the front is dropped on the way: it does not move the clock
+// and does not count as fired. A heap keeps the event in the root slot
+// while its callback runs, for the callback's first post to take over;
+// the next Step drops it if a callback panicked before it was taken
+// over. A radix heap has no root to take over and takes the event out
+// first.
 func (s *Sim) Step() bool {
 	if s.spent {
 		s.spent = false
 		s.pop()
 	}
-	for len(s.events) > 0 {
-		e := s.events[0]
+	for s.entries() > 0 {
+		var e event
+		if s.big {
+			e = s.radix.min()
+		} else {
+			e = s.events[0]
+		}
 		sl := s.release(e.slot())
 		if sl.t != nil {
 			if sl.t.seq != e.seq() {
@@ -325,9 +512,13 @@ func (s *Sim) Step() bool {
 			}
 			sl.t.seq = 0 // fired: Cancel is a no-op, Reset posts anew
 		}
-		s.spent = true
 		s.now = e.time()
 		s.fired++
+		if s.big {
+			s.pop()
+		} else {
+			s.spent = true
+		}
 		sl.fn()
 		if s.spent {
 			s.spent = false

@@ -1,8 +1,10 @@
 package vtime
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,9 +70,9 @@ func TestCancel(t *testing.T) {
 // has posted nothing yet.
 func queued(s *Sim) int {
 	if s.spent {
-		return len(s.events) - s.dead - 1
+		return s.entries() - s.dead - 1
 	}
-	return len(s.events) - s.dead
+	return s.entries() - s.dead
 }
 
 func TestPendingCountsLiveEvents(t *testing.T) {
@@ -94,8 +96,8 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 		}
 	})
 	s.Run()
-	if n := queued(s); n != 0 || len(s.events) != 0 {
-		t.Fatalf("queued = %d (%d slots) after Run, want 0", n, len(s.events))
+	if n := queued(s); n != 0 || s.entries() != 0 {
+		t.Fatalf("queued = %d (%d entries) after Run, want 0", n, s.entries())
 	}
 }
 
@@ -250,204 +252,308 @@ func TestOrderProperty(t *testing.T) {
 // hundreds of times over, which rebuilds the queue mid-callback),
 // cancel the next-due timer or the one in the last entry, or stop the
 // run. Every event that fires must be the model's earliest live event
-// by (time, scheduling order), whatever shape the heap took on the way
-// and whether or not the firing event still held the root slot. A
+// by (time, scheduling order), whatever shape the queue took on the
+// way and whether or not the firing event still held the root slot. A
 // cancelled or rescheduled entry never fires, never moves the clock
 // and never counts in Fired, and Step reports an empty queue when only
 // such entries are left.
+//
+// The heap shape keeps the queue a heap. In the radix shape it swells
+// past toRadix and ebbs below toHeap again and again, so every step
+// above runs in both forms and across the switches, then ends with
+// only dead entries above toRadix, whose pops carry the radix heap's
+// last time past the clock, and with a second swell after them.
 func TestQueueMatchesSortedModel(t *testing.T) {
 	type planned struct {
-		at  Time
-		seq int
+		at      Time
+		seq, id int
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := New(seed)
-		live := map[int]planned{} // the model: every pending event by id
-		var (
-			timers  []*Timer // by id; nil for an event posted without a handle
-			handles []int    // the ids that have a timer
-			ids     = map[*Timer]int{}
-			seq     int
-			fired   int
-			lastAt  Time
-			stopAt  = -1
-			fire    func(id int)
-		)
-		plan := func(id int, at Time) {
-			seq++
-			live[id] = planned{at, seq}
+	order := func(a, b planned) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		// earliest is the model's next event, among the timers only if
-		// asked.
-		earliest := func(timersOnly bool) (int, bool) {
-			best, found := 0, false
-			for id, p := range live {
-				if timersOnly && timers[id] == nil {
-					continue
+		return cmp.Compare(a.seq, b.seq)
+	}
+	for _, shape := range []struct {
+		name           string
+		seeds          int64
+		initial, total int  // events scheduled before the first Run, and in all
+		tide           bool // callbacks swell the queue past toRadix and let it ebb below toHeap
+		dead           int  // events scheduled and cancelled at the end
+	}{
+		{"heap", 20, 200, 2000, false, 5},
+		{"radix", 4, toRadix + 200, 30000, true, toRadix + 200},
+	} {
+		for seed := int64(1); seed <= shape.seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s := New(seed)
+			var (
+				model    []planned // every pending event, in firing order
+				byID     = map[int]planned{}
+				timers   []*Timer // by id; nil for an event posted without a handle
+				handles  []int    // the ids that have a timer
+				ids      = map[*Timer]int{}
+				seq      int
+				fired    int
+				lastAt   Time
+				stopAt   = -1
+				swell    = true
+				switches int // between forms, seen from callbacks
+				wasBig   bool
+				fire     func(id int)
+			)
+			unplan := func(id int) {
+				if p, ok := byID[id]; ok {
+					i, _ := slices.BinarySearchFunc(model, p, order)
+					model = slices.Delete(model, i, i+1)
+					delete(byID, id)
 				}
-				if b := live[best]; !found || p.at < b.at || p.at == b.at && p.seq < b.seq {
-					best, found = id, true
-				}
 			}
-			return best, found
-		}
-		schedule := func(at Time) {
-			id := len(timers)
-			fn := func() { fire(id) }
-			plan(id, at)
-			if rng.Intn(2) == 0 {
-				timers = append(timers, nil)
-				s.PostAt(at, fn)
-				return
+			plan := func(id int, at Time) {
+				unplan(id)
+				seq++
+				p := planned{at, seq, id}
+				i, _ := slices.BinarySearchFunc(model, p, order)
+				model = slices.Insert(model, i, p)
+				byID[id] = p
 			}
-			tm := s.at(at, fn)
-			timers = append(timers, tm)
-			handles = append(handles, id)
-			ids[tm] = id
-		}
-		reset := func(id int) {
-			d := float64(rng.Intn(5))
-			timers[id].Reset(d)
-			plan(id, s.Now()+Time(d))
-		}
-		cancel := func(id int) {
-			timers[id].Cancel()
-			delete(live, id)
-		}
-		fire = func(id int) {
-			want, ok := earliest(false)
-			if !ok || want != id {
-				t.Fatalf("seed %d: event %d fired id %d, model id %d", seed, fired, id, want)
-			}
-			if s.Now() != live[id].at {
-				t.Fatalf("seed %d: id %d fired at %v, planned at %v", seed, id, s.Now(), live[id].at)
-			}
-			delete(live, id)
-			fired++
-			lastAt = s.Now()
-			if s.Fired() != uint64(fired) {
-				t.Fatalf("seed %d: Fired = %d at the model's event %d", seed, s.Fired(), fired)
-			}
-			if tm := timers[id]; tm != nil && tm.Pending() {
-				t.Fatalf("seed %d: id %d is pending while it fires", seed, id)
-			}
-			if queued(s) != len(live) {
-				t.Fatalf("seed %d: %d queued while id %d fires, model has %d", seed, queued(s), id, len(live))
-			}
-			more := len(timers) < 2000
-			switch rng.Intn(10) {
-			case 0: // post nothing
-			case 1, 2, 3, 4: // one successor
-				if more {
-					schedule(s.Now() + Time(rng.Intn(5)))
-				}
-			case 5: // several
-				for n := 2 + rng.Intn(3); more && n > 0; n-- {
-					schedule(s.Now() + Time(rng.Intn(5)))
-				}
-			case 6: // reset the firing timer, or another, once or in a burst
-				n := 1
-				if rng.Intn(8) == 0 {
-					n = rng.Intn(6 * rebuildSlack)
-				}
-				if timers[id] != nil && rng.Intn(2) == 0 {
-					for ; n > 0; n-- {
-						reset(id)
+			// earliest is the model's next event, among the timers only if
+			// asked.
+			earliest := func(timersOnly bool) (int, bool) {
+				for _, p := range model {
+					if !timersOnly || timers[p.id] != nil {
+						return p.id, true
 					}
-				} else if len(handles) > 0 {
-					victim := handles[rng.Intn(len(handles))]
+				}
+				return 0, false
+			}
+			// delay is mostly near, often now, now and then far.
+			delay := func() Time {
+				if rng.Intn(10) == 0 {
+					return Time(rng.Float64() * 300)
+				}
+				return Time(rng.Intn(5)) + Time(rng.Intn(3))/4
+			}
+			schedule := func(at Time) {
+				id := len(timers)
+				fn := func() { fire(id) }
+				plan(id, at)
+				if rng.Intn(2) == 0 {
+					timers = append(timers, nil)
+					s.PostAt(at, fn)
+					return
+				}
+				tm := s.at(at, fn)
+				timers = append(timers, tm)
+				handles = append(handles, id)
+				ids[tm] = id
+			}
+			reset := func(id int) {
+				d := delay()
+				timers[id].Reset(float64(d))
+				plan(id, s.Now()+d)
+			}
+			cancel := func(id int) {
+				timers[id].Cancel()
+				unplan(id)
+			}
+			fire = func(id int) {
+				if s.big != wasBig {
+					wasBig = s.big
+					switches++
+				}
+				want, ok := earliest(false)
+				if !ok || want != id {
+					t.Fatalf("%s seed %d: event %d fired id %d (%v), model id %d (%v), now %v", shape.name, seed, fired, id, byID[id], want, byID[want], s.Now())
+				}
+				if s.Now() != byID[id].at {
+					t.Fatalf("%s seed %d: id %d fired at %v, planned at %v", shape.name, seed, id, s.Now(), byID[id].at)
+				}
+				unplan(id)
+				fired++
+				lastAt = s.Now()
+				if s.Fired() != uint64(fired) {
+					t.Fatalf("%s seed %d: Fired = %d at the model's event %d", shape.name, seed, s.Fired(), fired)
+				}
+				if tm := timers[id]; tm != nil && tm.Pending() {
+					t.Fatalf("%s seed %d: id %d is pending while it fires", shape.name, seed, id)
+				}
+				if queued(s) != len(model) {
+					t.Fatalf("%s seed %d: %d queued while id %d fires, model has %d", shape.name, seed, queued(s), id, len(model))
+				}
+				more := len(timers) < shape.total
+				if shape.tide {
+					if len(model) > toRadix+300 {
+						swell = false
+					} else if len(model) < toHeap-100 {
+						swell = true
+					}
+					for n := rng.Intn(4); swell && more && n > 0; n-- {
+						schedule(s.Now() + delay())
+					}
+				}
+				switch rng.Intn(10) {
+				case 0: // post nothing
+				case 1, 2, 3, 4: // one successor
+					if more {
+						schedule(s.Now() + delay())
+					}
+				case 5: // several
+					for n := 2 + rng.Intn(3); more && n > 0; n-- {
+						schedule(s.Now() + delay())
+					}
+				case 6: // reset the firing timer, or another, once or in a burst
+					n := 1
+					if rng.Intn(8) == 0 {
+						n = rng.Intn(6 * rebuildSlack)
+					}
+					if timers[id] != nil && rng.Intn(2) == 0 {
+						for ; n > 0; n-- {
+							reset(id)
+						}
+					} else if len(handles) > 0 {
+						victim := handles[rng.Intn(len(handles))]
+						for ; n > 0; n-- {
+							reset(victim)
+						}
+					}
+				case 7: // cancel the next-due timer, or a burst of them, which leaves
+					// the next callback's first post to rebuild under the spent root
+					n := 1
+					if rng.Intn(8) == 0 {
+						n = rng.Intn(3 * rebuildSlack)
+					}
 					for ; n > 0; n-- {
+						if next, ok := earliest(true); ok {
+							cancel(next)
+						}
+					}
+				case 8: // cancel the timer of the last entry if that entry is its schedule
+					// (the firing entry's slot is released, so it never is)
+					if last, ok := lastEntry(s); ok {
+						if tm := s.slots[last.slot()].t; tm != nil && tm.seq == last.seq() {
+							cancel(ids[tm])
+						}
+					}
+				case 9:
+					s.Stop()
+					stopAt = fired
+				}
+				if queued(s) != len(model) {
+					t.Fatalf("%s seed %d: %d queued after id %d's callback, model has %d", shape.name, seed, queued(s), id, len(model))
+				}
+			}
+			drain := func() {
+				if queued(s) != len(model) {
+					t.Fatalf("%s seed %d: %d queued, model has %d", shape.name, seed, queued(s), len(model))
+				}
+				for {
+					stopAt = -1
+					s.Run()
+					if stopAt < 0 {
+						break
+					}
+					if fired != stopAt {
+						t.Fatalf("%s seed %d: Run fired %d events after Stop", shape.name, seed, fired-stopAt)
+					}
+				}
+				if len(model) != 0 || s.entries() != 0 {
+					t.Fatalf("%s seed %d: Run returned with %d entries queued, model has %d", shape.name, seed, s.entries(), len(model))
+				}
+				if s.Now() != lastAt || s.Fired() != uint64(fired) {
+					t.Fatalf("%s seed %d: clock %v and Fired %d at the end, want %v and %d", shape.name, seed, s.Now(), s.Fired(), lastAt, fired)
+				}
+			}
+
+			for len(timers) < shape.initial {
+				schedule(Time(rng.Intn(50)) + delay())
+				if len(handles) > 0 {
+					switch victim := handles[rng.Intn(len(handles))]; rng.Intn(4) {
+					case 0:
+						cancel(victim)
+					case 1:
 						reset(victim)
 					}
 				}
-			case 7: // cancel the next-due timer, or a burst of them, which leaves
-				// the next callback's first post to rebuild under the spent root
-				n := 1
-				if rng.Intn(8) == 0 {
-					n = rng.Intn(3 * rebuildSlack)
-				}
-				for ; n > 0; n-- {
-					if next, ok := earliest(true); ok {
-						cancel(next)
-					}
-				}
-			case 8: // cancel the timer of the last entry if that entry is its schedule
-				// (the firing entry's slot is released, so it never is)
-				last := s.events[len(s.events)-1]
-				if tm := s.slots[last.slot()].t; tm != nil && tm.seq == last.seq() {
-					cancel(ids[tm])
-				}
-			case 9:
-				s.Stop()
-				stopAt = fired
 			}
-			if queued(s) != len(live) {
-				t.Fatalf("seed %d: %d queued after id %d's callback, model has %d", seed, queued(s), id, len(live))
+			drain()
+			if shape.tide && switches < 4 {
+				t.Fatalf("%s seed %d: the queue switched forms %d times, want twice each way", shape.name, seed, switches)
 			}
-		}
 
-		for len(timers) < 200 {
-			schedule(Time(rng.Intn(50)))
-			if len(handles) > 0 {
-				switch victim := handles[rng.Intn(len(handles))]; rng.Intn(4) {
-				case 0:
-					cancel(victim)
-				case 1:
-					reset(victim)
-				}
+			// Only dead entries left: Step finds nothing to fire.
+			var doomed []*Timer
+			for i := 1; i <= shape.dead; i++ {
+				doomed = append(doomed, s.at(s.Now()+Time(i), func() { t.Fatalf("%s seed %d: a cancelled event fired", shape.name, seed) }))
+				tm := s.NewTimer(func() { t.Fatalf("%s seed %d: a rescheduled event fired", shape.name, seed) })
+				tm.Reset(float64(i))
+				tm.Reset(float64(2 * i))
+				doomed = append(doomed, tm)
 			}
-		}
-		if queued(s) != len(live) {
-			t.Fatalf("seed %d: %d queued, model has %d", seed, queued(s), len(live))
-		}
-		for {
-			stopAt = -1
-			s.Run()
-			if stopAt < 0 {
-				break
+			if big := s.big; big != (shape.dead >= toRadix) {
+				t.Fatalf("%s seed %d: %d dead entries in radix form: %v", shape.name, seed, s.entries(), big)
 			}
-			if fired != stopAt {
-				t.Fatalf("seed %d: Run fired %d events after Stop", seed, fired-stopAt)
+			for _, tm := range doomed {
+				tm.Cancel()
 			}
-		}
-		if len(live) != 0 || len(s.events) != 0 {
-			t.Fatalf("seed %d: Run returned with %d slots queued, model has %d", seed, len(s.events), len(live))
-		}
-		if s.Now() != lastAt || s.Fired() != uint64(fired) {
-			t.Fatalf("seed %d: clock %v and Fired %d at the end, want %v and %d", seed, s.Now(), s.Fired(), lastAt, fired)
-		}
+			if s.Step() || s.Now() != lastAt || s.Fired() != uint64(fired) || s.entries() != 0 {
+				t.Fatalf("%s seed %d: Step over dead entries: clock %v, Fired %d, %d entries left", shape.name, seed, s.Now(), s.Fired(), s.entries())
+			}
 
-		// Only dead entries left: Step finds nothing to fire.
-		for i := 1; i <= 5; i++ {
-			s.at(s.Now()+Time(i), func() { t.Fatalf("seed %d: a cancelled event fired", seed) }).Cancel()
-			tm := s.NewTimer(func() { t.Fatalf("seed %d: a rescheduled event fired", seed) })
-			tm.Reset(float64(i))
-			tm.Reset(float64(2 * i))
-			tm.Cancel()
-		}
-		if s.Step() || s.Now() != lastAt || s.Fired() != uint64(fired) || len(s.events) != 0 {
-			t.Fatalf("seed %d: Step over dead entries: clock %v, Fired %d, %d entries left", seed, s.Now(), s.Fired(), len(s.events))
+			// The clock did not move over them, though dropping them in
+			// radix form moved the radix heap's last time: a queue as
+			// large again, spread past their times, fires in order.
+			for range shape.dead {
+				schedule(s.Now() + Time(rng.Float64()*float64(3*shape.dead)))
+			}
+			drain()
 		}
 	}
 }
 
-// A callback that panics leaves its entry at the root; the next Step
-// drops it instead of firing it again, and a sequence number that would
-// wrap panics instead.
-func TestQueueAfterPanics(t *testing.T) {
-	s := New(1)
-	var got []int
-	s.PostAt(1, func() { panic("boom") })
-	s.PostAt(2, func() { got = append(got, 2) })
-	func() {
-		defer func() { recover() }()
-		s.Step()
-	}()
-	s.Run()
-	if len(got) != 1 || s.Now() != 2 || len(s.events) != 0 {
-		t.Fatalf("after a panicking callback: ran %v, clock %v, %d entries left", got, s.Now(), len(s.events))
+// lastEntry is the entry stored last: the heap's last slot, or the last
+// of the radix heap's highest non-empty bucket.
+func lastEntry(s *Sim) (event, bool) {
+	if !s.big {
+		if len(s.events) == 0 {
+			return event{}, false
+		}
+		return s.events[len(s.events)-1], true
 	}
+	r := &s.radix
+	for i := len(r.b) - 1; i >= 0; i-- {
+		if b := r.b[i]; len(b) > 0 && (i > 0 || r.head < len(b)) {
+			return b[len(b)-1], true
+		}
+	}
+	return event{}, false
+}
+
+// A callback that panics leaves its entry at the root of a heap; the
+// next Step drops it instead of firing it again. A radix heap took it
+// out before the callback ran. A sequence number that would wrap panics
+// instead.
+func TestQueueAfterPanics(t *testing.T) {
+	for _, later := range []int{1, toRadix} {
+		s := New(1)
+		ran := 0
+		s.PostAt(1, func() { panic("boom") })
+		for i := 0; i < later; i++ {
+			s.PostAt(Time(2+i), func() { ran++ })
+		}
+		if s.big != (later >= toRadix) {
+			t.Fatalf("%d events after the panic: radix form %v", later, s.big)
+		}
+		func() {
+			defer func() { recover() }()
+			s.Step()
+		}()
+		s.Run()
+		if ran != later || s.Now() != Time(1+later) || s.entries() != 0 {
+			t.Fatalf("after a panicking callback: ran %d of %d, clock %v, %d entries left", ran, later, s.Now(), s.entries())
+		}
+	}
+	s := New(1)
 	s.seq = maxSeq
 	defer func() {
 		if recover() == nil {
@@ -501,6 +607,32 @@ func BenchmarkStepPostsOne(b *testing.B) {
 	}
 }
 
+// BenchmarkStepPostsOneDeep is BenchmarkStepPostsOne with the queue as
+// deep as a 2 000-node world keeps it: 5 000 events pending, so the
+// queue is a radix heap. Seven posts in eight are near-term, the eighth
+// is up to a hundred times further out, so most of the pending events
+// are far ones. One op is one Step.
+func BenchmarkStepPostsOneDeep(b *testing.B) {
+	s := New(1)
+	rng := rand.New(rand.NewSource(1))
+	var next func()
+	next = func() {
+		d := rng.Float64()
+		if rng.Intn(8) == 0 {
+			d *= 100
+		}
+		s.Post(d, next)
+	}
+	for i := 0; i < 5000; i++ {
+		next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // Resetting a pending timer leaves a dead entry behind, so a timer
 // reset over and over between two Steps would grow the queue without
 // bound if post did not rebuild it: it stays under twice its live
@@ -512,14 +644,14 @@ func TestResetWhilePendingBoundsQueue(t *testing.T) {
 	s.Post(5, func() {})
 	for i := 0; i < 1000000; i++ {
 		tm.Reset(float64(i % 7))
-		if live := queued(s); live != 2 || len(s.events) > 2*live+rebuildSlack || len(s.slots) > 2*live+rebuildSlack+1 {
-			t.Fatalf("reset %d: %d entries in %d slots for %d live events", i, len(s.events), len(s.slots), live)
+		if live := queued(s); live != 2 || s.entries() > 2*live+rebuildSlack || len(s.slots) > 2*live+rebuildSlack+1 {
+			t.Fatalf("reset %d: %d entries in %d slots for %d live events", i, s.entries(), len(s.slots), live)
 		}
 	}
 	s.Run()
-	if fired != 1 || s.Fired() != 2 || s.Now() != 5 || len(s.events) != 0 {
+	if fired != 1 || s.Fired() != 2 || s.Now() != 5 || s.entries() != 0 {
 		t.Fatalf("fired %d, Fired %d, clock %v, %d entries left; want the timer once, 2 events, clock 5, none left",
-			fired, s.Fired(), s.Now(), len(s.events))
+			fired, s.Fired(), s.Now(), s.entries())
 	}
 }
 
